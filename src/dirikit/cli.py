@@ -22,7 +22,7 @@ import numpy as np
 
 from . import beurling, jsonio, metrics, orderiso, search, spectral
 from .core import generate, generator
-from .errors import DirikitError, NotIrreducible
+from .errors import DirikitError
 from .report import VerificationReport
 from .sampling import random_intertwined_pair
 from .tolerances import DEFAULT_TOL, Tolerance
@@ -49,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="enumerate intertwining order isomorphisms between two graphs")
     p.add_argument("graph1")
     p.add_argument("graph2")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--max-solutions", type=int, default=1000)
 
     p = sub.add_parser("certify", parents=[common],
@@ -90,20 +89,25 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _tolerance(args) -> Tolerance:
+def _tolerance_value(args, default: float | None) -> float | None:
+    """--tol, else $DIRIKIT_TOL, else the command's default."""
     value = args.tol
     if value is None:
         env = os.environ.get("DIRIKIT_TOL")
-        if env is not None:
-            try:
-                value = float(env)
-            except ValueError:
-                raise DirikitError(f"DIRIKIT_TOL is not a number: {env!r}") from None
-    if value is None:
-        return DEFAULT_TOL
+        if env is None:
+            return default
+        try:
+            value = float(env)
+        except ValueError:
+            raise DirikitError(f"DIRIKIT_TOL is not a number: {env!r}") from None
     if value <= 0:
         raise DirikitError("tolerance must be positive")
-    return Tolerance(rel=value, abs=value * 1e-3)
+    return value
+
+
+def _tolerance(args) -> Tolerance:
+    value = _tolerance_value(args, None)
+    return DEFAULT_TOL if value is None else Tolerance(rel=value, abs=value * 1e-3)
 
 
 def _emit(args, payload: str) -> None:
@@ -148,24 +152,12 @@ def _cmd_check(args) -> int:
 def _cmd_search(args) -> int:
     form1 = jsonio.graph_loads(_read(args.graph1))
     form2 = jsonio.graph_loads(_read(args.graph2))
-    tol = args.tol
-    opts = search.SearchOptions(
-        tol=tol if tol is not None else 1e-8,
-        max_solutions=args.max_solutions,
-        jobs=args.jobs,
-    )
-    if not (spectral.is_irreducible(form1) and spectral.is_irreducible(form2)):
-        raise NotIrreducible("intertwiner search requires irreducible forms")
-    if len(form1.space) != len(form2.space):
-        found, reason = [], "size"
-    elif not search.spectra_match(form1, form2, opts.spectral_tol):
-        found, reason = [], "spectrum"
-    else:
-        found = search.find_intertwiners(form1, form2, opts)
-        reason = None if found else "exhausted"
+    opts = search.SearchOptions(_tolerance_value(args, 1e-8), args.max_solutions)
+    verdict = search.equivalence_verdict(form1, form2, opts)
+    found = verdict.solutions
     payload = {
-        "equivalent": bool(found),
-        "reason": reason,
+        "equivalent": verdict.equivalent,
+        "reason": verdict.reason,
         "intertwiners": [
             dict(jsonio.iso_to_obj(iso), beta=iso.beta) for iso in found
         ],
@@ -173,9 +165,9 @@ def _cmd_search(args) -> int:
     if args.format == "json":
         _emit(args, jsonio.dumps(payload) + "\n")
     else:
-        lines = [f"equivalent: {bool(found)}"]
-        if reason:
-            lines.append(f"reason: {reason}")
+        lines = [f"equivalent: {verdict.equivalent}"]
+        if verdict.reason:
+            lines.append(f"reason: {verdict.reason}")
         for iso in found:
             lines.append(f"tau: {iso.tau} h: {iso.h}")
         _emit(args, "\n".join(lines) + "\n")
@@ -204,7 +196,7 @@ def _cmd_certify(args) -> int:
         report.extend(metrics.verify_intrinsic_bijection(iso, form1, form2, tol=tol))
 
     if args.format == "json":
-        _emit(args, jsonio.dumps(jsonio.report_to_obj(report)) + "\n")
+        _emit(args, jsonio.dumps(report.to_dict()) + "\n")
     else:
         _emit(args, _report_text(report))
     return 0 if report.verdict else 1

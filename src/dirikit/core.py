@@ -13,8 +13,9 @@ L[x,y] = -b(x,y)/m(x) off the diagonal and L[x,x] = (deg(x) + c(x))/m(x),
 where deg(x) = sum_y b(x,y); it satisfies <Lf, g>_m = Q(f, g).
 
 Measure, conductances and killing are stored separately and never
-premultiplied; the generator is materialized on demand.  All values are
-immutable after construction and every operation is a pure function.
+premultiplied; derived matrices are computed on first use and cached on
+the form or its generator.  All values are immutable after construction
+and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ from .errors import (
 VertexFunction = Union[Mapping[str, float], Sequence[float], np.ndarray, float, int]
 
 EdgeInput = Union[Mapping[tuple[str, str], float], Iterable[tuple[str, str, float]]]
+
+# relative eigenvalue cutoff for the pseudoinverse of the form matrix
+_PINV_CUTOFF = 1e-12
 
 
 def _edge_key(u: str, v: str) -> tuple[str, str]:
@@ -182,6 +186,29 @@ class GraphForm:
         f.flags.writeable = False
         return f
 
+    @cached_property
+    def generator(self) -> Generator:
+        """The generator L = M^{-1} (diag(deg + c) - W)."""
+        return Generator(self.form_matrix / self.space.m[:, None], self.space)
+
+    @cached_property
+    def form_pinv(self) -> np.ndarray:
+        """Pseudoinverse of the form matrix, used for effective resistance."""
+        w, v = np.linalg.eigh(self.form_matrix)
+        cutoff = _PINV_CUTOFF * float(np.max(np.abs(w), initial=0.0))
+        inv = np.where(np.abs(w) > cutoff, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
+        pinv = (v * inv) @ v.T
+        pinv.flags.writeable = False
+        return pinv
+
+
+@dataclass(eq=False)
+class SpectralData:
+    """Eigenvalues (ascending) and an m-orthonormal eigenvector basis."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray  # columns; <u_i, u_j>_m = delta_ij
+
 
 @dataclass(eq=False)
 class Generator:
@@ -192,6 +219,15 @@ class Generator:
 
     def __post_init__(self):
         self.L.flags.writeable = False
+
+    @cached_property
+    def spectral(self) -> SpectralData:
+        """Eigendecomposition via the symmetric matrix M^{1/2} L M^{-1/2}."""
+        sqrt_m = np.sqrt(self.space.m)
+        sym = self.L * (sqrt_m[:, None] / sqrt_m[None, :])
+        sym = 0.5 * (sym + sym.T)
+        w, v = np.linalg.eigh(sym)
+        return SpectralData(w, v / sqrt_m[:, None])
 
 
 def build_form(
@@ -216,10 +252,8 @@ def evaluate(form: GraphForm, f: VertexFunction, g: VertexFunction | None = None
 
 
 def generator(form: GraphForm) -> Generator:
-    """Materialize the generator matrix L = M^{-1} (diag(deg + c) - W)."""
-    m = form.space.m
-    L = (np.diag(form.degrees + form.c) - form.weight_matrix) / m[:, None]
-    return Generator(L, form.space)
+    """The generator L = M^{-1} (diag(deg + c) - W) of a form, cached on it."""
+    return form.generator
 
 
 def form_norm(form: GraphForm, f: VertexFunction) -> float:

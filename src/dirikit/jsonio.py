@@ -27,7 +27,6 @@ from .core import GraphForm, MeasureSpace, build_form
 from .errors import MalformedInput
 from .metrics import PseudoMetric
 from .orderiso import OrderIso
-from .report import VerificationReport
 
 
 def _format_float(value: float) -> str:
@@ -186,7 +185,3 @@ def metric_from_obj(obj, space: MeasureSpace) -> PseudoMetric:
             raise MalformedInput("metric: d must be a matrix")
         matrix.append([_number(x, "metric entry") for x in row])
     return PseudoMetric(space.vertices, np.array(matrix, dtype=float))
-
-
-def report_to_obj(report: VerificationReport) -> dict:
-    return report.to_dict()

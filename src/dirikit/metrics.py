@@ -40,9 +40,6 @@ from .report import VerificationReport
 from .spectral import is_irreducible, is_recurrent
 from .tolerances import DEFAULT_TOL, Tolerance
 
-# relative eigenvalue cutoff for the pseudoinverse of the form matrix
-_PINV_CUTOFF = 1e-12
-
 
 @dataclass(eq=False)
 class PseudoMetric:
@@ -87,20 +84,11 @@ class IntrinsicCheck(NamedTuple):
 
 def _resistance_pinv(form: GraphForm) -> np.ndarray:
     """Pseudoinverse of the measure-free form matrix, cached per form."""
-    cached = getattr(form, "_resistance_pinv", None)
-    if cached is not None:
-        return cached
     if not is_irreducible(form):
         raise NotConnected("effective resistance needs a connected conductance graph")
     if np.any(form.c != 0.0):
         raise HasKilling("effective resistance is undefined in the presence of killing")
-    b = np.diag(form.degrees) - form.weight_matrix
-    w, v = np.linalg.eigh(b)
-    cutoff = _PINV_CUTOFF * float(np.max(np.abs(w), initial=0.0))
-    inv = np.where(np.abs(w) > cutoff, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
-    pinv = (v * inv) @ v.T
-    form._resistance_pinv = pinv
-    return pinv
+    return form.form_pinv
 
 
 def effective_resistance(form: GraphForm, x: str, y: str) -> float:
@@ -131,7 +119,7 @@ def resistance_maximizer(form: GraphForm, x: str, y: str) -> np.ndarray:
     dipole = np.zeros(len(form.space))
     dipole[i], dipole[j] = 1.0, -1.0
     f = pinv @ dipole
-    energy = float(f @ (np.diag(form.degrees) - form.weight_matrix) @ f)
+    energy = float(f @ form.form_matrix @ f)
     return f / math.sqrt(energy)
 
 

@@ -18,7 +18,7 @@ recurrent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -125,13 +125,18 @@ def operator_constant(iso: OrderIso) -> float:
 
 def intertwining_residual(iso: OrderIso, gen1: Generator, gen2: Generator) -> float:
     """Max-norm of U L1 - L2 U as a matrix; zero iff U intertwines the
-    semigroups at all times."""
+    semigroups at all times.
+
+    U has one nonzero per row, so the entries are gathered without forming
+    U: (U L1 - L2 U)[y, tau(z)] = h(y) L1[tau(y), tau(z)] - L2[y, z] h(z).
+    """
     if iso.source != gen1.space:
         raise SpaceMismatch("iso source does not match the first generator")
     if iso.target != gen2.space:
         raise SpaceMismatch("iso target does not match the second generator")
-    u = iso.matrix()
-    return float(np.max(np.abs(u @ gen1.L - gen2.L @ u)))
+    idx, h = iso.tau_indices, iso.h_values
+    gap = h[:, None] * gen1.L[np.ix_(idx, idx)] - gen2.L * h[None, :]
+    return float(np.max(np.abs(gap)))
 
 
 def _residual_scale(iso: OrderIso, gen1: Generator, gen2: Generator) -> float:
@@ -272,7 +277,3 @@ def doob_pair(
         beta=1.0,
     )
     return form2, iso
-
-
-def with_beta(iso: OrderIso, beta: float) -> OrderIso:
-    return replace(iso, beta=float(beta))

@@ -14,21 +14,20 @@ lexicographic vertex order with three pruning rules:
   sorted multiset of incident conductances normalized by the measures.
 
 Results are returned in lexicographic order of tau as a vertex-id
-sequence and are bit-identical across repeated runs; optional parallel
-exploration of first-level branches merges into the same sorted list.
+sequence, the order in which the depth-first search meets them, and are
+bit-identical across repeated runs.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import GraphForm, generator
 from .errors import NotIrreducible
-from .orderiso import OrderIso, operator_constant, with_beta
+from .orderiso import OrderIso, operator_constant
 from .spectral import is_irreducible, spectral_data
 
 
@@ -36,19 +35,24 @@ from .spectral import is_irreducible, spectral_data
 class SearchOptions:
     tol: float = 1e-8
     max_solutions: int = 1000
-    spectral_tol: float = 1e-8
-    jobs: int = 1
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_solutions <= 0 or self.spectral_tol <= 0 or self.jobs <= 0:
+        if self.tol <= 0 or self.max_solutions <= 0:
             raise ValueError("search options must be positive")
 
 
 @dataclass(frozen=True)
 class EquivalenceVerdict:
-    equivalent: bool
-    witness: OrderIso | None = None
-    reason: str | None = None  # size | spectrum | exhausted
+    solutions: tuple[OrderIso, ...] = ()
+    reason: str | None = None  # size | spectrum | exhausted; None if equivalent
+
+    @property
+    def equivalent(self) -> bool:
+        return bool(self.solutions)
+
+    @property
+    def witness(self) -> OrderIso | None:
+        return self.solutions[0] if self.solutions else None
 
 
 def spectra_match(form1: GraphForm, form2: GraphForm, spectral_tol: float) -> bool:
@@ -150,7 +154,7 @@ def find_intertwiners(
         raise NotIrreducible("intertwiner search requires irreducible forms")
     if len(form1.space) != len(form2.space):
         return []
-    if not spectra_match(form1, form2, opts.spectral_tol):
+    if not spectra_match(form1, form2, opts.tol):
         return []
 
     l1 = generator(form1).L
@@ -177,32 +181,12 @@ def find_intertwiners(
         for d in range(n)
     ]
 
-    def explore(first: int | None) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        assignment = np.zeros(n, dtype=int)
-        used = np.zeros(n, dtype=bool)
-        h = np.zeros(n)
-        if first is None:
-            _extend(l1s, l2s, m1s, m2s, candidates, bound, assignment, used, h, 0, out)
-        else:
-            assignment[0] = first
-            h[0] = math.sqrt(m1s[first] / m2s[0])
-            if _entry_ok(l1s, l2s, h, assignment, 0, 0, bound):
-                used[first] = True
-                _extend(l1s, l2s, m1s, m2s, candidates, bound, assignment, used, h, 1, out)
-        return out
-
-    if opts.jobs > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=opts.jobs) as pool:
-            branches = pool.map(explore, candidates[0])
-        raw = [sol for branch in branches for sol in branch]
-    else:
-        raw = explore(None)
-    raw.sort(key=lambda a: tuple(a))
-    raw = raw[: opts.max_solutions]
+    raw: list[np.ndarray] = []
+    _extend(l1s, l2s, m1s, m2s, candidates, bound,
+            np.zeros(n, dtype=int), np.zeros(n, dtype=bool), np.zeros(n), 0, raw)
 
     isos = []
-    for assignment in raw:
+    for assignment in raw[: opts.max_solutions]:
         tau = {
             form2.space.vertices[int(perm2[d])]: form1.space.vertices[int(perm1[assignment[d]])]
             for d in range(n)
@@ -212,21 +196,21 @@ def find_intertwiners(
             for y, x in tau.items()
         }
         iso = OrderIso(form1.space, form2.space, tau, h_map)
-        isos.append(with_beta(iso, operator_constant(iso)))
+        isos.append(replace(iso, beta=operator_constant(iso)))
     return isos
 
 
 def equivalence_verdict(
     form1: GraphForm, form2: GraphForm, opts: SearchOptions = SearchOptions()
 ) -> EquivalenceVerdict:
-    """Decide whether two forms are intertwined by some order isomorphism."""
-    if not (is_irreducible(form1) and is_irreducible(form2)):
-        raise NotIrreducible("equivalence verdict requires irreducible forms")
-    if len(form1.space) != len(form2.space):
-        return EquivalenceVerdict(False, reason="size")
-    if not spectra_match(form1, form2, opts.spectral_tol):
-        return EquivalenceVerdict(False, reason="spectrum")
+    """Decide whether two forms are intertwined by some order isomorphism;
+    without one, the reason names the first failed test: size, spectrum or
+    the exhausted search."""
     found = find_intertwiners(form1, form2, opts)
     if found:
-        return EquivalenceVerdict(True, witness=found[0])
-    return EquivalenceVerdict(False, reason="exhausted")
+        return EquivalenceVerdict(tuple(found))
+    if len(form1.space) != len(form2.space):
+        return EquivalenceVerdict(reason="size")
+    if not spectra_match(form1, form2, opts.tol):
+        return EquivalenceVerdict(reason="spectrum")
+    return EquivalenceVerdict(reason="exhausted")

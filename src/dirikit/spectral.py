@@ -3,20 +3,16 @@
 The heat semigroup e^{-tL} is computed through the eigendecomposition of
 the m-symmetrized matrix A = M^{1/2} L M^{-1/2} (symmetric and stable to
 diagonalize) and conjugated back; L itself is not symmetric when the
-measure is non-uniform.  The decomposition is cached per generator behind
-a lock; results are bit-identical with and without the cache.
+measure is non-uniform.  The decomposition is cached on the generator.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .core import Generator, GraphForm, VertexFunction, evaluate, generator
+from .core import Generator, GraphForm, SpectralData, VertexFunction, evaluate, generator
 from .errors import (
     NegativeInput,
     NegativeTime,
@@ -26,32 +22,9 @@ from .errors import (
 from .tolerances import DEFAULT_TOL, Tolerance
 
 
-@dataclass(eq=False)
-class SpectralData:
-    """Eigenvalues (ascending) and an m-orthonormal eigenvector basis."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns; <u_i, u_j>_m = delta_ij
-
-
-_cache_lock = threading.Lock()
-
-
 def spectral_data(gen: Generator) -> SpectralData:
-    """Diagonalize a generator; cached per Generator instance."""
-    cached = getattr(gen, "_spectral", None)
-    if cached is not None:
-        return cached
-    with _cache_lock:
-        cached = getattr(gen, "_spectral", None)
-        if cached is None:
-            sqrt_m = np.sqrt(gen.space.m)
-            sym = gen.L * (sqrt_m[:, None] / sqrt_m[None, :])
-            sym = 0.5 * (sym + sym.T)
-            w, v = np.linalg.eigh(sym)
-            cached = SpectralData(w, v / sqrt_m[:, None])
-            gen._spectral = cached
-    return cached
+    """Diagonalize a generator; cached on the generator."""
+    return gen.spectral
 
 
 def semigroup(gen: Generator, t: float) -> np.ndarray:
@@ -63,7 +36,6 @@ def semigroup(gen: Generator, t: float) -> np.ndarray:
     if t < 0:
         raise NegativeTime(f"semigroup time must be >= 0, got {t}")
     data = spectral_data(gen)
-    sqrt_m = np.sqrt(gen.space.m)
     decay = np.exp(-t * data.eigenvalues)
     return (data.eigenvectors * decay) @ (data.eigenvectors.T * gen.space.m[None, :])
 
@@ -111,36 +83,28 @@ def is_excessive(gen: Generator, h: VertexFunction, tol: Tolerance = DEFAULT_TOL
 
 
 def find_nonconstant_excessive(
-    gen: Generator,
-    tol: Tolerance = DEFAULT_TOL,
-    separation: float = 1e-3,
+    gen: Generator, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray | None:
-    """Search the excessive cone for a nonconstant strictly positive element.
+    """A nonconstant strictly positive excessive function, or None.
 
-    For each ordered vertex pair (x0, x1) a linear feasibility problem is
-    solved: L h >= 0, h >= 1, h(x0) = 1, h(x1) >= 1 + separation, picking
-    the feasible solution minimizing sum(h) so the reported witness is
-    deterministic.  Returns None when every pair is infeasible, which for
-    irreducible forms happens exactly when the form is recurrent and all
-    excessive functions are constant.
+    On an irreducible form every excessive function is constant exactly
+    when the form is recurrent, i.e. L 1 = 0 (the Liouville property), so
+    None is returned then.  Otherwise L is invertible and the Green
+    function h = L^{-1} e_x is strictly positive with L h = e_x >= 0, hence
+    excessive.  It is constant only when all the killing sits at x; the
+    Green function of a second vertex is then nonconstant.  Vertices are
+    tried in index order, so the witness is deterministic.
     """
     if not _offdiagonal_connected(gen.L - np.diag(np.diag(gen.L))):
         raise NotIrreducible("nonconstant-excessive search requires an irreducible form")
     n = len(gen.space)
-    cost = np.ones(n)
-    a_ub = -gen.L  # L h >= 0
-    b_ub = np.zeros(n)
-    for i0, i1 in itertools.permutations(range(n), 2):
-        a_eq = np.zeros((1, n))
-        a_eq[0, i0] = 1.0
-        bounds = [(1.0, None)] * n
-        bounds[i1] = (1.0 + separation, None)
-        result = linprog(
-            cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-            bounds=bounds, method="highs",
-        )
-        if result.status == 0:
-            return np.asarray(result.x, dtype=float)
+    killing = gen.L @ np.ones(n)  # c / m
+    if np.max(np.abs(killing)) <= tol.bound(max(1.0, float(np.max(np.abs(gen.L))))):
+        return None
+    for x in range(min(n, 2)):
+        h = np.linalg.solve(gen.L, np.eye(n)[x])
+        if np.max(h) / np.min(h) - 1.0 > tol.bound(1.0):
+            return h
     return None
 
 

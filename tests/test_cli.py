@@ -108,13 +108,6 @@ class TestSearch:
         taus = [tuple(sorted(i["tau"].items())) for i in payload["intertwiners"]]
         assert len(set(taus)) == 2
 
-    def test_jobs_flag_same_output(self, tmp_path, capsys):
-        p4 = gen(tmp_path, "p4.json", "--family", "cycle", "--n", "4")
-        assert run(["search", p4, p4]) == 0
-        serial = capsys.readouterr().out
-        assert run(["search", p4, p4, "--jobs", "3"]) == 0
-        assert capsys.readouterr().out == serial
-
 
 class TestCertify:
     def test_doob_pair_roundtrip(self, tmp_path, capsys):
@@ -246,3 +239,9 @@ class TestTolerancePlumbing:
         metric = write(tmp_path, "d.json", json.dumps({"d": [[0.0, 1.0], [1.0, 0.0]]}))
         monkeypatch.setenv("DIRIKIT_TOL", "not-a-number")
         assert run(["intrinsic", k2, "--metric", metric, "--tol", "1e-6"]) == 0
+
+    def test_search_reads_env(self, tmp_path, capsys, monkeypatch):
+        k2 = gen(tmp_path, "k2.json", "--family", "complete", "--n", "2")
+        monkeypatch.setenv("DIRIKIT_TOL", "not-a-number")
+        assert run(["search", k2, k2]) == 2
+        assert run(["search", k2, k2, "--tol", "1e-6"]) == 0

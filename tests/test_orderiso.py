@@ -9,7 +9,6 @@ from dirikit.errors import (
     NotIntertwining,
     NotIrreducible,
 )
-from dirikit.orderiso import with_beta
 from dirikit.sampling import doob_pair_sample, random_form, relabel_pair
 
 from conftest import rng_for
@@ -103,7 +102,34 @@ class TestAdjoint:
             assert np.all(dk.adjoint(iso) @ np.abs(g) >= 0.0)
 
 
+def dense_residual(iso, gen1, gen2):
+    # independent route: the matrix of U and two dense products
+    u = iso.matrix()
+    return float(np.max(np.abs(u @ gen1.L - gen2.L @ u)))
+
+
+def residual_sample(rng, kind):
+    n = int(rng.integers(2, 9))
+    if kind == "doob":
+        return doob_pair_sample(rng, n)
+    form1 = random_form(rng, n)
+    form2, iso = relabel_pair(rng, form1, scale=float(rng.uniform(0.5, 2.0)))
+    if kind == "swapped":
+        y0, y1 = iso.target.vertices[:2]
+        tau = dict(iso.tau, **{y0: iso.tau[y1], y1: iso.tau[y0]})
+        iso = dk.OrderIso(iso.source, iso.target, tau, iso.h)
+    return form1, form2, iso
+
+
 class TestResidual:
+    @pytest.mark.parametrize("kind", ["relabel", "doob", "swapped"])
+    def test_matches_dense_oracle(self, kind):
+        rng = rng_for(44)
+        for _ in range(20):
+            form1, form2, iso = residual_sample(rng, kind)
+            gen1, gen2 = dk.generator(form1), dk.generator(form2)
+            assert dk.intertwining_residual(iso, gen1, gen2) == dense_residual(iso, gen1, gen2)
+
     def test_identity_on_same_form(self):
         form = killed_pair()
         gen = dk.generator(form)
@@ -215,11 +241,3 @@ class TestDoobPair:
                 iso, dk.generator(form1), dk.generator(form2)
             )
             assert residual <= 1e-10
-
-
-def test_with_beta_returns_updated_copy():
-    space = dk.MeasureSpace(["a"], 1.0)
-    iso = dk.OrderIso.identity(space)
-    updated = with_beta(iso, 2.5)
-    assert updated.beta == 2.5
-    assert iso.beta == 1.0

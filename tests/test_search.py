@@ -106,19 +106,16 @@ class TestFindIntertwiners:
             tau_signature(s) for s in full[:5]
         ]
 
-    def test_deterministic_and_jobs_invariant(self):
+    def test_deterministic(self):
         rng = rng_for(53)
         form1 = random_form(rng, 6)
         form2, _ = relabel_pair(rng, form1)
         first = dk.find_intertwiners(form1, form2, WIDE)
         second = dk.find_intertwiners(form1, form2, WIDE)
-        parallel = dk.find_intertwiners(
-            form1, form2, SearchOptions(max_solutions=10**6, jobs=3)
-        )
         as_tuples = lambda sols: [
             (tau_signature(s), tuple(s.h[y] for y in sorted(s.h))) for s in sols
         ]
-        assert as_tuples(first) == as_tuples(second) == as_tuples(parallel)
+        assert as_tuples(first) == as_tuples(second)
 
     def test_spectral_pruning_keeps_witness(self):
         rng = rng_for(54)

@@ -85,9 +85,11 @@ class TestSemigroup:
         gen1 = dk.generator(form)
         first = dk.semigroup(gen1, 0.7)
         again = dk.semigroup(gen1, 0.7)  # cached decomposition
-        fresh = dk.semigroup(dk.generator(form), 0.7)  # no cache
+        fresh = dk.semigroup(dk.generator(dk.generate("path", 5)), 0.7)  # no cache
         assert np.array_equal(first, again)
         assert np.array_equal(first, fresh)
+        assert dk.generator(form) is gen1
+        assert dk.spectral_data(gen1) is dk.spectral_data(gen1)
 
     def test_spectral_data_invariants(self):
         rng = rng_for(23)
@@ -217,6 +219,16 @@ class TestNonconstantExcessive:
 
     def test_killed_pair_has_witness(self):
         gen = dk.generator(killed_pair())
+        h = dk.find_nonconstant_excessive(gen)
+        assert h is not None
+        assert dk.is_excessive(gen, h)
+        assert np.max(h) / np.min(h) > 1.0 + 1e-6
+        assert np.min(h) > 0.0
+
+    def test_killing_at_first_vertex_only(self):
+        # the Green function of v0 is constant here; v1's is not
+        form = dk.generate("path", 4)
+        gen = dk.generator(dk.GraphForm(form.space, form.b, [1.0, 0.0, 0.0, 0.0]))
         h = dk.find_nonconstant_excessive(gen)
         assert h is not None
         assert dk.is_excessive(gen, h)

@@ -30,14 +30,19 @@ from .tolerances import DEFAULT_TOL, Tolerance
 _FAMILIES = ("path", "cycle", "complete", "sierpinski")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _common_options(tol_default: str) -> argparse.ArgumentParser:
+    """Options every subcommand takes; only the --tol default differs."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None,
-                        help="relative tolerance override (default 1e-9 or $DIRIKIT_TOL)")
+                        help=f"relative tolerance override (default {tol_default} or $DIRIKIT_TOL)")
     common.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--out", default=None, help="write output to FILE instead of stdout")
+    return common
 
+
+def _build_parser() -> argparse.ArgumentParser:
+    common = _common_options("1e-9")
     parser = argparse.ArgumentParser(prog="dirikit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -45,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="validate a graph and print its structural predicates")
     p.add_argument("graph")
 
-    p = sub.add_parser("search", parents=[common],
+    p = sub.add_parser("search", parents=[_common_options("1e-8")],
                        help="enumerate intertwining order isomorphisms between two graphs")
     p.add_argument("graph1")
     p.add_argument("graph2")
@@ -207,7 +212,7 @@ def _cmd_resistance(args) -> int:
     matrix = metrics.resistance_matrix(form)
     payload = {
         "vertices": list(form.space.vertices),
-        "R": [[float(x) for x in row] for row in matrix.d],
+        "R": matrix.d.tolist(),
     }
     if args.format == "json":
         _emit(args, jsonio.dumps(payload) + "\n")
@@ -225,7 +230,7 @@ def _cmd_intrinsic(args) -> int:
         check = metrics.is_intrinsic(form, metric, tol)
         payload = {
             "vertices": list(form.space.vertices),
-            "d": [[float(x) for x in row] for row in metric.d],
+            "d": metric.d.tolist(),
             "slack": [float(s) for s in check.slack],
             "intrinsic": check.ok,
         }

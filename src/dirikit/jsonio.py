@@ -52,7 +52,10 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [dumps(item, indent + 2) for item in obj]
+        if all(type(item) is float for item in obj):
+            items = [_format_float(item) for item in obj]
+        else:
+            items = [dumps(item, indent + 2) for item in obj]
         return "[\n" + ",\n".join(inner + item for item in items) + "\n" + pad + "]"
     if isinstance(obj, Mapping):
         if not obj:
@@ -174,7 +177,7 @@ def jump_to_obj(data: JumpKilling) -> dict:
 
 
 def metric_to_obj(metric: PseudoMetric) -> dict:
-    return {"d": [[float(x) for x in row] for row in metric.d]}
+    return {"d": metric.d.tolist()}
 
 
 def metric_from_obj(obj, space: MeasureSpace) -> PseudoMetric:

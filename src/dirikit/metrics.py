@@ -60,9 +60,14 @@ class PseudoMetric:
         bound = DEFAULT_TOL.bound(scale)
         if np.max(np.abs(d - d.T)) > bound or np.max(np.abs(np.diag(d))) > bound:
             raise InvalidMetric("metric must be symmetric with zero diagonal")
-        # triangle inequality: d[i,k] <= d[i,j] + d[j,k]
-        if np.max(d[:, None, :] - (d[:, :, None] + d[None, :, :])) > bound:
-            raise InvalidMetric("triangle inequality violated")
+        # triangle inequality d[i,k] <= d[i,j] + d[j,k], checked one pivot j
+        # at a time in one n x n buffer so that memory stays O(n^2)
+        gap = np.empty_like(d)
+        for j in range(n):
+            np.add(d[:, j, None], d[j], out=gap)
+            np.subtract(d, gap, out=gap)
+            if gap.max() > bound:
+                raise InvalidMetric("triangle inequality violated")
         d.flags.writeable = False
         self.d = d
 

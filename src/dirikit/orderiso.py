@@ -182,13 +182,16 @@ def certify(
 
     report = VerificationReport()
     beta = operator_constant(iso)
-    u = iso.matrix()
-    u_star = adjoint(iso)
-    eye1 = beta * np.eye(len(iso.source))
-    eye2 = beta * np.eye(len(iso.target))
+    # U and U* have one nonzero per row, so nothing is multiplied densely:
+    # with w = m2[sigma] h[sigma] / m1 the nonzeros of U*, U*U and UU* are
+    # diagonal, (U*U)[x, x] = w(x) h(sigma(x)) and (UU*)[y, y] = h(y) w(tau(y)),
+    # and (U^T F2 U)[x, z] = h(sigma(x)) F2[sigma(x), sigma(z)] h(sigma(z)).
+    sigma, tau, h = iso.sigma_indices, iso.tau_indices, iso.h_values
+    h_sigma = h[sigma]
+    w = iso.target.m[sigma] * h_sigma / iso.source.m
     op_residual = max(
-        float(np.max(np.abs(u_star @ u - eye1))),
-        float(np.max(np.abs(u @ u_star - eye2))),
+        float(np.max(np.abs(w * h_sigma - beta))),
+        float(np.max(np.abs(h * w[tau] - beta))),
     )
     report.add(
         "operator_constant", op_residual, tol.bound(max(1.0, beta)),
@@ -201,7 +204,7 @@ def certify(
     )
     report.add("measure_identity", measure_residual, tol.bound(1.0))
 
-    gram2 = u.T @ form2.form_matrix @ u
+    gram2 = h_sigma[:, None] * form2.form_matrix[np.ix_(sigma, sigma)] * h_sigma[None, :]
     gram1 = beta * form1.form_matrix
     form_scale = max(1.0, float(np.max(np.abs(gram1))), float(np.max(np.abs(gram2))))
     report.add(

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import GraphForm, generator
-from .errors import NotIrreducible
+from .errors import InvalidSize, NotIrreducible
 from .orderiso import OrderIso, operator_constant
 from .spectral import is_irreducible, spectral_data
 
@@ -38,7 +38,7 @@ class SearchOptions:
 
     def __post_init__(self):
         if self.tol <= 0 or self.max_solutions <= 0:
-            raise ValueError("search options must be positive")
+            raise InvalidSize("search options must be positive")
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,14 @@ class TestSearch:
         assert payload["equivalent"] is False
         assert payload["reason"] == "size"
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_nonpositive_max_solutions_exits_2(self, tmp_path, capsys, cap):
+        k5 = gen(tmp_path, "k5.json", "--family", "complete", "--n", "5")
+        assert run(["search", k5, k5, "--max-solutions", cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_self_search_path(self, tmp_path, capsys):
         p3 = gen(tmp_path, "p3.json", "--family", "path", "--n", "3")
         assert run(["search", p3, p3]) == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dirikit.metrics import (
     resistance_maximizer,
 )
 from dirikit.sampling import random_form, relabel_pair
+from dirikit.tolerances import DEFAULT_TOL
 
 from conftest import rng_for
 
@@ -195,6 +197,78 @@ class TestPseudoMetricValidation:
         d = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(InvalidMetric):
             dk.PseudoMetric(("a", "b"), d)
+
+
+def broadcast_violation(d):
+    # independent route: every d[i,k] - (d[i,j] + d[j,k]) in one n^3 array
+    return float(np.max(d[:, None, :] - (d[:, :, None] + d[None, :, :])))
+
+
+def last_pivot_metric(n, excess):
+    """Distances in [1, 1.5] among the first n - 1 vertices, and a last
+    vertex half a unit from vertices 0 and 1: d[0,1] = 1 + excess breaks
+    the triangle inequality through the last pivot only."""
+    d = np.full((n, n), 1.5)
+    d[:, -1] = d[-1, :] = 1.0
+    d[0, -1] = d[-1, 0] = d[1, -1] = d[-1, 1] = 0.5
+    d[0, 1] = d[1, 0] = 1.0 + excess
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+class TestTriangleCheck:
+    def test_matches_broadcast_oracle(self):
+        rng = rng_for(75)
+        for _ in range(120):
+            n = int(rng.integers(2, 31))
+            points = rng.normal(size=(n, 2))
+            d = np.sqrt(np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2))
+            if rng.random() < 0.5:
+                noise = rng.uniform(0.0, rng.choice([1e-12, 1e-9, 1e-3, 1.0]), size=(n, n))
+                d = d + noise + noise.T
+                np.fill_diagonal(d, 0.0)
+            bound = DEFAULT_TOL.bound(max(1.0, float(np.max(d))))
+            if broadcast_violation(d) > bound:
+                with pytest.raises(InvalidMetric, match="triangle"):
+                    dk.PseudoMetric(tuple(f"v{i}" for i in range(n)), d)
+            else:
+                metric = dk.PseudoMetric(tuple(f"v{i}" for i in range(n)), d)
+                assert np.array_equal(metric.d, d)
+
+    def test_violation_only_at_last_pivot(self):
+        n = 9
+        d = last_pivot_metric(n, 0.5)
+        per_pivot = [float(np.max(d - (d[:, j, None] + d[j]))) for j in range(n)]
+        assert max(per_pivot[:-1]) <= 0.0 < per_pivot[-1]
+        with pytest.raises(InvalidMetric, match="triangle"):
+            dk.PseudoMetric(tuple(f"v{i}" for i in range(n)), d)
+
+    def test_violation_at_the_bound(self):
+        n = 6
+        names = tuple(f"v{i}" for i in range(n))
+        bound = DEFAULT_TOL.bound(1.5)
+        inside = last_pivot_metric(n, 0.5 * bound)
+        assert 0.0 < broadcast_violation(inside) <= bound
+        assert np.array_equal(dk.PseudoMetric(names, inside).d, inside)
+        outside = last_pivot_metric(n, 2.0 * bound)
+        assert broadcast_violation(outside) > bound
+        with pytest.raises(InvalidMetric, match="triangle"):
+            dk.PseudoMetric(names, outside)
+
+    def test_sierpinski_l6_in_quadratic_memory(self):
+        # 1095 vertices: an n^3 check would need about 10 GB per temporary
+        level = 6
+        form = dk.generate("sierpinski", level)
+        tracemalloc.start()
+        try:
+            matrix = dk.resistance_matrix(form)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100e6
+        c0, c1, _ = dk.sierpinski_corners(level)
+        i, j = form.space.index(c0), form.space.index(c1)
+        assert matrix.d[i, j] == pytest.approx((2.0 / 3.0) * (5.0 / 3.0) ** level, rel=1e-9)
 
 
 class TestCanonicalIntrinsicMetric:

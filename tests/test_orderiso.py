@@ -130,6 +130,26 @@ class TestResidual:
             gen1, gen2 = dk.generator(form1), dk.generator(form2)
             assert dk.intertwining_residual(iso, gen1, gen2) == dense_residual(iso, gen1, gen2)
 
+    @pytest.mark.parametrize("kind", ["relabel", "doob", "swapped"])
+    def test_certify_matches_dense_oracle(self, kind):
+        # dense U, U* and U^T F2 U against certify's gathered residuals; the
+        # loose tolerance lets the swapped (non-intertwining) pairs through
+        loose = dk.Tolerance(rel=1e6, abs=1e6)
+        rng = rng_for(45)
+        for _ in range(20):
+            form1, form2, iso = residual_sample(rng, kind)
+            beta = dk.operator_constant(iso)
+            u, u_star = iso.matrix(), dk.adjoint(iso)
+            op = max(
+                float(np.max(np.abs(u_star @ u - beta * np.eye(len(iso.source))))),
+                float(np.max(np.abs(u @ u_star - beta * np.eye(len(iso.target))))),
+            )
+            gram2 = u.T @ form2.form_matrix @ u
+            form_gap = float(np.max(np.abs(gram2 - beta * form1.form_matrix)))
+            report = dk.certify(iso, form1, form2, loose)
+            assert report["operator_constant"].residual == op
+            assert report["form_scaling"].residual == form_gap
+
     def test_identity_on_same_form(self):
         form = killed_pair()
         gen = dk.generator(form)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GraphForm, MeasureSpace, VertexFunction, evaluate, generator
-from .errors import MalformedInput, NotMarkovian
+from .errors import MalformedInput, NotMarkovian, SpaceMismatch
 from .orderiso import OrderIso, operator_constant, require_intertwining
 from .report import VerificationReport
 from .tolerances import DEFAULT_TOL, Tolerance
@@ -156,10 +156,16 @@ def induced_killing(
     its killing is read off the diagonal remainder.  There is no pushforward
     formula: the result can mix the killing and jump data of the original
     form.  Raises when the conjugated matrix is not Markovian.
+
+    U has one nonzero per row, so the conjugate is gathered without forming
+    U: (U L1 U^{-1})[y, z] = h(y) L1[tau(y), tau(z)] (1 / h(z)), the same
+    products as the dense one.
     """
     gen1 = generator(form1)
-    u = iso.matrix()
-    conjugated = u @ gen1.L @ iso.inverse_matrix()
+    if iso.source != gen1.space:
+        raise SpaceMismatch("iso source does not match the form")
+    idx, h = iso.tau_indices, iso.h_values
+    conjugated = (h[:, None] * gen1.L[np.ix_(idx, idx)]) * (1.0 / h)[None, :]
     m2 = iso.target.m
     bound = tol.bound(max(1.0, float(np.max(np.abs(conjugated))) * float(np.max(m2))))
     weighted = conjugated * m2[:, None]

@@ -209,7 +209,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_resistance(args) -> int:
     form = jsonio.graph_loads(_read(args.graph))
-    matrix = metrics.resistance_matrix(form)
+    matrix = metrics.resistance_matrix(form, _tolerance(args))
     payload = {
         "vertices": list(form.space.vertices),
         "R": matrix.d.tolist(),

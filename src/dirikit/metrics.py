@@ -20,7 +20,7 @@ d(., A) ^ T because |d_A(x) - d_A(y)| <= d(x, y).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -43,12 +43,14 @@ from .tolerances import DEFAULT_TOL, Tolerance
 
 @dataclass(eq=False)
 class PseudoMetric:
-    """Symmetric nonnegative vertex-pair matrix with the triangle inequality."""
+    """Symmetric nonnegative vertex-pair matrix with the triangle inequality,
+    validated to the tolerance ``tol`` (not stored)."""
 
     vertices: tuple[str, ...]
     d: np.ndarray
+    tol: InitVar[Tolerance] = DEFAULT_TOL
 
-    def __post_init__(self):
+    def __post_init__(self, tol: Tolerance):
         self.vertices = tuple(self.vertices)
         d = np.asarray(self.d, dtype=float)
         n = len(self.vertices)
@@ -57,12 +59,13 @@ class PseudoMetric:
         if not np.all(np.isfinite(d)) or np.any(d < 0.0):
             raise InvalidMetric("entries must be finite and >= 0")
         scale = max(1.0, float(np.max(d)))
-        bound = DEFAULT_TOL.bound(scale)
-        if np.max(np.abs(d - d.T)) > bound or np.max(np.abs(np.diag(d))) > bound:
+        bound = tol.bound(scale)
+        gap = np.subtract(d, d.T)
+        np.abs(gap, out=gap)
+        if gap.max() > bound or np.max(np.abs(np.diag(d))) > bound:
             raise InvalidMetric("metric must be symmetric with zero diagonal")
         # triangle inequality d[i,k] <= d[i,j] + d[j,k], checked one pivot j
-        # at a time in one n x n buffer so that memory stays O(n^2)
-        gap = np.empty_like(d)
+        # at a time in the same n x n buffer so that memory stays O(n^2)
         for j in range(n):
             np.add(d[:, j, None], d[j], out=gap)
             np.subtract(d, gap, out=gap)
@@ -103,14 +106,22 @@ def effective_resistance(form: GraphForm, x: str, y: str) -> float:
     return float(pinv[i, i] + pinv[j, j] - 2.0 * pinv[i, j])
 
 
-def resistance_matrix(form: GraphForm) -> PseudoMetric:
-    """The full resistance metric of a connected killing-free form."""
+def resistance_matrix(form: GraphForm, tol: Tolerance = DEFAULT_TOL) -> PseudoMetric:
+    """The full resistance metric of a connected killing-free form,
+    validated as a pseudo-metric to ``tol``."""
     pinv = _resistance_pinv(form)
     diag = np.diag(pinv)
-    r = diag[:, None] + diag[None, :] - 2.0 * pinv
-    r = np.maximum(0.5 * (r + r.T), 0.0)
-    np.fill_diagonal(r, 0.0)
-    return PseudoMetric(form.space.vertices, r)
+    # R = max(0.5 (r + r^T), 0) with r = (diag_i + diag_j) - 2 pinv, in
+    # two n x n buffers
+    r = np.add(diag[:, None], diag[None, :])
+    d = np.multiply(pinv, 2.0)
+    np.subtract(r, d, out=r)
+    np.add(r, r.T, out=d)
+    del r
+    np.multiply(d, 0.5, out=d)
+    np.maximum(d, 0.0, out=d)
+    np.fill_diagonal(d, 0.0)
+    return PseudoMetric(form.space.vertices, d, tol)
 
 
 def resistance_maximizer(form: GraphForm, x: str, y: str) -> np.ndarray:

@@ -1,18 +1,27 @@
-"""Enumeration of all intertwining order isomorphisms between two forms.
+"""Enumeration of intertwining order isomorphisms between two forms.
 
 The operator constant is fixed to 1 by folding the scale into h through
 the measure identity: given a vertex bijection tau the only compatible
 scaling is h(y) = sqrt(m1(tau(y)) / m2(y)), so the search space is the
-finite set of bijections.  Enumeration is a depth-first assignment in
-lexicographic vertex order with three pruning rules:
+finite set of bijections.  Enumeration is a depth-first assignment of
+target vertices in lexicographic order, each to a source vertex of its
+domain in lexicographic order, with these pruning rules:
 
 * the eigenvalue multisets of the two generators must match (similar
   matrices have equal spectra);
-* every determined entry of U L1 - L2 U must already be within tolerance
-  (violations never disappear when a partial assignment is extended);
-* per-vertex invariants must match: the diagonal generator entry and the
-  sorted multiset of incident conductances normalized by the measures.
+* a source enters a target's domain only when the per-vertex invariants
+  match (the diagonal generator entry and the sorted multiset of incident
+  conductances normalized by the measures) and the diagonal entry of
+  U L1 - L2 U is within tolerance;
+* forward checking: assigning a target removes from every later target's
+  domain the assigned source and each source whose entries of
+  U L1 - L2 U against the assigned pair exceed the tolerance; a branch
+  ends as soon as some later domain is empty (violations never disappear
+  when a partial assignment is extended, so no solution is lost);
+* the search stops once ``max_solutions`` solutions are found.
 
+The domains live in one target x source matrix stamped with the depth
+that removed each entry, so the search state is O(n^2) at any depth.
 Results are returned in lexicographic order of tau as a vertex-id
 sequence, the order in which the depth-first search meets them, and are
 bit-identical across repeated runs.
@@ -21,7 +30,7 @@ bit-identical across repeated runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,10 +73,6 @@ def spectra_match(form1: GraphForm, form2: GraphForm, spectral_tol: float) -> bo
     return bool(np.all(np.abs(w1 - w2) <= spectral_tol * (1.0 + np.abs(w1))))
 
 
-def _induced_h(m1: np.ndarray, m2: np.ndarray, assignment: np.ndarray) -> np.ndarray:
-    return np.sqrt(m1[assignment] / m2)
-
-
 def _vertex_profiles(l_matrix: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-vertex invariants of a generator seen through the normalized
     coupling sqrt(m(x)) L[x,y] / sqrt(m(y)): the diagonal entry and the
@@ -79,8 +84,9 @@ def _vertex_profiles(l_matrix: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, n
     return np.diag(l_matrix).copy(), np.sort(normalized, axis=1)
 
 
-def _candidates(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -> list[list[int]]:
-    """For each target vertex, the source vertices passing the invariants."""
+def _invariant_domain(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -> np.ndarray:
+    """Target x source boolean matrix: the source vertices passing the
+    invariants of each target vertex."""
     l1 = generator(form1).L
     l2 = generator(form2).L
     diag1, rows1 = _vertex_profiles(l1, form1.space.m)
@@ -92,46 +98,71 @@ def _candidates(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -> list
     slack = opts.tol * 4.0 * (1.0 + amp) * max(
         1.0, float(np.max(np.abs(l1))), float(np.max(np.abs(l2)))
     )
-    result = []
+    domain = np.abs(diag1[None, :] - diag2[:, None]) <= slack
     for y in range(len(m2)):
-        row = [
-            x
-            for x in range(len(m1))
-            if abs(diag1[x] - diag2[y]) <= slack
-            and float(np.max(np.abs(rows1[x] - rows2[y]))) <= slack
-        ]
-        result.append(row)
-    return result
+        xs = np.flatnonzero(domain[y])
+        domain[y, xs] = np.max(np.abs(rows1[xs] - rows2[y]), axis=1) <= slack
+    return domain
 
 
-def _entry_ok(l1, l2, h, assignment, i, j, bound) -> bool:
-    # entry of U L1 - L2 U at (target i, source tau(j))
-    value = h[i] * l1[assignment[i], assignment[j]] - l2[i, j] * h[j]
-    return abs(value) <= bound
+# stamp of a (target, source) pair still in the target's domain; a removed
+# pair holds the depth whose assignment removed it, -1 if never admitted
+_ALIVE = np.iinfo(np.int32).max
 
 
-def _extend(l1, l2, m1, m2, candidates, bound, assignment, used, h, depth, out):
-    n = len(candidates)
-    if depth == n:
-        out.append(assignment.copy())
-        return
-    for x in candidates[depth]:
-        if used[x]:
+def _forward_check(l1, l2, h, stamp, d, x, bound) -> bool:
+    """Assign target d to source x: remove from the domain of every later
+    target y the sources x' whose entries (y, d) or (d, y) of U L1 - L2 U
+    exceed the bound, and x itself, stamping them with d.  Returns False,
+    stamping nothing, when a later domain would become empty."""
+    hd = h[d, x]
+    hy = h[d + 1:]  # h[y, x']: the scaling if tau(y) = x'
+    ok = np.abs(hy * l1[:, x] - l2[d + 1:, d, None] * hd) <= bound
+    ok &= np.abs(hd * l1[x] - l2[d, d + 1:, None] * hy) <= bound
+    ok[:, x] = False
+    later = stamp[d + 1:]
+    live = later == _ALIVE
+    ok &= live
+    if not ok.any(axis=1).all():
+        return False
+    later[live ^ ok] = d
+    return True
+
+
+def _search(l1, l2, h, domain, bound, cap) -> list[np.ndarray]:
+    """Depth-first assignment of targets in index order to the sources of
+    their domains in index order, stopping at ``cap`` solutions.
+
+    One int32 stamp matrix is the whole domain state: a branch removes
+    pairs by stamping them with its depth and restores them when it is
+    left, so memory stays O(n^2) at any depth.
+    """
+    if not domain.any(axis=1).all():
+        return []
+    n = len(h)
+    stamp = np.where(domain, _ALIVE, -1).astype(np.int32)
+    assignment = np.empty(n, dtype=np.intp)
+    options = [iter(())] * n
+    options[0] = iter(np.nonzero(domain[0])[0].tolist())
+    solutions: list[np.ndarray] = []
+    d = 0
+    while d >= 0:
+        x = next(options[d], None)
+        if x is None:
+            d -= 1
+            if d >= 0:  # leave the branch taken at depth d
+                later = stamp[d + 1:]
+                later[later == d] = _ALIVE
             continue
-        assignment[depth] = x
-        h[depth] = math.sqrt(m1[x] / m2[depth])
-        ok = True
-        for j in range(depth + 1):
-            if not (
-                _entry_ok(l1, l2, h, assignment, depth, j, bound)
-                and _entry_ok(l1, l2, h, assignment, j, depth, bound)
-            ):
-                ok = False
+        assignment[d] = x
+        if d == n - 1:
+            solutions.append(assignment.copy())
+            if len(solutions) == cap:
                 break
-        if ok:
-            used[x] = True
-            _extend(l1, l2, m1, m2, candidates, bound, assignment, used, h, depth + 1, out)
-            used[x] = False
+        elif _forward_check(l1, l2, h, stamp, d, x, bound):
+            d += 1
+            options[d] = iter(np.nonzero(stamp[d] == _ALIVE)[0].tolist())
+    return solutions
 
 
 def residual_bound(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -> float:
@@ -159,44 +190,30 @@ def find_intertwiners(
 
     l1 = generator(form1).L
     l2 = generator(form2).L
-    m1, m2 = form1.space.m, form2.space.m
-    n = len(m1)
     bound = residual_bound(form1, form2, opts)
     # assignment proceeds through target vertices in lexicographic order,
     # trying source vertices in lexicographic order: solutions come out in
     # lexicographic order of the tau sequence
-    target_order = np.argsort(np.array(form2.space.vertices))
-    source_order = np.argsort(np.array(form1.space.vertices))
-    perm2 = np.asarray(target_order)
-    perm1 = np.asarray(source_order)
+    perm2 = np.argsort(np.array(form2.space.vertices))
+    perm1 = np.argsort(np.array(form1.space.vertices))
     l1s = l1[np.ix_(perm1, perm1)]
     l2s = l2[np.ix_(perm2, perm2)]
-    m1s = m1[perm1]
-    m2s = m2[perm2]
-    form_candidates = _candidates(form1, form2, opts)
-    inv1 = np.empty(n, dtype=int)
-    inv1[perm1] = np.arange(n)
-    candidates = [
-        sorted(int(inv1[x]) for x in form_candidates[int(perm2[d])])
-        for d in range(n)
-    ]
+    # h[y, x]: the scaling of target y when tau(y) = x
+    h = np.sqrt(form1.space.m[perm1][None, :] / form2.space.m[perm2][:, None])
+    # a source enters a target's domain through the invariants and the
+    # entry (y, y) of U L1 - L2 U
+    domain = _invariant_domain(form1, form2, opts)[np.ix_(perm2, perm1)]
+    domain &= np.abs(h * np.diag(l1s)[None, :] - np.diag(l2s)[:, None] * h) <= bound
 
-    raw: list[np.ndarray] = []
-    _extend(l1s, l2s, m1s, m2s, candidates, bound,
-            np.zeros(n, dtype=int), np.zeros(n, dtype=bool), np.zeros(n), 0, raw)
-
+    targets = [form2.space.vertices[i] for i in perm2]
+    sources = [form1.space.vertices[i] for i in perm1]
     isos = []
-    for assignment in raw[: opts.max_solutions]:
-        tau = {
-            form2.space.vertices[int(perm2[d])]: form1.space.vertices[int(perm1[assignment[d]])]
-            for d in range(n)
-        }
-        h_map = {
-            y: math.sqrt(m1[form1.space.index(x)] / m2[form2.space.index(y)])
-            for y, x in tau.items()
-        }
+    for assignment in _search(l1s, l2s, h, domain, bound, opts.max_solutions):
+        tau = dict(zip(targets, [sources[x] for x in assignment.tolist()]))
+        h_map = dict(zip(targets, h[np.arange(len(h)), assignment].tolist()))
         iso = OrderIso(form1.space, form2.space, tau, h_map)
-        isos.append(replace(iso, beta=operator_constant(iso)))
+        iso.beta = operator_constant(iso)
+        isos.append(iso)
     return isos
 
 

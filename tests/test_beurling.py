@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dirikit as dk
-from dirikit.errors import NotMarkovian
+from dirikit.errors import NotMarkovian, SpaceMismatch
 from dirikit.sampling import doob_pair_sample, random_form, random_function, relabel_pair
 
 from conftest import rng_for
@@ -148,3 +148,25 @@ class TestInducedKilling:
                           {"a": 1.0, "b": 3.0})
         with pytest.raises(NotMarkovian):
             dk.induced_killing(iso, form)
+
+    @pytest.mark.parametrize("transform", ["relabel", "doob"])
+    def test_matches_dense_oracle(self, transform):
+        rng = rng_for(68)
+        for _ in range(10):
+            n = int(rng.integers(2, 9))
+            if transform == "relabel":
+                form1 = random_form(rng, n, recurrent=False)
+                _, iso = relabel_pair(rng, form1, scale=float(rng.uniform(0.5, 2.0)))
+            else:
+                form1, _, iso = doob_pair_sample(rng, n)
+            conjugated = iso.matrix() @ dk.generator(form1).L @ iso.inverse_matrix()
+            m2 = iso.target.m
+            b_rows = np.maximum(-(conjugated - np.diag(np.diag(conjugated))) * m2[:, None], 0.0)
+            expected = np.maximum(np.diag(conjugated) * m2 - b_rows.sum(axis=1), 0.0)
+            assert np.array_equal(dk.induced_killing(iso, form1), expected)
+
+    def test_space_mismatch(self):
+        form = killed_pair()
+        other = dk.build_form(["p", "q"], 1.0, [("p", "q", 1.0)])
+        with pytest.raises(SpaceMismatch):
+            dk.induced_killing(dk.OrderIso.identity(other.space), form)

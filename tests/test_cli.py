@@ -171,6 +171,27 @@ class TestResistance:
         path = write(tmp_path, "killed.json", jsonio.graph_dumps(form))
         assert run(["resistance", path]) == 2
 
+    def test_reads_tolerance(self, tmp_path, capsys, monkeypatch):
+        # the rounding gaps of a path's tight triangles (about 1e-14) pass
+        # the default tolerance and fail at 1e-300
+        path = gen(tmp_path, "p20.json", "--family", "path", "--n", "20", "--conductance", "0.7")
+        assert run(["resistance", path]) == 0
+        default = capsys.readouterr().out
+        assert run(["resistance", path, "--tol", "1e-300"]) == 2
+        assert "triangle" in capsys.readouterr().err
+        monkeypatch.setenv("DIRIKIT_TOL", "1e-300")
+        assert run(["resistance", path]) == 2
+        monkeypatch.setenv("DIRIKIT_TOL", "1e-9")
+        assert run(["resistance", path]) == 0
+        assert capsys.readouterr().out == default
+
+    def test_malformed_env_exits_2(self, tmp_path, capsys, monkeypatch):
+        k2 = gen(tmp_path, "k2.json", "--family", "complete", "--n", "2")
+        monkeypatch.setenv("DIRIKIT_TOL", "not-a-number")
+        assert run(["resistance", k2]) == 2
+        assert "DIRIKIT_TOL" in capsys.readouterr().err
+        assert run(["resistance", k2, "--tol", "1e-6"]) == 0
+
 
 class TestIntrinsic:
     def test_canonical_output(self, tmp_path, capsys):

@@ -21,7 +21,7 @@ from dirikit.metrics import (
     resistance_maximizer,
 )
 from dirikit.sampling import random_form, relabel_pair
-from dirikit.tolerances import DEFAULT_TOL
+from dirikit.tolerances import DEFAULT_TOL, Tolerance
 
 from conftest import rng_for
 
@@ -101,6 +101,41 @@ class TestResistanceMatrix:
             values.append(dk.effective_resistance(form, c0, c1))
         for low, high in zip(values, values[1:]):
             assert high / low == pytest.approx(5.0 / 3.0, abs=1e-9)
+
+
+    def test_matches_unbuffered_expression(self):
+        rng = rng_for(76)
+        forms = [random_form(rng, int(rng.integers(2, 12)), recurrent=True) for _ in range(20)]
+        forms += [dk.generate("sierpinski", level) for level in range(5)]
+        for form in forms:
+            pinv = form.form_pinv
+            diag = np.diag(pinv)
+            r = diag[:, None] + diag[None, :] - 2.0 * pinv
+            r = np.maximum(0.5 * (r + r.T), 0.0)
+            np.fill_diagonal(r, 0.0)
+            assert np.array_equal(dk.resistance_matrix(form).d, r)
+
+    def test_l5_in_two_buffers(self):
+        # beyond the form's cached pseudoinverse: the result and one
+        # scratch buffer, plus the validation's boolean masks
+        form = dk.generate("sierpinski", 5)
+        form.form_pinv
+        n = len(form.space)
+        tracemalloc.start()
+        try:
+            dk.resistance_matrix(form)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * n * 8
+
+    def test_tolerance_reaches_validation(self):
+        # every triple of a path is tight, so rounding leaves gaps of about
+        # 1e-14 that the default tolerance absorbs and 1e-300 does not
+        form = dk.generate("path", 20, conductance=0.7)
+        dk.resistance_matrix(form)
+        with pytest.raises(InvalidMetric, match="triangle"):
+            dk.resistance_matrix(form, Tolerance(rel=1e-300, abs=1e-303))
 
 
 class TestResistanceIsometry:
@@ -197,6 +232,13 @@ class TestPseudoMetricValidation:
         d = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(InvalidMetric):
             dk.PseudoMetric(("a", "b"), d)
+
+    def test_tolerance(self):
+        d = np.array([[0.0, 1.0, 2.0 + 1e-6], [1.0, 0.0, 1.0], [2.0 + 1e-6, 1.0, 0.0]])
+        with pytest.raises(InvalidMetric, match="triangle"):
+            dk.PseudoMetric(("a", "b", "c"), d)
+        loose = dk.PseudoMetric(("a", "b", "c"), d, Tolerance(rel=1e-6))
+        assert np.array_equal(loose.d, d)
 
 
 def broadcast_violation(d):

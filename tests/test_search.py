@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -128,6 +131,71 @@ class TestFindIntertwiners:
                 form1, form2, witness = doob_pair_sample(rng, n)
             found = dk.find_intertwiners(form1, form2, WIDE)
             assert tau_signature(witness) in [tau_signature(s) for s in found]
+
+
+def signatures_and_h(isos):
+    return [(tau_signature(s), tuple(s.h[y] for y in sorted(s.h))) for s in isos]
+
+
+class TestForwardCheckedSearch:
+    @pytest.mark.parametrize("kind", ["random", "relabel", "doob", "complete"])
+    def test_cap_is_prefix_of_brute_force(self, kind):
+        rng = rng_for(56)
+        for n in (4, 5, 6, 7):
+            if kind == "random":
+                form1, form2 = random_form(rng, n), random_form(rng, n, prefix="w")
+            elif kind == "relabel":
+                form1 = random_form(rng, n)
+                form2, _ = relabel_pair(rng, form1, scale=float(rng.uniform(0.5, 2.0)))
+            elif kind == "doob":
+                form1, form2, _ = doob_pair_sample(rng, n)
+            else:
+                form1 = dk.generate("complete", n, conductance=float(rng.uniform(0.5, 2.0)))
+                form2, _ = relabel_pair(rng, form1, scale=float(rng.uniform(0.5, 2.0)))
+            oracle = signatures_and_h(brute_force_intertwiners(form1, form2, WIDE))
+            for cap in (1, 2, 5):
+                found = dk.find_intertwiners(form1, form2, SearchOptions(max_solutions=cap))
+                assert signatures_and_h(found) == oracle[:cap]
+
+    def test_scrambled_cycle_gives_the_dihedral_group(self):
+        n = 16
+        form1 = dk.generate("cycle", n, conductance=1.3, measure=0.7)
+        form2, witness = relabel_pair(rng_for(57), form1, scale=1.9)
+        found = dk.find_intertwiners(form1, form2, WIDE)
+        index = {f"v{i}": i for i in range(n)}
+        expected = sorted(
+            tuple(f"v{(sign * index[witness.tau[y]] + shift) % n}" for y in sorted(witness.tau))
+            for sign in (1, -1)
+            for shift in range(n)
+        )
+        assert [tau_signature(s) for s in found] == expected
+        assert all(dk.certify(iso, form1, form2).verdict for iso in found)
+
+    def test_scrambled_complete_stops_at_first_solution(self):
+        form1 = dk.generate("complete", 10, conductance=0.8, measure=1.2)
+        form2, _ = relabel_pair(rng_for(58), form1, scale=1.4)
+        start = time.perf_counter()
+        found = dk.find_intertwiners(form1, form2, SearchOptions(max_solutions=1))
+        assert time.perf_counter() - start < 2.0
+        assert [tau_signature(s) for s in found] == [tuple(sorted(form1.space.vertices))]
+
+    def test_state_is_quadratic_in_memory(self):
+        # per-depth copies of the n x n domain alone would take n^3 / 2
+        # bytes, 10 n^2 doubles at n = 160
+        n = 160
+        rng = rng_for(59)
+        form1 = random_form(rng, n)
+        form2, witness = relabel_pair(rng, form1, scale=1.3)
+        for form in (form1, form2):  # the eigendecompositions are not search state
+            dk.spectral_data(dk.generator(form))
+        tracemalloc.start()
+        try:
+            found = dk.find_intertwiners(form1, form2, WIDE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [tau_signature(s) for s in found] == [tau_signature(witness)]
+        assert peak <= 10 * n * n * 8
 
 
 class TestEquivalenceVerdict:

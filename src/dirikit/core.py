@@ -35,6 +35,7 @@ from .errors import (
     InvalidSize,
     NegativeWeight,
     NonPositiveMeasure,
+    NumericOverflow,
     SelfLoop,
     UnknownVertex,
 )
@@ -49,6 +50,13 @@ _PINV_CUTOFF = 1e-12
 
 def _edge_key(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
+
+
+def _require_finite(matrix: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(matrix)):
+        raise NumericOverflow(
+            f"{what} has a non-finite entry: weights or measures out of floating-point range"
+        )
 
 
 class MeasureSpace:
@@ -181,20 +189,28 @@ class GraphForm:
 
     @cached_property
     def form_matrix(self) -> np.ndarray:
-        """Measure-free Gram matrix F with F[i,j] = Q(e_i, e_j)."""
-        f = np.diag(self.degrees + self.c) - self.weight_matrix
+        """Measure-free Gram matrix F with F[i,j] = Q(e_i, e_j); NumericOverflow
+        when a diagonal entry is not finite."""
+        with np.errstate(over="ignore"):
+            f = np.diag(self.degrees + self.c) - self.weight_matrix
+        _require_finite(f, "form matrix")
         f.flags.writeable = False
         return f
 
     @cached_property
     def generator(self) -> Generator:
-        """The generator L = M^{-1} (diag(deg + c) - W)."""
-        return Generator(self.form_matrix / self.space.m[:, None], self.space)
+        """The generator L = M^{-1} (diag(deg + c) - W); NumericOverflow when
+        an entry is not finite."""
+        with np.errstate(over="ignore"):
+            l_matrix = self.form_matrix / self.space.m[:, None]
+        _require_finite(l_matrix, "generator")
+        return Generator(l_matrix, self.space)
 
     @cached_property
     def form_pinv(self) -> np.ndarray:
         """Pseudoinverse of the form matrix, used for effective resistance."""
         w, v = np.linalg.eigh(self.form_matrix)
+        _require_finite(w, "form matrix spectrum")
         cutoff = _PINV_CUTOFF * float(np.max(np.abs(w), initial=0.0))
         inv = np.where(np.abs(w) > cutoff, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
         pinv = (v * inv) @ v.T
@@ -222,10 +238,13 @@ class Generator:
 
     @cached_property
     def spectral(self) -> SpectralData:
-        """Eigendecomposition via the symmetric matrix M^{1/2} L M^{-1/2}."""
+        """Eigendecomposition via the symmetric matrix M^{1/2} L M^{-1/2};
+        NumericOverflow when that matrix has a non-finite entry."""
         sqrt_m = np.sqrt(self.space.m)
-        sym = self.L * (sqrt_m[:, None] / sqrt_m[None, :])
-        sym = 0.5 * (sym + sym.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = self.L * (sqrt_m[:, None] / sqrt_m[None, :])
+            sym = 0.5 * (sym + sym.T)
+        _require_finite(sym, "symmetrized generator")
         w, v = np.linalg.eigh(sym)
         return SpectralData(w, v / sqrt_m[:, None])
 

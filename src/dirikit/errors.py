@@ -69,6 +69,10 @@ class NotIntertwining(DirikitError):
     """The candidate operator does not intertwine the two generators."""
 
 
+class NumericOverflow(DirikitError):
+    """A generator, form matrix or spectrum leaves the floating-point range."""
+
+
 class NotMarkovian(DirikitError):
     """A conjugated generator left the Markovian class."""
 

@@ -87,7 +87,10 @@ def _require(obj, key, kind, context):
 def _number(value, context):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MalformedInput(f"{context}: expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise MalformedInput(f"{context}: number out of floating-point range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +117,11 @@ def graph_from_obj(obj) -> GraphForm:
         raise MalformedInput("graph: vertices must be strings")
     m_obj = _require(obj, "m", dict, "graph")
     m = {v: _number(m_obj.get(v), f"graph: m[{v!r}]") for v in vertices}
+    edge_list = obj.get("edges", [])
+    if not isinstance(edge_list, list):
+        raise MalformedInput("graph: key 'edges' has wrong type")
     edges = []
-    for entry in obj.get("edges", []):
+    for entry in edge_list:
         u = _require(entry, "u", str, "graph edge")
         v = _require(entry, "v", str, "graph edge")
         w = _number(_require(entry, "b", (int, float), "graph edge"), "graph edge b")

@@ -163,12 +163,10 @@ def verify_resistance_isometry(
     idx = iso.tau_indices
     lhs = alpha**2 * r1[np.ix_(idx, idx)]
     rhs = beta * r2
-    scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
 
     report = VerificationReport()
-    report.add(
-        "resistance_isometry", float(np.max(np.abs(lhs - rhs))), tol.bound(scale),
-        detail=f"alpha={alpha!r} beta={beta!r}",
+    report.compare(
+        "resistance_isometry", lhs, rhs, tol, detail=f"alpha={alpha!r} beta={beta!r}"
     )
     mass1 = form1.space.total_mass
     mass2 = form2.space.total_mass
@@ -195,8 +193,7 @@ def is_intrinsic(
     if metric.vertices != form.space.vertices:
         raise DimensionMismatch("metric does not live on the form's vertex set")
     slack = form.space.m - np.sum(form.weight_matrix * metric.d**2, axis=1)
-    bounds = tol.rel * form.space.m + tol.abs
-    return IntrinsicCheck(bool(np.all(slack >= -bounds)), slack)
+    return IntrinsicCheck(bool(np.all(slack >= -tol.bound(form.space.m))), slack)
 
 
 def canonical_intrinsic_metric(form: GraphForm) -> PseudoMetric:

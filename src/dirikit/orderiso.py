@@ -151,7 +151,7 @@ def require_intertwining(
 ) -> float:
     residual = intertwining_residual(iso, gen1, gen2)
     bound = tol.bound(_residual_scale(iso, gen1, gen2))
-    if residual > bound:
+    if not (residual <= bound and np.isfinite(residual)):
         raise NotIntertwining(
             f"intertwining residual {residual:.3e} exceeds tolerance {bound:.3e}"
         )
@@ -206,17 +206,16 @@ def certify(
 
     gram2 = h_sigma[:, None] * form2.form_matrix[np.ix_(sigma, sigma)] * h_sigma[None, :]
     gram1 = beta * form1.form_matrix
-    form_scale = max(1.0, float(np.max(np.abs(gram1))), float(np.max(np.abs(gram2))))
-    report.add(
-        "form_scaling", float(np.max(np.abs(gram2 - gram1))), tol.bound(form_scale)
-    )
+    report.compare("form_scaling", gram1, gram2, tol)
 
     flow = gen2.L @ iso.h_values
     exc_scale = max(
         1.0, float(np.max(np.abs(gen2.L))) * max(1.0, float(np.max(iso.h_values)))
     )
+    deficit = -float(np.min(flow))
+    # a NaN deficit stays NaN (max(0.0, nan) is 0.0), and -0.0 becomes 0.0
     report.add(
-        "scaling_excessive", max(0.0, -float(np.min(flow))), tol.bound(exc_scale)
+        "scaling_excessive", deficit if not deficit <= 0.0 else 0.0, tol.bound(exc_scale)
     )
 
     ratio = float(np.max(iso.h_values) / np.min(iso.h_values))

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
+
+from .tolerances import Tolerance
 
 
 @dataclass
@@ -38,10 +43,16 @@ class VerificationReport:
         if any(c.name == name for c in self.checks):
             raise ValueError(f"duplicate check name {name!r}")
         if passed is None:
-            passed = abs(residual) <= tol
+            passed = abs(residual) <= tol and math.isfinite(residual)
         check = Check(name, float(residual), float(tol), bool(passed), detail)
         self.checks.append(check)
         return check
+
+    def compare(self, name: str, lhs: np.ndarray, rhs: np.ndarray, tol: Tolerance,
+                detail: str | None = None) -> Check:
+        """Add the check max|lhs - rhs| <= tol.bound(max(1, max|lhs|, max|rhs|))."""
+        scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+        return self.add(name, float(np.max(np.abs(lhs - rhs))), tol.bound(scale), detail)
 
     def skip(self, name: str, detail: str) -> Check:
         # informational entry; never affects the verdict

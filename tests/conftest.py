@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+from scipy.optimize import linprog
 
 import dirikit as dk
 from dirikit.search import SearchOptions, residual_bound
@@ -39,3 +40,26 @@ def brute_force_intertwiners(form1, form2, opts: SearchOptions):
 
 def tau_signature(iso):
     return tuple(iso.tau[y] for y in sorted(iso.tau))
+
+
+def lp_nonconstant_excessive(gen, separation: float = 1e-3):
+    """Oracle: a nonconstant excessive function found by linear programming.
+
+    Independent of the closed form in ``find_nonconstant_excessive``: for
+    each ordered vertex pair (x0, x1) solve L h >= 0, h >= 1, h(x0) = 1,
+    h(x1) >= 1 + separation, minimizing sum(h).  Returns the first feasible
+    h, or None when every pair is infeasible.
+    """
+    n = len(gen.space)
+    for i0, i1 in itertools.permutations(range(n), 2):
+        a_eq = np.zeros((1, n))
+        a_eq[0, i0] = 1.0
+        bounds = [(1.0, None)] * n
+        bounds[i1] = (1.0 + separation, None)
+        result = linprog(
+            np.ones(n), A_ub=-gen.L, b_ub=np.zeros(n), A_eq=a_eq, b_eq=[1.0],
+            bounds=bounds, method="highs",
+        )
+        if result.status == 0:
+            return np.asarray(result.x, dtype=float)
+    return None

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import dirikit as dk
-from dirikit.errors import NotMarkovian, SpaceMismatch
+from dirikit import beurling
+from dirikit.errors import NotIntertwining, NotMarkovian, SpaceMismatch
 from dirikit.sampling import doob_pair_sample, random_form, random_function, relabel_pair
 
 from conftest import rng_for
@@ -119,6 +120,82 @@ class TestJumpTransform:
             form2, _ = relabel_pair(rng, form1, scale=float(rng.uniform(0.5, 2.0)))
             for iso in dk.find_intertwiners(form1, form2):
                 assert dk.verify_jump_transform(iso, form1, form2).verdict
+
+
+def dict_route(iso, form1, form2, tol=dk.Tolerance()):
+    """Reference: (residual, tol) of both jump checks computed through the
+    jump/killing dicts, decompose(f).matrix() and reconstruct(f.space, ...)."""
+    beta = dk.operator_constant(iso)
+    idx, h = iso.tau_indices, iso.h_values
+    lhs = beta * dk.decompose(form1).matrix()[np.ix_(idx, idx)]
+    rhs = np.outer(h, h) * dk.decompose(form2).matrix()
+    np.fill_diagonal(rhs, 0.0)
+    scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+    jump = (float(np.max(np.abs(lhs - rhs))), tol.bound(scale))
+    local = 0.0
+    for form in (form1, form2):
+        rebuilt = dk.reconstruct(form.space, dk.decompose(form))
+        local = max(local, float(np.max(np.abs(form.form_matrix - rebuilt.form_matrix))))
+    local_scale = max(
+        1.0, float(np.max(np.abs(form1.form_matrix))), float(np.max(np.abs(form2.form_matrix)))
+    )
+    return jump, (local, tol.bound(local_scale))
+
+
+def jump_sample(rng, kind):
+    n = int(rng.integers(2, 9))
+    if kind == "doob":
+        return doob_pair_sample(rng, n)
+    form1 = random_form(rng, n)
+    if kind in ("zero_weights", "subnormal"):
+        # zero some conductances, or make one the smallest subnormal double
+        b = {e: 0.0 if rng.random() < 0.3 else w for e, w in form1.b.items()}
+        if kind == "subnormal":
+            b[next(iter(b))] = 5e-324
+        form1 = dk.GraphForm(form1.space, b, form1.c)
+    scale = 1.0 if kind == "subnormal" else float(rng.uniform(0.5, 2.0))
+    form2, iso = relabel_pair(rng, form1, scale=scale)
+    return form1, form2, iso
+
+
+class TestJumpTransformOracle:
+    @pytest.mark.parametrize("kind", ["relabel", "doob", "zero_weights", "subnormal"])
+    def test_matches_dict_route(self, kind):
+        rng = rng_for(69)
+        for _ in range(10):
+            form1, form2, iso = jump_sample(rng, kind)
+            report = dk.verify_jump_transform(iso, form1, form2)
+            jump, local = dict_route(iso, form1, form2)
+            assert (report["jump_transform"].residual, report["jump_transform"].tol) == jump
+            check = report["local_part_vanishes"]
+            assert (check.residual, check.tol) == local
+            if kind == "subnormal":
+                # b / 2 rounds to 0, so rebuilding b = 2 J loses the whole edge
+                assert check.residual == 5e-324
+            assert report.verdict
+
+    def test_swapped_tau_raises(self):
+        rng = rng_for(70)
+        form1 = random_form(rng, 6)
+        form2, iso = relabel_pair(rng, form1)
+        y0, y1 = iso.target.vertices[:2]
+        tau = dict(iso.tau, **{y0: iso.tau[y1], y1: iso.tau[y0]})
+        swapped = dk.OrderIso(iso.source, iso.target, tau, iso.h)
+        with pytest.raises(NotIntertwining):
+            dk.verify_jump_transform(swapped, form1, form2)
+
+    def test_builds_no_dicts_or_forms(self, monkeypatch):
+        rng = rng_for(71)
+        form1, form2, iso = doob_pair_sample(rng, 6)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the jump check must read the cached matrices")
+
+        monkeypatch.setattr(beurling, "decompose", forbidden)
+        monkeypatch.setattr(beurling, "reconstruct", forbidden)
+        monkeypatch.setattr(beurling.JumpKilling, "__init__", forbidden)
+        monkeypatch.setattr(dk.GraphForm, "__init__", forbidden)
+        assert dk.verify_jump_transform(iso, form1, form2).verdict
 
 
 class TestInducedKilling:

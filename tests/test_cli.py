@@ -1,8 +1,16 @@
+import contextlib
 import io
+import itertools
 import json
+import math
+import pathlib
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dirikit as dk
 from dirikit import jsonio
@@ -274,3 +282,86 @@ class TestTolerancePlumbing:
         monkeypatch.setenv("DIRIKIT_TOL", "not-a-number")
         assert run(["search", k2, k2]) == 2
         assert run(["search", k2, k2, "--tol", "1e-6"]) == 0
+
+
+# path a - b - c: b = 1e300 over m = 1e-300 overflows the generator; one
+# conductance of 1.5e308 over unit measure overflows its symmetrization
+OVERFLOWING_GENERATOR = {
+    "vertices": ["a", "b", "c"], "m": {"a": 1e-300, "b": 1e-300, "c": 1e-300},
+    "edges": [{"u": "a", "v": "b", "b": 1e300}, {"u": "b", "v": "c", "b": 1e300}],
+}
+OVERFLOWING_SPECTRUM = {
+    "vertices": ["a", "b", "c"], "m": {"a": 1.0, "b": 1.0, "c": 1.0},
+    "edges": [{"u": "a", "v": "b", "b": 1.5e308}, {"u": "b", "v": "c", "b": 1.0}],
+}
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("graph", [OVERFLOWING_GENERATOR, OVERFLOWING_SPECTRUM])
+    @pytest.mark.parametrize("command", ["check", "search"])
+    def test_overflow_exits_2(self, tmp_path, capsys, graph, command):
+        path = write(tmp_path, "g.json", json.dumps(graph))
+        argv = [command, path] + ([path] if command == "search" else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning reaches stderr
+            assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "non-finite" in captured.err
+
+
+GRID = (0.0, 5e-324, 1e-300, 1.0, 1e300, 1.5e308, 1.7e308)
+FAULTS = (None, None, None, "negative", "nan", "string", "integer", "missing")
+
+
+@st.composite
+def graph_documents(draw):
+    """Graphs of up to 4 vertices with grid-valued measures, conductances and
+    killing, and at most one entry made negative, NaN, a string, an integer
+    beyond the float range or absent."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    doc = {
+        "vertices": names,
+        "m": {v: draw(st.sampled_from(GRID[1:])) for v in names},
+        "edges": [
+            {"u": u, "v": v, "b": draw(st.sampled_from(GRID))}
+            for u, v in itertools.combinations(names, 2)
+            if int(v[1:]) == int(u[1:]) + 1 or draw(st.booleans())
+        ],
+        "killing": {v: draw(st.sampled_from(GRID)) for v in names if draw(st.booleans())},
+    }
+    fault = draw(st.sampled_from(FAULTS))
+    if fault is not None:
+        slots = [(doc, "vertices"), (doc, "m"), (doc, "edges")]
+        slots += [(doc["m"], v) for v in names] + [(doc["killing"], v) for v in doc["killing"]]
+        slots += [(edge, key) for edge in doc["edges"] for key in ("u", "b")]
+        holder, key = draw(st.sampled_from(slots))
+        if fault == "missing":
+            del holder[key]
+        else:
+            holder[key] = {"negative": -draw(st.sampled_from(GRID[1:])),
+                           "nan": math.nan, "string": "1.0", "integer": 10**400}[fault]
+    return doc
+
+
+class TestFuzz:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(graph_documents())
+    def test_extreme_and_malformed_graphs(self, doc):
+        names = doc.get("vertices")
+        iso = {"tau": {v: v for v in names}, "h": {v: 1.0 for v in names}} \
+            if isinstance(names, list) else {}
+        with tempfile.TemporaryDirectory() as tmp:
+            g = write(pathlib.Path(tmp), "g.json", json.dumps(doc))
+            u = write(pathlib.Path(tmp), "u.json", json.dumps(iso))
+            for argv in (["check", g], ["resistance", g], ["intrinsic", g],
+                         ["decompose", g], ["search", g, g], ["certify", g, g, u]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = run(argv)
+                assert code in (0, 1, 2), argv
+                if code == 2:
+                    assert any(line.startswith("error:") for line in err.getvalue().splitlines())
+                if argv[0] in ("search", "certify"):
+                    assert code != 1, (argv[0], out.getvalue())

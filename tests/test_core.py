@@ -13,6 +13,7 @@ from dirikit.errors import (
     InvalidSize,
     NegativeWeight,
     NonPositiveMeasure,
+    NumericOverflow,
     SelfLoop,
     UnknownVertex,
 )
@@ -159,6 +160,26 @@ class TestGenerator:
             gen = dk.generator(form)
             f = rng.normal(size=6)
             assert form.space.inner(gen.L @ f, f) >= -1e-10
+
+
+class TestOverflow:
+    def test_generator(self):
+        # b / m = 1e300 / 1e-300
+        form = dk.build_form(["a", "b", "c"], 1e-300, [("a", "b", 1e300), ("b", "c", 1e300)])
+        with pytest.raises(NumericOverflow):
+            dk.generator(form)
+
+    def test_degree(self):
+        form = dk.build_form(["a", "b", "c"], 1.0, [("a", "b", 1.5e308), ("b", "c", 1.5e308)])
+        with pytest.raises(NumericOverflow):
+            form.form_matrix
+
+    def test_symmetrized_generator(self):
+        # L is finite, but L + L^T in the symmetrization is 3e308
+        form = dk.build_form(["a", "b", "c"], 1.0, [("a", "b", 1.5e308), ("b", "c", 1.0)])
+        gen = dk.generator(form)
+        with pytest.raises(NumericOverflow):
+            dk.spectral_data(gen)
 
 
 class TestFormNorm:

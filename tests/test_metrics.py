@@ -13,6 +13,7 @@ from dirikit.errors import (
     InvalidMetric,
     NotConnected,
     NotRecurrent,
+    NumericOverflow,
     SpaceMismatch,
 )
 from dirikit.metrics import (
@@ -101,6 +102,13 @@ class TestResistanceMatrix:
             values.append(dk.effective_resistance(form, c0, c1))
         for low, high in zip(values, values[1:]):
             assert high / low == pytest.approx(5.0 / 3.0, abs=1e-9)
+
+    def test_overflowing_spectrum_raises(self):
+        # the form matrix is finite, but its top eigenvalue 3e308 is not; with
+        # it the pseudoinverse cutoff was inf and every resistance came out 0
+        form = dk.build_form(["a", "b", "c"], 1.0, [("a", "b", 1.5e308), ("b", "c", 1.0)])
+        with pytest.raises(NumericOverflow):
+            dk.resistance_matrix(form)
 
 
     def test_matches_unbuffered_expression(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from dirikit.errors import (
     NotExcessive,
     NotIntertwining,
     NotIrreducible,
+    NumericOverflow,
 )
+from dirikit.orderiso import require_intertwining
 from dirikit.sampling import doob_pair_sample, random_form, relabel_pair
 
 from conftest import rng_for
@@ -161,12 +165,30 @@ class TestResidual:
         form2, iso = dk.doob_pair(form, [1.0, 2.0])
         assert dk.intertwining_residual(iso, dk.generator(form), dk.generator(form2)) <= 1e-12
 
+    def test_nan_residual_rejected(self):
+        # h L1 and L2 h both overflow: the residual is inf - inf = NaN against
+        # an infinite bound, and NaN > bound is False
+        form = dk.build_form(["a", "b"], 1.0, [("a", "b", 1e200)])
+        gen = dk.generator(form)
+        iso = dk.OrderIso(form.space, form.space, {"a": "a", "b": "b"},
+                          {"a": 1e200, "b": 1e200})
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotIntertwining):
+                require_intertwining(iso, gen, gen)
+
     def test_mismatched_k2s(self):
         q1 = dk.build_form(["a", "b"], 1.0, [("a", "b", 1.0)])
         q2 = dk.build_form(["a", "b"], 1.0, [("a", "b", 3.0)])
         iso = swap_iso(q1.space, q2.space)
         residual = dk.intertwining_residual(iso, dk.generator(q1), dk.generator(q2))
         assert residual > 0.1
+
+
+class TestNonFiniteResidual:
+    @pytest.mark.parametrize("residual", [math.nan, math.inf])
+    def test_never_passes(self, residual):
+        assert not dk.Tolerance().accepts(residual, math.inf)
+        assert not dk.VerificationReport().add("check", residual, math.inf).passed
 
 
 class TestCertify:
@@ -211,6 +233,12 @@ class TestCertify:
     def test_requires_irreducible(self):
         form = dk.build_form(["a", "b"], 1.0, [])
         with pytest.raises(NotIrreducible):
+            dk.certify(dk.OrderIso.identity(form.space), form, form)
+
+    def test_overflowing_generator_raises(self):
+        # b = 1e300 over m = 1e-300 overflows L; the NaN residual once passed
+        form = dk.build_form(["a", "b", "c"], 1e-300, [("a", "b", 1e300), ("b", "c", 1e300)])
+        with pytest.raises(NumericOverflow):
             dk.certify(dk.OrderIso.identity(form.space), form, form)
 
     def test_beta_scales_quadratically_in_h(self):

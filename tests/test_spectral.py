@@ -11,7 +11,7 @@ from dirikit.errors import (
 )
 from dirikit.sampling import random_form
 
-from conftest import rng_for
+from conftest import lp_nonconstant_excessive, rng_for
 
 SAMPLE_TIMES = [2.0**k for k in range(-10, 5)]
 
@@ -256,6 +256,14 @@ class TestNonconstantExcessive:
             form = random_form(rng, int(rng.integers(2, 8)))
             witness = dk.find_nonconstant_excessive(dk.generator(form))
             assert (witness is None) == dk.is_recurrent(form)
+
+    @pytest.mark.parametrize("recurrent", [True, False])
+    def test_matches_lp_oracle(self, recurrent):
+        rng = rng_for(35)
+        for _ in range(8):
+            gen = dk.generator(random_form(rng, int(rng.integers(2, 7)), recurrent=recurrent))
+            witness = dk.find_nonconstant_excessive(gen)
+            assert (witness is None) == (lp_nonconstant_excessive(gen) is None)
 
 
 class TestTruncation:

@@ -84,10 +84,15 @@ def reconstruct(space: MeasureSpace, data: JumpKilling) -> GraphForm:
 def jump_energy(
     data: JumpKilling, phi: np.ndarray, f: np.ndarray
 ) -> float:
-    """The phi-weighted jump energy sum_{x != y} phi(x) phi(y) (f(x)-f(y))^2 J(x,y)."""
-    j = data.matrix()
-    df = f[:, None] - f[None, :]
-    return float(np.sum(j * np.outer(phi, phi) * df * df))
+    """The phi-weighted jump energy sum_{x != y} phi(x) phi(y) (f(x)-f(y))^2 J(x,y),
+    summed over the pairs carried by J."""
+    index = {v: i for i, v in enumerate(data.vertices)}
+    p, g = phi.tolist(), f.tolist()
+    total = 0.0
+    for (x, y), value in data.J.items():
+        i, j = index[x], index[y]
+        total += value * p[i] * p[j] * (g[i] - g[j]) * (g[i] - g[j])
+    return total
 
 
 def truncated_form(form: GraphForm, phi: VertexFunction, f: VertexFunction) -> float:

@@ -44,9 +44,6 @@ VertexFunction = Union[Mapping[str, float], Sequence[float], np.ndarray, float, 
 
 EdgeInput = Union[Mapping[tuple[str, str], float], Iterable[tuple[str, str, float]]]
 
-# relative eigenvalue cutoff for the pseudoinverse of the form matrix
-_PINV_CUTOFF = 1e-12
-
 
 def _edge_key(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
@@ -121,7 +118,8 @@ class MeasureSpace:
 
     @property
     def total_mass(self) -> float:
-        return float(np.sum(self.m))
+        with np.errstate(over="ignore"):  # inf past the float range
+            return float(np.sum(self.m))
 
     def measure_of(self, v: str) -> float:
         return float(self.m[self.index(v)])
@@ -183,7 +181,8 @@ class GraphForm:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        d = self.weight_matrix.sum(axis=1)
+        with np.errstate(over="ignore"):  # inf past the float range
+            d = self.weight_matrix.sum(axis=1)
         d.flags.writeable = False
         return d
 
@@ -207,15 +206,18 @@ class GraphForm:
         return Generator(l_matrix, self.space)
 
     @cached_property
-    def form_pinv(self) -> np.ndarray:
-        """Pseudoinverse of the form matrix, used for effective resistance."""
-        w, v = np.linalg.eigh(self.form_matrix)
-        _require_finite(w, "form matrix spectrum")
-        cutoff = _PINV_CUTOFF * float(np.max(np.abs(w), initial=0.0))
-        inv = np.where(np.abs(w) > cutoff, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
-        pinv = (v * inv) @ v.T
-        pinv.flags.writeable = False
-        return pinv
+    def green(self) -> np.ndarray:
+        """Inverse of the form matrix grounded at its first vertex of largest
+        degree, zero on that row and column; NumericOverflow unless finite."""
+        keep = np.arange(len(self.space)) != np.argmax(self.degrees)
+        g = np.zeros(self.form_matrix.shape)
+        try:
+            g[np.ix_(keep, keep)] = np.linalg.inv(self.form_matrix[np.ix_(keep, keep)])
+        except np.linalg.LinAlgError:
+            raise NumericOverflow("grounded form matrix is singular in floating point") from None
+        _require_finite(g, "grounded Green function")
+        g.flags.writeable = False
+        return g
 
 
 @dataclass(eq=False)

@@ -1,11 +1,15 @@
 """Resistance and intrinsic metrics on finite Dirichlet spaces.
 
 Effective resistance is computed from the measure-free form matrix
-B = diag(deg) - W (killing must be absent): R(x, y) is the energy of the
-potential difference e_x - e_y against the pseudoinverse of B, which
-agrees with the variational description
+B = diag(deg) - W (killing must be absent) through its Green function G,
+the inverse of B grounded at one vertex: R(x, y) = G[x,x] + G[y,y] - 2 G[x,y],
+which agrees with the variational description
 
     R(x, y) = sup { |f(x) - f(y)|^2 : E(f) <= 1 }.
+
+No eigenvalue is cut off, so a weak bottleneck keeps its large resistance;
+accuracy is limited by the rounding of the diagonal of B, where each
+deg(x) keeps only the leading digits of the conductances summed into it.
 
 A pseudo-metric d is *intrinsic* for a form when the per-vertex jump
 energy of d is dominated by the measure:
@@ -90,33 +94,35 @@ class IntrinsicCheck(NamedTuple):
     slack: np.ndarray
 
 
-def _resistance_pinv(form: GraphForm) -> np.ndarray:
-    """Pseudoinverse of the measure-free form matrix, cached per form."""
+def _resistance_green(form: GraphForm) -> np.ndarray:
+    """Grounded Green function of the measure-free form matrix, cached per form."""
     if not is_irreducible(form):
         raise NotConnected("effective resistance needs a connected conductance graph")
     if np.any(form.c != 0.0):
         raise HasKilling("effective resistance is undefined in the presence of killing")
-    return form.form_pinv
+    return form.green
 
 
 def effective_resistance(form: GraphForm, x: str, y: str) -> float:
     """Effective resistance between two vertices."""
-    pinv = _resistance_pinv(form)
+    green = _resistance_green(form)
     i, j = form.space.index(x), form.space.index(y)
-    return float(pinv[i, i] + pinv[j, j] - 2.0 * pinv[i, j])
+    return float(green[i, i] + green[j, j] - 2.0 * green[i, j])
 
 
 def resistance_matrix(form: GraphForm, tol: Tolerance = DEFAULT_TOL) -> PseudoMetric:
     """The full resistance metric of a connected killing-free form,
     validated as a pseudo-metric to ``tol``."""
-    pinv = _resistance_pinv(form)
-    diag = np.diag(pinv)
-    # R = max(0.5 (r + r^T), 0) with r = (diag_i + diag_j) - 2 pinv, in
+    green = _resistance_green(form)
+    diag = np.diag(green)
+    # R = max(0.5 (r + r^T), 0) with r = (diag_i + diag_j) - 2 G, in
     # two n x n buffers
-    r = np.add(diag[:, None], diag[None, :])
-    d = np.multiply(pinv, 2.0)
-    np.subtract(r, d, out=r)
-    np.add(r, r.T, out=d)
+    # entries past the float range come out inf or NaN; PseudoMetric rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.add(diag[:, None], diag[None, :])
+        d = np.multiply(green, 2.0)
+        np.subtract(r, d, out=r)
+        np.add(r, r.T, out=d)
     del r
     np.multiply(d, 0.5, out=d)
     np.maximum(d, 0.0, out=d)
@@ -127,16 +133,16 @@ def resistance_matrix(form: GraphForm, tol: Tolerance = DEFAULT_TOL) -> PseudoMe
 def resistance_maximizer(form: GraphForm, x: str, y: str) -> np.ndarray:
     """The energy-one potential attaining the resistance supremum.
 
-    The optimizer is the pseudoinverse potential of the dipole e_x - e_y,
-    normalized to unit energy; |f(x) - f(y)|^2 then equals R(x, y).
+    The optimizer is the Green potential f = G (e_x - e_y), whose energy is
+    f(x) - f(y) = R(x, y), normalized to unit energy; |f(x) - f(y)|^2 then
+    equals R(x, y), as accurate as the rounded diagonal of the form matrix.
     """
-    pinv = _resistance_pinv(form)
+    green = _resistance_green(form)
     i, j = form.space.index(x), form.space.index(y)
     dipole = np.zeros(len(form.space))
     dipole[i], dipole[j] = 1.0, -1.0
-    f = pinv @ dipole
-    energy = float(f @ form.form_matrix @ f)
-    return f / math.sqrt(energy)
+    f = green @ dipole
+    return f / math.sqrt(f[i] - f[j])
 
 
 def verify_resistance_isometry(
@@ -182,6 +188,14 @@ def verify_resistance_isometry(
     return report
 
 
+def _jump_energy(form: GraphForm, metric: PseudoMetric) -> np.ndarray:
+    """Per-vertex jump energy sum_y b(x,y) d(x,y)^2, taken on the edges only:
+    off the edges b = 0, even where d^2 overflows to inf."""
+    w = form.weight_matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sum(np.where(w > 0.0, w * metric.d**2, 0.0), axis=1)
+
+
 def is_intrinsic(
     form: GraphForm, metric: PseudoMetric, tol: Tolerance = DEFAULT_TOL
 ) -> IntrinsicCheck:
@@ -192,7 +206,7 @@ def is_intrinsic(
     """
     if metric.vertices != form.space.vertices:
         raise DimensionMismatch("metric does not live on the form's vertex set")
-    slack = form.space.m - np.sum(form.weight_matrix * metric.d**2, axis=1)
+    slack = form.space.m - _jump_energy(form, metric)
     return IntrinsicCheck(bool(np.all(slack >= -tol.bound(form.space.m))), slack)
 
 
@@ -209,7 +223,10 @@ def canonical_intrinsic_metric(form: GraphForm) -> PseudoMetric:
     if n == 1:
         return PseudoMetric(form.space.vertices, np.zeros((1, 1)))
     deg = form.degrees
-    weight = np.sqrt(form.space.m / np.where(deg > 0.0, deg, 1.0))
+    # an overflowing weight is inf: min() drops it beside a finite one, and
+    # PseudoMetric rejects the inf distance it leaves otherwise
+    with np.errstate(over="ignore"):
+        weight = np.sqrt(form.space.m / np.where(deg > 0.0, deg, 1.0))
     lengths = np.minimum(weight[:, None], weight[None, :])
     graph = np.where(form.weight_matrix > 0.0, lengths, 0.0)
     dist = shortest_path(graph, method="D", directed=False, unweighted=False)
@@ -224,11 +241,12 @@ def boundary_rescaled(
     Returns None for metrics with zero jump energy everywhere (nothing to
     saturate).
     """
-    energy = np.sum(form.weight_matrix * metric.d**2, axis=1)
+    energy = _jump_energy(form, metric)
     positive = energy > 0.0
     if not np.any(positive):
         return None
-    factor = float(np.min(np.sqrt(form.space.m[positive] / energy[positive])))
+    with np.errstate(over="ignore"):  # an overflowing ratio is inf and not the minimum
+        factor = float(np.min(np.sqrt(form.space.m[positive] / energy[positive])))
     return metric.scaled(factor)
 
 

@@ -198,17 +198,22 @@ def find_intertwiners(
     perm1 = np.argsort(np.array(form1.space.vertices))
     l1s = l1[np.ix_(perm1, perm1)]
     l2s = l2[np.ix_(perm2, perm2)]
-    # h[y, x]: the scaling of target y when tau(y) = x
-    h = np.sqrt(form1.space.m[perm1][None, :] / form2.space.m[perm2][:, None])
-    # a source enters a target's domain through the invariants and the
-    # entry (y, y) of U L1 - L2 U
-    domain = _invariant_domain(form1, form2, opts)[np.ix_(perm2, perm1)]
-    domain &= np.abs(h * np.diag(l1s)[None, :] - np.diag(l2s)[:, None] * h) <= bound
+    # a measure ratio beyond the float range makes h inf and a residual
+    # entry inf or 0 * inf = NaN, which fails its bound as it should; the
+    # floating-point flags are silenced, not acted on
+    with np.errstate(over="ignore", invalid="ignore"):
+        # h[y, x]: the scaling of target y when tau(y) = x
+        h = np.sqrt(form1.space.m[perm1][None, :] / form2.space.m[perm2][:, None])
+        # a source enters a target's domain through the invariants and the
+        # entry (y, y) of U L1 - L2 U
+        domain = _invariant_domain(form1, form2, opts)[np.ix_(perm2, perm1)]
+        domain &= np.abs(h * np.diag(l1s)[None, :] - np.diag(l2s)[:, None] * h) <= bound
+        assignments = _search(l1s, l2s, h, domain, bound, opts.max_solutions)
 
     targets = [form2.space.vertices[i] for i in perm2]
     sources = [form1.space.vertices[i] for i in perm1]
     isos = []
-    for assignment in _search(l1s, l2s, h, domain, bound, opts.max_solutions):
+    for assignment in assignments:
         tau = dict(zip(targets, [sources[x] for x in assignment.tolist()]))
         h_map = dict(zip(targets, h[np.arange(len(h)), assignment].tolist()))
         iso = OrderIso(form1.space, form2.space, tau, h_map)

@@ -200,8 +200,36 @@ class TestResistance:
         assert "DIRIKIT_TOL" in capsys.readouterr().err
         assert run(["resistance", k2, "--tol", "1e-6"]) == 0
 
+    def test_weak_bottleneck(self, tmp_path, capsys):
+        # b(a,b) = 1e-12 beside b(b,c) = 1 is a real bottleneck, not a cut
+        form = dk.build_form(["a", "b", "c"], 1.0, [("a", "b", 1e-12), ("b", "c", 1.0)])
+        path = write(tmp_path, "weak.json", jsonio.graph_dumps(form))
+        assert run(["resistance", path]) == 0
+        r = json.loads(capsys.readouterr().out)["R"]
+        assert r[0][1] == pytest.approx(1e12, rel=1e-9)
+
+    def test_overflowing_resistance_exits_2(self, tmp_path, capsys):
+        # b(a,b) = 5e-324 puts R(a,b) = 2e323 beyond the float range
+        form = dk.build_form(["a", "b", "c"], 1.0, [("a", "b", 5e-324), ("b", "c", 1.0)])
+        path = write(tmp_path, "subnormal.json", jsonio.graph_dumps(form))
+        assert run(["resistance", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
 
 class TestIntrinsic:
+    def test_overflow_off_the_edges(self, tmp_path, capsys):
+        # m = 1.7e308 on a unit path: d(v0, v2)^2 overflows, but v0 and v2
+        # share no edge, so it adds nothing to the jump energy
+        form = dk.build_form(["v0", "v1", "v2"], 1.7e308, [("v0", "v1", 1.0), ("v1", "v2", 1.0)])
+        path = write(tmp_path, "heavy.json", jsonio.graph_dumps(form))
+        assert run(["intrinsic", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["intrinsic"] is True
+        assert payload["slack"] == pytest.approx([8.5e307, 0.0, 8.5e307], rel=1e-12)
+
     def test_canonical_output(self, tmp_path, capsys):
         p3 = gen(tmp_path, "p3.json", "--family", "path", "--n", "3")
         assert run(["intrinsic", p3]) == 0

@@ -1,6 +1,8 @@
+import itertools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,20 +105,20 @@ class TestResistanceMatrix:
         for low, high in zip(values, values[1:]):
             assert high / low == pytest.approx(5.0 / 3.0, abs=1e-9)
 
-    def test_overflowing_spectrum_raises(self):
-        # the form matrix is finite, but its top eigenvalue 3e308 is not; with
-        # it the pseudoinverse cutoff was inf and every resistance came out 0
+    def test_overflowing_spectrum_is_finite(self):
+        # the form matrix is finite, but its top eigenvalue 3e308 is not; the
+        # grounded inverse never forms the spectrum and resolves both edges
         form = dk.build_form(["a", "b", "c"], 1.0, [("a", "b", 1.5e308), ("b", "c", 1.0)])
-        with pytest.raises(NumericOverflow):
-            dk.resistance_matrix(form)
-
+        d = dk.resistance_matrix(form).d
+        assert d[0, 1] == pytest.approx(1.0 / 1.5e308, rel=1e-12)
+        assert d[1, 2] == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_unbuffered_expression(self):
         rng = rng_for(76)
         forms = [random_form(rng, int(rng.integers(2, 12)), recurrent=True) for _ in range(20)]
         forms += [dk.generate("sierpinski", level) for level in range(5)]
         for form in forms:
-            pinv = form.form_pinv
+            pinv = form.green
             diag = np.diag(pinv)
             r = diag[:, None] + diag[None, :] - 2.0 * pinv
             r = np.maximum(0.5 * (r + r.T), 0.0)
@@ -124,10 +126,10 @@ class TestResistanceMatrix:
             assert np.array_equal(dk.resistance_matrix(form).d, r)
 
     def test_l5_in_two_buffers(self):
-        # beyond the form's cached pseudoinverse: the result and one
+        # beyond the form's cached Green function: the result and one
         # scratch buffer, plus the validation's boolean masks
         form = dk.generate("sierpinski", 5)
-        form.form_pinv
+        form.green
         n = len(form.space)
         tracemalloc.start()
         try:
@@ -144,6 +146,77 @@ class TestResistanceMatrix:
         dk.resistance_matrix(form)
         with pytest.raises(InvalidMetric, match="triangle"):
             dk.resistance_matrix(form, Tolerance(rel=1e-300, abs=1e-303))
+
+
+def mp_resistances(form, dps=60):
+    """Oracle: every effective resistance at ``dps`` digits, from the
+    Laplacian of the conductances grounded at vertex 0 and inverted in
+    mpmath."""
+    n = len(form.space)
+    with mpmath.workdps(dps):
+        lap = mpmath.zeros(n, n)
+        for (u, v), b in form.b.items():
+            i, j = form.space.index(u), form.space.index(v)
+            lap[i, i] += b
+            lap[j, j] += b
+            lap[i, j] -= b
+            lap[j, i] -= b
+        grounded = mpmath.inverse(lap[1:, 1:])
+        g = lambda i, j: grounded[i - 1, j - 1] if i and j else 0
+        return [[float(g(i, i) + g(j, j) - 2 * g(i, j)) for j in range(n)] for i in range(n)]
+
+
+def path_orders(bottleneck):
+    """The path a - b - c with b(a,b) = bottleneck and b(b,c) = 1, in every
+    vertex order."""
+    edges = [("a", "b", bottleneck), ("b", "c", 1.0)]
+    return [dk.build_form(order, 1.0, edges) for order in itertools.permutations("abc")]
+
+
+class TestResistanceOracle:
+    @pytest.mark.parametrize("bottleneck", [1e-10, 1e-12, 1e-14])
+    def test_bottleneck_path(self, bottleneck):
+        for form in path_orders(bottleneck):
+            r = dk.effective_resistance(form, "a", "b")
+            assert r == pytest.approx(1.0 / bottleneck, rel=1e-9)
+            matrix = dk.resistance_matrix(form)
+            assert np.allclose(matrix.d, mp_resistances(form), rtol=1e-9, atol=0.0)
+
+    def test_subnormal_bottleneck_overflows(self):
+        # the true R(a, b) = 2e323 is beyond the float range
+        for form in path_orders(5e-324):
+            with pytest.raises(NumericOverflow):
+                dk.effective_resistance(form, "a", "b")
+            with pytest.raises(NumericOverflow):
+                dk.resistance_matrix(form)
+
+    def test_ill_conditioned_random(self):
+        rng = rng_for(77)
+        for _ in range(100):
+            base = random_form(rng, int(rng.integers(3, 9)), recurrent=True)
+            edges = [(u, v, 10.0 ** rng.uniform(-14.0, 0.0)) for u, v in base.b]
+            form = dk.build_form(base.space.vertices, base.space.m, edges)
+            exact = np.array(mp_resistances(form))
+            off = ~np.eye(len(form.space), dtype=bool)
+            assert np.allclose(dk.resistance_matrix(form).d[off], exact[off], rtol=1e-3, atol=0.0)
+
+    def test_unit_scale_random(self):
+        rng = rng_for(78)
+        for _ in range(20):
+            form = random_form(rng, int(rng.integers(2, 9)), recurrent=True)
+            assert np.allclose(
+                dk.resistance_matrix(form).d, mp_resistances(form), rtol=1e-12, atol=0.0
+            )
+
+    @pytest.mark.parametrize("bottleneck", [1e-10, 1e-12, 1e-14])
+    def test_maximizer_on_bottleneck_path(self, bottleneck):
+        for form in path_orders(bottleneck):
+            f = resistance_maximizer(form, "a", "b")
+            i, j = form.space.index("a"), form.space.index("b")
+            assert measure_free_energy(form, f) == pytest.approx(1.0, rel=1e-9)
+            assert (f[i] - f[j]) ** 2 == pytest.approx(
+                dk.effective_resistance(form, "a", "b"), rel=1e-9
+            )
 
 
 class TestResistanceIsometry:

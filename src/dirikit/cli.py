@@ -144,11 +144,12 @@ def _cmd_check(args) -> int:
         "edges": len(form.b),
         "irreducible": spectral.is_irreducible(form),
         "recurrent": spectral.is_recurrent(form),
-        "spectrum": [float(w) for w in spectrum],
+        "spectrum": spectrum,
     }
     if args.format == "json":
         _emit(args, jsonio.dumps(payload) + "\n")
     else:
+        payload["spectrum"] = spectrum.tolist()
         lines = [f"{key}: {value}" for key, value in payload.items()]
         _emit(args, "\n".join(lines) + "\n")
     return 0
@@ -212,7 +213,7 @@ def _cmd_resistance(args) -> int:
     matrix = metrics.resistance_matrix(form, _tolerance(args))
     payload = {
         "vertices": list(form.space.vertices),
-        "R": matrix.d.tolist(),
+        "R": matrix.d,
     }
     if args.format == "json":
         _emit(args, jsonio.dumps(payload) + "\n")
@@ -230,8 +231,8 @@ def _cmd_intrinsic(args) -> int:
         check = metrics.is_intrinsic(form, metric, tol)
         payload = {
             "vertices": list(form.space.vertices),
-            "d": metric.d.tolist(),
-            "slack": [float(s) for s in check.slack],
+            "d": metric.d,
+            "slack": check.slack,
             "intrinsic": check.ok,
         }
     else:
@@ -239,7 +240,7 @@ def _cmd_intrinsic(args) -> int:
         check = metrics.is_intrinsic(form, metric, tol)
         payload = {
             "intrinsic": check.ok,
-            "slack": [float(s) for s in check.slack],
+            "slack": check.slack,
         }
     if args.format == "json":
         _emit(args, jsonio.dumps(payload) + "\n")

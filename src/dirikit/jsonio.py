@@ -12,6 +12,11 @@ Report:      {"checks": [{"name", "residual", "tol", "pass", "detail"?}],
 
 Numbers are emitted with 17 significant digits, which round-trips IEEE
 doubles exactly, so identical inputs always serialize to identical bytes.
+``dumps`` also accepts a 1-D or 2-D float ``np.ndarray`` wherever a list
+may stand and writes the same bytes as for its ``tolist()``.  It formats
+each distinct value of the array once, so a symmetric n x n metric costs
+at most about n^2 / 2 float conversions, and one with few distinct
+distances far fewer.
 """
 
 from __future__ import annotations
@@ -35,10 +40,42 @@ def _format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def dumps(obj, indent: int = 0) -> str:
-    """Serialize nested dict/list/str/number/bool/None data deterministically."""
-    pad = " " * indent
+def _bracket(items: list[str], indent: int, brackets: str = "[]") -> str:
+    """A JSON array (or object) of already serialized items, its brackets at
+    ``indent``."""
+    if not items:
+        return brackets
     inner = " " * (indent + 2)
+    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items)
+            + "\n" + " " * indent + brackets[1])
+
+
+def _format_float_array(values: np.ndarray, indent: int) -> str:
+    """``dumps(values.tolist(), indent)`` for a 1-D or 2-D float array,
+    formatting each distinct value once."""
+    flat = values.astype(float, copy=False).reshape(-1)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        _format_float(float(flat[np.argmin(finite)]))  # raises for the first one
+    del finite
+    # one bit pattern per finite double, so -0.0 stays apart from 0.0
+    # where np.unique on the values would merge them
+    bits, where = np.unique(flat.view(np.int64), return_inverse=True)
+    text = np.array([format(x, ".17g") for x in bits.view(float).tolist()], dtype=object)
+    del bits
+    text = text[where]
+    del where
+    rows = text.reshape(values.shape).tolist()
+    del text
+    if values.ndim == 2:
+        # rebinding drops the per-value strings before the outer join
+        rows = [_bracket(row, indent + 2) for row in rows]
+    return _bracket(rows, indent)
+
+
+def dumps(obj, indent: int = 0) -> str:
+    """Serialize nested dict/list/str/number/bool/None data and 1-D or 2-D
+    float arrays deterministically."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -49,22 +86,23 @@ def dumps(obj, indent: int = 0) -> str:
         return _format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim in (1, 2):
+        return _format_float_array(obj, indent)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(type(item) is float for item in obj):
-            items = [_format_float(item) for item in obj]
-        else:
-            items = [dumps(item, indent + 2) for item in obj]
-        return "[\n" + ",\n".join(inner + item for item in items) + "\n" + pad + "]"
+        if obj and all(type(item) is float for item in obj):
+            return _format_float_array(np.array(obj), indent)
+        return _bracket([dumps(item, indent + 2) for item in obj], indent)
     if isinstance(obj, Mapping):
-        if not obj:
-            return "{}"
-        items = [
-            f"{json.dumps(str(key))}: {dumps(value, indent + 2)}"
-            for key, value in obj.items()
-        ]
-        return "{\n" + ",\n".join(inner + item for item in items) + "\n" + pad + "}"
+        # flat mappings format their values in place instead of recursing
+        if all(type(value) is str for value in obj.values()):
+            fmt = json.dumps
+        elif all(type(value) is float for value in obj.values()):
+            fmt = _format_float
+        else:
+            def fmt(value):
+                return dumps(value, indent + 2)
+        items = [f"{json.dumps(str(key))}: {fmt(value)}" for key, value in obj.items()]
+        return _bracket(items, indent, "{}")
     raise MalformedInput(f"cannot serialize {type(obj).__name__}")
 
 

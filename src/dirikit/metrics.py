@@ -30,13 +30,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
-from .core import GraphForm, generator
+from .core import GraphForm, _require_finite, generator
 from .errors import (
     DimensionMismatch,
     HasKilling,
     InvalidMetric,
     NotConnected,
     NotRecurrent,
+    NumericOverflow,
     SpaceMismatch,
 )
 from .orderiso import OrderIso, operator_constant, require_intertwining
@@ -104,20 +105,28 @@ def _resistance_green(form: GraphForm) -> np.ndarray:
 
 
 def effective_resistance(form: GraphForm, x: str, y: str) -> float:
-    """Effective resistance between two vertices."""
+    """Effective resistance between two vertices; NumericOverflow when it
+    leaves the floating-point range."""
     green = _resistance_green(form)
     i, j = form.space.index(x), form.space.index(y)
-    return float(green[i, i] + green[j, j] - 2.0 * green[i, j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = float(green[i, i] + green[j, j] - 2.0 * green[i, j])
+    if not math.isfinite(r):
+        raise NumericOverflow(
+            f"effective resistance R({x}, {y}) is not finite: "
+            "weights or measures out of floating-point range"
+        )
+    return r
 
 
 def resistance_matrix(form: GraphForm, tol: Tolerance = DEFAULT_TOL) -> PseudoMetric:
     """The full resistance metric of a connected killing-free form,
-    validated as a pseudo-metric to ``tol``."""
+    validated as a pseudo-metric to ``tol``; NumericOverflow when an entry
+    leaves the floating-point range."""
     green = _resistance_green(form)
     diag = np.diag(green)
     # R = max(0.5 (r + r^T), 0) with r = (diag_i + diag_j) - 2 G, in
-    # two n x n buffers
-    # entries past the float range come out inf or NaN; PseudoMetric rejects them
+    # two n x n buffers; entries past the float range come out inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
         r = np.add(diag[:, None], diag[None, :])
         d = np.multiply(green, 2.0)
@@ -127,6 +136,7 @@ def resistance_matrix(form: GraphForm, tol: Tolerance = DEFAULT_TOL) -> PseudoMe
     np.multiply(d, 0.5, out=d)
     np.maximum(d, 0.0, out=d)
     np.fill_diagonal(d, 0.0)
+    _require_finite(d, "resistance matrix")
     return PseudoMetric(form.space.vertices, d, tol)
 
 

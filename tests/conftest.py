@@ -1,14 +1,28 @@
 import itertools
+import json
+import math
+from typing import Mapping
 
 import numpy as np
 from scipy.optimize import linprog
 
 import dirikit as dk
+from dirikit.errors import MalformedInput
 from dirikit.search import SearchOptions, residual_bound
 
 
 def rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+def diagonal_overflow_form():
+    """Edges of 6e-309 to a hub of conductance 1e300 to v3: the Green function
+    is finite, its diagonal sum for v0, v1 is not."""
+    return dk.build_form(
+        ["v0", "v1", "v2", "v3"],
+        {"v0": 1.7e308, "v1": 1e-300, "v2": 1e300, "v3": 1.7e308},
+        [("v0", "v2", 6e-309), ("v1", "v2", 6e-309), ("v2", "v3", 1e300)],
+    )
 
 
 def brute_force_intertwiners(form1, form2, opts: SearchOptions):
@@ -63,3 +77,43 @@ def lp_nonconstant_excessive(gen, separation: float = 1e-3):
         if result.status == 0:
             return np.asarray(result.x, dtype=float)
     return None
+
+
+def _oracle_float(value: float) -> str:
+    if not math.isfinite(value):
+        raise MalformedInput(f"cannot serialize non-finite number {value}")
+    return format(float(value), ".17g")
+
+
+def oracle_dumps(obj, indent: int = 0) -> str:
+    """Oracle: the recursive per-value serializer that ``jsonio.dumps``
+    replaced; it takes lists, not arrays."""
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _oracle_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(item) is float for item in obj):
+            items = [_oracle_float(item) for item in obj]
+        else:
+            items = [oracle_dumps(item, indent + 2) for item in obj]
+        return "[\n" + ",\n".join(inner + item for item in items) + "\n" + pad + "]"
+    if isinstance(obj, Mapping):
+        if not obj:
+            return "{}"
+        items = [
+            f"{json.dumps(str(key))}: {oracle_dumps(value, indent + 2)}"
+            for key, value in obj.items()
+        ]
+        return "{\n" + ",\n".join(inner + item for item in items) + "\n" + pad + "}"
+    raise MalformedInput(f"cannot serialize {type(obj).__name__}")

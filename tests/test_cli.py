@@ -16,6 +16,8 @@ import dirikit as dk
 from dirikit import jsonio
 from dirikit.cli import run
 
+from conftest import diagonal_overflow_form
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -41,7 +43,7 @@ class TestGen:
         for family, n in (("path", 4), ("cycle", 5), ("complete", 3), ("sierpinski", 1)):
             path = gen(tmp_path, f"{family}.json", "--family", family, "--n", str(n))
             form = dk.generate(family, n)
-            parsed = jsonio.graph_loads(open(path).read())
+            parsed = jsonio.graph_loads(pathlib.Path(path).read_text())
             assert parsed == form
             assert jsonio.graph_loads(jsonio.graph_dumps(parsed)) == parsed
 
@@ -216,6 +218,18 @@ class TestResistance:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+
+    def test_overflowing_diagonal_sum_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "hub.json", jsonio.graph_dumps(diagonal_overflow_form()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning reaches stderr
+            assert run(["resistance", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "non-finite" in captured.err
         assert "Traceback" not in captured.err
 
 

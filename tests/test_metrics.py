@@ -26,7 +26,7 @@ from dirikit.metrics import (
 from dirikit.sampling import random_form, relabel_pair
 from dirikit.tolerances import DEFAULT_TOL, Tolerance
 
-from conftest import rng_for
+from conftest import diagonal_overflow_form, rng_for
 
 
 def measure_free_energy(form, f):
@@ -189,6 +189,21 @@ class TestResistanceOracle:
                 dk.effective_resistance(form, "a", "b")
             with pytest.raises(NumericOverflow):
                 dk.resistance_matrix(form)
+
+    def test_overflowing_diagonal_sum(self):
+        # the grounded Green function is finite, but G[v0,v0] + G[v1,v1]
+        # overflows
+        form = diagonal_overflow_form()
+        with pytest.raises(NumericOverflow):
+            dk.effective_resistance(form, "v0", "v1")
+        with pytest.raises(NumericOverflow):
+            dk.resistance_matrix(form)
+        # a pair whose sum stays in range is unchanged
+        green = form.green
+        i, j = form.space.index("v2"), form.space.index("v3")
+        assert dk.effective_resistance(form, "v2", "v3") == float(
+            green[i, i] + green[j, j] - 2.0 * green[i, j]
+        )
 
     def test_ill_conditioned_random(self):
         rng = rng_for(77)

@@ -245,7 +245,7 @@ def _cmd_intrinsic(args) -> int:
     if args.format == "json":
         _emit(args, jsonio.dumps(payload) + "\n")
     else:
-        _emit(args, f"intrinsic: {check.ok}\nslack: {list(check.slack)}\n")
+        _emit(args, f"intrinsic: {check.ok}\nslack: {check.slack.tolist()}\n")
     return 0 if check.ok else 1
 
 

@@ -13,9 +13,11 @@ L[x,y] = -b(x,y)/m(x) off the diagonal and L[x,x] = (deg(x) + c(x))/m(x),
 where deg(x) = sum_y b(x,y); it satisfies <Lf, g>_m = Q(f, g).
 
 Measure, conductances and killing are stored separately and never
-premultiplied; derived matrices are computed on first use and cached on
-the form or its generator.  All values are immutable after construction
-and every operation is a pure function.
+premultiplied; derived data (the weight, form and generator matrices,
+connectivity, the grounded Green function and the eigendecomposition) is
+computed on first use and cached on the form or its generator.  All
+values are immutable after construction and every operation is a pure
+function.
 """
 
 from __future__ import annotations
@@ -54,6 +56,23 @@ def _require_finite(matrix: np.ndarray, what: str) -> None:
         raise NumericOverflow(
             f"{what} has a non-finite entry: weights or measures out of floating-point range"
         )
+
+
+def _offdiagonal_connected(coupling: np.ndarray) -> bool:
+    """Whether the graph of the nonzero off-diagonal entries is connected."""
+    n = coupling.shape[0]
+    if n == 0:
+        return False
+    seen = np.zeros(n, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        i = stack.pop()
+        for j in np.nonzero(coupling[i] != 0.0)[0]:
+            if j != i and not seen[j]:
+                seen[j] = True
+                stack.append(int(j))
+    return bool(seen.all())
 
 
 class MeasureSpace:
@@ -135,15 +154,18 @@ class GraphForm:
             items: Iterable[tuple[str, str, float]] = ((u, v, w) for (u, v), w in b.items())
         else:
             items = iter(b)
+        index = space._index
         for u, v, w in items:
-            space.index(u)
-            space.index(v)
+            if u not in index:
+                space.index(u)  # raises UnknownVertex
+            if v not in index:
+                space.index(v)
             if u == v:
                 raise SelfLoop(f"self-loop at {u!r}")
             w = float(w)
-            if not math.isfinite(w) or w < 0.0:
+            if not 0.0 <= w < math.inf:
                 raise NegativeWeight(f"edge weight b({u},{v}) = {w} must be finite and >= 0")
-            key = _edge_key(u, v)
+            key = (u, v) if u <= v else (v, u)
             if key in edges:
                 raise DuplicateEdge(f"duplicate edge {key}")
             edges[key] = w
@@ -171,13 +193,18 @@ class GraphForm:
     @cached_property
     def weight_matrix(self) -> np.ndarray:
         """Symmetric conductance matrix W with zero diagonal."""
-        n = len(self.space)
+        n, index = len(self.space), self.space._index
         w = np.zeros((n, n))
-        for (u, v), value in self.b.items():
-            i, j = self.space.index(u), self.space.index(v)
-            w[i, j] = w[j, i] = value
+        rows = [index[u] for u, _ in self.b]
+        cols = [index[v] for _, v in self.b]
+        w[rows + cols, cols + rows] = list(self.b.values()) * 2
         w.flags.writeable = False
         return w
+
+    @cached_property
+    def irreducible(self) -> bool:
+        """Whether the positive-conductance graph is connected."""
+        return _offdiagonal_connected(self.weight_matrix)
 
     @cached_property
     def degrees(self) -> np.ndarray:

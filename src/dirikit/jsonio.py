@@ -149,6 +149,27 @@ def graph_to_obj(form: GraphForm) -> dict:
     }
 
 
+def _edges(edge_list: list) -> list[tuple[str, str, float]]:
+    """(u, v, b) per edge object; the per-edge checks run only when the
+    whole list is not plainly well formed, so they raise the first fault."""
+    if set(map(type, edge_list)) <= {dict}:
+        try:
+            us = [entry["u"] for entry in edge_list]
+            vs = [entry["v"] for entry in edge_list]
+            bs = [entry["b"] for entry in edge_list]
+            if set(map(type, us + vs)) <= {str} and set(map(type, bs)) <= {int, float}:
+                return list(zip(us, vs, map(float, bs)))
+        except (KeyError, OverflowError):
+            pass
+    edges = []
+    for entry in edge_list:
+        u = _require(entry, "u", str, "graph edge")
+        v = _require(entry, "v", str, "graph edge")
+        w = _number(_require(entry, "b", (int, float), "graph edge"), "graph edge b")
+        edges.append((u, v, w))
+    return edges
+
+
 def graph_from_obj(obj) -> GraphForm:
     vertices = _require(obj, "vertices", list, "graph")
     if not all(isinstance(v, str) for v in vertices):
@@ -158,12 +179,7 @@ def graph_from_obj(obj) -> GraphForm:
     edge_list = obj.get("edges", [])
     if not isinstance(edge_list, list):
         raise MalformedInput("graph: key 'edges' has wrong type")
-    edges = []
-    for entry in edge_list:
-        u = _require(entry, "u", str, "graph edge")
-        v = _require(entry, "v", str, "graph edge")
-        w = _number(_require(entry, "b", (int, float), "graph edge"), "graph edge b")
-        edges.append((u, v, w))
+    edges = _edges(edge_list)
     killing_obj = obj.get("killing", {})
     if not isinstance(killing_obj, dict):
         raise MalformedInput("graph: killing must be an object")
@@ -218,10 +234,6 @@ def jump_to_obj(data: JumpKilling) -> dict:
         ],
         "k": {v: float(data.k.get(v, 0.0)) for v in data.vertices},
     }
-
-
-def metric_to_obj(metric: PseudoMetric) -> dict:
-    return {"d": metric.d.tolist()}
 
 
 def metric_from_obj(obj, space: MeasureSpace) -> PseudoMetric:

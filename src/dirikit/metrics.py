@@ -79,6 +79,17 @@ class PseudoMetric:
         d.flags.writeable = False
         self.d = d
 
+    @classmethod
+    def _trusted(cls, vertices: tuple[str, ...], d: np.ndarray) -> "PseudoMetric":
+        """A metric on a fresh float matrix that passes validation by
+        construction, without checking it again: the zero matrix, or a
+        validated matrix with rows and columns permuted alike, which keeps
+        its entries, maximum and triangle gaps."""
+        metric = cls.__new__(cls)
+        d.flags.writeable = False
+        metric.vertices, metric.d = vertices, d
+        return metric
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PseudoMetric)
@@ -268,7 +279,7 @@ def default_metric_samples(form: GraphForm) -> list[tuple[str, PseudoMetric]]:
     the boundary (not intrinsic).
     """
     n = len(form.space)
-    samples = [("zero", PseudoMetric(form.space.vertices, np.zeros((n, n))))]
+    samples = [("zero", PseudoMetric._trusted(form.space.vertices, np.zeros((n, n))))]
     canonical = canonical_intrinsic_metric(form)
     samples.append(("canonical", canonical))
     boundary = boundary_rescaled(form, canonical)
@@ -279,11 +290,13 @@ def default_metric_samples(form: GraphForm) -> list[tuple[str, PseudoMetric]]:
 
 
 def pushforward_metric(metric: PseudoMetric, iso: OrderIso) -> PseudoMetric:
-    """Transport a metric on the source space to the target along tau."""
+    """Transport a metric on the source space to the target along tau; the
+    permuted matrix is valid because the metric is, so it is not checked
+    again."""
     if metric.vertices != iso.source.vertices:
         raise SpaceMismatch("metric does not live on the iso's source space")
     idx = iso.tau_indices
-    return PseudoMetric(iso.target.vertices, metric.d[np.ix_(idx, idx)])
+    return PseudoMetric._trusted(iso.target.vertices, metric.d[np.ix_(idx, idx)])
 
 
 def verify_intrinsic_bijection(

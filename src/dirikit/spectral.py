@@ -12,7 +12,15 @@ import itertools
 
 import numpy as np
 
-from .core import Generator, GraphForm, SpectralData, VertexFunction, evaluate, generator
+from .core import (
+    Generator,
+    GraphForm,
+    SpectralData,
+    VertexFunction,
+    _offdiagonal_connected,
+    evaluate,
+    generator,
+)
 from .errors import (
     NegativeInput,
     NegativeTime,
@@ -41,24 +49,8 @@ def semigroup(gen: Generator, t: float) -> np.ndarray:
 
 
 def is_irreducible(form: GraphForm) -> bool:
-    """Whether the positive-conductance graph is connected."""
-    return _offdiagonal_connected(form.weight_matrix)
-
-
-def _offdiagonal_connected(coupling: np.ndarray) -> bool:
-    n = coupling.shape[0]
-    if n == 0:
-        return False
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(coupling[i] != 0.0)[0]:
-            if j != i and not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
+    """Whether the positive-conductance graph is connected; cached on the form."""
+    return form.irreducible
 
 
 def is_recurrent(form: GraphForm) -> bool:

@@ -1,13 +1,15 @@
 import itertools
 import json
 import math
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 from scipy.optimize import linprog
 
 import dirikit as dk
-from dirikit.errors import MalformedInput
+from dirikit.errors import DuplicateEdge, MalformedInput, NegativeWeight, SelfLoop
+from dirikit.jsonio import _number, _require
 from dirikit.search import SearchOptions, residual_bound
 
 
@@ -117,3 +119,88 @@ def oracle_dumps(obj, indent: int = 0) -> str:
         ]
         return "{\n" + ",\n".join(inner + item for item in items) + "\n" + pad + "}"
     raise MalformedInput(f"cannot serialize {type(obj).__name__}")
+
+
+class OracleGraphForm(dk.GraphForm):
+    """Oracle: the per-edge construction loop and the per-edge weight-matrix
+    loop that ``GraphForm`` replaced."""
+
+    def __init__(self, space, b, c=0.0):
+        self.space = space
+        edges = {}
+        if isinstance(b, Mapping):
+            items = ((u, v, w) for (u, v), w in b.items())
+        else:
+            items = iter(b)
+        for u, v, w in items:
+            space.index(u)
+            space.index(v)
+            if u == v:
+                raise SelfLoop(f"self-loop at {u!r}")
+            w = float(w)
+            if not math.isfinite(w) or w < 0.0:
+                raise NegativeWeight(f"edge weight b({u},{v}) = {w} must be finite and >= 0")
+            key = (u, v) if u <= v else (v, u)
+            if key in edges:
+                raise DuplicateEdge(f"duplicate edge {key}")
+            edges[key] = w
+        self.b = dict(sorted(edges.items()))
+        cv = space.vector(c)
+        if not np.all(np.isfinite(cv)) or np.any(cv < 0.0):
+            raise NegativeWeight("killing weights must be finite and >= 0")
+        cv.flags.writeable = False
+        self.c = cv
+
+    @cached_property
+    def weight_matrix(self) -> np.ndarray:
+        n = len(self.space)
+        w = np.zeros((n, n))
+        for (u, v), value in self.b.items():
+            i, j = self.space.index(u), self.space.index(v)
+            w[i, j] = w[j, i] = value
+        w.flags.writeable = False
+        return w
+
+
+def oracle_graph_from_obj(obj):
+    """Oracle: ``jsonio.graph_from_obj`` with the per-edge checks it now runs
+    only on failure, building an ``OracleGraphForm``."""
+    vertices = _require(obj, "vertices", list, "graph")
+    if not all(isinstance(v, str) for v in vertices):
+        raise MalformedInput("graph: vertices must be strings")
+    m_obj = _require(obj, "m", dict, "graph")
+    m = {v: _number(m_obj.get(v), f"graph: m[{v!r}]") for v in vertices}
+    edge_list = obj.get("edges", [])
+    if not isinstance(edge_list, list):
+        raise MalformedInput("graph: key 'edges' has wrong type")
+    edges = []
+    for entry in edge_list:
+        u = _require(entry, "u", str, "graph edge")
+        v = _require(entry, "v", str, "graph edge")
+        w = _number(_require(entry, "b", (int, float), "graph edge"), "graph edge b")
+        edges.append((u, v, w))
+    killing_obj = obj.get("killing", {})
+    if not isinstance(killing_obj, dict):
+        raise MalformedInput("graph: killing must be an object")
+    killing = {
+        v: _number(killing_obj.get(v, 0.0), f"graph: killing[{v!r}]") for v in vertices
+    }
+    return OracleGraphForm(dk.MeasureSpace(vertices, m), edges, killing)
+
+
+def construction_outcome(make, *args):
+    """What a form constructor leaves: the edge keys in order with the type
+    and bits of each weight, the weight and killing bytes, or the type and
+    message of the exception it raised."""
+    try:
+        form = make(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    values = list(form.b.values())
+    return (
+        list(form.b),
+        [type(w) for w in values],
+        np.array(values, dtype=float).tobytes(),
+        form.weight_matrix.tobytes(),
+        form.c.tobytes(),
+    )

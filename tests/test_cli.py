@@ -251,6 +251,14 @@ class TestIntrinsic:
         assert payload["intrinsic"] is True
         assert payload["d"][0][2] == pytest.approx(2**0.5)
 
+    def test_text_format_prints_plain_floats(self, tmp_path, capsys):
+        p4 = gen(tmp_path, "p4.json", "--family", "path", "--n", "4")
+        assert run(["intrinsic", p4, "--format", "text"]) == 0
+        text = capsys.readouterr().out
+        assert "np.float64" not in text
+        slack = text.splitlines()[1].removeprefix("slack: ")
+        assert len(json.loads(slack)) == 4
+
     def test_checking_a_metric(self, tmp_path, capsys):
         k2 = gen(tmp_path, "k2.json", "--family", "complete", "--n", "2")
         good = write(tmp_path, "good.json", json.dumps({"d": [[0.0, 1.0], [1.0, 0.0]]}))

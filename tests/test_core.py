@@ -17,8 +17,9 @@ from dirikit.errors import (
     SelfLoop,
     UnknownVertex,
 )
+from dirikit.sampling import random_form
 
-from conftest import rng_for
+from conftest import OracleGraphForm, construction_outcome, rng_for
 
 
 def k2():
@@ -78,6 +79,60 @@ class TestBuildForm:
     def test_zero_weight_edges_kept(self):
         form = dk.build_form(["a", "b"], 1.0, [("a", "b", 0.0)])
         assert form.edge_weight("a", "b") == 0.0
+
+
+WEIGHTS = (
+    1.0, 0.5, 0.0, -0.0, 5e-324, 1.7e308, -1.0, -5e-324, math.nan, math.inf, -math.inf,
+    0, 3, -2, True, False, np.float64(1.5), np.float64(-0.0),
+)
+
+
+@st.composite
+def edge_inputs(draw):
+    """A space of up to 4 vertices and 0-7 edges with endpoints that may be
+    unknown or equal, repeated in either orientation, and weights that are
+    NaN, infinite, negative, -0.0, int or bool; passed as a list, or as a
+    mapping keyed by the endpoint pair."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    ends = st.sampled_from(names + ["x"])
+    edges = draw(st.lists(st.tuples(ends, ends, st.sampled_from(WEIGHTS)), max_size=7))
+    space = dk.MeasureSpace(names, draw(st.sampled_from((1.0, 0.25, 3.0))))
+    if draw(st.booleans()):
+        return space, {(u, v): w for u, v, w in edges}
+    return space, edges
+
+
+class TestConstructionOracle:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(edge_inputs())
+    def test_same_form_or_error(self, case):
+        space, edges = case
+        want = construction_outcome(OracleGraphForm, space, edges)
+        assert construction_outcome(dk.GraphForm, space, edges) == want
+
+    def test_several_faults_raise_the_first(self):
+        space = dk.MeasureSpace(["a", "b", "c"], 1.0)
+        cases = [
+            [("a", "b", 1.0), ("b", "a", -1.0), ("c", "c", 1.0)],
+            [("a", "b", math.nan), ("a", "z", 1.0)],
+            [("a", "b", 1.0), ("c", "b", 2), ("b", "c", math.inf), ("q", "q", -1.0)],
+            [("z", "a", -1.0)],
+            [("a", "z", True)],
+        ]
+        for edges in cases:
+            want = construction_outcome(OracleGraphForm, space, edges)
+            assert isinstance(want[0], type) and issubclass(want[0], Exception)
+            assert construction_outcome(dk.GraphForm, space, edges) == want
+
+    def test_random_forms(self):
+        rng = rng_for(41)
+        for n in (1, 2, 7, 40):
+            form = random_form(rng, n)
+            edges = [(u, v, w) for (u, v), w in form.b.items()]
+            rng.shuffle(edges)
+            edges = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in edges]
+            want = construction_outcome(OracleGraphForm, form.space, edges)
+            assert construction_outcome(dk.GraphForm, form.space, edges) == want
 
 
 class TestEvaluate:

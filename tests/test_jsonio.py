@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 import dirikit as dk
 from dirikit import jsonio
 from dirikit.errors import MalformedInput
+from dirikit.sampling import random_intertwined_pair
 
-from conftest import oracle_dumps
+from conftest import construction_outcome, oracle_dumps, oracle_graph_from_obj, rng_for
 
 MAX = 1.7976931348623157e308
 SPECIAL = (
@@ -143,3 +145,82 @@ def test_resistance_matrix_peak_memory():
     want, oracle_peak = traced(lambda: oracle_dumps(d.tolist()))
     assert got == want
     assert peak <= oracle_peak
+
+
+EDGE_VALUES = (
+    1.0, 0.0, -0.0, 2.5, 7, 0, -1.0, -3, math.nan, math.inf, -math.inf, True, False,
+    10**400, -10**400, "1.0", None, [1.0], 1.7e308, 5e-324,
+)
+
+
+@st.composite
+def edge_objects(draw, names):
+    """An edge object, most often well formed; otherwise a non-object, an
+    object missing a key or holding a value of the wrong type, an unknown
+    vertex, a self-loop or a bad weight."""
+    ends = st.sampled_from(names)
+    entry = {"u": draw(ends), "v": draw(ends), "b": draw(st.sampled_from((1.0, 0.5, 2, 0.0)))}
+    fault = draw(st.sampled_from((None,) * 6 + ("shape", "missing", "key", "weight")))
+    if fault == "shape":
+        return draw(st.sampled_from((None, 3, "u", [entry["u"], entry["v"], 1.0], [])))
+    if fault == "missing":
+        del entry[draw(st.sampled_from(("u", "v", "b")))]
+    elif fault == "key":
+        entry[draw(st.sampled_from(("u", "v")))] = draw(st.sampled_from((1, None, ["v0"], "zz")))
+    elif fault == "weight":
+        entry["b"] = draw(st.sampled_from(EDGE_VALUES))
+    return entry
+
+
+@st.composite
+def graph_objects(draw):
+    names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    return {
+        "vertices": names,
+        "m": {v: 1.0 for v in names},
+        "edges": draw(st.lists(edge_objects(names), max_size=7)),
+        "killing": {},
+    }
+
+
+class TestGraphFromObjOracle:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(graph_objects())
+    def test_same_form_or_error(self, obj):
+        want = construction_outcome(oracle_graph_from_obj, obj)
+        assert construction_outcome(jsonio.graph_from_obj, obj) == want
+
+    def test_first_of_several_faults(self):
+        good = {"u": "a", "v": "b", "b": 1.0}
+        cases = [
+            [good, {"u": "a", "v": "c", "b": "x"}, {"u": 1, "v": "a", "b": 1.0}],
+            [good, {"u": "a", "v": "b", "b": 10**400}, {"v": "a", "b": 1.0}],
+            [{"u": "a", "v": "c", "b": True}, ["a", "b", 1.0]],
+            [good, {"u": "b", "v": "a", "b": -1.0}, {"u": "c", "v": "c", "b": 1.0}],
+            [{"u": "a", "v": "b"}, None],
+            [good, {"u": "a", "v": "z", "b": 1.0}],
+            [good, {"u": "a", "v": "c", "b": -10**400}],
+        ]
+        for edges in cases:
+            obj = {"vertices": ["a", "b", "c"], "m": {"a": 1.0, "b": 2.0, "c": 1.0},
+                   "edges": edges}
+            want = construction_outcome(oracle_graph_from_obj, obj)
+            assert isinstance(want[0], type) and issubclass(want[0], Exception)
+            assert construction_outcome(jsonio.graph_from_obj, obj) == want
+
+    def test_mapping_subclasses_and_numpy_weights(self):
+        # not what json.loads returns, but the per-edge checks accept them
+        edges = [OrderedDict(u="a", v="b", b=1.0), {"u": "b", "v": "c", "b": np.float64(0.5)}]
+        obj = {"vertices": ["a", "b", "c"], "m": {"a": 1.0, "b": 1.0, "c": 1.0}, "edges": edges}
+        want = construction_outcome(oracle_graph_from_obj, obj)
+        assert construction_outcome(jsonio.graph_from_obj, obj) == want
+        assert len(want) == 5
+
+    def test_generated_pairs(self):
+        for transform in ("relabel", "doob"):
+            for seed in range(3):
+                form1, form2, _ = random_intertwined_pair(rng_for(seed), 40, transform)
+                for form in (form1, form2):
+                    obj = jsonio.loads(jsonio.graph_dumps(form))
+                    want = construction_outcome(oracle_graph_from_obj, obj)
+                    assert construction_outcome(jsonio.graph_from_obj, obj) == want

@@ -23,7 +23,7 @@ from dirikit.metrics import (
     default_metric_samples,
     resistance_maximizer,
 )
-from dirikit.sampling import random_form, relabel_pair
+from dirikit.sampling import random_form, random_intertwined_pair, relabel_pair
 from dirikit.tolerances import DEFAULT_TOL, Tolerance
 
 from conftest import diagonal_overflow_form, rng_for
@@ -497,7 +497,53 @@ class TestPushforward:
         metric = dk.PseudoMetric(space1.vertices, d)
         tau = {"w0": "v2", "w1": "v0", "w2": "v1"}
         iso = dk.OrderIso(space1, space2, tau, {y: 1.0 for y in tau})
-        dk.pushforward_metric(metric, iso)  # constructor re-checks the axioms
+        pushed = dk.pushforward_metric(metric, iso)
+        assert pushed == dk.PseudoMetric(space2.vertices, pushed.d)  # re-checks the axioms
+
+    def test_transported_metrics_pass_full_validation(self):
+        rng = rng_for(83)
+        for n in (1, 2, 5, 17, 40):
+            form = random_form(rng, n, recurrent=True)
+            _, iso = relabel_pair(rng, form, scale=float(rng.uniform(0.5, 2.0)))
+            idx = iso.tau_indices
+            canonical = dk.canonical_intrinsic_metric(form)
+            scaled = canonical.scaled(float(rng.uniform(0.1, 3.0)))
+            for metric in (dk.resistance_matrix(form), canonical, scaled):
+                pushed = dk.pushforward_metric(metric, iso)
+                assert pushed == dk.PseudoMetric(iso.target.vertices, metric.d[np.ix_(idx, idx)])
+                assert pushed.vertices == iso.target.vertices
+                assert not pushed.d.flags.writeable
+
+
+def certify_reports(form1, form2, iso):
+    """The reports ``dirikit certify`` joins, as dicts."""
+    reports = [dk.certify(iso, form1, form2), dk.verify_jump_transform(iso, form1, form2)]
+    if dk.is_recurrent(form1) and dk.is_recurrent(form2):
+        reports.append(dk.verify_resistance_isometry(iso, form1, form2))
+        reports.append(dk.verify_intrinsic_bijection(iso, form1, form2))
+    return [report.to_dict() for report in reports]
+
+
+class TestReportsWithoutRevalidation:
+    @pytest.mark.parametrize("transform", ["relabel", "doob"])
+    def test_same_as_full_validation(self, monkeypatch, transform):
+        def pair(n):
+            return random_intertwined_pair(rng_for(85 + n), n, transform, recurrent=True)
+
+        sizes = (2, 6, 17, 40)
+        got = [certify_reports(*pair(n)) for n in sizes]
+        # the zero sample and transported metrics validated in full, on
+        # freshly built forms
+        validated = []
+
+        def full(cls, vertices, d):
+            validated.append(d)
+            return cls(vertices, d)
+
+        monkeypatch.setattr(dk.PseudoMetric, "_trusted", classmethod(full))
+        assert got == [certify_reports(*pair(n)) for n in sizes]
+        assert len(validated) == (5 * len(sizes) if transform == "relabel" else 0)
+        assert all(len(reports) == (4 if transform == "relabel" else 2) for reports in got)
 
 
 class TestIntrinsicBijection:

@@ -154,6 +154,28 @@ class TestIrreducible:
                 form = dk.GraphForm(form.space, edges, form.c)
             assert dk.is_irreducible(form) == (not decomposing_sets_oracle(form))
 
+    def test_cached_on_the_form(self, monkeypatch):
+        calls = []
+        search = dk.core._offdiagonal_connected
+
+        def counted(coupling):
+            calls.append(coupling.shape[0])
+            return search(coupling)
+
+        monkeypatch.setattr(dk.core, "_offdiagonal_connected", counted)
+        cases = [
+            (dk.generate("cycle", 5), True),
+            (dk.build_form(["a", "b", "c", "d"], 1.0, [("a", "b", 1.0), ("c", "d", 1.0)]), False),
+            (dk.build_form(["a"], 2.0, []), True),
+        ]
+        for form, connected in cases:
+            assert dk.is_irreducible(form) is connected
+            assert calls == [len(form.space)]
+            assert dk.is_irreducible(form) is connected
+            assert form.irreducible is connected
+            assert calls == [len(form.space)]  # no second search
+            calls.clear()
+
     def test_oracle_at_size_twelve(self):
         form = dk.generate("cycle", 12)
         assert dk.is_irreducible(form)

@@ -19,6 +19,11 @@ energy of d is dominated by the measure:
 This per-vertex inequality is the implemented definition of membership in
 the intrinsic family; it is sufficient for the distance functions
 d(., A) ^ T because |d_A(x) - d_A(y)| <= d(x, y).
+
+The canonical intrinsic metric is a shortest-path metric on the sparse
+edge graph, so an edge keeps any positive finite length: a dense graph
+input would drop every edge shorter than about 1e-8, the tolerance with
+which scipy reads a dense entry as zero.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from dataclasses import InitVar, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import shortest_path
 
 from .core import GraphForm, _require_finite, generator
@@ -46,6 +52,27 @@ from .spectral import is_irreducible, is_recurrent
 from .tolerances import DEFAULT_TOL, Tolerance
 
 
+_TILE_ROWS = 64
+
+
+def _triangle_gap(d: np.ndarray, a: int, b: int) -> float:
+    """Worst gap d[i,k] - (d[i,j] + d[j,k]) over every pivot j, for the rows
+    a <= i < b and the columns k >= a.
+
+    Rounded subtraction never grows with its subtrahend, so the worst gap
+    of (i, k) is d[i,k] minus the min-plus product min_j (d[i,j] + d[j,k]),
+    bit for bit; the tile keeps two (b - a) x (n - a) buffers.
+    """
+    rows, cols = d[a:b], d[:, a:]
+    best = rows[:, :1] + cols[0]
+    sums = np.empty_like(best)
+    for j in range(1, len(d)):
+        np.add(rows[:, j, None], cols[j], out=sums)
+        np.minimum(best, sums, out=best)
+    np.subtract(rows[:, a:], best, out=best)
+    return best.max()
+
+
 @dataclass(eq=False)
 class PseudoMetric:
     """Symmetric nonnegative vertex-pair matrix with the triangle inequality,
@@ -57,7 +84,7 @@ class PseudoMetric:
 
     def __post_init__(self, tol: Tolerance):
         self.vertices = tuple(self.vertices)
-        d = np.asarray(self.d, dtype=float)
+        d = np.array(self.d, dtype=float)
         n = len(self.vertices)
         if d.shape != (n, n):
             raise DimensionMismatch(f"metric shape {d.shape} does not match {n} vertices")
@@ -65,17 +92,18 @@ class PseudoMetric:
             raise InvalidMetric("entries must be finite and >= 0")
         scale = max(1.0, float(np.max(d)))
         bound = tol.bound(scale)
-        gap = np.subtract(d, d.T)
-        np.abs(gap, out=gap)
-        if gap.max() > bound or np.max(np.abs(np.diag(d))) > bound:
+        # both checks run on tiles of rows a <= i < b and columns k >= a
+        tiles = [(a, min(a + _TILE_ROWS, n)) for a in range(0, n, _TILE_ROWS)]
+        asymmetry = max(np.max(np.abs(d[a:b, a:] - d[a:, a:b].T)) for a, b in tiles)
+        if asymmetry > bound or np.max(np.abs(np.diag(d))) > bound:
             raise InvalidMetric("metric must be symmetric with zero diagonal")
-        # triangle inequality d[i,k] <= d[i,j] + d[j,k], checked one pivot j
-        # at a time in the same n x n buffer so that memory stays O(n^2)
-        for j in range(n):
-            np.add(d[:, j, None], d[j], out=gap)
-            np.subtract(d, gap, out=gap)
-            if gap.max() > bound:
-                raise InvalidMetric("triangle inequality violated")
+        # triangle inequality d[i,k] <= d[i,j] + d[j,k] on the entries k >= i
+        # of d, and of d.T unless d is bitwise symmetric (IEEE addition
+        # commutes, so entry (k, i) then repeats entry (i, k))
+        for side in (d,) if asymmetry == 0.0 else (d, np.ascontiguousarray(d.T)):
+            for a, b in tiles:
+                if _triangle_gap(side, a, b) > bound:
+                    raise InvalidMetric("triangle inequality violated")
         d.flags.writeable = False
         self.d = d
 
@@ -237,20 +265,23 @@ def canonical_intrinsic_metric(form: GraphForm) -> PseudoMetric:
 
     Intrinsic by construction: sum_y b(x,y) sigma(x,y)^2 <= m(x) because
     sigma(x,y)^2 <= m(x)/deg(x), and shortest paths only shrink distances.
+    Paths run on the edges b > 0 as a sparse graph, so lengths below 1e-8
+    (a measure of 1e-16, say) count as edges, not as missing ones.
     """
     if not is_irreducible(form):
         raise NotConnected("path metric needs a connected conductance graph")
     n = len(form.space)
-    if n == 1:
-        return PseudoMetric(form.space.vertices, np.zeros((1, 1)))
     deg = form.degrees
-    # an overflowing weight is inf: min() drops it beside a finite one, and
-    # PseudoMetric rejects the inf distance it leaves otherwise
+    # an overflowing weight is inf and min() drops it beside a finite one;
+    # a length of inf, or of 0 from an overflowing degree, is no edge, and
+    # PseudoMetric rejects an inf distance that this leaves
     with np.errstate(over="ignore"):
         weight = np.sqrt(form.space.m / np.where(deg > 0.0, deg, 1.0))
-    lengths = np.minimum(weight[:, None], weight[None, :])
-    graph = np.where(form.weight_matrix > 0.0, lengths, 0.0)
-    dist = shortest_path(graph, method="D", directed=False, unweighted=False)
+    rows, cols = np.nonzero(form.weight_matrix)
+    lengths = np.minimum(weight[rows], weight[cols])
+    keep = (lengths > 0.0) & (lengths < math.inf)
+    graph = csr_array((lengths[keep], (rows[keep], cols[keep])), shape=(n, n))
+    dist = shortest_path(graph, method="D", directed=True, unweighted=False)
     return PseudoMetric(form.space.vertices, dist)
 
 

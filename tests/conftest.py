@@ -6,6 +6,7 @@ from typing import Mapping
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse.csgraph import shortest_path
 
 import dirikit as dk
 from dirikit.errors import DuplicateEdge, MalformedInput, NegativeWeight, SelfLoop
@@ -204,3 +205,27 @@ def construction_outcome(make, *args):
         form.weight_matrix.tobytes(),
         form.c.tobytes(),
     )
+
+
+def oracle_triangle_ok(d, bound: float) -> bool:
+    """Oracle: the triangle inequality checked one pivot j at a time over the
+    whole matrix, every gap d[i,k] - (d[i,j] + d[j,k]) against ``bound``."""
+    gap = np.empty_like(d)
+    for j in range(len(d)):
+        np.add(d[:, j, None], d[j], out=gap)
+        np.subtract(d, gap, out=gap)
+        if gap.max() > bound:
+            return False
+    return True
+
+
+def dense_canonical_distances(form):
+    """Oracle: the canonical path metric from a dense n x n graph and an
+    undirected shortest-path call.  scipy masks dense entries within about
+    1e-8 of zero, so it drops every edge shorter than that."""
+    deg = form.degrees
+    with np.errstate(over="ignore"):
+        weight = np.sqrt(form.space.m / np.where(deg > 0.0, deg, 1.0))
+    lengths = np.minimum(weight[:, None], weight[None, :])
+    graph = np.where(form.weight_matrix > 0.0, lengths, 0.0)
+    return shortest_path(graph, method="D", directed=False, unweighted=False)

@@ -251,6 +251,14 @@ class TestIntrinsic:
         assert payload["intrinsic"] is True
         assert payload["d"][0][2] == pytest.approx(2**0.5)
 
+    def test_tiny_measure(self, tmp_path, capsys):
+        # edges of length about 7e-9 stay edges of the path metric
+        p3 = gen(tmp_path, "p3.json", "--family", "path", "--n", "3", "--measure", "1e-16")
+        assert run(["intrinsic", p3]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["intrinsic"] is True
+        assert payload["d"][0][2] == pytest.approx(2.0 * math.sqrt(0.5e-16), rel=1e-15)
+
     def test_text_format_prints_plain_floats(self, tmp_path, capsys):
         p4 = gen(tmp_path, "p4.json", "--family", "path", "--n", "4")
         assert run(["intrinsic", p4, "--format", "text"]) == 0

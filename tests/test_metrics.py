@@ -26,7 +26,12 @@ from dirikit.metrics import (
 from dirikit.sampling import random_form, random_intertwined_pair, relabel_pair
 from dirikit.tolerances import DEFAULT_TOL, Tolerance
 
-from conftest import diagonal_overflow_form, rng_for
+from conftest import (
+    dense_canonical_distances,
+    diagonal_overflow_form,
+    oracle_triangle_ok,
+    rng_for,
+)
 
 
 def measure_free_energy(form, f):
@@ -336,22 +341,89 @@ class TestPseudoMetricValidation:
         loose = dk.PseudoMetric(("a", "b", "c"), d, Tolerance(rel=1e-6))
         assert np.array_equal(loose.d, d)
 
+    def test_input_array_is_copied(self):
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        metric = dk.PseudoMetric(("a", "b"), a)
+        assert a.flags.writeable and not metric.d.flags.writeable
+        a[0, 1] = 5.0
+        assert metric.d[0, 1] == 1.0
+
 
 def broadcast_violation(d):
     # independent route: every d[i,k] - (d[i,j] + d[j,k]) in one n^3 array
     return float(np.max(d[:, None, :] - (d[:, :, None] + d[None, :, :])))
 
 
-def last_pivot_metric(n, excess):
+def last_pivot_metric(n, excess, pair=(0, 1)):
     """Distances in [1, 1.5] among the first n - 1 vertices, and a last
-    vertex half a unit from vertices 0 and 1: d[0,1] = 1 + excess breaks
-    the triangle inequality through the last pivot only."""
+    vertex half a unit from the two vertices of ``pair``: d[pair] = 1 + excess
+    breaks the triangle inequality through the last pivot only."""
+    i, k = pair
     d = np.full((n, n), 1.5)
     d[:, -1] = d[-1, :] = 1.0
-    d[0, -1] = d[-1, 0] = d[1, -1] = d[-1, 1] = 0.5
-    d[0, 1] = d[1, 0] = 1.0 + excess
+    d[i, -1] = d[-1, i] = d[k, -1] = d[-1, k] = 0.5
+    d[i, k] = d[k, i] = 1.0 + excess
     np.fill_diagonal(d, 0.0)
     return d
+
+
+TRIANGLE_SIZES = [1, 2, 63, 64, 65, 128, 129, 200]
+TRIANGLE_KINDS = ["symmetric", "near_symmetric", "lower", "upper", "negative_zero"]
+
+
+def triangle_case(rng, n, kind):
+    """Distances between points on a line, where every triangle through a
+    point between two others is tight, with the pair (i, k) pushed apart by
+    about the tolerance bound.
+
+    symmetric: both entries of the pair, by half or twice the bound;
+    near_symmetric: the same, plus one-sided noise below half the bound on
+    random entries, so the matrix is symmetric within tolerance only;
+    lower / upper: half the bound on both entries and another 1/4 or 3/4 on
+    the entry below or above the diagonal alone;
+    negative_zero: as symmetric, with every zero entry written as -0.0.
+    """
+    # the pair sits at a tile edge or anywhere; every other point lies
+    # between its two points, so each one is a tight pivot for it
+    edges = [v for v in (0, 63, 64, 65, 127, 128, n - 1) if v < n]
+    i, k = (rng.choice(edges, size=2, replace=False) if n > 1 and rng.random() < 0.5
+            else rng.choice(n, size=2, replace=n < 2))
+    x = rng.choice(rng.uniform(0.0, 4.0, size=max(1, n // 3)), size=n)
+    x[i], x[k] = -1.0, 5.0
+    d = np.abs(x[:, None] - x[None, :])
+    bound = DEFAULT_TOL.bound(max(1.0, float(np.max(d))))
+    if i == k:
+        return d
+    if kind in ("lower", "upper"):
+        d[i, k] += 0.5 * bound
+        d[k, i] = d[i, k]
+        one_sided = (max(i, k), min(i, k)) if kind == "lower" else (min(i, k), max(i, k))
+        d[one_sided] += rng.choice([0.25, 0.75]) * bound
+        return d
+    d[i, k] += rng.choice([0.5, 2.0]) * bound
+    d[k, i] = d[i, k]
+    if kind == "near_symmetric":
+        noise = rng.uniform(0.0, 0.5 * bound, size=(n, n)) * (rng.random((n, n)) < 0.1)
+        np.fill_diagonal(noise, 0.0)
+        d += noise
+    if kind == "negative_zero":
+        d[d == 0.0] = -0.0
+    return d
+
+
+def assert_matches_triangle_oracle(d, tol=DEFAULT_TOL):
+    """PseudoMetric accepts d exactly when the pivot oracle does; returns
+    the oracle's verdict."""
+    names = tuple(f"v{i}" for i in range(len(d)))
+    bound = tol.bound(max(1.0, float(np.max(d))))
+    assert np.max(np.abs(d - d.T)) <= bound  # the case reaches the triangle check
+    ok = oracle_triangle_ok(d, bound)
+    if ok:
+        assert np.array_equal(dk.PseudoMetric(names, d, tol).d, d)
+    else:
+        with pytest.raises(InvalidMetric, match="triangle"):
+            dk.PseudoMetric(names, d, tol)
+    return ok
 
 
 class TestTriangleCheck:
@@ -392,6 +464,45 @@ class TestTriangleCheck:
         assert broadcast_violation(outside) > bound
         with pytest.raises(InvalidMetric, match="triangle"):
             dk.PseudoMetric(names, outside)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from(TRIANGLE_SIZES),
+        kind=st.sampled_from(TRIANGLE_KINDS),
+    )
+    def test_matches_pivot_oracle(self, seed, n, kind):
+        assert_matches_triangle_oracle(triangle_case(rng_for(seed), n, kind))
+
+    @pytest.mark.parametrize("kind", TRIANGLE_KINDS)
+    def test_seeded_cases_around_tile_edges(self, kind):
+        rng = rng_for(77)
+        verdicts = set()
+        for n in TRIANGLE_SIZES:
+            for _ in range(2):
+                verdicts.add(assert_matches_triangle_oracle(triangle_case(rng, n, kind)))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("below", [True, False])
+    def test_one_sided_violation(self, below):
+        # symmetric within tolerance, with the violation at (65, 0) or
+        # (0, 65) alone: outside the square of either 64-row tile
+        n = 70
+        bound = DEFAULT_TOL.bound(1.5)
+        d = last_pivot_metric(n, 0.5 * bound, pair=(0, 65))
+        d[(65, 0) if below else (0, 65)] += 0.75 * bound
+        assert not np.array_equal(d, d.T)
+        assert not assert_matches_triangle_oracle(d)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_violation_at_last_pivot_of_last_tile(self, factor):
+        # rows 128-130 form the last tile, 130 is the last pivot
+        n = 131
+        bound = DEFAULT_TOL.bound(1.5)
+        d = last_pivot_metric(n, factor * bound, pair=(128, 129))
+        per_pivot = [float(np.max(d - (d[:, j, None] + d[j]))) for j in range(n)]
+        assert max(per_pivot[:-1]) <= 0.0 < per_pivot[-1]
+        assert assert_matches_triangle_oracle(d) == (factor < 1.0)
 
     def test_sierpinski_l6_in_quadratic_memory(self):
         # 1095 vertices: an n^3 check would need about 10 GB per temporary
@@ -440,6 +551,39 @@ class TestCanonicalIntrinsicMetric:
     def test_requires_connected(self):
         with pytest.raises(NotConnected):
             dk.canonical_intrinsic_metric(dk.build_form(["a", "b"], 1.0, []))
+
+    def test_matches_dense_undirected_paths(self):
+        # every edge length is at least sqrt(1e-3 / (30 * 1e3)), far above
+        # the 1e-8 below which the dense route drops edges
+        rng = rng_for(78)
+        forms = [
+            random_form(rng, int(rng.integers(2, 31)), recurrent=bool(rng.random() < 0.5),
+                        b_range=(1e-3, 1e3), m_range=(1e-3, 1e3))
+            for _ in range(40)
+        ]
+        forms += [dk.generate("sierpinski", level) for level in (3, 5)]
+        for form in forms:
+            assert np.array_equal(dk.canonical_intrinsic_metric(form).d,
+                                  dense_canonical_distances(form))
+
+    def test_edges_shorter_than_1e_8(self):
+        # m = 1e-16 on a unit path: edges of length sqrt(0.5e-16) ~ 7e-9,
+        # which a dense graph input masks as missing
+        form = dk.generate("path", 3, measure=1e-16)
+        assert np.isinf(dense_canonical_distances(form)[0, 1])
+        metric = dk.canonical_intrinsic_metric(form)
+        edge = math.sqrt(0.5e-16)
+        assert metric.d[0, 1] == metric.d[1, 2] == pytest.approx(edge, rel=1e-15)
+        assert metric.d[0, 2] == pytest.approx(2.0 * edge, rel=1e-15)
+        assert dk.is_intrinsic(form, metric).ok
+
+    def test_overflowing_degree_raises(self):
+        # deg(v1) = 3e308 overflows, so both edges get length 0 and are
+        # dropped: v0 and v2 are then infinitely far apart
+        form = dk.build_form(["v0", "v1", "v2"], 1.0,
+                             [("v0", "v1", 1.5e308), ("v1", "v2", 1.5e308)])
+        with pytest.raises(InvalidMetric, match="finite"):
+            dk.canonical_intrinsic_metric(form)
 
     def test_exact_zero_slack_with_degree_measure(self):
         # m(x) = deg(x) makes all edge lengths exactly 1 and the hop metric

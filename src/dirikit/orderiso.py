@@ -65,6 +65,15 @@ class OrderIso:
         if any(value <= 0 or not np.isfinite(value) for value in self.h.values()):
             raise NonPositive("the scaling h must be strictly positive and finite")
 
+    @classmethod
+    def _trusted(cls, source, target, tau, h, beta) -> "OrderIso":
+        """An iso whose tau maps the target bijectively onto the source and
+        whose h is finite and positive by construction, without checking
+        them again."""
+        iso = cls.__new__(cls)
+        iso.source, iso.target, iso.tau, iso.h, iso.beta = source, target, tau, h, beta
+        return iso
+
     @cached_property
     def tau_indices(self) -> np.ndarray:
         """Source index of tau(y) for each target position y."""

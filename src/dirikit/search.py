@@ -18,7 +18,23 @@ domain in lexicographic order, with these pruning rules:
   U L1 - L2 U against the assigned pair exceed the tolerance; a branch
   ends as soon as some later domain is empty (violations never disappear
   when a partial assignment is extended, so no solution is lost);
+* the same forward check on the heat semigroups: an intertwiner also
+  satisfies U P1 = P2 U for P_i = e^{-t L_i}, whose dense entries see
+  every distance in the graph, so a source is also removed when an entry
+  of U P1 - P2 U against the assigned pair exceeds its slack (below);
 * the search stops once ``max_solutions`` solutions are found.
+
+The heat slack.  By Duhamel, U P1(t) - P2(t) U = -int_0^t P2(t - s) E
+P1(s) ds with E = U L1 - L2 U.  Rows of P2 sum to at most 1 and columns of
+P1 to at most max m1 / min m1, so every solution, whose entries of E are
+all within the bound, has every entry of U P1 - P2 U within t * bound *
+max m1 / min m1.  The slack adds the rounding of the computed E and of the
+eigendecompositions behind P1 and P2 (see ``_heat_kernels``), so pruning
+on it loses no solution.  The shared time is t = 1 / max diag L, the
+diagonals being matched by any intertwiner.  The kernels are built only
+when some target has more than one candidate source, because a forced
+path has nothing left to prune, and only when their residuals are finite
+and can exceed the slack.
 
 The domains live in one target x source matrix stamped with the depth
 that removed each entry, so the search state is O(n^2) at any depth.
@@ -35,9 +51,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GraphForm, generator
-from .errors import InvalidSize, NotIrreducible
-from .orderiso import OrderIso, operator_constant
-from .spectral import is_irreducible, spectral_data
+from .errors import InvalidSize, NonPositive, NotIrreducible
+from .orderiso import OrderIso
+from .spectral import is_irreducible, semigroup, spectral_data
+
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -65,12 +84,20 @@ class EquivalenceVerdict:
 
 
 def spectra_match(form1: GraphForm, form2: GraphForm, spectral_tol: float) -> bool:
-    """Compare the sorted generator spectra, scale-aware per eigenvalue."""
+    """Compare the sorted generator spectra, scale-aware per eigenvalue.
+
+    Each eigenvalue may also differ by 8 n eps max|w|, the rounding of the
+    two eigendecompositions: eigh is backward stable, so by Weyl's
+    inequality a computed eigenvalue is off by a few n eps ||A|| at most,
+    which dominates the small eigenvalues of a spectrum spanning many
+    orders of magnitude.
+    """
     w1 = spectral_data(generator(form1)).eigenvalues
     w2 = spectral_data(generator(form2)).eigenvalues
     if len(w1) != len(w2):
         return False
-    return bool(np.all(np.abs(w1 - w2) <= spectral_tol * (1.0 + np.abs(w1))))
+    rounding = 8.0 * len(w1) * _EPS * max(float(np.max(np.abs(w1))), float(np.max(np.abs(w2))))
+    return bool(np.all(np.abs(w1 - w2) <= spectral_tol * (1.0 + np.abs(w1)) + rounding))
 
 
 def _vertex_profiles(l_matrix: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,15 +137,21 @@ def _invariant_domain(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -
 _ALIVE = np.iinfo(np.int32).max
 
 
-def _forward_check(l1, l2, h, stamp, d, x, bound) -> bool:
+def _forward_check(s1, s2, h, stamp, d, x, bounds) -> bool:
     """Assign target d to source x: remove from the domain of every later
-    target y the sources x' whose entries (y, d) or (d, y) of U L1 - L2 U
-    exceed the bound, and x itself, stamping them with d.  Returns False,
-    stamping nothing, when a later domain would become empty."""
+    target y the sources x' whose entries (y, d) or (d, y) of U A1 - A2 U
+    exceed the bound of their layer, for each layer A of the stacks (the
+    generators, then the heat kernels if any), and x itself, stamping them
+    with d.  Returns False, stamping nothing, when a later domain would
+    become empty.  A NaN entry is removed, as it fails ``<=``; the heat
+    layer has finite entries on the pairs still alive (``_heat_kernels``)."""
     hd = h[d, x]
     hy = h[d + 1:]  # h[y, x']: the scaling if tau(y) = x'
-    ok = np.abs(hy * l1[:, x] - l2[d + 1:, d, None] * hd) <= bound
-    ok &= np.abs(hd * l1[x] - l2[d, d + 1:, None] * hy) <= bound
+    gap = np.maximum(
+        np.abs(hy * s1[:, None, :, x] - s2[:, d + 1:, d, None] * hd),
+        np.abs(hd * s1[:, None, x] - s2[:, d, d + 1:, None] * hy),
+    )
+    ok = (gap <= bounds).all(axis=0)
     ok[:, x] = False
     later = stamp[d + 1:]
     live = later == _ALIVE
@@ -129,7 +162,7 @@ def _forward_check(l1, l2, h, stamp, d, x, bound) -> bool:
     return True
 
 
-def _search(l1, l2, h, domain, bound, cap) -> list[np.ndarray]:
+def _search(s1, s2, h, domain, bounds, cap) -> list[np.ndarray]:
     """Depth-first assignment of targets in index order to the sources of
     their domains in index order, stopping at ``cap`` solutions.
 
@@ -159,7 +192,7 @@ def _search(l1, l2, h, domain, bound, cap) -> list[np.ndarray]:
             solutions.append(assignment.copy())
             if len(solutions) == cap:
                 break
-        elif _forward_check(l1, l2, h, stamp, d, x, bound):
+        elif _forward_check(s1, s2, h, stamp, d, x, bounds):
             d += 1
             options[d] = iter(np.nonzero(stamp[d] == _ALIVE)[0].tolist())
     return solutions
@@ -170,6 +203,53 @@ def residual_bound(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -> f
     l1 = generator(form1).L
     l2 = generator(form2).L
     return opts.tol * max(1.0, float(np.max(np.abs(l1))), float(np.max(np.abs(l2))))
+
+
+def _heat_kernels(
+    form1: GraphForm, form2: GraphForm, bound: float
+) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """The heat kernels P_i = e^{-t L_i} at t = 1 / max diag L and the slack
+    of their forward check, or None when the check could not prune or its
+    residuals could leave the float range.
+
+    With hmax = sqrt(max m1 / min m2), the largest scaling, and lmax the
+    largest generator magnitude, the slack is
+
+        t (max m1 / min m1) (bound + 4 eps hmax lmax) + 64 n eps hmax.
+
+    The first term is the Duhamel bound, with the bound on E widened by the
+    rounding of its computed entries (at most 2 eps hmax lmax, taken
+    twice).  The second is the floating-point allowance for the kernels.
+    Each comes from the eigendecomposition of the symmetrized generator,
+    whose norm is at most 2 max diag L = 2 / t; eigh is backward stable, so
+    the symmetric kernel is off by about 8 n eps per entry at most (the
+    backward error n eps ||A|| times t, the loss of orthogonality and the
+    rounding of the products).  P_i[x, z] is that entry times
+    sqrt(m_i(z) / m_i(x)), so the entry h(y) P1[x', x] - P2[y, d] h(d) of
+    the residual is off by at most 16 n eps sqrt(m1(x) / m2(y)), and the
+    entry (d, y) likewise: 64 n eps hmax leaves a factor of four.
+
+    No residual entry exceeds hmax (max|P1| + max|P2|); when that reach is
+    not above the slack the check could not prune, and when it is not
+    finite a residual could be inf or NaN, so the kernels are not used.
+    """
+    gen1, gen2 = generator(form1), generator(form2)
+    top = max(float(np.max(np.diag(gen1.L))), float(np.max(np.diag(gen2.L))))
+    if not top > 0.0:  # every rate below the float range
+        return None
+    t = 1.0 / top
+    m1, m2 = form1.space.m, form2.space.m
+    hmax = math.sqrt(float(np.max(m1)) / float(np.min(m2)))
+    lmax = max(float(np.max(np.abs(gen1.L))), float(np.max(np.abs(gen2.L))))
+    slack = t * (float(np.max(m1)) / float(np.min(m1))) * (bound + 4.0 * _EPS * hmax * lmax)
+    slack += 64.0 * len(m1) * _EPS * hmax
+    if not slack < math.inf:  # also catches a NaN
+        return None
+    p1, p2 = semigroup(gen1, t), semigroup(gen2, t)
+    reach = hmax * (float(np.max(np.abs(p1))) + float(np.max(np.abs(p2))))
+    if not slack < reach < math.inf:
+        return None
+    return p1, p2, slack
 
 
 def find_intertwiners(
@@ -196,30 +276,55 @@ def find_intertwiners(
     # lexicographic order of the tau sequence
     perm2 = np.argsort(np.array(form2.space.vertices))
     perm1 = np.argsort(np.array(form1.space.vertices))
-    l1s = l1[np.ix_(perm1, perm1)]
-    l2s = l2[np.ix_(perm2, perm2)]
+    m1, m2 = form1.space.m, form2.space.m
     # a measure ratio beyond the float range makes h inf and a residual
     # entry inf or 0 * inf = NaN, which fails its bound as it should; the
     # floating-point flags are silenced, not acted on
     with np.errstate(over="ignore", invalid="ignore"):
         # h[y, x]: the scaling of target y when tau(y) = x
-        h = np.sqrt(form1.space.m[perm1][None, :] / form2.space.m[perm2][:, None])
+        h = np.sqrt(m1[perm1][None, :] / m2[perm2][:, None])
         # a source enters a target's domain through the invariants and the
         # entry (y, y) of U L1 - L2 U
         domain = _invariant_domain(form1, form2, opts)[np.ix_(perm2, perm1)]
-        domain &= np.abs(h * np.diag(l1s)[None, :] - np.diag(l2s)[:, None] * h) <= bound
-        assignments = _search(l1s, l2s, h, domain, bound, opts.max_solutions)
+        diag1, diag2 = np.diag(l1)[perm1], np.diag(l2)[perm2]
+        domain &= np.abs(h * diag1[None, :] - diag2[:, None] * h) <= bound
+        layers1, layers2, bounds = [l1], [l2], [bound]
+        # a forced path, one candidate source per target, has nothing to prune
+        if np.count_nonzero(domain, axis=1).max() > 1:
+            heat = _heat_kernels(form1, form2, bound)
+            if heat is not None:
+                layers1.append(heat[0])
+                layers2.append(heat[1])
+                bounds.append(heat[2])
+        assignments = _search(
+            np.stack([a[np.ix_(perm1, perm1)] for a in layers1]),
+            np.stack([a[np.ix_(perm2, perm2)] for a in layers2]), h, domain,
+            np.array(bounds)[:, None, None], opts.max_solutions,
+        )
+    if not assignments:
+        return []
 
+    # tau is a bijection, as the search uses each source once; the domain
+    # admits no infinite h, but a measure ratio below the float range
+    # rounds h to 0
+    taus = np.array(assignments)
+    hs = h[np.arange(len(h)), taus]
+    if not np.all(hs > 0.0):
+        raise NonPositive("the scaling h must be strictly positive and finite")
+    # beta as operator_constant computes it: the mean of h^2 m2 / m1(tau)
+    # over the targets in storage order
+    storage = np.argsort(perm2)
+    ratios = hs[:, storage] ** 2 * m2 / m1[perm1[taus[:, storage]]]
+    betas = np.mean(ratios, axis=1).tolist()
     targets = [form2.space.vertices[i] for i in perm2]
     sources = [form1.space.vertices[i] for i in perm1]
-    isos = []
-    for assignment in assignments:
-        tau = dict(zip(targets, [sources[x] for x in assignment.tolist()]))
-        h_map = dict(zip(targets, h[np.arange(len(h)), assignment].tolist()))
-        iso = OrderIso(form1.space, form2.space, tau, h_map)
-        iso.beta = operator_constant(iso)
-        isos.append(iso)
-    return isos
+    return [
+        OrderIso._trusted(
+            form1.space, form2.space,
+            dict(zip(targets, [sources[x] for x in tau])), dict(zip(targets, h_row)), beta,
+        )
+        for tau, h_row, beta in zip(taus.tolist(), hs.tolist(), betas)
+    ]
 
 
 def equivalence_verdict(

@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import shortest_path
 import dirikit as dk
 from dirikit.errors import DuplicateEdge, MalformedInput, NegativeWeight, SelfLoop
 from dirikit.jsonio import _number, _require
-from dirikit.search import SearchOptions, residual_bound
+from dirikit.search import SearchOptions, _invariant_domain, residual_bound, spectra_match
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -57,6 +57,134 @@ def brute_force_intertwiners(form1, form2, opts: SearchOptions):
 
 def tau_signature(iso):
     return tuple(iso.tau[y] for y in sorted(iso.tau))
+
+
+_ORACLE_ALIVE = np.iinfo(np.int32).max
+
+
+def _oracle_forward_check(l1, l2, h, stamp, d, x, bound) -> bool:
+    hd = h[d, x]
+    hy = h[d + 1:]
+    ok = np.abs(hy * l1[:, x] - l2[d + 1:, d, None] * hd) <= bound
+    ok &= np.abs(hd * l1[x] - l2[d, d + 1:, None] * hy) <= bound
+    ok[:, x] = False
+    later = stamp[d + 1:]
+    live = later == _ORACLE_ALIVE
+    ok &= live
+    if not ok.any(axis=1).all():
+        return False
+    later[live ^ ok] = d
+    return True
+
+
+def _oracle_search(l1, l2, h, domain, bound, cap):
+    if not domain.any(axis=1).all():
+        return []
+    n = len(h)
+    stamp = np.where(domain, _ORACLE_ALIVE, -1).astype(np.int32)
+    assignment = np.empty(n, dtype=np.intp)
+    options = [iter(())] * n
+    options[0] = iter(np.nonzero(domain[0])[0].tolist())
+    solutions = []
+    d = 0
+    while d >= 0:
+        x = next(options[d], None)
+        if x is None:
+            d -= 1
+            if d >= 0:
+                later = stamp[d + 1:]
+                later[later == d] = _ORACLE_ALIVE
+            continue
+        assignment[d] = x
+        if d == n - 1:
+            solutions.append(assignment.copy())
+            if len(solutions) == cap:
+                break
+        elif _oracle_forward_check(l1, l2, h, stamp, d, x, bound):
+            d += 1
+            options[d] = iter(np.nonzero(stamp[d] == _ORACLE_ALIVE)[0].tolist())
+    return solutions
+
+
+def l_only_intertwiners(form1, form2, opts: SearchOptions):
+    """Oracle: the search forward-checked on U L1 = L2 U alone, as it was
+    before the heat-kernel check, with each result built by the validating
+    ``OrderIso`` constructor and ``operator_constant``."""
+    if len(form1.space) != len(form2.space) or not spectra_match(form1, form2, opts.tol):
+        return []
+    l1, l2 = dk.generator(form1).L, dk.generator(form2).L
+    bound = residual_bound(form1, form2, opts)
+    perm2 = np.argsort(np.array(form2.space.vertices))
+    perm1 = np.argsort(np.array(form1.space.vertices))
+    l1s, l2s = l1[np.ix_(perm1, perm1)], l2[np.ix_(perm2, perm2)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.sqrt(form1.space.m[perm1][None, :] / form2.space.m[perm2][:, None])
+        domain = _invariant_domain(form1, form2, opts)[np.ix_(perm2, perm1)]
+        domain &= np.abs(h * np.diag(l1s)[None, :] - np.diag(l2s)[:, None] * h) <= bound
+        assignments = _oracle_search(l1s, l2s, h, domain, bound, opts.max_solutions)
+    targets = [form2.space.vertices[i] for i in perm2]
+    sources = [form1.space.vertices[i] for i in perm1]
+    isos = []
+    for assignment in assignments:
+        tau = dict(zip(targets, [sources[x] for x in assignment.tolist()]))
+        h_map = dict(zip(targets, h[np.arange(len(h)), assignment].tolist()))
+        iso = dk.OrderIso(form1.space, form2.space, tau, h_map)
+        iso.beta = dk.operator_constant(iso)
+        isos.append(iso)
+    return isos
+
+
+def vf2_intertwiners(form1, form2, rel: float = 1e-9):
+    """Oracle: the tau signatures of all intertwiners, sorted, from networkx's
+    VF2 matcher.  With h(y) = sqrt(m1(tau(y)) / m2(y)), U L1 = L2 U holds
+    exactly when tau carries the symmetrized generator sqrt(m(x)) L[x, z] /
+    sqrt(m(z)) of the target onto the source's, so the graphs carry its
+    diagonal on the vertices and its off-diagonal entries on the edges,
+    matched to a relative ``rel``."""
+    from networkx import Graph
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def graph(form):
+        sqrt_m = np.sqrt(form.space.m)
+        sym = dk.generator(form).L * (sqrt_m[:, None] / sqrt_m[None, :])
+        g = Graph()
+        for i, v in enumerate(form.space.vertices):
+            g.add_node(v, a=sym[i, i])
+        for u, v in form.b:
+            i, j = form.space.index(u), form.space.index(v)
+            if sym[i, j] != 0.0:
+                g.add_edge(u, v, a=sym[i, j])
+        return g
+
+    def same(p, q):
+        return math.isclose(p["a"], q["a"], rel_tol=rel)
+
+    matcher = GraphMatcher(graph(form2), graph(form1), node_match=same, edge_match=same)
+    return sorted(
+        tuple(mapping[y] for y in sorted(mapping)) for mapping in matcher.isomorphisms_iter()
+    )
+
+
+def subordinate(form, alpha: float):
+    """The form of the subordinate generator L^alpha, 0 < alpha < 1: its form
+    matrix M L^alpha from the m-orthonormal eigendecomposition, the rounded
+    null eigenvalue of a recurrent form set to zero first (a power of 1e-16
+    is not small), conductances from the off-diagonal entries and killing
+    from the row sums (none when the form is recurrent)."""
+    data = dk.spectral_data(dk.generator(form))
+    w = np.maximum(data.eigenvalues, 0.0)
+    if dk.is_recurrent(form):
+        w[0] = 0.0
+    m = form.space.m
+    mv = data.eigenvectors * m[:, None]
+    f = (mv * w**alpha) @ mv.T
+    f = 0.5 * (f + f.T)
+    names = form.space.vertices
+    n = len(names)
+    edges = [(names[i], names[j], -f[i, j]) for i in range(n) for j in range(i + 1, n)]
+    assert all(b > 0.0 for _, _, b in edges), "subordinate conductances must be positive"
+    killing = 0.0 if dk.is_recurrent(form) else np.maximum(f.sum(axis=1), 0.0)
+    return dk.GraphForm(form.space, edges, killing)
 
 
 def lp_nonconstant_excessive(gen, separation: float = 1e-3):

@@ -3,13 +3,27 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dirikit as dk
-from dirikit.errors import NotIrreducible
-from dirikit.sampling import doob_pair_sample, random_form, relabel_pair
+from dirikit.errors import NonPositive, NotIntertwining, NotIrreducible
+from dirikit.sampling import (
+    doob_pair_sample,
+    nonconstant_excessive_profile,
+    random_form,
+    relabel_pair,
+)
 from dirikit.search import SearchOptions
 
-from conftest import brute_force_intertwiners, rng_for, tau_signature
+from conftest import (
+    brute_force_intertwiners,
+    l_only_intertwiners,
+    rng_for,
+    subordinate,
+    tau_signature,
+    vf2_intertwiners,
+)
 
 WIDE = SearchOptions(max_solutions=10**6)
 
@@ -120,6 +134,16 @@ class TestFindIntertwiners:
         ]
         assert as_tuples(first) == as_tuples(second)
 
+    def test_wide_spectrum_keeps_witness(self):
+        # eigenvalues over 12 orders of magnitude: the small ones are off by
+        # the rounding of the large ones, which the spectral filter allows
+        for seed in range(12):
+            rng = rng_for(seed)
+            form1 = spread_form(rng, int(rng.integers(10, 30)), 6.0, False)
+            form2, witness = relabel_pair(rng, form1, scale=float(10 ** rng.uniform(-3, 3)))
+            found = dk.find_intertwiners(form1, form2, WIDE)
+            assert tau_signature(witness) in [tau_signature(s) for s in found]
+
     def test_spectral_pruning_keeps_witness(self):
         rng = rng_for(54)
         for _ in range(200):
@@ -196,6 +220,177 @@ class TestForwardCheckedSearch:
             tracemalloc.stop()
         assert [tau_signature(s) for s in found] == [tau_signature(witness)]
         assert peak <= 10 * n * n * 8
+
+
+def spread_form(rng, n, spread, levels, recurrent=None):
+    """A random connected form with conductances, measures and killing
+    spread over 10^-spread .. 10^spread: log-uniformly, or on the two levels
+    10^-spread and 10^spread when ``levels``, which leaves symmetries."""
+    base = random_form(rng, n, recurrent=recurrent)
+
+    def draw(size):
+        if levels:
+            return 10.0 ** (spread * rng.choice([-1.0, 1.0], size))
+        return 10.0 ** rng.uniform(-spread, spread, size)
+
+    b = dict(zip(base.b, draw(len(base.b))))
+    return dk.build_form(base.space.vertices, draw(n), b, base.c * draw(n))
+
+
+def spread_doob_pair(rng, n, spread, levels):
+    """``doob_pair_sample`` on a ``spread_form`` base, the killing margin
+    scaled with the degree."""
+    base = spread_form(rng, n, spread, levels, recurrent=True)
+    h = nonconstant_excessive_profile(rng, n)
+    w = base.weight_matrix
+    deg = w.sum(axis=1)
+    required = (w @ h - deg * h) / h
+    form1 = dk.GraphForm(base.space, base.b, np.maximum(required, 0.0) + 0.02 * deg)
+    form2, iso = dk.doob_pair(form1, h)
+    return form1, form2, iso
+
+
+def outcome(isos):
+    """Everything a search result shows: tau and h in their order, and beta."""
+    return [(tuple(s.tau.items()), tuple(s.h.items()), s.beta) for s in isos]
+
+
+def scrambled(form, seed=0, scale=1.7):
+    """The form and a relabeled, rescaled copy of it."""
+    return form, relabel_pair(rng_for(seed), form, scale=scale)[0]
+
+
+class TestHeatKernelPruning:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 30),
+        spread=st.sampled_from([1.0, 3.0, 6.0]),
+        kind=st.sampled_from(["relabel", "doob"]),
+        levels=st.booleans(),
+        perturb=st.sampled_from([0.0, 0.0, 2e-9, 1e-8]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_results_as_l_only_search(self, n, spread, kind, levels, perturb, seed):
+        # ``perturb`` moves the target's conductances by up to that relative
+        # amount, so that some residuals of U L1 - L2 U sit near the bound
+        rng = rng_for(seed)
+        if kind == "relabel":
+            form1 = spread_form(rng, n, spread, levels)
+            form2, witness = relabel_pair(rng, form1, scale=float(10 ** rng.uniform(-3, 3)))
+        else:
+            form1, form2, witness = spread_doob_pair(rng, n, spread, levels)
+        if perturb:
+            b = {e: w * (1.0 + perturb * rng.uniform(-1.0, 1.0)) for e, w in form2.b.items()}
+            form2 = dk.GraphForm(form2.space, b, form2.c)
+        expected = outcome(l_only_intertwiners(form1, form2, WIDE))
+        for cap in (1, 2, 10**6):
+            found = dk.find_intertwiners(form1, form2, SearchOptions(max_solutions=cap))
+            assert outcome(found) == expected[:cap]
+        if not perturb:
+            assert sorted(witness.tau.items()) in [sorted(tau) for tau, _, _ in expected]
+
+    def test_same_results_on_scrambled_symmetric_forms(self):
+        for family, n in (("cycle", 12), ("path", 9), ("sierpinski", 2), ("complete", 5)):
+            form1, form2 = scrambled(dk.generate(family, n, conductance=0.9, measure=1.3))
+            expected = outcome(l_only_intertwiners(form1, form2, WIDE))
+            assert len(expected) > 1
+            assert outcome(dk.find_intertwiners(form1, form2, WIDE)) == expected
+
+    def test_non_finite_kernel_is_not_used(self):
+        # measures 1e-300 and 1e300 overflow the kernels' conjugation; the
+        # search still finds what the generator check alone finds
+        form = dk.build_form(
+            ["v0", "v1", "v2", "v3"], {"v0": 1e-300, "v1": 1e300, "v2": 1e-300, "v3": 1e300},
+            [("v0", "v1", 1.0), ("v1", "v2", 1.0), ("v2", "v3", 1.0), ("v0", "v3", 1.0)],
+        )
+        form1, form2 = scrambled(form, scale=1.0)
+        expected = outcome(l_only_intertwiners(form1, form2, WIDE))
+        assert outcome(dk.find_intertwiners(form1, form2, WIDE)) == expected
+
+    def test_scaling_rounded_to_zero_raises(self):
+        # sqrt(1e-300 / 1e100) rounds to 0: no valid scaling, as before
+        form1 = dk.build_form(["a"], 1e-300, [])
+        form2 = dk.build_form(["a"], 1e100, [])
+        with pytest.raises(NonPositive):
+            dk.find_intertwiners(form1, form2, WIDE)
+
+    @pytest.mark.parametrize("make, count", [
+        (lambda: dk.generate("cycle", 20, conductance=1.3, measure=0.7), 40),
+        (lambda: dk.generate("path", 30, conductance=1.3, measure=0.7), 2),
+        (lambda: dk.generate("sierpinski", 3, conductance=1.3, measure=0.7), 6),
+    ], ids=["C20", "P30", "sierpinski3"])
+    def test_scrambled_symmetric_forms_are_fast(self, make, count):
+        form1, form2 = scrambled(make())
+        start = time.perf_counter()
+        found = dk.find_intertwiners(form1, form2, WIDE)
+        assert time.perf_counter() - start < 2.0
+        assert len(found) == count
+        assert dk.certify(found[0], form1, form2).verdict
+
+
+class TestVF2Oracle:
+    @pytest.mark.parametrize("make", [
+        lambda: scrambled(dk.generate("cycle", 20, conductance=1.3, measure=0.7)),
+        lambda: scrambled(dk.generate("path", 30, conductance=1.3, measure=0.7)),
+        lambda: scrambled(dk.generate("sierpinski", 3, conductance=1.3, measure=0.7)),
+        lambda: scrambled(dk.generate("complete", 6, conductance=1.3, measure=0.7)),
+    ], ids=["C20", "P30", "sierpinski3", "K6"])
+    def test_symmetric(self, make):
+        pytest.importorskip("networkx")
+        form1, form2 = make()
+        found = [tau_signature(s) for s in dk.find_intertwiners(form1, form2, WIDE)]
+        assert found == vf2_intertwiners(form1, form2)
+
+    @pytest.mark.parametrize("n", [8, 20, 40])
+    @pytest.mark.parametrize("levels", [False, True])
+    def test_relabel(self, n, levels):
+        pytest.importorskip("networkx")
+        rng = rng_for(60 + n)
+        form1 = spread_form(rng, n, 1.0, levels)
+        form2, witness = relabel_pair(rng, form1, scale=float(rng.uniform(0.5, 2.0)))
+        found = [tau_signature(s) for s in dk.find_intertwiners(form1, form2, WIDE)]
+        assert found == vf2_intertwiners(form1, form2)
+        assert tau_signature(witness) in found
+
+
+def _pairs_for_subordination():
+    s2 = dk.generate("sierpinski", 2, conductance=1.3, measure=0.7)
+    c12 = dk.generate("cycle", 12, conductance=0.8, measure=1.1)
+    random40 = random_form(rng_for(64), 40)
+    return {
+        "sierpinski2": (s2,) + relabel_pair(rng_for(62), s2, scale=1.6),
+        "C12": (c12,) + relabel_pair(rng_for(63), c12, scale=0.6),
+        "relabel40": (random40,) + relabel_pair(rng_for(65), random40, scale=1.3),
+        "doob10": doob_pair_sample(rng_for(61), 10),
+        "doob40": doob_pair_sample(rng_for(66), 40),
+    }
+
+
+class TestSubordination:
+    """If U L1 = L2 U then U L1^alpha = L2^alpha U: the subordinate forms are
+    non-local (every pair of vertices jumps) and the same iso intertwines
+    them."""
+
+    PAIRS = _pairs_for_subordination()
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("name", ["sierpinski2", "C12", "relabel40", "doob10", "doob40"])
+    def test_iso_survives_subordination(self, name, alpha):
+        form1, form2, iso = self.PAIRS[name]
+        sub1, sub2 = subordinate(form1, alpha), subordinate(form2, alpha)
+        assert len(sub1.b) == len(form1.space) * (len(form1.space) - 1) // 2
+        before = [tau_signature(s) for s in dk.find_intertwiners(form1, form2, WIDE)]
+        after = [tau_signature(s) for s in dk.find_intertwiners(sub1, sub2, WIDE)]
+        assert after == before
+        report = dk.certify(iso, sub1, sub2)
+        report.extend(dk.verify_jump_transform(iso, sub1, sub2))
+        assert report.verdict
+        targets = sorted(iso.tau)
+        swapped = dict(iso.tau)
+        swapped[targets[0]], swapped[targets[1]] = iso.tau[targets[1]], iso.tau[targets[0]]
+        bad = dk.OrderIso(iso.source, iso.target, swapped, dict(iso.h))
+        with pytest.raises(NotIntertwining):
+            dk.certify(bad, sub1, sub2)
 
 
 class TestEquivalenceVerdict:

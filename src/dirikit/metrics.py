@@ -23,7 +23,9 @@ d(., A) ^ T because |d_A(x) - d_A(y)| <= d(x, y).
 The canonical intrinsic metric is a shortest-path metric on the sparse
 edge graph, so an edge keeps any positive finite length: a dense graph
 input would drop every edge shorter than about 1e-8, the tolerance with
-which scipy reads a dense entry as zero.
+which scipy reads a dense entry as zero.  scipy is imported there, on the
+first canonical metric, and nowhere else in the package, so every other
+path loads numpy only (tests/test_imports.py checks this).
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from dataclasses import InitVar, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import shortest_path
 
 from .core import GraphForm, _require_finite, generator
 from .errors import (
@@ -268,6 +268,10 @@ def canonical_intrinsic_metric(form: GraphForm) -> PseudoMetric:
     Paths run on the edges b > 0 as a sparse graph, so lengths below 1e-8
     (a measure of 1e-16, say) count as edges, not as missing ones.
     """
+    # the package's only scipy import, deferred to here (module docstring)
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import shortest_path
+
     if not is_irreducible(form):
         raise NotConnected("path metric needs a connected conductance graph")
     n = len(form.space)

@@ -312,10 +312,12 @@ def find_intertwiners(
     if not np.all(hs > 0.0):
         raise NonPositive("the scaling h must be strictly positive and finite")
     # beta as operator_constant computes it: the mean of h^2 m2 / m1(tau)
-    # over the targets in storage order
+    # over the targets in storage order, from row-major rows (numpy sums a
+    # column-major array's rows in another order, so beta could differ in
+    # the last bit)
     storage = np.argsort(perm2)
     ratios = hs[:, storage] ** 2 * m2 / m1[perm1[taus[:, storage]]]
-    betas = np.mean(ratios, axis=1).tolist()
+    betas = np.mean(np.ascontiguousarray(ratios), axis=1).tolist()
     targets = [form2.space.vertices[i] for i in perm2]
     sources = [form1.space.vertices[i] for i in perm1]
     return [

@@ -1,0 +1,80 @@
+"""scipy is imported only by the canonical intrinsic metric.
+
+Everything else is numpy: importing dirikit, the CLI paths that need no
+shortest paths, and the library path find_nonconstant_excessive ->
+doob_pair -> certify.  The probe runs in a fresh interpreter because
+conftest.py itself imports scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dirikit
+
+SRC = Path(dirikit.__file__).resolve().parent.parent
+
+# prints one [step, exit code, whether scipy is loaded] line per step
+PROBE = r"""
+import contextlib, io, json, sys
+
+def step(name, code=0):
+    print(json.dumps([name, code, "scipy" in sys.modules]))
+
+import dirikit.cli
+step("import dirikit.cli")
+
+def cli(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = dirikit.cli.run(list(argv))
+    step(" ".join(argv), code)
+
+cli("gen", "--family", "cycle", "--n", "6", "--out", "c6.json")
+cli("search", "c6.json", "c6.json")
+cli("resistance", "c6.json")
+cli("check", "c6.json")
+cli("decompose", "c6.json")
+with open("zero.json", "w") as handle:
+    json.dump({"d": [[0.0] * 6] * 6}, handle)
+cli("intrinsic", "c6.json", "--metric", "zero.json")
+cli("gen-pair", "--transform", "doob", "--n", "6", "--out", "doob.json")
+cli("certify", "doob.json")
+
+import dirikit as dk
+form = dk.build_form(["a", "b", "c"], 1.0, [("a", "b", 1.0), ("b", "c", 2.0)],
+                     {"a": 0.5, "b": 0.0, "c": 0.0})
+h = dk.find_nonconstant_excessive(dk.generator(form))
+form2, iso = dk.doob_pair(form, h)
+step("find_nonconstant_excessive -> doob_pair -> certify",
+     0 if dk.certify(iso, form, form2).verdict else 1)
+
+cli("intrinsic", "c6.json")
+"""
+
+
+@pytest.fixture(scope="module")
+def steps(tmp_path_factory):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", PROBE], cwd=tmp_path_factory.mktemp("probe"),
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def test_numpy_only_paths(steps):
+    *numpy_only, _ = steps
+    assert len(numpy_only) == 10
+    for name, code, scipy_loaded in numpy_only:
+        assert code == 0, name
+        assert not scipy_loaded, f"scipy imported by: {name}"
+
+
+def test_canonical_metric_loads_scipy(steps):
+    name, code, scipy_loaded = steps[-1]
+    assert name == "intrinsic c6.json"
+    assert code == 0
+    assert scipy_loaded

@@ -289,6 +289,17 @@ class TestHeatKernelPruning:
         if not perturb:
             assert sorted(witness.tau.items()) in [sorted(tau) for tau, _, _ in expected]
 
+    def test_beta_equals_operator_constant(self):
+        # six solutions on eleven targets: every beta comes from one mean
+        # over a 6 x 11 array, whose rows must be summed as operator_constant
+        # sums a single row (a column-major array gave 1 + 2^-52 for two)
+        rng = rng_for(11)
+        form1 = spread_form(rng, 11, 6.0, False)
+        form2, _ = relabel_pair(rng, form1, scale=float(10 ** rng.uniform(-3, 3)))
+        found = dk.find_intertwiners(form1, form2, WIDE)
+        assert len(found) == 6
+        assert [iso.beta for iso in found] == [dk.operator_constant(iso) for iso in found]
+
     def test_same_results_on_scrambled_symmetric_forms(self):
         for family, n in (("cycle", 12), ("path", 9), ("sierpinski", 2), ("complete", 5)):
             form1, form2 = scrambled(dk.generate(family, n, conductance=0.9, measure=1.3))

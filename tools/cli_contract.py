@@ -1,0 +1,355 @@
+"""Diff the observable behaviour of the `dirikit` CLI between two revisions.
+
+Run from anywhere inside the repository:
+
+    python3 tools/cli_contract.py REV           # REV against the working tree
+    python3 tools/cli_contract.py REV1 REV2     # REV1 against REV2
+
+Each side runs one fixed corpus of commands (`COMMANDS`) in-process, in a
+fresh interpreter whose `dirikit` comes from that side's `src/`.  A
+revision is checked out into a temporary `git worktree`, which is removed
+when the script ends.  Each side builds its own inputs with its own
+`dirikit gen` and `gen-pair` in a fresh directory and runs every command
+there, so file names in messages match.  The script prints one line per
+command whose stdout, stderr or exit code differ, then a summary line, and
+exits 1 when any command differs.
+
+    python3 tools/cli_contract.py --write-golden tests/cli_golden.json
+
+writes the part of each result that does not depend on floating-point
+rounding (`stable_view`) for the working tree; `tests/test_cli_contract.py`
+checks the corpus against that file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# graph files written with `dirikit gen --out NAME.json ARGS`
+GEN = {
+    "sierpinski2": ["--family", "sierpinski", "--n", "2"],
+    "sierpinski3": ["--family", "sierpinski", "--n", "3"],
+    "sierpinski5": ["--family", "sierpinski", "--n", "5"],
+    "complete5": ["--family", "complete", "--n", "5"],
+    "complete6": ["--family", "complete", "--n", "6"],
+    "cycle8": ["--family", "cycle", "--n", "8"],
+    "cycle12": ["--family", "cycle", "--n", "12"],
+    "path3": ["--family", "path", "--n", "3"],
+    "path7": ["--family", "path", "--n", "7"],
+    "path12": ["--family", "path", "--n", "12"],
+}
+GEOMETRY = ("sierpinski2", "sierpinski3", "sierpinski5", "complete5", "cycle8", "path7")
+
+# pair files written with `dirikit gen-pair --out NAME.json ARGS`, each also
+# split into NAME.g1.json, NAME.g2.json and NAME.iso.json
+PAIRS = {
+    f"{transform}{n}s{seed}": ["--transform", transform, "--n", str(n), "--seed", str(seed)]
+    for transform in ("relabel", "doob")
+    for n in (6, 40, 160)
+    for seed in (1, 3)
+}
+
+# malformed or rejected graphs, by the fault they carry
+_A_B = {"vertices": ["a", "b"], "m": {"a": 1.0, "b": 1.0}, "killing": {}}
+INVALID = {
+    "not_json": "{not json",
+    "not_object": "[]",
+    "no_measure": json.dumps({"vertices": ["a"], "edges": [], "killing": {}}),
+    "edges_not_list": json.dumps(dict(_A_B, edges={"u": "a"})),
+    "edge_not_object": json.dumps(dict(_A_B, edges=[["a", "b", 1.0]])),
+    "negative": json.dumps(dict(_A_B, edges=[{"u": "a", "v": "b", "b": -2.0}])),
+    "nan": json.dumps(dict(_A_B, edges=[{"u": "a", "v": "b", "b": float("nan")}])),
+    "string_weight": json.dumps(dict(_A_B, edges=[{"u": "a", "v": "b", "b": "1.0"}])),
+    "huge_int": json.dumps(dict(_A_B, edges=[{"u": "a", "v": "b", "b": 10**400}])),
+    "self_loop": json.dumps(dict(_A_B, edges=[{"u": "a", "v": "a", "b": 1.0}])),
+    "duplicate": json.dumps(dict(_A_B, edges=[{"u": "a", "v": "b", "b": 1.0},
+                                              {"u": "b", "v": "a", "b": 2.0}])),
+    "unknown_vertex": json.dumps(dict(_A_B, edges=[{"u": "a", "v": "z", "b": 1.0}])),
+    "zero_measure": json.dumps(dict(_A_B, m={"a": 0.0, "b": 1.0},
+                                    edges=[{"u": "a", "v": "b", "b": 1.0}])),
+    "disconnected": json.dumps({"vertices": ["a", "b", "c"], "m": {"a": 1.0, "b": 1.0, "c": 1.0},
+                                "edges": [{"u": "a", "v": "b", "b": 1.0}], "killing": {}}),
+    "killing": json.dumps(dict(_A_B, edges=[{"u": "a", "v": "b", "b": 1.0}],
+                               killing={"a": 0.5})),
+    "single_vertex": json.dumps({"vertices": ["a"], "m": {"a": 2.0}, "edges": [], "killing": {}}),
+    "overflowing_generator": json.dumps(dict(_A_B, m={"a": 1e-300, "b": 1e-300},
+                                             edges=[{"u": "a", "v": "b", "b": 1e300}])),
+    "overflowing_spectrum": json.dumps(dict(_A_B, edges=[{"u": "a", "v": "b", "b": 1.5e308}])),
+    "diagonal_overflow": json.dumps({
+        "vertices": ["v0", "v1", "v2", "v3"],
+        "m": {"v0": 1.7e308, "v1": 1e-300, "v2": 1e300, "v3": 1.7e308},
+        "edges": [{"u": "v0", "v": "v2", "b": 6e-309}, {"u": "v1", "v": "v2", "b": 6e-309},
+                  {"u": "v2", "v": "v3", "b": 1e300}],
+        "killing": {},
+    }),
+    "weak_bottleneck": json.dumps({"vertices": ["a", "b", "c"], "m": {"a": 1.0, "b": 1.0, "c": 1.0},
+                                   "edges": [{"u": "a", "v": "b", "b": 1e-12},
+                                             {"u": "b", "v": "c", "b": 1.0}], "killing": {}}),
+    "tiny_measure": json.dumps({"vertices": ["a", "b", "c"], "m": {"a": 1e-16, "b": 1e-16, "c": 1e-16},
+                                "edges": [{"u": "a", "v": "b", "b": 1.0},
+                                          {"u": "b", "v": "c", "b": 1.0}], "killing": {}}),
+}
+
+# metrics checked on path3 with `dirikit intrinsic path3.json --metric NAME.json`
+METRICS = {
+    "metric_zero": {"d": [[0.0] * 3] * 3},
+    "metric_intrinsic": {"d": [[0.0, 0.5, 1.0], [0.5, 0.0, 0.5], [1.0, 0.5, 0.0]]},
+    "metric_too_long": {"d": [[0.0, 2.0, 4.0], [2.0, 0.0, 2.0], [4.0, 2.0, 0.0]]},
+    "metric_triangle": {"d": [[0.0, 0.1, 1.0], [0.1, 0.0, 0.1], [1.0, 0.1, 0.0]]},
+    "metric_asymmetric": {"d": [[0.0, 0.5, 1.0], [0.4, 0.0, 0.5], [1.0, 0.5, 0.0]]},
+    "metric_negative": {"d": [[0.0, -0.5, 1.0], [-0.5, 0.0, 0.5], [1.0, 0.5, 0.0]]},
+    "metric_shape": {"d": [[0.0, 1.0], [1.0, 0.0]]},
+    "metric_not_matrix": {"d": [0.0, 1.0, 2.0]},
+}
+
+
+def _commands() -> list[list[str]]:
+    cmds: list[list[str]] = []
+    for fmt in ("json", "text"):
+        for name in GEOMETRY:
+            for sub in ("resistance", "intrinsic", "check", "decompose"):
+                cmds.append([sub, f"{name}.json", "--format", fmt])
+        for name in METRICS:
+            cmds.append(["intrinsic", "path3.json", "--metric", f"{name}.json", "--format", fmt])
+        for name in PAIRS:
+            cmds.append(["certify", f"{name}.json", "--format", fmt])
+    cmds += [
+        ["resistance", "path7.json", "--tol", "1e-6"],
+        ["intrinsic", "sierpinski3.json", "--tol", "1e-6"],
+        ["resistance", "path7.json", "--tol", "-1"],
+        ["certify", "relabel6s1.json", "--tol", "1e-6"],
+        ["certify", "relabel6s1.g1.json", "relabel6s1.g2.json", "relabel6s1.iso.json"],
+        ["certify", "doob40s1.g1.json", "doob40s1.g2.json", "doob40s1.iso.json"],
+        # the witness of one pair applied to another pair's graphs
+        ["certify", "relabel6s1.g1.json", "relabel6s1.g2.json", "relabel6s3.iso.json"],
+        ["certify", "relabel6s1.g1.json", "relabel6s1.g2.json"],
+        ["certify", "relabel6s1.g1.json"],
+    ]
+    for fmt in ("json", "text"):
+        cmds += [
+            ["search", "complete6.json", "complete6.json", "--format", fmt],
+            ["search", "complete6.json", "complete6.json", "--max-solutions", "1", "--format", fmt],
+            ["search", "cycle12.json", "cycle12.json", "--format", fmt],
+            ["search", "relabel40s3.g1.json", "relabel40s3.g2.json", "--format", fmt],
+            ["search", "doob6s1.g1.json", "doob6s1.g2.json", "--format", fmt],
+            ["search", "cycle12.json", "path12.json", "--format", fmt],
+            ["search", "complete6.json", "cycle12.json", "--format", fmt],
+        ]
+    cmds += [
+        ["search", "cycle12.json", "cycle12.json", "--max-solutions", "2", "--tol", "1e-6"],
+        ["search", "complete5.json", "complete5.json", "--max-solutions", "0"],
+    ]
+    cmds += [["gen", *args] for args in GEN.values()]
+    cmds += [
+        ["gen", "--family", "cycle", "--n", "2"],
+        ["gen", "--family", "path", "--n", "4", "--conductance", "2.5", "--measure", "0.5"],
+        ["gen-pair", "--transform", "relabel", "--n", "6", "--seed", "1"],
+        ["gen-pair", "--transform", "doob", "--n", "6", "--seed", "1"],
+    ]
+    for name in INVALID:
+        g = f"{name}.json"
+        cmds += [["check", g], ["resistance", g], ["intrinsic", g], ["decompose", g],
+                 ["search", g, g], ["certify", g, g, f"{name}.iso.json"]]
+    cmds += [
+        ["check", "missing.json"],
+        ["gen", "--family", "path", "--n", "3", "--bogus"],
+        ["frobnicate"],
+        [],
+    ]
+    return cmds
+
+
+COMMANDS = _commands()
+
+
+def _write_inputs(run) -> None:
+    """Write every input of COMMANDS into the current directory."""
+    for name, args in GEN.items():
+        if run(["gen", *args, "--out", f"{name}.json"]) != 0:
+            raise RuntimeError(f"gen {name} failed")
+    for name, args in PAIRS.items():
+        if run(["gen-pair", *args, "--out", f"{name}.json"]) != 0:
+            raise RuntimeError(f"gen-pair {name} failed")
+        pair = json.loads(Path(f"{name}.json").read_text(encoding="utf-8"))
+        for part in ("g1", "g2", "iso"):
+            Path(f"{name}.{part}.json").write_text(json.dumps(pair[part]), encoding="utf-8")
+    for name, text in INVALID.items():
+        Path(f"{name}.json").write_text(text, encoding="utf-8")
+        try:
+            names = json.loads(text)["vertices"]
+        except (ValueError, TypeError, KeyError):
+            names = ["a"]
+        identity = {"tau": {v: v for v in names}, "h": {v: 1.0 for v in names}}
+        Path(f"{name}.iso.json").write_text(json.dumps(identity), encoding="utf-8")
+    for name, obj in METRICS.items():
+        Path(f"{name}.json").write_text(json.dumps(obj), encoding="utf-8")
+
+
+def run_corpus(workdir: Path) -> list[dict]:
+    """Run COMMANDS in-process with the `dirikit` on sys.path, in `workdir`.
+
+    Every warning is printed to the command's stderr.  An exception other
+    than the CLI's own handling is recorded as exit code "traceback".
+    """
+    from dirikit.cli import run
+
+    results = []
+    old_cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        _write_inputs(run)
+        for argv in COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                try:
+                    code = run(list(argv))
+                except Exception as exc:  # a traceback is part of the contract too
+                    code = "traceback"
+                    err.write(f"{type(exc).__name__}: {exc}\n")
+            results.append({"argv": argv, "exit": code,
+                             "stdout": out.getvalue(), "stderr": err.getvalue()})
+    finally:
+        os.chdir(old_cwd)
+    return results
+
+
+def stable_view(result: dict) -> dict:
+    """The part of a result that floating-point rounding cannot change: exit
+    code, stderr, search tau lists, certify verdicts and check names, and
+    the boolean and integer fields of check and intrinsic."""
+    argv, out = result["argv"], result["stdout"]
+    view = {"argv": argv, "exit": result["exit"], "stderr": result["stderr"]}
+    if result["exit"] not in (0, 1) or not argv:
+        return view
+    text = "--format" in argv and argv[argv.index("--format") + 1] == "text"
+    sub = argv[0]
+    if sub == "search":
+        if text:
+            view["lines"] = [line.split(" h: ")[0] for line in out.splitlines()]
+        else:
+            payload = json.loads(out)
+            view["equivalent"] = payload["equivalent"]
+            view["reason"] = payload["reason"]
+            view["tau"] = [iso["tau"] for iso in payload["intertwiners"]]
+    elif sub == "certify":
+        if text:
+            view["lines"] = [line.split(":")[0] for line in out.splitlines()]
+        else:
+            payload = json.loads(out)
+            view["verdict"] = payload["verdict"]
+            view["checks"] = [[c["name"], c["pass"]] for c in payload["checks"]]
+    elif sub == "check":
+        if text:
+            view["lines"] = [line for line in out.splitlines() if not line.startswith("spectrum")]
+        else:
+            view.update({k: v for k, v in json.loads(out).items() if k != "spectrum"})
+    elif sub == "intrinsic":
+        view["intrinsic"] = out.splitlines()[0] if text else json.loads(out)["intrinsic"]
+    return view
+
+
+def run_side(src: Path, tmp: Path, label: str) -> list[dict]:
+    """Run the corpus in a fresh interpreter that imports dirikit from src."""
+    workdir = tmp / f"{label}-work"
+    workdir.mkdir()
+    out = tmp / f"{label}.json"
+    # one BLAS thread on both sides: the thread count can change float bits,
+    # and threads that spin against each other on a small machine are slow
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "DIRIKIT_TOL")}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    subprocess.run([sys.executable, __file__, "--side", str(src), str(workdir), str(out)],
+                   env=env, check=True)
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def _side(src: str, workdir: str, out: str) -> None:
+    sys.path.insert(0, src)
+    import dirikit
+
+    if not Path(dirikit.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"dirikit imported from {dirikit.__file__}, not from {src}")
+    results = run_corpus(Path(workdir))
+    Path(out).write_text(json.dumps(results), encoding="utf-8")
+
+
+def _first_difference(a: str, b: str) -> str:
+    for line_a, line_b in zip(a.splitlines(), b.splitlines()):
+        if line_a != line_b:
+            return f"{line_a[:70]!r} -> {line_b[:70]!r}"
+    return f"{len(a.splitlines())} lines -> {len(b.splitlines())} lines"
+
+
+def compare(base: list[dict], head: list[dict]) -> list[str]:
+    """One line per command whose exit code, stdout or stderr differ."""
+    lines = []
+    for a, b in zip(base, head, strict=True):
+        streams = [key for key in ("exit", "stdout", "stderr") if a[key] != b[key]]
+        if streams:
+            detail = f"{a['exit']} -> {b['exit']}" if "exit" in streams else \
+                _first_difference(a[streams[0]], b[streams[0]])
+            lines.append(f"{' '.join(a['argv'])}: {', '.join(streams)} differ ({detail})")
+    return lines
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--side"]:
+        _side(*argv[1:])
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", nargs="?", help="revision to compare from")
+    parser.add_argument("head", nargs="?", help="revision to compare to (default: working tree)")
+    parser.add_argument("--write-golden", metavar="PATH",
+                        help="write the working tree's stable views to PATH instead")
+    args = parser.parse_args(argv)
+    if (args.base is None) == (args.write_golden is None):
+        parser.error("give a base revision or --write-golden")
+
+    with tempfile.TemporaryDirectory(prefix="cli-contract-") as tmp_name:
+        tmp = Path(tmp_name)
+        if args.write_golden:
+            views = [stable_view(r) for r in run_side(ROOT / "src", tmp, "tree")]
+            lines = ",\n".join(json.dumps(view) for view in views)  # one command a line
+            Path(args.write_golden).write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+            return 0
+        sides, worktrees = [], []
+        try:
+            for rev in (args.base, args.head):
+                if rev is None:
+                    sides.append(("working tree", ROOT / "src"))
+                    continue
+                path = tmp / f"worktree{len(worktrees)}"
+                _git("worktree", "add", "--detach", "--quiet", str(path), rev)
+                worktrees.append(path)
+                sides.append((f"{rev} ({_git('rev-parse', '--short', rev)})", path / "src"))
+            results = [run_side(src, tmp, f"side{i}") for i, (_, src) in enumerate(sides)]
+        finally:
+            for path in worktrees:
+                _git("worktree", "remove", "--force", str(path))
+    differences = compare(*results)
+    for line in differences:
+        print(line)
+    print(f"cli_contract: {sides[0][0]} -> {sides[1][0]}: {len(COMMANDS)} commands, "
+          f"{len(COMMANDS) - len(differences)} identical, {len(differences)} differ")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

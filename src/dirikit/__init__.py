@@ -15,7 +15,6 @@ from .beurling import (
     induced_killing,
     reconstruct,
     truncated_form,
-    truncated_form_via_jump,
     verify_jump_transform,
 )
 from .core import (
@@ -117,7 +116,6 @@ __all__ = [
     "sierpinski_corners",
     "spectral_data",
     "truncated_form",
-    "truncated_form_via_jump",
     "verify_intrinsic_bijection",
     "verify_jump_transform",
     "verify_resistance_isometry",

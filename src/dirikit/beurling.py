@@ -52,13 +52,6 @@ class JumpKilling:
             and self.k == other.k
         )
 
-    def matrix(self) -> np.ndarray:
-        index = {v: i for i, v in enumerate(self.vertices)}
-        j = np.zeros((len(self.vertices), len(self.vertices)))
-        for (x, y), value in self.J.items():
-            j[index[x], index[y]] = value
-        return j
-
 
 def decompose(form: GraphForm) -> JumpKilling:
     """Split a form into its jump and killing measures (J = b / 2)."""
@@ -81,34 +74,15 @@ def reconstruct(space: MeasureSpace, data: JumpKilling) -> GraphForm:
     return GraphForm(space, edges, {v: data.k.get(v, 0.0) for v in space.vertices})
 
 
-def jump_energy(
-    data: JumpKilling, phi: np.ndarray, f: np.ndarray
-) -> float:
-    """The phi-weighted jump energy sum_{x != y} phi(x) phi(y) (f(x)-f(y))^2 J(x,y),
-    summed over the pairs carried by J."""
-    index = {v: i for i, v in enumerate(data.vertices)}
-    p, g = phi.tolist(), f.tolist()
-    total = 0.0
-    for (x, y), value in data.J.items():
-        i, j = index[x], index[y]
-        total += value * p[i] * p[j] * (g[i] - g[j]) * (g[i] - g[j])
-    return total
-
-
 def truncated_form(form: GraphForm, phi: VertexFunction, f: VertexFunction) -> float:
     """The truncation Q(phi f) - Q(phi f^2, phi).
 
-    Equals the phi-weighted jump energy of f; both routes are exposed so
-    they can be compared independently.
+    Equals the phi-weighted jump energy of f,
+    sum_{x != y} phi(x) phi(y) (f(x) - f(y))^2 J(x, y).
     """
     pv = form.space.vector(phi)
     fv = form.space.vector(f)
     return evaluate(form, pv * fv) - evaluate(form, pv * fv * fv, pv)
-
-
-def truncated_form_via_jump(form: GraphForm, phi: VertexFunction, f: VertexFunction) -> float:
-    """The truncation computed from the jump decomposition instead of Q."""
-    return jump_energy(decompose(form), form.space.vector(phi), form.space.vector(f))
 
 
 def verify_jump_transform(

@@ -9,19 +9,20 @@ domain in lexicographic order, with these pruning rules:
 
 * the eigenvalue multisets of the two generators must match (similar
   matrices have equal spectra);
-* a source enters a target's domain only when the per-vertex invariants
-  match (the diagonal generator entry and the sorted multiset of incident
-  conductances normalized by the measures) and the diagonal entry of
-  U L1 - L2 U is within tolerance;
+* every layer A of the search is a pair of matrices that any solution
+  intertwines, U A1 = A2 U, each with a bound on the entries of
+  U A1 - A2 U: the generators, within the tolerance, and the heat
+  semigroups P_i = e^{-t L_i}, within their slack (below), whose dense
+  entries see every distance in the graph;
+* a source enters a target's domain only when the diagonal entry of
+  U A1 - A2 U is within its layer's bound, for every layer;
 * forward checking: assigning a target removes from every later target's
   domain the assigned source and each source whose entries of
-  U L1 - L2 U against the assigned pair exceed the tolerance; a branch
-  ends as soon as some later domain is empty (violations never disappear
-  when a partial assignment is extended, so no solution is lost);
-* the same forward check on the heat semigroups: an intertwiner also
-  satisfies U P1 = P2 U for P_i = e^{-t L_i}, whose dense entries see
-  every distance in the graph, so a source is also removed when an entry
-  of U P1 - P2 U against the assigned pair exceeds its slack (below);
+  U A1 - A2 U against the assigned pair exceed their layer's bound; a
+  branch ends as soon as some later domain is empty (violations never
+  disappear when a partial assignment is extended, so no solution is
+  lost), and each entry of each layer is checked exactly once, the
+  diagonal at the root and the rest by forward checking;
 * the search stops once ``max_solutions`` solutions are found.
 
 The heat slack.  By Duhamel, U P1(t) - P2(t) U = -int_0^t P2(t - s) E
@@ -32,9 +33,9 @@ max m1 / min m1.  The slack adds the rounding of the computed E and of the
 eigendecompositions behind P1 and P2 (see ``_heat_kernels``), so pruning
 on it loses no solution.  The shared time is t = 1 / max diag L, the
 diagonals being matched by any intertwiner.  The kernels are built only
-when some target has more than one candidate source, because a forced
-path has nothing left to prune, and only when their residuals are finite
-and can exceed the slack.
+when some target keeps more than one candidate source after the
+generators' diagonal, because a forced path has nothing left to prune,
+and only when their residuals are finite and can exceed the slack.
 
 The domains live in one target x source matrix stamped with the depth
 that removed each entry, so the search state is O(n^2) at any depth.
@@ -98,38 +99,6 @@ def spectra_match(form1: GraphForm, form2: GraphForm, spectral_tol: float) -> bo
         return False
     rounding = 8.0 * len(w1) * _EPS * max(float(np.max(np.abs(w1))), float(np.max(np.abs(w2))))
     return bool(np.all(np.abs(w1 - w2) <= spectral_tol * (1.0 + np.abs(w1)) + rounding))
-
-
-def _vertex_profiles(l_matrix: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vertex invariants of a generator seen through the normalized
-    coupling sqrt(m(x)) L[x,y] / sqrt(m(y)): the diagonal entry and the
-    sorted row of off-diagonal magnitudes.  Both are identical for the two
-    forms at vertices matched by any exact intertwiner."""
-    sqrt_m = np.sqrt(m)
-    normalized = np.abs(l_matrix) * (sqrt_m[:, None] / sqrt_m[None, :])
-    np.fill_diagonal(normalized, 0.0)
-    return np.diag(l_matrix).copy(), np.sort(normalized, axis=1)
-
-
-def _invariant_domain(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -> np.ndarray:
-    """Target x source boolean matrix: the source vertices passing the
-    invariants of each target vertex."""
-    l1 = generator(form1).L
-    l2 = generator(form2).L
-    diag1, rows1 = _vertex_profiles(l1, form1.space.m)
-    diag2, rows2 = _vertex_profiles(l2, form2.space.m)
-    # conservative slack: invariant gaps of a true solution are bounded by
-    # the residual tolerance amplified by the measure ratios
-    m1, m2 = form1.space.m, form2.space.m
-    amp = math.sqrt(max(np.max(m1) / np.min(m2), np.max(m2) / np.min(m1), 1.0))
-    slack = opts.tol * 4.0 * (1.0 + amp) * max(
-        1.0, float(np.max(np.abs(l1))), float(np.max(np.abs(l2)))
-    )
-    domain = np.abs(diag1[None, :] - diag2[:, None]) <= slack
-    for y in range(len(m2)):
-        xs = np.flatnonzero(domain[y])
-        domain[y, xs] = np.max(np.abs(rows1[xs] - rows2[y]), axis=1) <= slack
-    return domain
 
 
 # stamp of a (target, source) pair still in the target's domain; a removed
@@ -252,22 +221,16 @@ def _heat_kernels(
     return p1, p2, slack
 
 
-def find_intertwiners(
-    form1: GraphForm, form2: GraphForm, opts: SearchOptions = SearchOptions()
-) -> list[OrderIso]:
-    """All order isomorphisms intertwining the two forms, operator constant 1.
+def _diagonal_domain(a1: np.ndarray, a2: np.ndarray, h: np.ndarray, bound: float) -> np.ndarray:
+    """Target x source boolean matrix: whether the entry (y, y) of
+    U A1 - A2 U, h(y) A1[x, x] - A2[y, y] h(y) with tau(y) = x, is within
+    the bound.  A NaN entry fails it."""
+    return np.abs(h * np.diag(a1)[None, :] - np.diag(a2)[:, None] * h) <= bound
 
-    Returns the bijections tau (with the measure-induced scaling) whose
-    intertwining residual stays within ``opts.tol``, in lexicographic order
-    of tau as a vertex-id sequence, capped at ``opts.max_solutions``.
-    """
-    if not (is_irreducible(form1) and is_irreducible(form2)):
-        raise NotIrreducible("intertwiner search requires irreducible forms")
-    if len(form1.space) != len(form2.space):
-        return []
-    if not spectra_match(form1, form2, opts.tol):
-        return []
 
+def _intertwiners(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -> list[OrderIso]:
+    """The search of ``find_intertwiners`` on two irreducible forms of equal
+    size and matching spectra."""
     l1 = generator(form1).L
     l2 = generator(form2).L
     bound = residual_bound(form1, form2, opts)
@@ -283,22 +246,19 @@ def find_intertwiners(
     with np.errstate(over="ignore", invalid="ignore"):
         # h[y, x]: the scaling of target y when tau(y) = x
         h = np.sqrt(m1[perm1][None, :] / m2[perm2][:, None])
-        # a source enters a target's domain through the invariants and the
-        # entry (y, y) of U L1 - L2 U
-        domain = _invariant_domain(form1, form2, opts)[np.ix_(perm2, perm1)]
-        diag1, diag2 = np.diag(l1)[perm1], np.diag(l2)[perm2]
-        domain &= np.abs(h * diag1[None, :] - diag2[:, None] * h) <= bound
-        layers1, layers2, bounds = [l1], [l2], [bound]
+        layers1, layers2 = [l1[np.ix_(perm1, perm1)]], [l2[np.ix_(perm2, perm2)]]
+        bounds = [bound]
+        domain = _diagonal_domain(layers1[0], layers2[0], h, bound)
         # a forced path, one candidate source per target, has nothing to prune
         if np.count_nonzero(domain, axis=1).max() > 1:
             heat = _heat_kernels(form1, form2, bound)
             if heat is not None:
-                layers1.append(heat[0])
-                layers2.append(heat[1])
+                layers1.append(heat[0][np.ix_(perm1, perm1)])
+                layers2.append(heat[1][np.ix_(perm2, perm2)])
                 bounds.append(heat[2])
+                domain &= _diagonal_domain(layers1[1], layers2[1], h, heat[2])
         assignments = _search(
-            np.stack([a[np.ix_(perm1, perm1)] for a in layers1]),
-            np.stack([a[np.ix_(perm2, perm2)] for a in layers2]), h, domain,
+            np.stack(layers1), np.stack(layers2), h, domain,
             np.array(bounds)[:, None, None], opts.max_solutions,
         )
     if not assignments:
@@ -335,11 +295,24 @@ def equivalence_verdict(
     """Decide whether two forms are intertwined by some order isomorphism;
     without one, the reason names the first failed test: size, spectrum or
     the exhausted search."""
-    found = find_intertwiners(form1, form2, opts)
-    if found:
-        return EquivalenceVerdict(tuple(found))
+    if not (is_irreducible(form1) and is_irreducible(form2)):
+        raise NotIrreducible("intertwiner search requires irreducible forms")
     if len(form1.space) != len(form2.space):
         return EquivalenceVerdict(reason="size")
     if not spectra_match(form1, form2, opts.tol):
         return EquivalenceVerdict(reason="spectrum")
-    return EquivalenceVerdict(reason="exhausted")
+    found = _intertwiners(form1, form2, opts)
+    return EquivalenceVerdict(tuple(found)) if found else EquivalenceVerdict(reason="exhausted")
+
+
+def find_intertwiners(
+    form1: GraphForm, form2: GraphForm, opts: SearchOptions = SearchOptions()
+) -> list[OrderIso]:
+    """All order isomorphisms intertwining the two forms, operator constant 1.
+
+    Returns the bijections tau (with the measure-induced scaling) whose
+    intertwining residual stays within ``opts.tol``, in lexicographic order
+    of tau as a vertex-id sequence, capped at ``opts.max_solutions``; none
+    when the sizes or the spectra differ.
+    """
+    return list(equivalence_verdict(form1, form2, opts).solutions)

@@ -9,9 +9,10 @@ from scipy.optimize import linprog
 from scipy.sparse.csgraph import shortest_path
 
 import dirikit as dk
+from dirikit import generator
 from dirikit.errors import DuplicateEdge, MalformedInput, NegativeWeight, SelfLoop
 from dirikit.jsonio import _number, _require
-from dirikit.search import SearchOptions, _invariant_domain, residual_bound, spectra_match
+from dirikit.search import SearchOptions, residual_bound, spectra_match
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -106,10 +107,44 @@ def _oracle_search(l1, l2, h, domain, bound, cap):
     return solutions
 
 
+def _vertex_profiles(l_matrix: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex invariants of a generator seen through the normalized
+    coupling sqrt(m(x)) L[x,y] / sqrt(m(y)): the diagonal entry and the
+    sorted row of off-diagonal magnitudes.  Both are identical for the two
+    forms at vertices matched by any exact intertwiner."""
+    sqrt_m = np.sqrt(m)
+    normalized = np.abs(l_matrix) * (sqrt_m[:, None] / sqrt_m[None, :])
+    np.fill_diagonal(normalized, 0.0)
+    return np.diag(l_matrix).copy(), np.sort(normalized, axis=1)
+
+
+def _invariant_domain(form1, form2, opts: SearchOptions) -> np.ndarray:
+    """Target x source boolean matrix: the source vertices passing the
+    invariants of each target vertex."""
+    l1 = generator(form1).L
+    l2 = generator(form2).L
+    diag1, rows1 = _vertex_profiles(l1, form1.space.m)
+    diag2, rows2 = _vertex_profiles(l2, form2.space.m)
+    # conservative slack: invariant gaps of a true solution are bounded by
+    # the residual tolerance amplified by the measure ratios
+    m1, m2 = form1.space.m, form2.space.m
+    amp = math.sqrt(max(np.max(m1) / np.min(m2), np.max(m2) / np.min(m1), 1.0))
+    slack = opts.tol * 4.0 * (1.0 + amp) * max(
+        1.0, float(np.max(np.abs(l1))), float(np.max(np.abs(l2)))
+    )
+    domain = np.abs(diag1[None, :] - diag2[:, None]) <= slack
+    for y in range(len(m2)):
+        xs = np.flatnonzero(domain[y])
+        domain[y, xs] = np.max(np.abs(rows1[xs] - rows2[y]), axis=1) <= slack
+    return domain
+
+
 def l_only_intertwiners(form1, form2, opts: SearchOptions):
     """Oracle: the search forward-checked on U L1 = L2 U alone, as it was
-    before the heat-kernel check, with each result built by the validating
-    ``OrderIso`` constructor and ``operator_constant``."""
+    before the heat-kernel check, its root domains filtered by the sorted-row
+    invariants of ``_invariant_domain`` and the generator's diagonal, with
+    each result built by the validating ``OrderIso`` constructor and
+    ``operator_constant``."""
     if len(form1.space) != len(form2.space) or not spectra_match(form1, form2, opts.tol):
         return []
     l1, l2 = dk.generator(form1).L, dk.generator(form2).L
@@ -132,6 +167,34 @@ def l_only_intertwiners(form1, form2, opts: SearchOptions):
         iso.beta = dk.operator_constant(iso)
         isos.append(iso)
     return isos
+
+
+def jump_matrix(data) -> np.ndarray:
+    """The jump measure of a ``JumpKilling`` as a dense matrix J[x, y]."""
+    index = {v: i for i, v in enumerate(data.vertices)}
+    j = np.zeros((len(data.vertices), len(data.vertices)))
+    for (x, y), value in data.J.items():
+        j[index[x], index[y]] = value
+    return j
+
+
+def jump_energy(data, phi: np.ndarray, f: np.ndarray) -> float:
+    """The phi-weighted jump energy sum_{x != y} phi(x) phi(y) (f(x)-f(y))^2 J(x,y),
+    summed over the pairs carried by J."""
+    index = {v: i for i, v in enumerate(data.vertices)}
+    p, g = phi.tolist(), f.tolist()
+    total = 0.0
+    for (x, y), value in data.J.items():
+        i, j = index[x], index[y]
+        total += value * p[i] * p[j] * (g[i] - g[j]) * (g[i] - g[j])
+    return total
+
+
+def truncated_form_via_jump(form, phi, f) -> float:
+    """Oracle: the truncation Q(phi f) - Q(phi f^2, phi) of
+    ``dirikit.truncated_form`` computed from the jump decomposition instead
+    of Q."""
+    return jump_energy(dk.decompose(form), form.space.vector(phi), form.space.vector(f))
 
 
 def vf2_intertwiners(form1, form2, rel: float = 1e-9):

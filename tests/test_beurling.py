@@ -6,7 +6,7 @@ from dirikit import beurling
 from dirikit.errors import NotIntertwining, NotMarkovian, SpaceMismatch
 from dirikit.sampling import doob_pair_sample, random_form, random_function, relabel_pair
 
-from conftest import rng_for
+from conftest import jump_matrix, rng_for, truncated_form_via_jump
 
 
 def killed_pair():
@@ -35,7 +35,7 @@ class TestDecompose:
         for _ in range(100):
             form = random_form(rng, int(rng.integers(2, 8)))
             data = dk.decompose(form)
-            j = data.matrix()
+            j = jump_matrix(data)
             k = np.array([data.k[v] for v in form.space.vertices])
             checks = [np.eye(len(form.space))[i] for i in range(len(form.space))]
             checks += [random_function(rng, form.space) for _ in range(20)]
@@ -70,7 +70,7 @@ class TestTruncatedForm:
             phi = random_function(rng, form.space, lo=0.0, hi=2.0)
             f = random_function(rng, form.space, lo=-2.0, hi=2.0)
             direct = dk.truncated_form(form, phi, f)
-            via_jump = dk.truncated_form_via_jump(form, phi, f)
+            via_jump = truncated_form_via_jump(form, phi, f)
             assert direct == pytest.approx(via_jump, rel=1e-10, abs=1e-10)
 
 
@@ -124,11 +124,11 @@ class TestJumpTransform:
 
 def dict_route(iso, form1, form2, tol=dk.Tolerance()):
     """Reference: (residual, tol) of both jump checks computed through the
-    jump/killing dicts, decompose(f).matrix() and reconstruct(f.space, ...)."""
+    jump/killing dicts, jump_matrix(decompose(f)) and reconstruct(f.space, ...)."""
     beta = dk.operator_constant(iso)
     idx, h = iso.tau_indices, iso.h_values
-    lhs = beta * dk.decompose(form1).matrix()[np.ix_(idx, idx)]
-    rhs = np.outer(h, h) * dk.decompose(form2).matrix()
+    lhs = beta * jump_matrix(dk.decompose(form1))[np.ix_(idx, idx)]
+    rhs = np.outer(h, h) * jump_matrix(dk.decompose(form2))
     np.fill_diagonal(rhs, 0.0)
     scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
     jump = (float(np.max(np.abs(lhs - rhs))), tol.bound(scale))

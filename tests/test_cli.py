@@ -3,7 +3,10 @@ import io
 import itertools
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -17,6 +20,8 @@ from dirikit import jsonio
 from dirikit.cli import run
 
 from conftest import diagonal_overflow_form
+
+SRC = pathlib.Path(dk.__file__).resolve().parent.parent
 
 
 def write(tmp_path, name, text):
@@ -317,6 +322,27 @@ class TestDeterminism:
                 form2 = jsonio.graph_from_obj(obj["g2"])
                 iso = jsonio.iso_from_obj(obj["iso"], form1.space, form2.space)
                 assert dk.certify(iso, form1, form2).verdict
+
+
+class TestModuleEntry:
+    """``python -m dirikit.cli`` runs the CLI of the ``dirikit`` entry point."""
+
+    @staticmethod
+    def module(tmp_path, *argv):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run([sys.executable, "-m", "dirikit.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, timeout=60)
+
+    def test_missing_file_exits_2(self, tmp_path):
+        proc = self.module(tmp_path, "check", "nonexistent.json")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"error:")
+
+    def test_gen_prints_the_bytes_of_run(self, tmp_path, capsys):
+        proc = self.module(tmp_path, "gen", "--family", "path", "--n", "3")
+        assert proc.returncode == 0
+        assert run(["gen", "--family", "path", "--n", "3"]) == 0
+        assert proc.stdout == capsys.readouterr().out.encode()
 
 
 class TestTolerancePlumbing:

@@ -3,8 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import dirikit as dk
 from dirikit.errors import NonPositive, NotIntertwining, NotIrreducible
@@ -261,19 +259,17 @@ def scrambled(form, seed=0, scale=1.7):
 
 
 class TestHeatKernelPruning:
-    @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(
-        n=st.integers(2, 30),
-        spread=st.sampled_from([1.0, 3.0, 6.0]),
-        kind=st.sampled_from(["relabel", "doob"]),
-        levels=st.booleans(),
-        perturb=st.sampled_from([0.0, 0.0, 2e-9, 1e-8]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_same_results_as_l_only_search(self, n, spread, kind, levels, perturb, seed):
+    @pytest.mark.parametrize("seed", range(100))
+    def test_same_results_as_l_only_search(self, seed):
         # ``perturb`` moves the target's conductances by up to that relative
-        # amount, so that some residuals of U L1 - L2 U sit near the bound
+        # amount, so that some residuals of U L1 - L2 U sit near the bound;
+        # the oracle keeps the sorted-row invariant filter at the root
         rng = rng_for(seed)
+        n = int(rng.integers(2, 31))
+        spread = float(rng.choice([1.0, 3.0, 6.0]))
+        kind = str(rng.choice(["relabel", "doob"]))
+        levels = bool(rng.integers(2))
+        perturb = float(rng.choice([0.0, 0.0, 2e-9, 1e-8]))
         if kind == "relabel":
             form1 = spread_form(rng, n, spread, levels)
             form2, witness = relabel_pair(rng, form1, scale=float(10 ** rng.uniform(-3, 3)))
@@ -301,11 +297,19 @@ class TestHeatKernelPruning:
         assert [iso.beta for iso in found] == [dk.operator_constant(iso) for iso in found]
 
     def test_same_results_on_scrambled_symmetric_forms(self):
-        for family, n in (("cycle", 12), ("path", 9), ("sierpinski", 2), ("complete", 5)):
-            form1, form2 = scrambled(dk.generate(family, n, conductance=0.9, measure=1.3))
-            expected = outcome(l_only_intertwiners(form1, form2, WIDE))
-            assert len(expected) > 1
-            assert outcome(dk.find_intertwiners(form1, form2, WIDE)) == expected
+        # with equal measures the heat slack is about t * bound; conductances
+        # moved by up to 4e-9 put the diagonal entries of U P1 - P2 U of the
+        # solutions at 4 to 7 % of it, so a slack cut to 1/100 loses them
+        for family, n, count in (("cycle", 12, 24), ("path", 9, 2), ("sierpinski", 2, 6),
+                                 ("complete", 5, 120)):
+            for perturb in (0.0, 4e-9):
+                form1, form2 = scrambled(dk.generate(family, n, conductance=0.9, measure=1.3))
+                rng = rng_for(1)
+                b = {e: w * (1.0 + perturb * rng.uniform(-1.0, 1.0)) for e, w in form2.b.items()}
+                form2 = dk.GraphForm(form2.space, b, form2.c)
+                expected = outcome(l_only_intertwiners(form1, form2, WIDE))
+                assert len(expected) == count
+                assert outcome(dk.find_intertwiners(form1, form2, WIDE)) == expected
 
     def test_non_finite_kernel_is_not_used(self):
         # measures 1e-300 and 1e300 overflow the kernels' conjugation; the

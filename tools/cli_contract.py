@@ -145,6 +145,10 @@ def _commands() -> list[list[str]]:
             ["search", "doob6s1.g1.json", "doob6s1.g2.json", "--format", fmt],
             ["search", "cycle12.json", "path12.json", "--format", fmt],
             ["search", "complete6.json", "cycle12.json", "--format", fmt],
+            # the generator's diagonal leaves several sources per target,
+            # the heat kernel's diagonal prunes some of them
+            ["search", "sierpinski3.json", "sierpinski3.json", "--format", fmt],
+            ["search", "path12.json", "path12.json", "--format", fmt],
         ]
     cmds += [
         ["search", "cycle12.json", "cycle12.json", "--max-solutions", "2", "--tol", "1e-6"],

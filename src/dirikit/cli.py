@@ -8,8 +8,10 @@ verdict, 2 means a usage or input error.  JSON output is the stable
 machine contract; the text format is human-oriented only.
 
 The environment variable DIRIKIT_TOL overrides the default tolerance and
-is itself superseded by --tol.  --seed drives all randomized generation
-through one seeded PRNG (default 0).
+is itself superseded by --tol.  Either value X means Tolerance(rel=X,
+abs=X/1000) for every command; a value that is not positive and finite
+is an input error.  --seed drives all randomized generation through one
+seeded PRNG (default 0).
 """
 
 from __future__ import annotations
@@ -30,19 +32,14 @@ from .tolerances import DEFAULT_TOL, Tolerance
 _FAMILIES = ("path", "cycle", "complete", "sierpinski")
 
 
-def _common_options(tol_default: str) -> argparse.ArgumentParser:
-    """Options every subcommand takes; only the --tol default differs."""
+def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None,
-                        help=f"relative tolerance override (default {tol_default} or $DIRIKIT_TOL)")
+                        help="relative tolerance TOL, absolute TOL/1000 (default $DIRIKIT_TOL, "
+                             "else 1e-9, or 1e-8 with absolute 0 for search)")
     common.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--out", default=None, help="write output to FILE instead of stdout")
-    return common
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    common = _common_options("1e-9")
     parser = argparse.ArgumentParser(prog="dirikit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -50,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="validate a graph and print its structural predicates")
     p.add_argument("graph")
 
-    p = sub.add_parser("search", parents=[_common_options("1e-8")],
+    p = sub.add_parser("search", parents=[common],
                        help="enumerate intertwining order isomorphisms between two graphs")
     p.add_argument("graph1")
     p.add_argument("graph2")
@@ -94,8 +91,9 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _tolerance_value(args, default: float | None) -> float | None:
-    """--tol, else $DIRIKIT_TOL, else the command's default."""
+def _tolerance(args, default: Tolerance) -> Tolerance:
+    """Tolerance(X, X/1000) for X from --tol, else from $DIRIKIT_TOL, else
+    the command's default."""
     value = args.tol
     if value is None:
         env = os.environ.get("DIRIKIT_TOL")
@@ -105,14 +103,7 @@ def _tolerance_value(args, default: float | None) -> float | None:
             value = float(env)
         except ValueError:
             raise DirikitError(f"DIRIKIT_TOL is not a number: {env!r}") from None
-    if value <= 0:
-        raise DirikitError("tolerance must be positive")
-    return value
-
-
-def _tolerance(args) -> Tolerance:
-    value = _tolerance_value(args, None)
-    return DEFAULT_TOL if value is None else Tolerance(rel=value, abs=value * 1e-3)
+    return Tolerance(rel=value, abs=value * 1e-3)
 
 
 def _emit(args, payload: str) -> None:
@@ -158,7 +149,7 @@ def _cmd_check(args) -> int:
 def _cmd_search(args) -> int:
     form1 = jsonio.graph_loads(_read(args.graph1))
     form2 = jsonio.graph_loads(_read(args.graph2))
-    opts = search.SearchOptions(_tolerance_value(args, 1e-8), args.max_solutions)
+    opts = search.SearchOptions(_tolerance(args, search.SearchOptions.tol), args.max_solutions)
     verdict = search.equivalence_verdict(form1, form2, opts)
     found = verdict.solutions
     payload = {
@@ -193,7 +184,7 @@ def _cmd_certify(args) -> int:
     else:
         raise DirikitError("certify needs G1.json G2.json U.json or one pair file")
     iso = jsonio.iso_from_obj(iso_obj, form1.space, form2.space)
-    tol = _tolerance(args)
+    tol = _tolerance(args, DEFAULT_TOL)
 
     report = orderiso.certify(iso, form1, form2, tol)
     report.extend(beurling.verify_jump_transform(iso, form1, form2, tol))
@@ -210,7 +201,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_resistance(args) -> int:
     form = jsonio.graph_loads(_read(args.graph))
-    matrix = metrics.resistance_matrix(form, _tolerance(args))
+    matrix = metrics.resistance_matrix(form, _tolerance(args, DEFAULT_TOL))
     payload = {
         "vertices": list(form.space.vertices),
         "R": matrix.d,
@@ -225,7 +216,7 @@ def _cmd_resistance(args) -> int:
 
 def _cmd_intrinsic(args) -> int:
     form = jsonio.graph_loads(_read(args.graph))
-    tol = _tolerance(args)
+    tol = _tolerance(args, DEFAULT_TOL)
     if args.metric is None:
         metric = metrics.canonical_intrinsic_metric(form)
         check = metrics.is_intrinsic(form, metric, tol)

@@ -59,7 +59,9 @@ def _require_finite(matrix: np.ndarray, what: str) -> None:
 
 
 def _offdiagonal_connected(coupling: np.ndarray) -> bool:
-    """Whether the graph of the nonzero off-diagonal entries is connected."""
+    """Whether the graph of the nonzero off-diagonal entries is connected,
+    x and y joined when coupling[x, y] or coupling[y, x] is nonzero (a
+    generator entry b / m(x) can underflow in one direction only)."""
     n = coupling.shape[0]
     if n == 0:
         return False
@@ -68,7 +70,7 @@ def _offdiagonal_connected(coupling: np.ndarray) -> bool:
     seen[0] = True
     while stack:
         i = stack.pop()
-        for j in np.nonzero(coupling[i] != 0.0)[0]:
+        for j in np.nonzero((coupling[i] != 0.0) | (coupling[:, i] != 0.0))[0]:
             if j != i and not seen[j]:
                 seen[j] = True
                 stack.append(int(j))
@@ -139,9 +141,6 @@ class MeasureSpace:
     def total_mass(self) -> float:
         with np.errstate(over="ignore"):  # inf past the float range
             return float(np.sum(self.m))
-
-    def measure_of(self, v: str) -> float:
-        return float(self.m[self.index(v)])
 
 
 class GraphForm:

@@ -58,7 +58,7 @@ class NotBijective(DirikitError):
 
 
 class NonPositive(DirikitError):
-    """A scaling function required to be strictly positive is not."""
+    """A scaling function or a tolerance required to be positive and finite is not."""
 
 
 class SpaceMismatch(DirikitError):

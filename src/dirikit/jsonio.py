@@ -89,8 +89,6 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim in (1, 2):
         return _format_float_array(obj, indent)
     if isinstance(obj, (list, tuple)):
-        if obj and all(type(item) is float for item in obj):
-            return _format_float_array(np.array(obj), indent)
         return _bracket([dumps(item, indent + 2) for item in obj], indent)
     if isinstance(obj, Mapping):
         # flat mappings format their values in place instead of recursing

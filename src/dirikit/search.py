@@ -55,6 +55,7 @@ from .core import GraphForm, generator
 from .errors import InvalidSize, NonPositive, NotIrreducible
 from .orderiso import OrderIso
 from .spectral import is_irreducible, semigroup, spectral_data
+from .tolerances import Tolerance
 
 
 _EPS = float(np.finfo(float).eps)
@@ -62,11 +63,11 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class SearchOptions:
-    tol: float = 1e-8
+    tol: Tolerance = Tolerance(rel=1e-8, abs=0.0)
     max_solutions: int = 1000
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_solutions <= 0:
+        if self.max_solutions <= 0:
             raise InvalidSize("search options must be positive")
 
 
@@ -171,7 +172,7 @@ def residual_bound(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -> f
     """Absolute entrywise acceptance bound for U L1 - L2 U."""
     l1 = generator(form1).L
     l2 = generator(form2).L
-    return opts.tol * max(1.0, float(np.max(np.abs(l1))), float(np.max(np.abs(l2))))
+    return opts.tol.bound(max(1.0, float(np.max(np.abs(l1))), float(np.max(np.abs(l2)))))
 
 
 def _heat_kernels(
@@ -299,7 +300,7 @@ def equivalence_verdict(
         raise NotIrreducible("intertwiner search requires irreducible forms")
     if len(form1.space) != len(form2.space):
         return EquivalenceVerdict(reason="size")
-    if not spectra_match(form1, form2, opts.tol):
+    if not spectra_match(form1, form2, opts.tol.rel):
         return EquivalenceVerdict(reason="spectrum")
     found = _intertwiners(form1, form2, opts)
     return EquivalenceVerdict(tuple(found)) if found else EquivalenceVerdict(reason="exhausted")
@@ -311,8 +312,9 @@ def find_intertwiners(
     """All order isomorphisms intertwining the two forms, operator constant 1.
 
     Returns the bijections tau (with the measure-induced scaling) whose
-    intertwining residual stays within ``opts.tol``, in lexicographic order
-    of tau as a vertex-id sequence, capped at ``opts.max_solutions``; none
-    when the sizes or the spectra differ.
+    intertwining residual stays within ``opts.tol``, entrywise
+    ``tol.bound(max(1, max|L1|, max|L2|))``, in lexicographic order of tau
+    as a vertex-id sequence, capped at ``opts.max_solutions``; none when
+    the sizes differ or the spectra differ beyond ``tol.rel``.
     """
     return list(equivalence_verdict(form1, form2, opts).solutions)

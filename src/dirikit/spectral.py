@@ -8,8 +8,6 @@ measure is non-uniform.  The decomposition is cached on the generator.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .core import (
@@ -87,7 +85,7 @@ def find_nonconstant_excessive(
     Green function of a second vertex is then nonconstant.  Vertices are
     tried in index order, so the witness is deterministic.
     """
-    if not _offdiagonal_connected(gen.L - np.diag(np.diag(gen.L))):
+    if not _offdiagonal_connected(gen.L):
         raise NotIrreducible("nonconstant-excessive search requires an irreducible form")
     n = len(gen.space)
     killing = gen.L @ np.ones(n)  # c / m
@@ -124,24 +122,12 @@ def check_truncation(
     return q_min, q_plus, bool(ok)
 
 
-def commutant_is_trivial(gen: Generator, tol: Tolerance = DEFAULT_TOL) -> bool:
+def commutant_is_trivial(gen: Generator) -> bool:
     """Whether only scalar diagonal matrices commute with the semigroup.
 
-    Solves [diag(phi), L] = 0, whose (x, y) entry is (phi(x) - phi(y))
-    L[x,y], and checks that the solution space is one-dimensional.  Agrees
-    with irreducibility: the constraint graph is the coupling graph of L.
+    The (x, y) entry of [diag(phi), L] is (phi(x) - phi(y)) L[x,y], so
+    diag(phi) commutes with L exactly when phi is constant on each
+    component of the coupling graph of L: the commutant is trivial exactly
+    when that graph is connected, however weak its couplings.
     """
-    n = len(gen.space)
-    rows = []
-    for i, j in itertools.combinations(range(n), 2):
-        coeff = max(abs(gen.L[i, j]), abs(gen.L[j, i]))
-        if coeff != 0.0:
-            row = np.zeros(n)
-            row[i] = coeff
-            row[j] = -coeff
-            rows.append(row)
-    if not rows:
-        return n == 1
-    system = np.array(rows)
-    rank = int(np.linalg.matrix_rank(system))
-    return (n - rank) == 1
+    return _offdiagonal_connected(gen.L)

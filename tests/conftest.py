@@ -129,7 +129,7 @@ def _invariant_domain(form1, form2, opts: SearchOptions) -> np.ndarray:
     # the residual tolerance amplified by the measure ratios
     m1, m2 = form1.space.m, form2.space.m
     amp = math.sqrt(max(np.max(m1) / np.min(m2), np.max(m2) / np.min(m1), 1.0))
-    slack = opts.tol * 4.0 * (1.0 + amp) * max(
+    slack = opts.tol.rel * 4.0 * (1.0 + amp) * max(
         1.0, float(np.max(np.abs(l1))), float(np.max(np.abs(l2)))
     )
     domain = np.abs(diag1[None, :] - diag2[:, None]) <= slack
@@ -145,7 +145,7 @@ def l_only_intertwiners(form1, form2, opts: SearchOptions):
     invariants of ``_invariant_domain`` and the generator's diagonal, with
     each result built by the validating ``OrderIso`` constructor and
     ``operator_constant``."""
-    if len(form1.space) != len(form2.space) or not spectra_match(form1, form2, opts.tol):
+    if len(form1.space) != len(form2.space) or not spectra_match(form1, form2, opts.tol.rel):
         return []
     l1, l2 = dk.generator(form1).L, dk.generator(form2).L
     bound = residual_bound(form1, form2, opts)
@@ -271,6 +271,26 @@ def lp_nonconstant_excessive(gen, separation: float = 1e-3):
         if result.status == 0:
             return np.asarray(result.x, dtype=float)
     return None
+
+
+def rank_commutant_is_trivial(gen) -> bool:
+    """Oracle: the linear-algebra route that ``commutant_is_trivial``
+    replaced.  Solves [diag(phi), L] = 0, whose (x, y) entry is
+    (phi(x) - phi(y)) L[x,y], and checks that the solution space is
+    one-dimensional; ``matrix_rank`` drops rows far weaker than the
+    strongest, so it is exact only on well-scaled forms."""
+    n = len(gen.space)
+    rows = []
+    for i, j in itertools.combinations(range(n), 2):
+        coeff = max(abs(gen.L[i, j]), abs(gen.L[j, i]))
+        if coeff != 0.0:
+            row = np.zeros(n)
+            row[i] = coeff
+            row[j] = -coeff
+            rows.append(row)
+    if not rows:
+        return n == 1
+    return n - int(np.linalg.matrix_rank(np.array(rows))) == 1
 
 
 def _oracle_float(value: float) -> str:

@@ -367,6 +367,21 @@ class TestTolerancePlumbing:
         assert run(["search", k2, k2]) == 2
         assert run(["search", k2, k2, "--tol", "1e-6"]) == 0
 
+    @pytest.mark.parametrize("command", ["search", "certify"])
+    @pytest.mark.parametrize("tol", [["--tol", "nan"], ["--tol", "inf"], "inf"])
+    def test_non_finite_tolerance_exits_2(self, tmp_path, capsys, monkeypatch, command, tol):
+        pair = tmp_path / "pair.json"
+        assert run(["gen-pair", "--transform", "relabel", "--out", str(pair)]) == 0
+        if isinstance(tol, str):
+            monkeypatch.setenv("DIRIKIT_TOL", tol)
+            tol = []
+        c6 = gen(tmp_path, "c6.json", "--family", "cycle", "--n", "6")
+        argv = ["certify", str(pair)] if command == "certify" else ["search", c6, c6]
+        capsys.readouterr()
+        assert run([*argv, *tol]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: tolerance must be")
+
 
 # path a - b - c: b = 1e300 over m = 1e-300 overflows the generator; one
 # conductance of 1.5e308 over unit measure overflows its symmetrization

@@ -5,6 +5,7 @@ import pytest
 
 import dirikit as dk
 from dirikit.errors import (
+    DirikitError,
     NonPositive,
     NotBijective,
     NotExcessive,
@@ -189,6 +190,21 @@ class TestNonFiniteResidual:
     def test_never_passes(self, residual):
         assert not dk.Tolerance().accepts(residual, math.inf)
         assert not dk.VerificationReport().add("check", residual, math.inf).passed
+
+
+class TestToleranceValidation:
+    @pytest.mark.parametrize("rel", [math.nan, math.inf, 0.0, -1.0])
+    def test_rel_positive_and_finite(self, rel):
+        with pytest.raises(DirikitError):
+            dk.Tolerance(rel=rel)
+
+    @pytest.mark.parametrize("abs_", [math.nan, math.inf, -1.0])
+    def test_abs_nonnegative_and_finite(self, abs_):
+        with pytest.raises(DirikitError):
+            dk.Tolerance(abs=abs_)
+
+    def test_smallest_values_accepted(self):
+        assert dk.Tolerance(rel=5e-324, abs=0.0).bound(1.0) == 5e-324
 
 
 class TestCertify:

@@ -12,7 +12,7 @@ from dirikit.sampling import (
     random_form,
     relabel_pair,
 )
-from dirikit.search import SearchOptions
+from dirikit.search import SearchOptions, residual_bound
 
 from conftest import (
     brute_force_intertwiners,
@@ -112,6 +112,21 @@ class TestFindIntertwiners:
         assert len(found) == 24
         signatures = [tau_signature(s) for s in found]
         assert signatures == sorted(signatures)
+
+    def test_default_tolerance(self):
+        # the default bound is the relative one alone, bit for bit, and an
+        # explicit Tolerance(1e-8, 0) finds the same solutions
+        explicit = SearchOptions(tol=dk.Tolerance(rel=1e-8, abs=0.0))
+        assert SearchOptions() == explicit
+        rng = rng_for(56)
+        for _ in range(10):
+            form1, form2, _ = doob_pair_sample(rng, int(rng.integers(2, 7)))
+            scale = max(1.0, *(float(np.max(np.abs(dk.generator(f).L))) for f in (form1, form2)))
+            assert residual_bound(form1, form2, SearchOptions()) == 1e-8 * scale
+            got = dk.find_intertwiners(form1, form2)
+            want = dk.find_intertwiners(form1, form2, explicit)
+            assert [(s.tau, s.h, s.beta) for s in got] == [(s.tau, s.h, s.beta) for s in want]
+            assert got
 
     def test_max_solutions_cap(self):
         form = dk.generate("complete", 4)

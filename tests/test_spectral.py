@@ -11,7 +11,7 @@ from dirikit.errors import (
 )
 from dirikit.sampling import random_form
 
-from conftest import lp_nonconstant_excessive, rng_for
+from conftest import lp_nonconstant_excessive, rank_commutant_is_trivial, rng_for
 
 SAMPLE_TIMES = [2.0**k for k in range(-10, 5)]
 
@@ -339,4 +339,21 @@ class TestCommutant:
                 edges = {k: w for k, w in form.b.items() if victim not in k}
                 form = dk.GraphForm(form.space, edges, form.c)
             gen = dk.generator(form)
-            assert dk.commutant_is_trivial(gen) == dk.is_irreducible(form)
+            trivial = dk.commutant_is_trivial(gen)
+            assert trivial == rank_commutant_is_trivial(gen)
+            assert trivial == dk.is_irreducible(form)
+
+    def test_weak_edge(self):
+        # b(b,c) = 1e-20 is a real coupling: the rank route drops its row
+        form = dk.build_form(["a", "b", "c"], 1.0, [("a", "b", 1.0), ("b", "c", 1e-20)])
+        assert dk.is_irreducible(form)
+        assert dk.commutant_is_trivial(dk.generator(form))
+
+    def test_coupling_underflowing_one_way(self):
+        # L[a,b] = -1e-300 / 1e300 rounds to 0, L[b,a] = -1e-300 does not;
+        # the (b, a) entry of [diag(phi), L] still forces phi(a) = phi(b)
+        form = dk.build_form(["a", "b"], {"a": 1e300, "b": 1.0}, [("a", "b", 1e-300)])
+        gen = dk.generator(form)
+        assert gen.L[0, 1] == 0.0 and gen.L[1, 0] != 0.0
+        assert dk.commutant_is_trivial(gen)
+        assert dk.find_nonconstant_excessive(gen) is None  # irreducible and recurrent

@@ -129,6 +129,7 @@ def _commands() -> list[list[str]]:
         ["intrinsic", "sierpinski3.json", "--tol", "1e-6"],
         ["resistance", "path7.json", "--tol", "-1"],
         ["certify", "relabel6s1.json", "--tol", "1e-6"],
+        ["certify", "relabel6s1.json", "--tol", "inf"],
         ["certify", "relabel6s1.g1.json", "relabel6s1.g2.json", "relabel6s1.iso.json"],
         ["certify", "doob40s1.g1.json", "doob40s1.g2.json", "doob40s1.iso.json"],
         # the witness of one pair applied to another pair's graphs
@@ -153,6 +154,7 @@ def _commands() -> list[list[str]]:
     cmds += [
         ["search", "cycle12.json", "cycle12.json", "--max-solutions", "2", "--tol", "1e-6"],
         ["search", "complete5.json", "complete5.json", "--max-solutions", "0"],
+        ["search", "cycle8.json", "cycle8.json", "--tol", "nan"],
     ]
     cmds += [["gen", *args] for args in GEN.values()]
     cmds += [

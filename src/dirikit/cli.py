@@ -114,6 +114,16 @@ def _emit(args, payload: str) -> None:
         sys.stdout.write(payload)
 
 
+def _output(args, payload, text) -> None:
+    """Emit the payload as JSON, or for --format text the string that
+    ``text()`` builds; a JSON run builds no text."""
+    _emit(args, jsonio.dumps(payload) + "\n" if args.format == "json" else text())
+
+
+def _lines(lines) -> str:
+    return "\n".join(lines) + "\n"
+
+
 def _report_text(report: VerificationReport) -> str:
     lines = []
     for check in report.checks:
@@ -123,7 +133,15 @@ def _report_text(report: VerificationReport) -> str:
             line += f" ({check.detail})"
         lines.append(line)
     lines.append("verdict: " + ("PASS" if report.verdict else "FAIL"))
-    return "\n".join(lines) + "\n"
+    return _lines(lines)
+
+
+def _search_text(verdict: search.EquivalenceVerdict) -> str:
+    lines = [f"equivalent: {verdict.equivalent}"]
+    if verdict.reason:
+        lines.append(f"reason: {verdict.reason}")
+    lines += [f"tau: {iso.tau} h: {iso.h}" for iso in verdict.solutions]
+    return _lines(lines)
 
 
 def _cmd_check(args) -> int:
@@ -137,12 +155,8 @@ def _cmd_check(args) -> int:
         "recurrent": spectral.is_recurrent(form),
         "spectrum": spectrum,
     }
-    if args.format == "json":
-        _emit(args, jsonio.dumps(payload) + "\n")
-    else:
-        payload["spectrum"] = spectrum.tolist()
-        lines = [f"{key}: {value}" for key, value in payload.items()]
-        _emit(args, "\n".join(lines) + "\n")
+    _output(args, payload, lambda: _lines(
+        f"{key}: {value}" for key, value in dict(payload, spectrum=spectrum.tolist()).items()))
     return 0
 
 
@@ -151,39 +165,26 @@ def _cmd_search(args) -> int:
     form2 = jsonio.graph_loads(_read(args.graph2))
     opts = search.SearchOptions(_tolerance(args, search.SearchOptions.tol), args.max_solutions)
     verdict = search.equivalence_verdict(form1, form2, opts)
-    found = verdict.solutions
     payload = {
         "equivalent": verdict.equivalent,
         "reason": verdict.reason,
         "intertwiners": [
-            dict(jsonio.iso_to_obj(iso), beta=iso.beta) for iso in found
+            dict(jsonio.iso_to_obj(iso), beta=iso.beta) for iso in verdict.solutions
         ],
     }
-    if args.format == "json":
-        _emit(args, jsonio.dumps(payload) + "\n")
-    else:
-        lines = [f"equivalent: {verdict.equivalent}"]
-        if verdict.reason:
-            lines.append(f"reason: {verdict.reason}")
-        for iso in found:
-            lines.append(f"tau: {iso.tau} h: {iso.h}")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0 if found else 1
+    _output(args, payload, lambda: _search_text(verdict))
+    return 0 if verdict.equivalent else 1
 
 
 def _cmd_certify(args) -> int:
     if len(args.files) == 1:
         pair = jsonio.loads(_read(args.files[0]))
-        form1 = jsonio.graph_from_obj(pair.get("g1"))
-        form2 = jsonio.graph_from_obj(pair.get("g2"))
-        iso_obj = pair.get("iso")
     elif len(args.files) == 3:
-        form1 = jsonio.graph_loads(_read(args.files[0]))
-        form2 = jsonio.graph_loads(_read(args.files[1]))
-        iso_obj = jsonio.loads(_read(args.files[2]))
+        pair = {key: jsonio.loads(_read(path))
+                for key, path in zip(("g1", "g2", "iso"), args.files)}
     else:
         raise DirikitError("certify needs G1.json G2.json U.json or one pair file")
-    iso = jsonio.iso_from_obj(iso_obj, form1.space, form2.space)
+    form1, form2, iso = jsonio.pair_from_obj(pair)
     tol = _tolerance(args, DEFAULT_TOL)
 
     report = orderiso.certify(iso, form1, form2, tol)
@@ -191,11 +192,7 @@ def _cmd_certify(args) -> int:
     if spectral.is_recurrent(form1) and spectral.is_recurrent(form2):
         report.extend(metrics.verify_resistance_isometry(iso, form1, form2, tol))
         report.extend(metrics.verify_intrinsic_bijection(iso, form1, form2, tol=tol))
-
-    if args.format == "json":
-        _emit(args, jsonio.dumps(report.to_dict()) + "\n")
-    else:
-        _emit(args, _report_text(report))
+    _output(args, report.to_dict(), lambda: _report_text(report))
     return 0 if report.verdict else 1
 
 
@@ -206,11 +203,8 @@ def _cmd_resistance(args) -> int:
         "vertices": list(form.space.vertices),
         "R": matrix.d,
     }
-    if args.format == "json":
-        _emit(args, jsonio.dumps(payload) + "\n")
-    else:
-        lines = ["\t".join(f"{x:.12g}" for x in row) for row in matrix.d]
-        _emit(args, "\n".join(lines) + "\n")
+    _output(args, payload,
+            lambda: _lines("\t".join(f"{x:.12g}" for x in row) for row in matrix.d))
     return 0
 
 
@@ -233,23 +227,15 @@ def _cmd_intrinsic(args) -> int:
             "intrinsic": check.ok,
             "slack": check.slack,
         }
-    if args.format == "json":
-        _emit(args, jsonio.dumps(payload) + "\n")
-    else:
-        _emit(args, f"intrinsic: {check.ok}\nslack: {check.slack.tolist()}\n")
+    _output(args, payload, lambda: f"intrinsic: {check.ok}\nslack: {check.slack.tolist()}\n")
     return 0 if check.ok else 1
 
 
 def _cmd_decompose(args) -> int:
-    form = jsonio.graph_loads(_read(args.graph))
-    data = beurling.decompose(form)
-    payload = jsonio.jump_to_obj(data)
-    if args.format == "json":
-        _emit(args, jsonio.dumps(payload) + "\n")
-    else:
-        lines = [f"J({x},{y}) = {v}" for (x, y), v in sorted(data.J.items())]
-        lines += [f"k({v}) = {k}" for v, k in data.k.items()]
-        _emit(args, "\n".join(lines) + "\n")
+    data = beurling.decompose(jsonio.graph_loads(_read(args.graph)))
+    _output(args, jsonio.jump_to_obj(data), lambda: _lines(
+        [f"J({x},{y}) = {v}" for (x, y), v in sorted(data.J.items())]
+        + [f"k({v}) = {k}" for v, k in data.k.items()]))
     return 0
 
 
@@ -262,12 +248,7 @@ def _cmd_gen(args) -> int:
 def _cmd_gen_pair(args) -> int:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
     form1, form2, iso = random_intertwined_pair(rng, args.n, args.transform)
-    payload = {
-        "g1": jsonio.graph_to_obj(form1),
-        "g2": jsonio.graph_to_obj(form2),
-        "iso": jsonio.iso_to_obj(iso),
-    }
-    _emit(args, jsonio.dumps(payload) + "\n")
+    _emit(args, jsonio.dumps(jsonio.pair_to_obj(form1, form2, iso)) + "\n")
     return 0
 
 
@@ -291,10 +272,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except DirikitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DirikitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

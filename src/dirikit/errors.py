@@ -70,7 +70,7 @@ class NotIntertwining(DirikitError):
 
 
 class NumericOverflow(DirikitError):
-    """A generator, form matrix or spectrum leaves the floating-point range."""
+    """A generator, form matrix, spectrum or tolerance bound leaves the floating-point range."""
 
 
 class NotMarkovian(DirikitError):

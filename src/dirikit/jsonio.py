@@ -4,6 +4,7 @@ Graph:       {"vertices": [...], "m": {v: real},
               "edges": [{"u": v, "v": w, "b": real}], "killing": {v: real}}
              (absent killing entries default to 0)
 Order iso:   {"tau": {y: x}, "h": {y: real}}
+Pair:        {"g1": graph, "g2": graph, "iso": order iso from g1 onto g2}
 Jump data:   {"vertices": [...], "J": [{"x": a, "y": b, "value": real}],
               "k": {v: real}}
 Metric:      {"d": [[...], ...]} in the vertex order of the owning space
@@ -217,6 +218,18 @@ def iso_from_obj(obj, source: MeasureSpace, target: MeasureSpace) -> OrderIso:
         dict(tau),
         {k: _number(v, f"iso: h[{k!r}]") for k, v in h.items()},
     )
+
+
+def pair_to_obj(form1: GraphForm, form2: GraphForm, iso: OrderIso) -> dict:
+    return {"g1": graph_to_obj(form1), "g2": graph_to_obj(form2), "iso": iso_to_obj(iso)}
+
+
+def pair_from_obj(obj) -> tuple[GraphForm, GraphForm, OrderIso]:
+    if not isinstance(obj, dict):
+        raise MalformedInput("pair: expected an object with keys 'g1', 'g2' and 'iso'")
+    form1 = graph_from_obj(obj.get("g1"))
+    form2 = graph_from_obj(obj.get("g2"))
+    return form1, form2, iso_from_obj(obj.get("iso"), form1.space, form2.space)
 
 
 # ---------------------------------------------------------------------------

@@ -80,10 +80,6 @@ class EquivalenceVerdict:
     def equivalent(self) -> bool:
         return bool(self.solutions)
 
-    @property
-    def witness(self) -> OrderIso | None:
-        return self.solutions[0] if self.solutions else None
-
 
 def spectra_match(form1: GraphForm, form2: GraphForm, spectral_tol: float) -> bool:
     """Compare the sorted generator spectra, scale-aware per eigenvalue.
@@ -92,14 +88,15 @@ def spectra_match(form1: GraphForm, form2: GraphForm, spectral_tol: float) -> bo
     two eigendecompositions: eigh is backward stable, so by Weyl's
     inequality a computed eigenvalue is off by a few n eps ||A|| at most,
     which dominates the small eigenvalues of a spectrum spanning many
-    orders of magnitude.
+    orders of magnitude.  A bound beyond the float range raises NumericOverflow.
     """
     w1 = spectral_data(generator(form1)).eigenvalues
     w2 = spectral_data(generator(form2)).eigenvalues
     if len(w1) != len(w2):
         return False
     rounding = 8.0 * len(w1) * _EPS * max(float(np.max(np.abs(w1))), float(np.max(np.abs(w2))))
-    return bool(np.all(np.abs(w1 - w2) <= spectral_tol * (1.0 + np.abs(w1)) + rounding))
+    bound = Tolerance(rel=spectral_tol, abs=rounding).bound(1.0 + np.abs(w1))
+    return bool(np.all(np.abs(w1 - w2) <= bound))
 
 
 # stamp of a (target, source) pair still in the target's domain; a removed

@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonPositive
+import numpy as np
+
+from .errors import NonPositive, NumericOverflow
 
 
 @dataclass(frozen=True)
@@ -26,11 +28,19 @@ class Tolerance:
         if not (self.rel < math.inf and self.abs < math.inf):
             raise NonPositive("tolerance must be finite")
 
-    def bound(self, scale: float = 1.0) -> float:
-        return self.rel * abs(scale) + self.abs
-
-    def accepts(self, residual: float, scale: float = 1.0) -> bool:
-        return math.isfinite(residual) and abs(residual) <= self.bound(scale)
+    def bound(self, scale: float | np.ndarray = 1.0) -> float | np.ndarray:
+        """``rel * |scale| + abs``, elementwise for an array scale;
+        NumericOverflow where it is infinite although the scale is finite."""
+        if isinstance(scale, np.ndarray):
+            with np.errstate(over="ignore"):
+                bound = self.rel * np.abs(scale) + self.abs
+            overflow = np.any(np.isinf(bound) & np.isfinite(scale))
+        else:  # plain float arithmetic overflows to inf without a warning
+            bound = self.rel * abs(float(scale)) + self.abs
+            overflow = bound == math.inf and math.isfinite(scale)
+        if overflow:
+            raise NumericOverflow("tolerance bound leaves the floating-point range")
+        return bound
 
 
 DEFAULT_TOL = Tolerance()

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dirikit as dk
-from dirikit import jsonio
+from dirikit import cli, jsonio
 from dirikit.cli import run
 
 from conftest import diagonal_overflow_form
@@ -170,6 +170,36 @@ class TestCertify:
     def test_wrong_arity_exits_2(self, tmp_path, capsys):
         g1 = gen(tmp_path, "g1.json", "--family", "complete", "--n", "2")
         assert run(["certify", g1, g1]) == 2
+
+    def test_one_file_and_three_files_print_the_same(self, tmp_path, capsys):
+        pair = tmp_path / "pair.json"
+        assert run(["gen-pair", "--transform", "doob", "--seed", "5",
+                    "--out", str(pair)]) == 0
+        obj = json.loads(pair.read_text())
+        parts = [write(tmp_path, f"{key}.json", json.dumps(obj[key]))
+                 for key in ("g1", "g2", "iso")]
+        for fmt in ("json", "text"):
+            assert run(["certify", str(pair), "--format", fmt]) == 0
+            one_file = capsys.readouterr().out
+            assert run(["certify", *parts, "--format", fmt]) == 0
+            assert capsys.readouterr().out == one_file
+
+    def test_json_run_builds_no_text(self, tmp_path, capsys, monkeypatch):
+        pair = tmp_path / "pair.json"
+        assert run(["gen-pair", "--transform", "relabel", "--out", str(pair)]) == 0
+
+        def no_text(report):
+            raise AssertionError("text built for a JSON run")
+
+        monkeypatch.setattr(cli, "_report_text", no_text)
+        assert run(["certify", str(pair)]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] is True
+
+    @pytest.mark.parametrize("doc", ["[]", '"x"', "null"])
+    def test_pair_not_an_object_exits_2(self, tmp_path, capsys, doc):
+        assert run(["certify", write(tmp_path, "pair.json", doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: pair:")
 
 
 class TestResistance:
@@ -381,6 +411,21 @@ class TestTolerancePlumbing:
         assert run([*argv, *tol]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: tolerance must be")
+
+    @pytest.mark.parametrize("command", ["certify", "certify-text", "search"])
+    def test_overflowing_bound_exits_2(self, tmp_path, capsys, command):
+        pair = tmp_path / "pair.json"
+        assert run(["gen-pair", "--transform", "relabel", "--out", str(pair)]) == 0
+        c8 = gen(tmp_path, "c8.json", "--family", "cycle", "--n", "8")
+        argv = {"certify": ["certify", str(pair)],
+                "certify-text": ["certify", str(pair), "--format", "text"],
+                "search": ["search", c8, c8]}[command]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning reaches stderr
+            assert run([*argv, "--tol", "1e308"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: tolerance bound")
 
 
 # path a - b - c: b = 1e300 over m = 1e-300 overflows the generator; one

@@ -224,3 +224,18 @@ class TestGraphFromObjOracle:
                     obj = jsonio.loads(jsonio.graph_dumps(form))
                     want = construction_outcome(oracle_graph_from_obj, obj)
                     assert construction_outcome(jsonio.graph_from_obj, obj) == want
+
+
+class TestPairDocument:
+    @pytest.mark.parametrize("transform", ["relabel", "doob"])
+    def test_roundtrip(self, transform):
+        for seed in range(3):
+            form1, form2, iso = random_intertwined_pair(rng_for(seed), 12, transform)
+            got1, got2, got_iso = jsonio.pair_from_obj(jsonio.pair_to_obj(form1, form2, iso))
+            assert got1 == form1 and got2 == form2
+            assert got_iso.tau == iso.tau and got_iso.h == iso.h
+
+    @pytest.mark.parametrize("obj", [[], "x", None, 1.0])
+    def test_not_an_object(self, obj):
+        with pytest.raises(MalformedInput, match="pair"):
+            jsonio.pair_from_obj(obj)

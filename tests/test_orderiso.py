@@ -188,7 +188,6 @@ class TestResidual:
 class TestNonFiniteResidual:
     @pytest.mark.parametrize("residual", [math.nan, math.inf])
     def test_never_passes(self, residual):
-        assert not dk.Tolerance().accepts(residual, math.inf)
         assert not dk.VerificationReport().add("check", residual, math.inf).passed
 
 
@@ -205,6 +204,34 @@ class TestToleranceValidation:
 
     def test_smallest_values_accepted(self):
         assert dk.Tolerance(rel=5e-324, abs=0.0).bound(1.0) == 5e-324
+
+
+class TestBoundOverflow:
+    """A finite tolerance whose bound leaves the float range raises instead
+    of accepting every residual (pytest turns a RuntimeWarning into an
+    error, so none may be emitted on the way)."""
+
+    @pytest.mark.parametrize("scale", [2.0, np.float64(2.0), np.array([1.0, 2.0])],
+                             ids=["float", "numpy-float", "array"])
+    def test_finite_scale_raises(self, scale):
+        with pytest.raises(NumericOverflow):
+            dk.Tolerance(rel=1e308).bound(scale)
+
+    def test_largest_finite_bound_is_kept(self):
+        assert dk.Tolerance(rel=1e308).bound(1.0) == 1e308 + 1e-12
+        assert math.isfinite(dk.DEFAULT_TOL.bound(1.7976931348623157e308))
+
+    def test_infinite_scale_keeps_infinite_bound(self):
+        assert dk.DEFAULT_TOL.bound(math.inf) == math.inf
+        bound = dk.Tolerance(rel=1e308).bound(np.array([math.inf, 1.0]))
+        assert bound[0] == math.inf and math.isfinite(bound[1])
+
+    def test_per_vertex_scale(self):
+        form = dk.generate("path", 3, measure=2.0)
+        metric = dk.canonical_intrinsic_metric(form)
+        assert dk.is_intrinsic(form, metric).ok
+        with pytest.raises(NumericOverflow):
+            dk.is_intrinsic(form, metric, dk.Tolerance(rel=1e308))
 
 
 class TestCertify:

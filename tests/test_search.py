@@ -430,7 +430,7 @@ class TestEquivalenceVerdict:
         form2, witness = relabel_pair(rng, form1)
         verdict = dk.equivalence_verdict(form1, form2)
         assert verdict.equivalent
-        report = dk.certify(verdict.witness, form1, form2)
+        report = dk.certify(verdict.solutions[0], form1, form2)
         assert report.verdict
 
     def test_size_mismatch(self):

@@ -60,6 +60,12 @@ PAIRS = {
     for seed in (1, 3)
 }
 
+# malformed pair files, checked with `dirikit certify NAME.json`
+BAD_PAIRS = {
+    "pair_not_object": "[]",
+    "pair_g1_not_object": json.dumps({"g1": "a", "g2": {}, "iso": {}}),
+}
+
 # malformed or rejected graphs, by the fault they carry
 _A_B = {"vertices": ["a", "b"], "m": {"a": 1.0, "b": 1.0}, "killing": {}}
 INVALID = {
@@ -130,6 +136,10 @@ def _commands() -> list[list[str]]:
         ["resistance", "path7.json", "--tol", "-1"],
         ["certify", "relabel6s1.json", "--tol", "1e-6"],
         ["certify", "relabel6s1.json", "--tol", "inf"],
+        # a finite tolerance whose bound overflows
+        ["certify", "relabel6s1.json", "--tol", "1e308"],
+        ["certify", "relabel6s1.json", "--tol", "1e308", "--format", "text"],
+        *(["certify", f"{name}.json"] for name in BAD_PAIRS),
         ["certify", "relabel6s1.g1.json", "relabel6s1.g2.json", "relabel6s1.iso.json"],
         ["certify", "doob40s1.g1.json", "doob40s1.g2.json", "doob40s1.iso.json"],
         # the witness of one pair applied to another pair's graphs
@@ -155,6 +165,7 @@ def _commands() -> list[list[str]]:
         ["search", "cycle12.json", "cycle12.json", "--max-solutions", "2", "--tol", "1e-6"],
         ["search", "complete5.json", "complete5.json", "--max-solutions", "0"],
         ["search", "cycle8.json", "cycle8.json", "--tol", "nan"],
+        ["search", "cycle8.json", "cycle8.json", "--tol", "1e308"],
     ]
     cmds += [["gen", *args] for args in GEN.values()]
     cmds += [
@@ -198,6 +209,8 @@ def _write_inputs(run) -> None:
             names = ["a"]
         identity = {"tau": {v: v for v in names}, "h": {v: 1.0 for v in names}}
         Path(f"{name}.iso.json").write_text(json.dumps(identity), encoding="utf-8")
+    for name, text in BAD_PAIRS.items():
+        Path(f"{name}.json").write_text(text, encoding="utf-8")
     for name, obj in METRICS.items():
         Path(f"{name}.json").write_text(json.dumps(obj), encoding="utf-8")
 

@@ -7,11 +7,12 @@ means the verdict is true / the command succeeded, 1 means a false
 verdict, 2 means a usage or input error.  JSON output is the stable
 machine contract; the text format is human-oriented only.
 
-The environment variable DIRIKIT_TOL overrides the default tolerance and
-is itself superseded by --tol.  Either value X means Tolerance(rel=X,
-abs=X/1000) for every command; a value that is not positive and finite
-is an input error.  --seed drives all randomized generation through one
-seeded PRNG (default 0).
+Each command takes only the flags it reads: --out FILE on every command,
+--format json|text on all but gen and gen-pair (JSON only), --tol on
+search, certify, resistance and intrinsic, and --seed (default 0) on
+gen-pair.  DIRIKIT_TOL overrides the default tolerance and is itself
+superseded by --tol; either value X means Tolerance(rel=X, abs=X/1000),
+and one that is not positive and finite is an input error.
 """
 
 from __future__ import annotations
@@ -33,54 +34,66 @@ _FAMILIES = ("path", "cycle", "complete", "sierpinski")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
-                        help="relative tolerance TOL, absolute TOL/1000 (default $DIRIKIT_TOL, "
-                             "else 1e-9, or 1e-8 with absolute 0 for search)")
-    common.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--out", default=None, help="write output to FILE instead of stdout")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write output to FILE instead of stdout")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "text"), default="json")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=None,
+                     help="relative tolerance TOL, absolute TOL/1000 (default $DIRIKIT_TOL, "
+                          "else 1e-9, or 1e-8 with absolute 0 for search)")
+    formatted, checked = [fmt, out], [tol, fmt, out]
     parser = argparse.ArgumentParser(prog="dirikit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=formatted,
                        help="validate a graph and print its structural predicates")
     p.add_argument("graph")
+    p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("search", parents=[common],
+    p = sub.add_parser("search", parents=checked,
                        help="enumerate intertwining order isomorphisms between two graphs")
     p.add_argument("graph1")
     p.add_argument("graph2")
     p.add_argument("--max-solutions", type=int, default=1000)
+    p.set_defaults(handler=_cmd_search)
 
-    p = sub.add_parser("certify", parents=[common],
+    p = sub.add_parser("certify", parents=checked,
                        help="verify the rigidity identities for a candidate intertwiner")
     p.add_argument("files", nargs="+",
                    help="either G1.json G2.json U.json or one combined pair file")
+    p.set_defaults(handler=_cmd_certify)
 
-    p = sub.add_parser("resistance", parents=[common],
+    p = sub.add_parser("resistance", parents=checked,
                        help="print the effective-resistance matrix")
     p.add_argument("graph")
+    p.set_defaults(handler=_cmd_resistance)
 
-    p = sub.add_parser("intrinsic", parents=[common],
+    p = sub.add_parser("intrinsic", parents=checked,
                        help="print the canonical intrinsic metric or check a given one")
     p.add_argument("graph")
     p.add_argument("--metric", default=None)
+    p.set_defaults(handler=_cmd_intrinsic)
 
-    p = sub.add_parser("decompose", parents=[common],
+    p = sub.add_parser("decompose", parents=formatted,
                        help="print the jump and killing measures")
     p.add_argument("graph")
+    p.set_defaults(handler=_cmd_decompose)
 
-    p = sub.add_parser("gen", parents=[common], help="emit a graph from a family")
+    # graphs and pairs are JSON only
+    p = sub.add_parser("gen", parents=[out], help="emit a graph from a family")
     p.add_argument("--family", choices=_FAMILIES, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--conductance", type=float, default=1.0)
     p.add_argument("--measure", type=float, default=1.0)
+    p.set_defaults(handler=_cmd_gen, format="json")
 
-    p = sub.add_parser("gen-pair", parents=[common],
+    p = sub.add_parser("gen-pair", parents=[out],
                        help="emit a pair of graphs guaranteed intertwined, with the witness")
+    p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     p.add_argument("--transform", choices=("relabel", "doob"), required=True)
     p.add_argument("--n", type=int, default=6)
+    p.set_defaults(handler=_cmd_gen_pair, format="json")
     return parser
 
 
@@ -106,18 +119,15 @@ def _tolerance(args, default: Tolerance) -> Tolerance:
     return Tolerance(rel=value, abs=value * 1e-3)
 
 
-def _emit(args, payload: str) -> None:
+def _output(args, payload, text=None) -> None:
+    """Write the payload as JSON, or for --format text the string that
+    ``text()`` builds, to --out or stdout; a JSON run builds no text."""
+    data = jsonio.dumps(payload) + "\n" if args.format == "json" else text()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+            handle.write(data)
     else:
-        sys.stdout.write(payload)
-
-
-def _output(args, payload, text) -> None:
-    """Emit the payload as JSON, or for --format text the string that
-    ``text()`` builds; a JSON run builds no text."""
-    _emit(args, jsonio.dumps(payload) + "\n" if args.format == "json" else text())
+        sys.stdout.write(data)
 
 
 def _lines(lines) -> str:
@@ -241,27 +251,15 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_gen(args) -> int:
     form = generate(args.family, args.n, conductance=args.conductance, measure=args.measure)
-    _emit(args, jsonio.graph_dumps(form))
+    _output(args, jsonio.graph_to_obj(form))
     return 0
 
 
 def _cmd_gen_pair(args) -> int:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
     form1, form2, iso = random_intertwined_pair(rng, args.n, args.transform)
-    _emit(args, jsonio.dumps(jsonio.pair_to_obj(form1, form2, iso)) + "\n")
+    _output(args, jsonio.pair_to_obj(form1, form2, iso))
     return 0
-
-
-_COMMANDS = {
-    "check": _cmd_check,
-    "search": _cmd_search,
-    "certify": _cmd_certify,
-    "resistance": _cmd_resistance,
-    "intrinsic": _cmd_intrinsic,
-    "decompose": _cmd_decompose,
-    "gen": _cmd_gen,
-    "gen-pair": _cmd_gen_pair,
-}
 
 
 def run(argv=None) -> int:
@@ -271,7 +269,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (DirikitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

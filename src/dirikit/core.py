@@ -350,36 +350,29 @@ def generate(family: str, n: int, *, conductance: float = 1.0, measure: float = 
 _TRIANGLE = ((0, 0), (2, 0), (1, 1))
 
 
-def _sierpinski_vertex_ids(level: int) -> dict[tuple[int, int], str]:
-    """Map lattice points of the level-n gasket to canonical "w.corner" ids.
+def _sierpinski(level: int, conductance: float, measure: float) -> GraphForm:
+    """The level-n gasket with canonical "w.corner" vertex ids.
 
     A cell is addressed by a word w over {0,1,2}; corner c of cell w sits at
     sum_k 2^(level-1-k) * P[w_k] + P[c].  Corners shared between cells land
     on the same lattice point; the id of a vertex is the lexicographically
-    smallest "w.c" string among its representatives, so every level is
-    labelled deterministically.
+    smallest "w.c" string among its representatives, which is the first one
+    met since words and corners are walked in lexicographic order, so every
+    level is labelled deterministically.
     """
     ids: dict[tuple[int, int], str] = {}
+    cells = []
     for word in itertools.product("012", repeat=level):
         bx = sum(2 ** (level - 1 - k) * _TRIANGLE[int(d)][0] for k, d in enumerate(word))
         by = sum(2 ** (level - 1 - k) * _TRIANGLE[int(d)][1] for k, d in enumerate(word))
-        for c in range(3):
-            point = (bx + _TRIANGLE[c][0], by + _TRIANGLE[c][1])
-            name = f"{''.join(word)}.{c}"
-            if point not in ids or name < ids[point]:
-                ids[point] = name
-    return ids
-
-
-def _sierpinski(level: int, conductance: float, measure: float) -> GraphForm:
-    ids = _sierpinski_vertex_ids(level)
+        cell = [(bx + px, by + py) for px, py in _TRIANGLE]
+        for c, point in enumerate(cell):
+            ids.setdefault(point, f"{''.join(word)}.{c}")
+        cells.append(cell)
     edges: dict[tuple[str, str], float] = {}
-    for word in itertools.product("012", repeat=level):
-        bx = sum(2 ** (level - 1 - k) * _TRIANGLE[int(d)][0] for k, d in enumerate(word))
-        by = sum(2 ** (level - 1 - k) * _TRIANGLE[int(d)][1] for k, d in enumerate(word))
-        corners = [ids[(bx + px, by + py)] for px, py in _TRIANGLE]
-        for u, v in itertools.combinations(corners, 2):
-            edges[_edge_key(u, v)] = conductance
+    for cell in cells:
+        for p, q in itertools.combinations(cell, 2):
+            edges[_edge_key(ids[p], ids[q])] = conductance
     names = sorted(ids.values())
     return build_form(names, measure, [(u, v, w) for (u, v), w in sorted(edges.items())])
 

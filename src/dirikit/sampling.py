@@ -22,14 +22,13 @@ def random_form(
     recurrent: bool | None = None,
     b_range: tuple[float, float] = (0.5, 2.0),
     m_range: tuple[float, float] = (0.5, 2.0),
-    c_range: tuple[float, float] = (0.5, 2.0),
     extra_edge_prob: float = 0.35,
     prefix: str = "v",
 ) -> GraphForm:
     """A connected form with O(1) weights: random tree plus chords.
 
     ``recurrent`` picks the killing regime: True leaves c = 0, False puts
-    weights from ``c_range`` on a nonempty random subset, None flips a coin.
+    weights from [0.5, 2) on a nonempty random subset, None flips a coin.
     """
     names = [f"{prefix}{i}" for i in range(n)]
     edges: dict[tuple[str, str], float] = {}
@@ -48,7 +47,7 @@ def random_form(
     if not recurrent and n > 0:
         count = int(rng.integers(1, n + 1))
         hit = rng.choice(n, size=count, replace=False)
-        c[hit] = rng.uniform(*c_range, size=count)
+        c[hit] = rng.uniform(0.5, 2.0, size=count)
     return build_form(names, m, [(u, v, w) for (u, v), w in edges.items()], c)
 
 
@@ -59,20 +58,17 @@ def random_function(
 
 
 def relabel_pair(
-    rng: np.random.Generator,
-    form: GraphForm,
-    *,
-    scale: float = 1.0,
-    prefix: str = "w",
+    rng: np.random.Generator, form: GraphForm, *, scale: float = 1.0
 ) -> tuple[GraphForm, OrderIso]:
-    """A renamed, permuted and jointly rescaled copy plus the witness.
+    """A copy renamed to w0, w1, ..., permuted and jointly rescaled, plus
+    the witness.
 
     Conductances, killing and measure are all multiplied by ``scale``,
     which leaves the generator unchanged up to the relabeling; the
     intertwiner has constant scaling 1/sqrt(scale) and operator constant 1.
     """
     n = len(form.space)
-    names2 = [f"{prefix}{i}" for i in range(n)]
+    names2 = [f"w{i}" for i in range(n)]
     perm = rng.permutation(n)  # target position i is the copy of source position perm[i]
     source_names = form.space.vertices
     tau = {names2[i]: source_names[int(perm[i])] for i in range(n)}
@@ -88,23 +84,17 @@ def relabel_pair(
     return form2, iso
 
 
-def nonconstant_excessive_profile(
-    rng: np.random.Generator, n: int, min_ratio: float = 1.15
-) -> np.ndarray:
-    """A strictly positive profile with min 1 and max/min >= min_ratio."""
+def nonconstant_excessive_profile(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A strictly positive profile with min 1 and max/min >= 1.15."""
     h = rng.uniform(1.0, 2.0, size=n)
     h /= h.min()
-    if h.max() < min_ratio:
-        h[int(np.argmax(h))] = min_ratio * 1.05
+    if h.max() < 1.15:
+        h[int(np.argmax(h))] = 1.15 * 1.05
     return h
 
 
 def doob_pair_sample(
-    rng: np.random.Generator,
-    n: int,
-    *,
-    min_ratio: float = 1.15,
-    prefix: str = "v",
+    rng: np.random.Generator, n: int
 ) -> tuple[GraphForm, GraphForm, OrderIso]:
     """A transient form, its conjugate by a nonconstant excessive function,
     and the intertwiner (nonconstant scaling, operator constant 1).
@@ -113,8 +103,8 @@ def doob_pair_sample(
     excessive, plus a margin; the conjugated partner then moves the killing
     to different vertices.
     """
-    base = random_form(rng, n, recurrent=True, prefix=prefix)
-    h = nonconstant_excessive_profile(rng, n, min_ratio)
+    base = random_form(rng, n, recurrent=True)
+    h = nonconstant_excessive_profile(rng, n)
     w = base.weight_matrix
     # (L h)(x) >= 0 needs c(x) >= sum_y b(x,y) (h(y) - h(x)) / h(x)
     required = (w @ h - w.sum(axis=1) * h) / h

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -352,6 +353,56 @@ class TestDeterminism:
                 form2 = jsonio.graph_from_obj(obj["g2"])
                 iso = jsonio.iso_from_obj(obj["iso"], form1.space, form2.space)
                 assert dk.certify(iso, form1, form2).verdict
+
+
+# the flags each command reads, and so accepts
+FLAGS = {
+    "check": {"--format", "--out"},
+    "decompose": {"--format", "--out"},
+    "search": {"--tol", "--format", "--out", "--max-solutions"},
+    "certify": {"--tol", "--format", "--out"},
+    "resistance": {"--tol", "--format", "--out"},
+    "intrinsic": {"--tol", "--format", "--out", "--metric"},
+    "gen": {"--out", "--family", "--n", "--conductance", "--measure"},
+    "gen-pair": {"--out", "--seed", "--transform", "--n"},
+}
+# flags that a parser shared by every command once accepted and ignored
+UNREAD = [
+    ("check", "--tol", "1e-6"), ("check", "--seed", "3"),
+    ("decompose", "--tol", "1e-6"), ("decompose", "--seed", "3"),
+    ("search", "--seed", "3"), ("certify", "--seed", "3"),
+    ("resistance", "--seed", "3"), ("intrinsic", "--seed", "3"),
+    ("gen", "--tol", "1e-6"), ("gen", "--seed", "3"), ("gen", "--format", "text"),
+    ("gen-pair", "--tol", "5"), ("gen-pair", "--format", "text"),
+]
+
+
+class TestFlags:
+    def test_each_command_declares_the_flags_it_reads(self):
+        sub = next(action for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        declared = {
+            name: {flag for action in parser._actions for flag in action.option_strings}
+            - {"-h", "--help"}
+            for name, parser in sub.choices.items()
+        }
+        assert declared == FLAGS
+
+    @pytest.mark.parametrize("command, flag, value", UNREAD)
+    def test_unread_flag_exits_2(self, tmp_path, capsys, command, flag, value):
+        g = gen(tmp_path, "path3.json", "--family", "path", "--n", "3")
+        pair = tmp_path / "pair.json"
+        assert run(["gen-pair", "--transform", "relabel", "--out", str(pair)]) == 0
+        operands = {"search": [g, g], "certify": [str(pair)],
+                    "gen": ["--family", "path", "--n", "2"],
+                    "gen-pair": ["--transform", "doob"]}.get(command, [g])
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert run([command, *operands, flag, value, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+        assert not out.exists()
 
 
 class TestModuleEntry:

@@ -279,6 +279,15 @@ class TestResistanceIsometry:
         with pytest.raises(NotRecurrent):
             dk.verify_resistance_isometry(iso, form, partner)
 
+    def test_tolerance_reaches_validation(self):
+        # the resistance matrices are validated at the report's tolerance:
+        # the path's tight triangles pass by default and fail at 1e-300
+        form = dk.generate("path", 20, conductance=0.7)
+        iso = dk.OrderIso.identity(form.space)
+        assert dk.verify_resistance_isometry(iso, form, form).verdict
+        with pytest.raises(InvalidMetric, match="triangle"):
+            dk.verify_resistance_isometry(iso, form, form, Tolerance(rel=1e-300, abs=1e-303))
+
     def test_search_witnesses_random(self):
         rng = rng_for(73)
         for _ in range(10):

@@ -181,6 +181,11 @@ def _commands() -> list[list[str]]:
     cmds += [
         ["check", "missing.json"],
         ["gen", "--family", "path", "--n", "3", "--bogus"],
+        # flags that the command does not read
+        ["gen", "--family", "path", "--n", "2", "--format", "text"],
+        ["gen-pair", "--transform", "doob", "--n", "6", "--tol", "5"],
+        ["check", "path3.json", "--seed", "3"],
+        ["decompose", "path3.json", "--tol", "1e-6"],
         ["frobnicate"],
         [],
     ]

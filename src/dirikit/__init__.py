@@ -58,7 +58,6 @@ from .search import (
 from .spectral import (
     SpectralData,
     check_truncation,
-    commutant_is_trivial,
     find_nonconstant_excessive,
     is_excessive,
     is_irreducible,
@@ -91,7 +90,6 @@ __all__ = [
     "canonical_intrinsic_metric",
     "certify",
     "check_truncation",
-    "commutant_is_trivial",
     "decompose",
     "doob_pair",
     "effective_resistance",

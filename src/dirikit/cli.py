@@ -9,10 +9,10 @@ machine contract; the text format is human-oriented only.
 
 Each command takes only the flags it reads: --out FILE on every command,
 --format json|text on all but gen and gen-pair (JSON only), --tol on
-search, certify, resistance and intrinsic, and --seed (default 0) on
-gen-pair.  DIRIKIT_TOL overrides the default tolerance and is itself
-superseded by --tol; either value X means Tolerance(rel=X, abs=X/1000),
-and one that is not positive and finite is an input error.
+search, certify and intrinsic, and --seed (default 0) on gen-pair.
+DIRIKIT_TOL overrides the default tolerance and is itself superseded by
+--tol; either value X means Tolerance(rel=X, abs=X/1000), and one that is
+not positive and finite is an input error.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="either G1.json G2.json U.json or one combined pair file")
     p.set_defaults(handler=_cmd_certify)
 
-    p = sub.add_parser("resistance", parents=checked,
+    p = sub.add_parser("resistance", parents=formatted,
                        help="print the effective-resistance matrix")
     p.add_argument("graph")
     p.set_defaults(handler=_cmd_resistance)
@@ -208,7 +208,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_resistance(args) -> int:
     form = jsonio.graph_loads(_read(args.graph))
-    matrix = metrics.resistance_matrix(form, _tolerance(args, DEFAULT_TOL))
+    matrix = metrics.resistance_matrix(form)
     payload = {
         "vertices": list(form.space.vertices),
         "R": matrix.d,
@@ -231,7 +231,7 @@ def _cmd_intrinsic(args) -> int:
             "intrinsic": check.ok,
         }
     else:
-        metric = jsonio.metric_from_obj(jsonio.loads(_read(args.metric)), form.space)
+        metric = jsonio.metric_from_obj(jsonio.loads(_read(args.metric)), form.space, tol)
         check = metrics.is_intrinsic(form, metric, tol)
         payload = {
             "intrinsic": check.ok,

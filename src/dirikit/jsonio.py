@@ -33,6 +33,7 @@ from .core import GraphForm, MeasureSpace, build_form
 from .errors import MalformedInput
 from .metrics import PseudoMetric
 from .orderiso import OrderIso
+from .tolerances import Tolerance
 
 
 def _format_float(value: float) -> str:
@@ -247,11 +248,11 @@ def jump_to_obj(data: JumpKilling) -> dict:
     }
 
 
-def metric_from_obj(obj, space: MeasureSpace) -> PseudoMetric:
+def metric_from_obj(obj, space: MeasureSpace, tol: Tolerance) -> PseudoMetric:
     rows = _require(obj, "d", list, "metric")
     matrix = []
     for row in rows:
         if not isinstance(row, list):
             raise MalformedInput("metric: d must be a matrix")
         matrix.append([_number(x, "metric entry") for x in row])
-    return PseudoMetric(space.vertices, np.array(matrix, dtype=float))
+    return PseudoMetric(space.vertices, np.array(matrix, dtype=float), tol)

@@ -73,10 +73,17 @@ def _triangle_gap(d: np.ndarray, a: int, b: int) -> float:
     return best.max()
 
 
+def _require_entries(d: np.ndarray) -> None:
+    if not np.all(np.isfinite(d)) or np.any(d < 0.0):
+        raise InvalidMetric("entries must be finite and >= 0")
+
+
 @dataclass(eq=False)
 class PseudoMetric:
     """Symmetric nonnegative vertex-pair matrix with the triangle inequality,
-    validated to the tolerance ``tol`` (not stored)."""
+    validated to the tolerance ``tol`` (not stored), in O(n^3) time: the
+    constructor is for outside input, and the library's own metrics come
+    from ``_trusted``."""
 
     vertices: tuple[str, ...]
     d: np.ndarray
@@ -88,8 +95,7 @@ class PseudoMetric:
         n = len(self.vertices)
         if d.shape != (n, n):
             raise DimensionMismatch(f"metric shape {d.shape} does not match {n} vertices")
-        if not np.all(np.isfinite(d)) or np.any(d < 0.0):
-            raise InvalidMetric("entries must be finite and >= 0")
+        _require_entries(d)
         scale = max(1.0, float(np.max(d)))
         bound = tol.bound(scale)
         # both checks run on tiles of rows a <= i < b and columns k >= a
@@ -109,10 +115,12 @@ class PseudoMetric:
 
     @classmethod
     def _trusted(cls, vertices: tuple[str, ...], d: np.ndarray) -> "PseudoMetric":
-        """A metric on a fresh float matrix that passes validation by
-        construction, without checking it again: the zero matrix, or a
-        validated matrix with rows and columns permuted alike, which keeps
-        its entries, maximum and triangle gaps."""
+        """A metric by theorem or by construction, on a fresh float matrix
+        with a zero diagonal and its source's symmetry, checked only for
+        finite nonnegative entries: a resistance metric (Kigami, Analysis on
+        Fractals, 2001), a path metric, a multiple or a permutation of a
+        metric, or the zero matrix."""
+        _require_entries(d)
         metric = cls.__new__(cls)
         d.flags.writeable = False
         metric.vertices, metric.d = vertices, d
@@ -126,7 +134,7 @@ class PseudoMetric:
         )
 
     def scaled(self, factor: float) -> "PseudoMetric":
-        return PseudoMetric(self.vertices, factor * self.d)
+        return PseudoMetric._trusted(self.vertices, factor * self.d)
 
 
 class IntrinsicCheck(NamedTuple):
@@ -158,10 +166,10 @@ def effective_resistance(form: GraphForm, x: str, y: str) -> float:
     return r
 
 
-def resistance_matrix(form: GraphForm, tol: Tolerance = DEFAULT_TOL) -> PseudoMetric:
-    """The full resistance metric of a connected killing-free form,
-    validated as a pseudo-metric to ``tol``; NumericOverflow when an entry
-    leaves the floating-point range."""
+def resistance_matrix(form: GraphForm) -> PseudoMetric:
+    """The full resistance metric of a connected killing-free form, exactly
+    symmetric with a zero diagonal; NumericOverflow when an entry leaves the
+    floating-point range."""
     green = _resistance_green(form)
     diag = np.diag(green)
     # R = max(0.5 (r + r^T), 0) with r = (diag_i + diag_j) - 2 G, in
@@ -176,7 +184,7 @@ def resistance_matrix(form: GraphForm, tol: Tolerance = DEFAULT_TOL) -> PseudoMe
     np.maximum(d, 0.0, out=d)
     np.fill_diagonal(d, 0.0)
     _require_finite(d, "resistance matrix")
-    return PseudoMetric(form.space.vertices, d, tol)
+    return PseudoMetric._trusted(form.space.vertices, d)
 
 
 def resistance_maximizer(form: GraphForm, x: str, y: str) -> np.ndarray:
@@ -213,8 +221,8 @@ def verify_resistance_isometry(
     require_intertwining(iso, generator(form1), generator(form2), tol)
     beta = operator_constant(iso)
     alpha = float(np.mean(iso.h_values))
-    r1 = resistance_matrix(form1, tol).d
-    r2 = resistance_matrix(form2, tol).d
+    r1 = resistance_matrix(form1).d
+    r2 = resistance_matrix(form2).d
     idx = iso.tau_indices
     r1_tau = r1[np.ix_(idx, idx)]
     lhs = alpha**2 * r1_tau
@@ -267,7 +275,8 @@ def canonical_intrinsic_metric(form: GraphForm) -> PseudoMetric:
     Intrinsic by construction: sum_y b(x,y) sigma(x,y)^2 <= m(x) because
     sigma(x,y)^2 <= m(x)/deg(x), and shortest paths only shrink distances.
     Paths run on the edges b > 0 as a sparse graph, so lengths below 1e-8
-    (a measure of 1e-16, say) count as edges, not as missing ones.
+    (a measure of 1e-16, say) count as edges, not as missing ones.  Dijkstra
+    rounds d(x, y) and d(y, x) apart; the shorter is kept, so d is symmetric.
     """
     # the package's only scipy import, deferred to here (module docstring)
     from scipy.sparse import csr_array
@@ -279,7 +288,7 @@ def canonical_intrinsic_metric(form: GraphForm) -> PseudoMetric:
     deg = form.degrees
     # an overflowing weight is inf and min() drops it beside a finite one;
     # a length of inf, or of 0 from an overflowing degree, is no edge, and
-    # PseudoMetric rejects an inf distance that this leaves
+    # an inf distance that this leaves is rejected
     with np.errstate(over="ignore"):
         weight = np.sqrt(form.space.m / np.where(deg > 0.0, deg, 1.0))
     rows, cols = np.nonzero(form.weight_matrix)
@@ -287,7 +296,7 @@ def canonical_intrinsic_metric(form: GraphForm) -> PseudoMetric:
     keep = (lengths > 0.0) & (lengths < math.inf)
     graph = csr_array((lengths[keep], (rows[keep], cols[keep])), shape=(n, n))
     dist = shortest_path(graph, method="D", directed=True, unweighted=False)
-    return PseudoMetric(form.space.vertices, dist)
+    return PseudoMetric._trusted(form.space.vertices, np.minimum(dist, dist.T))
 
 
 def boundary_rescaled(
@@ -327,8 +336,7 @@ def default_metric_samples(form: GraphForm) -> list[tuple[str, PseudoMetric]]:
 
 def pushforward_metric(metric: PseudoMetric, iso: OrderIso) -> PseudoMetric:
     """Transport a metric on the source space to the target along tau; the
-    permuted matrix is valid because the metric is, so it is not checked
-    again."""
+    permuted matrix keeps the entries and triangle gaps of the metric."""
     if metric.vertices != iso.source.vertices:
         raise SpaceMismatch("metric does not live on the iso's source space")
     idx = iso.tau_indices

@@ -120,14 +120,3 @@ def check_truncation(
     bound = tol.bound(max(1.0, abs(qf)))
     ok = q_min <= qf + bound and q_plus <= 4.0 * qf + bound
     return q_min, q_plus, bool(ok)
-
-
-def commutant_is_trivial(gen: Generator) -> bool:
-    """Whether only scalar diagonal matrices commute with the semigroup.
-
-    The (x, y) entry of [diag(phi), L] is (phi(x) - phi(y)) L[x,y], so
-    diag(phi) commutes with L exactly when phi is constant on each
-    component of the coupling graph of L: the commutant is trivial exactly
-    when that graph is connected, however weak its couplings.
-    """
-    return _offdiagonal_connected(gen.L)

@@ -274,10 +274,10 @@ def lp_nonconstant_excessive(gen, separation: float = 1e-3):
 
 
 def rank_commutant_is_trivial(gen) -> bool:
-    """Oracle: the linear-algebra route that ``commutant_is_trivial``
-    replaced.  Solves [diag(phi), L] = 0, whose (x, y) entry is
-    (phi(x) - phi(y)) L[x,y], and checks that the solution space is
-    one-dimensional; ``matrix_rank`` drops rows far weaker than the
+    """Oracle: whether only scalar diagonal matrices commute with the
+    semigroup, which holds exactly when the form is irreducible.  Solves
+    [diag(phi), L] = 0, whose (x, y) entry is (phi(x) - phi(y)) L[x,y],
+    and checks that the solution space is one-dimensional; ``matrix_rank`` drops rows far weaker than the
     strongest, so it is exact only on well-scaled forms."""
     n = len(gen.space)
     rows = []

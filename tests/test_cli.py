@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dirikit as dk
-from dirikit import cli, jsonio
+from dirikit import cli, jsonio, metrics
 from dirikit.cli import run
 
 from conftest import diagonal_overflow_form
@@ -217,26 +217,33 @@ class TestResistance:
         path = write(tmp_path, "killed.json", jsonio.graph_dumps(form))
         assert run(["resistance", path]) == 2
 
-    def test_reads_tolerance(self, tmp_path, capsys, monkeypatch):
-        # the rounding gaps of a path's tight triangles (about 1e-14) pass
-        # the default tolerance and fail at 1e-300
+    def test_reads_no_tolerance(self, tmp_path, capsys, monkeypatch):
+        # the resistance metric is a metric by theorem, so nothing is
+        # checked to a tolerance: a path's tight triangles, whose rounding
+        # gaps (about 1e-14) fail the full check at 1e-300, print the same
+        # bytes under any DIRIKIT_TOL, and --tol is a usage error
         path = gen(tmp_path, "p20.json", "--family", "path", "--n", "20", "--conductance", "0.7")
         assert run(["resistance", path]) == 0
         default = capsys.readouterr().out
+        for env in ("1e-300", "not-a-number"):
+            monkeypatch.setenv("DIRIKIT_TOL", env)
+            assert run(["resistance", path]) == 0
+            assert capsys.readouterr().out == default
         assert run(["resistance", path, "--tol", "1e-300"]) == 2
-        assert "triangle" in capsys.readouterr().err
-        monkeypatch.setenv("DIRIKIT_TOL", "1e-300")
-        assert run(["resistance", path]) == 2
-        monkeypatch.setenv("DIRIKIT_TOL", "1e-9")
-        assert run(["resistance", path]) == 0
-        assert capsys.readouterr().out == default
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --tol 1e-300" in err
 
     def test_malformed_env_exits_2(self, tmp_path, capsys, monkeypatch):
+        # on certify, which reads the tolerance, not on resistance
         k2 = gen(tmp_path, "k2.json", "--family", "complete", "--n", "2")
+        pair = tmp_path / "pair.json"
+        assert run(["gen-pair", "--transform", "relabel", "--out", str(pair)]) == 0
         monkeypatch.setenv("DIRIKIT_TOL", "not-a-number")
-        assert run(["resistance", k2]) == 2
+        assert run(["resistance", k2]) == 0
+        capsys.readouterr()
+        assert run(["certify", str(pair)]) == 2
         assert "DIRIKIT_TOL" in capsys.readouterr().err
-        assert run(["resistance", k2, "--tol", "1e-6"]) == 0
+        assert run(["certify", str(pair), "--tol", "1e-6"]) == 0
 
     def test_weak_bottleneck(self, tmp_path, capsys):
         # b(a,b) = 1e-12 beside b(b,c) = 1 is a real bottleneck, not a cut
@@ -361,12 +368,14 @@ FLAGS = {
     "decompose": {"--format", "--out"},
     "search": {"--tol", "--format", "--out", "--max-solutions"},
     "certify": {"--tol", "--format", "--out"},
-    "resistance": {"--tol", "--format", "--out"},
+    "resistance": {"--format", "--out"},
     "intrinsic": {"--tol", "--format", "--out", "--metric"},
     "gen": {"--out", "--family", "--n", "--conductance", "--measure"},
     "gen-pair": {"--out", "--seed", "--transform", "--n"},
 }
-# flags that a parser shared by every command once accepted and ignored
+# flags that the command does not read: a parser shared by every command
+# once accepted them, and resistance read --tol only to check a metric that
+# is one by theorem
 UNREAD = [
     ("check", "--tol", "1e-6"), ("check", "--seed", "3"),
     ("decompose", "--tol", "1e-6"), ("decompose", "--seed", "3"),
@@ -374,6 +383,7 @@ UNREAD = [
     ("resistance", "--seed", "3"), ("intrinsic", "--seed", "3"),
     ("gen", "--tol", "1e-6"), ("gen", "--seed", "3"), ("gen", "--format", "text"),
     ("gen-pair", "--tol", "5"), ("gen-pair", "--format", "text"),
+    ("resistance", "--tol", "1e-6"),
 ]
 
 
@@ -403,6 +413,36 @@ class TestFlags:
         assert captured.out == ""
         assert f"unrecognized arguments: {flag} {value}" in captured.err
         assert not out.exists()
+
+
+class TestTriangleCheckOnOutsideInput:
+    """The O(n^3) triangle check runs on metrics read from a file only: the
+    library builds metrics by theorem or by construction."""
+
+    def test_library_metrics_skip_it(self, tmp_path, capsys, monkeypatch):
+        c8 = gen(tmp_path, "c8.json", "--family", "cycle", "--n", "8")
+        pair = tmp_path / "pair.json"
+        assert run(["gen-pair", "--transform", "relabel", "--n", "8", "--seed", "0",
+                    "--out", str(pair)]) == 0
+        metric = write(tmp_path, "d.json", json.dumps(
+            {"d": [[0.0, 0.5, 1.0], [0.5, 0.0, 0.5], [1.0, 0.5, 0.0]]}))
+        p3 = gen(tmp_path, "p3.json", "--family", "path", "--n", "3")
+        gap, calls = metrics._triangle_gap, []
+
+        def counting(*args):
+            calls.append(args[1:])
+            return gap(*args)
+
+        monkeypatch.setattr(metrics, "_triangle_gap", counting)
+        capsys.readouterr()
+        assert run(["certify", str(pair)]) == 0
+        # recurrent, so the resistance and intrinsic checks ran
+        assert "resistance_isometry" in capsys.readouterr().out
+        assert run(["resistance", c8]) == 0
+        assert run(["intrinsic", c8]) == 0
+        assert calls == []
+        assert run(["intrinsic", p3, "--metric", metric]) == 0
+        assert calls == [(0, 3)]
 
 
 class TestModuleEntry:
@@ -441,6 +481,21 @@ class TestTolerancePlumbing:
         metric = write(tmp_path, "d.json", json.dumps({"d": [[0.0, 1.0], [1.0, 0.0]]}))
         monkeypatch.setenv("DIRIKIT_TOL", "not-a-number")
         assert run(["intrinsic", k2, "--metric", metric, "--tol", "1e-6"]) == 0
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_metric_validated_at_tolerance(self, tmp_path, capsys, fmt):
+        # d(v0, v2) = 1.0000001 breaks the triangle through v1 by 1e-7:
+        # more than the default bound, less than the bound of --tol 1e-6
+        p3 = gen(tmp_path, "p3.json", "--family", "path", "--n", "3")
+        metric = write(tmp_path, "d.json", json.dumps(
+            {"d": [[0.0, 0.5, 1.0000001], [0.5, 0.0, 0.5], [1.0000001, 0.5, 0.0]]}))
+        argv = ["intrinsic", p3, "--metric", metric, "--format", fmt]
+        capsys.readouterr()
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "triangle inequality violated" in err
+        assert run([*argv, "--tol", "1e-6"]) == 0
+        assert "intrinsic" in capsys.readouterr().out
 
     def test_search_reads_env(self, tmp_path, capsys, monkeypatch):
         k2 = gen(tmp_path, "k2.json", "--family", "complete", "--n", "2")

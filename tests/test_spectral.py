@@ -317,17 +317,24 @@ class TestTruncation:
 
 
 class TestCommutant:
+    """Irreducibility decides whether the commutant of the semigroup is
+    trivial; the rank oracle decides it by linear algebra."""
+
     def test_k2(self):
-        assert dk.commutant_is_trivial(dk.generator(dk.build_form(["a", "b"], 1.0, [("a", "b", 1.0)])))
+        form = dk.build_form(["a", "b"], 1.0, [("a", "b", 1.0)])
+        assert rank_commutant_is_trivial(dk.generator(form)) == dk.is_irreducible(form)
+        assert dk.is_irreducible(form)
 
     def test_two_disjoint_edges(self):
         form = dk.build_form(["a", "b", "c", "d"], 1.0, [("a", "b", 1.0), ("c", "d", 1.0)])
-        assert not dk.commutant_is_trivial(dk.generator(form))
+        assert rank_commutant_is_trivial(dk.generator(form)) == dk.is_irreducible(form)
+        assert not dk.is_irreducible(form)
 
     def test_random_connected(self):
         rng = rng_for(34)
         form = random_form(rng, 6)
-        assert dk.commutant_is_trivial(dk.generator(form))
+        assert rank_commutant_is_trivial(dk.generator(form)) == dk.is_irreducible(form)
+        assert dk.is_irreducible(form)
 
     def test_matches_irreducibility(self):
         rng = rng_for(35)
@@ -338,16 +345,13 @@ class TestCommutant:
                 victim = form.space.vertices[int(rng.integers(0, n))]
                 edges = {k: w for k, w in form.b.items() if victim not in k}
                 form = dk.GraphForm(form.space, edges, form.c)
-            gen = dk.generator(form)
-            trivial = dk.commutant_is_trivial(gen)
-            assert trivial == rank_commutant_is_trivial(gen)
-            assert trivial == dk.is_irreducible(form)
+            assert rank_commutant_is_trivial(dk.generator(form)) == dk.is_irreducible(form)
 
     def test_weak_edge(self):
         # b(b,c) = 1e-20 is a real coupling: the rank route drops its row
         form = dk.build_form(["a", "b", "c"], 1.0, [("a", "b", 1.0), ("b", "c", 1e-20)])
         assert dk.is_irreducible(form)
-        assert dk.commutant_is_trivial(dk.generator(form))
+        assert dk.find_nonconstant_excessive(dk.generator(form)) is None  # irreducible and recurrent
 
     def test_coupling_underflowing_one_way(self):
         # L[a,b] = -1e-300 / 1e300 rounds to 0, L[b,a] = -1e-300 does not;
@@ -355,5 +359,5 @@ class TestCommutant:
         form = dk.build_form(["a", "b"], {"a": 1e300, "b": 1.0}, [("a", "b", 1e-300)])
         gen = dk.generator(form)
         assert gen.L[0, 1] == 0.0 and gen.L[1, 0] != 0.0
-        assert dk.commutant_is_trivial(gen)
+        assert dk.is_irreducible(form)
         assert dk.find_nonconstant_excessive(gen) is None  # irreducible and recurrent

@@ -117,6 +117,8 @@ METRICS = {
     "metric_negative": {"d": [[0.0, -0.5, 1.0], [-0.5, 0.0, 0.5], [1.0, 0.5, 0.0]]},
     "metric_shape": {"d": [[0.0, 1.0], [1.0, 0.0]]},
     "metric_not_matrix": {"d": [0.0, 1.0, 2.0]},
+    # d(v0, v2) breaks the triangle by 1e-7: within --tol 1e-6, not the default
+    "metric_gap": {"d": [[0.0, 0.5, 1.0000001], [0.5, 0.0, 0.5], [1.0000001, 0.5, 0.0]]},
 }
 
 
@@ -133,7 +135,10 @@ def _commands() -> list[list[str]]:
     cmds += [
         ["resistance", "path7.json", "--tol", "1e-6"],
         ["intrinsic", "sierpinski3.json", "--tol", "1e-6"],
+        *(["intrinsic", "path3.json", "--metric", "metric_gap.json", "--tol", "1e-6",
+           "--format", fmt] for fmt in ("json", "text")),
         ["resistance", "path7.json", "--tol", "-1"],
+        ["certify", "relabel6s1.json", "--tol", "-1"],
         ["certify", "relabel6s1.json", "--tol", "1e-6"],
         ["certify", "relabel6s1.json", "--tol", "inf"],
         # a finite tolerance whose bound overflows

@@ -18,6 +18,11 @@ connectivity, the grounded Green function and the eigendecomposition) is
 computed on first use and cached on the form or its generator.  All
 values are immutable after construction and every operation is a pure
 function.
+
+Construction works on whole arrays: one look-up per endpoint, one pass of
+array checks and a sort by the string rank of the vertices; only a faulty
+edge list is walked edge by edge, to raise the error of its first fault.
+The form keeps the vertex indices of its keys for the weight matrix.
 """
 
 from __future__ import annotations
@@ -61,20 +66,36 @@ def _require_finite(matrix: np.ndarray, what: str) -> None:
 def _offdiagonal_connected(coupling: np.ndarray) -> bool:
     """Whether the graph of the nonzero off-diagonal entries is connected,
     x and y joined when coupling[x, y] or coupling[y, x] is nonzero (a
-    generator entry b / m(x) can underflow in one direction only)."""
+    generator entry b / m(x) can underflow in one direction only); a
+    breadth-first search that expands its whole frontier per step."""
     n = coupling.shape[0]
     if n == 0:
         return False
+    adjacent = (coupling != 0.0) | (coupling.T != 0.0)
     seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero((coupling[i] != 0.0) | (coupling[:, i] != 0.0))[0]:
-            if j != i and not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
+    frontier = np.arange(n) == 0
+    while frontier.any():
+        seen |= frontier
+        frontier = adjacent[frontier].any(axis=0) & ~seen
     return bool(seen.all())
+
+
+def _raise_first_fault(space: MeasureSpace, edges: Iterable[tuple[str, str, float]]) -> None:
+    """Check the edges one at a time and raise the error of the first
+    faulty one: unknown vertex, self-loop, bad weight or duplicate key."""
+    seen = set()
+    for u, v, w in edges:
+        space.index(u)  # raises UnknownVertex
+        space.index(v)
+        if u == v:
+            raise SelfLoop(f"self-loop at {u!r}")
+        w = float(w)
+        if not 0.0 <= w < math.inf:
+            raise NegativeWeight(f"edge weight b({u},{v}) = {w} must be finite and >= 0")
+        key = _edge_key(u, v)
+        if key in seen:
+            raise DuplicateEdge(f"duplicate edge {key}")
+        seen.add(key)
 
 
 class MeasureSpace:
@@ -89,7 +110,7 @@ class MeasureSpace:
         self.vertices = vs
         self._index = {v: i for i, v in enumerate(vs)}
         mv = self.vector(m)
-        if not np.all(np.isfinite(mv)) or np.any(mv <= 0.0):
+        if not 0.0 < mv.min() <= mv.max() < math.inf:  # NaN fails both
             raise NonPositiveMeasure("vertex measure must be finite and > 0")
         mv.flags.writeable = False
         self.m = mv
@@ -148,29 +169,38 @@ class GraphForm:
 
     def __init__(self, space: MeasureSpace, b: EdgeInput, c: VertexFunction = 0.0):
         self.space = space
-        edges: dict[tuple[str, str], float] = {}
-        if isinstance(b, Mapping):
-            items: Iterable[tuple[str, str, float]] = ((u, v, w) for (u, v), w in b.items())
-        else:
-            items = iter(b)
-        index = space._index
-        for u, v, w in items:
-            if u not in index:
-                space.index(u)  # raises UnknownVertex
-            if v not in index:
-                space.index(v)
-            if u == v:
-                raise SelfLoop(f"self-loop at {u!r}")
-            w = float(w)
-            if not 0.0 <= w < math.inf:
-                raise NegativeWeight(f"edge weight b({u},{v}) = {w} must be finite and >= 0")
-            key = (u, v) if u <= v else (v, u)
-            if key in edges:
-                raise DuplicateEdge(f"duplicate edge {key}")
-            edges[key] = w
-        self.b = dict(sorted(edges.items()))
+        mapping = isinstance(b, Mapping)
+        edges = ((u, v, w) for (u, v), w in b.items()) if mapping else list(b)
+        try:
+            if mapping:
+                us, vs = zip(*b, strict=True) if b else ((), ())
+                ws = b.values()
+            else:
+                us, vs, ws = zip(*edges, strict=True) if edges else ((), (), ())
+            ends = np.fromiter(map(space._index.__getitem__, itertools.chain(us, vs)),
+                               np.intp, 2 * len(us)).reshape(2, -1)
+            w = np.fromiter(map(float, ws), float, len(ws))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            _raise_first_fault(space, edges)
+            raise
+        # keys (u, v) with u <= v as strings, in sorted order: sort by rank
+        n = len(space)
+        by_rank = np.array(sorted(range(n), key=space.vertices.__getitem__),
+                           dtype=np.min_scalar_type(n))  # the narrowest that holds n
+        ranks = by_rank.argsort()[ends]
+        lo, hi = ranks.min(axis=0), ranks.max(axis=0)
+        code = lo * n + hi
+        order = code.argsort()
+        code = code[order]
+        if not (((w >= 0.0) & (w < math.inf) & (lo < hi)).all()  # self-loop
+                and (code[1:] != code[:-1]).all()):  # duplicate
+            _raise_first_fault(space, edges)
+        # vertex indices of the keys of b, in order
+        self.edge_indices = by_rank[np.array(np.divmod(code, n))]
+        us, vs = np.array(space.vertices, dtype=object)[self.edge_indices].tolist()
+        self.b = dict(zip(zip(us, vs), w[order].tolist()))
         cv = space.vector(c)
-        if not np.all(np.isfinite(cv)) or np.any(cv < 0.0):
+        if not 0.0 <= cv.min() <= cv.max() < math.inf:
             raise NegativeWeight("killing weights must be finite and >= 0")
         cv.flags.writeable = False
         self.c = cv
@@ -192,11 +222,10 @@ class GraphForm:
     @cached_property
     def weight_matrix(self) -> np.ndarray:
         """Symmetric conductance matrix W with zero diagonal."""
-        n, index = len(self.space), self.space._index
+        n = len(self.space)
         w = np.zeros((n, n))
-        rows = [index[u] for u, _ in self.b]
-        cols = [index[v] for _, v in self.b]
-        w[rows + cols, cols + rows] = list(self.b.values()) * 2
+        i, j = self.edge_indices
+        w[i, j] = w[j, i] = np.fromiter(self.b.values(), float, len(self.b))
         w.flags.writeable = False
         return w
 

@@ -260,21 +260,20 @@ def doob_pair(
     intertwines the two forms with operator constant 1.
     """
     h = form.space.vector(h_excessive)
-    if np.any(h <= 0.0) or not np.all(np.isfinite(h)):
+    if not 0.0 < h.min() <= h.max() < np.inf:  # NaN fails both
         raise NonPositive("the conjugating function must be strictly positive")
     gen = generator(form)
     if not is_excessive(gen, h, tol):
         raise NotExcessive("the conjugating function must be excessive")
 
     names = form.space.vertices
-    b2 = {}
-    for (x, y), weight in form.b.items():
-        i, j = form.space.index(x), form.space.index(y)
-        b2[(x, y)] = h[i] * h[j] * weight
+    i, j = form.edge_indices
+    weights = np.fromiter(form.b.values(), float, len(form.b))
+    b2 = dict(zip(form.b, (h[i] * h[j] * weights).tolist()))
     c2 = h * form.space.m * (gen.L @ h)
     # diagonal remainders can dip just below zero in floating point
-    floor = -tol.bound(max(1.0, float(np.max(np.abs(gen.L))) * float(np.max(h))))
-    if np.any(c2 < floor):
+    floor = -tol.bound(max(1.0, float(np.abs(gen.L).max()) * float(h.max())))
+    if c2.min() < floor:
         raise NotExcessive("conjugation produced negative killing; h is not excessive")
     c2 = np.maximum(c2, 0.0)
 
@@ -284,7 +283,7 @@ def doob_pair(
         source=form.space,
         target=space2,
         tau={v: v for v in names},
-        h={v: 1.0 / h[i] for i, v in enumerate(names)},
+        h=dict(zip(names, (1.0 / h).tolist())),
         beta=1.0,
     )
     return form2, iso

@@ -19,6 +19,11 @@ def rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
+def pick(rng: np.random.Generator, options):
+    """One of ``options`` as it is, without numpy's type conversion."""
+    return options[int(rng.integers(len(options)))]
+
+
 def diagonal_overflow_form():
     """Edges of 6e-309 to a hub of conductance 1e300 to v3: the Green function
     is finite, its diagonal sum for v0, v1 is not."""
@@ -333,9 +338,28 @@ def oracle_dumps(obj, indent: int = 0) -> str:
     raise MalformedInput(f"cannot serialize {type(obj).__name__}")
 
 
+def oracle_offdiagonal_connected(coupling: np.ndarray) -> bool:
+    """Oracle: the depth-first search over the nonzero entries of each row
+    and column that ``core._offdiagonal_connected`` replaced."""
+    n = coupling.shape[0]
+    if n == 0:
+        return False
+    seen = np.zeros(n, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        i = stack.pop()
+        for j in np.nonzero((coupling[i] != 0.0) | (coupling[:, i] != 0.0))[0]:
+            if j != i and not seen[j]:
+                seen[j] = True
+                stack.append(int(j))
+    return bool(seen.all())
+
+
 class OracleGraphForm(dk.GraphForm):
-    """Oracle: the per-edge construction loop and the per-edge weight-matrix
-    loop that ``GraphForm`` replaced."""
+    """Oracle: the per-edge construction loop, with a dict lookup per
+    endpoint and a sort of the string keys, and the per-edge weight-matrix
+    loop that ``GraphForm`` replaced with array operations."""
 
     def __init__(self, space, b, c=0.0):
         self.space = space

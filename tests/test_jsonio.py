@@ -4,36 +4,42 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import dirikit as dk
 from dirikit import jsonio
 from dirikit.errors import MalformedInput
 from dirikit.sampling import random_intertwined_pair
 
-from conftest import construction_outcome, oracle_dumps, oracle_graph_from_obj, rng_for
+from conftest import construction_outcome, oracle_dumps, oracle_graph_from_obj, pick, rng_for
 
 MAX = 1.7976931348623157e308
 SPECIAL = (
     0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 2.2250738585072014e-308,
     MAX, -MAX, 1.0, 1.0 / 3.0, -2.0,
 )
-finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@st.composite
-def float_arrays(draw):
-    """1-D and 2-D float64 arrays drawn from a small pool of values, so most
+def finite_float(rng):
+    """A finite double: a special value, or random bits, so that every
+    exponent is as likely."""
+    if rng.random() < 0.3:
+        return pick(rng, SPECIAL)
+    while True:
+        x = float(rng.integers(0, 2**64, size=1, dtype=np.uint64).view(np.float64)[0])
+        if math.isfinite(x):
+            return x
+
+
+def float_array(rng):
+    """A 1-D or 2-D float64 array drawn from a small pool of values, so most
     entries repeat; the pool mixes signed zeros, subnormals and the largest
     doubles with arbitrary finite floats."""
-    pool = draw(st.lists(st.one_of(st.sampled_from(SPECIAL), finite), min_size=1, max_size=6))
-    if draw(st.booleans()):
-        shape = (draw(st.integers(0, 30)),)
+    pool = [finite_float(rng) for _ in range(int(rng.integers(1, 7)))]
+    if rng.random() < 0.5:
+        shape = (int(rng.integers(0, 31)),)
     else:
-        shape = (draw(st.integers(0, 6)), draw(st.integers(0, 6)))
-    size = math.prod(shape)
-    picks = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+        shape = (int(rng.integers(0, 7)), int(rng.integers(0, 7)))
+    picks = [pick(rng, pool) for _ in range(math.prod(shape))]
     return np.array(picks, dtype=float).reshape(shape)
 
 
@@ -48,37 +54,62 @@ def as_lists(obj):
     return obj
 
 
-scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(-10**20, 10**20),
-    st.one_of(st.sampled_from(SPECIAL), finite), st.text(max_size=8),
-)
-keys = st.one_of(st.text(max_size=6), st.integers(-5, 5))
-flat_mappings = st.one_of(
-    st.dictionaries(keys, st.text(max_size=8), max_size=6),
-    st.dictionaries(keys, st.one_of(st.sampled_from(SPECIAL), finite), max_size=6),
-)
-payloads = st.recursive(
-    st.one_of(scalars, float_arrays(), flat_mappings),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.dictionaries(keys, children, max_size=4),
-    ),
-    max_leaves=12,
-)
+# code point ranges: printable ASCII, control characters, Latin-1, the rest
+# of the basic plane without surrogates, and the astral planes
+CHARACTERS = ((0x20, 0x7F), (0x00, 0x20), (0x80, 0x100), (0x100, 0xD800), (0xE000, 0x110000))
+
+
+def text(rng, max_size):
+    return "".join(chr(int(rng.integers(*pick(rng, CHARACTERS))))
+                   for _ in range(int(rng.integers(0, max_size + 1))))
+
+
+def scalar(rng):
+    """None, a bool, an integer of up to 20 digits, a float or a string."""
+    kind = int(rng.integers(5))
+    if kind == 0:
+        return None
+    if kind == 1:
+        return bool(rng.random() < 0.5)
+    if kind == 2:
+        big = int.from_bytes(rng.bytes(9), "big") % (2 * 10**20 + 1) - 10**20
+        return big if rng.random() < 0.5 else int(rng.integers(-5, 6))
+    if kind == 3:
+        return finite_float(rng)
+    return text(rng, 8)
+
+
+def key(rng):
+    return text(rng, 6) if rng.random() < 0.5 else int(rng.integers(-5, 6))
+
+
+def flat_mapping(rng):
+    """Up to 6 entries, all strings or all floats."""
+    value = (lambda: text(rng, 8)) if rng.random() < 0.5 else (lambda: finite_float(rng))
+    return {key(rng): value() for _ in range(int(rng.integers(0, 7)))}
+
+
+def payload(rng, depth=0):
+    """A scalar, array or flat mapping, or lists and mappings of up to 4
+    payloads, nested at most 3 deep."""
+    if depth == 3 or rng.random() < 0.4:
+        return pick(rng, (scalar, float_array, flat_mapping))(rng)
+    size = int(rng.integers(0, 5))
+    if rng.random() < 0.5:
+        return [payload(rng, depth + 1) for _ in range(size)]
+    return {key(rng): payload(rng, depth + 1) for _ in range(size)}
 
 
 class TestFloatArrays:
-    @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(float_arrays())
-    def test_same_bytes_as_the_oracle(self, arr):
-        for indent in (0, 2):
-            want = oracle_dumps(arr.tolist(), indent)
-            assert jsonio.dumps(arr, indent) == want
-            assert jsonio.dumps(arr.tolist(), indent) == want
-            if arr.ndim == 2:
-                assert jsonio.dumps(arr.T, indent) == oracle_dumps(arr.T.tolist(), indent)
-            else:
-                assert jsonio.dumps(arr[::2], indent) == oracle_dumps(arr[::2].tolist(), indent)
+    def test_same_bytes_as_the_oracle(self):
+        for seed in range(100):
+            arr = float_array(rng_for(seed))
+            for indent in (0, 2):
+                want = oracle_dumps(arr.tolist(), indent)
+                assert jsonio.dumps(arr, indent) == want, seed
+                assert jsonio.dumps(arr.tolist(), indent) == want, seed
+                part = arr.T if arr.ndim == 2 else arr[::2]
+                assert jsonio.dumps(part, indent) == oracle_dumps(part.tolist(), indent), seed
 
     def test_signed_zeros_stay_apart(self):
         arr = np.array([[0.0, -0.0], [-0.0, 0.0]])
@@ -92,11 +123,11 @@ class TestFloatArrays:
 
 
 class TestPayloads:
-    @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(payloads)
-    def test_same_bytes_as_the_oracle(self, payload):
-        for indent in (0, 2):
-            assert jsonio.dumps(payload, indent) == oracle_dumps(as_lists(payload), indent)
+    def test_same_bytes_as_the_oracle(self):
+        for seed in range(60):
+            obj = payload(rng_for(seed))
+            for indent in (0, 2):
+                assert jsonio.dumps(obj, indent) == oracle_dumps(as_lists(obj), indent), seed
 
     def test_flat_mappings(self):
         for mapping in ({"a": "x", "b": "é\n"}, {1: 0.5, "b": -0.0, "c": 5e-324},
@@ -153,42 +184,39 @@ EDGE_VALUES = (
 )
 
 
-@st.composite
-def edge_objects(draw, names):
+def edge_object(rng, names):
     """An edge object, most often well formed; otherwise a non-object, an
     object missing a key or holding a value of the wrong type, an unknown
     vertex, a self-loop or a bad weight."""
-    ends = st.sampled_from(names)
-    entry = {"u": draw(ends), "v": draw(ends), "b": draw(st.sampled_from((1.0, 0.5, 2, 0.0)))}
-    fault = draw(st.sampled_from((None,) * 6 + ("shape", "missing", "key", "weight")))
+    entry = {"u": pick(rng, names), "v": pick(rng, names), "b": pick(rng, (1.0, 0.5, 2, 0.0))}
+    fault = pick(rng, (None,) * 6 + ("shape", "missing", "key", "weight"))
     if fault == "shape":
-        return draw(st.sampled_from((None, 3, "u", [entry["u"], entry["v"], 1.0], [])))
+        return pick(rng, (None, 3, "u", [entry["u"], entry["v"], 1.0], []))
     if fault == "missing":
-        del entry[draw(st.sampled_from(("u", "v", "b")))]
+        del entry[pick(rng, ("u", "v", "b"))]
     elif fault == "key":
-        entry[draw(st.sampled_from(("u", "v")))] = draw(st.sampled_from((1, None, ["v0"], "zz")))
+        entry[pick(rng, ("u", "v"))] = pick(rng, (1, None, ["v0"], "zz"))
     elif fault == "weight":
-        entry["b"] = draw(st.sampled_from(EDGE_VALUES))
+        entry["b"] = pick(rng, EDGE_VALUES)
     return entry
 
 
-@st.composite
-def graph_objects(draw):
-    names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+def graph_object(rng):
+    names = [f"v{i}" for i in range(int(rng.integers(1, 5)))]
     return {
         "vertices": names,
         "m": {v: 1.0 for v in names},
-        "edges": draw(st.lists(edge_objects(names), max_size=7)),
+        "edges": [edge_object(rng, names) for _ in range(int(rng.integers(0, 8)))],
         "killing": {},
     }
 
 
 class TestGraphFromObjOracle:
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(graph_objects())
-    def test_same_form_or_error(self, obj):
-        want = construction_outcome(oracle_graph_from_obj, obj)
-        assert construction_outcome(jsonio.graph_from_obj, obj) == want
+    def test_same_form_or_error(self):
+        for seed in range(300):
+            obj = graph_object(rng_for(seed))
+            want = construction_outcome(oracle_graph_from_obj, obj)
+            assert construction_outcome(jsonio.graph_from_obj, obj) == want, seed
 
     def test_first_of_several_faults(self):
         good = {"u": "a", "v": "b", "b": 1.0}

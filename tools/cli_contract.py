@@ -82,6 +82,12 @@ INVALID = {
     "duplicate": json.dumps(dict(_A_B, edges=[{"u": "a", "v": "b", "b": 1.0},
                                               {"u": "b", "v": "a", "b": 2.0}])),
     "unknown_vertex": json.dumps(dict(_A_B, edges=[{"u": "a", "v": "z", "b": 1.0}])),
+    # two faults in one list: the first one is reported
+    "duplicate_then_self_loop": json.dumps(dict(_A_B, edges=[
+        {"u": "a", "v": "b", "b": 1.0}, {"u": "b", "v": "a", "b": 2.0},
+        {"u": "a", "v": "a", "b": 1.0}])),
+    "nan_then_unknown_vertex": json.dumps(dict(_A_B, edges=[
+        {"u": "a", "v": "b", "b": float("nan")}, {"u": "a", "v": "z", "b": 1.0}])),
     "zero_measure": json.dumps(dict(_A_B, m={"a": 0.0, "b": 1.0},
                                     edges=[{"u": "a", "v": "b", "b": 1.0}])),
     "disconnected": json.dumps({"vertices": ["a", "b", "c"], "m": {"a": 1.0, "b": 1.0, "c": 1.0},
@@ -132,6 +138,9 @@ def _commands() -> list[list[str]]:
             cmds.append(["intrinsic", "path3.json", "--metric", f"{name}.json", "--format", fmt])
         for name in PAIRS:
             cmds.append(["certify", f"{name}.json", "--format", fmt])
+        # v0..v11: the edge keys sort as strings (v10 < v2), not by index
+        cmds += [["check", "cycle12.json", "--format", fmt],
+                 ["decompose", "cycle12.json", "--format", fmt]]
     cmds += [
         ["resistance", "path7.json", "--tol", "1e-6"],
         ["intrinsic", "sierpinski3.json", "--tol", "1e-6"],

@@ -160,7 +160,7 @@ def _cmd_check(args) -> int:
     payload = {
         "valid": True,
         "vertices": len(form.space),
-        "edges": len(form.b),
+        "edges": len(form.weights),
         "irreducible": spectral.is_irreducible(form),
         "recurrent": spectral.is_recurrent(form),
         "spectrum": spectrum,

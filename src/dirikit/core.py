@@ -19,10 +19,12 @@ computed on first use and cached on the form or its generator.  All
 values are immutable after construction and every operation is a pure
 function.
 
-Construction works on whole arrays: one look-up per endpoint, one pass of
-array checks and a sort by the string rank of the vertices; only a faulty
-edge list is walked edge by edge, to raise the error of its first fault.
-The form keeps the vertex indices of its keys for the weight matrix.
+Construction works on whole arrays: edge columns of ends and weights, one
+look-up per endpoint, one pass of array checks and a sort by the string
+rank of the vertices; only a faulty edge list is walked edge by edge, to
+raise the error of its first fault.  A form keeps index and weight arrays
+of its edge keys, in key order; the dict ``b`` is derived data, built on
+first read.
 """
 
 from __future__ import annotations
@@ -168,7 +170,6 @@ class GraphForm:
     """A Dirichlet form: measure space plus conductances and killing."""
 
     def __init__(self, space: MeasureSpace, b: EdgeInput, c: VertexFunction = 0.0):
-        self.space = space
         mapping = isinstance(b, Mapping)
         edges = ((u, v, w) for (u, v), w in b.items()) if mapping else list(b)
         try:
@@ -177,11 +178,27 @@ class GraphForm:
                 ws = b.values()
             else:
                 us, vs, ws = zip(*edges, strict=True) if edges else ((), (), ())
+        except (TypeError, ValueError):
+            _raise_first_fault(space, edges)
+            raise
+        self._set_columns(space, us, vs, ws, c)
+
+    @classmethod
+    def _from_columns(cls, space, us, vs, ws, c: VertexFunction = 0.0) -> GraphForm:
+        """The form with edges (us[k], vs[k]) of weight ws[k], each in either
+        orientation; the same checks and errors as the constructor."""
+        form = cls.__new__(cls)
+        form._set_columns(space, us, vs, ws, c)
+        return form
+
+    def _set_columns(self, space, us, vs, ws, c) -> None:
+        self.space = space
+        try:
             ends = np.fromiter(map(space._index.__getitem__, itertools.chain(us, vs)),
                                np.intp, 2 * len(us)).reshape(2, -1)
             w = np.fromiter(map(float, ws), float, len(ws))
         except (KeyError, TypeError, ValueError, OverflowError):
-            _raise_first_fault(space, edges)
+            _raise_first_fault(space, zip(us, vs, ws))
             raise
         # keys (u, v) with u <= v as strings, in sorted order: sort by rank
         n = len(space)
@@ -194,11 +211,11 @@ class GraphForm:
         code = code[order]
         if not (((w >= 0.0) & (w < math.inf) & (lo < hi)).all()  # self-loop
                 and (code[1:] != code[:-1]).all()):  # duplicate
-            _raise_first_fault(space, edges)
-        # vertex indices of the keys of b, in order
+            _raise_first_fault(space, zip(us, vs, ws))
+        # vertex indices and weights of the edge keys, in key order
         self.edge_indices = by_rank[np.array(np.divmod(code, n))]
-        us, vs = np.array(space.vertices, dtype=object)[self.edge_indices].tolist()
-        self.b = dict(zip(zip(us, vs), w[order].tolist()))
+        self.weights = w[order]
+        self.weights.flags.writeable = False
         cv = space.vector(c)
         if not 0.0 <= cv.min() <= cv.max() < math.inf:
             raise NegativeWeight("killing weights must be finite and >= 0")
@@ -206,15 +223,25 @@ class GraphForm:
         self.c = cv
 
     def __repr__(self) -> str:
-        return f"GraphForm({len(self.space)} vertices, {len(self.b)} edges)"
+        return f"GraphForm({len(self.space)} vertices, {len(self.weights)} edges)"
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GraphForm)
             and self.space == other.space
-            and self.b == other.b
+            and np.array_equal(self.edge_indices, other.edge_indices)
+            and np.array_equal(self.weights, other.weights)
             and np.array_equal(self.c, other.c)
         )
+
+    def edge_ends(self) -> list[list[str]]:
+        """The lists of first and of second ends of the edge keys, in key order."""
+        return np.array(self.space.vertices, dtype=object)[self.edge_indices].tolist()
+
+    @cached_property
+    def b(self) -> dict[tuple[str, str], float]:
+        """Conductance per edge key (u, v), u <= v as strings, in key order."""
+        return dict(zip(zip(*self.edge_ends()), self.weights.tolist()))
 
     def edge_weight(self, u: str, v: str) -> float:
         return self.b.get(_edge_key(u, v), 0.0)
@@ -225,7 +252,7 @@ class GraphForm:
         n = len(self.space)
         w = np.zeros((n, n))
         i, j = self.edge_indices
-        w[i, j] = w[j, i] = np.fromiter(self.b.values(), float, len(self.b))
+        w[i, j] = w[j, i] = self.weights
         w.flags.writeable = False
         return w
 

@@ -2,7 +2,8 @@
 
 Graph:       {"vertices": [...], "m": {v: real},
               "edges": [{"u": v, "v": w, "b": real}], "killing": {v: real}}
-             (absent killing entries default to 0)
+             (absent killing entries default to 0; edges are read in any
+             order and orientation and written in key order, u <= v)
 Order iso:   {"tau": {y: x}, "h": {y: real}}
 Pair:        {"g1": graph, "g2": graph, "iso": order iso from g1 onto g2}
 Jump data:   {"vertices": [...], "J": [{"x": a, "y": b, "value": real}],
@@ -29,8 +30,8 @@ from typing import Mapping
 import numpy as np
 
 from .beurling import JumpKilling
-from .core import GraphForm, MeasureSpace, build_form
-from .errors import MalformedInput
+from .core import GraphForm, MeasureSpace
+from .errors import DirikitError, MalformedInput
 from .metrics import PseudoMetric
 from .orderiso import OrderIso
 from .tolerances import Tolerance
@@ -141,33 +142,21 @@ def graph_to_obj(form: GraphForm) -> dict:
         for i, v in enumerate(form.space.vertices)
         if form.c[i] != 0.0
     }
+    us, vs = form.edge_ends()
     return {
         "vertices": list(form.space.vertices),
         "m": {v: float(form.space.m[i]) for i, v in enumerate(form.space.vertices)},
-        "edges": [{"u": u, "v": v, "b": w} for (u, v), w in sorted(form.b.items())],
+        "edges": [{"u": u, "v": v, "b": w} for u, v, w in zip(us, vs, form.weights.tolist())],
         "killing": killing,
     }
 
 
-def _edges(edge_list: list) -> list[tuple[str, str, float]]:
-    """(u, v, b) per edge object; the per-edge checks run only when the
-    whole list is not plainly well formed, so they raise the first fault."""
-    if set(map(type, edge_list)) <= {dict}:
-        try:
-            us = [entry["u"] for entry in edge_list]
-            vs = [entry["v"] for entry in edge_list]
-            bs = [entry["b"] for entry in edge_list]
-            if set(map(type, us + vs)) <= {str} and set(map(type, bs)) <= {int, float}:
-                return list(zip(us, vs, map(float, bs)))
-        except (KeyError, OverflowError):
-            pass
-    edges = []
+def _check_edges(edge_list: list) -> None:
+    """Raise MalformedInput at the first malformed edge object."""
     for entry in edge_list:
-        u = _require(entry, "u", str, "graph edge")
-        v = _require(entry, "v", str, "graph edge")
-        w = _number(_require(entry, "b", (int, float), "graph edge"), "graph edge b")
-        edges.append((u, v, w))
-    return edges
+        _require(entry, "u", str, "graph edge")
+        _require(entry, "v", str, "graph edge")
+        _number(_require(entry, "b", (int, float), "graph edge"), "graph edge b")
 
 
 def graph_from_obj(obj) -> GraphForm:
@@ -179,14 +168,26 @@ def graph_from_obj(obj) -> GraphForm:
     edge_list = obj.get("edges", [])
     if not isinstance(edge_list, list):
         raise MalformedInput("graph: key 'edges' has wrong type")
-    edges = _edges(edge_list)
-    killing_obj = obj.get("killing", {})
-    if not isinstance(killing_obj, dict):
-        raise MalformedInput("graph: killing must be an object")
-    killing = {
-        v: _number(killing_obj.get(v, 0.0), f"graph: killing[{v!r}]") for v in vertices
-    }
-    return build_form(vertices, m, edges, killing)
+    try:
+        us, vs, bs = ([entry[key] for entry in edge_list] for key in "uvb")
+    except (KeyError, TypeError):
+        _check_edges(edge_list)
+        raise
+    if not set(map(type, edge_list)) <= {dict} or not set(map(type, bs)) <= {int, float}:
+        _check_edges(edge_list)
+    try:
+        killing_obj = obj.get("killing", {})
+        if not isinstance(killing_obj, dict):
+            raise MalformedInput("graph: killing must be an object")
+        killing = {
+            v: _number(killing_obj.get(v, 0.0), f"graph: killing[{v!r}]") for v in vertices
+        }
+        return GraphForm._from_columns(MeasureSpace(vertices, m), us, vs, bs, killing)
+    except (DirikitError, TypeError, OverflowError):
+        # a malformed edge (a non-string end, an int out of float range) is
+        # reported before any later fault
+        _check_edges(edge_list)
+        raise
 
 
 def graph_dumps(form: GraphForm) -> str:

@@ -268,8 +268,7 @@ def doob_pair(
 
     names = form.space.vertices
     i, j = form.edge_indices
-    weights = np.fromiter(form.b.values(), float, len(form.b))
-    b2 = dict(zip(form.b, (h[i] * h[j] * weights).tolist()))
+    weights = (h[i] * h[j] * form.weights).tolist()
     c2 = h * form.space.m * (gen.L @ h)
     # diagonal remainders can dip just below zero in floating point
     floor = -tol.bound(max(1.0, float(np.abs(gen.L).max()) * float(h.max())))
@@ -278,7 +277,7 @@ def doob_pair(
     c2 = np.maximum(c2, 0.0)
 
     space2 = MeasureSpace(names, h**2 * form.space.m)
-    form2 = GraphForm(space2, b2, c2)
+    form2 = GraphForm._from_columns(space2, *form.edge_ends(), weights, c2)
     iso = OrderIso(
         source=form.space,
         target=space2,

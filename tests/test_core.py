@@ -133,6 +133,17 @@ def shuffled_edges(rng, form):
     return [(v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in edges]
 
 
+def array_outcome(make, *args):
+    """The edge index and weight arrays a form constructor leaves, with its
+    ``construction_outcome``, or the type and message of the exception it
+    raised."""
+    try:
+        form = make(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return form.edge_indices.tolist(), form.weights.tobytes(), construction_outcome(lambda: form)
+
+
 class TestConstructionOracle:
     def test_same_form_or_error(self):
         outcomes = set()
@@ -142,6 +153,22 @@ class TestConstructionOracle:
             assert construction_outcome(dk.GraphForm, space, edges) == want, seed
             outcomes.add(want[0] if isinstance(want[0], type) else "form")
         assert outcomes == {"form", UnknownVertex, SelfLoop, DuplicateEdge, NegativeWeight}
+
+    def test_columns_mapping_and_triples_agree(self):
+        # the column path against the oracle, and the constructor's mapping
+        # and triple inputs against the column path, arrays included
+        for seed in range(300):
+            space, edges = edge_case(rng_for(seed))
+            triples = [(u, v, w) for (u, v), w in edges.items()] if isinstance(edges, dict) \
+                else edges
+            columns = [list(column) for column in zip(*triples)] or [[], [], []]
+            got = array_outcome(dk.GraphForm._from_columns, space, *columns)
+            want = construction_outcome(OracleGraphForm, space, triples)
+            assert (got if isinstance(got[0], type) else got[2]) == want, seed
+            assert array_outcome(dk.GraphForm, space, triples) == got, seed
+            mapping = {(u, v): w for u, v, w in triples}
+            if len(mapping) == len(triples):
+                assert array_outcome(dk.GraphForm, space, mapping) == got, seed
 
     def test_several_faults_raise_the_first(self):
         space = dk.MeasureSpace(["a", "b", "c"], 1.0)

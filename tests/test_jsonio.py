@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from collections import OrderedDict
@@ -7,6 +8,7 @@ import pytest
 
 import dirikit as dk
 from dirikit import jsonio
+from dirikit.cli import run
 from dirikit.errors import MalformedInput
 from dirikit.sampling import random_intertwined_pair
 
@@ -252,6 +254,36 @@ class TestGraphFromObjOracle:
                     obj = jsonio.loads(jsonio.graph_dumps(form))
                     want = construction_outcome(oracle_graph_from_obj, obj)
                     assert construction_outcome(jsonio.graph_from_obj, obj) == want
+
+
+class TestConductancesBuiltOnRead:
+    """A loaded form keeps index and weight arrays; its ``b`` dict is built
+    only when something reads it."""
+
+    def test_certify_path(self):
+        form1, form2, iso = random_intertwined_pair(rng_for(5), 40, "doob")
+        assert "b" not in vars(form1) and "b" not in vars(form2)  # doob_pair reads neither
+        got1, got2, got_iso = jsonio.pair_from_obj(jsonio.pair_to_obj(form1, form2, iso))
+        assert dk.certify(got_iso, got1, got2).verdict
+        assert dk.verify_jump_transform(got_iso, got1, got2).verdict
+        assert "b" not in vars(got1) and "b" not in vars(got2)
+        assert list(got1.b.items()) == list(form1.b.items())
+        assert "b" in vars(got1)
+
+    def test_check(self, tmp_path, monkeypatch, capsys):
+        loaded = []
+        graph_loads = jsonio.graph_loads
+
+        def capture(text):
+            loaded.append(graph_loads(text))
+            return loaded[-1]
+
+        monkeypatch.setattr(jsonio, "graph_loads", capture)
+        path = tmp_path / "g.json"
+        path.write_text(jsonio.graph_dumps(dk.generate("sierpinski", 2)))
+        assert run(["check", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["edges"] == 27
+        assert len(loaded) == 1 and "b" not in vars(loaded[0])
 
 
 class TestPairDocument:

@@ -16,7 +16,7 @@ from dirikit.errors import (
 from dirikit.orderiso import require_intertwining
 from dirikit.sampling import doob_pair_sample, random_form, relabel_pair
 
-from conftest import rng_for
+from conftest import construction_outcome, rng_for
 
 
 def killed_pair():
@@ -312,6 +312,22 @@ class TestDoobPair:
         assert form2.b == {("a", "b"): 2.0}
         assert np.allclose(form2.c, [0.0, 2.0])
         assert np.allclose(form2.space.m, [1.0, 4.0])
+
+    def test_partner_conductances_are_the_products(self):
+        # b2(x, y) = h(x) h(y) b(x, y) multiplied left to right, bit for bit
+        # what a construction from the product dict gives
+        rng = rng_for(44)
+        for n in (2, 8, 60):
+            base = random_form(rng, n, recurrent=True)
+            h = rng.uniform(1.0, 2.0, size=n)
+            w = base.weight_matrix
+            form = dk.GraphForm(base.space, base.b,
+                                np.maximum((w @ h - w.sum(axis=1) * h) / h, 0.0) + 0.02)
+            form2, _ = dk.doob_pair(form, h)
+            index = form.space.index
+            products = {(u, v): h[index(u)] * h[index(v)] * b for (u, v), b in form.b.items()}
+            want = construction_outcome(dk.GraphForm, form2.space, products, form2.c)
+            assert construction_outcome(lambda: form2) == want
 
     def test_rejects_non_excessive(self):
         with pytest.raises(NotExcessive):

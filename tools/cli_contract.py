@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -141,6 +143,10 @@ def _commands() -> list[list[str]]:
         # v0..v11: the edge keys sort as strings (v10 < v2), not by index
         cmds += [["check", "cycle12.json", "--format", fmt],
                  ["decompose", "cycle12.json", "--format", fmt]]
+        # edge objects in any order and orientation, with an extra key and
+        # an int weight
+        cmds += [["certify", "shuffled.json", "--format", fmt],
+                 ["check", "shuffled.g1.json", "--format", fmt]]
     cmds += [
         ["resistance", "path7.json", "--tol", "1e-6"],
         ["intrinsic", "sierpinski3.json", "--tol", "1e-6"],
@@ -209,6 +215,23 @@ def _commands() -> list[list[str]]:
 COMMANDS = _commands()
 
 
+def _shuffled_pair() -> dict:
+    """relabel40s1's g1 against itself under the identity, with an int
+    weight where g2 has the equal float; g1's edges are shuffled, every
+    other one reversed, and each carries an extra key."""
+    g1 = json.loads(Path("relabel40s1.g1.json").read_text(encoding="utf-8"))
+    g1["edges"][0]["b"] = 2
+    g2 = copy.deepcopy(g1)
+    g2["edges"][0]["b"] = 2.0
+    random.Random(0).shuffle(g1["edges"])
+    for k, edge in enumerate(g1["edges"]):
+        if k % 2:
+            edge["u"], edge["v"] = edge["v"], edge["u"]
+        edge["note"] = k
+    iso = {"tau": {v: v for v in g1["vertices"]}, "h": {v: 1.0 for v in g1["vertices"]}}
+    return {"g1": g1, "g2": g2, "iso": iso}
+
+
 def _write_inputs(run) -> None:
     """Write every input of COMMANDS into the current directory."""
     for name, args in GEN.items():
@@ -220,6 +243,9 @@ def _write_inputs(run) -> None:
         pair = json.loads(Path(f"{name}.json").read_text(encoding="utf-8"))
         for part in ("g1", "g2", "iso"):
             Path(f"{name}.{part}.json").write_text(json.dumps(pair[part]), encoding="utf-8")
+    pair = _shuffled_pair()
+    Path("shuffled.json").write_text(json.dumps(pair), encoding="utf-8")
+    Path("shuffled.g1.json").write_text(json.dumps(pair["g1"]), encoding="utf-8")
     for name, text in INVALID.items():
         Path(f"{name}.json").write_text(text, encoding="utf-8")
         try:

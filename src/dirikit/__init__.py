@@ -12,9 +12,6 @@ families.
 from .beurling import (
     JumpKilling,
     decompose,
-    induced_killing,
-    reconstruct,
-    truncated_form,
     verify_jump_transform,
 )
 from .core import (
@@ -22,8 +19,6 @@ from .core import (
     GraphForm,
     MeasureSpace,
     build_form,
-    evaluate,
-    form_norm,
     generate,
     generator,
     sierpinski_corners,
@@ -41,8 +36,6 @@ from .metrics import (
 )
 from .orderiso import (
     OrderIso,
-    adjoint,
-    apply,
     certify,
     doob_pair,
     intertwining_residual,
@@ -57,7 +50,6 @@ from .search import (
 )
 from .spectral import (
     SpectralData,
-    check_truncation,
     find_nonconstant_excessive,
     is_excessive,
     is_irreducible,
@@ -84,23 +76,17 @@ __all__ = [
     "SpectralData",
     "Tolerance",
     "VerificationReport",
-    "adjoint",
-    "apply",
     "build_form",
     "canonical_intrinsic_metric",
     "certify",
-    "check_truncation",
     "decompose",
     "doob_pair",
     "effective_resistance",
     "equivalence_verdict",
-    "evaluate",
     "find_intertwiners",
     "find_nonconstant_excessive",
-    "form_norm",
     "generate",
     "generator",
-    "induced_killing",
     "intertwining_residual",
     "is_excessive",
     "is_intrinsic",
@@ -108,12 +94,10 @@ __all__ = [
     "is_recurrent",
     "operator_constant",
     "pushforward_metric",
-    "reconstruct",
     "resistance_matrix",
     "semigroup",
     "sierpinski_corners",
     "spectral_data",
-    "truncated_form",
     "verify_intrinsic_bijection",
     "verify_jump_transform",
     "verify_resistance_isometry",

@@ -13,7 +13,7 @@ represented implicitly as the zero measure; verification asserts that the
 residual Q(f) - jump(f) - killing(f) vanishes.
 
 The verifier reads J = W / 2 from the form's cached conductance matrix W;
-``decompose`` and ``reconstruct`` are the same split as vertex-pair dicts.
+``decompose`` is the same split as vertex-pair dicts.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GraphForm, MeasureSpace, VertexFunction, evaluate, generator
-from .errors import MalformedInput, NotMarkovian, SpaceMismatch
+from .core import GraphForm, generator
+from .errors import MalformedInput
 from .orderiso import OrderIso, operator_constant, require_intertwining
 from .report import VerificationReport
 from .tolerances import DEFAULT_TOL, Tolerance
@@ -63,28 +63,6 @@ def decompose(form: GraphForm) -> JumpKilling:
     return JumpKilling(form.space.vertices, dict(sorted(jump.items())), killing)
 
 
-def reconstruct(space: MeasureSpace, data: JumpKilling) -> GraphForm:
-    """Rebuild the form with conductances b = 2 J and killing c = k."""
-    if space.vertices != data.vertices:
-        raise MalformedInput("jump/killing data does not match the space")
-    edges = {}
-    for (x, y), value in data.J.items():
-        if x < y:
-            edges[(x, y)] = 2.0 * value
-    return GraphForm(space, edges, {v: data.k.get(v, 0.0) for v in space.vertices})
-
-
-def truncated_form(form: GraphForm, phi: VertexFunction, f: VertexFunction) -> float:
-    """The truncation Q(phi f) - Q(phi f^2, phi).
-
-    Equals the phi-weighted jump energy of f,
-    sum_{x != y} phi(x) phi(y) (f(x) - f(y))^2 J(x, y).
-    """
-    pv = form.space.vector(phi)
-    fv = form.space.vector(f)
-    return evaluate(form, pv * fv) - evaluate(form, pv * fv * fv, pv)
-
-
 def verify_jump_transform(
     iso: OrderIso, form1: GraphForm, form2: GraphForm, tol: Tolerance = DEFAULT_TOL
 ) -> VerificationReport:
@@ -118,37 +96,3 @@ def verify_jump_transform(
     )
     report.add("local_part_vanishes", local_residual, tol.bound(local_scale))
     return report
-
-
-def induced_killing(
-    iso: OrderIso, form1: GraphForm, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
-    """Killing weights of the form intertwined with ``form1`` through ``iso``.
-
-    The conjugated generator U L1 U^{-1} is formed on the target space and
-    its killing is read off the diagonal remainder.  There is no pushforward
-    formula: the result can mix the killing and jump data of the original
-    form.  Raises when the conjugated matrix is not Markovian.
-
-    U has one nonzero per row, so the conjugate is gathered without forming
-    U: (U L1 U^{-1})[y, z] = h(y) L1[tau(y), tau(z)] (1 / h(z)), the same
-    products as the dense one.
-    """
-    gen1 = generator(form1)
-    if iso.source != gen1.space:
-        raise SpaceMismatch("iso source does not match the form")
-    idx, h = iso.tau_indices, iso.h_values
-    conjugated = (h[:, None] * gen1.L[np.ix_(idx, idx)]) * (1.0 / h)[None, :]
-    m2 = iso.target.m
-    bound = tol.bound(max(1.0, float(np.max(np.abs(conjugated))) * float(np.max(m2))))
-    weighted = conjugated * m2[:, None]
-    if float(np.max(np.abs(weighted - weighted.T))) > bound:
-        raise NotMarkovian("conjugated generator is not m-symmetric")
-    off = conjugated - np.diag(np.diag(conjugated))
-    if np.any(off * m2[:, None] > bound):
-        raise NotMarkovian("conjugated generator has positive off-diagonal entries")
-    b_rows = np.maximum(-off * m2[:, None], 0.0)
-    killing = np.diag(conjugated) * m2 - b_rows.sum(axis=1)
-    if np.any(killing < -bound):
-        raise NotMarkovian("conjugated generator has negative killing")
-    return np.maximum(killing, 0.0)

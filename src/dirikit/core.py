@@ -153,13 +153,6 @@ class MeasureSpace:
             )
         return arr.copy()
 
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        """m-weighted inner product <f, g>_m."""
-        return float(np.sum(self.m * f * g))
-
-    def norm(self, f: np.ndarray) -> float:
-        return math.sqrt(self.inner(f, f))
-
     @property
     def total_mass(self) -> float:
         with np.errstate(over="ignore"):  # inf past the float range
@@ -242,9 +235,6 @@ class GraphForm:
     def b(self) -> dict[tuple[str, str], float]:
         """Conductance per edge key (u, v), u <= v as strings, in key order."""
         return dict(zip(zip(*self.edge_ends()), self.weights.tolist()))
-
-    def edge_weight(self, u: str, v: str) -> float:
-        return self.b.get(_edge_key(u, v), 0.0)
 
     @cached_property
     def weight_matrix(self) -> np.ndarray:
@@ -344,25 +334,9 @@ def build_form(
     return GraphForm(space, edges, killing)
 
 
-def evaluate(form: GraphForm, f: VertexFunction, g: VertexFunction | None = None) -> float:
-    """Evaluate the bilinear form Q(f, g); Q(f, f) when g is omitted."""
-    fv = form.space.vector(f)
-    gv = fv if g is None else form.space.vector(g)
-    df = fv[:, None] - fv[None, :]
-    dg = gv[:, None] - gv[None, :]
-    # 0.5 compensates for each unordered edge appearing twice in W
-    return float(0.5 * np.sum(form.weight_matrix * df * dg) + np.sum(form.c * fv * gv))
-
-
 def generator(form: GraphForm) -> Generator:
     """The generator L = M^{-1} (diag(deg + c) - W) of a form, cached on it."""
     return form.generator
-
-
-def form_norm(form: GraphForm, f: VertexFunction) -> float:
-    """The form norm (Q(f) + ||f||_2^2)^{1/2} on L^2(m)."""
-    fv = form.space.vector(f)
-    return math.sqrt(evaluate(form, fv) + form.space.inner(fv, fv))
 
 
 # ---------------------------------------------------------------------------

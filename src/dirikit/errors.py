@@ -73,10 +73,6 @@ class NumericOverflow(DirikitError):
     """A generator, form matrix, spectrum or tolerance bound leaves the floating-point range."""
 
 
-class NotMarkovian(DirikitError):
-    """A conjugated generator left the Markovian class."""
-
-
 class NotConnected(DirikitError):
     """Resistance quantities need a connected conductance graph."""
 

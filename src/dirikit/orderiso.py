@@ -7,13 +7,12 @@ composition operator
     (U f)(y) = h(y) f(tau(y))
 
 for a vertex bijection tau: X2 -> X1 and a strictly positive scaling h on
-X2.  This module applies such operators, forms their adjoints, measures
-how far they are from intertwining two generators, and certifies the
-rigidity identities an exact intertwiner must satisfy: U*U and UU* are a
-single positive constant beta, h^2 m2 is the beta-scaled pullback of m1,
-the forms differ by the factor beta on all basis pairs, h is excessive
-for the target semigroup, and h is constant whenever both forms are
-recurrent.
+X2.  This module measures how far such operators are from intertwining
+two generators, and certifies the rigidity identities an exact
+intertwiner must satisfy: U*U and UU* are a single positive constant
+beta, h^2 m2 is the beta-scaled pullback of m1, the forms differ by the
+factor beta on all basis pairs, h is excessive for the target semigroup,
+and h is constant whenever both forms are recurrent.
 """
 
 from __future__ import annotations
@@ -90,40 +89,10 @@ class OrderIso:
         inverse[self.tau_indices] = np.arange(len(self.target))
         return inverse
 
-    def matrix(self) -> np.ndarray:
-        """The operator as a matrix (one nonzero per row)."""
-        u = np.zeros((len(self.target), len(self.source)))
-        u[np.arange(len(self.target)), self.tau_indices] = self.h_values
-        return u
-
-    def inverse_matrix(self) -> np.ndarray:
-        v = np.zeros((len(self.source), len(self.target)))
-        v[self.tau_indices, np.arange(len(self.target))] = 1.0 / self.h_values
-        return v
-
     @classmethod
     def identity(cls, space: MeasureSpace) -> "OrderIso":
         names = space.vertices
         return cls(space, space, {v: v for v in names}, {v: 1.0 for v in names}, beta=1.0)
-
-
-def apply(iso: OrderIso, f: VertexFunction) -> np.ndarray:
-    """Apply the weighted composition operator: (U f)(y) = h(y) f(tau(y))."""
-    fv = iso.source.vector(f)
-    return iso.h_values * fv[iso.tau_indices]
-
-
-def adjoint(iso: OrderIso) -> np.ndarray:
-    """Adjoint matrix: (U* g)(x) = m2(s(x)) h(s(x)) g(s(x)) / m1(x), s = tau^{-1}.
-
-    Satisfies <U f, g>_{m2} = <f, U* g>_{m1}; it is itself positivity
-    preserving.
-    """
-    sigma = iso.sigma_indices
-    weights = iso.target.m[sigma] * iso.h_values[sigma] / iso.source.m
-    a = np.zeros((len(iso.source), len(iso.target)))
-    a[np.arange(len(iso.source)), sigma] = weights
-    return a
 
 
 def operator_constant(iso: OrderIso) -> float:

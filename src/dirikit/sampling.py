@@ -51,12 +51,6 @@ def random_form(
     return build_form(names, m, [(u, v, w) for (u, v), w in edges.items()], c)
 
 
-def random_function(
-    rng: np.random.Generator, space: MeasureSpace, lo: float = -1.0, hi: float = 1.0
-) -> np.ndarray:
-    return rng.uniform(lo, hi, size=len(space))
-
-
 def relabel_pair(
     rng: np.random.Generator, form: GraphForm, *, scale: float = 1.0
 ) -> tuple[GraphForm, OrderIso]:
@@ -72,13 +66,9 @@ def relabel_pair(
     perm = rng.permutation(n)  # target position i is the copy of source position perm[i]
     source_names = form.space.vertices
     tau = {names2[i]: source_names[int(perm[i])] for i in range(n)}
-    m2 = scale * form.space.m[perm]
-    pos2 = {source_names[int(perm[i])]: names2[i] for i in range(n)}
-    b2 = {}
-    for (u, v), w in form.b.items():
-        b2[(pos2[u], pos2[v])] = scale * w
-    c2 = scale * form.c[perm]
-    form2 = build_form(names2, m2, [(u, v, w) for (u, v), w in b2.items()], c2)
+    space2 = MeasureSpace(names2, scale * form.space.m[perm])
+    ends2 = np.array(names2, dtype=object)[np.argsort(perm)[form.edge_indices]].tolist()
+    form2 = GraphForm._from_columns(space2, *ends2, scale * form.weights, scale * form.c[perm])
     h_const = 1.0 / math.sqrt(scale)
     iso = OrderIso(form.space, form2.space, tau, {y: h_const for y in names2}, beta=1.0)
     return form2, iso
@@ -109,7 +99,7 @@ def doob_pair_sample(
     # (L h)(x) >= 0 needs c(x) >= sum_y b(x,y) (h(y) - h(x)) / h(x)
     required = (w @ h - w.sum(axis=1) * h) / h
     c = np.maximum(required, 0.0) + 0.02
-    form1 = GraphForm(base.space, base.b, c)
+    form1 = GraphForm._from_columns(base.space, *base.edge_ends(), base.weights, c)
     form2, iso = doob_pair(form1, h)
     return form1, form2, iso
 

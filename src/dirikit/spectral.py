@@ -16,13 +16,10 @@ from .core import (
     SpectralData,
     VertexFunction,
     _offdiagonal_connected,
-    evaluate,
-    generator,
 )
 from .errors import (
     NegativeInput,
     NegativeTime,
-    NotExcessive,
     NotIrreducible,
 )
 from .tolerances import DEFAULT_TOL, Tolerance
@@ -96,27 +93,3 @@ def find_nonconstant_excessive(
         if np.max(h) / np.min(h) - 1.0 > tol.bound(1.0):
             return h
     return None
-
-
-def check_truncation(
-    form: GraphForm,
-    f: VertexFunction,
-    h: VertexFunction,
-    tol: Tolerance = DEFAULT_TOL,
-) -> tuple[float, float, bool]:
-    """Energy bounds for truncations by an excessive function.
-
-    Returns (Q(f ^ h), Q((f - h)_+), ok) where ok holds when both
-    Q(f ^ h) <= Q(f) and Q((f - h)_+) <= 4 Q(f) within tolerance.
-    """
-    gen = generator(form)
-    if not is_excessive(gen, h, tol):
-        raise NotExcessive("truncation bounds require an excessive h")
-    fv = form.space.vector(f)
-    hv = form.space.vector(h)
-    qf = evaluate(form, fv)
-    q_min = evaluate(form, np.minimum(fv, hv))
-    q_plus = evaluate(form, np.maximum(fv - hv, 0.0))
-    bound = tol.bound(max(1.0, abs(qf)))
-    ok = q_min <= qf + bound and q_plus <= 4.0 * qf + bound
-    return q_min, q_plus, bool(ok)

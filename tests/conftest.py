@@ -10,9 +10,20 @@ from scipy.sparse.csgraph import shortest_path
 
 import dirikit as dk
 from dirikit import generator
-from dirikit.errors import DuplicateEdge, MalformedInput, NegativeWeight, SelfLoop
+from dirikit.core import _edge_key
+from dirikit.errors import (
+    DirikitError,
+    DuplicateEdge,
+    MalformedInput,
+    NegativeWeight,
+    NotExcessive,
+    SelfLoop,
+    SpaceMismatch,
+)
 from dirikit.jsonio import _number, _require
+from dirikit.metrics import _resistance_green
 from dirikit.search import SearchOptions, residual_bound, spectra_match
+from dirikit.tolerances import DEFAULT_TOL, Tolerance
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -197,7 +208,7 @@ def jump_energy(data, phi: np.ndarray, f: np.ndarray) -> float:
 
 def truncated_form_via_jump(form, phi, f) -> float:
     """Oracle: the truncation Q(phi f) - Q(phi f^2, phi) of
-    ``dirikit.truncated_form`` computed from the jump decomposition instead
+    ``truncated_form`` computed from the jump decomposition instead
     of Q."""
     return jump_energy(dk.decompose(form), form.space.vector(phi), form.space.vector(f))
 
@@ -464,3 +475,165 @@ def dense_canonical_distances(form):
     lengths = np.minimum(weight[:, None], weight[None, :])
     graph = np.where(form.weight_matrix > 0.0, lengths, 0.0)
     return shortest_path(graph, method="D", directed=False, unweighted=False)
+
+
+# ---------------------------------------------------------------------------
+# Helpers that only the tests call; the package exports what the CLI and the
+# certificates use.
+
+
+def inner(space, f: np.ndarray, g: np.ndarray) -> float:
+    """m-weighted inner product <f, g>_m."""
+    return float(np.sum(space.m * f * g))
+
+
+def norm(space, f: np.ndarray) -> float:
+    return math.sqrt(inner(space, f, f))
+
+
+def edge_weight(form, u: str, v: str) -> float:
+    return form.b.get(_edge_key(u, v), 0.0)
+
+
+def evaluate(form, f, g=None) -> float:
+    """Evaluate the bilinear form Q(f, g); Q(f, f) when g is omitted."""
+    fv = form.space.vector(f)
+    gv = fv if g is None else form.space.vector(g)
+    df = fv[:, None] - fv[None, :]
+    dg = gv[:, None] - gv[None, :]
+    # 0.5 compensates for each unordered edge appearing twice in W
+    return float(0.5 * np.sum(form.weight_matrix * df * dg) + np.sum(form.c * fv * gv))
+
+
+def form_norm(form, f) -> float:
+    """The form norm (Q(f) + ||f||_2^2)^{1/2} on L^2(m)."""
+    fv = form.space.vector(f)
+    return math.sqrt(evaluate(form, fv) + inner(form.space, fv, fv))
+
+
+def check_truncation(form, f, h, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float, bool]:
+    """Energy bounds for truncations by an excessive function.
+
+    Returns (Q(f ^ h), Q((f - h)_+), ok) where ok holds when both
+    Q(f ^ h) <= Q(f) and Q((f - h)_+) <= 4 Q(f) within tolerance.
+    """
+    gen = generator(form)
+    if not dk.is_excessive(gen, h, tol):
+        raise NotExcessive("truncation bounds require an excessive h")
+    fv = form.space.vector(f)
+    hv = form.space.vector(h)
+    qf = evaluate(form, fv)
+    q_min = evaluate(form, np.minimum(fv, hv))
+    q_plus = evaluate(form, np.maximum(fv - hv, 0.0))
+    bound = tol.bound(max(1.0, abs(qf)))
+    ok = q_min <= qf + bound and q_plus <= 4.0 * qf + bound
+    return q_min, q_plus, bool(ok)
+
+
+def iso_matrix(iso) -> np.ndarray:
+    """The operator as a matrix (one nonzero per row)."""
+    u = np.zeros((len(iso.target), len(iso.source)))
+    u[np.arange(len(iso.target)), iso.tau_indices] = iso.h_values
+    return u
+
+
+def iso_inverse_matrix(iso) -> np.ndarray:
+    v = np.zeros((len(iso.source), len(iso.target)))
+    v[iso.tau_indices, np.arange(len(iso.target))] = 1.0 / iso.h_values
+    return v
+
+
+def apply(iso, f) -> np.ndarray:
+    """Apply the weighted composition operator: (U f)(y) = h(y) f(tau(y))."""
+    fv = iso.source.vector(f)
+    return iso.h_values * fv[iso.tau_indices]
+
+
+def adjoint(iso) -> np.ndarray:
+    """Adjoint matrix: (U* g)(x) = m2(s(x)) h(s(x)) g(s(x)) / m1(x), s = tau^{-1}.
+
+    Satisfies <U f, g>_{m2} = <f, U* g>_{m1}; it is itself positivity
+    preserving.
+    """
+    sigma = iso.sigma_indices
+    weights = iso.target.m[sigma] * iso.h_values[sigma] / iso.source.m
+    a = np.zeros((len(iso.source), len(iso.target)))
+    a[np.arange(len(iso.source)), sigma] = weights
+    return a
+
+
+def reconstruct(space, data) -> dk.GraphForm:
+    """Rebuild the form with conductances b = 2 J and killing c = k."""
+    if space.vertices != data.vertices:
+        raise MalformedInput("jump/killing data does not match the space")
+    edges = {}
+    for (x, y), value in data.J.items():
+        if x < y:
+            edges[(x, y)] = 2.0 * value
+    return dk.GraphForm(space, edges, {v: data.k.get(v, 0.0) for v in space.vertices})
+
+
+def truncated_form(form, phi, f) -> float:
+    """The truncation Q(phi f) - Q(phi f^2, phi).
+
+    Equals the phi-weighted jump energy of f,
+    sum_{x != y} phi(x) phi(y) (f(x) - f(y))^2 J(x, y).
+    """
+    pv = form.space.vector(phi)
+    fv = form.space.vector(f)
+    return evaluate(form, pv * fv) - evaluate(form, pv * fv * fv, pv)
+
+
+class NotMarkovian(DirikitError):
+    """A conjugated generator left the Markovian class."""
+
+
+def induced_killing(iso, form1, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Killing weights of the form intertwined with ``form1`` through ``iso``.
+
+    The conjugated generator U L1 U^{-1} is formed on the target space and
+    its killing is read off the diagonal remainder.  There is no pushforward
+    formula: the result can mix the killing and jump data of the original
+    form.  Raises when the conjugated matrix is not Markovian.
+
+    U has one nonzero per row, so the conjugate is gathered without forming
+    U: (U L1 U^{-1})[y, z] = h(y) L1[tau(y), tau(z)] (1 / h(z)), the same
+    products as the dense one.
+    """
+    gen1 = generator(form1)
+    if iso.source != gen1.space:
+        raise SpaceMismatch("iso source does not match the form")
+    idx, h = iso.tau_indices, iso.h_values
+    conjugated = (h[:, None] * gen1.L[np.ix_(idx, idx)]) * (1.0 / h)[None, :]
+    m2 = iso.target.m
+    bound = tol.bound(max(1.0, float(np.max(np.abs(conjugated))) * float(np.max(m2))))
+    weighted = conjugated * m2[:, None]
+    if float(np.max(np.abs(weighted - weighted.T))) > bound:
+        raise NotMarkovian("conjugated generator is not m-symmetric")
+    off = conjugated - np.diag(np.diag(conjugated))
+    if np.any(off * m2[:, None] > bound):
+        raise NotMarkovian("conjugated generator has positive off-diagonal entries")
+    b_rows = np.maximum(-off * m2[:, None], 0.0)
+    killing = np.diag(conjugated) * m2 - b_rows.sum(axis=1)
+    if np.any(killing < -bound):
+        raise NotMarkovian("conjugated generator has negative killing")
+    return np.maximum(killing, 0.0)
+
+
+def resistance_maximizer(form, x: str, y: str) -> np.ndarray:
+    """The energy-one potential attaining the resistance supremum.
+
+    The optimizer is the Green potential f = G (e_x - e_y), whose energy is
+    f(x) - f(y) = R(x, y), normalized to unit energy; |f(x) - f(y)|^2 then
+    equals R(x, y), as accurate as the rounded diagonal of the form matrix.
+    """
+    green = _resistance_green(form)
+    i, j = form.space.index(x), form.space.index(y)
+    dipole = np.zeros(len(form.space))
+    dipole[i], dipole[j] = 1.0, -1.0
+    f = green @ dipole
+    return f / math.sqrt(f[i] - f[j])
+
+
+def random_function(rng: np.random.Generator, space, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
+    return rng.uniform(lo, hi, size=len(space))

@@ -10,16 +10,25 @@ import math
 import numpy as np
 
 import dirikit as dk
-from dirikit.metrics import boundary_rescaled, resistance_maximizer
+from dirikit.metrics import boundary_rescaled
 from dirikit.sampling import (
     doob_pair_sample,
     random_form,
-    random_function,
     relabel_pair,
 )
 from dirikit.search import SearchOptions
 
-from conftest import brute_force_intertwiners, rng_for, tau_signature, truncated_form_via_jump
+from conftest import (
+    brute_force_intertwiners,
+    check_truncation,
+    evaluate,
+    random_function,
+    resistance_maximizer,
+    rng_for,
+    tau_signature,
+    truncated_form,
+    truncated_form_via_jump,
+)
 
 
 def report_line(name, ok, detail=""):
@@ -110,7 +119,7 @@ def test_4_jump_transformation():
         form = random_form(rng, int(rng.integers(2, 9)))
         phi = random_function(rng, form.space, lo=0.0, hi=2.0)
         f = random_function(rng, form.space, lo=-2.0, hi=2.0)
-        gap = abs(dk.truncated_form(form, phi, f) - truncated_form_via_jump(form, phi, f))
+        gap = abs(truncated_form(form, phi, f) - truncated_form_via_jump(form, phi, f))
         worst_trunc = max(worst_trunc, gap)
     ok = worst_jump <= 1e-9 and worst_trunc <= 1e-10
     report_line(
@@ -302,8 +311,8 @@ def test_9_excessive_liouville_truncation():
                 len(form.space), float(rng.uniform(0.5, 2.0))
             )
         f = random_function(rng, form.space, lo=-2.0, hi=3.0)
-        q_min, q_plus, ok = dk.check_truncation(form, f, h)
-        assert ok, (q_min, q_plus, dk.evaluate(form, f))
+        q_min, q_plus, ok = check_truncation(form, f, h)
+        assert ok, (q_min, q_plus, evaluate(form, f))
         truncations += 1
 
     report_line(

@@ -3,10 +3,22 @@ import pytest
 
 import dirikit as dk
 from dirikit import beurling
-from dirikit.errors import NotIntertwining, NotMarkovian, SpaceMismatch
-from dirikit.sampling import doob_pair_sample, random_form, random_function, relabel_pair
+from dirikit.errors import NotIntertwining, SpaceMismatch
+from dirikit.sampling import doob_pair_sample, random_form, relabel_pair
 
-from conftest import jump_matrix, rng_for, truncated_form_via_jump
+from conftest import (
+    NotMarkovian,
+    evaluate,
+    induced_killing,
+    iso_inverse_matrix,
+    iso_matrix,
+    jump_matrix,
+    random_function,
+    reconstruct,
+    rng_for,
+    truncated_form,
+    truncated_form_via_jump,
+)
 
 
 def killed_pair():
@@ -42,26 +54,26 @@ class TestDecompose:
             for f in checks:
                 df = f[:, None] - f[None, :]
                 rebuilt = float(np.sum(j * df * df) + np.sum(k * f * f))
-                assert rebuilt == pytest.approx(dk.evaluate(form, f), rel=1e-10, abs=1e-12)
+                assert rebuilt == pytest.approx(evaluate(form, f), rel=1e-10, abs=1e-12)
 
     def test_roundtrip_is_identity(self):
         rng = rng_for(62)
         for _ in range(10):
             form = random_form(rng, int(rng.integers(2, 7)))
             data = dk.decompose(form)
-            again = dk.decompose(dk.reconstruct(form.space, data))
+            again = dk.decompose(reconstruct(form.space, data))
             assert again == data
-            assert dk.reconstruct(form.space, data) == form
+            assert reconstruct(form.space, data) == form
 
 
 class TestTruncatedForm:
     def test_k2_unit_cutoff(self):
         form = dk.build_form(["a", "b"], 1.0, [("a", "b", 1.0)])
-        assert dk.truncated_form(form, 1.0, [1.0, 0.0]) == pytest.approx(1.0)
+        assert truncated_form(form, 1.0, [1.0, 0.0]) == pytest.approx(1.0)
 
     def test_zero_cutoff(self):
         form = killed_pair()
-        assert dk.truncated_form(form, 0.0, [3.0, -2.0]) == pytest.approx(0.0, abs=1e-14)
+        assert truncated_form(form, 0.0, [3.0, -2.0]) == pytest.approx(0.0, abs=1e-14)
 
     def test_agrees_with_jump_route(self):
         rng = rng_for(63)
@@ -69,7 +81,7 @@ class TestTruncatedForm:
             form = random_form(rng, 6)
             phi = random_function(rng, form.space, lo=0.0, hi=2.0)
             f = random_function(rng, form.space, lo=-2.0, hi=2.0)
-            direct = dk.truncated_form(form, phi, f)
+            direct = truncated_form(form, phi, f)
             via_jump = truncated_form_via_jump(form, phi, f)
             assert direct == pytest.approx(via_jump, rel=1e-10, abs=1e-10)
 
@@ -134,7 +146,7 @@ def dict_route(iso, form1, form2, tol=dk.Tolerance()):
     jump = (float(np.max(np.abs(lhs - rhs))), tol.bound(scale))
     local = 0.0
     for form in (form1, form2):
-        rebuilt = dk.reconstruct(form.space, dk.decompose(form))
+        rebuilt = reconstruct(form.space, dk.decompose(form))
         local = max(local, float(np.max(np.abs(form.form_matrix - rebuilt.form_matrix))))
     local_scale = max(
         1.0, float(np.max(np.abs(form1.form_matrix))), float(np.max(np.abs(form2.form_matrix)))
@@ -192,7 +204,6 @@ class TestJumpTransformOracle:
             raise AssertionError("the jump check must read the cached matrices")
 
         monkeypatch.setattr(beurling, "decompose", forbidden)
-        monkeypatch.setattr(beurling, "reconstruct", forbidden)
         monkeypatch.setattr(beurling.JumpKilling, "__init__", forbidden)
         monkeypatch.setattr(dk.GraphForm, "__init__", forbidden)
         assert dk.verify_jump_transform(iso, form1, form2).verdict
@@ -201,21 +212,21 @@ class TestJumpTransformOracle:
 class TestInducedKilling:
     def test_identity(self):
         form = killed_pair()
-        killing = dk.induced_killing(dk.OrderIso.identity(form.space), form)
+        killing = induced_killing(dk.OrderIso.identity(form.space), form)
         assert np.allclose(killing, form.c)
 
     def test_relabeling_permutes(self):
         rng = rng_for(66)
         form1 = random_form(rng, 6, recurrent=False)
         form2, iso = relabel_pair(rng, form1)
-        killing = dk.induced_killing(iso, form1)
+        killing = induced_killing(iso, form1)
         expected = [form1.c[form1.space.index(iso.tau[y])] for y in form2.space.vertices]
         assert np.allclose(killing, expected)
 
     def test_doob_pair_moves_killing(self):
         form = killed_pair()
         partner, iso = dk.doob_pair(form, [1.0, 2.0])
-        killing = dk.induced_killing(iso, form)
+        killing = induced_killing(iso, form)
         assert np.allclose(killing, [0.0, 2.0])
         assert np.allclose(killing, partner.c)
 
@@ -224,7 +235,7 @@ class TestInducedKilling:
         iso = dk.OrderIso(form.space, form.space, {"a": "a", "b": "b"},
                           {"a": 1.0, "b": 3.0})
         with pytest.raises(NotMarkovian):
-            dk.induced_killing(iso, form)
+            induced_killing(iso, form)
 
     @pytest.mark.parametrize("transform", ["relabel", "doob"])
     def test_matches_dense_oracle(self, transform):
@@ -236,14 +247,14 @@ class TestInducedKilling:
                 _, iso = relabel_pair(rng, form1, scale=float(rng.uniform(0.5, 2.0)))
             else:
                 form1, _, iso = doob_pair_sample(rng, n)
-            conjugated = iso.matrix() @ dk.generator(form1).L @ iso.inverse_matrix()
+            conjugated = iso_matrix(iso) @ dk.generator(form1).L @ iso_inverse_matrix(iso)
             m2 = iso.target.m
             b_rows = np.maximum(-(conjugated - np.diag(np.diag(conjugated))) * m2[:, None], 0.0)
             expected = np.maximum(np.diag(conjugated) * m2 - b_rows.sum(axis=1), 0.0)
-            assert np.array_equal(dk.induced_killing(iso, form1), expected)
+            assert np.array_equal(induced_killing(iso, form1), expected)
 
     def test_space_mismatch(self):
         form = killed_pair()
         other = dk.build_form(["p", "q"], 1.0, [("p", "q", 1.0)])
         with pytest.raises(SpaceMismatch):
-            dk.induced_killing(dk.OrderIso.identity(other.space), form)
+            induced_killing(dk.OrderIso.identity(other.space), form)

@@ -18,7 +18,7 @@ import dirikit as dk
 from dirikit import cli, jsonio, metrics
 from dirikit.cli import run
 
-from conftest import diagonal_overflow_form, pick, rng_for
+from conftest import diagonal_overflow_form, edge_weight, pick, rng_for
 
 SRC = pathlib.Path(dk.__file__).resolve().parent.parent
 
@@ -41,7 +41,7 @@ class TestGen:
         out = capsys.readouterr().out
         form = jsonio.graph_loads(out)
         assert len(form.space) == 2
-        assert form.edge_weight("v0", "v1") == 1.0
+        assert edge_weight(form, "v0", "v1") == 1.0
 
     def test_roundtrip_equality(self, tmp_path):
         for family, n in (("path", 4), ("cycle", 5), ("complete", 3), ("sierpinski", 1)):

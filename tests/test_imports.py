@@ -4,8 +4,11 @@ Everything else is numpy: importing dirikit, the CLI paths that need no
 shortest paths, and the library path find_nonconstant_excessive ->
 doob_pair -> certify.  The probe runs in a fresh interpreter because
 conftest.py itself imports scipy.
+
+The package exports the names in PUBLIC and no others.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -78,3 +81,30 @@ def test_canonical_metric_loads_scipy(steps):
     assert name == "intrinsic c6.json"
     assert code == 0
     assert scipy_loaded
+
+
+PUBLIC = [
+    "Check", "DEFAULT_TOL", "DirikitError", "EquivalenceVerdict", "Generator", "GraphForm",
+    "JumpKilling", "MeasureSpace", "OrderIso", "PseudoMetric", "SearchOptions", "SpectralData",
+    "Tolerance", "VerificationReport", "build_form", "canonical_intrinsic_metric", "certify",
+    "decompose", "doob_pair", "effective_resistance", "equivalence_verdict", "find_intertwiners",
+    "find_nonconstant_excessive", "generate", "generator", "intertwining_residual",
+    "is_excessive", "is_intrinsic", "is_irreducible", "is_recurrent", "operator_constant",
+    "pushforward_metric", "resistance_matrix", "semigroup", "sierpinski_corners",
+    "spectral_data", "verify_intrinsic_bijection", "verify_jump_transform",
+    "verify_resistance_isometry",
+]
+
+
+def test_public_surface():
+    """The package exports what the CLI and the certificates use, and every
+    public name that dirikit/__init__.py binds is in __all__."""
+    assert sorted(dirikit.__all__) == PUBLIC
+    tree = ast.parse(Path(dirikit.__file__).read_text(encoding="utf-8"))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert {name for name in bound if not name.startswith("_")} == set(PUBLIC)

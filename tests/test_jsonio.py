@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import dirikit as dk
-from dirikit import jsonio
+from dirikit import jsonio, sampling
 from dirikit.cli import run
 from dirikit.errors import MalformedInput
-from dirikit.sampling import random_intertwined_pair
+from dirikit.sampling import random_form, random_intertwined_pair
 
 from conftest import construction_outcome, oracle_dumps, oracle_graph_from_obj, pick, rng_for
 
@@ -269,6 +269,23 @@ class TestConductancesBuiltOnRead:
         assert "b" not in vars(got1) and "b" not in vars(got2)
         assert list(got1.b.items()) == list(form1.b.items())
         assert "b" in vars(got1)
+
+    def test_sampled_pairs(self, monkeypatch):
+        # relabel_pair and doob_pair_sample read the edge columns of the
+        # form that random_form hands them
+        sources = []
+
+        def capture(*args, **kwargs):
+            sources.append(random_form(*args, **kwargs))
+            return sources[-1]
+
+        monkeypatch.setattr(sampling, "random_form", capture)
+        forms = []
+        for transform in ("relabel", "doob"):
+            form1, form2, _ = random_intertwined_pair(rng_for(6), 40, transform)
+            forms += [form1, form2]
+        assert len(sources) == 2
+        assert not any("b" in vars(form) for form in sources + forms)
 
     def test_check(self, tmp_path, monkeypatch, capsys):
         loaded = []

@@ -16,11 +16,7 @@ from dirikit.errors import (
     NumericOverflow,
     SpaceMismatch,
 )
-from dirikit.metrics import (
-    boundary_rescaled,
-    default_metric_samples,
-    resistance_maximizer,
-)
+from dirikit.metrics import boundary_rescaled, default_metric_samples
 from dirikit.sampling import random_form, random_intertwined_pair, relabel_pair
 from dirikit.tolerances import DEFAULT_TOL, Tolerance
 
@@ -28,6 +24,7 @@ from conftest import (
     dense_canonical_distances,
     diagonal_overflow_form,
     oracle_triangle_ok,
+    resistance_maximizer,
     rng_for,
 )
 

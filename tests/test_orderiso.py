@@ -14,9 +14,9 @@ from dirikit.errors import (
     NumericOverflow,
 )
 from dirikit.orderiso import require_intertwining
-from dirikit.sampling import doob_pair_sample, random_form, relabel_pair
+from dirikit.sampling import doob_pair_sample, random_form, random_intertwined_pair, relabel_pair
 
-from conftest import construction_outcome, rng_for
+from conftest import adjoint, apply, construction_outcome, inner, iso_matrix, rng_for
 
 
 def killed_pair():
@@ -34,25 +34,25 @@ class TestApply:
         form = killed_pair()
         iso = dk.OrderIso.identity(form.space)
         f = np.array([3.0, 5.0])
-        assert np.array_equal(dk.apply(iso, f), f)
+        assert np.array_equal(apply(iso, f), f)
 
     def test_swap(self):
         space = dk.MeasureSpace(["a", "b"], 1.0)
         iso = swap_iso(space, space)
-        assert np.array_equal(dk.apply(iso, [3.0, 5.0]), [5.0, 3.0])
+        assert np.array_equal(apply(iso, [3.0, 5.0]), [5.0, 3.0])
 
     def test_doob_scaling(self):
         space1 = dk.MeasureSpace(["a", "b"], 1.0)
         space2 = dk.MeasureSpace(["a", "b"], {"a": 1.0, "b": 4.0})
         iso = dk.OrderIso(space1, space2, {"a": "a", "b": "b"}, {"a": 1.0, "b": 0.5})
-        assert np.allclose(dk.apply(iso, [1.0, 2.0]), [1.0, 1.0])
+        assert np.allclose(apply(iso, [1.0, 2.0]), [1.0, 1.0])
 
     def test_positivity_preserving(self):
         rng = rng_for(41)
         form = random_form(rng, 5)
         form2, iso = relabel_pair(rng, form, scale=1.7)
         f = rng.uniform(0.0, 3.0, size=5)
-        assert np.all(dk.apply(iso, f) >= 0.0)
+        assert np.all(apply(iso, f) >= 0.0)
 
 
 class TestValidation:
@@ -73,19 +73,19 @@ class TestAdjoint:
     def test_identity(self):
         space = dk.MeasureSpace(["a", "b"], 1.0)
         iso = dk.OrderIso.identity(space)
-        assert np.allclose(dk.adjoint(iso), np.eye(2))
+        assert np.allclose(adjoint(iso), np.eye(2))
 
     def test_swap_equal_measures(self):
         space = dk.MeasureSpace(["a", "b"], 1.0)
         iso = swap_iso(space, space)
-        assert np.allclose(dk.adjoint(iso), [[0.0, 1.0], [1.0, 0.0]])
+        assert np.allclose(adjoint(iso), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_doob_iso_is_isometry(self):
         # target measure h_ex^2 m with scaling 1/h_ex gives U*U = I
         space1 = dk.MeasureSpace(["a", "b"], 1.0)
         space2 = dk.MeasureSpace(["a", "b"], {"a": 1.0, "b": 4.0})
         iso = dk.OrderIso(space1, space2, {"a": "a", "b": "b"}, {"a": 1.0, "b": 0.5})
-        assert np.allclose(dk.adjoint(iso) @ iso.matrix(), np.eye(2))
+        assert np.allclose(adjoint(iso) @ iso_matrix(iso), np.eye(2))
 
     def test_pairing_identity_random(self):
         rng = rng_for(42)
@@ -101,15 +101,15 @@ class TestAdjoint:
             )
             f = rng.normal(size=n)
             g = rng.normal(size=n)
-            lhs = iso.target.inner(dk.apply(iso, f), g)
-            rhs = iso.source.inner(f, dk.adjoint(iso) @ g)
+            lhs = inner(iso.target, apply(iso, f), g)
+            rhs = inner(iso.source, f, adjoint(iso) @ g)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-            assert np.all(dk.adjoint(iso) @ np.abs(g) >= 0.0)
+            assert np.all(adjoint(iso) @ np.abs(g) >= 0.0)
 
 
 def dense_residual(iso, gen1, gen2):
     # independent route: the matrix of U and two dense products
-    u = iso.matrix()
+    u = iso_matrix(iso)
     return float(np.max(np.abs(u @ gen1.L - gen2.L @ u)))
 
 
@@ -144,7 +144,7 @@ class TestResidual:
         for _ in range(20):
             form1, form2, iso = residual_sample(rng, kind)
             beta = dk.operator_constant(iso)
-            u, u_star = iso.matrix(), dk.adjoint(iso)
+            u, u_star = iso_matrix(iso), adjoint(iso)
             op = max(
                 float(np.max(np.abs(u_star @ u - beta * np.eye(len(iso.source))))),
                 float(np.max(np.abs(u @ u_star - beta * np.eye(len(iso.target))))),
@@ -292,6 +292,47 @@ class TestCertify:
         report = dk.certify(iso, form, form)
         assert report.verdict
         assert dk.operator_constant(iso) == pytest.approx(4.0)
+
+
+def scaled_form(form, factor):
+    """The form with every b, c and m multiplied by ``factor``."""
+    space = dk.MeasureSpace(form.space.vertices, factor * form.space.m)
+    return dk.GraphForm(space, {e: factor * w for e, w in form.b.items()}, factor * form.c)
+
+
+def pair_reports(form1, form2, iso):
+    reports = [dk.certify(iso, form1, form2), dk.verify_jump_transform(iso, form1, form2)]
+    if dk.is_recurrent(form1) and dk.is_recurrent(form2):
+        reports += [dk.verify_resistance_isometry(iso, form1, form2),
+                    dk.verify_intrinsic_bijection(iso, form1, form2)]
+    return reports
+
+
+class TestScaleInvariance:
+    """Multiplying b, c and m of both forms by 2^k scales every quantity the
+    reports compare by an exact power of two, so each report keeps its
+    verdicts and each residual its mantissa."""
+
+    @pytest.mark.parametrize("transform", ["relabel", "doob"])
+    def test_power_of_two_scaling(self, transform):
+        rng = rng_for(0)
+        for _ in range(40):
+            form1, form2, iso = random_intertwined_pair(rng, int(rng.integers(2, 31)), transform)
+            expected = pair_reports(form1, form2, iso)
+            for _ in range(8):
+                k = int(rng.integers(-500, 501))
+                g1, g2 = scaled_form(form1, 2.0**k), scaled_form(form2, 2.0**k)
+                scaled_iso = dk.OrderIso(g1.space, g2.space, iso.tau, iso.h, beta=iso.beta)
+                try:
+                    got = pair_reports(g1, g2, scaled_iso)
+                except NumericOverflow:
+                    continue
+                for report, want in zip(got, expected, strict=True):
+                    assert [(c.name, c.passed) for c in report.checks] == \
+                        [(c.name, c.passed) for c in want.checks], k
+                    for check, base in zip(report.checks, want.checks):
+                        assert (check.residual == base.residual == 0.0 or math.frexp(
+                            check.residual)[0] == math.frexp(base.residual)[0]), (check.name, k)
 
 
 class TestDoobPair:

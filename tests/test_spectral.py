@@ -11,7 +11,13 @@ from dirikit.errors import (
 )
 from dirikit.sampling import random_form
 
-from conftest import lp_nonconstant_excessive, rank_commutant_is_trivial, rng_for
+from conftest import (
+    check_truncation,
+    evaluate,
+    lp_nonconstant_excessive,
+    rank_commutant_is_trivial,
+    rng_for,
+)
 
 SAMPLE_TIMES = [2.0**k for k in range(-10, 5)]
 
@@ -119,7 +125,7 @@ def decomposing_sets_oracle(form):
                 fa = f.copy()
                 fa[rest] = 0.0
                 fc = f - fa
-                gap = dk.evaluate(form, f) - dk.evaluate(form, fa) - dk.evaluate(form, fc)
+                gap = evaluate(form, f) - evaluate(form, fa) - evaluate(form, fc)
                 if abs(gap) > 1e-12:
                     broken = True
                     break
@@ -292,28 +298,28 @@ class TestTruncation:
     def test_h_above_f(self):
         form = killed_pair()
         f = np.array([0.5, 0.25])
-        q_min, q_plus, ok = dk.check_truncation(form, f, [2.0, 4.0])
-        assert q_min == pytest.approx(dk.evaluate(form, f))
+        q_min, q_plus, ok = check_truncation(form, f, [2.0, 4.0])
+        assert q_min == pytest.approx(evaluate(form, f))
         assert q_plus == pytest.approx(0.0, abs=1e-14)
         assert ok
 
     def test_h_zero_on_recurrent(self):
         form = dk.generate("path", 3)
         f = np.array([1.0, 2.0, 0.5])
-        q_min, q_plus, ok = dk.check_truncation(form, f, 0.0)
+        q_min, q_plus, ok = check_truncation(form, f, 0.0)
         assert q_min == pytest.approx(0.0, abs=1e-14)
-        assert q_plus == pytest.approx(dk.evaluate(form, f))
+        assert q_plus == pytest.approx(evaluate(form, f))
         assert ok
 
     def test_killed_pair_values(self):
-        q_min, q_plus, ok = dk.check_truncation(killed_pair(), [3.0, 0.0], [1.0, 2.0])
+        q_min, q_plus, ok = check_truncation(killed_pair(), [3.0, 0.0], [1.0, 2.0])
         assert q_min == pytest.approx(2.0)
         assert q_plus == pytest.approx(8.0)
         assert ok
 
     def test_rejects_non_excessive(self):
         with pytest.raises(NotExcessive):
-            dk.check_truncation(killed_pair(), [1.0, 0.0], [2.0, 1.0])
+            check_truncation(killed_pair(), [1.0, 0.0], [2.0, 1.0])
 
 
 class TestCommutant:

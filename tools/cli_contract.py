@@ -147,6 +147,8 @@ def _commands() -> list[list[str]]:
         # an int weight
         cmds += [["certify", "shuffled.json", "--format", fmt],
                  ["check", "shuffled.g1.json", "--format", fmt]]
+        # total masses far below the absolute floor of the default tolerance
+        cmds += [["certify", "scaled.json", "--format", fmt]]
     cmds += [
         ["resistance", "path7.json", "--tol", "1e-6"],
         ["intrinsic", "sierpinski3.json", "--tol", "1e-6"],
@@ -232,6 +234,21 @@ def _shuffled_pair() -> dict:
     return {"g1": g1, "g2": g2, "iso": iso}
 
 
+def _scaled_pair(run) -> dict:
+    """gen-pair's relabel pair at n 6, seed 4, with every b, c and m of both
+    graphs multiplied by 2^-60."""
+    if run(["gen-pair", "--transform", "relabel", "--n", "6", "--seed", "4",
+            "--out", "scaled.json"]) != 0:
+        raise RuntimeError("gen-pair scaled failed")
+    pair = json.loads(Path("scaled.json").read_text(encoding="utf-8"))
+    for graph in (pair["g1"], pair["g2"]):
+        for key in ("m", "killing"):
+            graph[key] = {v: 2.0**-60 * x for v, x in graph[key].items()}
+        for edge in graph["edges"]:
+            edge["b"] *= 2.0**-60
+    return pair
+
+
 def _write_inputs(run) -> None:
     """Write every input of COMMANDS into the current directory."""
     for name, args in GEN.items():
@@ -246,6 +263,7 @@ def _write_inputs(run) -> None:
     pair = _shuffled_pair()
     Path("shuffled.json").write_text(json.dumps(pair), encoding="utf-8")
     Path("shuffled.g1.json").write_text(json.dumps(pair["g1"]), encoding="utf-8")
+    Path("scaled.json").write_text(json.dumps(_scaled_pair(run)), encoding="utf-8")
     for name, text in INVALID.items():
         Path(f"{name}.json").write_text(text, encoding="utf-8")
         try:

@@ -15,7 +15,6 @@ from .beurling import (
     verify_jump_transform,
 )
 from .core import (
-    Generator,
     GraphForm,
     MeasureSpace,
     build_form,
@@ -66,7 +65,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DirikitError",
     "EquivalenceVerdict",
-    "Generator",
     "GraphForm",
     "JumpKilling",
     "MeasureSpace",

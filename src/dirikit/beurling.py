@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GraphForm, generator
+from .core import GraphForm
 from .errors import MalformedInput
 from .orderiso import OrderIso, operator_constant, require_intertwining
 from .report import VerificationReport
@@ -74,7 +74,7 @@ def verify_jump_transform(
     for the conductances b).  Also asserts that the strongly local residual
     Q(f) - jump(f) - killing(f) vanishes on both forms.
     """
-    require_intertwining(iso, generator(form1), generator(form2), tol)
+    require_intertwining(iso, form1, form2, tol)
     beta = operator_constant(iso)
     idx = iso.tau_indices
     h = iso.h_values

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import beurling, jsonio, metrics, orderiso, search, spectral
-from .core import generate, generator
+from .core import generate
 from .errors import DirikitError
 from .report import VerificationReport
 from .sampling import random_intertwined_pair
@@ -156,7 +156,7 @@ def _search_text(verdict: search.EquivalenceVerdict) -> str:
 
 def _cmd_check(args) -> int:
     form = jsonio.graph_loads(_read(args.graph))
-    spectrum = spectral.spectral_data(generator(form)).eigenvalues
+    spectrum = form.spectral.eigenvalues
     payload = {
         "valid": True,
         "vertices": len(form.space),

@@ -15,9 +15,8 @@ where deg(x) = sum_y b(x,y); it satisfies <Lf, g>_m = Q(f, g).
 Measure, conductances and killing are stored separately and never
 premultiplied; derived data (the weight, form and generator matrices,
 connectivity, the grounded Green function and the eigendecomposition) is
-computed on first use and cached on the form or its generator.  All
-values are immutable after construction and every operation is a pure
-function.
+computed on first use and cached on the form.  All values are immutable
+after construction and every operation is a pure function.
 
 Construction works on whole arrays: edge columns of ends and weights, one
 look-up per endpoint, one pass of array checks and a sort by the string
@@ -80,6 +79,11 @@ def _offdiagonal_connected(coupling: np.ndarray) -> bool:
         seen |= frontier
         frontier = adjacent[frontier].any(axis=0) & ~seen
     return bool(seen.all())
+
+
+def _string_order(vertices: Sequence[str]) -> list[int]:
+    """Vertex indices sorted by Python's string order of their ids."""
+    return sorted(range(len(vertices)), key=vertices.__getitem__)
 
 
 def _raise_first_fault(space: MeasureSpace, edges: Iterable[tuple[str, str, float]]) -> None:
@@ -159,8 +163,17 @@ class MeasureSpace:
             return float(np.sum(self.m))
 
 
+@dataclass(eq=False)
+class SpectralData:
+    """Eigenvalues (ascending) and an m-orthonormal eigenvector basis."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray  # columns; <u_i, u_j>_m = delta_ij
+
+
 class GraphForm:
-    """A Dirichlet form: measure space plus conductances and killing."""
+    """A Dirichlet form: measure space plus conductances and killing.  The
+    form is also its generator: ``L`` and its spectrum ``spectral``."""
 
     def __init__(self, space: MeasureSpace, b: EdgeInput, c: VertexFunction = 0.0):
         mapping = isinstance(b, Mapping)
@@ -195,7 +208,7 @@ class GraphForm:
             raise
         # keys (u, v) with u <= v as strings, in sorted order: sort by rank
         n = len(space)
-        by_rank = np.array(sorted(range(n), key=space.vertices.__getitem__),
+        by_rank = np.array(_string_order(space.vertices),
                            dtype=np.min_scalar_type(n))  # the narrowest that holds n
         ranks = by_rank.argsort()[ends]
         lo, hi = ranks.min(axis=0), ranks.max(axis=0)
@@ -269,13 +282,26 @@ class GraphForm:
         return f
 
     @cached_property
-    def generator(self) -> Generator:
+    def L(self) -> np.ndarray:
         """The generator L = M^{-1} (diag(deg + c) - W); NumericOverflow when
         an entry is not finite."""
         with np.errstate(over="ignore"):
             l_matrix = self.form_matrix / self.space.m[:, None]
         _require_finite(l_matrix, "generator")
-        return Generator(l_matrix, self.space)
+        l_matrix.flags.writeable = False
+        return l_matrix
+
+    @cached_property
+    def spectral(self) -> SpectralData:
+        """Eigendecomposition of L via the symmetric matrix M^{1/2} L M^{-1/2};
+        NumericOverflow when that matrix has a non-finite entry."""
+        sqrt_m = np.sqrt(self.space.m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = self.L * (sqrt_m[:, None] / sqrt_m[None, :])
+            sym = 0.5 * (sym + sym.T)
+        _require_finite(sym, "symmetrized generator")
+        w, v = np.linalg.eigh(sym)
+        return SpectralData(w, v / sqrt_m[:, None])
 
     @cached_property
     def green(self) -> np.ndarray:
@@ -292,37 +318,6 @@ class GraphForm:
         return g
 
 
-@dataclass(eq=False)
-class SpectralData:
-    """Eigenvalues (ascending) and an m-orthonormal eigenvector basis."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns; <u_i, u_j>_m = delta_ij
-
-
-@dataclass(eq=False)
-class Generator:
-    """Self-adjoint generator of a form, as a matrix on L^2(m)."""
-
-    L: np.ndarray
-    space: MeasureSpace
-
-    def __post_init__(self):
-        self.L.flags.writeable = False
-
-    @cached_property
-    def spectral(self) -> SpectralData:
-        """Eigendecomposition via the symmetric matrix M^{1/2} L M^{-1/2};
-        NumericOverflow when that matrix has a non-finite entry."""
-        sqrt_m = np.sqrt(self.space.m)
-        with np.errstate(over="ignore", invalid="ignore"):
-            sym = self.L * (sqrt_m[:, None] / sqrt_m[None, :])
-            sym = 0.5 * (sym + sym.T)
-        _require_finite(sym, "symmetrized generator")
-        w, v = np.linalg.eigh(sym)
-        return SpectralData(w, v / sqrt_m[:, None])
-
-
 def build_form(
     vertices: Sequence[str],
     m: VertexFunction,
@@ -334,9 +329,10 @@ def build_form(
     return GraphForm(space, edges, killing)
 
 
-def generator(form: GraphForm) -> Generator:
-    """The generator L = M^{-1} (diag(deg + c) - W) of a form, cached on it."""
-    return form.generator
+def generator(form: GraphForm) -> GraphForm:
+    """The form itself, once its generator ``form.L`` is computed and cached."""
+    form.L  # computed and cached on first read
+    return form
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import GraphForm, _require_finite, generator
+from .core import GraphForm, _require_finite
 from .errors import (
     DimensionMismatch,
     HasKilling,
@@ -203,7 +203,7 @@ def verify_resistance_isometry(
     """
     if not (is_recurrent(form1) and is_recurrent(form2)):
         raise NotRecurrent("resistance comparison requires recurrent forms")
-    require_intertwining(iso, generator(form1), generator(form2), tol)
+    require_intertwining(iso, form1, form2, tol)
     beta = operator_constant(iso)
     alpha = float(np.mean(iso.h_values))
     r1 = resistance_matrix(form1).d
@@ -245,12 +245,15 @@ def is_intrinsic(
     """Check the per-vertex bound sum_y b(x,y) d(x,y)^2 <= m(x).
 
     Returns the verdict together with the slack vector
-    m(x) - sum_y b(x,y) d(x,y)^2 for diagnostics.
+    m(x) - sum_y b(x,y) d(x,y)^2 for diagnostics.  The slack may dip below
+    zero by ``tol.rel`` times m(x) and no more: an absolute floor would
+    admit every metric on a small enough measure.
     """
     if metric.vertices != form.space.vertices:
         raise DimensionMismatch("metric does not live on the form's vertex set")
     slack = form.space.m - _jump_energy(form, metric)
-    return IntrinsicCheck(bool(np.all(slack >= -tol.bound(form.space.m))), slack)
+    floor = Tolerance(rel=tol.rel, abs=0.0).bound(form.space.m)
+    return IntrinsicCheck(bool(np.all(slack >= -floor)), slack)
 
 
 def canonical_intrinsic_metric(form: GraphForm) -> PseudoMetric:
@@ -344,7 +347,7 @@ def verify_intrinsic_bijection(
     """
     if not (is_recurrent(form1) and is_recurrent(form2)):
         raise NotRecurrent("the intrinsic-family comparison requires recurrent forms")
-    require_intertwining(iso, generator(form1), generator(form2), tol)
+    require_intertwining(iso, form1, form2, tol)
     if samples is None:
         samples = default_metric_samples(form1)
 

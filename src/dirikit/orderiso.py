@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Generator, GraphForm, MeasureSpace, VertexFunction, generator
+from .core import GraphForm, MeasureSpace, VertexFunction
 from .errors import (
     DimensionMismatch,
     NonPositive,
@@ -82,13 +82,6 @@ class OrderIso:
     def h_values(self) -> np.ndarray:
         return np.array([float(self.h[y]) for y in self.target.vertices])
 
-    @cached_property
-    def sigma_indices(self) -> np.ndarray:
-        """Target index of tau^{-1}(x) for each source position x."""
-        inverse = np.empty(len(self.source), dtype=int)
-        inverse[self.tau_indices] = np.arange(len(self.target))
-        return inverse
-
     @classmethod
     def identity(cls, space: MeasureSpace) -> "OrderIso":
         names = space.vertices
@@ -101,34 +94,34 @@ def operator_constant(iso: OrderIso) -> float:
     return float(np.mean(ratios))
 
 
-def intertwining_residual(iso: OrderIso, gen1: Generator, gen2: Generator) -> float:
+def intertwining_residual(iso: OrderIso, form1: GraphForm, form2: GraphForm) -> float:
     """Max-norm of U L1 - L2 U as a matrix; zero iff U intertwines the
     semigroups at all times.
 
     U has one nonzero per row, so the entries are gathered without forming
     U: (U L1 - L2 U)[y, tau(z)] = h(y) L1[tau(y), tau(z)] - L2[y, z] h(z).
     """
-    if iso.source != gen1.space:
-        raise SpaceMismatch("iso source does not match the first generator")
-    if iso.target != gen2.space:
-        raise SpaceMismatch("iso target does not match the second generator")
+    if iso.source != form1.space:
+        raise SpaceMismatch("iso source does not match the first form")
+    if iso.target != form2.space:
+        raise SpaceMismatch("iso target does not match the second form")
     idx, h = iso.tau_indices, iso.h_values
-    gap = h[:, None] * gen1.L[np.ix_(idx, idx)] - gen2.L * h[None, :]
+    gap = h[:, None] * form1.L[np.ix_(idx, idx)] - form2.L * h[None, :]
     return float(np.max(np.abs(gap)))
 
 
-def _residual_scale(iso: OrderIso, gen1: Generator, gen2: Generator) -> float:
+def _residual_scale(iso: OrderIso, form1: GraphForm, form2: GraphForm) -> float:
     h_max = float(np.max(iso.h_values))
     return max(1.0, h_max) * max(
-        1.0, float(np.max(np.abs(gen1.L))), float(np.max(np.abs(gen2.L)))
+        1.0, float(np.max(np.abs(form1.L))), float(np.max(np.abs(form2.L)))
     )
 
 
 def require_intertwining(
-    iso: OrderIso, gen1: Generator, gen2: Generator, tol: Tolerance = DEFAULT_TOL
+    iso: OrderIso, form1: GraphForm, form2: GraphForm, tol: Tolerance = DEFAULT_TOL
 ) -> float:
-    residual = intertwining_residual(iso, gen1, gen2)
-    bound = tol.bound(_residual_scale(iso, gen1, gen2))
+    residual = intertwining_residual(iso, form1, form2)
+    bound = tol.bound(_residual_scale(iso, form1, form2))
     if not (residual <= bound and np.isfinite(residual)):
         raise NotIntertwining(
             f"intertwining residual {residual:.3e} exceeds tolerance {bound:.3e}"
@@ -152,59 +145,48 @@ def certify(
       are recurrent, h is constant and tau pushes m2 to a multiple of m1
       (skipped, with the observed h ratio recorded, otherwise).
     """
-    gen1 = generator(form1)
-    gen2 = generator(form2)
-    require_intertwining(iso, gen1, gen2, tol)
+    require_intertwining(iso, form1, form2, tol)
     if not (is_irreducible(form1) and is_irreducible(form2)):
         raise NotIrreducible("certification requires irreducible forms")
 
     report = VerificationReport()
     beta = operator_constant(iso)
-    # U and U* have one nonzero per row, so nothing is multiplied densely:
-    # with w = m2[sigma] h[sigma] / m1 the nonzeros of U*, U*U and UU* are
-    # diagonal, (U*U)[x, x] = w(x) h(sigma(x)) and (UU*)[y, y] = h(y) w(tau(y)),
-    # and (U^T F2 U)[x, z] = h(sigma(x)) F2[sigma(x), sigma(z)] h(sigma(z)).
-    sigma, tau, h = iso.sigma_indices, iso.tau_indices, iso.h_values
-    h_sigma = h[sigma]
-    w = iso.target.m[sigma] * h_sigma / iso.source.m
-    op_residual = max(
-        float(np.max(np.abs(w * h_sigma - beta))),
-        float(np.max(np.abs(h * w[tau] - beta))),
-    )
+    # U and U* have one nonzero per row, so nothing is multiplied densely and
+    # everything is read in target order y, with x = tau(y): the nonzero of
+    # U* in row x is w(y) = m2(y) h(y) / m1(x), U*U and UU* are diagonal with
+    # (U*U)[x, x] = (UU*)[y, y] = w(y) h(y), and
+    # (U^T F2 U)[tau(y), tau(z)] = h(y) F2[y, z] h(z).
+    tau, h = iso.tau_indices, iso.h_values
+    w = iso.target.m * h / iso.source.m[tau]
+    op_residual = float(np.max(np.abs(w * h - beta)))
     report.add(
         "operator_constant", op_residual, tol.bound(max(1.0, beta)),
         detail=f"beta={beta!r}",
     )
 
-    pullback = beta * iso.source.m[iso.tau_indices]
-    measure_residual = float(
-        np.max(np.abs(iso.h_values**2 * iso.target.m - pullback) / pullback)
-    )
+    pullback = beta * iso.source.m[tau]
+    measure_residual = float(np.max(np.abs(h**2 * iso.target.m - pullback) / pullback))
     report.add("measure_identity", measure_residual, tol.bound(1.0))
 
-    gram2 = h_sigma[:, None] * form2.form_matrix[np.ix_(sigma, sigma)] * h_sigma[None, :]
-    gram1 = beta * form1.form_matrix
+    gram2 = h[:, None] * form2.form_matrix * h[None, :]
+    gram1 = beta * form1.form_matrix[np.ix_(tau, tau)]
     report.compare("form_scaling", gram1, gram2, tol)
 
-    flow = gen2.L @ iso.h_values
-    exc_scale = max(
-        1.0, float(np.max(np.abs(gen2.L))) * max(1.0, float(np.max(iso.h_values)))
-    )
+    flow = form2.L @ h
+    exc_scale = max(1.0, float(np.max(np.abs(form2.L))) * max(1.0, float(np.max(h))))
     deficit = -float(np.min(flow))
     # a NaN deficit stays NaN (max(0.0, nan) is 0.0), and -0.0 becomes 0.0
     report.add(
         "scaling_excessive", deficit if not deficit <= 0.0 else 0.0, tol.bound(exc_scale)
     )
 
-    ratio = float(np.max(iso.h_values) / np.min(iso.h_values))
+    ratio = float(np.max(h) / np.min(h))
     if is_recurrent(form1) and is_recurrent(form2):
         report.add("scaling_constancy", ratio - 1.0, tol.bound(1.0))
-        h_const = float(np.mean(iso.h_values))
+        h_const = float(np.mean(h))
         alpha = beta / h_const**2
-        pushed = iso.target.m[iso.sigma_indices]
-        push_residual = float(
-            np.max(np.abs(pushed - alpha * iso.source.m) / (alpha * iso.source.m))
-        )
+        pulled = alpha * iso.source.m[tau]
+        push_residual = float(np.max(np.abs(iso.target.m - pulled) / pulled))
         report.add(
             "measure_pushforward", push_residual, tol.bound(1.0),
             detail=f"alpha={alpha!r}",
@@ -231,16 +213,15 @@ def doob_pair(
     h = form.space.vector(h_excessive)
     if not 0.0 < h.min() <= h.max() < np.inf:  # NaN fails both
         raise NonPositive("the conjugating function must be strictly positive")
-    gen = generator(form)
-    if not is_excessive(gen, h, tol):
+    if not is_excessive(form, h, tol):
         raise NotExcessive("the conjugating function must be excessive")
 
     names = form.space.vertices
     i, j = form.edge_indices
     weights = (h[i] * h[j] * form.weights).tolist()
-    c2 = h * form.space.m * (gen.L @ h)
+    c2 = h * form.space.m * (form.L @ h)
     # diagonal remainders can dip just below zero in floating point
-    floor = -tol.bound(max(1.0, float(np.abs(gen.L).max()) * float(h.max())))
+    floor = -tol.bound(max(1.0, float(np.abs(form.L).max()) * float(h.max())))
     if c2.min() < floor:
         raise NotExcessive("conjugation produced negative killing; h is not excessive")
     c2 = np.maximum(c2, 0.0)

@@ -38,12 +38,10 @@ class VerificationReport:
     def verdict(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name: str, residual: float, tol: float,
-            detail: str | None = None, passed: bool | None = None) -> Check:
+    def add(self, name: str, residual: float, tol: float, detail: str | None = None) -> Check:
         if any(c.name == name for c in self.checks):
             raise ValueError(f"duplicate check name {name!r}")
-        if passed is None:
-            passed = abs(residual) <= tol and math.isfinite(residual)
+        passed = abs(residual) <= tol and math.isfinite(residual)
         check = Check(name, float(residual), float(tol), bool(passed), detail)
         self.checks.append(check)
         return check
@@ -55,8 +53,8 @@ class VerificationReport:
         return self.add(name, float(np.max(np.abs(lhs - rhs))), tol.bound(scale), detail)
 
     def skip(self, name: str, detail: str) -> Check:
-        # informational entry; never affects the verdict
-        return self.add(name, 0.0, 0.0, detail=f"skipped: {detail}", passed=True)
+        # informational entry; a residual of 0 within 0 never affects the verdict
+        return self.add(name, 0.0, 0.0, detail=f"skipped: {detail}")
 
     def extend(self, other: "VerificationReport") -> None:
         for check in other.checks:

@@ -51,10 +51,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GraphForm, generator
+from .core import GraphForm, _string_order
 from .errors import InvalidSize, NonPositive, NotIrreducible
 from .orderiso import OrderIso
-from .spectral import is_irreducible, semigroup, spectral_data
+from .spectral import is_irreducible, semigroup
 from .tolerances import Tolerance
 
 
@@ -90,8 +90,8 @@ def spectra_match(form1: GraphForm, form2: GraphForm, spectral_tol: float) -> bo
     which dominates the small eigenvalues of a spectrum spanning many
     orders of magnitude.  A bound beyond the float range raises NumericOverflow.
     """
-    w1 = spectral_data(generator(form1)).eigenvalues
-    w2 = spectral_data(generator(form2)).eigenvalues
+    w1 = form1.spectral.eigenvalues
+    w2 = form2.spectral.eigenvalues
     if len(w1) != len(w2):
         return False
     rounding = 8.0 * len(w1) * _EPS * max(float(np.max(np.abs(w1))), float(np.max(np.abs(w2))))
@@ -167,9 +167,9 @@ def _search(s1, s2, h, domain, bounds, cap) -> list[np.ndarray]:
 
 def residual_bound(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -> float:
     """Absolute entrywise acceptance bound for U L1 - L2 U."""
-    l1 = generator(form1).L
-    l2 = generator(form2).L
-    return opts.tol.bound(max(1.0, float(np.max(np.abs(l1))), float(np.max(np.abs(l2)))))
+    return opts.tol.bound(
+        max(1.0, float(np.max(np.abs(form1.L))), float(np.max(np.abs(form2.L))))
+    )
 
 
 def _heat_kernels(
@@ -200,19 +200,18 @@ def _heat_kernels(
     not above the slack the check could not prune, and when it is not
     finite a residual could be inf or NaN, so the kernels are not used.
     """
-    gen1, gen2 = generator(form1), generator(form2)
-    top = max(float(np.max(np.diag(gen1.L))), float(np.max(np.diag(gen2.L))))
+    top = max(float(np.max(np.diag(form1.L))), float(np.max(np.diag(form2.L))))
     if not top > 0.0:  # every rate below the float range
         return None
     t = 1.0 / top
     m1, m2 = form1.space.m, form2.space.m
     hmax = math.sqrt(float(np.max(m1)) / float(np.min(m2)))
-    lmax = max(float(np.max(np.abs(gen1.L))), float(np.max(np.abs(gen2.L))))
+    lmax = max(float(np.max(np.abs(form1.L))), float(np.max(np.abs(form2.L))))
     slack = t * (float(np.max(m1)) / float(np.min(m1))) * (bound + 4.0 * _EPS * hmax * lmax)
     slack += 64.0 * len(m1) * _EPS * hmax
     if not slack < math.inf:  # also catches a NaN
         return None
-    p1, p2 = semigroup(gen1, t), semigroup(gen2, t)
+    p1, p2 = semigroup(form1, t), semigroup(form2, t)
     reach = hmax * (float(np.max(np.abs(p1))) + float(np.max(np.abs(p2))))
     if not slack < reach < math.inf:
         return None
@@ -229,14 +228,12 @@ def _diagonal_domain(a1: np.ndarray, a2: np.ndarray, h: np.ndarray, bound: float
 def _intertwiners(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -> list[OrderIso]:
     """The search of ``find_intertwiners`` on two irreducible forms of equal
     size and matching spectra."""
-    l1 = generator(form1).L
-    l2 = generator(form2).L
     bound = residual_bound(form1, form2, opts)
     # assignment proceeds through target vertices in lexicographic order,
     # trying source vertices in lexicographic order: solutions come out in
     # lexicographic order of the tau sequence
-    perm2 = np.argsort(np.array(form2.space.vertices))
-    perm1 = np.argsort(np.array(form1.space.vertices))
+    perm2 = np.array(_string_order(form2.space.vertices))
+    perm1 = np.array(_string_order(form1.space.vertices))
     m1, m2 = form1.space.m, form2.space.m
     # a measure ratio beyond the float range makes h inf and a residual
     # entry inf or 0 * inf = NaN, which fails its bound as it should; the
@@ -244,7 +241,7 @@ def _intertwiners(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -> li
     with np.errstate(over="ignore", invalid="ignore"):
         # h[y, x]: the scaling of target y when tau(y) = x
         h = np.sqrt(m1[perm1][None, :] / m2[perm2][:, None])
-        layers1, layers2 = [l1[np.ix_(perm1, perm1)]], [l2[np.ix_(perm2, perm2)]]
+        layers1, layers2 = [form1.L[np.ix_(perm1, perm1)]], [form2.L[np.ix_(perm2, perm2)]]
         bounds = [bound]
         domain = _diagonal_domain(layers1[0], layers2[0], h, bound)
         # a forced path, one candidate source per target, has nothing to prune

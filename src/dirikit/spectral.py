@@ -3,20 +3,14 @@
 The heat semigroup e^{-tL} is computed through the eigendecomposition of
 the m-symmetrized matrix A = M^{1/2} L M^{-1/2} (symmetric and stable to
 diagonalize) and conjugated back; L itself is not symmetric when the
-measure is non-uniform.  The decomposition is cached on the generator.
+measure is non-uniform.  The decomposition is cached on the form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    Generator,
-    GraphForm,
-    SpectralData,
-    VertexFunction,
-    _offdiagonal_connected,
-)
+from .core import GraphForm, SpectralData, VertexFunction, _offdiagonal_connected
 from .errors import (
     NegativeInput,
     NegativeTime,
@@ -25,12 +19,12 @@ from .errors import (
 from .tolerances import DEFAULT_TOL, Tolerance
 
 
-def spectral_data(gen: Generator) -> SpectralData:
-    """Diagonalize a generator; cached on the generator."""
-    return gen.spectral
+def spectral_data(form: GraphForm) -> SpectralData:
+    """Diagonalize the generator of a form; cached on the form."""
+    return form.spectral
 
 
-def semigroup(gen: Generator, t: float) -> np.ndarray:
+def semigroup(form: GraphForm, t: float) -> np.ndarray:
     """The heat operator e^{-tL} at time t >= 0.
 
     The result is positivity preserving and sub-Markov: entries >= 0 and
@@ -38,9 +32,9 @@ def semigroup(gen: Generator, t: float) -> np.ndarray:
     """
     if t < 0:
         raise NegativeTime(f"semigroup time must be >= 0, got {t}")
-    data = spectral_data(gen)
+    data = form.spectral
     decay = np.exp(-t * data.eigenvalues)
-    return (data.eigenvectors * decay) @ (data.eigenvectors.T * gen.space.m[None, :])
+    return (data.eigenvectors * decay) @ (data.eigenvectors.T * form.space.m[None, :])
 
 
 def is_irreducible(form: GraphForm) -> bool:
@@ -53,7 +47,7 @@ def is_recurrent(form: GraphForm) -> bool:
     return bool(np.all(form.c == 0.0))
 
 
-def is_excessive(gen: Generator, h: VertexFunction, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_excessive(form: GraphForm, h: VertexFunction, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether h >= 0 satisfies e^{-tL} h <= h for all t >= 0.
 
     Implemented through the generator criterion L h >= 0, which is
@@ -61,16 +55,16 @@ def is_excessive(gen: Generator, h: VertexFunction, tol: Tolerance = DEFAULT_TOL
     L h >= 0 (the semigroup is positivity preserving), and e^{-0L} h = h;
     conversely (h - e^{-tL} h)/t -> L h as t -> 0.
     """
-    hv = gen.space.vector(h)
+    hv = form.space.vector(h)
     if np.any(hv < 0.0):
         raise NegativeInput("excessive candidates must be nonnegative")
-    residual = gen.L @ hv
-    scale = max(1.0, float(np.max(np.abs(gen.L))) * max(1.0, float(np.max(hv, initial=0.0))))
+    residual = form.L @ hv
+    scale = max(1.0, float(np.max(np.abs(form.L))) * max(1.0, float(np.max(hv, initial=0.0))))
     return bool(np.min(residual) >= -tol.bound(scale))
 
 
 def find_nonconstant_excessive(
-    gen: Generator, tol: Tolerance = DEFAULT_TOL
+    form: GraphForm, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray | None:
     """A nonconstant strictly positive excessive function, or None.
 
@@ -82,14 +76,14 @@ def find_nonconstant_excessive(
     Green function of a second vertex is then nonconstant.  Vertices are
     tried in index order, so the witness is deterministic.
     """
-    if not _offdiagonal_connected(gen.L):
+    if not _offdiagonal_connected(form.L):
         raise NotIrreducible("nonconstant-excessive search requires an irreducible form")
-    n = len(gen.space)
-    killing = gen.L @ np.ones(n)  # c / m
-    if np.max(np.abs(killing)) <= tol.bound(max(1.0, float(np.max(np.abs(gen.L))))):
+    n = len(form.space)
+    killing = form.L @ np.ones(n)  # c / m
+    if np.max(np.abs(killing)) <= tol.bound(max(1.0, float(np.max(np.abs(form.L))))):
         return None
     for x in range(min(n, 2)):
-        h = np.linalg.solve(gen.L, np.eye(n)[x])
+        h = np.linalg.solve(form.L, np.eye(n)[x])
         if np.max(h) / np.min(h) - 1.0 > tol.bound(1.0):
             return h
     return None

@@ -555,7 +555,7 @@ def adjoint(iso) -> np.ndarray:
     Satisfies <U f, g>_{m2} = <f, U* g>_{m1}; it is itself positivity
     preserving.
     """
-    sigma = iso.sigma_indices
+    sigma = np.argsort(iso.tau_indices)  # tau^{-1} as target indices
     weights = iso.target.m[sigma] * iso.h_values[sigma] / iso.source.m
     a = np.zeros((len(iso.source), len(iso.target)))
     a[np.arange(len(iso.source)), sigma] = weights

@@ -293,6 +293,13 @@ class TestEvaluate:
 
 
 class TestGenerator:
+    def test_form_caches_its_generator_and_spectrum(self):
+        form = killed_pair()
+        assert dk.generator(form) is form
+        assert form.L is form.L and not form.L.flags.writeable
+        assert dk.spectral_data(form) is form.spectral is form.spectral
+        assert not hasattr(dk, "Generator")
+
     def test_k2(self):
         gen = dk.generator(k2())
         assert np.allclose(gen.L, [[1.0, -1.0], [-1.0, 1.0]])

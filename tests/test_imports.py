@@ -84,7 +84,7 @@ def test_canonical_metric_loads_scipy(steps):
 
 
 PUBLIC = [
-    "Check", "DEFAULT_TOL", "DirikitError", "EquivalenceVerdict", "Generator", "GraphForm",
+    "Check", "DEFAULT_TOL", "DirikitError", "EquivalenceVerdict", "GraphForm",
     "JumpKilling", "MeasureSpace", "OrderIso", "PseudoMetric", "SearchOptions", "SpectralData",
     "Tolerance", "VerificationReport", "build_form", "canonical_intrinsic_metric", "certify",
     "decompose", "doob_pair", "effective_resistance", "equivalence_verdict", "find_intertwiners",

@@ -311,7 +311,8 @@ def pair_reports(form1, form2, iso):
 class TestScaleInvariance:
     """Multiplying b, c and m of both forms by 2^k scales every quantity the
     reports compare by an exact power of two, so each report keeps its
-    verdicts and each residual its mantissa."""
+    verdicts, each residual its mantissa and each intrinsic sample the
+    membership on either side that its detail names."""
 
     @pytest.mark.parametrize("transform", ["relabel", "doob"])
     def test_power_of_two_scaling(self, transform):
@@ -333,6 +334,8 @@ class TestScaleInvariance:
                     for check, base in zip(report.checks, want.checks):
                         assert (check.residual == base.residual == 0.0 or math.frexp(
                             check.residual)[0] == math.frexp(base.residual)[0]), (check.name, k)
+                        if check.name.startswith("intrinsic_pushforward_"):
+                            assert check.detail == base.detail, (check.name, k)
 
 
 class TestDoobPair:

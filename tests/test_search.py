@@ -1,3 +1,4 @@
+import itertools
 import time
 import tracemalloc
 
@@ -105,6 +106,14 @@ class TestFindIntertwiners:
         ]
         oracle = brute_force_intertwiners(form, form, WIDE)
         assert [tau_signature(s) for s in oracle] == [tau_signature(s) for s in found]
+
+    def test_trailing_nul_ids_keep_python_string_order(self):
+        # numpy's fixed-width strings drop trailing NULs, so "a\x00" and "a"
+        # would tie there; Python orders "a" < "a\x00" < "b"
+        names = ["a\x00", "a", "b"]
+        form = dk.build_form(names, 1.0, [(u, v, 1.0) for u, v in itertools.combinations(names, 2)])
+        found = dk.find_intertwiners(form, form)
+        assert [tau_signature(s) for s in found] == sorted(itertools.permutations(sorted(names)))
 
     def test_symmetric_graph_enumerates_all_automorphisms(self):
         form = dk.generate("complete", 4)

@@ -38,7 +38,7 @@ class InvalidSize(DirikitError):
 
 
 class NegativeTime(DirikitError):
-    """A semigroup time parameter is negative."""
+    """A semigroup time parameter is negative or not finite."""
 
 
 class NegativeInput(DirikitError):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .beurling import JumpKilling
 from .core import GraphForm, MeasureSpace
-from .errors import DirikitError, MalformedInput
+from .errors import DirikitError, MalformedInput, UnknownVertex
 from .metrics import PseudoMetric
 from .orderiso import OrderIso
 from .tolerances import Tolerance
@@ -159,12 +159,19 @@ def _check_edges(edge_list: list) -> None:
         _number(_require(entry, "b", (int, float), "graph edge"), "graph edge b")
 
 
+def _require_vertices(keyed: dict, vertices: dict) -> None:
+    """Raise UnknownVertex at the first key of ``keyed`` that is not a vertex."""
+    if not keyed.keys() <= vertices.keys():
+        raise UnknownVertex(f"unknown vertex {next(k for k in keyed if k not in vertices)!r}")
+
+
 def graph_from_obj(obj) -> GraphForm:
     vertices = _require(obj, "vertices", list, "graph")
     if not all(isinstance(v, str) for v in vertices):
         raise MalformedInput("graph: vertices must be strings")
     m_obj = _require(obj, "m", dict, "graph")
     m = {v: _number(m_obj.get(v), f"graph: m[{v!r}]") for v in vertices}
+    _require_vertices(m_obj, m)
     edge_list = obj.get("edges", [])
     if not isinstance(edge_list, list):
         raise MalformedInput("graph: key 'edges' has wrong type")
@@ -182,6 +189,7 @@ def graph_from_obj(obj) -> GraphForm:
         killing = {
             v: _number(killing_obj.get(v, 0.0), f"graph: killing[{v!r}]") for v in vertices
         }
+        _require_vertices(killing_obj, m)
         return GraphForm._from_columns(MeasureSpace(vertices, m), us, vs, bs, killing)
     except (DirikitError, TypeError, OverflowError):
         # a malformed edge (a non-string end, an int out of float range) is
@@ -253,7 +261,7 @@ def metric_from_obj(obj, space: MeasureSpace, tol: Tolerance) -> PseudoMetric:
     rows = _require(obj, "d", list, "metric")
     matrix = []
     for row in rows:
-        if not isinstance(row, list):
+        if not isinstance(row, list) or (matrix and len(row) != len(matrix[0])):
             raise MalformedInput("metric: d must be a matrix")
         matrix.append([_number(x, "metric entry") for x in row])
     return PseudoMetric(space.vertices, np.array(matrix, dtype=float), tol)

@@ -18,7 +18,10 @@ energy of d is dominated by the measure:
 
 This per-vertex inequality is the implemented definition of membership in
 the intrinsic family; it is sufficient for the distance functions
-d(., A) ^ T because |d_A(x) - d_A(y)| <= d(x, y).
+d(., A) ^ T because |d_A(x) - d_A(y)| <= d(x, y).  The intrinsic-family
+certificate probes the family with scalings c d of the canonical metric d,
+whose jump energy is c^2 times that of d, so one energy per form decides
+every sample.
 
 The canonical intrinsic metric is a shortest-path metric on the sparse
 edge graph, so an edge keeps any positive finite length: a dense graph
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,8 +121,8 @@ class PseudoMetric:
         """A metric by theorem or by construction, on a fresh float matrix
         with a zero diagonal and its source's symmetry, checked only for
         finite nonnegative entries: a resistance metric (Kigami, Analysis on
-        Fractals, 2001), a path metric, a multiple or a permutation of a
-        metric, or the zero matrix."""
+        Fractals, 2001), a path metric, or a multiple or a permutation of a
+        metric."""
         _require_entries(d)
         metric = cls.__new__(cls)
         d.flags.writeable = False
@@ -239,21 +242,25 @@ def _jump_energy(form: GraphForm, metric: PseudoMetric) -> np.ndarray:
         return np.sum(np.where(w > 0.0, w * metric.d**2, 0.0), axis=1)
 
 
+def _in_family(slack: np.ndarray, m: np.ndarray, tol: Tolerance) -> bool:
+    """Membership in the intrinsic family from the slack m(x) - energy(x):
+    it may dip below zero by ``tol.rel`` times m(x) and no more, since an
+    absolute floor would admit every metric on a small enough measure."""
+    return bool(np.all(slack >= -Tolerance(rel=tol.rel, abs=0.0).bound(m)))
+
+
 def is_intrinsic(
     form: GraphForm, metric: PseudoMetric, tol: Tolerance = DEFAULT_TOL
 ) -> IntrinsicCheck:
     """Check the per-vertex bound sum_y b(x,y) d(x,y)^2 <= m(x).
 
     Returns the verdict together with the slack vector
-    m(x) - sum_y b(x,y) d(x,y)^2 for diagnostics.  The slack may dip below
-    zero by ``tol.rel`` times m(x) and no more: an absolute floor would
-    admit every metric on a small enough measure.
+    m(x) - sum_y b(x,y) d(x,y)^2 for diagnostics.
     """
     if metric.vertices != form.space.vertices:
         raise DimensionMismatch("metric does not live on the form's vertex set")
     slack = form.space.m - _jump_energy(form, metric)
-    floor = Tolerance(rel=tol.rel, abs=0.0).bound(form.space.m)
-    return IntrinsicCheck(bool(np.all(slack >= -floor)), slack)
+    return IntrinsicCheck(_in_family(slack, form.space.m, tol), slack)
 
 
 def canonical_intrinsic_metric(form: GraphForm) -> PseudoMetric:
@@ -287,41 +294,6 @@ def canonical_intrinsic_metric(form: GraphForm) -> PseudoMetric:
     return PseudoMetric._trusted(form.space.vertices, np.minimum(dist, dist.T))
 
 
-def boundary_rescaled(
-    form: GraphForm, metric: PseudoMetric
-) -> PseudoMetric | None:
-    """Scale a metric up until some vertex slack is exactly zero.
-
-    Returns None for metrics with zero jump energy everywhere (nothing to
-    saturate).
-    """
-    energy = _jump_energy(form, metric)
-    positive = energy > 0.0
-    if not np.any(positive):
-        return None
-    with np.errstate(over="ignore"):  # an overflowing ratio is inf and not the minimum
-        factor = float(np.min(np.sqrt(form.space.m[positive] / energy[positive])))
-    return metric.scaled(factor)
-
-
-def default_metric_samples(form: GraphForm) -> list[tuple[str, PseudoMetric]]:
-    """Sample metrics probing the intrinsic family from inside and outside.
-
-    The zero metric, the canonical path metric, its rescaling to the
-    boundary of the family (some slack exactly zero) and an inflation past
-    the boundary (not intrinsic).
-    """
-    n = len(form.space)
-    samples = [("zero", PseudoMetric._trusted(form.space.vertices, np.zeros((n, n))))]
-    canonical = canonical_intrinsic_metric(form)
-    samples.append(("canonical", canonical))
-    boundary = boundary_rescaled(form, canonical)
-    if boundary is not None:
-        samples.append(("boundary", boundary))
-        samples.append(("inflated", boundary.scaled(1.5)))
-    return samples
-
-
 def pushforward_metric(metric: PseudoMetric, iso: OrderIso) -> PseudoMetric:
     """Transport a metric on the source space to the target along tau; the
     permuted matrix keeps the entries and triangle gaps of the metric."""
@@ -332,39 +304,49 @@ def pushforward_metric(metric: PseudoMetric, iso: OrderIso) -> PseudoMetric:
 
 
 def verify_intrinsic_bijection(
-    iso: OrderIso,
-    form1: GraphForm,
-    form2: GraphForm,
-    samples: Sequence[tuple[str, PseudoMetric]] | None = None,
-    tol: Tolerance = DEFAULT_TOL,
+    iso: OrderIso, form1: GraphForm, form2: GraphForm, tol: Tolerance = DEFAULT_TOL
 ) -> VerificationReport:
     """Certify that pulling metrics along tau preserves the intrinsic family.
 
-    For each sample metric d on the source space, membership of d in the
-    intrinsic family of the first form must coincide with membership of
-    the transported metric d(tau(.), tau(.)) in the family of the second.
-    Mismatches are reported with both slack vectors.
+    The samples are scalings c d of the canonical metric d of the first
+    form: ``zero`` (c = 0), ``canonical`` (c = 1), ``boundary`` (c = f, the
+    largest factor that keeps every bound of the first form) and
+    ``inflated`` (c = 1.5 f); a one-vertex form gets the first two only.
+    The jump energy of c d is c^2 times that of d, so with E1 the energy of
+    d on the first form and E2 that of its pushforward d(tau(.), tau(.)) on
+    the second, the slacks m1 - c^2 E1 and m2 - c^2 E2 decide both
+    memberships.  They must coincide; a mismatch is reported with both
+    slack vectors.
     """
     if not (is_recurrent(form1) and is_recurrent(form2)):
         raise NotRecurrent("the intrinsic-family comparison requires recurrent forms")
     require_intertwining(iso, form1, form2, tol)
-    if samples is None:
-        samples = default_metric_samples(form1)
+    canonical = canonical_intrinsic_metric(form1)
+    m1, m2 = form1.space.m, form2.space.m
+    e1 = _jump_energy(form1, canonical)
+    e2 = _jump_energy(form2, pushforward_metric(canonical, iso))
+    # the zero sample's slack is m itself: 0 * E would be NaN where E is inf
+    slacks = [("zero", m1, m2), ("canonical", m1 - e1, m2 - e2)]
+    positive = e1 > 0.0
+    if np.any(positive):
+        with np.errstate(over="ignore", invalid="ignore"):
+            # an overflowing ratio is inf and not the minimum
+            f = float(np.min(np.sqrt(m1[positive] / e1[positive])))
+            for name, c in (("boundary", f), ("inflated", 1.5 * f)):
+                slacks.append((name, m1 - c * c * e1, m2 - c * c * e2))
 
     report = VerificationReport()
-    for name, metric in samples:
-        check1 = is_intrinsic(form1, metric, tol)
-        check2 = is_intrinsic(form2, pushforward_metric(metric, iso), tol)
-        agree = check1.ok == check2.ok
-        detail = f"source={'in' if check1.ok else 'out'} target={'in' if check2.ok else 'out'}"
-        if not agree:
+    for name, slack1, slack2 in slacks:
+        ok1, ok2 = _in_family(slack1, m1, tol), _in_family(slack2, m2, tol)
+        detail = f"source={'in' if ok1 else 'out'} target={'in' if ok2 else 'out'}"
+        if ok1 != ok2:
             detail += (
-                f"; source slack={np.array2string(check1.slack, precision=6)}"
-                f" target slack={np.array2string(check2.slack, precision=6)}"
+                f"; source slack={np.array2string(slack1, precision=6)}"
+                f" target slack={np.array2string(slack2, precision=6)}"
             )
         report.add(
             f"intrinsic_pushforward_{name}",
-            0.0 if agree else 1.0,
+            0.0 if ok1 == ok2 else 1.0,
             0.5,
             detail=detail,
         )

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .core import GraphForm, MeasureSpace, build_form
+from .errors import InvalidSize
 from .orderiso import OrderIso, doob_pair
 
 
@@ -30,6 +31,8 @@ def random_form(
     ``recurrent`` picks the killing regime: True leaves c = 0, False puts
     weights from [0.5, 2) on a nonempty random subset, None flips a coin.
     """
+    if n < 1:
+        raise InvalidSize("a random form needs n >= 1")
     names = [f"{prefix}{i}" for i in range(n)]
     edges: dict[tuple[str, str], float] = {}
     for i in range(1, n):
@@ -44,7 +47,7 @@ def random_form(
     if recurrent is None:
         recurrent = bool(rng.random() < 0.5)
     c = np.zeros(n)
-    if not recurrent and n > 0:
+    if not recurrent:
         count = int(rng.integers(1, n + 1))
         hit = rng.choice(n, size=count, replace=False)
         c[hit] = rng.uniform(0.5, 2.0, size=count)

@@ -25,13 +25,13 @@ def spectral_data(form: GraphForm) -> SpectralData:
 
 
 def semigroup(form: GraphForm, t: float) -> np.ndarray:
-    """The heat operator e^{-tL} at time t >= 0.
+    """The heat operator e^{-tL} at a finite time t >= 0.
 
     The result is positivity preserving and sub-Markov: entries >= 0 and
     row sums <= 1, up to floating-point error.
     """
-    if t < 0:
-        raise NegativeTime(f"semigroup time must be >= 0, got {t}")
+    if not 0.0 <= t < np.inf:
+        raise NegativeTime(f"semigroup time must be finite and >= 0, got {t}")
     data = form.spectral
     decay = np.exp(-t * data.eigenvalues)
     return (data.eigenvectors * decay) @ (data.eigenvectors.T * form.space.m[None, :])

@@ -17,11 +17,13 @@ from dirikit.errors import (
     MalformedInput,
     NegativeWeight,
     NotExcessive,
+    NotRecurrent,
     SelfLoop,
     SpaceMismatch,
 )
 from dirikit.jsonio import _number, _require
-from dirikit.metrics import _resistance_green
+from dirikit.metrics import _jump_energy, _resistance_green
+from dirikit.orderiso import require_intertwining
 from dirikit.search import SearchOptions, residual_bound, spectra_match
 from dirikit.tolerances import DEFAULT_TOL, Tolerance
 
@@ -637,3 +639,63 @@ def resistance_maximizer(form, x: str, y: str) -> np.ndarray:
 
 def random_function(rng: np.random.Generator, space, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
     return rng.uniform(lo, hi, size=len(space))
+
+
+# ---------------------------------------------------------------------------
+# Oracle of the intrinsic-family certificate: the route that builds every
+# sample metric as a matrix, pushes each one forward and takes the energy of
+# each on its form.
+
+
+def oracle_is_intrinsic(form, metric, tol: Tolerance = DEFAULT_TOL):
+    """The per-vertex bound sum_y b(x,y) d(x,y)^2 <= m(x) within ``tol.rel``
+    times m(x), with the slack vector."""
+    slack = form.space.m - _jump_energy(form, metric)
+    floor = Tolerance(rel=tol.rel, abs=0.0).bound(form.space.m)
+    return bool(np.all(slack >= -floor)), slack
+
+
+def boundary_rescaled(form, metric):
+    """Scale a metric up until some vertex slack is exactly zero; None for a
+    metric with zero jump energy everywhere (nothing to saturate)."""
+    energy = _jump_energy(form, metric)
+    positive = energy > 0.0
+    if not np.any(positive):
+        return None
+    with np.errstate(over="ignore"):  # an overflowing ratio is inf and not the minimum
+        factor = float(np.min(np.sqrt(form.space.m[positive] / energy[positive])))
+    return metric.scaled(factor)
+
+
+def default_metric_samples(form):
+    """The zero metric, the canonical path metric, its rescaling to the
+    boundary of the intrinsic family and an inflation past it, as matrices."""
+    n = len(form.space)
+    samples = [("zero", dk.PseudoMetric._trusted(form.space.vertices, np.zeros((n, n))))]
+    canonical = dk.canonical_intrinsic_metric(form)
+    samples.append(("canonical", canonical))
+    boundary = boundary_rescaled(form, canonical)
+    if boundary is not None:
+        samples.append(("boundary", boundary))
+        samples.append(("inflated", boundary.scaled(1.5)))
+    return samples
+
+
+def oracle_intrinsic_bijection(iso, form1, form2, tol: Tolerance = DEFAULT_TOL):
+    """Oracle of ``verify_intrinsic_bijection``: each sample matrix and its
+    pushforward judged by their own energies."""
+    if not (dk.is_recurrent(form1) and dk.is_recurrent(form2)):
+        raise NotRecurrent("the intrinsic-family comparison requires recurrent forms")
+    require_intertwining(iso, form1, form2, tol)
+    report = dk.VerificationReport()
+    for name, metric in default_metric_samples(form1):
+        ok1, slack1 = oracle_is_intrinsic(form1, metric, tol)
+        ok2, slack2 = oracle_is_intrinsic(form2, dk.pushforward_metric(metric, iso), tol)
+        detail = f"source={'in' if ok1 else 'out'} target={'in' if ok2 else 'out'}"
+        if ok1 != ok2:
+            detail += (
+                f"; source slack={np.array2string(slack1, precision=6)}"
+                f" target slack={np.array2string(slack2, precision=6)}"
+            )
+        report.add(f"intrinsic_pushforward_{name}", 0.0 if ok1 == ok2 else 1.0, 0.5, detail=detail)
+    return report

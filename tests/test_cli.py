@@ -17,6 +17,8 @@ import pytest
 import dirikit as dk
 from dirikit import cli, jsonio, metrics
 from dirikit.cli import run
+from dirikit.errors import InvalidSize
+from dirikit.sampling import random_form
 
 from conftest import diagonal_overflow_form, edge_weight, pick, rng_for
 
@@ -64,6 +66,14 @@ class TestGen:
 
     def test_unknown_flag_exits_2(self, capsys):
         assert run(["gen", "--family", "path", "--n", "3", "--bogus"]) == 2
+
+    @pytest.mark.parametrize("transform", ["relabel", "doob"])
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_pair_size_below_one_exits_2(self, capsys, transform, n):
+        assert run(["gen-pair", "--transform", transform, "--n", n]) == 2
+        assert capsys.readouterr().err == "error: a random form needs n >= 1\n"
+        with pytest.raises(InvalidSize):
+            random_form(rng_for(0), int(n))
 
 
 class TestCheck:

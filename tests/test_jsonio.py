@@ -9,7 +9,7 @@ import pytest
 import dirikit as dk
 from dirikit import jsonio, sampling
 from dirikit.cli import run
-from dirikit.errors import MalformedInput
+from dirikit.errors import MalformedInput, UnknownVertex
 from dirikit.sampling import random_form, random_intertwined_pair
 
 from conftest import construction_outcome, oracle_dumps, oracle_graph_from_obj, pick, rng_for
@@ -316,3 +316,51 @@ class TestPairDocument:
     def test_not_an_object(self, obj):
         with pytest.raises(MalformedInput, match="pair"):
             jsonio.pair_from_obj(obj)
+
+
+class TestVertexKeys:
+    """Every key of ``m`` and ``killing`` names a listed vertex."""
+
+    def graph(self, **parts):
+        return dict({"vertices": ["a", "b"], "m": {"a": 1.0, "b": 1.0},
+                     "edges": [{"u": "a", "v": "b", "b": 1.0}], "killing": {}}, **parts)
+
+    @pytest.mark.parametrize("part, entries, name", [
+        ("m", {"a": 1.0, "b": 1.0, "zz": -5.0}, "zz"),
+        ("killing", {"A": 3.0}, "A"),
+        ("killing", {"a": 0.5, "c": 1.0, "d": 1.0}, "c"),
+    ])
+    def test_unknown_vertex(self, part, entries, name):
+        with pytest.raises(UnknownVertex, match=f"^unknown vertex '{name}'$"):
+            jsonio.graph_from_obj(self.graph(**{part: entries}))
+
+    def test_first_fault_in_document_order(self):
+        # the measure is read before the edges, the killing after them
+        bad_edge = [{"u": "a", "v": "b", "b": "1"}]
+        with pytest.raises(UnknownVertex, match="'zz'"):
+            jsonio.graph_from_obj(self.graph(m={"a": 1.0, "b": 1.0, "zz": 1.0}, edges=bad_edge))
+        with pytest.raises(MalformedInput, match="graph edge"):
+            jsonio.graph_from_obj(self.graph(killing={"A": 3.0}, edges=bad_edge))
+        with pytest.raises(MalformedInput, match="m\\['b'\\]"):
+            jsonio.graph_from_obj(self.graph(m={"a": 1.0, "zz": 1.0}))
+
+    def test_check_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(self.graph(m={"a": 1, "b": 1, "zz": -5}, killing={"A": 3})))
+        assert run(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "error: unknown vertex 'zz'\n"
+
+
+class TestMetricDocument:
+    @pytest.mark.parametrize("rows", [[[0, 1], [1]], [[0], [1, 0]], [[0, 1], 1]])
+    def test_ragged_rows(self, rows):
+        space = dk.MeasureSpace(["a", "b"], 1.0)
+        with pytest.raises(MalformedInput, match="^metric: d must be a matrix$"):
+            jsonio.metric_from_obj({"d": rows}, space, dk.Tolerance())
+
+    def test_intrinsic_exits_2(self, tmp_path, capsys):
+        graph, metric = tmp_path / "g.json", tmp_path / "m.json"
+        assert run(["gen", "--family", "path", "--n", "2", "--out", str(graph)]) == 0
+        metric.write_text(json.dumps({"d": [[0, 1], [1]]}))
+        assert run(["intrinsic", str(graph), "--metric", str(metric)]) == 2
+        assert capsys.readouterr().err == "error: metric: d must be a matrix\n"

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import tracemalloc
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 import dirikit as dk
+from dirikit import metrics
 from dirikit.errors import (
     DimensionMismatch,
+    DirikitError,
     HasKilling,
     InvalidMetric,
     NotConnected,
@@ -16,13 +19,14 @@ from dirikit.errors import (
     NumericOverflow,
     SpaceMismatch,
 )
-from dirikit.metrics import boundary_rescaled, default_metric_samples
 from dirikit.sampling import random_form, random_intertwined_pair, relabel_pair
 from dirikit.tolerances import DEFAULT_TOL, Tolerance
 
 from conftest import (
+    boundary_rescaled,
     dense_canonical_distances,
     diagonal_overflow_form,
+    oracle_intrinsic_bijection,
     oracle_triangle_ok,
     resistance_maximizer,
     rng_for,
@@ -719,8 +723,7 @@ class TestReportsWithoutRevalidation:
         got = [certify_reports(*pair(n)) for n in sizes]
         # every metric the library builds validated in full, on freshly
         # built forms: per recurrent pair two resistance matrices, the
-        # canonical metric and its boundary and inflated copies, the zero
-        # sample, and the four samples pushed forward
+        # canonical metric and its pushforward
         validated = []
 
         def full(cls, vertices, d):
@@ -729,7 +732,7 @@ class TestReportsWithoutRevalidation:
 
         monkeypatch.setattr(dk.PseudoMetric, "_trusted", classmethod(full))
         assert got == [certify_reports(*pair(n)) for n in sizes]
-        assert len(validated) == (10 * len(sizes) if transform == "relabel" else 0)
+        assert len(validated) == (4 * len(sizes) if transform == "relabel" else 0)
         assert all(len(reports) == (4 if transform == "relabel" else 2) for reports in got)
 
 
@@ -773,8 +776,104 @@ class TestIntrinsicBijection:
 
     def test_default_samples_cover_both_classes(self):
         form = dk.generate("path", 4)
-        samples = dict(default_metric_samples(form))
-        assert dk.is_intrinsic(form, samples["zero"]).ok
-        assert dk.is_intrinsic(form, samples["canonical"]).ok
-        assert dk.is_intrinsic(form, samples["boundary"]).ok
-        assert not dk.is_intrinsic(form, samples["inflated"]).ok
+        report = dk.verify_intrinsic_bijection(dk.OrderIso.identity(form.space), form, form)
+        assert [(c.name, c.detail) for c in report.checks] == [
+            ("intrinsic_pushforward_zero", "source=in target=in"),
+            ("intrinsic_pushforward_canonical", "source=in target=in"),
+            ("intrinsic_pushforward_boundary", "source=in target=in"),
+            ("intrinsic_pushforward_inflated", "source=out target=out"),
+        ]
+
+
+def scaled_pair_form(form, factor, m=None, weights=None):
+    """The form with its measure and conductances replaced (by default kept)
+    and every b, c and m then multiplied by ``factor``."""
+    m = form.space.m if m is None else m
+    weights = form.weights if weights is None else weights
+    space = dk.MeasureSpace(form.space.vertices, factor * m)
+    return dk.GraphForm._from_columns(space, *form.edge_ends(), factor * weights, factor * form.c)
+
+
+def printed_slacks(detail):
+    source, target = detail.split("; source slack=")[1].split(" target slack=")
+    return [np.array(text.strip("[]").split(), dtype=float) for text in (source, target)]
+
+
+def compare_with_matrix_route(iso, form1, form2, tol=DEFAULT_TOL):
+    """Require the report of the route that builds each sample as a matrix:
+    the same checks, residuals, tols and details, or the same exception
+    type.  The slack vectors that a boundary or inflated disagreement prints
+    are m - c^2 E here and m - energy(c d) there, so those agree to
+    rounding, not bit for bit.  Returns the exception's name, or the number
+    of checks and the names of the samples whose slacks were printed."""
+    outcomes = []
+    for route in (dk.verify_intrinsic_bijection, oracle_intrinsic_bijection):
+        try:
+            outcomes.append(route(iso, form1, form2, tol).to_dict()["checks"])
+        except DirikitError as exc:
+            outcomes.append(type(exc))
+    got, want = outcomes
+    if isinstance(want, type):
+        assert got is want
+        return [want.__name__]
+    assert [c["name"] for c in got] == [c["name"] for c in want]
+    seen = [len(got)]
+    for check, base in zip(got, want):
+        name = check["name"].removeprefix("intrinsic_pushforward_")
+        if name in ("boundary", "inflated") and "slack" in base["detail"]:
+            seen.append(f"printed {name}")
+            prefix = base["detail"].split(";")[0]
+            assert check["detail"].startswith(prefix + "; source slack="), name
+            for ours, theirs in zip(printed_slacks(check["detail"]),
+                                    printed_slacks(base["detail"]), strict=True):
+                atol = 1e-12 * float(np.max(np.abs(theirs)))
+                assert np.allclose(ours, theirs, rtol=1e-5, atol=atol), name
+            check, base = dict(check, detail=None), dict(base, detail=None)
+        assert check == base, name
+    return seen
+
+
+class TestIntrinsicBijectionOracle:
+    def test_matches_matrix_route(self):
+        rng = rng_for(86)
+        seen = collections.Counter()
+        for i in range(760):
+            n = int(rng.integers(1, 61))
+            form1 = random_form(rng, n, recurrent=i % 8 != 7)
+            if i % 3 == 1:  # b and m spread over [1e-3, 1e3]
+                form1 = scaled_pair_form(form1, 1.0, 10.0 ** rng.uniform(-3, 3, n),
+                                         10.0 ** rng.uniform(-3, 3, len(form1.weights)))
+            k = int(rng.integers(-199, 200)) if i % 3 == 2 else 0
+            form2, iso = relabel_pair(rng, form1, scale=2.0**k)
+            if i % 4 == 3:  # both forms scaled by one power of two
+                j = int(rng.integers(-300, 301))
+                form1, form2 = scaled_pair_form(form1, 2.0**j), scaled_pair_form(form2, 2.0**j)
+                iso = dk.OrderIso(form1.space, form2.space, iso.tau, iso.h, beta=iso.beta)
+            if i % 10 == 9 and n >= 2:  # two images of tau swapped
+                y0, y1 = iso.target.vertices[:2]
+                tau = dict(iso.tau, **{y0: iso.tau[y1], y1: iso.tau[y0]})
+                iso = dk.OrderIso(iso.source, iso.target, tau, iso.h)
+            seen.update(compare_with_matrix_route(iso, form1, form2))
+        # a target measure three times too large, which a loose tolerance
+        # lets past the guard: the inflated sample is out on the source only
+        loose = Tolerance(rel=0.9)
+        for _ in range(40):
+            form1 = random_form(rng, int(rng.integers(2, 61)), recurrent=True)
+            form2, iso = relabel_pair(rng, form1)
+            form2 = scaled_pair_form(form2, 1.0, 3.0 * form2.space.m)
+            iso = dk.OrderIso(form1.space, form2.space, iso.tau, iso.h)
+            seen.update(compare_with_matrix_route(iso, form1, form2, loose))
+        # every branch is reached: one-vertex forms, four samples, transient
+        # pairs, swapped images that fail the guard, and printed slacks
+        assert seen[2] and seen[2] + seen[4] >= 600, seen
+        assert seen["NotRecurrent"] and seen["NotIntertwining"], seen
+        assert seen["printed boundary"] and seen["printed inflated"] >= 40, seen
+
+    def test_zero_sample_with_infinite_energy(self, monkeypatch):
+        # the zero sample's slack is m, not m - 0 * E, which is NaN at E = inf
+        form = dk.generate("path", 3)
+        monkeypatch.setattr(metrics, "_jump_energy",
+                            lambda form, metric: np.full(len(form.space), np.inf))
+        report = dk.verify_intrinsic_bijection(dk.OrderIso.identity(form.space), form, form)
+        assert report["intrinsic_pushforward_zero"].detail == "source=in target=in"
+        assert report["intrinsic_pushforward_canonical"].detail == "source=out target=out"

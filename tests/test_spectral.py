@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -66,6 +68,11 @@ class TestSemigroup:
         gen = dk.generator(killed_pair())
         with pytest.raises(NegativeTime):
             dk.semigroup(gen, -0.1)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_time_not_finite(self, t):
+        with pytest.raises(NegativeTime, match="finite"):
+            dk.semigroup(dk.generate("path", 3), t)
 
     def test_matches_expm_oracle(self):
         rng = rng_for(21)

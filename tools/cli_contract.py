@@ -113,6 +113,11 @@ INVALID = {
     "tiny_measure": json.dumps({"vertices": ["a", "b", "c"], "m": {"a": 1e-16, "b": 1e-16, "c": 1e-16},
                                 "edges": [{"u": "a", "v": "b", "b": 1.0},
                                           {"u": "b", "v": "c", "b": 1.0}], "killing": {}}),
+    # an entry of m or killing for a vertex that the list does not name
+    "unknown_killing_vertex": json.dumps(dict(_A_B, edges=[{"u": "a", "v": "b", "b": 1.0}],
+                                              killing={"A": 3.0})),
+    "unknown_measure_vertex": json.dumps(dict(_A_B, m={"a": 1.0, "b": 1.0, "zz": -5.0},
+                                              edges=[{"u": "a", "v": "b", "b": 1.0}])),
 }
 
 # metrics checked on path3 with `dirikit intrinsic path3.json --metric NAME.json`
@@ -127,6 +132,7 @@ METRICS = {
     "metric_not_matrix": {"d": [0.0, 1.0, 2.0]},
     # d(v0, v2) breaks the triangle by 1e-7: within --tol 1e-6, not the default
     "metric_gap": {"d": [[0.0, 0.5, 1.0000001], [0.5, 0.0, 0.5], [1.0000001, 0.5, 0.0]]},
+    "metric_ragged": {"d": [[0.0, 0.5, 1.0], [0.5, 0.0], [1.0, 0.5, 0.0]]},
 }
 
 
@@ -195,6 +201,8 @@ def _commands() -> list[list[str]]:
         ["gen", "--family", "path", "--n", "4", "--conductance", "2.5", "--measure", "0.5"],
         ["gen-pair", "--transform", "relabel", "--n", "6", "--seed", "1"],
         ["gen-pair", "--transform", "doob", "--n", "6", "--seed", "1"],
+        ["gen-pair", "--transform", "relabel", "--n", "-1"],
+        ["gen-pair", "--transform", "doob", "--n", "0"],
     ]
     for name in INVALID:
         g = f"{name}.json"

@@ -4,8 +4,11 @@ Subcommands: check, search, certify, resistance, intrinsic, decompose,
 gen, gen-pair.  Graphs, isomorphisms, metrics and reports travel as JSON
 (see jsonio for the schemas); "-" as a filename reads stdin.  Exit code 0
 means the verdict is true / the command succeeded, 1 means a false
-verdict, 2 means a usage or input error.  JSON output is the stable
-machine contract; the text format is human-oriented only.
+verdict, 2 means a usage or input error.  For certify, 1 means a candidate
+within the intertwining bound that fails some identity; a candidate whose
+intertwining residual exceeds the bound is an input error (2).  JSON
+output is the stable machine contract; the text format is human-oriented
+only.
 
 Each command takes only the flags it reads: --out FILE on every command,
 --format json|text on all but gen and gen-pair (JSON only), --tol on

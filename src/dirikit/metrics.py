@@ -309,14 +309,15 @@ def verify_intrinsic_bijection(
     """Certify that pulling metrics along tau preserves the intrinsic family.
 
     The samples are scalings c d of the canonical metric d of the first
-    form: ``zero`` (c = 0), ``canonical`` (c = 1), ``boundary`` (c = f, the
-    largest factor that keeps every bound of the first form) and
-    ``inflated`` (c = 1.5 f); a one-vertex form gets the first two only.
-    The jump energy of c d is c^2 times that of d, so with E1 the energy of
-    d on the first form and E2 that of its pushforward d(tau(.), tau(.)) on
-    the second, the slacks m1 - c^2 E1 and m2 - c^2 E2 decide both
-    memberships.  They must coincide; a mismatch is reported with both
-    slack vectors.
+    form: ``canonical`` (c = 1) and ``inflated`` (c = 1.5); a one-vertex
+    form, with no jump energy, gets the first only.  The jump energy of
+    c d is c^2 times that of d, so with E1 the energy of d on the first form
+    and E2 that of its pushforward d(tau(.), tau(.)) on the second, the
+    slacks m1 - c^2 E1 and m2 - c^2 E2 decide both memberships.  They must
+    coincide; a mismatch is reported with both slack vectors.
+
+    d saturates the family (E1 = m where m/deg is least), so the zero
+    metric and d rescaled to the boundary of the family add no check.
     """
     if not (is_recurrent(form1) and is_recurrent(form2)):
         raise NotRecurrent("the intrinsic-family comparison requires recurrent forms")
@@ -325,15 +326,10 @@ def verify_intrinsic_bijection(
     m1, m2 = form1.space.m, form2.space.m
     e1 = _jump_energy(form1, canonical)
     e2 = _jump_energy(form2, pushforward_metric(canonical, iso))
-    # the zero sample's slack is m itself: 0 * E would be NaN where E is inf
-    slacks = [("zero", m1, m2), ("canonical", m1 - e1, m2 - e2)]
-    positive = e1 > 0.0
-    if np.any(positive):
-        with np.errstate(over="ignore", invalid="ignore"):
-            # an overflowing ratio is inf and not the minimum
-            f = float(np.min(np.sqrt(m1[positive] / e1[positive])))
-            for name, c in (("boundary", f), ("inflated", 1.5 * f)):
-                slacks.append((name, m1 - c * c * e1, m2 - c * c * e2))
+    slacks = [("canonical", m1 - e1, m2 - e2)]
+    if len(m1) > 1:
+        with np.errstate(over="ignore"):  # 2.25 E may overflow to inf
+            slacks.append(("inflated", m1 - 2.25 * e1, m2 - 2.25 * e2))
 
     report = VerificationReport()
     for name, slack1, slack2 in slacks:

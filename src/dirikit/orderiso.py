@@ -30,6 +30,7 @@ from .errors import (
     NotExcessive,
     NotIntertwining,
     NotIrreducible,
+    NumericOverflow,
     SpaceMismatch,
 )
 from .report import VerificationReport
@@ -110,18 +111,24 @@ def intertwining_residual(iso: OrderIso, form1: GraphForm, form2: GraphForm) -> 
     return float(np.max(np.abs(gap)))
 
 
-def _residual_scale(iso: OrderIso, form1: GraphForm, form2: GraphForm) -> float:
-    h_max = float(np.max(iso.h_values))
-    return max(1.0, h_max) * max(
-        1.0, float(np.max(np.abs(form1.L))), float(np.max(np.abs(form2.L)))
-    )
-
-
 def require_intertwining(
     iso: OrderIso, form1: GraphForm, form2: GraphForm, tol: Tolerance = DEFAULT_TOL
 ) -> float:
+    """The intertwining residual, or NotIntertwining when it exceeds
+    ``tol.rel`` times max h * max|L| of the two generators.
+
+    The bound is purely relative: an absolute floor, or a scale floored at
+    1, would pass a wrong tau whenever h or L is small.  NumericOverflow when
+    that scale leaves the floating-point range but the residual does not,
+    since an infinite bound would pass every finite residual.
+    """
     residual = intertwining_residual(iso, form1, form2)
-    bound = tol.bound(_residual_scale(iso, form1, form2))
+    scale = float(np.max(iso.h_values)) * max(
+        float(np.max(np.abs(form1.L))), float(np.max(np.abs(form2.L)))
+    )
+    if np.isfinite(residual) and not np.isfinite(scale):
+        raise NumericOverflow("intertwining residual scale leaves the floating-point range")
+    bound = Tolerance(rel=tol.rel, abs=0.0).bound(scale)
     if not (residual <= bound and np.isfinite(residual)):
         raise NotIntertwining(
             f"intertwining residual {residual:.3e} exceeds tolerance {bound:.3e}"

@@ -655,29 +655,22 @@ def oracle_is_intrinsic(form, metric, tol: Tolerance = DEFAULT_TOL):
     return bool(np.all(slack >= -floor)), slack
 
 
-def boundary_rescaled(form, metric):
-    """Scale a metric up until some vertex slack is exactly zero; None for a
-    metric with zero jump energy everywhere (nothing to saturate)."""
+def boundary_factor(form, metric):
+    """The largest factor f with f * metric intrinsic, min sqrt(m / energy)
+    over the vertices of positive jump energy."""
     energy = _jump_energy(form, metric)
     positive = energy > 0.0
-    if not np.any(positive):
-        return None
     with np.errstate(over="ignore"):  # an overflowing ratio is inf and not the minimum
-        factor = float(np.min(np.sqrt(form.space.m[positive] / energy[positive])))
-    return metric.scaled(factor)
+        return float(np.min(np.sqrt(form.space.m[positive] / energy[positive])))
 
 
 def default_metric_samples(form):
-    """The zero metric, the canonical path metric, its rescaling to the
-    boundary of the intrinsic family and an inflation past it, as matrices."""
-    n = len(form.space)
-    samples = [("zero", dk.PseudoMetric._trusted(form.space.vertices, np.zeros((n, n))))]
+    """The canonical path metric and its inflation by 1.5, as matrices; a
+    one-vertex form gets the first only."""
     canonical = dk.canonical_intrinsic_metric(form)
-    samples.append(("canonical", canonical))
-    boundary = boundary_rescaled(form, canonical)
-    if boundary is not None:
-        samples.append(("boundary", boundary))
-        samples.append(("inflated", boundary.scaled(1.5)))
+    samples = [("canonical", canonical)]
+    if len(form.space) > 1:
+        samples.append(("inflated", canonical.scaled(1.5)))
     return samples
 
 

@@ -18,7 +18,7 @@ from dirikit.sampling import (
 from dirikit.search import SearchOptions
 
 from conftest import (
-    boundary_rescaled,
+    boundary_factor,
     brute_force_intertwiners,
     check_truncation,
     evaluate,
@@ -247,7 +247,7 @@ def test_8_intrinsic_bijection():
         ok2, slack2 = dk.is_intrinsic(form2, pushed)
         assert ok2 == ok1
         worst_slack = max(worst_slack, float(np.max(np.abs(slack2))))
-        for sample in (metric, boundary_rescaled(form1, metric), metric.scaled(1.5)):
+        for sample in (metric, metric.scaled(boundary_factor(form1, metric)), metric.scaled(1.5)):
             assert dk.is_intrinsic(form1, sample).ok == \
                 dk.is_intrinsic(form2, dk.pushforward_metric(sample, iso)).ok
     ok = worst_slack <= 1e-12

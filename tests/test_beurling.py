@@ -135,23 +135,15 @@ class TestJumpTransform:
 
 
 def dict_route(iso, form1, form2, tol=dk.Tolerance()):
-    """Reference: (residual, tol) of both jump checks computed through the
-    jump/killing dicts, jump_matrix(decompose(f)) and reconstruct(f.space, ...)."""
+    """Reference: (residual, tol) of the jump check computed through the
+    jump/killing dicts, jump_matrix(decompose(f))."""
     beta = dk.operator_constant(iso)
     idx, h = iso.tau_indices, iso.h_values
     lhs = beta * jump_matrix(dk.decompose(form1))[np.ix_(idx, idx)]
     rhs = np.outer(h, h) * jump_matrix(dk.decompose(form2))
     np.fill_diagonal(rhs, 0.0)
     scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    jump = (float(np.max(np.abs(lhs - rhs))), tol.bound(scale))
-    local = 0.0
-    for form in (form1, form2):
-        rebuilt = reconstruct(form.space, dk.decompose(form))
-        local = max(local, float(np.max(np.abs(form.form_matrix - rebuilt.form_matrix))))
-    local_scale = max(
-        1.0, float(np.max(np.abs(form1.form_matrix))), float(np.max(np.abs(form2.form_matrix)))
-    )
-    return jump, (local, tol.bound(local_scale))
+    return float(np.max(np.abs(lhs - rhs))), tol.bound(scale)
 
 
 def jump_sample(rng, kind):
@@ -177,13 +169,9 @@ class TestJumpTransformOracle:
         for _ in range(10):
             form1, form2, iso = jump_sample(rng, kind)
             report = dk.verify_jump_transform(iso, form1, form2)
-            jump, local = dict_route(iso, form1, form2)
+            jump = dict_route(iso, form1, form2)
             assert (report["jump_transform"].residual, report["jump_transform"].tol) == jump
-            check = report["local_part_vanishes"]
-            assert (check.residual, check.tol) == local
-            if kind == "subnormal":
-                # b / 2 rounds to 0, so rebuilding b = 2 J loses the whole edge
-                assert check.residual == 5e-324
+            assert [c.name for c in report.checks] == ["jump_transform"]
             assert report.verdict
 
     def test_swapped_tau_raises(self):

@@ -177,6 +177,31 @@ class TestResidual:
             with pytest.raises(NotIntertwining):
                 require_intertwining(iso, gen, gen)
 
+    def test_guard_bound_is_relative(self):
+        # h = 2^-50: the residual of a wrong tau is far below an absolute
+        # floor of 1e-12, but not below rel * max h * max|L|
+        rng = np.random.default_rng(5)
+        form1 = random_form(rng, 6, recurrent=True)
+        form2, iso = relabel_pair(rng, form1, scale=2.0**100)
+        assert dk.certify(iso, form1, form2).verdict
+        y0, y1 = iso.target.vertices[:2]
+        tau = dict(iso.tau, **{y0: iso.tau[y1], y1: iso.tau[y0]})
+        swapped = dk.OrderIso(iso.source, iso.target, tau, iso.h)
+        assert 0.0 < dk.intertwining_residual(swapped, form1, form2) < 1e-12
+        with pytest.raises(NotIntertwining):
+            dk.certify(swapped, form1, form2)
+
+    def test_overflowing_guard_scale(self):
+        # max h sits on a, max|L| on b, and no entry of h L overflows; an
+        # infinite bound would pass the residual 1e200
+        form = dk.build_form(["a", "b", "c"], {"a": 1.0, "b": 1.0, "c": 1e200},
+                             [("a", "c", 1.0), ("b", "c", 1e200)])
+        iso = dk.OrderIso(form.space, form.space, {v: v for v in "abc"},
+                          {"a": 1e200, "b": 1.0, "c": 1.0})
+        assert dk.intertwining_residual(iso, form, form) == 1e200
+        with pytest.raises(NumericOverflow):
+            require_intertwining(iso, form, form)
+
     def test_mismatched_k2s(self):
         q1 = dk.build_form(["a", "b"], 1.0, [("a", "b", 1.0)])
         q2 = dk.build_form(["a", "b"], 1.0, [("a", "b", 3.0)])

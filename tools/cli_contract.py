@@ -155,6 +155,9 @@ def _commands() -> list[list[str]]:
                  ["check", "shuffled.g1.json", "--format", fmt]]
         # total masses far below the absolute floor of the default tolerance
         cmds += [["certify", "scaled.json", "--format", fmt]]
+        # a candidate within the intertwining bound whose drift fails the
+        # certificate: exit 1
+        cmds += [["certify", "drifted.json", "--format", fmt]]
     cmds += [
         ["resistance", "path7.json", "--tol", "1e-6"],
         ["intrinsic", "sierpinski3.json", "--tol", "1e-6"],
@@ -257,6 +260,17 @@ def _scaled_pair(run) -> dict:
     return pair
 
 
+def _drifted_pair() -> dict:
+    """path12 against itself under tau = id with h = (1 + 1.5e-9)^k at the
+    k-th vertex: each entry of the intertwining residual is within its
+    bound, but the drift adds up along the path."""
+    g = json.loads(Path("path12.json").read_text(encoding="utf-8"))
+    names = g["vertices"]
+    iso = {"tau": {v: v for v in names},
+           "h": {v: (1 + 1.5e-9) ** k for k, v in enumerate(names)}}
+    return {"g1": g, "g2": g, "iso": iso}
+
+
 def _write_inputs(run) -> None:
     """Write every input of COMMANDS into the current directory."""
     for name, args in GEN.items():
@@ -272,6 +286,7 @@ def _write_inputs(run) -> None:
     Path("shuffled.json").write_text(json.dumps(pair), encoding="utf-8")
     Path("shuffled.g1.json").write_text(json.dumps(pair["g1"]), encoding="utf-8")
     Path("scaled.json").write_text(json.dumps(_scaled_pair(run)), encoding="utf-8")
+    Path("drifted.json").write_text(json.dumps(_drifted_pair()), encoding="utf-8")
     for name, text in INVALID.items():
         Path(f"{name}.json").write_text(text, encoding="utf-8")
         try:

@@ -26,9 +26,10 @@ every sample.
 The canonical intrinsic metric is a shortest-path metric on the sparse
 edge graph, so an edge keeps any positive finite length: a dense graph
 input would drop every edge shorter than about 1e-8, the tolerance with
-which scipy reads a dense entry as zero.  scipy is imported there, on the
-first canonical metric, and nowhere else in the package, so every other
-path loads numpy only (tests/test_imports.py checks this).
+which scipy reads a dense entry as zero.  The certificate reads that metric
+on edges only, where an exact shortcut test settles most entries without
+a shortest path.  scipy is imported only where a shortest path is run,
+so every other path loads numpy only (tests/test_imports.py checks this).
 """
 
 from __future__ import annotations
@@ -203,6 +204,9 @@ def verify_resistance_isometry(
     for all target vertices y, z, with beta the operator constant.  When
     the total masses agree, alpha equals sqrt(beta) and tau is a plain
     isometry; that special case is checked separately when it applies.
+    The special case compares R1(tau(.), tau(.)) with R2 alone: with two
+    or more vertices, that and ``resistance_isometry`` imply alpha^2 = beta,
+    and a term |alpha - sqrt(beta)| would be in the units of h, not of R.
     """
     if not (is_recurrent(form1) and is_recurrent(form2)):
         raise NotRecurrent("resistance comparison requires recurrent forms")
@@ -223,10 +227,8 @@ def verify_resistance_isometry(
     mass1 = form1.space.total_mass
     mass2 = form2.space.total_mass
     if abs(mass2 / mass1 - 1.0) <= tol.bound(1.0):
-        plain = float(np.max(np.abs(r1_tau - r2)))
-        residual = max(plain, abs(alpha - math.sqrt(beta)))
         report.add(
-            "equal_mass_isometry", residual,
+            "equal_mass_isometry", float(np.max(np.abs(r1_tau - r2))),
             tol.bound(max(1.0, float(np.max(r1)), float(np.max(r2)))),
         )
     else:
@@ -234,12 +236,25 @@ def verify_resistance_isometry(
     return report
 
 
-def _jump_energy(form: GraphForm, metric: PseudoMetric) -> np.ndarray:
-    """Per-vertex jump energy sum_y b(x,y) d(x,y)^2, taken on the edges only:
-    off the edges b = 0, even where d^2 overflows to inf."""
-    w = form.weight_matrix
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.sum(np.where(w > 0.0, w * metric.d**2, 0.0), axis=1)
+def _positive_edges(form: GraphForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ends i, j and conductances of the edges with b > 0, in key order."""
+    positive = form.weights > 0.0
+    i, j = form.edge_indices[:, positive]
+    return i, j, form.weights[positive]
+
+
+def _jump_energy(form: GraphForm, d_ij: np.ndarray, d_ji: np.ndarray) -> np.ndarray:
+    """Per-vertex jump energy sum_y b(x,y) d(x,y)^2 from d(i, j) and d(j, i)
+    on the edges (i, j) of ``_positive_edges``.  The terms fill an n x n
+    zero matrix that is summed by rows, so the energy has the bits of the
+    sum over a full matrix row; off the edges b = 0, even where d^2 would
+    overflow to inf."""
+    i, j, w = _positive_edges(form)
+    terms = np.zeros((len(form.space),) * 2)
+    with np.errstate(over="ignore"):
+        terms[i, j] = w * d_ij**2
+        terms[j, i] = w * d_ji**2
+    return terms.sum(axis=1)
 
 
 def _in_family(slack: np.ndarray, m: np.ndarray, tol: Tolerance) -> bool:
@@ -259,8 +274,35 @@ def is_intrinsic(
     """
     if metric.vertices != form.space.vertices:
         raise DimensionMismatch("metric does not live on the form's vertex set")
-    slack = form.space.m - _jump_energy(form, metric)
+    i, j, _ = _positive_edges(form)
+    slack = form.space.m - _jump_energy(form, metric.d[i, j], metric.d[j, i])
     return IntrinsicCheck(_in_family(slack, form.space.m, tol), slack)
+
+
+def _edge_lengths(form: GraphForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ends i, j of the positive edges and their canonical lengths
+    sigma(i, j) = min(sqrt(m(i)/deg(i)), sqrt(m(j)/deg(j)))."""
+    if not is_irreducible(form):
+        raise NotConnected("path metric needs a connected conductance graph")
+    deg = form.degrees
+    # an overflowing weight is inf and min() drops it beside a finite one
+    with np.errstate(over="ignore"):
+        weight = np.sqrt(form.space.m / np.where(deg > 0.0, deg, 1.0))
+    i, j, _ = _positive_edges(form)
+    return i, j, np.minimum(weight[i], weight[j])
+
+
+def _shortest_paths(n: int, i: np.ndarray, j: np.ndarray, sigma: np.ndarray,
+                    **dijkstra_args) -> np.ndarray:
+    """Dijkstra on the n vertices with the edges (i, j) of length sigma in
+    both directions, as a sparse graph."""
+    # the package's only scipy import, deferred to here (module docstring)
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import dijkstra
+
+    ends = (np.concatenate([i, j]), np.concatenate([j, i]))
+    graph = csr_array((np.concatenate([sigma, sigma]), ends), shape=(n, n))
+    return dijkstra(graph, directed=True, **dijkstra_args)
 
 
 def canonical_intrinsic_metric(form: GraphForm) -> PseudoMetric:
@@ -273,25 +315,45 @@ def canonical_intrinsic_metric(form: GraphForm) -> PseudoMetric:
     (a measure of 1e-16, say) count as edges, not as missing ones.  Dijkstra
     rounds d(x, y) and d(y, x) apart; the shorter is kept, so d is symmetric.
     """
-    # the package's only scipy import, deferred to here (module docstring)
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import shortest_path
-
-    if not is_irreducible(form):
-        raise NotConnected("path metric needs a connected conductance graph")
-    n = len(form.space)
-    deg = form.degrees
-    # an overflowing weight is inf and min() drops it beside a finite one;
+    i, j, sigma = _edge_lengths(form)
     # a length of inf, or of 0 from an overflowing degree, is no edge, and
     # an inf distance that this leaves is rejected
-    with np.errstate(over="ignore"):
-        weight = np.sqrt(form.space.m / np.where(deg > 0.0, deg, 1.0))
-    rows, cols = np.nonzero(form.weight_matrix)
-    lengths = np.minimum(weight[rows], weight[cols])
-    keep = (lengths > 0.0) & (lengths < math.inf)
-    graph = csr_array((lengths[keep], (rows[keep], cols[keep])), shape=(n, n))
-    dist = shortest_path(graph, method="D", directed=True, unweighted=False)
+    keep = (sigma > 0.0) & (sigma < math.inf)
+    dist = _shortest_paths(len(form.space), i[keep], j[keep], sigma[keep])
     return PseudoMetric._trusted(form.space.vertices, np.minimum(dist, dist.T))
+
+
+def _canonical_on_pairs(form: GraphForm, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The canonical intrinsic metric of the form at the vertex pairs
+    (p[k], q[k]), p[k] != q[k], bit for bit as ``canonical_intrinsic_metric``.
+
+    Let s(x) be the shortest edge at x.  A path of two or more edges from x
+    to y starts with an edge of at least s(x) and ends with one of at least
+    s(y), and rounded addition is monotone, so its float length is at least
+    fl(s(x) + s(y)): an edge no longer than that is a shortest path.  The
+    pairs this leaves go to Dijkstra from both of their ends (d(x, y) and
+    d(y, x) round apart), stopped at the longest of their edges, or not
+    stopped where a pair is no edge.  A form with an edge length of 0 or
+    inf takes the full matrix, which drops those edges and rejects an
+    infinite distance; a finite length is below sqrt(max float), so no
+    path of the others overflows.
+    """
+    i, j, sigma = _edge_lengths(form)
+    n = len(form.space)
+    if not np.all((sigma > 0.0) & (sigma < math.inf)):
+        return canonical_intrinsic_metric(form).d[p, q]
+    lengths = np.full((n, n), math.inf)
+    lengths[i, j] = lengths[j, i] = sigma
+    shortest = lengths.min(axis=1)
+    d = lengths[p, q]
+    left = ~(d <= shortest[p] + shortest[q])
+    if left.any():
+        x, y = p[left], q[left]
+        sources = np.unique(np.concatenate([x, y]))
+        dist = _shortest_paths(n, i, j, sigma, indices=sources, limit=np.max(d[left]))
+        d[left] = np.minimum(dist[np.searchsorted(sources, x), y],
+                             dist[np.searchsorted(sources, y), x])
+    return d
 
 
 def pushforward_metric(metric: PseudoMetric, iso: OrderIso) -> PseudoMetric:
@@ -301,6 +363,22 @@ def pushforward_metric(metric: PseudoMetric, iso: OrderIso) -> PseudoMetric:
         raise SpaceMismatch("metric does not live on the iso's source space")
     idx = iso.tau_indices
     return PseudoMetric._trusted(iso.target.vertices, metric.d[np.ix_(idx, idx)])
+
+
+def _canonical_energies(
+    iso: OrderIso, form1: GraphForm, form2: GraphForm
+) -> tuple[np.ndarray, np.ndarray]:
+    """Jump energies of the canonical metric d of the first form on that
+    form and of its pushforward d(tau(.), tau(.)) on the second, from d on
+    the pairs they read: the first form's positive edges and the tau-images
+    of the second form's."""
+    i1, j1, _ = _positive_edges(form1)
+    i2, j2, _ = _positive_edges(form2)
+    tau = iso.tau_indices
+    d = _canonical_on_pairs(form1, np.concatenate([i1, tau[i2]]),
+                            np.concatenate([j1, tau[j2]]))
+    d1, d2 = np.split(d, [len(i1)])
+    return _jump_energy(form1, d1, d1), _jump_energy(form2, d2, d2)
 
 
 def verify_intrinsic_bijection(
@@ -322,10 +400,8 @@ def verify_intrinsic_bijection(
     if not (is_recurrent(form1) and is_recurrent(form2)):
         raise NotRecurrent("the intrinsic-family comparison requires recurrent forms")
     require_intertwining(iso, form1, form2, tol)
-    canonical = canonical_intrinsic_metric(form1)
     m1, m2 = form1.space.m, form2.space.m
-    e1 = _jump_energy(form1, canonical)
-    e2 = _jump_energy(form2, pushforward_metric(canonical, iso))
+    e1, e2 = _canonical_energies(iso, form1, form2)
     slacks = [("canonical", m1 - e1, m2 - e2)]
     if len(m1) > 1:
         with np.errstate(over="ignore"):  # 2.25 E may overflow to inf

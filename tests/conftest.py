@@ -22,7 +22,7 @@ from dirikit.errors import (
     SpaceMismatch,
 )
 from dirikit.jsonio import _number, _require
-from dirikit.metrics import _jump_energy, _resistance_green
+from dirikit.metrics import _resistance_green
 from dirikit.orderiso import require_intertwining
 from dirikit.search import SearchOptions, residual_bound, spectra_match
 from dirikit.tolerances import DEFAULT_TOL, Tolerance
@@ -647,10 +647,19 @@ def random_function(rng: np.random.Generator, space, lo: float = -1.0, hi: float
 # each on its form.
 
 
+def matrix_jump_energy(form, metric):
+    """Oracle of the per-vertex jump energy sum_y b(x,y) d(x,y)^2 as one
+    masked n x n matrix summed by rows: off the edges b = 0, even where d^2
+    overflows to inf."""
+    w = form.weight_matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sum(np.where(w > 0.0, w * metric.d**2, 0.0), axis=1)
+
+
 def oracle_is_intrinsic(form, metric, tol: Tolerance = DEFAULT_TOL):
     """The per-vertex bound sum_y b(x,y) d(x,y)^2 <= m(x) within ``tol.rel``
     times m(x), with the slack vector."""
-    slack = form.space.m - _jump_energy(form, metric)
+    slack = form.space.m - matrix_jump_energy(form, metric)
     floor = Tolerance(rel=tol.rel, abs=0.0).bound(form.space.m)
     return bool(np.all(slack >= -floor)), slack
 
@@ -658,7 +667,7 @@ def oracle_is_intrinsic(form, metric, tol: Tolerance = DEFAULT_TOL):
 def boundary_factor(form, metric):
     """The largest factor f with f * metric intrinsic, min sqrt(m / energy)
     over the vertices of positive jump energy."""
-    energy = _jump_energy(form, metric)
+    energy = matrix_jump_energy(form, metric)
     positive = energy > 0.0
     with np.errstate(over="ignore"):  # an overflowing ratio is inf and not the minimum
         return float(np.min(np.sqrt(form.space.m[positive] / energy[positive])))

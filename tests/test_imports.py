@@ -1,9 +1,12 @@
-"""scipy is imported only by the canonical intrinsic metric.
+"""scipy is imported only where a shortest path is needed.
 
 Everything else is numpy: importing dirikit, the CLI paths that need no
 shortest paths, and the library path find_nonconstant_excessive ->
-doob_pair -> certify.  The probe runs in a fresh interpreter because
-conftest.py itself imports scipy.
+doob_pair -> certify.  The intrinsic certificate of a recurrent pair
+reads the canonical metric on edges only, and on the seed-0 relabel pair
+at n 8 every edge is its own shortest path, so no shortest path is run.
+The probe runs in a fresh interpreter because conftest.py itself imports
+scipy.
 
 The package exports the names in PUBLIC and no others.
 """
@@ -46,6 +49,8 @@ with open("zero.json", "w") as handle:
 cli("intrinsic", "c6.json", "--metric", "zero.json")
 cli("gen-pair", "--transform", "doob", "--n", "6", "--out", "doob.json")
 cli("certify", "doob.json")
+cli("gen-pair", "--transform", "relabel", "--n", "8", "--out", "relabel.json")
+cli("certify", "relabel.json")
 
 import dirikit as dk
 form = dk.build_form(["a", "b", "c"], 1.0, [("a", "b", 1.0), ("b", "c", 2.0)],
@@ -70,7 +75,7 @@ def steps(tmp_path_factory):
 
 def test_numpy_only_paths(steps):
     *numpy_only, _ = steps
-    assert len(numpy_only) == 10
+    assert len(numpy_only) == 12
     for name, code, scipy_loaded in numpy_only:
         assert code == 0, name
         assert not scipy_loaded, f"scipy imported by: {name}"

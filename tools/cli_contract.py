@@ -158,6 +158,8 @@ def _commands() -> list[list[str]]:
         # a candidate within the intertwining bound whose drift fails the
         # certificate: exit 1
         cmds += [["certify", "drifted.json", "--format", fmt]]
+        # an edge longer than the path through its light third vertex
+        cmds += [["certify", "hub.json", "--format", fmt]]
     cmds += [
         ["resistance", "path7.json", "--tol", "1e-6"],
         ["intrinsic", "sierpinski3.json", "--tol", "1e-6"],
@@ -271,6 +273,21 @@ def _drifted_pair() -> dict:
     return {"g1": g, "g2": g, "iso": iso}
 
 
+def _hub_pair() -> dict:
+    """A unit triangle x, y, z with m(z) = 1e-4 against its relabelling
+    under the rotation x -> y -> z: the canonical lengths are 0.707 on the
+    edge x y and 0.00707 on the two edges at z, so the canonical distance
+    of x and y is the path through z, not the edge."""
+    m = {"x": 1.0, "y": 1.0, "z": 1e-4}
+    edges = [{"u": u, "v": v, "b": 1.0} for u, v in (("x", "y"), ("x", "z"), ("y", "z"))]
+    g1 = {"vertices": list(m), "m": m, "edges": edges, "killing": {}}
+    tau = {"a": "y", "b": "z", "c": "x"}
+    g2 = {"vertices": list(tau), "m": {y: m[x] for y, x in tau.items()},
+          "edges": [{"u": u, "v": v, "b": 1.0} for u, v in (("a", "b"), ("a", "c"), ("b", "c"))],
+          "killing": {}}
+    return {"g1": g1, "g2": g2, "iso": {"tau": tau, "h": {y: 1.0 for y in tau}}}
+
+
 def _write_inputs(run) -> None:
     """Write every input of COMMANDS into the current directory."""
     for name, args in GEN.items():
@@ -287,6 +304,7 @@ def _write_inputs(run) -> None:
     Path("shuffled.g1.json").write_text(json.dumps(pair["g1"]), encoding="utf-8")
     Path("scaled.json").write_text(json.dumps(_scaled_pair(run)), encoding="utf-8")
     Path("drifted.json").write_text(json.dumps(_drifted_pair()), encoding="utf-8")
+    Path("hub.json").write_text(json.dumps(_hub_pair()), encoding="utf-8")
     for name, text in INVALID.items():
         Path(f"{name}.json").write_text(text, encoding="utf-8")
         try:

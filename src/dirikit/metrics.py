@@ -27,9 +27,10 @@ The canonical intrinsic metric is a shortest-path metric on the sparse
 edge graph, so an edge keeps any positive finite length: a dense graph
 input would drop every edge shorter than about 1e-8, the tolerance with
 which scipy reads a dense entry as zero.  The certificate reads that metric
-on edges only, where an exact shortcut test settles most entries without
-a shortest path.  scipy is imported only where a shortest path is run,
-so every other path loads numpy only (tests/test_imports.py checks this).
+on edges only, where two exact shortcut tests settle nearly every entry
+and a numpy Dijkstra the rest.  scipy is imported only where the full
+matrix is built, so every other path loads numpy only, whatever the data
+(tests/test_imports.py checks this).
 """
 
 from __future__ import annotations
@@ -292,19 +293,6 @@ def _edge_lengths(form: GraphForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, np.minimum(weight[i], weight[j])
 
 
-def _shortest_paths(n: int, i: np.ndarray, j: np.ndarray, sigma: np.ndarray,
-                    **dijkstra_args) -> np.ndarray:
-    """Dijkstra on the n vertices with the edges (i, j) of length sigma in
-    both directions, as a sparse graph."""
-    # the package's only scipy import, deferred to here (module docstring)
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import dijkstra
-
-    ends = (np.concatenate([i, j]), np.concatenate([j, i]))
-    graph = csr_array((np.concatenate([sigma, sigma]), ends), shape=(n, n))
-    return dijkstra(graph, directed=True, **dijkstra_args)
-
-
 def canonical_intrinsic_metric(form: GraphForm) -> PseudoMetric:
     """A canonical member of the intrinsic family: the path metric with edge
     lengths sigma(x,y) = min(sqrt(m(x)/deg(x)), sqrt(m(y)/deg(y))).
@@ -315,28 +303,62 @@ def canonical_intrinsic_metric(form: GraphForm) -> PseudoMetric:
     (a measure of 1e-16, say) count as edges, not as missing ones.  Dijkstra
     rounds d(x, y) and d(y, x) apart; the shorter is kept, so d is symmetric.
     """
+    # the package's only scipy import, deferred to here (module docstring)
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import dijkstra
+
     i, j, sigma = _edge_lengths(form)
     # a length of inf, or of 0 from an overflowing degree, is no edge, and
     # an inf distance that this leaves is rejected
     keep = (sigma > 0.0) & (sigma < math.inf)
-    dist = _shortest_paths(len(form.space), i[keep], j[keep], sigma[keep])
+    i, j, sigma = i[keep], j[keep], sigma[keep]
+    n = len(form.space)
+    graph = csr_array((np.concatenate([sigma, sigma]),
+                       (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(n, n))
+    dist = dijkstra(graph, directed=True)
     return PseudoMetric._trusted(form.space.vertices, np.minimum(dist, dist.T))
+
+
+def _dijkstra_to(lengths: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dijkstra from each x[k] on the dense edge lengths (inf off the edges),
+    run until every y[k] is settled; the sources step side by side.
+
+    The distance it finds is the least float sum, added from x, over the
+    paths from x to y: a vertex is settled at its least tentative value,
+    which no later sum undercuts, since rounded addition is monotone.  So
+    every Dijkstra finds it bit for bit, the full route's included."""
+    sources, row = np.unique(x, return_inverse=True)
+    rows, n = np.arange(len(sources)), len(lengths)
+    dist = np.full((len(sources), n), math.inf)
+    dist[rows, sources] = 0.0
+    open_ = np.ones_like(dist, dtype=bool)
+    wanted = np.zeros_like(open_)
+    wanted[row, y] = True
+    for _ in range(n):
+        if not wanted.any():
+            break
+        u = np.where(open_, dist, math.inf).argmin(axis=1)
+        open_[rows, u] = wanted[rows, u] = False
+        np.minimum(dist, dist[rows, u, None] + lengths[u], out=dist)
+    return dist[row, y]
 
 
 def _canonical_on_pairs(form: GraphForm, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The canonical intrinsic metric of the form at the vertex pairs
     (p[k], q[k]), p[k] != q[k], bit for bit as ``canonical_intrinsic_metric``.
 
-    Let s(x) be the shortest edge at x.  A path of two or more edges from x
-    to y starts with an edge of at least s(x) and ends with one of at least
-    s(y), and rounded addition is monotone, so its float length is at least
-    fl(s(x) + s(y)): an edge no longer than that is a shortest path.  The
-    pairs this leaves go to Dijkstra from both of their ends (d(x, y) and
-    d(y, x) round apart), stopped at the longest of their edges, or not
-    stopped where a pair is no edge.  A form with an edge length of 0 or
-    inf takes the full matrix, which drops those edges and rejects an
-    infinite distance; a finite length is below sqrt(max float), so no
-    path of the others overflows.
+    Let s(x) be the shortest edge at x and t(x) = min_z fl(sigma(x,z) + s(z)).
+    A float sum along a path only grows, and rounded addition is monotone,
+    so a path of two or more edges from x to y is at least fl(s(x) + s(y)),
+    and one of three or more, added from x, at least fl(t(x) + s(y)).  An
+    edge no longer than the first bound is a shortest path.  Otherwise the
+    shortest path of one or two edges, which adds alike from either end, is
+    one if it is no longer than the second bound from x and from y.
+    Dijkstra runs from both ends of the pairs left (d(x, y) and d(y, x)
+    round apart), without scipy.  A form with an edge length of 0 or inf
+    takes the full matrix, which drops those edges and rejects an infinite
+    distance; a finite length is below sqrt(max float), so no path of the
+    others overflows.
     """
     i, j, sigma = _edge_lengths(form)
     n = len(form.space)
@@ -346,13 +368,15 @@ def _canonical_on_pairs(form: GraphForm, p: np.ndarray, q: np.ndarray) -> np.nda
     lengths[i, j] = lengths[j, i] = sigma
     shortest = lengths.min(axis=1)
     d = lengths[p, q]
-    left = ~(d <= shortest[p] + shortest[q])
-    if left.any():
+    left = np.flatnonzero(~(d <= shortest[p] + shortest[q]))
+    x, y = p[left], q[left]
+    d[left] = np.minimum(d[left], (lengths[x] + lengths[y]).min(axis=1))
+    start = (lengths + shortest).min(axis=1)
+    left = left[~((d[left] <= start[x] + shortest[y]) & (d[left] <= start[y] + shortest[x]))]
+    if left.size:
         x, y = p[left], q[left]
-        sources = np.unique(np.concatenate([x, y]))
-        dist = _shortest_paths(n, i, j, sigma, indices=sources, limit=np.max(d[left]))
-        d[left] = np.minimum(dist[np.searchsorted(sources, x), y],
-                             dist[np.searchsorted(sources, y), x])
+        d[left] = np.minimum(*np.split(_dijkstra_to(lengths, np.concatenate([x, y]),
+                                                    np.concatenate([y, x])), 2))
     return d
 
 

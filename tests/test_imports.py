@@ -1,12 +1,12 @@
-"""scipy is imported only where a shortest path is needed.
+"""scipy is imported only where the full canonical metric is built.
 
-Everything else is numpy: importing dirikit, the CLI paths that need no
-shortest paths, and the library path find_nonconstant_excessive ->
-doob_pair -> certify.  The intrinsic certificate of a recurrent pair
-reads the canonical metric on edges only, and on the seed-0 relabel pair
-at n 8 every edge is its own shortest path, so no shortest path is run.
-The probe runs in a fresh interpreter because conftest.py itself imports
-scipy.
+Everything else is numpy: importing dirikit, the other CLI paths, and the
+library path find_nonconstant_excessive -> doob_pair -> certify.  The
+intrinsic certificate of a recurrent pair reads the canonical metric on
+edges only, whatever the data: on the seed-0 relabel pair at n 8 every
+edge is its own shortest path, and on the square x a b y with light a
+and b the edge x y goes to the certificate's own Dijkstra.  The probe
+runs in a fresh interpreter because conftest.py itself imports scipy.
 
 The package exports the names in PUBLIC and no others.
 """
@@ -59,6 +59,11 @@ h = dk.find_nonconstant_excessive(dk.generator(form))
 form2, iso = dk.doob_pair(form, h)
 step("find_nonconstant_excessive -> doob_pair -> certify",
      0 if dk.certify(iso, form, form2).verdict else 1)
+square = dk.build_form(["x", "y", "a", "b"], {"x": 1.0, "y": 1.0, "a": 1e-4, "b": 1e-4},
+                       [("x", "y", 1.0), ("x", "a", 1.0), ("a", "b", 1.0), ("b", "y", 1.0)])
+identity = dk.OrderIso.identity(square.space)
+step("verify_intrinsic_bijection on the light square",
+     0 if dk.verify_intrinsic_bijection(identity, square, square).verdict else 1)
 
 cli("intrinsic", "c6.json")
 """
@@ -75,7 +80,7 @@ def steps(tmp_path_factory):
 
 def test_numpy_only_paths(steps):
     *numpy_only, _ = steps
-    assert len(numpy_only) == 12
+    assert len(numpy_only) == 13
     for name, code, scipy_loaded in numpy_only:
         assert code == 0, name
         assert not scipy_loaded, f"scipy imported by: {name}"

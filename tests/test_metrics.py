@@ -910,17 +910,22 @@ class TestIntrinsicBijectionOracle:
 def edge_route_calls(monkeypatch, iso, form1, form2):
     """The certificate's two energies, required to equal bit for bit the
     matrix oracle's energies of the canonical metric and of its
-    pushforward; returns the keyword arguments of each Dijkstra run that
-    the edge route made."""
+    pushforward; returns the routes the edge route took: the number of
+    pairs of each Dijkstra run, or "full" for the full matrix."""
     calls = []
-    shortest_paths = metrics._shortest_paths
+    dijkstra_to, full = metrics._dijkstra_to, metrics.canonical_intrinsic_metric
 
-    def spy(*args, **kwargs):
-        calls.append(kwargs)
-        return shortest_paths(*args, **kwargs)
+    def spy_dijkstra(lengths, x, y):
+        calls.append(len(x) // 2)  # each pair runs from both of its ends
+        return dijkstra_to(lengths, x, y)
+
+    def spy_full(form):
+        calls.append("full")
+        return full(form)
 
     with monkeypatch.context() as patch:
-        patch.setattr(metrics, "_shortest_paths", spy)
+        patch.setattr(metrics, "_dijkstra_to", spy_dijkstra)
+        patch.setattr(metrics, "canonical_intrinsic_metric", spy_full)
         e1, e2 = metrics._canonical_energies(iso, form1, form2)
     canonical = dk.canonical_intrinsic_metric(form1)
     assert np.array_equal(e1, matrix_jump_energy(form1, canonical))
@@ -948,34 +953,62 @@ class TestCanonicalOnEdges:
         for form in forms:
             form2, iso = relabel_pair(rng, form, scale=float(rng.uniform(0.5, 2.0)))
             calls = edge_route_calls(monkeypatch, iso, form, form2)
+            assert "full" not in calls
             runs["dijkstra" if calls else "shortcut only"] += 1
-            assert all(call["limit"] < math.inf for call in calls)
         assert runs["dijkstra"] >= 20 and runs["shortcut only"] >= 20, runs
 
     def test_edge_longer_than_a_path(self, monkeypatch):
         # the light vertex z makes the canonical lengths sqrt(1/2) on x y
         # and sqrt(1e-4 / 2) on the two edges at z, so x y fails the
-        # shortcut test and Dijkstra finds the path through z
+        # one-edge test and the path through z settles it
         form = dk.build_form(["x", "y", "z"], {"x": 1.0, "y": 1.0, "z": 1e-4},
                              [("x", "y", 1.0), ("x", "z", 1.0), ("y", "z", 1.0)])
         d = dk.canonical_intrinsic_metric(form).d
         assert d[0, 1] == 2.0 * d[0, 2] < math.sqrt(0.5)
         form2, iso = relabel_pair(rng_for(88), form)
-        calls = edge_route_calls(monkeypatch, iso, form, form2)
-        assert [call["limit"] for call in calls] == [math.sqrt(0.5)]
+        assert edge_route_calls(monkeypatch, iso, form, form2) == []
+
+    def test_edge_longer_than_a_three_edge_path(self, monkeypatch):
+        # the square x a b y with light a and b: the edge x y of length
+        # sqrt(1/2) fails both tests, as x and y share no neighbour, and
+        # Dijkstra finds x a b y
+        m = {"x": 1.0, "y": 1.0, "a": 1e-4, "b": 1e-4}
+        form = dk.build_form(list(m), m, [("x", "y", 1.0), ("x", "a", 1.0),
+                                          ("a", "b", 1.0), ("b", "y", 1.0)])
+        d = dk.canonical_intrinsic_metric(form).d
+        assert d[0, 1] < math.sqrt(0.5)
+        form2, iso = relabel_pair(rng_for(89), form)
+        # the edge x y and its tau-image, which is x y again
+        assert edge_route_calls(monkeypatch, iso, form, form2) == [2]
+
+    def test_path_shorter_from_one_end(self, monkeypatch):
+        # the square x a b y with edge lengths 1 on x a, beta on a b and b y,
+        # and (1 + beta) + beta on x y: the path x a b y adds to that from x
+        # and to one ulp less from y, so x y passes the three-edge bound
+        # from x only, and Dijkstra from y finds the shorter sum
+        beta = 0.072
+        edge = (1.0 + beta) + beta
+        assert (beta + beta) + 1.0 < edge
+        m = {"x": 2.0 * edge**2, "a": 2.0, "b": 2.0 * beta**2, "y": 2.0 * edge**2}
+        form = dk.build_form(list(m), m, [("x", "y", 1.0), ("x", "a", 1.0),
+                                          ("a", "b", 1.0), ("b", "y", 1.0)])
+        _, _, sigma = metrics._edge_lengths(form)
+        assert sorted(sigma) == [beta, beta, 1.0, edge]
+        assert dk.canonical_intrinsic_metric(form).d[0, 3] == (beta + beta) + 1.0
+        iso = dk.OrderIso.identity(form.space)
+        assert edge_route_calls(monkeypatch, iso, form, form) == [2]
 
     def test_tau_image_off_the_edges(self, monkeypatch):
-        # an edge of 1e-12 between the ends of the unit path is within the
-        # intertwining bound, and its image under the identity is no edge
-        # of the path: the Dijkstra for it is not stopped
-        path = dk.generate("path", 3)
+        # an edge of 1e-12 between the ends of the unit path P4 is within
+        # the intertwining bound, and its image under the identity is no
+        # edge of the path and has no path of two edges: Dijkstra finds it
+        path = dk.generate("path", 4)
         names = path.space.vertices
         chord = dk.build_form(names, 1.0, [("v0", "v1", 1.0), ("v1", "v2", 1.0),
-                                           ("v0", "v2", 1e-12)])
+                                           ("v2", "v3", 1.0), ("v0", "v3", 1e-12)])
         iso = dk.OrderIso(path.space, chord.space, {v: v for v in names},
                           {v: 1.0 for v in names})
-        calls = edge_route_calls(monkeypatch, iso, path, chord)
-        assert [call["limit"] for call in calls] == [math.inf]
+        assert edge_route_calls(monkeypatch, iso, path, chord) == [1]
         assert compare_with_matrix_route(iso, path, chord) == [2]
 
     @pytest.mark.parametrize("connected", [True, False])
@@ -992,8 +1025,8 @@ class TestCanonicalOnEdges:
         _, _, sigma = metrics._edge_lengths(form)
         assert np.count_nonzero(sigma == math.inf) == 1
         iso = dk.OrderIso.identity(form.space)
-        if connected:  # one all-pairs run: the full route
-            assert edge_route_calls(monkeypatch, iso, form, form) == [{}]
+        if connected:
+            assert edge_route_calls(monkeypatch, iso, form, form) == ["full"]
             assert compare_with_matrix_route(iso, form, form) == [2]
         else:
             assert compare_with_matrix_route(iso, form, form) == ["InvalidMetric"]

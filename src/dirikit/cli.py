@@ -21,6 +21,7 @@ not positive and finite is an input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -36,6 +37,7 @@ from .tolerances import DEFAULT_TOL, Tolerance
 _FAMILIES = ("path", "cycle", "complete", "sierpinski")
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="write output to FILE instead of stdout")

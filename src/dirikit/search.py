@@ -21,8 +21,14 @@ domain in lexicographic order, with these pruning rules:
   U A1 - A2 U against the assigned pair exceed their layer's bound; a
   branch ends as soon as some later domain is empty (violations never
   disappear when a partial assignment is extended, so no solution is
-  lost), and each entry of each layer is checked exactly once, the
-  diagonal at the root and the rest by forward checking;
+  lost);
+* forced tails: when every remaining target has one source left, at the
+  root or after a forward check, the search completes the assignment in
+  one step, accepting it when those sources are distinct and every
+  off-diagonal entry among those targets is within its bound, the test
+  that forward checking would make one depth at a time; so each entry of
+  each layer is checked exactly once, the diagonal at the root and every
+  other entry by a forward check or by the completion;
 * the search stops once ``max_solutions`` solutions are found.
 
 The heat slack.  By Duhamel, U P1(t) - P2(t) U = -int_0^t P2(t - s) E
@@ -104,14 +110,19 @@ def spectra_match(form1: GraphForm, form2: GraphForm, spectral_tol: float) -> bo
 _ALIVE = np.iinfo(np.int32).max
 
 
-def _forward_check(s1, s2, h, stamp, d, x, bounds) -> bool:
-    """Assign target d to source x: remove from the domain of every later
-    target y the sources x' whose entries (y, d) or (d, y) of U A1 - A2 U
-    exceed the bound of their layer, for each layer A of the stacks (the
-    generators, then the heat kernels if any), and x itself, stamping them
-    with d.  Returns False, stamping nothing, when a later domain would
-    become empty.  A NaN entry is removed, as it fails ``<=``; the heat
-    layer has finite entries on the pairs still alive (``_heat_kernels``)."""
+def _forward_check(s1, s2, h, stamp, assignment, d, bounds) -> bool | None:
+    """Assign target d to source x = assignment[d]: remove from the domain
+    of every later target y the sources x' whose entries (y, d) or (d, y) of
+    U A1 - A2 U exceed the bound of their layer, for each layer A of the
+    stacks (the generators, then the heat kernels if any), and x itself.
+    A NaN entry is removed, as it fails ``<=``; the heat layer has finite
+    entries on the pairs still alive (``_heat_kernels``).
+
+    Returns None when a later domain would become empty.  Returns True when
+    every later domain is down to one source, a forced tail: those sources
+    go to assignment[d + 1:] for ``_completes``.  Both stamp nothing.
+    Otherwise stamps the removed pairs with d and returns False."""
+    x = assignment[d]
     hd = h[d, x]
     hy = h[d + 1:]  # h[y, x']: the scaling if tau(y) = x'
     gap = np.maximum(
@@ -124,24 +135,53 @@ def _forward_check(s1, s2, h, stamp, d, x, bounds) -> bool:
     live = later == _ALIVE
     ok &= live
     if not ok.any(axis=1).all():
-        return False
+        return None
+    if np.count_nonzero(ok) == len(ok):
+        assignment[d + 1:] = ok.argmax(axis=1)
+        return True
     later[live ^ ok] = d
-    return True
+    return False
+
+
+def _completes(s1, s2, h, assignment, first, bounds) -> bool:
+    """Whether the forced tail assignment[first:], each target with its only
+    source left, completes a solution: its sources are distinct and every
+    off-diagonal entry h(y) A1[tau y, tau y'] - A2[y, y'] h(y') among its
+    targets is within its layer's bound, for every layer.  These are the
+    entries that forward checking would test one depth at a time, in the
+    same floating-point expression; the diagonal passed at the root, and the
+    entries against the targets before ``first`` in their forward checks."""
+    tail = assignment[first:]
+    k = len(tail)
+    if k == 1:
+        return True
+    if np.bincount(tail).max() > 1:
+        return False
+    ht = h[np.arange(first, len(h)), tail]
+    gap = np.abs(ht[:, None] * s1[:, tail[:, None], tail] - s2[:, first:, first:] * ht)
+    gap[:, range(k), range(k)] = 0.0
+    return bool((gap <= bounds).all())
 
 
 def _search(s1, s2, h, domain, bounds, cap) -> list[np.ndarray]:
     """Depth-first assignment of targets in index order to the sources of
-    their domains in index order, stopping at ``cap`` solutions.
+    their domains in index order, stopping at ``cap`` solutions.  A tail of
+    targets with one source each, at the root or after a forward check, is
+    completed by ``_completes`` in one step.
 
     One int32 stamp matrix is the whole domain state: a branch removes
     pairs by stamping them with its depth and restores them when it is
     left, so memory stays O(n^2) at any depth.
     """
-    if not domain.any(axis=1).all():
+    counts = np.count_nonzero(domain, axis=1)
+    if not counts.all():
         return []
     n = len(h)
-    stamp = np.where(domain, _ALIVE, -1).astype(np.int32)
     assignment = np.empty(n, dtype=np.intp)
+    if counts.max() == 1:
+        assignment[:] = domain.argmax(axis=1)
+        return [assignment] if _completes(s1, s2, h, assignment, 0, bounds) else []
+    stamp = np.where(domain, _ALIVE, -1).astype(np.int32)
     options = [iter(())] * n
     options[0] = iter(np.nonzero(domain[0])[0].tolist())
     solutions: list[np.ndarray] = []
@@ -155,13 +195,16 @@ def _search(s1, s2, h, domain, bounds, cap) -> list[np.ndarray]:
                 later[later == d] = _ALIVE
             continue
         assignment[d] = x
-        if d == n - 1:
+        forced = _forward_check(s1, s2, h, stamp, assignment, d, bounds)
+        if forced is None:
+            continue
+        if not forced:
+            d += 1
+            options[d] = iter(np.nonzero(stamp[d] == _ALIVE)[0].tolist())
+        elif _completes(s1, s2, h, assignment, d + 1, bounds):
             solutions.append(assignment.copy())
             if len(solutions) == cap:
                 break
-        elif _forward_check(s1, s2, h, stamp, d, x, bounds):
-            d += 1
-            options[d] = iter(np.nonzero(stamp[d] == _ALIVE)[0].tolist())
     return solutions
 
 

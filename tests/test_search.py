@@ -7,6 +7,7 @@ import pytest
 
 import dirikit as dk
 from dirikit.errors import NonPositive, NotIntertwining, NotIrreducible
+from dirikit import search
 from dirikit.sampling import (
     doob_pair_sample,
     nonconstant_excessive_profile,
@@ -16,6 +17,7 @@ from dirikit.sampling import (
 from dirikit.search import SearchOptions, residual_bound
 
 from conftest import (
+    _oracle_search,
     brute_force_intertwiners,
     l_only_intertwiners,
     rng_for,
@@ -242,6 +244,105 @@ class TestForwardCheckedSearch:
             tracemalloc.stop()
         assert [tau_signature(s) for s in found] == [tau_signature(witness)]
         assert peak <= 10 * n * n * 8
+
+
+def synthetic_search_input(rng, n):
+    """A single-layer input of the search: scalings h[y, x] = sqrt(m1(x) /
+    m2(y)), a planted bijection whose entries of U A1 - A2 U are moved to
+    within a few ulps of the bound, one side or the other, and a random
+    domain in which two targets may share their only source.  In the flat
+    mode every entry is 0, so only distinctness rejects a tail."""
+    bound = 0.25
+    flat = rng.random() < 0.25
+    m1, m2 = rng.choice([1.0, 2.0, 3.0], n), rng.choice([1.0, 2.0, 3.0], n)
+    h = np.sqrt(m1[None, :] / m2[:, None])
+    if flat:
+        domain = shared_singletons(rng, rng.random((n, n)) < 0.6)
+        return np.zeros((n, n)), np.zeros((n, n)), h, domain, bound
+    a1 = rng.choice([0.0, 0.5, 1.0], (n, n))
+    tau = rng.permutation(n)
+    ht = h[np.arange(n), tau]
+    sign = rng.choice([-1.0, 0.0, 1.0], (n, n))
+    near = bound * (1.0 + rng.choice([-4.0, 0.0, 4.0], (n, n)) * np.finfo(float).eps)
+    a2 = (ht[:, None] * a1[np.ix_(tau, tau)] + sign * near) / ht[None, :]
+    domain = rng.random((n, n)) < rng.choice([0.3, 0.7, 1.0])
+    domain[np.arange(n), tau] |= rng.random(n) < 0.8
+    return a1, a2, h, shared_singletons(rng, domain), bound
+
+
+def shared_singletons(rng, domain):
+    """The domain, with the rows of two targets cut to one common source,
+    or every row cut to one source, sometimes."""
+    n = len(domain)
+    roll = rng.random()
+    if roll < 0.3 and n >= 2:
+        y1, y2 = rng.choice(n, 2, replace=False)
+        domain[[y1, y2]] = np.arange(n) == rng.integers(n)
+    elif roll < 0.5:
+        domain[:] = np.arange(n)[None, :] == rng.integers(n, size=(n, 1))
+    return domain
+
+
+class TestForcedTailCompletion:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_same_assignments_as_oracle_search(self, n):
+        # the oracle is the forward-checked search without completion, on
+        # one layer; every branch is checked at the caps 1, 2 and none
+        rng = rng_for(600 + n)
+        for _ in range(60):
+            a1, a2, h, domain, bound = synthetic_search_input(rng, n)
+            for cap in (1, 2, 10**9):
+                want = _oracle_search(a1, a2, h, domain.copy(), bound, cap)
+                got = search._search(a1[None], a2[None], h, domain.copy(),
+                                     np.array([bound])[:, None, None], cap)
+                assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+    @staticmethod
+    def forward_checks(monkeypatch, form1, form2):
+        calls = 0
+        check = search._forward_check
+
+        def spy(*args):
+            nonlocal calls
+            calls += 1
+            return check(*args)
+
+        monkeypatch.setattr(search, "_forward_check", spy)
+        found = dk.find_intertwiners(form1, form2, WIDE)
+        return found, calls
+
+    def test_random_relabel_pair_completes_at_the_root(self, monkeypatch):
+        # distinct diagonals leave one source per target at the root
+        rng = rng_for(59)
+        form1 = random_form(rng, 160)
+        form2, witness = relabel_pair(rng, form1, scale=1.3)
+        found, checks = self.forward_checks(monkeypatch, form1, form2)
+        assert [tau_signature(s) for s in found] == [tau_signature(witness)]
+        assert checks == 0
+
+    def test_scrambled_cycle_completes_after_few_checks(self, monkeypatch):
+        # the search without completion makes 252 forward checks here
+        form1, form2 = scrambled(dk.generate("cycle", 12, conductance=1.3, measure=0.7))
+        found, checks = self.forward_checks(monkeypatch, form1, form2)
+        assert len(found) == 24
+        assert checks == 36
+
+    def test_dfs_state_is_quadratic_in_memory(self):
+        # a scrambled K_n with the first solution enters the depth-first
+        # search; doubling n may multiply the peak by 4, not by 8
+        peaks = []
+        for n in (80, 160):
+            form1, form2 = scrambled(dk.generate("complete", n, conductance=0.8, measure=1.2))
+            for form in (form1, form2):  # the eigendecompositions are not search state
+                form.spectral
+            tracemalloc.start()
+            try:
+                found = dk.find_intertwiners(form1, form2, SearchOptions(max_solutions=1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert [tau_signature(s) for s in found] == [tuple(sorted(form1.space.vertices))]
+        assert peaks[1] <= 4.5 * peaks[0]
 
 
 def spread_form(rng, n, spread, levels, recurrent=None):

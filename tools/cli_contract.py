@@ -193,6 +193,10 @@ def _commands() -> list[list[str]]:
             # the heat kernel's diagonal prunes some of them
             ["search", "sierpinski3.json", "sierpinski3.json", "--format", fmt],
             ["search", "path12.json", "path12.json", "--format", fmt],
+            # one source per target at the root: completed without a
+            # forward check, at n = 160 and with a non-constant h
+            ["search", "relabel160s1.g1.json", "relabel160s1.g2.json", "--format", fmt],
+            ["search", "doob40s1.g1.json", "doob40s1.g2.json", "--format", fmt],
         ]
     cmds += [
         ["search", "cycle12.json", "cycle12.json", "--max-solutions", "2", "--tol", "1e-6"],

@@ -13,16 +13,14 @@ only.
 Each command takes only the flags it reads: --out FILE on every command,
 --format json|text on all but gen and gen-pair (JSON only), --tol on
 search, certify and intrinsic, and --seed (default 0) on gen-pair.
-DIRIKIT_TOL overrides the default tolerance and is itself superseded by
---tol; either value X means Tolerance(rel=X, abs=X/1000), and one that is
-not positive and finite is an input error.
+--tol X means Tolerance(rel=X): every bound is X times the size of what it
+compares.  A value that is not positive and finite is an input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 import numpy as np
@@ -45,8 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--format", choices=("json", "text"), default="json")
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=float, default=None,
-                     help="relative tolerance TOL, absolute TOL/1000 (default $DIRIKIT_TOL, "
-                          "else 1e-9, or 1e-8 with absolute 0 for search)")
+                     help="relative tolerance TOL (default 1e-9, or 1e-8 for search)")
     formatted, checked = [fmt, out], [tol, fmt, out]
     parser = argparse.ArgumentParser(prog="dirikit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -110,18 +107,8 @@ def _read(path: str) -> str:
 
 
 def _tolerance(args, default: Tolerance) -> Tolerance:
-    """Tolerance(X, X/1000) for X from --tol, else from $DIRIKIT_TOL, else
-    the command's default."""
-    value = args.tol
-    if value is None:
-        env = os.environ.get("DIRIKIT_TOL")
-        if env is None:
-            return default
-        try:
-            value = float(env)
-        except ValueError:
-            raise DirikitError(f"DIRIKIT_TOL is not a number: {env!r}") from None
-    return Tolerance(rel=value, abs=value * 1e-3)
+    """Tolerance(rel=X) for X from --tol, else the command's default."""
+    return default if args.tol is None else Tolerance(rel=args.tol)
 
 
 def _output(args, payload, text=None) -> None:

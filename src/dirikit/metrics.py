@@ -101,8 +101,7 @@ class PseudoMetric:
         if d.shape != (n, n):
             raise DimensionMismatch(f"metric shape {d.shape} does not match {n} vertices")
         _require_entries(d)
-        scale = max(1.0, float(np.max(d)))
-        bound = tol.bound(scale)
+        bound = tol.bound(float(np.max(d)))
         # both checks run on tiles of rows a <= i < b and columns k >= a
         tiles = [(a, min(a + _TILE_ROWS, n)) for a in range(0, n, _TILE_ROWS)]
         asymmetry = max(np.max(np.abs(d[a:b, a:] - d[a:, a:b].T)) for a, b in tiles)
@@ -230,7 +229,7 @@ def verify_resistance_isometry(
     if abs(mass2 / mass1 - 1.0) <= tol.bound(1.0):
         report.add(
             "equal_mass_isometry", float(np.max(np.abs(r1_tau - r2))),
-            tol.bound(max(1.0, float(np.max(r1)), float(np.max(r2)))),
+            tol.bound(max(float(np.max(r1)), float(np.max(r2)))),
         )
     else:
         report.skip("equal_mass_isometry", "total masses differ")
@@ -262,7 +261,7 @@ def _in_family(slack: np.ndarray, m: np.ndarray, tol: Tolerance) -> bool:
     """Membership in the intrinsic family from the slack m(x) - energy(x):
     it may dip below zero by ``tol.rel`` times m(x) and no more, since an
     absolute floor would admit every metric on a small enough measure."""
-    return bool(np.all(slack >= -Tolerance(rel=tol.rel, abs=0.0).bound(m)))
+    return bool(np.all(slack >= -tol.bound(m)))
 
 
 def is_intrinsic(

@@ -48,8 +48,8 @@ class VerificationReport:
 
     def compare(self, name: str, lhs: np.ndarray, rhs: np.ndarray, tol: Tolerance,
                 detail: str | None = None) -> Check:
-        """Add the check max|lhs - rhs| <= tol.bound(max(1, max|lhs|, max|rhs|))."""
-        scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+        """Add the check max|lhs - rhs| <= tol.bound(max(max|lhs|, max|rhs|))."""
+        scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
         return self.add(name, float(np.max(np.abs(lhs - rhs))), tol.bound(scale), detail)
 
     def skip(self, name: str, detail: str) -> Check:

@@ -69,7 +69,7 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class SearchOptions:
-    tol: Tolerance = Tolerance(rel=1e-8, abs=0.0)
+    tol: Tolerance = Tolerance(rel=1e-8)
     max_solutions: int = 1000
 
     def __post_init__(self):
@@ -88,7 +88,7 @@ class EquivalenceVerdict:
 
 
 def spectra_match(form1: GraphForm, form2: GraphForm, spectral_tol: float) -> bool:
-    """Compare the sorted generator spectra, scale-aware per eigenvalue.
+    """Compare the sorted generator spectra, relatively per eigenvalue.
 
     Each eigenvalue may also differ by 8 n eps max|w|, the rounding of the
     two eigendecompositions: eigh is backward stable, so by Weyl's
@@ -101,7 +101,7 @@ def spectra_match(form1: GraphForm, form2: GraphForm, spectral_tol: float) -> bo
     if len(w1) != len(w2):
         return False
     rounding = 8.0 * len(w1) * _EPS * max(float(np.max(np.abs(w1))), float(np.max(np.abs(w2))))
-    bound = Tolerance(rel=spectral_tol, abs=rounding).bound(1.0 + np.abs(w1))
+    bound = Tolerance(rel=spectral_tol).bound(np.abs(w1)) + rounding
     return bool(np.all(np.abs(w1 - w2) <= bound))
 
 
@@ -209,10 +209,8 @@ def _search(s1, s2, h, domain, bounds, cap) -> list[np.ndarray]:
 
 
 def residual_bound(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -> float:
-    """Absolute entrywise acceptance bound for U L1 - L2 U."""
-    return opts.tol.bound(
-        max(1.0, float(np.max(np.abs(form1.L))), float(np.max(np.abs(form2.L))))
-    )
+    """Entrywise acceptance bound for U L1 - L2 U: ``opts.tol`` of max|L|."""
+    return opts.tol.bound(max(float(np.max(np.abs(form1.L))), float(np.max(np.abs(form2.L)))))
 
 
 def _heat_kernels(
@@ -350,7 +348,7 @@ def find_intertwiners(
 
     Returns the bijections tau (with the measure-induced scaling) whose
     intertwining residual stays within ``opts.tol``, entrywise
-    ``tol.bound(max(1, max|L1|, max|L2|))``, in lexicographic order of tau
+    ``tol.bound(max(max|L1|, max|L2|))``, in lexicographic order of tau
     as a vertex-id sequence, capped at ``opts.max_solutions``; none when
     the sizes differ or the spectra differ beyond ``tol.rel``.
     """

@@ -58,9 +58,16 @@ def is_excessive(form: GraphForm, h: VertexFunction, tol: Tolerance = DEFAULT_TO
     hv = form.space.vector(h)
     if np.any(hv < 0.0):
         raise NegativeInput("excessive candidates must be nonnegative")
-    residual = form.L @ hv
-    scale = max(1.0, float(np.max(np.abs(form.L))) * max(1.0, float(np.max(hv, initial=0.0))))
-    return bool(np.min(residual) >= -tol.bound(scale))
+    deficit, scale = _excess_deficit(form, hv)
+    return bool(deficit <= tol.bound(scale))
+
+
+def _excess_deficit(form: GraphForm, hv: np.ndarray) -> tuple[float, float]:
+    """The largest violation -min(L h) of L h >= 0, at least 0 (a NaN stays
+    NaN), and the scale max|L| max h of the entries of L h."""
+    deficit = -float(np.min(form.L @ hv))
+    scale = float(np.max(np.abs(form.L))) * float(np.max(hv))  # plain floats overflow silently
+    return (deficit if not deficit <= 0.0 else 0.0), scale
 
 
 def find_nonconstant_excessive(
@@ -80,7 +87,7 @@ def find_nonconstant_excessive(
         raise NotIrreducible("nonconstant-excessive search requires an irreducible form")
     n = len(form.space)
     killing = form.L @ np.ones(n)  # c / m
-    if np.max(np.abs(killing)) <= tol.bound(max(1.0, float(np.max(np.abs(form.L))))):
+    if np.max(np.abs(killing)) <= tol.bound(float(np.max(np.abs(form.L)))):
         return None
     for x in range(min(n, 2)):
         h = np.linalg.solve(form.L, np.eye(n)[x])

@@ -660,8 +660,7 @@ def oracle_is_intrinsic(form, metric, tol: Tolerance = DEFAULT_TOL):
     """The per-vertex bound sum_y b(x,y) d(x,y)^2 <= m(x) within ``tol.rel``
     times m(x), with the slack vector."""
     slack = form.space.m - matrix_jump_energy(form, metric)
-    floor = Tolerance(rel=tol.rel, abs=0.0).bound(form.space.m)
-    return bool(np.all(slack >= -floor)), slack
+    return bool(np.all(slack >= -tol.rel * form.space.m)), slack
 
 
 def boundary_factor(form, metric):

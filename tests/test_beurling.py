@@ -142,8 +142,8 @@ def dict_route(iso, form1, form2, tol=dk.Tolerance()):
     lhs = beta * jump_matrix(dk.decompose(form1))[np.ix_(idx, idx)]
     rhs = np.outer(h, h) * jump_matrix(dk.decompose(form2))
     np.fill_diagonal(rhs, 0.0)
-    scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    return float(np.max(np.abs(lhs - rhs))), tol.bound(scale)
+    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+    return float(np.max(np.abs(lhs - rhs))), tol.rel * scale
 
 
 def jump_sample(rng, kind):

@@ -225,33 +225,17 @@ class TestResistance:
         path = write(tmp_path, "killed.json", jsonio.graph_dumps(form))
         assert run(["resistance", path]) == 2
 
-    def test_reads_no_tolerance(self, tmp_path, capsys, monkeypatch):
+    def test_reads_no_tolerance(self, tmp_path, capsys):
         # the resistance metric is a metric by theorem, so nothing is
         # checked to a tolerance: a path's tight triangles, whose rounding
-        # gaps (about 1e-14) fail the full check at 1e-300, print the same
-        # bytes under any DIRIKIT_TOL, and --tol is a usage error
+        # gaps (about 1e-14) fail the full check at 1e-300, print without
+        # one, and --tol is a usage error
         path = gen(tmp_path, "p20.json", "--family", "path", "--n", "20", "--conductance", "0.7")
         assert run(["resistance", path]) == 0
-        default = capsys.readouterr().out
-        for env in ("1e-300", "not-a-number"):
-            monkeypatch.setenv("DIRIKIT_TOL", env)
-            assert run(["resistance", path]) == 0
-            assert capsys.readouterr().out == default
+        capsys.readouterr()
         assert run(["resistance", path, "--tol", "1e-300"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "unrecognized arguments: --tol 1e-300" in err
-
-    def test_malformed_env_exits_2(self, tmp_path, capsys, monkeypatch):
-        # on certify, which reads the tolerance, not on resistance
-        k2 = gen(tmp_path, "k2.json", "--family", "complete", "--n", "2")
-        pair = tmp_path / "pair.json"
-        assert run(["gen-pair", "--transform", "relabel", "--out", str(pair)]) == 0
-        monkeypatch.setenv("DIRIKIT_TOL", "not-a-number")
-        assert run(["resistance", k2]) == 0
-        capsys.readouterr()
-        assert run(["certify", str(pair)]) == 2
-        assert "DIRIKIT_TOL" in capsys.readouterr().err
-        assert run(["certify", str(pair), "--tol", "1e-6"]) == 0
 
     def test_weak_bottleneck(self, tmp_path, capsys):
         # b(a,b) = 1e-12 beside b(b,c) = 1 is a real bottleneck, not a cut
@@ -475,21 +459,6 @@ class TestModuleEntry:
 
 
 class TestTolerancePlumbing:
-    def test_env_override(self, tmp_path, capsys, monkeypatch):
-        k2 = gen(tmp_path, "k2.json", "--family", "complete", "--n", "2")
-        monkeypatch.setenv("DIRIKIT_TOL", "not-a-number")
-        assert run(["check", k2]) == 0  # check does not consult the tolerance
-        bad_metric = write(tmp_path, "d.json", json.dumps({"d": [[0.0, 1.0], [1.0, 0.0]]}))
-        assert run(["intrinsic", k2, "--metric", bad_metric]) == 2
-        monkeypatch.setenv("DIRIKIT_TOL", "1e-6")
-        assert run(["intrinsic", k2, "--metric", bad_metric]) == 0
-
-    def test_flag_supersedes_env(self, tmp_path, capsys, monkeypatch):
-        k2 = gen(tmp_path, "k2.json", "--family", "complete", "--n", "2")
-        metric = write(tmp_path, "d.json", json.dumps({"d": [[0.0, 1.0], [1.0, 0.0]]}))
-        monkeypatch.setenv("DIRIKIT_TOL", "not-a-number")
-        assert run(["intrinsic", k2, "--metric", metric, "--tol", "1e-6"]) == 0
-
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_metric_validated_at_tolerance(self, tmp_path, capsys, fmt):
         # d(v0, v2) = 1.0000001 breaks the triangle through v1 by 1e-7:
@@ -505,20 +474,11 @@ class TestTolerancePlumbing:
         assert run([*argv, "--tol", "1e-6"]) == 0
         assert "intrinsic" in capsys.readouterr().out
 
-    def test_search_reads_env(self, tmp_path, capsys, monkeypatch):
-        k2 = gen(tmp_path, "k2.json", "--family", "complete", "--n", "2")
-        monkeypatch.setenv("DIRIKIT_TOL", "not-a-number")
-        assert run(["search", k2, k2]) == 2
-        assert run(["search", k2, k2, "--tol", "1e-6"]) == 0
-
     @pytest.mark.parametrize("command", ["search", "certify"])
-    @pytest.mark.parametrize("tol", [["--tol", "nan"], ["--tol", "inf"], "inf"])
-    def test_non_finite_tolerance_exits_2(self, tmp_path, capsys, monkeypatch, command, tol):
+    @pytest.mark.parametrize("tol", [["--tol", "nan"], ["--tol", "inf"]])
+    def test_non_finite_tolerance_exits_2(self, tmp_path, capsys, command, tol):
         pair = tmp_path / "pair.json"
         assert run(["gen-pair", "--transform", "relabel", "--out", str(pair)]) == 0
-        if isinstance(tol, str):
-            monkeypatch.setenv("DIRIKIT_TOL", tol)
-            tol = []
         c6 = gen(tmp_path, "c6.json", "--family", "cycle", "--n", "6")
         argv = ["certify", str(pair)] if command == "certify" else ["search", c6, c6]
         capsys.readouterr()

@@ -125,14 +125,14 @@ class TestFindIntertwiners:
         assert signatures == sorted(signatures)
 
     def test_default_tolerance(self):
-        # the default bound is the relative one alone, bit for bit, and an
-        # explicit Tolerance(1e-8, 0) finds the same solutions
-        explicit = SearchOptions(tol=dk.Tolerance(rel=1e-8, abs=0.0))
+        # the default bound is 1e-8 max|L|, bit for bit, and an explicit
+        # Tolerance(1e-8) finds the same solutions
+        explicit = SearchOptions(tol=dk.Tolerance(rel=1e-8))
         assert SearchOptions() == explicit
         rng = rng_for(56)
         for _ in range(10):
             form1, form2, _ = doob_pair_sample(rng, int(rng.integers(2, 7)))
-            scale = max(1.0, *(float(np.max(np.abs(dk.generator(f).L))) for f in (form1, form2)))
+            scale = max(float(np.max(np.abs(dk.generator(f).L))) for f in (form1, form2))
             assert residual_bound(form1, form2, SearchOptions()) == 1e-8 * scale
             got = dk.find_intertwiners(form1, form2)
             want = dk.find_intertwiners(form1, form2, explicit)
@@ -565,6 +565,15 @@ class TestEquivalenceVerdict:
         verdict = dk.equivalence_verdict(k2a, k2b)
         assert not verdict.equivalent
         assert verdict.reason == "spectrum"
+
+    def test_spectrum_reason_in_any_units(self):
+        # at conductance 1e-9 the spectra of P6 and C6 are of order 1e-9 and
+        # differ by as much, so no bijection is tried in either units
+        for conductance in (1.0, 1e-9):
+            path = dk.generate("path", 6, conductance=conductance)
+            cycle = dk.generate("cycle", 6, conductance=conductance)
+            verdict = dk.equivalence_verdict(path, cycle)
+            assert (verdict.solutions, verdict.reason) == ((), "spectrum")
 
     def test_exhausted_reason(self):
         # isospectral but not intertwined: same eigenvalues, incompatible measures

@@ -50,6 +50,9 @@ GEN = {
     "path3": ["--family", "path", "--n", "3"],
     "path7": ["--family", "path", "--n", "7"],
     "path12": ["--family", "path", "--n", "12"],
+    # P6 and C6 at conductance 1e-9: their generators are of order 1e-9
+    "path6tiny": ["--family", "path", "--n", "6", "--conductance", "1e-9"],
+    "cycle6tiny": ["--family", "cycle", "--n", "6", "--conductance", "1e-9"],
 }
 GEOMETRY = ("sierpinski2", "sierpinski3", "sierpinski5", "complete5", "cycle8", "path7")
 
@@ -153,7 +156,7 @@ def _commands() -> list[list[str]]:
         # an int weight
         cmds += [["certify", "shuffled.json", "--format", fmt],
                  ["check", "shuffled.g1.json", "--format", fmt]]
-        # total masses far below the absolute floor of the default tolerance
+        # total masses of 2^-60 times those of relabel6s4
         cmds += [["certify", "scaled.json", "--format", fmt]]
         # a candidate within the intertwining bound whose drift fails the
         # certificate: exit 1
@@ -197,6 +200,8 @@ def _commands() -> list[list[str]]:
             # forward check, at n = 160 and with a non-constant h
             ["search", "relabel160s1.g1.json", "relabel160s1.g2.json", "--format", fmt],
             ["search", "doob40s1.g1.json", "doob40s1.g2.json", "--format", fmt],
+            # the spectra differ by far more than 1e-8 of their size
+            ["search", "path6tiny.json", "cycle6tiny.json", "--format", fmt],
         ]
     cmds += [
         ["search", "cycle12.json", "cycle12.json", "--max-solutions", "2", "--tol", "1e-6"],
@@ -393,9 +398,10 @@ def run_side(src: Path, tmp: Path, label: str) -> list[dict]:
     workdir = tmp / f"{label}-work"
     workdir.mkdir()
     out = tmp / f"{label}.json"
+    # older revisions read their tolerance from DIRIKIT_TOL
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "DIRIKIT_TOL")}
     # one BLAS thread on both sides: the thread count can change float bits,
     # and threads that spin against each other on a small machine are slow
-    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "DIRIKIT_TOL")}
     env["OPENBLAS_NUM_THREADS"] = "1"
     subprocess.run([sys.executable, __file__, "--side", str(src), str(workdir), str(out)],
                    env=env, check=True)

@@ -153,7 +153,7 @@ def _cmd_check(args) -> int:
         "valid": True,
         "vertices": len(form.space),
         "edges": len(form.weights),
-        "irreducible": spectral.is_irreducible(form),
+        "irreducible": form.irreducible,
         "recurrent": spectral.is_recurrent(form),
         "spectrum": spectrum,
     }

@@ -292,16 +292,23 @@ class GraphForm:
         return l_matrix
 
     @cached_property
-    def spectral(self) -> SpectralData:
-        """Eigendecomposition of L via the symmetric matrix M^{1/2} L M^{-1/2};
-        NumericOverflow when that matrix has a non-finite entry."""
+    def symmetric(self) -> np.ndarray:
+        """The symmetrized generator S = M^{1/2} L M^{-1/2}, averaged with its
+        transpose, so bitwise symmetric, with the diagonal of L bit for bit;
+        NumericOverflow when an entry is not finite."""
         sqrt_m = np.sqrt(self.space.m)
         with np.errstate(over="ignore", invalid="ignore"):
             sym = self.L * (sqrt_m[:, None] / sqrt_m[None, :])
             sym = 0.5 * (sym + sym.T)
         _require_finite(sym, "symmetrized generator")
-        w, v = np.linalg.eigh(sym)
-        return SpectralData(w, v / sqrt_m[:, None])
+        sym.flags.writeable = False
+        return sym
+
+    @cached_property
+    def spectral(self) -> SpectralData:
+        """Eigendecomposition of L via its symmetrized generator ``symmetric``."""
+        w, v = np.linalg.eigh(self.symmetric)
+        return SpectralData(w, v / np.sqrt(self.space.m)[:, None])
 
     @cached_property
     def green(self) -> np.ndarray:

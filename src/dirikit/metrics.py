@@ -53,7 +53,7 @@ from .errors import (
 )
 from .orderiso import OrderIso, operator_constant, require_intertwining
 from .report import VerificationReport
-from .spectral import is_irreducible, is_recurrent
+from .spectral import is_recurrent
 from .tolerances import DEFAULT_TOL, Tolerance
 
 
@@ -148,7 +148,7 @@ class IntrinsicCheck(NamedTuple):
 
 def _resistance_green(form: GraphForm) -> np.ndarray:
     """Grounded Green function of the measure-free form matrix, cached per form."""
-    if not is_irreducible(form):
+    if not form.irreducible:
         raise NotConnected("effective resistance needs a connected conductance graph")
     if np.any(form.c != 0.0):
         raise HasKilling("effective resistance is undefined in the presence of killing")
@@ -282,7 +282,7 @@ def is_intrinsic(
 def _edge_lengths(form: GraphForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ends i, j of the positive edges and their canonical lengths
     sigma(i, j) = min(sqrt(m(i)/deg(i)), sqrt(m(j)/deg(j)))."""
-    if not is_irreducible(form):
+    if not form.irreducible:
         raise NotConnected("path metric needs a connected conductance graph")
     deg = form.degrees
     # an overflowing weight is inf and min() drops it beside a finite one

@@ -34,7 +34,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .report import VerificationReport
-from .spectral import _excess_deficit, is_excessive, is_irreducible, is_recurrent
+from .spectral import _excess_deficit, is_excessive, is_recurrent
 from .tolerances import DEFAULT_TOL, Tolerance
 
 
@@ -153,7 +153,7 @@ def certify(
       (skipped, with the observed h ratio recorded, otherwise).
     """
     require_intertwining(iso, form1, form2, tol)
-    if not (is_irreducible(form1) and is_irreducible(form2)):
+    if not (form1.irreducible and form2.irreducible):
         raise NotIrreducible("certification requires irreducible forms")
 
     report = VerificationReport()

@@ -1,47 +1,54 @@
 """Enumeration of intertwining order isomorphisms between two forms.
 
-The operator constant is fixed to 1 by folding the scale into h through
-the measure identity: given a vertex bijection tau the only compatible
-scaling is h(y) = sqrt(m1(tau(y)) / m2(y)), so the search space is the
-finite set of bijections.  Enumeration is a depth-first assignment of
-target vertices in lexicographic order, each to a source vertex of its
-domain in lexicographic order, with these pruning rules:
+An intertwining order isomorphism U = h tau is unitary up to a constant
+beta, h^2 m2 = beta m1(tau), so with D_i = M_i^{1/2} it is D2 U D1^{-1} =
+sqrt(beta) P for the permutation matrix P of tau, and the symmetrized
+generators S_i = D_i L_i D_i^{-1} (``GraphForm.symmetric``) satisfy
+P S1 = S2 P.  The search runs over the bijections on S, where neither h
+nor units appear; h(y) = sqrt(m1(tau(y)) / m2(y)) and beta are computed
+from the measures afterwards.  Each entry has its own bound: tau passes
+when |S1[tau y, tau z] - S2[y, z]| <= rel sqrt(s(y) s(z)) for all targets
+y, z, with s the diagonal of S2 (``residual_bound``).  S2 is positive
+semidefinite, so sqrt(s(y) s(z)) bounds |S2[y, z]| and the test is
+relative at every entry; scaling b and c, scaling m, or a Doob transform
+leaves it as it is.
+
+Enumeration is a depth-first assignment of target vertices in
+lexicographic order, each to a source vertex of its domain in
+lexicographic order, with these pruning rules:
 
 * the eigenvalue multisets of the two generators must match (similar
   matrices have equal spectra);
-* every layer A of the search is a pair of matrices that any solution
-  intertwines, U A1 = A2 U, each with a bound on the entries of
-  U A1 - A2 U: the generators, within the tolerance, and the heat
-  semigroups P_i = e^{-t L_i}, within their slack (below), whose dense
-  entries see every distance in the graph;
+* every layer A of the search is a pair of symmetric matrices that any
+  solution carries onto each other, P A1 P^T = A2, each with a bound on
+  the entries of P A1 P^T - A2: the generators S_i, within the bound
+  above, and the heat kernels K_i = e^{-t S_i}, within their slack
+  (below), whose dense entries see every distance in the graph;
 * a source enters a target's domain only when the diagonal entry of
-  U A1 - A2 U is within its layer's bound, for every layer;
+  P A1 P^T - A2 is within its bound, for every layer;
 * forward checking: assigning a target removes from every later target's
-  domain the assigned source and each source whose entries of
-  U A1 - A2 U against the assigned pair exceed their layer's bound; a
-  branch ends as soon as some later domain is empty (violations never
-  disappear when a partial assignment is extended, so no solution is
-  lost);
+  domain the assigned source and each source whose entry of
+  P A1 P^T - A2 against the assigned pair exceeds its bound; a branch
+  ends as soon as some later domain is empty (violations never disappear
+  when a partial assignment is extended, so no solution is lost);
 * forced tails: when every remaining target has one source left, at the
   root or after a forward check, the search completes the assignment in
   one step, accepting it when those sources are distinct and every
   off-diagonal entry among those targets is within its bound, the test
   that forward checking would make one depth at a time; so each entry of
   each layer is checked exactly once, the diagonal at the root and every
-  other entry by a forward check or by the completion;
+  other pair (y, z), (z, y) by a forward check or by the completion (the
+  layers and bounds are bitwise symmetric);
 * the search stops once ``max_solutions`` solutions are found.
 
-The heat slack.  By Duhamel, U P1(t) - P2(t) U = -int_0^t P2(t - s) E
-P1(s) ds with E = U L1 - L2 U.  Rows of P2 sum to at most 1 and columns of
-P1 to at most max m1 / min m1, so every solution, whose entries of E are
-all within the bound, has every entry of U P1 - P2 U within t * bound *
-max m1 / min m1.  The slack adds the rounding of the computed E and of the
-eigendecompositions behind P1 and P2 (see ``_heat_kernels``), so pruning
-on it loses no solution.  The shared time is t = 1 / max diag L, the
-diagonals being matched by any intertwiner.  The kernels are built only
-when some target keeps more than one candidate source after the
-generators' diagonal, because a forced path has nothing left to prune,
-and only when their residuals are finite and can exceed the slack.
+The heat slack.  By Duhamel, P K1(t) P^T - K2(t) = -int_0^t K2(t - u) E
+P K1(u) P^T du with E = P S1 P^T - S2.  K_i(u) = D_i e^{-u L_i} D_i^{-1}
+is entrywise nonnegative and, e^{-u L_i} being sub-Markov, its rows sum
+to at most sqrt(rho_i), rho_i = max m_i / min m_i.  Every entry of E of a
+solution is within rel sqrt(s(y) s(z)) <= rel max s, so at t = 1 / max s
+every entry of P K1 P^T - K2 is within rel sqrt(rho1 rho2).  The slack
+adds the rounding of the computed bound and kernels (see
+``_heat_kernels``), so pruning on it loses no solution.
 
 The domains live in one target x source matrix stamped with the depth
 that removed each entry, so the search state is O(n^2) at any depth.
@@ -60,7 +67,6 @@ import numpy as np
 from .core import GraphForm, _string_order
 from .errors import InvalidSize, NonPositive, NotIrreducible
 from .orderiso import OrderIso
-from .spectral import is_irreducible, semigroup
 from .tolerances import Tolerance
 
 
@@ -110,26 +116,21 @@ def spectra_match(form1: GraphForm, form2: GraphForm, spectral_tol: float) -> bo
 _ALIVE = np.iinfo(np.int32).max
 
 
-def _forward_check(s1, s2, h, stamp, assignment, d, bounds) -> bool | None:
+def _forward_check(s1, s2, stamp, assignment, d, bounds) -> bool | None:
     """Assign target d to source x = assignment[d]: remove from the domain
-    of every later target y the sources x' whose entries (y, d) or (d, y) of
-    U A1 - A2 U exceed the bound of their layer, for each layer A of the
-    stacks (the generators, then the heat kernels if any), and x itself.
-    A NaN entry is removed, as it fails ``<=``; the heat layer has finite
-    entries on the pairs still alive (``_heat_kernels``).
+    of every later target y the sources x' whose entry A1[x', x] - A2[y, d]
+    of P A1 P^T - A2 exceeds its bound, for each layer A of the stacks (the
+    generators, then the heat kernels if any), and x itself.  The layers
+    and bounds are bitwise symmetric, so this also tests the entry (d, y).
+    A NaN entry is removed, as it fails ``<=``.
 
     Returns None when a later domain would become empty.  Returns True when
     every later domain is down to one source, a forced tail: those sources
     go to assignment[d + 1:] for ``_completes``.  Both stamp nothing.
     Otherwise stamps the removed pairs with d and returns False."""
     x = assignment[d]
-    hd = h[d, x]
-    hy = h[d + 1:]  # h[y, x']: the scaling if tau(y) = x'
-    gap = np.maximum(
-        np.abs(hy * s1[:, None, :, x] - s2[:, d + 1:, d, None] * hd),
-        np.abs(hd * s1[:, None, x] - s2[:, d, d + 1:, None] * hy),
-    )
-    ok = (gap <= bounds).all(axis=0)
+    gap = np.abs(s1[:, None, x] - s2[:, d, d + 1:, None])
+    ok = (gap <= bounds[:, d, d + 1:, None]).all(axis=0)
     ok[:, x] = False
     later = stamp[d + 1:]
     live = later == _ALIVE
@@ -143,27 +144,26 @@ def _forward_check(s1, s2, h, stamp, assignment, d, bounds) -> bool | None:
     return False
 
 
-def _completes(s1, s2, h, assignment, first, bounds) -> bool:
+def _completes(s1, s2, assignment, first, bounds) -> bool:
     """Whether the forced tail assignment[first:], each target with its only
     source left, completes a solution: its sources are distinct and every
-    off-diagonal entry h(y) A1[tau y, tau y'] - A2[y, y'] h(y') among its
-    targets is within its layer's bound, for every layer.  These are the
-    entries that forward checking would test one depth at a time, in the
-    same floating-point expression; the diagonal passed at the root, and the
-    entries against the targets before ``first`` in their forward checks."""
+    off-diagonal entry A1[tau y, tau y'] - A2[y, y'] among its targets is
+    within its bound, for every layer.  These are the entries that forward
+    checking would test one depth at a time, in the same floating-point
+    expression; the diagonal passed at the root, and the entries against
+    the targets before ``first`` in their forward checks."""
     tail = assignment[first:]
     k = len(tail)
     if k == 1:
         return True
     if np.bincount(tail).max() > 1:
         return False
-    ht = h[np.arange(first, len(h)), tail]
-    gap = np.abs(ht[:, None] * s1[:, tail[:, None], tail] - s2[:, first:, first:] * ht)
+    gap = np.abs(s1[:, tail[:, None], tail] - s2[:, first:, first:])
     gap[:, range(k), range(k)] = 0.0
-    return bool((gap <= bounds).all())
+    return bool((gap <= bounds[:, first:, first:]).all())
 
 
-def _search(s1, s2, h, domain, bounds, cap) -> list[np.ndarray]:
+def _search(s1, s2, domain, bounds, cap) -> list[np.ndarray]:
     """Depth-first assignment of targets in index order to the sources of
     their domains in index order, stopping at ``cap`` solutions.  A tail of
     targets with one source each, at the root or after a forward check, is
@@ -176,11 +176,11 @@ def _search(s1, s2, h, domain, bounds, cap) -> list[np.ndarray]:
     counts = np.count_nonzero(domain, axis=1)
     if not counts.all():
         return []
-    n = len(h)
+    n = len(domain)
     assignment = np.empty(n, dtype=np.intp)
     if counts.max() == 1:
         assignment[:] = domain.argmax(axis=1)
-        return [assignment] if _completes(s1, s2, h, assignment, 0, bounds) else []
+        return [assignment] if _completes(s1, s2, assignment, 0, bounds) else []
     stamp = np.where(domain, _ALIVE, -1).astype(np.int32)
     options = [iter(())] * n
     options[0] = iter(np.nonzero(domain[0])[0].tolist())
@@ -195,117 +195,110 @@ def _search(s1, s2, h, domain, bounds, cap) -> list[np.ndarray]:
                 later[later == d] = _ALIVE
             continue
         assignment[d] = x
-        forced = _forward_check(s1, s2, h, stamp, assignment, d, bounds)
+        forced = _forward_check(s1, s2, stamp, assignment, d, bounds)
         if forced is None:
             continue
         if not forced:
             d += 1
             options[d] = iter(np.nonzero(stamp[d] == _ALIVE)[0].tolist())
-        elif _completes(s1, s2, h, assignment, d + 1, bounds):
+        elif _completes(s1, s2, assignment, d + 1, bounds):
             solutions.append(assignment.copy())
             if len(solutions) == cap:
                 break
     return solutions
 
 
-def residual_bound(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -> float:
-    """Entrywise acceptance bound for U L1 - L2 U: ``opts.tol`` of max|L|."""
-    return opts.tol.bound(max(float(np.max(np.abs(form1.L))), float(np.max(np.abs(form2.L)))))
+def residual_bound(form: GraphForm, opts: SearchOptions) -> np.ndarray:
+    """Entrywise acceptance bound for P S1 P^T - S2, S2 the symmetrized
+    generator of the target ``form``: ``opts.tol`` of sqrt(s(y)) sqrt(s(z))
+    at the entry (y, z), s the diagonal of S2, in storage order."""
+    root = np.sqrt(np.diag(form.symmetric))
+    return opts.tol.bound(np.outer(root, root))
+
+
+def _heat_kernel(form: GraphForm, t: float) -> np.ndarray:
+    """The symmetric heat kernel e^{-t S} = V e^{-t Lambda} V^T, V the
+    orthonormal eigenvectors of S, averaged with its transpose."""
+    data = form.spectral
+    v = data.eigenvectors * np.sqrt(form.space.m)[:, None]
+    kernel = (v * np.exp(-t * data.eigenvalues)) @ v.T
+    return 0.5 * (kernel + kernel.T)
 
 
 def _heat_kernels(
-    form1: GraphForm, form2: GraphForm, bound: float
+    form1: GraphForm, form2: GraphForm, rel: float
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """The heat kernels P_i = e^{-t L_i} at t = 1 / max diag L and the slack
-    of their forward check, or None when the check could not prune or its
-    residuals could leave the float range.
+    """The heat kernels K_i = e^{-t S_i} at t = 1 / max s, s the diagonal of
+    S2, and the slack of their forward check, or None when that check could
+    not prune.  With rho_i = max m_i / min m_i, the slack is
 
-    With hmax = sqrt(max m1 / min m2), the largest scaling, and lmax the
-    largest generator magnitude, the slack is
+        rel (1 + 16 eps) sqrt(rho1 rho2) + 64 n eps.
 
-        t (max m1 / min m1) (bound + 4 eps hmax lmax) + 64 n eps hmax.
+    The first term is the Duhamel bound of the module docstring; the factor
+    1 + 16 eps covers the rounding of the bound on E, of t and of rho, a
+    few eps each.  E is the residual of the very matrices S_i whose kernels
+    these are, both being ``GraphForm.symmetric``.  The second term is the
+    floating-point allowance for the kernels.  S_i has norm at most
+    2 max diag S_i, which is 2 / t for S2 and, when a solution exists, for
+    S1 up to the factor 1 + rel; eigh is backward stable, so a kernel
+    entry is off by about 8 n eps at most (the backward error n eps ||S||
+    times t, the loss of orthogonality, the rescaling of the m-orthonormal
+    eigenvectors and the rounding of the products), and an entry of the
+    residual by 16 n eps: 64 n eps leaves a factor of four.
 
-    The first term is the Duhamel bound, with the bound on E widened by the
-    rounding of its computed entries (at most 2 eps hmax lmax, taken
-    twice).  The second is the floating-point allowance for the kernels.
-    Each comes from the eigendecomposition of the symmetrized generator,
-    whose norm is at most 2 max diag L = 2 / t; eigh is backward stable, so
-    the symmetric kernel is off by about 8 n eps per entry at most (the
-    backward error n eps ||A|| times t, the loss of orthogonality and the
-    rounding of the products).  P_i[x, z] is that entry times
-    sqrt(m_i(z) / m_i(x)), so the entry h(y) P1[x', x] - P2[y, d] h(d) of
-    the residual is off by at most 16 n eps sqrt(m1(x) / m2(y)), and the
-    entry (d, y) likewise: 64 n eps hmax leaves a factor of four.
-
-    No residual entry exceeds hmax (max|P1| + max|P2|); when that reach is
-    not above the slack the check could not prune, and when it is not
-    finite a residual could be inf or NaN, so the kernels are not used.
+    A kernel is symmetric with eigenvalues in (0, 1] and nonnegative
+    entries, so its entries lie in [0, 1] and a slack of 1 or more prunes
+    nothing; this includes a measure ratio beyond the float range.
     """
-    top = max(float(np.max(np.diag(form1.L))), float(np.max(np.diag(form2.L))))
-    if not top > 0.0:  # every rate below the float range
-        return None
-    t = 1.0 / top
+    top = float(np.max(np.diag(form2.symmetric)))
     m1, m2 = form1.space.m, form2.space.m
-    hmax = math.sqrt(float(np.max(m1)) / float(np.min(m2)))
-    lmax = max(float(np.max(np.abs(form1.L))), float(np.max(np.abs(form2.L))))
-    slack = t * (float(np.max(m1)) / float(np.min(m1))) * (bound + 4.0 * _EPS * hmax * lmax)
-    slack += 64.0 * len(m1) * _EPS * hmax
-    if not slack < math.inf:  # also catches a NaN
+    rho = float(np.max(m1)) / float(np.min(m1)) * (float(np.max(m2)) / float(np.min(m2)))
+    slack = rel * (1.0 + 16.0 * _EPS) * math.sqrt(rho) + 64.0 * len(m1) * _EPS
+    if not (top > 0.0 and slack < 1.0):  # every rate below the float range, or no pruning
         return None
-    p1, p2 = semigroup(form1, t), semigroup(form2, t)
-    reach = hmax * (float(np.max(np.abs(p1))) + float(np.max(np.abs(p2))))
-    if not slack < reach < math.inf:
-        return None
-    return p1, p2, slack
+    return _heat_kernel(form1, 1.0 / top), _heat_kernel(form2, 1.0 / top), slack
 
 
-def _diagonal_domain(a1: np.ndarray, a2: np.ndarray, h: np.ndarray, bound: float) -> np.ndarray:
+def _diagonal_domain(a1: np.ndarray, a2: np.ndarray, bound: np.ndarray) -> np.ndarray:
     """Target x source boolean matrix: whether the entry (y, y) of
-    U A1 - A2 U, h(y) A1[x, x] - A2[y, y] h(y) with tau(y) = x, is within
-    the bound.  A NaN entry fails it."""
-    return np.abs(h * np.diag(a1)[None, :] - np.diag(a2)[:, None] * h) <= bound
+    P A1 P^T - A2, A1[x, x] - A2[y, y] with tau(y) = x, is within its
+    bound.  A NaN entry fails it."""
+    return np.abs(np.diag(a1)[None, :] - np.diag(a2)[:, None]) <= np.diag(bound)[:, None]
 
 
 def _intertwiners(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -> list[OrderIso]:
     """The search of ``find_intertwiners`` on two irreducible forms of equal
     size and matching spectra."""
-    bound = residual_bound(form1, form2, opts)
     # assignment proceeds through target vertices in lexicographic order,
     # trying source vertices in lexicographic order: solutions come out in
     # lexicographic order of the tau sequence
     perm2 = np.array(_string_order(form2.space.vertices))
     perm1 = np.array(_string_order(form1.space.vertices))
-    m1, m2 = form1.space.m, form2.space.m
-    # a measure ratio beyond the float range makes h inf and a residual
-    # entry inf or 0 * inf = NaN, which fails its bound as it should; the
-    # floating-point flags are silenced, not acted on
-    with np.errstate(over="ignore", invalid="ignore"):
-        # h[y, x]: the scaling of target y when tau(y) = x
-        h = np.sqrt(m1[perm1][None, :] / m2[perm2][:, None])
-        layers1, layers2 = [form1.L[np.ix_(perm1, perm1)]], [form2.L[np.ix_(perm2, perm2)]]
-        bounds = [bound]
-        domain = _diagonal_domain(layers1[0], layers2[0], h, bound)
-        # a forced path, one candidate source per target, has nothing to prune
-        if np.count_nonzero(domain, axis=1).max() > 1:
-            heat = _heat_kernels(form1, form2, bound)
-            if heat is not None:
-                layers1.append(heat[0][np.ix_(perm1, perm1)])
-                layers2.append(heat[1][np.ix_(perm2, perm2)])
-                bounds.append(heat[2])
-                domain &= _diagonal_domain(layers1[1], layers2[1], h, heat[2])
-        assignments = _search(
-            np.stack(layers1), np.stack(layers2), h, domain,
-            np.array(bounds)[:, None, None], opts.max_solutions,
-        )
+    ix1, ix2 = np.ix_(perm1, perm1), np.ix_(perm2, perm2)
+    layers1, layers2 = [form1.symmetric[ix1]], [form2.symmetric[ix2]]
+    bounds = [residual_bound(form2, opts)[ix2]]
+    domain = _diagonal_domain(layers1[0], layers2[0], bounds[0])
+    # the kernels are built only when some target keeps more than one
+    # candidate source: a forced path has nothing left to prune
+    if np.count_nonzero(domain, axis=1).max() > 1:
+        heat = _heat_kernels(form1, form2, opts.tol.rel)
+        if heat is not None:
+            layers1.append(heat[0][ix1])
+            layers2.append(heat[1][ix2])
+            bounds.append(np.full_like(bounds[0], heat[2]))
+            domain &= _diagonal_domain(layers1[1], layers2[1], bounds[1])
+    assignments = _search(np.stack(layers1), np.stack(layers2), domain, np.stack(bounds),
+                          opts.max_solutions)
     if not assignments:
         return []
 
-    # tau is a bijection, as the search uses each source once; the domain
-    # admits no infinite h, but a measure ratio below the float range
-    # rounds h to 0
+    # tau is a bijection, as the search uses each source once; a measure
+    # ratio beyond the float range rounds h to 0 or inf
     taus = np.array(assignments)
-    hs = h[np.arange(len(h)), taus]
-    if not np.all(hs > 0.0):
+    m1, m2 = form1.space.m, form2.space.m
+    with np.errstate(over="ignore"):
+        hs = np.sqrt(m1[perm1[taus]] / m2[perm2])
+    if not np.all((hs > 0.0) & (hs < math.inf)):
         raise NonPositive("the scaling h must be strictly positive and finite")
     # beta as operator_constant computes it: the mean of h^2 m2 / m1(tau)
     # over the targets in storage order, from row-major rows (numpy sums a
@@ -331,7 +324,7 @@ def equivalence_verdict(
     """Decide whether two forms are intertwined by some order isomorphism;
     without one, the reason names the first failed test: size, spectrum or
     the exhausted search."""
-    if not (is_irreducible(form1) and is_irreducible(form2)):
+    if not (form1.irreducible and form2.irreducible):
         raise NotIrreducible("intertwiner search requires irreducible forms")
     if len(form1.space) != len(form2.space):
         return EquivalenceVerdict(reason="size")
@@ -346,10 +339,13 @@ def find_intertwiners(
 ) -> list[OrderIso]:
     """All order isomorphisms intertwining the two forms, operator constant 1.
 
-    Returns the bijections tau (with the measure-induced scaling) whose
-    intertwining residual stays within ``opts.tol``, entrywise
-    ``tol.bound(max(max|L1|, max|L2|))``, in lexicographic order of tau
-    as a vertex-id sequence, capped at ``opts.max_solutions``; none when
-    the sizes differ or the spectra differ beyond ``tol.rel``.
+    Returns the bijections tau, each with the measure-induced scaling
+    h(y) = sqrt(m1(tau(y)) / m2(y)), for which every entry (y, z) of
+    P S1 P^T - S2 is within ``tol.rel`` sqrt(s(y) s(z)) (``residual_bound``),
+    S_i the symmetrized generators and s the diagonal of S2, in
+    lexicographic order of tau as a vertex-id sequence, capped at
+    ``opts.max_solutions``; none when the sizes differ or the spectra
+    differ beyond ``tol.rel``.  NonPositive when the h of a solution is
+    not a positive float.
     """
     return list(equivalence_verdict(form1, form2, opts).solutions)

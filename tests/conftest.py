@@ -50,16 +50,26 @@ def diagonal_overflow_form():
 def brute_force_intertwiners(form1, form2, opts: SearchOptions):
     """Oracle: test every bijection directly against the residual bound.
 
-    Independent of the pruned search: plain permutation enumeration with
-    the residual evaluated by matrix products.
+    Independent of the pruned search: plain permutation enumeration, with
+    each form's S = M^{-1/2} F M^{-1/2} built from its form matrix F, the
+    residual P S1 P^T - S2 evaluated by matrix products and each entry
+    (y, z) held to rel sqrt(s(y) s(z)), s the diagonal of S2.
     """
     n1, n2 = len(form1.space), len(form2.space)
     if n1 != n2:
         return []
-    bound = residual_bound(form1, form2, opts)
-    gen1, gen2 = dk.generator(form1), dk.generator(form2)
+
+    def symmetric(form):
+        root = np.sqrt(form.space.m)
+        return form.form_matrix / np.outer(root, root)
+
+    s1, s2 = symmetric(form1), symmetric(form2)
+    bound = opts.tol.rel * np.sqrt(np.outer(np.diag(s2), np.diag(s2)))
     accepted = []
     for perm in itertools.permutations(range(n1)):
+        p = np.eye(n1)[list(perm)]  # p[i, perm[i]] = 1: target i takes source perm[i]
+        if not np.all(np.abs(p @ s1 @ p.T - s2) <= bound):
+            continue
         tau = {
             form2.space.vertices[i]: form1.space.vertices[perm[i]] for i in range(n2)
         }
@@ -67,9 +77,7 @@ def brute_force_intertwiners(form1, form2, opts: SearchOptions):
             y: float(np.sqrt(form1.space.m[perm[i]] / form2.space.m[i]))
             for i, y in enumerate(form2.space.vertices)
         }
-        iso = dk.OrderIso(form1.space, form2.space, tau, h)
-        if dk.intertwining_residual(iso, gen1, gen2) <= bound:
-            accepted.append(iso)
+        accepted.append(dk.OrderIso(form1.space, form2.space, tau, h))
     accepted.sort(key=lambda iso: tuple(iso.tau[y] for y in sorted(iso.tau)))
     return accepted
 
@@ -81,11 +89,9 @@ def tau_signature(iso):
 _ORACLE_ALIVE = np.iinfo(np.int32).max
 
 
-def _oracle_forward_check(l1, l2, h, stamp, d, x, bound) -> bool:
-    hd = h[d, x]
-    hy = h[d + 1:]
-    ok = np.abs(hy * l1[:, x] - l2[d + 1:, d, None] * hd) <= bound
-    ok &= np.abs(hd * l1[x] - l2[d, d + 1:, None] * hy) <= bound
+def _oracle_forward_check(a1, a2, stamp, d, x, bound) -> bool:
+    ok = np.abs(a1[:, x] - a2[d + 1:, d, None]) <= bound[d + 1:, d, None]
+    ok &= np.abs(a1[x] - a2[d, d + 1:, None]) <= bound[d, d + 1:, None]
     ok[:, x] = False
     later = stamp[d + 1:]
     live = later == _ORACLE_ALIVE
@@ -96,10 +102,13 @@ def _oracle_forward_check(l1, l2, h, stamp, d, x, bound) -> bool:
     return True
 
 
-def _oracle_search(l1, l2, h, domain, bound, cap):
+def _oracle_search(a1, a2, domain, bound, cap):
+    """The forward-checked search on one layer, without completion, testing
+    the entries (y, d) and (d, y) of P A1 P^T - A2 each against its bound
+    bound[y, d], bound[d, y]."""
     if not domain.any(axis=1).all():
         return []
-    n = len(h)
+    n = len(domain)
     stamp = np.where(domain, _ORACLE_ALIVE, -1).astype(np.int32)
     assignment = np.empty(n, dtype=np.intp)
     options = [iter(())] * n
@@ -119,65 +128,61 @@ def _oracle_search(l1, l2, h, domain, bound, cap):
             solutions.append(assignment.copy())
             if len(solutions) == cap:
                 break
-        elif _oracle_forward_check(l1, l2, h, stamp, d, x, bound):
+        elif _oracle_forward_check(a1, a2, stamp, d, x, bound):
             d += 1
             options[d] = iter(np.nonzero(stamp[d] == _ORACLE_ALIVE)[0].tolist())
     return solutions
 
 
-def _vertex_profiles(l_matrix: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vertex invariants of a generator seen through the normalized
-    coupling sqrt(m(x)) L[x,y] / sqrt(m(y)): the diagonal entry and the
-    sorted row of off-diagonal magnitudes.  Both are identical for the two
-    forms at vertices matched by any exact intertwiner."""
-    sqrt_m = np.sqrt(m)
-    normalized = np.abs(l_matrix) * (sqrt_m[:, None] / sqrt_m[None, :])
+def _vertex_profiles(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex invariants of a symmetrized generator S: the diagonal s
+    and the sorted row of off-diagonal magnitudes of the normalized
+    |S[x, z]| / sqrt(s(x) s(z)), which lie in [0, 1]."""
+    diag = np.diag(s).copy()
+    root = np.sqrt(diag)
+    normalized = np.abs(s) / np.outer(root, root)
     np.fill_diagonal(normalized, 0.0)
-    return np.diag(l_matrix).copy(), np.sort(normalized, axis=1)
+    return diag, np.sort(normalized, axis=1)
 
 
 def _invariant_domain(form1, form2, opts: SearchOptions) -> np.ndarray:
     """Target x source boolean matrix: the source vertices passing the
     invariants of each target vertex."""
-    l1 = generator(form1).L
-    l2 = generator(form2).L
-    diag1, rows1 = _vertex_profiles(l1, form1.space.m)
-    diag2, rows2 = _vertex_profiles(l2, form2.space.m)
-    # conservative slack: invariant gaps of a true solution are bounded by
-    # the residual tolerance amplified by the measure ratios
-    m1, m2 = form1.space.m, form2.space.m
-    amp = math.sqrt(max(np.max(m1) / np.min(m2), np.max(m2) / np.min(m1), 1.0))
-    slack = opts.tol.rel * 4.0 * (1.0 + amp) * max(
-        1.0, float(np.max(np.abs(l1))), float(np.max(np.abs(l2)))
-    )
-    domain = np.abs(diag1[None, :] - diag2[:, None]) <= slack
-    for y in range(len(m2)):
+    diag1, rows1 = _vertex_profiles(form1.symmetric)
+    diag2, rows2 = _vertex_profiles(form2.symmetric)
+    # conservative slack: a solution has |S1 - S2| <= rel sqrt(s s) at each
+    # entry and |s1 - s2| <= rel s2 on the diagonal, so its normalized
+    # entries differ by 2 rel and rounding, and sorting the matched rows
+    # keeps that entrywise bound
+    slack = 4.0 * opts.tol.rel
+    domain = np.abs(diag1[None, :] - diag2[:, None]) <= slack * diag2[:, None]
+    for y in range(len(diag2)):
         xs = np.flatnonzero(domain[y])
         domain[y, xs] = np.max(np.abs(rows1[xs] - rows2[y]), axis=1) <= slack
     return domain
 
 
 def l_only_intertwiners(form1, form2, opts: SearchOptions):
-    """Oracle: the search forward-checked on U L1 = L2 U alone, as it was
-    before the heat-kernel check, its root domains filtered by the sorted-row
-    invariants of ``_invariant_domain`` and the generator's diagonal, with
-    each result built by the validating ``OrderIso`` constructor and
-    ``operator_constant``."""
+    """Oracle: the search forward-checked on P S1 P^T = S2 alone, without
+    the heat-kernel check and without completion, its root domains filtered
+    by the sorted-row invariants of ``_invariant_domain`` and the
+    generators' diagonal, with each result built by the validating
+    ``OrderIso`` constructor and ``operator_constant``."""
     if len(form1.space) != len(form2.space) or not spectra_match(form1, form2, opts.tol.rel):
         return []
-    l1, l2 = dk.generator(form1).L, dk.generator(form2).L
-    bound = residual_bound(form1, form2, opts)
     perm2 = np.argsort(np.array(form2.space.vertices))
     perm1 = np.argsort(np.array(form1.space.vertices))
-    l1s, l2s = l1[np.ix_(perm1, perm1)], l2[np.ix_(perm2, perm2)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = np.sqrt(form1.space.m[perm1][None, :] / form2.space.m[perm2][:, None])
-        domain = _invariant_domain(form1, form2, opts)[np.ix_(perm2, perm1)]
-        domain &= np.abs(h * np.diag(l1s)[None, :] - np.diag(l2s)[:, None] * h) <= bound
-        assignments = _oracle_search(l1s, l2s, h, domain, bound, opts.max_solutions)
+    s1 = form1.symmetric[np.ix_(perm1, perm1)]
+    s2 = form2.symmetric[np.ix_(perm2, perm2)]
+    bound = residual_bound(form2, opts)[np.ix_(perm2, perm2)]
+    domain = _invariant_domain(form1, form2, opts)[np.ix_(perm2, perm1)]
+    domain &= np.abs(np.diag(s1)[None, :] - np.diag(s2)[:, None]) <= np.diag(bound)[:, None]
+    assignments = _oracle_search(s1, s2, domain, bound, opts.max_solutions)
     targets = [form2.space.vertices[i] for i in perm2]
     sources = [form1.space.vertices[i] for i in perm1]
     isos = []
+    with np.errstate(over="ignore"):
+        h = np.sqrt(form1.space.m[perm1][None, :] / form2.space.m[perm2][:, None])
     for assignment in assignments:
         tau = dict(zip(targets, [sources[x] for x in assignment.tolist()]))
         h_map = dict(zip(targets, h[np.arange(len(h)), assignment].tolist()))

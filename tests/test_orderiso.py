@@ -320,6 +320,12 @@ def scaled_form(form, factor):
     return dk.GraphForm(space, {e: factor * w for e, w in form.b.items()}, factor * form.c)
 
 
+def scaled_measure(form, factor):
+    """The form with every m multiplied by ``factor``."""
+    space = dk.MeasureSpace(form.space.vertices, factor * form.space.m)
+    return dk.GraphForm(space, form.b, form.c)
+
+
 def scaled_conductances(form, factor):
     """The form with every b and c multiplied by ``factor``."""
     return dk.GraphForm(form.space, {e: factor * w for e, w in form.b.items()}, factor * form.c)
@@ -370,10 +376,15 @@ class TestScaleInvariance:
     """Multiplying b, c and m of both forms by 2^k scales every quantity the
     reports compare by an exact power of two, so each report keeps its
     verdicts, each residual its mantissa and each intrinsic sample the
-    membership on either side that its detail names.  Multiplying b and c
-    alone scales L, its spectrum and every bound of the search by 2^k and
-    leaves h = sqrt(m1 / m2) as it is, so the search keeps its reason and
-    its tau list."""
+    membership on either side that its detail names.  The search compares
+    the symmetrized generators S_i = M_i^{1/2} L_i M_i^{-1/2} entrywise
+    within rel sqrt(s(y) s(z)), s the diagonal of S2, and their spectra.
+    Multiplying b and c of both forms by 2^k and m of both by 2^j scales
+    both by 2^(k - j); multiplying b, c and m of one form by 2^k and those
+    of the other by 2^j leaves them as they are.  Either way the search
+    keeps its reason and its tau list: only the square roots of the scaled
+    measures round differently, by an ulp, and no entry of these pairs is
+    that close to its bound."""
 
     @pytest.mark.parametrize("transform", ["relabel", "doob"])
     def test_power_of_two_scaling(self, transform):
@@ -406,13 +417,20 @@ class TestScaleInvariance:
             expected = search_outcome(form1, form2)
             outcomes.add(expected[0])
             for _ in range(8):
-                k = int(rng.integers(-500, 501))
-                try:
-                    got = search_outcome(scaled_conductances(form1, 2.0**k),
-                                         scaled_conductances(form2, 2.0**k))
-                except NumericOverflow:
-                    continue
-                assert got == expected, k
+                k, j = (int(e) for e in rng.integers(-500, 501, size=2))
+                by_k = [scaled_conductances(form, 2.0**k) for form in (form1, form2)]
+                scalings = {
+                    "b, c": by_k,
+                    "b, c and m": [scaled_measure(form, 2.0**j) for form in by_k],
+                    # each form in its own units: h is 2^((k - j) / 2) times what it was
+                    "forms": [scaled_form(form1, 2.0**k), scaled_form(form2, 2.0**j)],
+                }
+                for name, (g1, g2) in scalings.items():
+                    try:
+                        got = search_outcome(g1, g2)
+                    except NumericOverflow:
+                        continue
+                    assert got == expected, (name, k, j)
         want = {"intertwined": {None}, "unrelated": {"spectrum", "exhausted"},
                 "near_bound": {None, "spectrum", "exhausted"}}
         assert outcomes == want[kind]

@@ -25,6 +25,7 @@ from conftest import (
     tau_signature,
     vf2_intertwiners,
 )
+from test_orderiso import search_pairs
 
 WIDE = SearchOptions(max_solutions=10**6)
 
@@ -125,15 +126,17 @@ class TestFindIntertwiners:
         assert signatures == sorted(signatures)
 
     def test_default_tolerance(self):
-        # the default bound is 1e-8 max|L|, bit for bit, and an explicit
-        # Tolerance(1e-8) finds the same solutions
+        # the default bound is 1e-8 sqrt(s(y)) sqrt(s(z)) at the entry (y, z),
+        # s the diagonal of L2, bit for bit, and an explicit Tolerance(1e-8)
+        # finds the same solutions
         explicit = SearchOptions(tol=dk.Tolerance(rel=1e-8))
         assert SearchOptions() == explicit
         rng = rng_for(56)
         for _ in range(10):
             form1, form2, _ = doob_pair_sample(rng, int(rng.integers(2, 7)))
-            scale = max(float(np.max(np.abs(dk.generator(f).L))) for f in (form1, form2))
-            assert residual_bound(form1, form2, SearchOptions()) == 1e-8 * scale
+            root = np.sqrt(np.diag(dk.generator(form2).L))
+            assert np.array_equal(residual_bound(form2, SearchOptions()),
+                                  1e-8 * np.outer(root, root))
             got = dk.find_intertwiners(form1, form2)
             want = dk.find_intertwiners(form1, form2, explicit)
             assert [(s.tau, s.h, s.beta) for s in got] == [(s.tau, s.h, s.beta) for s in want]
@@ -167,6 +170,16 @@ class TestFindIntertwiners:
             form2, witness = relabel_pair(rng, form1, scale=float(10 ** rng.uniform(-3, 3)))
             found = dk.find_intertwiners(form1, form2, WIDE)
             assert tau_signature(witness) in [tau_signature(s) for s in found]
+
+    def test_large_scaling_finds_the_witness(self):
+        # b, c and m of the target are 1e-20 times the source's, so h = 1e10,
+        # which the search's unit-free bounds do not see
+        rng = np.random.Generator(np.random.PCG64(5))
+        form1 = random_form(rng, 8)
+        form2, witness = relabel_pair(rng, form1, scale=1e-20)
+        found = dk.find_intertwiners(form1, form2, WIDE)
+        assert [tau_signature(s) for s in found] == [tau_signature(witness)]
+        assert found[0].h == pytest.approx(witness.h, rel=1e-12)
 
     def test_spectral_pruning_keeps_witness(self):
         rng = rng_for(54)
@@ -246,28 +259,32 @@ class TestForwardCheckedSearch:
         assert peak <= 10 * n * n * 8
 
 
+def symmetrized(a):
+    """The symmetric matrix with the upper triangle of ``a``."""
+    return np.triu(a) + np.triu(a, 1).T
+
+
 def synthetic_search_input(rng, n):
-    """A single-layer input of the search: scalings h[y, x] = sqrt(m1(x) /
-    m2(y)), a planted bijection whose entries of U A1 - A2 U are moved to
-    within a few ulps of the bound, one side or the other, and a random
-    domain in which two targets may share their only source.  In the flat
-    mode every entry is 0, so only distinctness rejects a tail."""
-    bound = 0.25
+    """A single-layer input of the search: symmetric matrices A1 and A2, a
+    symmetric per-entry bound 0.25 r(y) r(z), a planted bijection whose
+    entries of P A1 P^T - A2 are moved to within a few ulps of the bound,
+    one side or the other, and a random domain in which two targets may
+    share their only source.  In the flat mode every entry is 0, so only
+    distinctness rejects a tail."""
+    root = rng.choice([0.5, 1.0, 2.0], n)
+    bound = 0.25 * np.outer(root, root)
     flat = rng.random() < 0.25
-    m1, m2 = rng.choice([1.0, 2.0, 3.0], n), rng.choice([1.0, 2.0, 3.0], n)
-    h = np.sqrt(m1[None, :] / m2[:, None])
     if flat:
         domain = shared_singletons(rng, rng.random((n, n)) < 0.6)
-        return np.zeros((n, n)), np.zeros((n, n)), h, domain, bound
-    a1 = rng.choice([0.0, 0.5, 1.0], (n, n))
+        return np.zeros((n, n)), np.zeros((n, n)), domain, bound
+    a1 = symmetrized(rng.choice([0.0, 0.5, 1.0], (n, n)))
     tau = rng.permutation(n)
-    ht = h[np.arange(n), tau]
-    sign = rng.choice([-1.0, 0.0, 1.0], (n, n))
-    near = bound * (1.0 + rng.choice([-4.0, 0.0, 4.0], (n, n)) * np.finfo(float).eps)
-    a2 = (ht[:, None] * a1[np.ix_(tau, tau)] + sign * near) / ht[None, :]
+    sign = symmetrized(rng.choice([-1.0, 0.0, 1.0], (n, n)))
+    near = bound * (1.0 + symmetrized(rng.choice([-4.0, 0.0, 4.0], (n, n))) * np.finfo(float).eps)
+    a2 = a1[np.ix_(tau, tau)] + sign * near
     domain = rng.random((n, n)) < rng.choice([0.3, 0.7, 1.0])
     domain[np.arange(n), tau] |= rng.random(n) < 0.8
-    return a1, a2, h, shared_singletons(rng, domain), bound
+    return a1, a2, shared_singletons(rng, domain), bound
 
 
 def shared_singletons(rng, domain):
@@ -290,11 +307,10 @@ class TestForcedTailCompletion:
         # one layer; every branch is checked at the caps 1, 2 and none
         rng = rng_for(600 + n)
         for _ in range(60):
-            a1, a2, h, domain, bound = synthetic_search_input(rng, n)
+            a1, a2, domain, bound = synthetic_search_input(rng, n)
             for cap in (1, 2, 10**9):
-                want = _oracle_search(a1, a2, h, domain.copy(), bound, cap)
-                got = search._search(a1[None], a2[None], h, domain.copy(),
-                                     np.array([bound])[:, None, None], cap)
+                want = _oracle_search(a1, a2, domain.copy(), bound, cap)
+                got = search._search(a1[None], a2[None], domain.copy(), bound[None], cap)
                 assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
     @staticmethod
@@ -373,6 +389,29 @@ def spread_doob_pair(rng, n, spread, levels):
     return form1, form2, iso
 
 
+def spread_search_pair(seed):
+    """A seeded relabel or Doob pair of 2 to 30 vertices on a ``spread_form``
+    (spread 1, 3 or 6, log-uniform or on two levels), the target's
+    conductances then moved by up to the relative amount ``perturb`` (0,
+    2e-9 or 1e-8), so that some residuals sit near the bound.  Returns the
+    forms, the witness and ``perturb``."""
+    rng = rng_for(seed)
+    n = int(rng.integers(2, 31))
+    spread = float(rng.choice([1.0, 3.0, 6.0]))
+    kind = str(rng.choice(["relabel", "doob"]))
+    levels = bool(rng.integers(2))
+    perturb = float(rng.choice([0.0, 0.0, 2e-9, 1e-8]))
+    if kind == "relabel":
+        form1 = spread_form(rng, n, spread, levels)
+        form2, witness = relabel_pair(rng, form1, scale=float(10 ** rng.uniform(-3, 3)))
+    else:
+        form1, form2, witness = spread_doob_pair(rng, n, spread, levels)
+    if perturb:
+        b = {e: w * (1.0 + perturb * rng.uniform(-1.0, 1.0)) for e, w in form2.b.items()}
+        form2 = dk.GraphForm(form2.space, b, form2.c)
+    return form1, form2, witness, perturb
+
+
 def outcome(isos):
     """Everything a search result shows: tau and h in their order, and beta."""
     return [(tuple(s.tau.items()), tuple(s.h.items()), s.beta) for s in isos]
@@ -386,23 +425,8 @@ def scrambled(form, seed=0, scale=1.7):
 class TestHeatKernelPruning:
     @pytest.mark.parametrize("seed", range(100))
     def test_same_results_as_l_only_search(self, seed):
-        # ``perturb`` moves the target's conductances by up to that relative
-        # amount, so that some residuals of U L1 - L2 U sit near the bound;
         # the oracle keeps the sorted-row invariant filter at the root
-        rng = rng_for(seed)
-        n = int(rng.integers(2, 31))
-        spread = float(rng.choice([1.0, 3.0, 6.0]))
-        kind = str(rng.choice(["relabel", "doob"]))
-        levels = bool(rng.integers(2))
-        perturb = float(rng.choice([0.0, 0.0, 2e-9, 1e-8]))
-        if kind == "relabel":
-            form1 = spread_form(rng, n, spread, levels)
-            form2, witness = relabel_pair(rng, form1, scale=float(10 ** rng.uniform(-3, 3)))
-        else:
-            form1, form2, witness = spread_doob_pair(rng, n, spread, levels)
-        if perturb:
-            b = {e: w * (1.0 + perturb * rng.uniform(-1.0, 1.0)) for e, w in form2.b.items()}
-            form2 = dk.GraphForm(form2.space, b, form2.c)
+        form1, form2, witness, perturb = spread_search_pair(seed)
         expected = outcome(l_only_intertwiners(form1, form2, WIDE))
         for cap in (1, 2, 10**6):
             found = dk.find_intertwiners(form1, form2, SearchOptions(max_solutions=cap))
@@ -411,20 +435,21 @@ class TestHeatKernelPruning:
             assert sorted(witness.tau.items()) in [sorted(tau) for tau, _, _ in expected]
 
     def test_beta_equals_operator_constant(self):
-        # six solutions on eleven targets: every beta comes from one mean
-        # over a 6 x 11 array, whose rows must be summed as operator_constant
-        # sums a single row (a column-major array gave 1 + 2^-52 for two)
-        rng = rng_for(11)
-        form1 = spread_form(rng, 11, 6.0, False)
+        # two solutions on eleven targets: every beta comes from one mean
+        # over a 2 x 11 array, whose rows must be summed as operator_constant
+        # sums a single row (a column-major array gives 1 + 2^-52 for both)
+        rng = rng_for(218)
+        form1 = spread_form(rng, 11, 6.0, True)
         form2, _ = relabel_pair(rng, form1, scale=float(10 ** rng.uniform(-3, 3)))
         found = dk.find_intertwiners(form1, form2, WIDE)
-        assert len(found) == 6
+        assert len(found) == 2
         assert [iso.beta for iso in found] == [dk.operator_constant(iso) for iso in found]
 
     def test_same_results_on_scrambled_symmetric_forms(self):
-        # with equal measures the heat slack is about t * bound; conductances
-        # moved by up to 4e-9 put the diagonal entries of U P1 - P2 U of the
-        # solutions at 4 to 7 % of it, so a slack cut to 1/100 loses them
+        # with equal measures the heat slack is about rel; conductances moved
+        # by up to 4e-9 put the largest entry of P K1 P^T - K2 of each
+        # solution, on its diagonal, at 5 to 9 % of it, so a slack cut to
+        # 1/100 loses them
         for family, n, count in (("cycle", 12, 24), ("path", 9, 2), ("sierpinski", 2, 6),
                                  ("complete", 5, 120)):
             for perturb in (0.0, 4e-9):
@@ -437,8 +462,9 @@ class TestHeatKernelPruning:
                 assert outcome(dk.find_intertwiners(form1, form2, WIDE)) == expected
 
     def test_non_finite_kernel_is_not_used(self):
-        # measures 1e-300 and 1e300 overflow the kernels' conjugation; the
-        # search still finds what the generator check alone finds
+        # measures 1e-300 and 1e300 put the measure ratio of the heat slack
+        # beyond the float range, so the kernels are not built; the search
+        # still finds what the generator check alone finds
         form = dk.build_form(
             ["v0", "v1", "v2", "v3"], {"v0": 1e-300, "v1": 1e300, "v2": 1e-300, "v3": 1e300},
             [("v0", "v1", 1.0), ("v1", "v2", 1.0), ("v2", "v3", 1.0), ("v0", "v3", 1.0)],
@@ -480,6 +506,21 @@ class TestVF2Oracle:
         form1, form2 = make()
         found = [tau_signature(s) for s in dk.find_intertwiners(form1, form2, WIDE)]
         assert found == vf2_intertwiners(form1, form2)
+
+    def test_spread_seeds(self):
+        # the unperturbed pairs of ``spread_search_pair``: about half of the
+        # seeds, with weights over up to 12 orders of magnitude
+        pytest.importorskip("networkx")
+        checked = 0
+        for seed in range(100):
+            form1, form2, witness, perturb = spread_search_pair(seed)
+            if perturb:
+                continue
+            found = [tau_signature(s) for s in dk.find_intertwiners(form1, form2, WIDE)]
+            assert found == vf2_intertwiners(form1, form2), seed
+            assert tau_signature(witness) in found
+            checked += 1
+        assert checked == 52
 
     @pytest.mark.parametrize("n", [8, 20, 40])
     @pytest.mark.parametrize("levels", [False, True])
@@ -531,6 +572,68 @@ class TestSubordination:
         bad = dk.OrderIso(iso.source, iso.target, swapped, dict(iso.h))
         with pytest.raises(NotIntertwining):
             dk.certify(bad, sub1, sub2)
+
+
+def full_certify(iso, form1, form2, tol):
+    """The report of ``dirikit certify`` at ``tol``: the library certificate,
+    the jump transform and, on recurrent pairs, the resistance isometry and
+    the intrinsic bijection."""
+    report = dk.certify(iso, form1, form2, tol)
+    report.extend(dk.verify_jump_transform(iso, form1, form2, tol))
+    if dk.is_recurrent(form1) and dk.is_recurrent(form2):
+        report.extend(dk.verify_resistance_isometry(iso, form1, form2, tol))
+        report.extend(dk.verify_intrinsic_bijection(iso, form1, form2, tol=tol))
+    return report
+
+
+class TestResultsPassFullCertify:
+    """Every tau that the search returns passes the CLI's full certify at the
+    search's own tolerance; the count of tau checked is pinned, so an empty
+    search does not pass."""
+
+    @staticmethod
+    def certified(pairs):
+        count = 0
+        for form1, form2 in pairs:
+            for iso in dk.find_intertwiners(form1, form2, WIDE):
+                report = full_certify(iso, form1, form2, WIDE.tol)
+                assert report.verdict, [c.name for c in report.checks if not c.passed]
+                count += 1
+        return count
+
+    def test_spread_seeds(self):
+        # the perturbed seeds included; the parent search's global bound
+        # returned 793 tau here
+        assert self.certified(spread_search_pair(seed)[:2] for seed in range(100)) == 100
+
+    @pytest.mark.parametrize("kind, count", [("intertwined", 54), ("unrelated", 0)])
+    def test_scale_invariance_pairs(self, kind, count):
+        # the pairs of TestScaleInvariance in test_orderiso.py; its
+        # near_bound pairs, moved 3e-8 past the bound, are not here: one
+        # of their tau fails jump_transform, whose bound is 1e-8 of the
+        # largest conductance where the search's is per entry
+        assert self.certified(search_pairs(rng_for(3), kind)) == count
+
+    def test_log_uniform_pairs(self):
+        # b, m and c log-uniform over [1e-6, 1e6], relabel pairs scaled by
+        # up to 1e±6 and Doob pairs
+        rng = rng_for(70)
+        pairs = []
+        for _ in range(40):
+            n = int(rng.integers(2, 41))
+            if rng.random() < 0.5:
+                form1 = spread_form(rng, n, 6.0, False)
+                scale = float(10 ** rng.uniform(-6, 6))
+                pairs.append((form1, relabel_pair(rng, form1, scale=scale)[0]))
+            else:
+                pairs.append(spread_doob_pair(rng, n, 6.0, False)[:2])
+        assert self.certified(pairs) == 40
+
+    def test_subordinate_pairs(self):
+        pairs = [(subordinate(form1, alpha), subordinate(form2, alpha))
+                 for form1, form2, _ in TestSubordination.PAIRS.values()
+                 for alpha in (0.3, 0.5, 0.8)]
+        assert self.certified(pairs) == 99
 
 
 class TestEquivalenceVerdict:

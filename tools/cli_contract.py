@@ -202,6 +202,10 @@ def _commands() -> list[list[str]]:
             ["search", "doob40s1.g1.json", "doob40s1.g2.json", "--format", fmt],
             # the spectra differ by far more than 1e-8 of their size
             ["search", "path6tiny.json", "cycle6tiny.json", "--format", fmt],
+            # weights over 12 orders of magnitude, one intertwiner; and a
+            # pair whose scaling h is 1e10
+            ["search", "spread40.g1.json", "spread40.g2.json", "--format", fmt],
+            ["search", "large_h.g1.json", "large_h.g2.json", "--format", fmt],
         ]
     cmds += [
         ["search", "cycle12.json", "cycle12.json", "--max-solutions", "2", "--tol", "1e-6"],
@@ -297,6 +301,35 @@ def _hub_pair() -> dict:
     return {"g1": g1, "g2": g2, "iso": {"tau": tau, "h": {y: 1.0 for y in tau}}}
 
 
+def _sampled_pairs() -> dict:
+    """Pairs built by the library's samplers.  ``spread40`` is seed 40 of
+    ``spread_search_pair`` in tests/test_search.py: a relabel pair of 18
+    vertices whose b, m and c lie on the two levels 1e-6 and 1e6.
+    ``large_h`` is a relabel pair of 8 vertices with b, c and m of the
+    target 1e-20 times the source's, so h = 1e10."""
+    import numpy as np
+    from dirikit import build_form, jsonio
+    from dirikit.sampling import random_form, relabel_pair
+
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(40)))
+    # the draws of n = 18, spread 6, relabel, two levels and no perturbation
+    rng.integers(2, 31), rng.choice([1.0, 3.0, 6.0]), rng.choice(["relabel", "doob"])
+    rng.integers(2), rng.choice([0.0, 0.0, 2e-9, 1e-8])
+    base = random_form(rng, 18)
+
+    def level(size):
+        return 10.0 ** (6.0 * rng.choice([-1.0, 1.0], size))
+
+    b = dict(zip(base.b, level(len(base.b))))
+    spread = build_form(base.space.vertices, level(18), b, base.c * level(18))
+    scale = float(10 ** rng.uniform(-3, 3))
+    pairs = {"spread40": (spread, *relabel_pair(rng, spread, scale=scale))}
+    rng = np.random.Generator(np.random.PCG64(5))
+    small = random_form(rng, 8)
+    pairs["large_h"] = (small, *relabel_pair(rng, small, scale=1e-20))
+    return {name: jsonio.pair_to_obj(*pair) for name, pair in pairs.items()}
+
+
 def _write_inputs(run) -> None:
     """Write every input of COMMANDS into the current directory."""
     for name, args in GEN.items():
@@ -307,6 +340,9 @@ def _write_inputs(run) -> None:
             raise RuntimeError(f"gen-pair {name} failed")
         pair = json.loads(Path(f"{name}.json").read_text(encoding="utf-8"))
         for part in ("g1", "g2", "iso"):
+            Path(f"{name}.{part}.json").write_text(json.dumps(pair[part]), encoding="utf-8")
+    for name, pair in _sampled_pairs().items():
+        for part in ("g1", "g2"):
             Path(f"{name}.{part}.json").write_text(json.dumps(pair[part]), encoding="utf-8")
     pair = _shuffled_pair()
     Path("shuffled.json").write_text(json.dumps(pair), encoding="utf-8")

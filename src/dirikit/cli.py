@@ -20,6 +20,7 @@ compares.  A value that is not positive and finite is an input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 
@@ -113,13 +114,16 @@ def _tolerance(args, default: Tolerance) -> Tolerance:
 
 def _output(args, payload, text=None) -> None:
     """Write the payload as JSON, or for --format text the string that
-    ``text()`` builds, to --out or stdout; a JSON run builds no text."""
-    data = jsonio.dumps(payload) + "\n" if args.format == "json" else text()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(data)
-    else:
-        sys.stdout.write(data)
+    ``text()`` builds, to --out or stdout; a JSON run builds no text.  --out
+    opens at the first write, after all formatting, so an error leaves none."""
+    emit = (functools.partial(jsonio.dump, payload) if args.format == "json"
+            else lambda write: write(text()))
+    if not args.out:
+        emit(sys.stdout.write)
+        return
+    with contextlib.ExitStack() as files:
+        handle = functools.cache(lambda: files.enter_context(open(args.out, "w", encoding="utf-8")))
+        emit(lambda chunk: handle().write(chunk))
 
 
 def _lines(lines) -> str:
@@ -262,8 +266,8 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (DirikitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DirikitError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -14,6 +14,8 @@ Report:      {"checks": [{"name", "residual", "tol", "pass", "detail"?}],
 
 Numbers are emitted with 17 significant digits, which round-trips IEEE
 doubles exactly, so identical inputs always serialize to identical bytes.
+There is one serializer, ``dumps``; ``dump`` streams its bytes, a top-level
+item or matrix row per write, after formatting all, so errors write nothing.
 ``dumps`` also accepts a 1-D or 2-D float ``np.ndarray`` wherever a list
 may stand and writes the same bytes as for its ``tolist()``.  It formats
 each distinct value of the array once, so a symmetric n x n metric costs
@@ -23,6 +25,7 @@ distances far fewer.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Mapping
@@ -43,6 +46,10 @@ def _format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
+# the function json.dumps(str) calls with default arguments: same bytes
+_encode = json.encoder.encode_basestring_ascii
+
+
 def _bracket(items: list[str], indent: int, brackets: str = "[]") -> str:
     """A JSON array (or object) of already serialized items, its brackets at
     ``indent``."""
@@ -53,9 +60,10 @@ def _bracket(items: list[str], indent: int, brackets: str = "[]") -> str:
             + "\n" + " " * indent + brackets[1])
 
 
-def _format_float_array(values: np.ndarray, indent: int) -> str:
-    """``dumps(values.tolist(), indent)`` for a 1-D or 2-D float array,
-    formatting each distinct value once."""
+def _float_rows(values: np.ndarray, indent: int):
+    """The item texts of a 1-D float array, or an iterator over the row
+    texts of a 2-D one, at ``indent``.  Every value is checked, and each
+    distinct one formatted, before this returns; rows are joined lazily."""
     flat = values.astype(float, copy=False).reshape(-1)
     finite = np.isfinite(flat)
     if not finite.all():
@@ -65,20 +73,35 @@ def _format_float_array(values: np.ndarray, indent: int) -> str:
     # where np.unique on the values would merge them
     bits, where = np.unique(flat.view(np.int64), return_inverse=True)
     text = np.array([format(x, ".17g") for x in bits.view(float).tolist()], dtype=object)
-    del bits
-    text = text[where]
-    del where
-    rows = text.reshape(values.shape).tolist()
-    del text
-    if values.ndim == 2:
-        # rebinding drops the per-value strings before the outer join
-        rows = [_bracket(row, indent + 2) for row in rows]
-    return _bracket(rows, indent)
+    if values.ndim == 1:
+        return text[where].tolist()
+    return (_bracket(text[row].tolist(), indent + 2) for row in where.reshape(values.shape))
+
+
+def _format_mapping(obj: Mapping, indent: int) -> str:
+    # flat mappings (str keys, str or float values) format their values in
+    # place, not by recursion
+    if all(type(key) is str for key in obj) and set(map(type, obj.values())) <= {str, float}:
+        items = [f"{_encode(k)}: {_encode(v) if type(v) is str else _format_float(v)}"
+                 for k, v in obj.items()]
+    else:
+        items = [f"{_encode(str(key))}: {dumps(value, indent + 2)}" for key, value in obj.items()]
+    return _bracket(items, indent, "{}")
 
 
 def dumps(obj, indent: int = 0) -> str:
     """Serialize nested dict/list/str/number/bool/None data and 1-D or 2-D
     float arrays deterministically."""
+    kind = type(obj)
+    if kind is dict:
+        return _format_mapping(obj, indent)
+    if kind is str:
+        return _encode(obj)
+    if kind is float:
+        return _format_float(obj)
+    if kind is list or kind is tuple:
+        return _bracket([dumps(item, indent + 2) for item in obj], indent)
+    # subclasses, numpy scalars and arrays, other mappings
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -88,23 +111,46 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _encode(obj)
     if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim in (1, 2):
-        return _format_float_array(obj, indent)
+        return _bracket(list(_float_rows(obj, indent)), indent)
     if isinstance(obj, (list, tuple)):
         return _bracket([dumps(item, indent + 2) for item in obj], indent)
     if isinstance(obj, Mapping):
-        # flat mappings format their values in place instead of recursing
-        if all(type(value) is str for value in obj.values()):
-            fmt = json.dumps
-        elif all(type(value) is float for value in obj.values()):
-            fmt = _format_float
-        else:
-            def fmt(value):
-                return dumps(value, indent + 2)
-        items = [f"{json.dumps(str(key))}: {fmt(value)}" for key, value in obj.items()]
-        return _bracket(items, indent, "{}")
+        return _format_mapping(obj, indent)
     raise MalformedInput(f"cannot serialize {type(obj).__name__}")
+
+
+def _streamed(obj, indent: int):
+    """``dumps(obj, indent)``, or the row texts of a matrix with rows."""
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 2 and len(obj):
+        return _float_rows(obj, indent)
+    return dumps(obj, indent)
+
+
+def _write_items(heads, parts, indent: int, write, brackets: str = "[]") -> None:
+    """Stream ``_bracket`` of heads + nonempty parts; a non-str part iterates rows."""
+    inner = "\n" + " " * (indent + 2)
+    for i, (head, part) in enumerate(zip(heads, parts)):
+        write(("," if i else brackets[0]) + inner + head)
+        if type(part) is str:
+            write(part)
+        else:
+            _write_items(itertools.repeat(""), part, indent + 2, write)
+    write("\n" + " " * indent + brackets[1])
+
+
+def dump(obj, write) -> None:
+    """Write ``dumps(obj) + "\\n"`` through ``write``; a nonempty mapping in
+    pieces, each item, and each row of a 2-D float array among them, in
+    calls of its own.  Every item is checked and formatted before the first
+    call, so a value that cannot be serialized raises with nothing written."""
+    if not (isinstance(obj, Mapping) and obj):
+        write(dumps(obj) + "\n")
+        return
+    parts = [_streamed(value, 2) for value in obj.values()]
+    _write_items([f"{_encode(str(key))}: " for key in obj], parts, 0, write, "{}")
+    write("\n")
 
 
 def loads(text: str):

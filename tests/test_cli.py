@@ -17,7 +17,7 @@ import pytest
 import dirikit as dk
 from dirikit import cli, jsonio, metrics
 from dirikit.cli import run
-from dirikit.errors import InvalidSize
+from dirikit.errors import InvalidSize, MalformedInput
 from dirikit.sampling import random_form
 
 from conftest import diagonal_overflow_form, edge_weight, pick, rng_for
@@ -255,6 +255,26 @@ class TestResistance:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_unserializable_matrix_writes_nothing(self, tmp_path, capsys, monkeypatch, bad):
+        # a matrix whose last entry cannot be written: the error comes before
+        # the first write, so --out is never created and stdout stays empty
+        class Matrix:
+            d = np.ones((40, 40))
+
+        Matrix.d[-1, -1] = bad
+        monkeypatch.setattr(metrics, "resistance_matrix", lambda form: Matrix)
+        p3 = gen(tmp_path, "p3.json", "--family", "path", "--n", "3")
+        out = tmp_path / "r.json"
+        assert run(["resistance", p3, "--out", str(out)]) == 2
+        assert run(["resistance", p3]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot serialize non-finite number {bad}\n" * 2
+        assert not out.exists()
+        with pytest.raises(MalformedInput):
+            cli._output(argparse.Namespace(format="json", out=str(out)), {"R": Matrix.d})
+        assert not out.exists()
 
     def test_overflowing_diagonal_sum_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "hub.json", jsonio.graph_dumps(diagonal_overflow_form()))
@@ -456,6 +476,29 @@ class TestModuleEntry:
         assert proc.returncode == 0
         assert run(["gen", "--family", "path", "--n", "3"]) == 0
         assert proc.stdout == capsys.readouterr().out.encode()
+
+
+class TestOutOfMemory:
+    def test_memory_error_exits_2(self, tmp_path):
+        # the dense 20000 x 20000 weight matrix (3.2 GB) does not fit under a
+        # 2 GB address-space limit that the child process sets on itself
+        path = gen(tmp_path, "p20000.json", "--family", "path", "--n", "20000")
+        code = (
+            "import resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "limit = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
+            "from dirikit.cli import run\n"
+            "sys.exit(run(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code, "check", path], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestTolerancePlumbing:

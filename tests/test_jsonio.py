@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from collections import OrderedDict
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -172,12 +173,96 @@ def traced(call):
 
 def test_resistance_matrix_peak_memory():
     # Sierpinski L5 (366 vertices): about half of the 133,956 entries are
-    # distinct; dumps on the array must not outgrow the list serialization
+    # distinct; dumps on the array must not outgrow the list serialization,
+    # and dump, which keeps no more than a row of text, must not outgrow dumps
     d = dk.resistance_matrix(dk.generate("sierpinski", 5)).d
     got, peak = traced(lambda: jsonio.dumps(d))
     want, oracle_peak = traced(lambda: oracle_dumps(d.tolist()))
     assert got == want
     assert peak <= oracle_peak
+    obj = {"R": d}
+    text, dumps_peak = traced(lambda: jsonio.dumps(obj))
+    sizes = []
+    _, dump_peak = traced(lambda: jsonio.dump(obj, lambda chunk: sizes.append(len(chunk))))
+    assert sum(sizes) == len(text) + 1
+    assert dump_peak <= dumps_peak
+
+
+def dumped(obj) -> list[str]:
+    """The chunks that ``dump`` passes to its sink."""
+    chunks = []
+    jsonio.dump(obj, chunks.append)
+    return chunks
+
+
+class EntryMapping(Mapping):
+    """A Mapping that is no dict."""
+
+    def __init__(self, entries):
+        self._entries = dict(entries)
+
+    def __getitem__(self, key):
+        return self._entries[key]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+
+class TestDump:
+    def test_same_bytes_as_dumps(self):
+        for seed in range(60):
+            obj = payload(rng_for(seed))
+            assert "".join(dumped(obj)) == jsonio.dumps(obj) + "\n", seed
+        for seed in range(100):
+            arr = float_array(rng_for(seed))
+            assert "".join(dumped(arr)) == jsonio.dumps(arr) + "\n", seed
+            assert "".join(dumped({"d": arr, "n": 1})) == jsonio.dumps({"d": arr, "n": 1}) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(0),
+        {"a": np.zeros((0, 3)), "b": np.zeros((3, 0)), "c": np.zeros((0, 0))},
+        [np.zeros((3, 0)), np.zeros((0, 3))],
+        np.array([[0.0, -0.0], [-0.0, 0.0]]), {"z": -0.0, "d": np.array([[-0.0]])},
+        OrderedDict(b=1.0, a=np.eye(2)), EntryMapping({"x": 0.5, "y": "s"}),
+        {"m": EntryMapping({"x": [1, 2]}), "o": OrderedDict(k="v")},
+        {"f": np.float64(0.1), "g": np.float32(0.1), "i": np.int32(-3), "u": np.uint8(7)},
+        [np.float64(2.5), np.int64(4), True, False, None], True, None, np.float64(1.5), "é",
+        {1: 0.5, "1": "x", 2.5: True, None: [], True: {}, (1, 2): -0.0},
+        {}, [], (), {"e": {}, "l": [], "t": ()},
+    ])
+    def test_edge_cases(self, obj):
+        want = jsonio.dumps(obj)
+        if not isinstance(obj, EntryMapping):
+            assert want == oracle_dumps(as_lists(obj))
+        assert "".join(dumped(obj)) == want + "\n"
+
+    def test_one_row_per_chunk(self):
+        form = dk.generate("sierpinski", 5)
+        d = dk.resistance_matrix(form).d
+        obj = {"vertices": list(form.space.vertices), "R": d}
+        chunks = dumped(obj)
+        assert "".join(chunks) == jsonio.dumps(obj) + "\n"
+        # the text of each row as the matrix holds it at indent 2
+        rows = [jsonio.dumps(row, 4) for row in d]
+        assert all(row in chunks for row in rows)
+        assert max(map(len, chunks)) <= max(map(len, rows))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_error_before_the_first_write(self, bad):
+        # the last array carries the bad value, after a matrix that would
+        # be written row by row
+        flat = np.array([1.0, -0.0, bad, 2.0])
+        for obj in ({"s": "x", "R": np.eye(3), "slack": flat},
+                    [np.eye(3), flat.reshape(2, 2)], flat.reshape(2, 2),
+                    {"R": np.eye(3), "h": {"a": 1.0, "b": bad}}):
+            calls = []
+            with pytest.raises(MalformedInput) as caught:
+                jsonio.dump(obj, calls.append)
+            assert str(caught.value) == oracle_error(as_lists(obj))
+            assert calls == []
 
 
 EDGE_VALUES = (

@@ -219,6 +219,8 @@ def _commands() -> list[list[str]]:
         ["gen", "--family", "path", "--n", "4", "--conductance", "2.5", "--measure", "0.5"],
         ["gen-pair", "--transform", "relabel", "--n", "6", "--seed", "1"],
         ["gen-pair", "--transform", "doob", "--n", "6", "--seed", "1"],
+        # 4.5k edge objects, each a flat mapping, on stdout
+        ["gen-pair", "--transform", "doob", "--n", "160", "--seed", "1"],
         ["gen-pair", "--transform", "relabel", "--n", "-1"],
         ["gen-pair", "--transform", "doob", "--n", "0"],
     ]

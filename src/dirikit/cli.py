@@ -20,7 +20,6 @@ compares.  A value that is not positive and finite is an input error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import sys
 
@@ -114,16 +113,15 @@ def _tolerance(args, default: Tolerance) -> Tolerance:
 
 def _output(args, payload, text=None) -> None:
     """Write the payload as JSON, or for --format text the string that
-    ``text()`` builds, to --out or stdout; a JSON run builds no text.  --out
-    opens at the first write, after all formatting, so an error leaves none."""
-    emit = (functools.partial(jsonio.dump, payload) if args.format == "json"
-            else lambda write: write(text()))
-    if not args.out:
-        emit(sys.stdout.write)
-        return
-    with contextlib.ExitStack() as files:
-        handle = functools.cache(lambda: files.enter_context(open(args.out, "w", encoding="utf-8")))
-        emit(lambda chunk: handle().write(chunk))
+    ``text()`` builds, to --out or stdout; a JSON run builds no text.  Every
+    JSON value is checked before --out opens, so one that cannot be
+    serialized leaves no file."""
+    chunks = jsonio.chunks(payload) if args.format == "json" else [text()]
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+    else:
+        sys.stdout.writelines(chunks)
 
 
 def _lines(lines) -> str:

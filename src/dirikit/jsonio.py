@@ -14,8 +14,10 @@ Report:      {"checks": [{"name", "residual", "tol", "pass", "detail"?}],
 
 Numbers are emitted with 17 significant digits, which round-trips IEEE
 doubles exactly, so identical inputs always serialize to identical bytes.
-There is one serializer, ``dumps``; ``dump`` streams its bytes, a top-level
-item or matrix row per write, after formatting all, so errors write nothing.
+There is one serializer, ``dumps``; ``chunks`` gives its bytes in pieces,
+a matrix row per piece, after checking every value, so that a writer need
+not hold the document whole and a value that cannot be serialized raises
+before the first piece.
 ``dumps`` also accepts a 1-D or 2-D float ``np.ndarray`` wherever a list
 may stand and writes the same bytes as for its ``tolist()``.  It formats
 each distinct value of the array once, so a symmetric n x n metric costs
@@ -92,65 +94,60 @@ def _format_mapping(obj: Mapping, indent: int) -> str:
 def dumps(obj, indent: int = 0) -> str:
     """Serialize nested dict/list/str/number/bool/None data and 1-D or 2-D
     float arrays deterministically."""
-    kind = type(obj)
-    if kind is dict:
+    # the common types first; a bool is no float, so its place is safe
+    if isinstance(obj, dict):
         return _format_mapping(obj, indent)
-    if kind is str:
+    if isinstance(obj, str):
         return _encode(obj)
-    if kind is float:
+    if isinstance(obj, (float, np.floating)):
         return _format_float(obj)
-    if kind is list or kind is tuple:
+    if isinstance(obj, (list, tuple)):
         return _bracket([dumps(item, indent + 2) for item in obj], indent)
-    # subclasses, numpy scalars and arrays, other mappings
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return _encode(obj)
     if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim in (1, 2):
         return _bracket(list(_float_rows(obj, indent)), indent)
-    if isinstance(obj, (list, tuple)):
-        return _bracket([dumps(item, indent + 2) for item in obj], indent)
     if isinstance(obj, Mapping):
         return _format_mapping(obj, indent)
     raise MalformedInput(f"cannot serialize {type(obj).__name__}")
 
 
-def _streamed(obj, indent: int):
-    """``dumps(obj, indent)``, or the row texts of a matrix with rows."""
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 2 and len(obj):
-        return _float_rows(obj, indent)
-    return dumps(obj, indent)
+# a gap in a layout: JSON text holds no raw NUL, encode_basestring_ascii escapes it
+_GAP = "\0"
 
 
-def _write_items(heads, parts, indent: int, write, brackets: str = "[]") -> None:
-    """Stream ``_bracket`` of heads + nonempty parts; a non-str part iterates rows."""
-    inner = "\n" + " " * (indent + 2)
-    for i, (head, part) in enumerate(zip(heads, parts)):
-        write(("," if i else brackets[0]) + inner + head)
-        if type(part) is str:
-            write(part)
-        else:
-            _write_items(itertools.repeat(""), part, indent + 2, write)
-    write("\n" + " " * indent + brackets[1])
+def _row_pieces(rows, indent: int):
+    """``_bracket(rows, indent)`` of nonempty ``rows`` in pieces, each row
+    with the separator before it, then the closing bracket."""
+    opening, separator, closing = _bracket([_GAP, _GAP], indent).split(_GAP)
+    for row in rows:
+        yield opening + row
+        opening = separator
+    yield closing
 
 
-def dump(obj, write) -> None:
-    """Write ``dumps(obj) + "\\n"`` through ``write``; a nonempty mapping in
-    pieces, each item, and each row of a 2-D float array among them, in
-    calls of its own.  Every item is checked and formatted before the first
-    call, so a value that cannot be serialized raises with nothing written."""
+def chunks(obj):
+    """The text of ``dumps(obj) + "\\n"`` in pieces, each row of a nonempty
+    2-D float array that is a value of a top-level mapping in a piece of its
+    own.  Every value is checked, and all but those rows formatted, before
+    this returns, so a value that cannot be serialized raises here."""
     if not (isinstance(obj, Mapping) and obj):
-        write(dumps(obj) + "\n")
-        return
-    parts = [_streamed(value, 2) for value in obj.values()]
-    _write_items([f"{_encode(str(key))}: " for key in obj], parts, 0, write, "{}")
-    write("\n")
+        return [dumps(obj) + "\n"]
+    texts = [_float_rows(value, 2)
+             if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim == 2
+             and len(value) else dumps(value, 2) for value in obj.values()]
+    # each matrix stands as a gap in the document, and its rows fill the gap
+    skeleton = _bracket([_encode(str(key)) + ": " + (text if type(text) is str else _GAP)
+                         for key, text in zip(obj, texts)], 0, "{}") + "\n"
+    parts = skeleton.split(_GAP)
+    streams = [parts[:1]]
+    for rows, part in zip((text for text in texts if type(text) is not str), parts[1:]):
+        streams += [_row_pieces(rows, 2), [part]]
+    return itertools.chain.from_iterable(streams)
 
 
 def loads(text: str):

@@ -174,7 +174,8 @@ def traced(call):
 def test_resistance_matrix_peak_memory():
     # Sierpinski L5 (366 vertices): about half of the 133,956 entries are
     # distinct; dumps on the array must not outgrow the list serialization,
-    # and dump, which keeps no more than a row of text, must not outgrow dumps
+    # and chunks, taken one at a time as a writer takes them, must not
+    # outgrow dumps
     d = dk.resistance_matrix(dk.generate("sierpinski", 5)).d
     got, peak = traced(lambda: jsonio.dumps(d))
     want, oracle_peak = traced(lambda: oracle_dumps(d.tolist()))
@@ -183,16 +184,14 @@ def test_resistance_matrix_peak_memory():
     obj = {"R": d}
     text, dumps_peak = traced(lambda: jsonio.dumps(obj))
     sizes = []
-    _, dump_peak = traced(lambda: jsonio.dump(obj, lambda chunk: sizes.append(len(chunk))))
+    _, chunks_peak = traced(lambda: sizes.extend(map(len, jsonio.chunks(obj))))
     assert sum(sizes) == len(text) + 1
-    assert dump_peak <= dumps_peak
+    assert chunks_peak <= dumps_peak
 
 
 def dumped(obj) -> list[str]:
-    """The chunks that ``dump`` passes to its sink."""
-    chunks = []
-    jsonio.dump(obj, chunks.append)
-    return chunks
+    """The pieces that ``chunks`` gives."""
+    return list(jsonio.chunks(obj))
 
 
 class EntryMapping(Mapping):
@@ -211,7 +210,7 @@ class EntryMapping(Mapping):
         return len(self._entries)
 
 
-class TestDump:
+class TestChunks:
     def test_same_bytes_as_dumps(self):
         for seed in range(60):
             obj = payload(rng_for(seed))
@@ -245,10 +244,12 @@ class TestDump:
         obj = {"vertices": list(form.space.vertices), "R": d}
         chunks = dumped(obj)
         assert "".join(chunks) == jsonio.dumps(obj) + "\n"
-        # the text of each row as the matrix holds it at indent 2
+        # the text of each row as the matrix holds it at indent 2, each in a
+        # chunk of its own after the bracket or comma and the indent before it
         rows = [jsonio.dumps(row, 4) for row in d]
-        assert all(row in chunks for row in rows)
-        assert max(map(len, chunks)) <= max(map(len, rows))
+        lead = len(",\n    ")
+        assert [chunk[lead:] for chunk in chunks[1:1 + len(rows)]] == rows
+        assert max(map(len, chunks)) <= max(map(len, rows)) + lead
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_error_before_the_first_write(self, bad):
@@ -258,11 +259,9 @@ class TestDump:
         for obj in ({"s": "x", "R": np.eye(3), "slack": flat},
                     [np.eye(3), flat.reshape(2, 2)], flat.reshape(2, 2),
                     {"R": np.eye(3), "h": {"a": 1.0, "b": bad}}):
-            calls = []
             with pytest.raises(MalformedInput) as caught:
-                jsonio.dump(obj, calls.append)
+                jsonio.chunks(obj)
             assert str(caught.value) == oracle_error(as_lists(obj))
-            assert calls == []
 
 
 EDGE_VALUES = (

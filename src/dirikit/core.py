@@ -81,6 +81,22 @@ def _offdiagonal_connected(coupling: np.ndarray) -> bool:
     return bool(seen.all())
 
 
+# The vertex cap.  A recurrent certify holds about 30 float arrays of n x n
+# at its peak (W, F, L, S, the eigenvectors and the grounded Green function
+# of both forms, the resistance and canonical metrics and their temporaries;
+# a tracemalloc probe of the CLI path at n = 200 and 400 gave 30.7 and 30.0
+# times 8 n^2 bytes): 240 n^2 bytes.  At 4096 vertices that is 4.0 GB, half
+# of an 8 GB machine; a cap of 2^13 would need 16 GB.  Sierpinski level 7
+# (3282 vertices) stays within it.
+MAX_VERTICES = 4096
+
+
+def _require_size(count: int) -> None:
+    """InvalidSize when a space of ``count`` vertices exceeds MAX_VERTICES."""
+    if count > MAX_VERTICES:
+        raise InvalidSize(f"{count} vertices exceed the cap of {MAX_VERTICES}")
+
+
 def _string_order(vertices: Sequence[str]) -> list[int]:
     """Vertex indices sorted by Python's string order of their ids."""
     return sorted(range(len(vertices)), key=vertices.__getitem__)
@@ -111,6 +127,7 @@ class MeasureSpace:
         vs = tuple(str(v) for v in vertices)
         if not vs:
             raise InvalidSize("a measure space needs at least one vertex")
+        _require_size(len(vs))  # before any n x n array exists
         if len(set(vs)) != len(vs):
             raise DuplicateVertex("vertex identifiers must be unique")
         self.vertices = vs
@@ -351,8 +368,11 @@ def generate(family: str, n: int, *, conductance: float = 1.0, measure: float = 
 
     Families: ``path`` and ``complete`` (n >= 1 vertices), ``cycle``
     (n >= 3 vertices) and ``sierpinski`` (n >= 0 is the subdivision level;
-    the level-n graph has 3 (3^n + 1) / 2 vertices).
+    the level-n graph has 3 (3^n + 1) / 2 vertices).  A size past
+    MAX_VERTICES is refused before any edge is built.
     """
+    if family in ("path", "cycle", "complete"):
+        _require_size(n)
     if family == "path":
         if n < 1:
             raise InvalidSize("path needs n >= 1")
@@ -371,6 +391,8 @@ def generate(family: str, n: int, *, conductance: float = 1.0, measure: float = 
     elif family == "sierpinski":
         if n < 0:
             raise InvalidSize("sierpinski level must be >= 0")
+        if n > _SIERPINSKI_MAX_LEVEL:
+            raise InvalidSize(f"sierpinski level {n} exceeds the cap of {MAX_VERTICES} vertices")
         return _sierpinski(n, conductance, measure)
     else:
         raise InvalidSize(f"unknown family {family!r}")
@@ -381,6 +403,9 @@ def generate(family: str, n: int, *, conductance: float = 1.0, measure: float = 
 # gives the same combinatorics, and integer coordinates make the gluing of
 # subdivided cells exact.
 _TRIANGLE = ((0, 0), (2, 0), (1, 1))
+
+# the highest level whose 3 (3^n + 1) / 2 vertices fit under MAX_VERTICES
+_SIERPINSKI_MAX_LEVEL = max(n for n in range(16) if 3 * (3**n + 1) // 2 <= MAX_VERTICES)
 
 
 def _sierpinski(level: int, conductance: float, measure: float) -> GraphForm:

@@ -1,9 +1,13 @@
 """JSON schemas and deterministic serialization.
 
 Graph:       {"vertices": [...], "m": {v: real},
-              "edges": [{"u": v, "v": w, "b": real}], "killing": {v: real}}
-             (absent killing entries default to 0; edges are read in any
-             order and orientation and written in key order, u <= v)
+              "edges": {"u": [v, ...], "v": [w, ...], "b": [real, ...]},
+              "killing": {v: real}}
+             (absent killing entries default to 0; edge k joins u[k] and
+             v[k] with weight b[k]; edges are read in any order and
+             orientation and written in key order, u <= v.  The per-edge
+             layout "edges": [{"u": v, "v": w, "b": real}, ...] is read too,
+             and a malformed edge raises the same first error in either)
 Order iso:   {"tau": {y: x}, "h": {y: real}}
 Pair:        {"g1": graph, "g2": graph, "iso": order iso from g1 onto g2}
 Jump data:   {"vertices": [...], "J": [{"x": a, "y": b, "value": real}],
@@ -189,17 +193,48 @@ def graph_to_obj(form: GraphForm) -> dict:
     return {
         "vertices": list(form.space.vertices),
         "m": {v: float(form.space.m[i]) for i, v in enumerate(form.space.vertices)},
-        "edges": [{"u": u, "v": v, "b": w} for u, v, w in zip(us, vs, form.weights.tolist())],
+        "edges": {"u": us, "v": vs, "b": form.weights.tolist()},
         "killing": killing,
     }
 
 
-def _check_edges(edge_list: list) -> None:
-    """Raise MalformedInput at the first malformed edge object."""
-    for entry in edge_list:
-        _require(entry, "u", str, "graph edge")
-        _require(entry, "v", str, "graph edge")
-        _number(_require(entry, "b", (int, float), "graph edge"), "graph edge b")
+# the value of a key that an edge object lacks
+_MISSING = object()
+
+
+def _check_columns(us: list, vs: list, bs: list) -> None:
+    """Raise MalformedInput at the first malformed edge (us[k], vs[k], bs[k])."""
+    for edge in zip(us, vs, bs):
+        for key, value, kind in zip("uvb", edge, (str, str, (int, float))):
+            if value is _MISSING:
+                raise MalformedInput(f"graph edge: missing key {key!r}")
+            if not isinstance(value, kind):
+                raise MalformedInput(f"graph edge: key {key!r} has wrong type")
+        _number(edge[2], "graph edge b")
+
+
+def _edge_columns(edges) -> list[list]:
+    """The u, v and b columns of the edges, given as columns or as a list of
+    edge objects; MalformedInput at a fault of the columns' shape, or at the
+    first edge object that is no object or lacks a key."""
+    if isinstance(edges, dict):
+        columns = [_require(edges, key, list, "graph edges") for key in "uvb"]
+        if len(set(map(len, columns))) > 1:
+            raise MalformedInput("graph edges: columns 'u', 'v' and 'b' differ in length")
+        return columns
+    if not isinstance(edges, list):
+        raise MalformedInput("graph: key 'edges' has wrong type")
+    if set(map(type, edges)) <= {dict}:
+        try:
+            return [[entry[key] for entry in edges] for key in "uvb"]
+        except KeyError:
+            pass
+    # an entry that is no dict or lacks a key: the first fault, of whatever
+    # kind, is reported
+    columns = [[entry.get(key, _MISSING) if isinstance(entry, dict) else _MISSING
+                for entry in edges] for key in "uvb"]
+    _check_columns(*columns)
+    return columns
 
 
 def _require_vertices(keyed: dict, vertices: dict) -> None:
@@ -215,16 +250,9 @@ def graph_from_obj(obj) -> GraphForm:
     m_obj = _require(obj, "m", dict, "graph")
     m = {v: _number(m_obj.get(v), f"graph: m[{v!r}]") for v in vertices}
     _require_vertices(m_obj, m)
-    edge_list = obj.get("edges", [])
-    if not isinstance(edge_list, list):
-        raise MalformedInput("graph: key 'edges' has wrong type")
-    try:
-        us, vs, bs = ([entry[key] for entry in edge_list] for key in "uvb")
-    except (KeyError, TypeError):
-        _check_edges(edge_list)
-        raise
-    if not set(map(type, edge_list)) <= {dict} or not set(map(type, bs)) <= {int, float}:
-        _check_edges(edge_list)
+    us, vs, bs = _edge_columns(obj.get("edges", []))
+    if not set(map(type, bs)) <= {int, float}:
+        _check_columns(us, vs, bs)
     try:
         killing_obj = obj.get("killing", {})
         if not isinstance(killing_obj, dict):
@@ -237,7 +265,7 @@ def graph_from_obj(obj) -> GraphForm:
     except (DirikitError, TypeError, OverflowError):
         # a malformed edge (a non-string end, an int out of float range) is
         # reported before any later fault
-        _check_edges(edge_list)
+        _check_columns(us, vs, bs)
         raise
 
 
@@ -302,9 +330,19 @@ def jump_to_obj(data: JumpKilling) -> dict:
 
 def metric_from_obj(obj, space: MeasureSpace, tol: Tolerance) -> PseudoMetric:
     rows = _require(obj, "d", list, "metric")
-    matrix = []
-    for row in rows:
-        if not isinstance(row, list) or (matrix and len(row) != len(matrix[0])):
-            raise MalformedInput("metric: d must be a matrix")
-        matrix.append([_number(x, "metric entry") for x in row])
-    return PseudoMetric(space.vertices, np.array(matrix, dtype=float), tol)
+    matrix = None
+    # one pass over the types; the loop below runs only to name a fault
+    if (set(map(type, rows)) <= {list} and len(set(map(len, rows))) <= 1
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}):
+        try:
+            matrix = np.array(rows, dtype=float)
+        except OverflowError:  # an int out of float range
+            pass
+    if matrix is None:
+        matrix = []
+        for row in rows:
+            if not isinstance(row, list) or (matrix and len(row) != len(matrix[0])):
+                raise MalformedInput("metric: d must be a matrix")
+            matrix.append([_number(x, "metric entry") for x in row])
+        matrix = np.array(matrix, dtype=float)
+    return PseudoMetric(space.vertices, matrix, tol)

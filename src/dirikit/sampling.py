@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import GraphForm, MeasureSpace, build_form
+from .core import GraphForm, MeasureSpace, _require_size, build_form
 from .errors import InvalidSize
 from .orderiso import OrderIso, doob_pair
 
@@ -33,6 +33,7 @@ def random_form(
     """
     if n < 1:
         raise InvalidSize("a random form needs n >= 1")
+    _require_size(n)  # before the n^2 / 2 chord draws
     names = [f"{prefix}{i}" for i in range(n)]
     edges: dict[tuple[str, str], float] = {}
     for i in range(1, n):

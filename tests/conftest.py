@@ -418,13 +418,19 @@ class OracleGraphForm(dk.GraphForm):
 
 def oracle_graph_from_obj(obj):
     """Oracle: ``jsonio.graph_from_obj`` with the per-edge checks it now runs
-    only on failure, building an ``OracleGraphForm``."""
+    only on failure, building an ``OracleGraphForm``; edge columns are read
+    as the list of their edge objects."""
     vertices = _require(obj, "vertices", list, "graph")
     if not all(isinstance(v, str) for v in vertices):
         raise MalformedInput("graph: vertices must be strings")
     m_obj = _require(obj, "m", dict, "graph")
     m = {v: _number(m_obj.get(v), f"graph: m[{v!r}]") for v in vertices}
     edge_list = obj.get("edges", [])
+    if isinstance(edge_list, dict):
+        columns = [_require(edge_list, key, list, "graph edges") for key in "uvb"]
+        if len({len(column) for column in columns}) > 1:
+            raise MalformedInput("graph edges: columns 'u', 'v' and 'b' differ in length")
+        edge_list = [dict(zip("uvb", edge)) for edge in zip(*columns)]
     if not isinstance(edge_list, list):
         raise MalformedInput("graph: key 'edges' has wrong type")
     edges = []

@@ -478,27 +478,67 @@ class TestModuleEntry:
         assert proc.stdout == capsys.readouterr().out.encode()
 
 
+def path_document(n: int) -> str:
+    names = [f"v{i}" for i in range(n)]
+    return json.dumps({"vertices": names, "m": dict.fromkeys(names, 1.0),
+                       "edges": {"u": names[:-1], "v": names[1:], "b": [1.0] * (n - 1)}})
+
+
 class TestOutOfMemory:
-    def test_memory_error_exits_2(self, tmp_path):
-        # the dense 20000 x 20000 weight matrix (3.2 GB) does not fit under a
-        # 2 GB address-space limit that the child process sets on itself
-        path = gen(tmp_path, "p20000.json", "--family", "path", "--n", "20000")
+    """A child process limits its own address space before it runs the CLI,
+    so a regression fails with a MemoryError instead of taking the machine's
+    memory."""
+
+    def run_limited(self, headroom: int, *argv):
+        # the limit is the address space after import plus ``headroom`` bytes
         code = (
             "import resource, sys\n"
-            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
-            "limit = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
             "from dirikit.cli import run\n"
+            "with open('/proc/self/status') as status:\n"
+            "    size = next(int(line.split()[1]) for line in status if line.startswith('VmSize:'))\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            f"limit = 1024 * size + {headroom}\n"
+            "if hard != resource.RLIM_INFINITY:\n"
+            "    limit = min(limit, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
             "sys.exit(run(sys.argv[1:]))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.run([sys.executable, "-c", code, "check", path], env=env,
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
         assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert "Traceback" not in proc.stderr
+        return proc.stderr
+
+    def test_over_cap_exits_2(self, tmp_path):
+        # 20000 vertices: the dense weight matrix alone would take 3.2 GB
+        path = write(tmp_path, "p20000.json", path_document(20000))
+        err = self.run_limited(2 << 30, "check", path)
+        assert err == f"error: 20000 vertices exceed the cap of {dk.core.MAX_VERTICES}\n"
+
+    def test_memory_error_exits_2(self, tmp_path):
+        # at the cap the weight matrix takes 134 MB, past 64 MB of headroom
+        path = write(tmp_path, "p.json", path_document(dk.core.MAX_VERTICES))
+        lines = self.run_limited(64 << 20, "check", path).splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "vertices exceed" not in lines[0]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "--family", "path", "--n", "4097"], "4097 vertices exceed the cap of 4096"),
+        (["gen", "--family", "complete", "--n", "20000"], "20000 vertices exceed the cap of 4096"),
+        (["gen", "--family", "sierpinski", "--n", "8"],
+         "sierpinski level 8 exceeds the cap of 4096 vertices"),
+        (["gen-pair", "--transform", "relabel", "--n", "4097"],
+         "4097 vertices exceed the cap of 4096"),
+        (["gen-pair", "--transform", "doob", "--n", "20000"],
+         "20000 vertices exceed the cap of 4096"),
+    ])
+    def test_generators_refuse_over_cap(self, capsys, argv, message):
+        # refused before any edge is drawn
+        assert dk.core.MAX_VERTICES == 4096
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestTolerancePlumbing:

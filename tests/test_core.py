@@ -440,6 +440,17 @@ class TestGenerate:
         with pytest.raises(InvalidSize):
             dk.generate("moebius", 3)
 
+    def test_vertex_cap(self):
+        cap = dk.core.MAX_VERTICES
+        names = [f"v{i}" for i in range(cap + 1)]
+        assert len(dk.MeasureSpace(names[:cap], 1.0)) == cap
+        with pytest.raises(InvalidSize, match=f"^{cap + 1} vertices exceed the cap of {cap}$"):
+            dk.MeasureSpace(names, 1.0)
+        # the largest gasket under the cap: level 7, 3282 vertices
+        assert len(dk.generate("sierpinski", 7).space) == 3282
+        with pytest.raises(InvalidSize, match="^sierpinski level 8 exceeds"):
+            dk.generate("sierpinski", 8)
+
 
 class TestMarkovProperty:
     def test_unit_contraction_random(self):

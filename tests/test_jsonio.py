@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from collections import OrderedDict
 from collections.abc import Mapping
@@ -297,12 +298,29 @@ def graph_object(rng):
     }
 
 
+def as_columns(obj):
+    """The graph document with its edges as u, v and b columns, or None when
+    an edge is no object or lacks a key, which columns cannot express."""
+    edges = obj["edges"]
+    if not all(isinstance(entry, dict) and entry.keys() >= {"u", "v", "b"} for entry in edges):
+        return None
+    return dict(obj, edges={key: [entry[key] for entry in edges] for key in "uvb"})
+
+
 class TestGraphFromObjOracle:
     def test_same_form_or_error(self):
+        # each draw that columns can express gives, in columns, the outcome
+        # of its edge objects
+        in_columns = 0
         for seed in range(300):
             obj = graph_object(rng_for(seed))
             want = construction_outcome(oracle_graph_from_obj, obj)
             assert construction_outcome(jsonio.graph_from_obj, obj) == want, seed
+            columns = as_columns(obj)
+            if columns is not None:
+                in_columns += 1
+                assert construction_outcome(jsonio.graph_from_obj, columns) == want, seed
+        assert in_columns >= 100
 
     def test_first_of_several_faults(self):
         good = {"u": "a", "v": "b", "b": 1.0}
@@ -315,12 +333,34 @@ class TestGraphFromObjOracle:
             [good, {"u": "a", "v": "z", "b": 1.0}],
             [good, {"u": "a", "v": "c", "b": -10**400}],
         ]
+        in_columns = 0
         for edges in cases:
             obj = {"vertices": ["a", "b", "c"], "m": {"a": 1.0, "b": 2.0, "c": 1.0},
                    "edges": edges}
             want = construction_outcome(oracle_graph_from_obj, obj)
             assert isinstance(want[0], type) and issubclass(want[0], Exception)
             assert construction_outcome(jsonio.graph_from_obj, obj) == want
+            columns = as_columns(obj)
+            if columns is not None:
+                in_columns += 1
+                assert construction_outcome(jsonio.graph_from_obj, columns) == want
+        assert in_columns == 4
+
+    @pytest.mark.parametrize("edges, message", [
+        ({"u": ["a"], "v": ["b", "a"], "b": [1.0]},
+         "graph edges: columns 'u', 'v' and 'b' differ in length"),
+        ({"u": ["a"], "v": ["b"]}, "graph edges: missing key 'b'"),
+        ({"u": ["a"], "v": "b", "b": [1.0]}, "graph edges: key 'v' has wrong type"),
+        ({"u": ("a",), "v": ["b"], "b": [1.0]}, "graph edges: key 'u' has wrong type"),
+        ({"u": ["a"], "v": [1], "b": [1.0]}, "graph edge: key 'v' has wrong type"),
+        ({"u": ["a"], "v": ["b"], "b": [True]}, "graph edge b: expected a number"),
+        ({"u": ["a", "b"], "v": ["c", "a"], "b": [-1.0, "1"]}, "graph edge: key 'b' has wrong type"),
+    ])
+    def test_malformed_columns(self, edges, message):
+        obj = {"vertices": ["a", "b", "c"], "m": {"a": 1.0, "b": 1.0, "c": 1.0}, "edges": edges}
+        with pytest.raises(MalformedInput) as caught:
+            jsonio.graph_from_obj(obj)
+        assert str(caught.value) == message
 
     def test_mapping_subclasses_and_numpy_weights(self):
         # not what json.loads returns, but the per-edge checks accept them
@@ -338,6 +378,54 @@ class TestGraphFromObjOracle:
                     obj = jsonio.loads(jsonio.graph_dumps(form))
                     want = construction_outcome(oracle_graph_from_obj, obj)
                     assert construction_outcome(jsonio.graph_from_obj, obj) == want
+
+
+def plain_types(obj) -> set:
+    """The types of every value in a nested document, containers included."""
+    if isinstance(obj, dict):
+        return {dict}.union(*map(plain_types, obj.keys()), *map(plain_types, obj.values()))
+    if isinstance(obj, list):
+        return {list}.union(*map(plain_types, obj))
+    return {type(obj)}
+
+
+def layout_forms():
+    """Forms with and without killing, and one with a zero weight, weights
+    of every size and awkward doubles."""
+    forms = [dk.generate(family, n) for family, n in (("path", 1), ("cycle", 12),
+                                                      ("sierpinski", 3))]
+    for seed in range(3):
+        for transform in ("relabel", "doob"):
+            forms += random_intertwined_pair(rng_for(seed), 30, transform)[:2]
+    forms.append(dk.build_form(["b", "a", "c"], [1.0 / 3.0, 2.0**0.5, 5e-324],
+                               [("a", "b", MAX), ("c", "b", 5e-324), ("a", "c", 0.0)],
+                               [0.1, 0.0, 1e-17]))
+    return forms
+
+
+class TestGraphLayouts:
+    def test_graph_to_obj_is_plain(self):
+        # no numpy scalar or array reaches the stdlib json.dumps
+        for form in layout_forms():
+            obj = jsonio.graph_to_obj(form)
+            assert plain_types(obj) <= {dict, list, str, float}
+            assert list(obj["edges"]) == ["u", "v", "b"]
+            assert jsonio.dumps(obj) == oracle_dumps(obj)
+
+    def test_layouts_load_bitwise_equal(self):
+        for form in layout_forms():
+            columns = jsonio.loads(jsonio.graph_dumps(form))
+            edges = columns["edges"]
+            objects = dict(columns, edges=[{"u": u, "v": v, "b": b}
+                                           for u, v, b in zip(edges["u"], edges["v"], edges["b"])])
+            loaded = [jsonio.graph_from_obj(doc) for doc in (columns, objects)]
+            for got in loaded:
+                assert got.space.vertices == form.space.vertices
+                for name in ("edge_indices", "weights", "c"):
+                    assert getattr(got, name).tobytes() == getattr(form, name).tobytes()
+                assert got.space.m.tobytes() == form.space.m.tobytes()
+            assert construction_outcome(lambda: loaded[0]) == \
+                construction_outcome(lambda: loaded[1])
 
 
 class TestConductancesBuiltOnRead:
@@ -441,6 +529,27 @@ class TestMetricDocument:
         space = dk.MeasureSpace(["a", "b"], 1.0)
         with pytest.raises(MalformedInput, match="^metric: d must be a matrix$"):
             jsonio.metric_from_obj({"d": rows}, space, dk.Tolerance())
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0, 1], [10**400, 0]], "metric entry: number out of floating-point range"),
+        ([[0, 1], [True, 0]], "metric entry: expected a number"),
+        ([[0, "1"], [1]], "metric entry: expected a number"),
+        ([[0, 1], [1, None]], "metric entry: expected a number"),
+        ([(0, 1), [1, 0]], "metric: d must be a matrix"),
+    ])
+    def test_first_fault_is_named(self, rows, message):
+        space = dk.MeasureSpace(["a", "b"], 1.0)
+        with pytest.raises(MalformedInput, match=f"^{re.escape(message)}$"):
+            jsonio.metric_from_obj({"d": rows}, space, dk.Tolerance())
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 1], [1, 0]], [[0.0, 0.5], [0.5, 0.0]], [[np.float64(0.0), 2], [2.0, -0.0]],
+    ])
+    def test_entries_as_floats(self, rows):
+        space = dk.MeasureSpace(["a", "b"], 1.0)
+        got = jsonio.metric_from_obj({"d": rows}, space, dk.Tolerance()).d
+        assert got.dtype == float
+        assert got.tobytes() == np.array([[float(x) for x in row] for row in rows]).tobytes()
 
     def test_intrinsic_exits_2(self, tmp_path, capsys):
         graph, metric = tmp_path / "g.json", tmp_path / "m.json"

@@ -121,6 +121,21 @@ INVALID = {
                                               killing={"A": 3.0})),
     "unknown_measure_vertex": json.dumps(dict(_A_B, m={"a": 1.0, "b": 1.0, "zz": -5.0},
                                               edges=[{"u": "a", "v": "b", "b": 1.0}])),
+    # edge columns of unequal length, a column that is no list, an id that
+    # is no string and a bool weight
+    "columns_unequal": json.dumps(dict(_A_B, edges={"u": ["a"], "v": ["b", "a"], "b": [1.0]})),
+    "column_not_list": json.dumps(dict(_A_B, edges={"u": ["a"], "v": "b", "b": [1.0]})),
+    "column_id_not_string": json.dumps(dict(_A_B, edges={"u": ["a"], "v": [1], "b": [1.0]})),
+    "column_bool_weight": json.dumps(dict(_A_B, edges={"u": ["a"], "v": ["b"], "b": [True]})),
+    # a path of 4097 vertices, one past the vertex cap, whose last edge
+    # repeats its first: the cap is checked when the space is built, before
+    # the edges, and a revision without the cap stops at the duplicate
+    # before any n x n array
+    "over_cap_path": json.dumps({
+        "vertices": [f"v{i}" for i in range(4097)], "m": {f"v{i}": 1.0 for i in range(4097)},
+        "edges": {"u": [f"v{i}" for i in range(4096)] + ["v1"],
+                  "v": [f"v{i + 1}" for i in range(4096)] + ["v0"], "b": [1.0] * 4097},
+        "killing": {}}),
 }
 
 # metrics checked on path3 with `dirikit intrinsic path3.json --metric NAME.json`
@@ -219,10 +234,13 @@ def _commands() -> list[list[str]]:
         ["gen", "--family", "path", "--n", "4", "--conductance", "2.5", "--measure", "0.5"],
         ["gen-pair", "--transform", "relabel", "--n", "6", "--seed", "1"],
         ["gen-pair", "--transform", "doob", "--n", "6", "--seed", "1"],
-        # 4.5k edge objects, each a flat mapping, on stdout
+        # 4.5k edges in three columns on stdout
         ["gen-pair", "--transform", "doob", "--n", "160", "--seed", "1"],
         ["gen-pair", "--transform", "relabel", "--n", "-1"],
         ["gen-pair", "--transform", "doob", "--n", "0"],
+        # one past the vertex cap of 4096, and a level of 9843 vertices
+        ["gen", "--family", "path", "--n", "4097"],
+        ["gen", "--family", "sierpinski", "--n", "8"],
     ]
     for name in INVALID:
         g = f"{name}.json"
@@ -245,11 +263,21 @@ def _commands() -> list[list[str]]:
 COMMANDS = _commands()
 
 
+def _edge_objects(graph: dict) -> list[dict]:
+    """The edges of a graph document as a list of edge objects, whether it
+    holds them so or as columns."""
+    edges = graph["edges"]
+    if isinstance(edges, dict):
+        return [dict(zip("uvb", edge)) for edge in zip(edges["u"], edges["v"], edges["b"])]
+    return edges
+
+
 def _shuffled_pair() -> dict:
     """relabel40s1's g1 against itself under the identity, with an int
-    weight where g2 has the equal float; g1's edges are shuffled, every
-    other one reversed, and each carries an extra key."""
+    weight where g2 has the equal float; both list their edges as objects,
+    g1's shuffled, every other one reversed, and each with an extra key."""
     g1 = json.loads(Path("relabel40s1.g1.json").read_text(encoding="utf-8"))
+    g1["edges"] = _edge_objects(g1)
     g1["edges"][0]["b"] = 2
     g2 = copy.deepcopy(g1)
     g2["edges"][0]["b"] = 2.0
@@ -264,7 +292,7 @@ def _shuffled_pair() -> dict:
 
 def _scaled_pair(run) -> dict:
     """gen-pair's relabel pair at n 6, seed 4, with every b, c and m of both
-    graphs multiplied by 2^-60."""
+    graphs multiplied by 2^-60, the edges as a list of edge objects."""
     if run(["gen-pair", "--transform", "relabel", "--n", "6", "--seed", "4",
             "--out", "scaled.json"]) != 0:
         raise RuntimeError("gen-pair scaled failed")
@@ -272,8 +300,7 @@ def _scaled_pair(run) -> dict:
     for graph in (pair["g1"], pair["g2"]):
         for key in ("m", "killing"):
             graph[key] = {v: 2.0**-60 * x for v, x in graph[key].items()}
-        for edge in graph["edges"]:
-            edge["b"] *= 2.0**-60
+        graph["edges"] = [dict(edge, b=edge["b"] * 2.0**-60) for edge in _edge_objects(graph)]
     return pair
 
 

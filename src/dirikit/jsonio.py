@@ -215,8 +215,7 @@ def _check_columns(us: list, vs: list, bs: list) -> None:
 
 def _edge_columns(edges) -> list[list]:
     """The u, v and b columns of the edges, given as columns or as a list of
-    edge objects; MalformedInput at a fault of the columns' shape, or at the
-    first edge object that is no object or lacks a key."""
+    edge objects; MalformedInput at a fault of the columns' shape."""
     if isinstance(edges, dict):
         columns = [_require(edges, key, list, "graph edges") for key in "uvb"]
         if len(set(map(len, columns))) > 1:
@@ -224,17 +223,10 @@ def _edge_columns(edges) -> list[list]:
         return columns
     if not isinstance(edges, list):
         raise MalformedInput("graph: key 'edges' has wrong type")
-    if set(map(type, edges)) <= {dict}:
-        try:
-            return [[entry[key] for entry in edges] for key in "uvb"]
-        except KeyError:
-            pass
-    # an entry that is no dict or lacks a key: the first fault, of whatever
-    # kind, is reported
-    columns = [[entry.get(key, _MISSING) if isinstance(entry, dict) else _MISSING
-                for entry in edges] for key in "uvb"]
-    _check_columns(*columns)
-    return columns
+    # an entry that is no object or lacks a key gives _MISSING, which fails
+    # the caller's checks, so that _check_columns names the first fault
+    return [[entry.get(key, _MISSING) if isinstance(entry, dict) else _MISSING
+             for entry in edges] for key in "uvb"]
 
 
 def _require_vertices(keyed: dict, vertices: dict) -> None:
@@ -330,19 +322,17 @@ def jump_to_obj(data: JumpKilling) -> dict:
 
 def metric_from_obj(obj, space: MeasureSpace, tol: Tolerance) -> PseudoMetric:
     rows = _require(obj, "d", list, "metric")
-    matrix = None
-    # one pass over the types; the loop below runs only to name a fault
-    if (set(map(type, rows)) <= {list} and len(set(map(len, rows))) <= 1
-            and set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}):
+    width = len(rows[0]) if rows and isinstance(rows[0], list) else 0
+    matrix = np.empty((len(rows), width) if rows else 0)
+    # one pass over the types of a row; _number runs only on a row that
+    # holds something other than int and float, to name its first fault
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != width:
+            raise MalformedInput("metric: d must be a matrix")
+        if not set(map(type, row)) <= {int, float}:
+            row = [_number(x, "metric entry") for x in row]
         try:
-            matrix = np.array(rows, dtype=float)
+            matrix[i] = row
         except OverflowError:  # an int out of float range
-            pass
-    if matrix is None:
-        matrix = []
-        for row in rows:
-            if not isinstance(row, list) or (matrix and len(row) != len(matrix[0])):
-                raise MalformedInput("metric: d must be a matrix")
-            matrix.append([_number(x, "metric entry") for x in row])
-        matrix = np.array(matrix, dtype=float)
+            raise MalformedInput("metric entry: number out of floating-point range") from None
     return PseudoMetric(space.vertices, matrix, tol)

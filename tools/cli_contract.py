@@ -78,6 +78,7 @@ INVALID = {
     "not_object": "[]",
     "no_measure": json.dumps({"vertices": ["a"], "edges": [], "killing": {}}),
     "edges_not_list": json.dumps(dict(_A_B, edges={"u": "a"})),
+    "edges_not_container": json.dumps(dict(_A_B, edges="a")),
     "edge_not_object": json.dumps(dict(_A_B, edges=[["a", "b", 1.0]])),
     "negative": json.dumps(dict(_A_B, edges=[{"u": "a", "v": "b", "b": -2.0}])),
     "nan": json.dumps(dict(_A_B, edges=[{"u": "a", "v": "b", "b": float("nan")}])),

@@ -9,11 +9,7 @@ resistance-metric isometry, and the bijection between intrinsic-metric
 families.
 """
 
-from .beurling import (
-    JumpKilling,
-    decompose,
-    verify_jump_transform,
-)
+from .beurling import verify_jump_transform
 from .core import (
     GraphForm,
     MeasureSpace,
@@ -66,7 +62,6 @@ __all__ = [
     "DirikitError",
     "EquivalenceVerdict",
     "GraphForm",
-    "JumpKilling",
     "MeasureSpace",
     "OrderIso",
     "PseudoMetric",
@@ -77,7 +72,6 @@ __all__ = [
     "build_form",
     "canonical_intrinsic_metric",
     "certify",
-    "decompose",
     "doob_pair",
     "effective_resistance",
     "equivalence_verdict",

@@ -12,55 +12,19 @@ strongly local part is zero by construction on a finite vertex set: the
 form matrix is diag(W 1 + c) - W, exactly the jump and killing parts, so
 no check recomputes it.
 
-The verifier reads J = W / 2 from the form's cached conductance matrix W;
-``decompose`` is the same split as vertex-pair dicts.
+The verifier reads J = W / 2 from the form's cached conductance matrix W.
+The split itself, J on both orientations of each edge and k = c, is
+written by ``jsonio.jump_to_obj`` straight from the form's edge columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import GraphForm
-from .errors import MalformedInput
 from .orderiso import OrderIso, operator_constant, require_intertwining
 from .report import VerificationReport
 from .tolerances import DEFAULT_TOL, Tolerance
-
-
-@dataclass(eq=False)
-class JumpKilling:
-    """Jump measure on ordered vertex pairs plus killing measure."""
-
-    vertices: tuple[str, ...]
-    J: dict[tuple[str, str], float]
-    k: dict[str, float]
-
-    def __post_init__(self):
-        for (x, y), value in self.J.items():
-            if x == y:
-                raise MalformedInput("jump measure lives off the diagonal")
-            if abs(self.J.get((y, x), 0.0) - value) != 0.0:
-                raise MalformedInput(f"jump measure not symmetric at {(x, y)}")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, JumpKilling)
-            and self.vertices == other.vertices
-            and self.J == other.J
-            and self.k == other.k
-        )
-
-
-def decompose(form: GraphForm) -> JumpKilling:
-    """Split a form into its jump and killing measures (J = b / 2)."""
-    jump: dict[tuple[str, str], float] = {}
-    for (x, y), weight in form.b.items():
-        jump[(x, y)] = weight / 2.0
-        jump[(y, x)] = weight / 2.0
-    killing = {v: float(form.c[i]) for i, v in enumerate(form.space.vertices)}
-    return JumpKilling(form.space.vertices, dict(sorted(jump.items())), killing)
 
 
 def verify_jump_transform(

@@ -236,10 +236,10 @@ def _cmd_intrinsic(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    data = beurling.decompose(jsonio.graph_loads(_read(args.graph)))
-    _output(args, jsonio.jump_to_obj(data), lambda: _lines(
-        [f"J({x},{y}) = {v}" for (x, y), v in sorted(data.J.items())]
-        + [f"k({v}) = {k}" for v, k in data.k.items()]))
+    payload = jsonio.jump_to_obj(jsonio.graph_loads(_read(args.graph)))
+    _output(args, payload, lambda: _lines(
+        [f"J({j['x']},{j['y']}) = {j['value']}" for j in payload["J"]]
+        + [f"k({v}) = {k}" for v, k in payload["k"].items()]))
     return 0
 
 

@@ -74,14 +74,6 @@ class NumericOverflow(DirikitError):
     """A generator, form matrix, spectrum or tolerance bound leaves the floating-point range."""
 
 
-class NotConnected(DirikitError):
-    """Resistance quantities need a connected conductance graph."""
-
-
-class HasKilling(DirikitError):
-    """Resistance quantities are undefined in the presence of killing."""
-
-
 class NotRecurrent(DirikitError):
     """An operation requiring recurrent forms got a transient one."""
 

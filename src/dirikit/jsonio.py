@@ -12,12 +12,15 @@ Order iso:   {"tau": {y: x}, "h": {y: real}}
 Pair:        {"g1": graph, "g2": graph, "iso": order iso from g1 onto g2}
 Jump data:   {"vertices": [...], "J": [{"x": a, "y": b, "value": real}],
               "k": {v: real}}
+             (read from the edge columns: J = b / 2 on both orientations,
+             sorted by (x, y), and k = c)
 Metric:      {"d": [[...], ...]} in the vertex order of the owning space
 Report:      {"checks": [{"name", "residual", "tol", "pass", "detail"?}],
               "verdict": bool}
 
 Numbers are emitted with 17 significant digits, which round-trips IEEE
-doubles exactly, so identical inputs always serialize to identical bytes.
+doubles exactly, so identical inputs always serialize to identical bytes;
+-0.0 is written "-0.0", as "-0" reads back as the int 0.
 There is one serializer, ``dumps``; ``chunks`` gives its bytes in pieces,
 a matrix row per piece, after checking every value, so that a writer need
 not hold the document whole and a value that cannot be serialized raises
@@ -38,7 +41,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .beurling import JumpKilling
 from .core import GraphForm, MeasureSpace
 from .errors import DirikitError, MalformedInput, UnknownVertex
 from .metrics import PseudoMetric
@@ -49,7 +51,8 @@ from .tolerances import Tolerance
 def _format_float(value: float) -> str:
     if not math.isfinite(value):
         raise MalformedInput(f"cannot serialize non-finite number {value}")
-    return format(float(value), ".17g")
+    text = format(float(value), ".17g")
+    return "-0.0" if text == "-0" else text  # "-0" would read back as the int 0
 
 
 # the function json.dumps(str) calls with default arguments: same bytes
@@ -79,6 +82,8 @@ def _float_rows(values: np.ndarray, indent: int):
     # where np.unique on the values would merge them
     bits, where = np.unique(flat.view(np.int64), return_inverse=True)
     text = np.array([format(x, ".17g") for x in bits.view(float).tolist()], dtype=object)
+    if len(bits) and bits[0] == np.iinfo(np.int64).min:  # -0.0, so it sorts first
+        text[0] = "-0.0"
     if values.ndim == 1:
         return text[where].tolist()
     return (_bracket(text[row].tolist(), indent + 2) for row in where.reshape(values.shape))
@@ -184,11 +189,9 @@ def _number(value, context):
 
 
 def graph_to_obj(form: GraphForm) -> dict:
-    killing = {
-        v: float(form.c[i])
-        for i, v in enumerate(form.space.vertices)
-        if form.c[i] != 0.0
-    }
+    # every entry whose bits are not all zero, so -0.0 stays and +0.0 goes
+    killing = {form.space.vertices[i]: float(form.c[i])
+               for i in np.flatnonzero(form.c.view(np.int64))}
     us, vs = form.edge_ends()
     return {
         "vertices": list(form.space.vertices),
@@ -309,14 +312,17 @@ def pair_from_obj(obj) -> tuple[GraphForm, GraphForm, OrderIso]:
 # jump/killing data, metrics, reports
 
 
-def jump_to_obj(data: JumpKilling) -> dict:
+def jump_to_obj(form: GraphForm) -> dict:
+    """The jump and killing measures of a form: J = b / 2 on both
+    orientations of each edge, in (x, y) order, and k = c."""
+    us, vs = form.edge_ends()
+    halves = (form.weights / 2.0).tolist()
+    # the pairs (x, y) are distinct, so the sort never compares two values
+    jump = sorted(zip(us + vs, vs + us, halves + halves))
     return {
-        "vertices": list(data.vertices),
-        "J": [
-            {"x": x, "y": y, "value": value}
-            for (x, y), value in sorted(data.J.items())
-        ],
-        "k": {v: float(data.k.get(v, 0.0)) for v in data.vertices},
+        "vertices": list(form.space.vertices),
+        "J": [{"x": x, "y": y, "value": value} for x, y, value in jump],
+        "k": dict(zip(form.space.vertices, form.c.tolist())),
     }
 
 

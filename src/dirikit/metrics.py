@@ -44,9 +44,8 @@ import numpy as np
 from .core import GraphForm, _require_finite
 from .errors import (
     DimensionMismatch,
-    HasKilling,
     InvalidMetric,
-    NotConnected,
+    NotIrreducible,
     NotRecurrent,
     NumericOverflow,
     SpaceMismatch,
@@ -149,9 +148,9 @@ class IntrinsicCheck(NamedTuple):
 def _resistance_green(form: GraphForm) -> np.ndarray:
     """Grounded Green function of the measure-free form matrix, cached per form."""
     if not form.irreducible:
-        raise NotConnected("effective resistance needs a connected conductance graph")
-    if np.any(form.c != 0.0):
-        raise HasKilling("effective resistance is undefined in the presence of killing")
+        raise NotIrreducible("effective resistance needs a connected conductance graph")
+    if not is_recurrent(form):
+        raise NotRecurrent("effective resistance is undefined in the presence of killing")
     return form.green
 
 
@@ -283,7 +282,7 @@ def _edge_lengths(form: GraphForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ends i, j of the positive edges and their canonical lengths
     sigma(i, j) = min(sqrt(m(i)/deg(i)), sqrt(m(j)/deg(j)))."""
     if not form.irreducible:
-        raise NotConnected("path metric needs a connected conductance graph")
+        raise NotIrreducible("path metric needs a connected conductance graph")
     deg = form.degrees
     # an overflowing weight is inf and min() drops it beside a finite one
     with np.errstate(over="ignore"):

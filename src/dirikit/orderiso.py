@@ -43,15 +43,13 @@ class OrderIso:
     """A candidate intertwiner: bijection tau plus positive scaling h.
 
     ``tau`` maps target vertices to source vertices and ``h`` assigns each
-    target vertex its scaling factor.  ``beta`` is the derived operator
-    constant ||U||^2 once known.
+    target vertex its scaling factor.
     """
 
     source: MeasureSpace
     target: MeasureSpace
     tau: dict[str, str]
     h: dict[str, float]
-    beta: float | None = None
 
     def __post_init__(self):
         targets = set(self.target.vertices)
@@ -69,10 +67,15 @@ class OrderIso:
     def _trusted(cls, source, target, tau, h, beta) -> "OrderIso":
         """An iso whose tau maps the target bijectively onto the source and
         whose h is finite and positive by construction, without checking
-        them again."""
+        them again, and ``beta`` from ``_operator_constants``."""
         iso = cls.__new__(cls)
         iso.source, iso.target, iso.tau, iso.h, iso.beta = source, target, tau, h, beta
         return iso
+
+    @cached_property
+    def beta(self) -> float:
+        """The operator constant ||U||^2, ``operator_constant(self)``."""
+        return operator_constant(self)
 
     @cached_property
     def tau_indices(self) -> np.ndarray:
@@ -86,13 +89,19 @@ class OrderIso:
     @classmethod
     def identity(cls, space: MeasureSpace) -> "OrderIso":
         names = space.vertices
-        return cls(space, space, {v: v for v in names}, {v: 1.0 for v in names}, beta=1.0)
+        return cls(space, space, {v: v for v in names}, {v: 1.0 for v in names})
+
+
+def _operator_constants(h: np.ndarray, m2: np.ndarray, m1_tau: np.ndarray) -> np.ndarray:
+    """The mean of h^2 m2 / m1(tau) over targets in storage order, one per
+    row, summed from row-major rows: numpy sums a column-major array's rows
+    in another order, and beta could differ in the last bit."""
+    return np.mean(np.ascontiguousarray(h**2 * m2 / m1_tau), axis=-1)
 
 
 def operator_constant(iso: OrderIso) -> float:
     """Mean diagonal of U*U, i.e. the average of h(y)^2 m2(y) / m1(tau(y))."""
-    ratios = iso.h_values**2 * iso.target.m / iso.source.m[iso.tau_indices]
-    return float(np.mean(ratios))
+    return float(_operator_constants(iso.h_values, iso.target.m, iso.source.m[iso.tau_indices]))
 
 
 def intertwining_residual(iso: OrderIso, form1: GraphForm, form2: GraphForm) -> float:
@@ -225,6 +234,5 @@ def doob_pair(
         target=space2,
         tau={v: v for v in names},
         h=dict(zip(names, (1.0 / h).tolist())),
-        beta=1.0,
     )
     return form2, iso

@@ -74,7 +74,7 @@ def relabel_pair(
     ends2 = np.array(names2, dtype=object)[np.argsort(perm)[form.edge_indices]].tolist()
     form2 = GraphForm._from_columns(space2, *ends2, scale * form.weights, scale * form.c[perm])
     h_const = 1.0 / math.sqrt(scale)
-    iso = OrderIso(form.space, form2.space, tau, {y: h_const for y in names2}, beta=1.0)
+    iso = OrderIso(form.space, form2.space, tau, {y: h_const for y in names2})
     return form2, iso
 
 

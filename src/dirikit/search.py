@@ -66,7 +66,7 @@ import numpy as np
 
 from .core import GraphForm, _string_order
 from .errors import InvalidSize, NonPositive, NotIrreducible
-from .orderiso import OrderIso
+from .orderiso import OrderIso, _operator_constants
 from .tolerances import Tolerance
 
 
@@ -230,7 +230,8 @@ def _heat_kernels(
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
     """The heat kernels K_i = e^{-t S_i} at t = 1 / max s, s the diagonal of
     S2, and the slack of their forward check, or None when that check could
-    not prune.  With rho_i = max m_i / min m_i, the slack is
+    not prune or t leaves the float range.  With rho_i = max m_i / min m_i,
+    the slack is
 
         rel (1 + 16 eps) sqrt(rho1 rho2) + 64 n eps.
 
@@ -248,15 +249,17 @@ def _heat_kernels(
 
     A kernel is symmetric with eigenvalues in (0, 1] and nonnegative
     entries, so its entries lie in [0, 1] and a slack of 1 or more prunes
-    nothing; this includes a measure ratio beyond the float range.
+    nothing; this includes a measure ratio beyond the float range.  A
+    subnormal max s makes t infinite, and -t times a -0.0 eigenvalue NaN.
     """
     top = float(np.max(np.diag(form2.symmetric)))
     m1, m2 = form1.space.m, form2.space.m
     rho = float(np.max(m1)) / float(np.min(m1)) * (float(np.max(m2)) / float(np.min(m2)))
     slack = rel * (1.0 + 16.0 * _EPS) * math.sqrt(rho) + 64.0 * len(m1) * _EPS
-    if not (top > 0.0 and slack < 1.0):  # every rate below the float range, or no pruning
+    t = 1.0 / top if top > 0.0 else math.inf
+    if not (t < math.inf and slack < 1.0):  # max s zero or subnormal, or no pruning
         return None
-    return _heat_kernel(form1, 1.0 / top), _heat_kernel(form2, 1.0 / top), slack
+    return _heat_kernel(form1, t), _heat_kernel(form2, t), slack
 
 
 def _diagonal_domain(a1: np.ndarray, a2: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -300,13 +303,8 @@ def _intertwiners(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -> li
         hs = np.sqrt(m1[perm1[taus]] / m2[perm2])
     if not np.all((hs > 0.0) & (hs < math.inf)):
         raise NonPositive("the scaling h must be strictly positive and finite")
-    # beta as operator_constant computes it: the mean of h^2 m2 / m1(tau)
-    # over the targets in storage order, from row-major rows (numpy sums a
-    # column-major array's rows in another order, so beta could differ in
-    # the last bit)
     storage = np.argsort(perm2)
-    ratios = hs[:, storage] ** 2 * m2 / m1[perm1[taus[:, storage]]]
-    betas = np.mean(np.ascontiguousarray(ratios), axis=1).tolist()
+    betas = _operator_constants(hs[:, storage], m2, m1[perm1[taus[:, storage]]]).tolist()
     targets = [form2.space.vertices[i] for i in perm2]
     sources = [form1.space.vertices[i] for i in perm1]
     return [

@@ -2,14 +2,14 @@ import itertools
 import json
 import math
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse.csgraph import shortest_path
 
 import dirikit as dk
-from dirikit import generator
+from dirikit import generator, jsonio
 from dirikit.core import _edge_key
 from dirikit.errors import (
     DirikitError,
@@ -167,7 +167,7 @@ def l_only_intertwiners(form1, form2, opts: SearchOptions):
     the heat-kernel check and without completion, its root domains filtered
     by the sorted-row invariants of ``_invariant_domain`` and the
     generators' diagonal, with each result built by the validating
-    ``OrderIso`` constructor and ``operator_constant``."""
+    ``OrderIso`` constructor, whose ``beta`` is ``operator_constant``."""
     if len(form1.space) != len(form2.space) or not spectra_match(form1, form2, opts.tol.rel):
         return []
     perm2 = np.argsort(np.array(form2.space.vertices))
@@ -186,14 +186,48 @@ def l_only_intertwiners(form1, form2, opts: SearchOptions):
     for assignment in assignments:
         tau = dict(zip(targets, [sources[x] for x in assignment.tolist()]))
         h_map = dict(zip(targets, h[np.arange(len(h)), assignment].tolist()))
-        iso = dk.OrderIso(form1.space, form2.space, tau, h_map)
-        iso.beta = dk.operator_constant(iso)
-        isos.append(iso)
+        isos.append(dk.OrderIso(form1.space, form2.space, tau, h_map))
     return isos
 
 
+class JumpData(NamedTuple):
+    """A jump measure on ordered vertex pairs and a killing measure, as dicts."""
+
+    vertices: tuple[str, ...]
+    J: dict[tuple[str, str], float]
+    k: dict[str, float]
+
+
+def oracle_decompose(form) -> JumpData:
+    """Oracle: the jump/killing split built one edge at a time from the
+    form's ``b`` dict, J = b / 2 on both orientations and k = c."""
+    jump: dict[tuple[str, str], float] = {}
+    for (x, y), weight in form.b.items():
+        jump[(x, y)] = weight / 2.0
+        jump[(y, x)] = weight / 2.0
+    killing = {v: float(form.c[i]) for i, v in enumerate(form.space.vertices)}
+    return JumpData(form.space.vertices, dict(sorted(jump.items())), killing)
+
+
+def oracle_jump_to_obj(form) -> dict:
+    """Oracle: the document of ``jsonio.jump_to_obj`` from ``oracle_decompose``."""
+    data = oracle_decompose(form)
+    return {
+        "vertices": list(data.vertices),
+        "J": [{"x": x, "y": y, "value": value} for (x, y), value in sorted(data.J.items())],
+        "k": {v: float(data.k.get(v, 0.0)) for v in data.vertices},
+    }
+
+
+def decompose(form) -> JumpData:
+    """The jump document of ``jsonio.jump_to_obj`` read back as dicts."""
+    doc = jsonio.jump_to_obj(form)
+    return JumpData(tuple(doc["vertices"]),
+                    {(j["x"], j["y"]): j["value"] for j in doc["J"]}, dict(doc["k"]))
+
+
 def jump_matrix(data) -> np.ndarray:
-    """The jump measure of a ``JumpKilling`` as a dense matrix J[x, y]."""
+    """The jump measure of ``JumpData`` as a dense matrix J[x, y]."""
     index = {v: i for i, v in enumerate(data.vertices)}
     j = np.zeros((len(data.vertices), len(data.vertices)))
     for (x, y), value in data.J.items():
@@ -217,7 +251,7 @@ def truncated_form_via_jump(form, phi, f) -> float:
     """Oracle: the truncation Q(phi f) - Q(phi f^2, phi) of
     ``truncated_form`` computed from the jump decomposition instead
     of Q."""
-    return jump_energy(dk.decompose(form), form.space.vector(phi), form.space.vector(f))
+    return jump_energy(decompose(form), form.space.vector(phi), form.space.vector(f))
 
 
 def vf2_intertwiners(form1, form2, rel: float = 1e-9):
@@ -319,6 +353,8 @@ def rank_commutant_is_trivial(gen) -> bool:
 def _oracle_float(value: float) -> str:
     if not math.isfinite(value):
         raise MalformedInput(f"cannot serialize non-finite number {value}")
+    if value == 0.0 and math.copysign(1.0, value) < 0.0:
+        return "-0.0"  # "-0" would read back as the int 0
     return format(float(value), ".17g")
 
 

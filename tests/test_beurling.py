@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 
 import dirikit as dk
-from dirikit import beurling
+from dirikit import jsonio
 from dirikit.errors import NotIntertwining, SpaceMismatch
 from dirikit.sampling import doob_pair_sample, random_form, relabel_pair
 
 from conftest import (
     NotMarkovian,
+    decompose,
     evaluate,
     induced_killing,
     iso_inverse_matrix,
     iso_matrix,
     jump_matrix,
+    oracle_decompose,
+    oracle_jump_to_obj,
     random_function,
     reconstruct,
     rng_for,
@@ -27,18 +30,18 @@ def killed_pair():
 
 class TestDecompose:
     def test_k2(self):
-        data = dk.decompose(dk.build_form(["a", "b"], 1.0, [("a", "b", 1.0)]))
+        data = decompose(dk.build_form(["a", "b"], 1.0, [("a", "b", 1.0)]))
         assert data.J == {("a", "b"): 0.5, ("b", "a"): 0.5}
         assert data.k == {"a": 0.0, "b": 0.0}
 
     def test_single_killed_vertex(self):
-        data = dk.decompose(dk.build_form(["a"], 1.0, [], {"a": 1.0}))
+        data = decompose(dk.build_form(["a"], 1.0, [], {"a": 1.0}))
         assert data.J == {}
         assert data.k == {"a": 1.0}
 
     def test_doob_partner(self):
         partner, _ = dk.doob_pair(killed_pair(), [1.0, 2.0])
-        data = dk.decompose(partner)
+        data = decompose(partner)
         assert data.J == {("a", "b"): 1.0, ("b", "a"): 1.0}
         assert data.k == {"a": 0.0, "b": 2.0}
 
@@ -46,7 +49,7 @@ class TestDecompose:
         rng = rng_for(61)
         for _ in range(100):
             form = random_form(rng, int(rng.integers(2, 8)))
-            data = dk.decompose(form)
+            data = decompose(form)
             j = jump_matrix(data)
             k = np.array([data.k[v] for v in form.space.vertices])
             checks = [np.eye(len(form.space))[i] for i in range(len(form.space))]
@@ -56,12 +59,28 @@ class TestDecompose:
                 rebuilt = float(np.sum(j * df * df) + np.sum(k * f * f))
                 assert rebuilt == pytest.approx(evaluate(form, f), rel=1e-10, abs=1e-12)
 
+    def test_same_bytes_as_the_oracle(self):
+        rng = rng_for(61)
+        forms = [random_form(rng, int(rng.integers(2, 8))) for _ in range(100)]
+        # zero weights, also on every edge, one vertex with and without
+        # killing, K17 (v10 sorts before v2), signed zeros and a doob partner
+        for form in forms[:20]:
+            b = {e: 0.0 if rng.random() < 0.5 else w for e, w in form.b.items()}
+            forms += [dk.GraphForm(form.space, b, form.c),
+                      dk.GraphForm(form.space, dict.fromkeys(form.b, 0.0), form.c)]
+        forms += [dk.build_form(["a"], 1.0, []), dk.build_form(["a"], 1.0, [], {"a": 1.0}),
+                  dk.generate("complete", 17),
+                  dk.build_form(["b", "a"], 1.0, [("a", "b", -0.0)], {"a": -0.0, "b": 0.0}),
+                  dk.doob_pair(killed_pair(), [1.0, 2.0])[0]]
+        for form in forms:
+            assert jsonio.dumps(jsonio.jump_to_obj(form)) == jsonio.dumps(oracle_jump_to_obj(form))
+
     def test_roundtrip_is_identity(self):
         rng = rng_for(62)
         for _ in range(10):
             form = random_form(rng, int(rng.integers(2, 7)))
-            data = dk.decompose(form)
-            again = dk.decompose(reconstruct(form.space, data))
+            data = decompose(form)
+            again = decompose(reconstruct(form.space, data))
             assert again == data
             assert reconstruct(form.space, data) == form
 
@@ -99,8 +118,8 @@ class TestJumpTransform:
         form2, iso = relabel_pair(rng, form1)  # scale 1: h = 1, beta = 1
         report = dk.verify_jump_transform(iso, form1, form2)
         assert report.verdict
-        data1 = dk.decompose(form1)
-        data2 = dk.decompose(form2)
+        data1 = decompose(form1)
+        data2 = decompose(form2)
         for (y, z), value in data2.J.items():
             assert data1.J[(iso.tau[y], iso.tau[z])] == pytest.approx(value)
 
@@ -136,11 +155,11 @@ class TestJumpTransform:
 
 def dict_route(iso, form1, form2, tol=dk.Tolerance()):
     """Reference: (residual, tol) of the jump check computed through the
-    jump/killing dicts, jump_matrix(decompose(f))."""
+    jump/killing dicts, jump_matrix(oracle_decompose(f))."""
     beta = dk.operator_constant(iso)
     idx, h = iso.tau_indices, iso.h_values
-    lhs = beta * jump_matrix(dk.decompose(form1))[np.ix_(idx, idx)]
-    rhs = np.outer(h, h) * jump_matrix(dk.decompose(form2))
+    lhs = beta * jump_matrix(oracle_decompose(form1))[np.ix_(idx, idx)]
+    rhs = np.outer(h, h) * jump_matrix(oracle_decompose(form2))
     np.fill_diagonal(rhs, 0.0)
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
     return float(np.max(np.abs(lhs - rhs))), tol.rel * scale
@@ -191,8 +210,8 @@ class TestJumpTransformOracle:
         def forbidden(*args, **kwargs):
             raise AssertionError("the jump check must read the cached matrices")
 
-        monkeypatch.setattr(beurling, "decompose", forbidden)
-        monkeypatch.setattr(beurling.JumpKilling, "__init__", forbidden)
+        monkeypatch.setattr(jsonio, "jump_to_obj", forbidden)
+        monkeypatch.setattr(dk.GraphForm, "b", property(forbidden))
         monkeypatch.setattr(dk.GraphForm, "__init__", forbidden)
         assert dk.verify_jump_transform(iso, form1, form2).verdict
 

@@ -95,9 +95,9 @@ def test_canonical_metric_loads_scipy(steps):
 
 PUBLIC = [
     "Check", "DEFAULT_TOL", "DirikitError", "EquivalenceVerdict", "GraphForm",
-    "JumpKilling", "MeasureSpace", "OrderIso", "PseudoMetric", "SearchOptions", "SpectralData",
+    "MeasureSpace", "OrderIso", "PseudoMetric", "SearchOptions", "SpectralData",
     "Tolerance", "VerificationReport", "build_form", "canonical_intrinsic_metric", "certify",
-    "decompose", "doob_pair", "effective_resistance", "equivalence_verdict", "find_intertwiners",
+    "doob_pair", "effective_resistance", "equivalence_verdict", "find_intertwiners",
     "find_nonconstant_excessive", "generate", "generator", "intertwining_residual",
     "is_excessive", "is_intrinsic", "is_irreducible", "is_recurrent", "operator_constant",
     "pushforward_metric", "resistance_matrix", "semigroup", "sierpinski_corners",

@@ -13,10 +13,21 @@ from dirikit.errors import (
     NotIrreducible,
     NumericOverflow,
 )
+from dirikit import jsonio
 from dirikit.orderiso import require_intertwining
 from dirikit.sampling import doob_pair_sample, random_form, random_intertwined_pair, relabel_pair
+from dirikit.search import SearchOptions
 
-from conftest import adjoint, apply, construction_outcome, inner, iso_matrix, rng_for
+from conftest import (
+    adjoint,
+    apply,
+    brute_force_intertwiners,
+    construction_outcome,
+    inner,
+    iso_matrix,
+    l_only_intertwiners,
+    rng_for,
+)
 
 
 def killed_pair():
@@ -395,7 +406,7 @@ class TestScaleInvariance:
             for _ in range(8):
                 k = int(rng.integers(-500, 501))
                 g1, g2 = scaled_form(form1, 2.0**k), scaled_form(form2, 2.0**k)
-                scaled_iso = dk.OrderIso(g1.space, g2.space, iso.tau, iso.h, beta=iso.beta)
+                scaled_iso = dk.OrderIso(g1.space, g2.space, iso.tau, iso.h)
                 try:
                     got = pair_reports(g1, g2, scaled_iso)
                 except NumericOverflow:
@@ -490,3 +501,31 @@ class TestDoobPair:
                 iso, dk.generator(form1), dk.generator(form2)
             )
             assert residual <= 1e-10
+
+
+class TestBeta:
+    def test_beta_is_derived(self):
+        # every way an iso is built gives beta = operator_constant bit for
+        # bit, a loaded one too; relabel pairs at a scale s != 1 round
+        # h^2 m2 / m1 to a neighbour of 1
+        rng = rng_for(231)
+        isos = []
+        for transform in ("relabel", "doob"):
+            for n in (2, 7, 30):
+                pair = random_intertwined_pair(rng, n, transform)
+                isos += [pair[2], jsonio.pair_from_obj(jsonio.pair_to_obj(*pair))[2]]
+        form1 = random_form(rng, 6)
+        isos.append(dk.OrderIso.identity(form1.space))
+        isos.append(dk.doob_pair(killed_pair(), [1.0, 2.0])[1])
+        wide = SearchOptions(max_solutions=10**6)
+        for scale in (1.0, 3.0, float(10 ** rng.uniform(-3, 3))):
+            form2, iso = relabel_pair(rng, form1, scale=scale)
+            found = dk.find_intertwiners(form1, form2, wide)
+            assert found and all("beta" in vars(s) for s in found)  # computed by the search
+            isos += [iso, *found, *brute_force_intertwiners(form1, form2, wide),
+                     *l_only_intertwiners(form1, form2, wide)]
+        cycle = dk.generate("cycle", 6)
+        isos += dk.find_intertwiners(cycle, cycle, wide)
+        assert any(iso.beta != 1.0 for iso in isos)
+        for iso in isos:
+            assert iso.beta.hex() == dk.operator_constant(iso).hex()

@@ -1,6 +1,7 @@
 import itertools
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,30 @@ class TestFindIntertwiners:
 
 def signatures_and_h(isos):
     return [(tau_signature(s), tuple(s.h[y] for y in sorted(s.h))) for s in isos]
+
+
+class TestSubnormalConductances:
+    # the largest rate of S2 is subnormal, so 1 / max s leaves the float
+    # range: the search goes without the heat kernels, quietly
+    @pytest.mark.parametrize("conductance", [1e-310, 1e-320])
+    @pytest.mark.parametrize("family, n, count", [
+        ("path", 4, 2), ("cycle", 5, 10), ("complete", 4, 24), ("complete", 6, 720),
+        ("sierpinski", 1, 6)])
+    def test_same_solutions_as_unit_conductances(self, family, n, count, conductance):
+        form = dk.generate(family, n, conductance=conductance)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = dk.equivalence_verdict(form, form, WIDE)
+        unit = dk.generate(family, n)
+        assert [s.tau for s in verdict.solutions] == \
+            [s.tau for s in dk.find_intertwiners(unit, unit, WIDE)]
+        assert len(verdict.solutions) == count
+
+    def test_no_heat_layer(self):
+        form = dk.generate("complete", 6, conductance=1e-310)
+        assert search._heat_kernels(form, form, WIDE.tol.rel) is None
+        normal = dk.generate("complete", 6, conductance=1e-308)
+        assert search._heat_kernels(normal, normal, WIDE.tol.rel) is not None
 
 
 class TestForwardCheckedSearch:

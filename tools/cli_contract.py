@@ -53,6 +53,8 @@ GEN = {
     # P6 and C6 at conductance 1e-9: their generators are of order 1e-9
     "path6tiny": ["--family", "path", "--n", "6", "--conductance", "1e-9"],
     "cycle6tiny": ["--family", "cycle", "--n", "6", "--conductance", "1e-9"],
+    # K6 whose generator's largest rate is subnormal
+    "complete6subnormal": ["--family", "complete", "--n", "6", "--conductance", "1e-310"],
 }
 GEOMETRY = ("sierpinski2", "sierpinski3", "sierpinski5", "complete5", "cycle8", "path7")
 
@@ -139,6 +141,18 @@ INVALID = {
         "killing": {}}),
 }
 
+# hand-written graphs that load: a -0.0 weight and a -0.0 killing entry,
+# and a graph both disconnected and killed
+HAND = {
+    "negative_zero": json.dumps({"vertices": ["a", "b", "c"], "m": {"a": 1.0, "b": 2.0, "c": 1.0},
+                                 "edges": {"u": ["a", "b"], "v": ["b", "c"], "b": [-0.0, 1.5]},
+                                 "killing": {"a": -0.0, "c": 0.25}}),
+    "disconnected_killed": json.dumps({"vertices": ["a", "b", "c"],
+                                       "m": {"a": 1.0, "b": 1.0, "c": 1.0},
+                                       "edges": [{"u": "a", "v": "b", "b": 1.0}],
+                                       "killing": {"c": 0.5}}),
+}
+
 # metrics checked on path3 with `dirikit intrinsic path3.json --metric NAME.json`
 METRICS = {
     "metric_zero": {"d": [[0.0] * 3] * 3},
@@ -222,6 +236,10 @@ def _commands() -> list[list[str]]:
             # pair whose scaling h is 1e10
             ["search", "spread40.g1.json", "spread40.g2.json", "--format", fmt],
             ["search", "large_h.g1.json", "large_h.g2.json", "--format", fmt],
+            # 1 / max s is infinite: no heat layer, all 720 solutions
+            ["search", "complete6subnormal.json", "complete6subnormal.json", "--format", fmt],
+            ["check", "negative_zero.json", "--format", fmt],
+            ["decompose", "negative_zero.json", "--format", fmt],
         ]
     cmds += [
         ["search", "cycle12.json", "cycle12.json", "--max-solutions", "2", "--tol", "1e-6"],
@@ -248,6 +266,10 @@ def _commands() -> list[list[str]]:
         cmds += [["check", g], ["resistance", g], ["intrinsic", g], ["decompose", g],
                  ["search", g, g], ["certify", g, g, f"{name}.iso.json"]]
     cmds += [
+        # transient, and both disconnected and killed: the first failed
+        # precondition is named
+        ["resistance", "doob6s1.g1.json"],
+        ["resistance", "disconnected_killed.json"],
         ["check", "missing.json"],
         ["gen", "--family", "path", "--n", "3", "--bogus"],
         # flags that the command does not read
@@ -388,7 +410,7 @@ def _write_inputs(run) -> None:
             names = ["a"]
         identity = {"tau": {v: v for v in names}, "h": {v: 1.0 for v in names}}
         Path(f"{name}.iso.json").write_text(json.dumps(identity), encoding="utf-8")
-    for name, text in BAD_PAIRS.items():
+    for name, text in {**BAD_PAIRS, **HAND}.items():
         Path(f"{name}.json").write_text(text, encoding="utf-8")
     for name, obj in METRICS.items():
         Path(f"{name}.json").write_text(json.dumps(obj), encoding="utf-8")

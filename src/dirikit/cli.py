@@ -150,7 +150,7 @@ def _search_text(verdict: search.EquivalenceVerdict) -> str:
 
 def _cmd_check(args) -> int:
     form = jsonio.graph_loads(_read(args.graph))
-    spectrum = form.spectral.eigenvalues
+    spectrum = form.spectrum
     payload = {
         "valid": True,
         "vertices": len(form.space),

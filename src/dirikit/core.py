@@ -14,9 +14,12 @@ where deg(x) = sum_y b(x,y); it satisfies <Lf, g>_m = Q(f, g).
 
 Measure, conductances and killing are stored separately and never
 premultiplied; derived data (the weight, form and generator matrices,
-connectivity, the grounded Green function and the eigendecomposition) is
-computed on first use and cached on the form.  All values are immutable
-after construction and every operation is a pure function.
+connectivity, the grounded Green function, the spectrum and the
+eigendecomposition) is computed on first use and cached on the form.  The
+spectrum is the one that is compared and reported; it comes from the
+eigenvalue-only ``eigvalsh``, and the eigenvectors of ``eigh`` are built
+only where they are read.  All values are immutable after construction
+and every operation is a pure function.
 
 Construction works on whole arrays: edge columns of ends and weights, one
 look-up per endpoint, one pass of array checks and a sort by the string
@@ -190,7 +193,8 @@ class SpectralData:
 
 class GraphForm:
     """A Dirichlet form: measure space plus conductances and killing.  The
-    form is also its generator: ``L`` and its spectrum ``spectral``."""
+    form is also its generator: ``L``, its spectrum ``spectrum`` and its
+    eigendecomposition ``spectral``."""
 
     def __init__(self, space: MeasureSpace, b: EdgeInput, c: VertexFunction = 0.0):
         mapping = isinstance(b, Mapping)
@@ -322,8 +326,18 @@ class GraphForm:
         return sym
 
     @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalues of L, ascending: those of ``symmetric`` from
+        ``eigvalsh``, which builds no eigenvectors."""
+        w = np.linalg.eigvalsh(self.symmetric)
+        w.flags.writeable = False
+        return w
+
+    @cached_property
     def spectral(self) -> SpectralData:
-        """Eigendecomposition of L via its symmetrized generator ``symmetric``."""
+        """Eigendecomposition of L via its symmetrized generator ``symmetric``,
+        for the callers that read eigenvectors; ``spectrum`` is the one
+        spectrum that is compared or reported."""
         w, v = np.linalg.eigh(self.symmetric)
         return SpectralData(w, v / np.sqrt(self.space.m)[:, None])
 

@@ -184,6 +184,19 @@ def _number(value, context):
         raise MalformedInput(f"{context}: number out of floating-point range") from None
 
 
+def _numbers(values: list, names, context: str) -> list[float]:
+    """The values as floats, after one pass over their types; only a list
+    that holds something other than int and float, or an int out of float
+    range, is walked entry by entry, so that ``_number`` names its first
+    fault as ``context[name]``."""
+    if set(map(type, values)) <= {int, float}:
+        try:
+            return list(map(float, values))
+        except OverflowError:  # an int out of float range, named below
+            pass
+    return [_number(value, f"{context}[{name!r}]") for name, value in zip(names, values)]
+
+
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -232,9 +245,9 @@ def _edge_columns(edges) -> list[list]:
              for entry in edges] for key in "uvb"]
 
 
-def _require_vertices(keyed: dict, vertices: dict) -> None:
+def _require_vertices(keyed: dict, vertices: set) -> None:
     """Raise UnknownVertex at the first key of ``keyed`` that is not a vertex."""
-    if not keyed.keys() <= vertices.keys():
+    if not keyed.keys() <= vertices:
         raise UnknownVertex(f"unknown vertex {next(k for k in keyed if k not in vertices)!r}")
 
 
@@ -243,8 +256,9 @@ def graph_from_obj(obj) -> GraphForm:
     if not all(isinstance(v, str) for v in vertices):
         raise MalformedInput("graph: vertices must be strings")
     m_obj = _require(obj, "m", dict, "graph")
-    m = {v: _number(m_obj.get(v), f"graph: m[{v!r}]") for v in vertices}
-    _require_vertices(m_obj, m)
+    m = _numbers([m_obj.get(v) for v in vertices], vertices, "graph: m")
+    names = set(vertices)
+    _require_vertices(m_obj, names)
     us, vs, bs = _edge_columns(obj.get("edges", []))
     if not set(map(type, bs)) <= {int, float}:
         _check_columns(us, vs, bs)
@@ -252,10 +266,9 @@ def graph_from_obj(obj) -> GraphForm:
         killing_obj = obj.get("killing", {})
         if not isinstance(killing_obj, dict):
             raise MalformedInput("graph: killing must be an object")
-        killing = {
-            v: _number(killing_obj.get(v, 0.0), f"graph: killing[{v!r}]") for v in vertices
-        }
-        _require_vertices(killing_obj, m)
+        killing = _numbers([killing_obj.get(v, 0.0) for v in vertices], vertices,
+                           "graph: killing")
+        _require_vertices(killing_obj, names)
         return GraphForm._from_columns(MeasureSpace(vertices, m), us, vs, bs, killing)
     except (DirikitError, TypeError, OverflowError):
         # a malformed edge (a non-string end, an int out of float range) is
@@ -288,12 +301,8 @@ def iso_from_obj(obj, source: MeasureSpace, target: MeasureSpace) -> OrderIso:
     h = _require(obj, "h", dict, "iso")
     if not all(isinstance(k, str) and isinstance(v, str) for k, v in tau.items()):
         raise MalformedInput("iso: tau must map vertex ids to vertex ids")
-    return OrderIso(
-        source,
-        target,
-        dict(tau),
-        {k: _number(v, f"iso: h[{k!r}]") for k, v in h.items()},
-    )
+    scaling = dict(zip(h, _numbers(list(h.values()), h, "iso: h")))
+    return OrderIso(source, target, dict(tau), scaling)
 
 
 def pair_to_obj(form1: GraphForm, form2: GraphForm, iso: OrderIso) -> dict:

@@ -17,6 +17,7 @@ and h is constant whenever both forms are recurrent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -60,7 +61,7 @@ class OrderIso:
             raise NotBijective("tau must map the target bijectively onto the source")
         if set(self.h) != targets:
             raise DimensionMismatch("h must be defined exactly on the target vertices")
-        if any(value <= 0 or not np.isfinite(value) for value in self.h.values()):
+        if not all(0.0 < value < math.inf for value in self.h.values()):  # NaN fails
             raise NonPositive("the scaling h must be strictly positive and finite")
 
     @classmethod

@@ -18,7 +18,9 @@ lexicographic order, each to a source vertex of its domain in
 lexicographic order, with these pruning rules:
 
 * the eigenvalue multisets of the two generators must match (similar
-  matrices have equal spectra);
+  matrices have equal spectra); they are read from ``GraphForm.spectrum``,
+  which builds no eigenvectors, so a pair that fails here, or whose
+  domains are forced at the root, computes none;
 * every layer A of the search is a pair of symmetric matrices that any
   solution carries onto each other, P A1 P^T = A2, each with a bound on
   the entries of P A1 P^T - A2: the generators S_i, within the bound
@@ -94,16 +96,19 @@ class EquivalenceVerdict:
 
 
 def spectra_match(form1: GraphForm, form2: GraphForm, spectral_tol: float) -> bool:
-    """Compare the sorted generator spectra, relatively per eigenvalue.
+    """Compare the ascending generator spectra ``GraphForm.spectrum``,
+    relatively per eigenvalue.
 
     Each eigenvalue may also differ by 8 n eps max|w|, the rounding of the
-    two eigendecompositions: eigh is backward stable, so by Weyl's
-    inequality a computed eigenvalue is off by a few n eps ||A|| at most,
-    which dominates the small eigenvalues of a spectrum spanning many
-    orders of magnitude.  A bound beyond the float range raises NumericOverflow.
+    two spectra: eigvalsh (LAPACK's dsyevd without eigenvectors, a
+    tridiagonal reduction and dsterf) is backward stable like the full
+    decomposition, so by Weyl's inequality a computed eigenvalue is off by
+    a few n eps ||A|| at most, which dominates the small eigenvalues of a
+    spectrum spanning many orders of magnitude.  A bound beyond the float
+    range raises NumericOverflow.
     """
-    w1 = form1.spectral.eigenvalues
-    w2 = form2.spectral.eigenvalues
+    w1 = form1.spectrum
+    w2 = form2.spectrum
     if len(w1) != len(w2):
         return False
     rounding = 8.0 * len(w1) * _EPS * max(float(np.max(np.abs(w1))), float(np.max(np.abs(w2))))

@@ -3,7 +3,9 @@
 The heat semigroup e^{-tL} is computed through the eigendecomposition of
 the m-symmetrized matrix A = M^{1/2} L M^{-1/2} (symmetric and stable to
 diagonalize) and conjugated back; L itself is not symmetric when the
-measure is non-uniform.  The decomposition is cached on the form.
+measure is non-uniform.  The decomposition is cached on the form as
+``GraphForm.spectral``; a caller that reads eigenvalues only reads
+``GraphForm.spectrum``, which builds no eigenvectors.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from .tolerances import DEFAULT_TOL, Tolerance
 
 
 def spectral_data(form: GraphForm) -> SpectralData:
-    """Diagonalize the generator of a form; cached on the form."""
+    """Diagonalize the generator of a form, eigenvectors included; cached on
+    the form."""
     return form.spectral
 
 

@@ -285,6 +285,23 @@ def vf2_intertwiners(form1, form2, rel: float = 1e-9):
     )
 
 
+def eigh_calls(monkeypatch, fail: bool) -> list[int]:
+    """Route numpy.linalg.eigh through a spy that records the size of each
+    matrix it is given, and raises AssertionError when ``fail``; returns
+    the spy's list of sizes."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(matrix, *args, **kwargs):
+        calls.append(len(matrix))
+        if fail:
+            raise AssertionError("eigh called")
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
 def subordinate(form, alpha: float):
     """The form of the subordinate generator L^alpha, 0 < alpha < 1: its form
     matrix M L^alpha from the m-orthonormal eigendecomposition, the rounded

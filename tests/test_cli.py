@@ -20,7 +20,7 @@ from dirikit.cli import run
 from dirikit.errors import InvalidSize, MalformedInput
 from dirikit.sampling import random_form
 
-from conftest import diagonal_overflow_form, edge_weight, pick, rng_for
+from conftest import diagonal_overflow_form, edge_weight, eigh_calls, pick, rng_for
 
 SRC = pathlib.Path(dk.__file__).resolve().parent.parent
 
@@ -112,6 +112,22 @@ class TestCheck:
         path = gen(tmp_path, "g.json", "--family", "path", "--n", "3")
         assert run(["check", path, "--format", "text"]) == 0
         assert "irreducible: True" in capsys.readouterr().out
+
+    def test_spectrum_is_the_forms_bit_for_bit(self, tmp_path, capsys, monkeypatch):
+        # the corpus's stable view leaves the spectrum out, so it is pinned
+        # here, on Sierpinski L3 and on a form with conductances and
+        # measures over 12 orders of magnitude; no eigenvector is built
+        eigh_calls(monkeypatch, fail=True)
+        rng = rng_for(72)
+        base = random_form(rng, 30)
+        weights = base.weights * 10.0 ** rng.uniform(-6.0, 6.0, len(base.weights))
+        spread = dk.build_form(base.space.vertices, 10.0 ** rng.uniform(-6.0, 6.0, 30),
+                               list(zip(*base.edge_ends(), weights)), base.c)
+        for form in (dk.generate("sierpinski", 3), spread):
+            path = write(tmp_path, "g.json", jsonio.graph_dumps(form))
+            assert run(["check", path]) == 0
+            spectrum = json.loads(capsys.readouterr().out)["spectrum"]
+            assert [float(x).hex() for x in spectrum] == [x.hex() for x in form.spectrum.tolist()]
 
 
 class TestSearch:

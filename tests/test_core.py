@@ -22,6 +22,7 @@ from conftest import (
     OracleGraphForm,
     construction_outcome,
     edge_weight,
+    eigh_calls,
     evaluate,
     form_norm,
     inner,
@@ -344,6 +345,48 @@ class TestGenerator:
             assert inner(form.space, gen.L @ f, f) >= -1e-10
 
 
+def spectrum_form(seed):
+    """A seeded form of 1 to 30 vertices (one in ten has one vertex) with
+    conductances, killing and measures log-uniform over 10^-6 .. 10^6;
+    one in four has every measure 1e-16 instead."""
+    rng = rng_for(seed)
+    n = 1 if seed % 10 == 0 else int(rng.integers(2, 31))
+    base = random_form(rng, n)
+
+    def spread(size):
+        return 10.0 ** rng.uniform(-6.0, 6.0, size)
+
+    m = np.full(n, 1e-16) if seed % 4 == 1 else spread(n)
+    edges = list(zip(*base.edge_ends(), base.weights * spread(len(base.weights))))
+    return dk.build_form(base.space.vertices, m, edges, base.c * spread(n))
+
+
+class TestSpectrum:
+    def test_cached_read_only_and_ascending(self):
+        form = spectrum_form(3)
+        assert form.spectrum is form.spectrum
+        assert not form.spectrum.flags.writeable
+        assert np.all(np.diff(form.spectrum) >= 0.0)
+
+    def test_within_the_rounding_allowance_of_eigh(self):
+        # the allowance of spectra_match: 8 n eps max|w| per eigenvalue
+        for seed in range(100):
+            form = spectrum_form(seed)
+            w, full = form.spectrum, form.spectral.eigenvalues
+            n = len(form.space)
+            assert w.shape == (n,) and np.all(np.diff(w) >= 0.0)
+            allowance = 8.0 * n * np.finfo(float).eps * max(np.max(np.abs(w)),
+                                                            np.max(np.abs(full)))
+            assert np.all(np.abs(w - full) <= allowance), seed
+
+    def test_builds_no_eigenvectors(self, monkeypatch):
+        eigh_calls(monkeypatch, fail=True)
+        form = spectrum_form(7)
+        assert len(form.spectrum) == len(form.space)
+        with pytest.raises(AssertionError, match="eigh called"):
+            form.spectral
+
+
 class TestOverflow:
     def test_generator(self):
         # b / m = 1e300 / 1e-300
@@ -362,6 +405,8 @@ class TestOverflow:
         gen = dk.generator(form)
         with pytest.raises(NumericOverflow):
             dk.spectral_data(gen)
+        with pytest.raises(NumericOverflow):
+            gen.spectrum
 
 
 class TestFormNorm:

@@ -12,6 +12,7 @@ import dirikit as dk
 from dirikit import jsonio, sampling
 from dirikit.cli import run
 from dirikit.errors import MalformedInput, UnknownVertex
+from dirikit.jsonio import _number
 from dirikit.sampling import random_form, random_intertwined_pair
 
 from conftest import construction_outcome, oracle_dumps, oracle_graph_from_obj, pick, rng_for
@@ -379,6 +380,72 @@ class TestGraphFromObjOracle:
                     obj = jsonio.loads(jsonio.graph_dumps(form))
                     want = construction_outcome(oracle_graph_from_obj, obj)
                     assert construction_outcome(jsonio.graph_from_obj, obj) == want
+
+    def test_vertex_maps_name_their_first_fault(self):
+        # m and killing are read in one pass over their types; a faulty map
+        # gives the per-vertex oracle's first error
+        faults = set()
+        for seed in range(300):
+            rng = rng_for(seed)
+            obj = dict(graph_object(rng))
+            obj["m"] = vertex_map(rng, obj["vertices"])
+            obj["killing"] = vertex_map(rng, obj["vertices"])
+            want = construction_outcome(oracle_graph_from_obj, obj)
+            assert construction_outcome(jsonio.graph_from_obj, obj) == want, seed
+            faults.add(want[1] if isinstance(want[0], type) else "form")
+        assert {"form", "graph: m['v0']: expected a number",
+                "graph: killing['v0']: number out of floating-point range"} <= faults
+
+
+MAP_VALUES = (1.0, 0.5, 3, 0, -1.0, True, None, "1", [1.0], 10**400, -10**400)
+
+
+def vertex_map(rng, names):
+    """A map from the vertices to numbers, most often well formed;
+    otherwise with a vertex left out or mapped to one of MAP_VALUES, at one
+    or two random vertices."""
+    values = {v: pick(rng, (1.0, 0.5, 3)) for v in names}
+    for _ in range(pick(rng, (0, 0, 1, 2))):
+        v = pick(rng, names)
+        if rng.random() < 0.2:
+            values.pop(v, None)
+        else:
+            values[v] = pick(rng, MAP_VALUES)
+    return values
+
+
+def oracle_iso_from_obj(obj, source, target):
+    """Oracle: ``jsonio.iso_from_obj`` with h read entry by entry."""
+    tau, h = obj["tau"], obj["h"]
+    return dk.OrderIso(source, target, dict(tau),
+                       {k: _number(v, f"iso: h[{k!r}]") for k, v in h.items()})
+
+
+def iso_outcome(read, obj, space):
+    """The h values of the iso ``read`` builds, with their types and bits,
+    or the type and message of the exception it raised."""
+    try:
+        iso = read(obj, space, space)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return list(iso.h), [type(x) for x in iso.h.values()], np.array(list(iso.h.values())).tobytes()
+
+
+class TestIsoFromObj:
+    def test_same_iso_or_error_as_the_oracle(self):
+        faults = set()
+        for seed in range(300):
+            rng = rng_for(seed)
+            names = [f"v{i}" for i in range(int(rng.integers(1, 5)))]
+            space = dk.MeasureSpace(names, 1.0)
+            obj = {"tau": {v: v for v in names}, "h": vertex_map(rng, names)}
+            want = iso_outcome(oracle_iso_from_obj, obj, space)
+            assert iso_outcome(jsonio.iso_from_obj, obj, space) == want, seed
+            faults.add(want[1] if isinstance(want[0], type) else "iso")
+        assert {"iso", "iso: h['v0']: expected a number",
+                "iso: h['v0']: number out of floating-point range",
+                "h must be defined exactly on the target vertices",
+                "the scaling h must be strictly positive and finite"} <= faults
 
 
 def plain_types(obj) -> set:

@@ -13,14 +13,17 @@ from dirikit.sampling import (
     doob_pair_sample,
     nonconstant_excessive_profile,
     random_form,
+    random_intertwined_pair,
     relabel_pair,
 )
-from dirikit.search import SearchOptions, residual_bound
+from dirikit.search import SearchOptions, residual_bound, spectra_match
 
 from conftest import (
     _oracle_search,
     brute_force_intertwiners,
+    eigh_calls,
     l_only_intertwiners,
+    pick,
     rng_for,
     subordinate,
     tau_signature,
@@ -272,8 +275,8 @@ class TestForwardCheckedSearch:
         rng = rng_for(59)
         form1 = random_form(rng, n)
         form2, witness = relabel_pair(rng, form1, scale=1.3)
-        for form in (form1, form2):  # the eigendecompositions are not search state
-            dk.spectral_data(dk.generator(form))
+        for form in (form1, form2):  # the spectra are not search state
+            form.spectrum
         tracemalloc.start()
         try:
             found = dk.find_intertwiners(form1, form2, WIDE)
@@ -374,8 +377,8 @@ class TestForcedTailCompletion:
         peaks = []
         for n in (80, 160):
             form1, form2 = scrambled(dk.generate("complete", n, conductance=0.8, measure=1.2))
-            for form in (form1, form2):  # the eigendecompositions are not search state
-                form.spectral
+            for form in (form1, form2):  # spectra and eigenvectors are not search state
+                form.spectrum, form.spectral
             tracemalloc.start()
             try:
                 found = dk.find_intertwiners(form1, form2, SearchOptions(max_solutions=1))
@@ -579,15 +582,16 @@ class TestSubordination:
 
     PAIRS = _pairs_for_subordination()
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
-    @pytest.mark.parametrize("name", ["sierpinski2", "C12", "relabel40", "doob10", "doob40"])
-    def test_iso_survives_subordination(self, name, alpha):
-        form1, form2, iso = self.PAIRS[name]
+    @staticmethod
+    def check_subordination(form1, form2, iso, alpha):
+        """The subordinate pair has the pair's tau list, which holds the
+        witness's tau; the witness passes certify and the jump transform on
+        it, and a witness with two targets swapped raises NotIntertwining."""
         sub1, sub2 = subordinate(form1, alpha), subordinate(form2, alpha)
         assert len(sub1.b) == len(form1.space) * (len(form1.space) - 1) // 2
         before = [tau_signature(s) for s in dk.find_intertwiners(form1, form2, WIDE)]
         after = [tau_signature(s) for s in dk.find_intertwiners(sub1, sub2, WIDE)]
-        assert after == before
+        assert after == before and tau_signature(iso) in before
         report = dk.certify(iso, sub1, sub2)
         report.extend(dk.verify_jump_transform(iso, sub1, sub2))
         assert report.verdict
@@ -597,6 +601,21 @@ class TestSubordination:
         bad = dk.OrderIso(iso.source, iso.target, swapped, dict(iso.h))
         with pytest.raises(NotIntertwining):
             dk.certify(bad, sub1, sub2)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("name", ["sierpinski2", "C12", "relabel40", "doob10", "doob40"])
+    def test_iso_survives_subordination(self, name, alpha):
+        self.check_subordination(*self.PAIRS[name], alpha)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_pairs(self, seed):
+        # n in [2, 40], alpha in (0.2, 0.9) and the transform drawn from the
+        # seed, then the pair from the same generator: dense subordinate
+        # pairs with spread spectra, which the spectrum filter reads first
+        rng = rng_for(seed)
+        n, alpha = int(rng.integers(2, 41)), float(rng.uniform(0.2, 0.9))
+        transform = pick(rng, ("relabel", "doob"))
+        self.check_subordination(*random_intertwined_pair(rng, n, transform), alpha)
 
 
 def full_certify(iso, form1, form2, tol):
@@ -709,12 +728,31 @@ class TestEquivalenceVerdict:
         q1 = dk.build_form(["a", "b"], {"a": 1.0, "b": 1.0}, [("a", "b", 1.0)])
         q2 = dk.build_form(["a", "b"], {"a": 2.0, "b": 2.0 / 3.0},
                            [("a", "b", 1.0)])
-        w1 = dk.spectral_data(dk.generator(q1)).eigenvalues
-        w2 = dk.spectral_data(dk.generator(q2)).eigenvalues
-        assert np.allclose(w1, w2)
+        assert np.allclose(q1.spectrum, q2.spectrum)
         verdict = dk.equivalence_verdict(q1, q2)
         assert not verdict.equivalent
         assert verdict.reason == "exhausted"
+
+    def test_eigenvalue_paths_build_no_eigenvectors(self, monkeypatch):
+        # a random relabel pair is forced at the root and a mismatched pair
+        # stops at the spectrum: neither reads an eigenvector
+        eigh_calls(monkeypatch, fail=True)
+        rng = rng_for(71)
+        form1 = random_form(rng, 40)
+        form2, witness = relabel_pair(rng, form1, scale=1.3)
+        assert spectra_match(form1, form2, 1e-8)
+        verdict = dk.equivalence_verdict(form1, form2)
+        assert [tau_signature(s) for s in verdict.solutions] == [tau_signature(witness)]
+        other = random_form(rng, 40)
+        assert not spectra_match(form1, other, 1e-8)
+        assert dk.equivalence_verdict(form1, other).reason == "spectrum"
+
+    def test_heat_layer_decomposes_each_form_once(self, monkeypatch):
+        calls = eigh_calls(monkeypatch, fail=False)
+        form1, form2 = scrambled(dk.generate("cycle", 12, conductance=1.3, measure=0.7))
+        verdict = dk.equivalence_verdict(form1, form2, WIDE)
+        assert len(verdict.solutions) == 24
+        assert calls == [12, 12]
 
     def test_requires_irreducible(self):
         disconnected = dk.build_form(["a", "b"], 1.0, [])

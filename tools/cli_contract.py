@@ -142,7 +142,9 @@ INVALID = {
 }
 
 # hand-written graphs that load: a -0.0 weight and a -0.0 killing entry,
-# and a graph both disconnected and killed
+# a graph both disconnected and killed, and two unit edges whose generators
+# share the spectrum {0, 2} under measures (1, 1) and (2, 2/3) that no
+# bijection carries onto each other
 HAND = {
     "negative_zero": json.dumps({"vertices": ["a", "b", "c"], "m": {"a": 1.0, "b": 2.0, "c": 1.0},
                                  "edges": {"u": ["a", "b"], "v": ["b", "c"], "b": [-0.0, 1.5]},
@@ -151,6 +153,10 @@ HAND = {
                                        "m": {"a": 1.0, "b": 1.0, "c": 1.0},
                                        "edges": [{"u": "a", "v": "b", "b": 1.0}],
                                        "killing": {"c": 0.5}}),
+    "isospectral1": json.dumps({"vertices": ["a", "b"], "m": {"a": 1.0, "b": 1.0},
+                                "edges": {"u": ["a"], "v": ["b"], "b": [1.0]}, "killing": {}}),
+    "isospectral2": json.dumps({"vertices": ["a", "b"], "m": {"a": 2.0, "b": 2.0 / 3.0},
+                                "edges": {"u": ["a"], "v": ["b"], "b": [1.0]}, "killing": {}}),
 }
 
 # metrics checked on path3 with `dirikit intrinsic path3.json --metric NAME.json`
@@ -232,6 +238,8 @@ def _commands() -> list[list[str]]:
             ["search", "doob40s1.g1.json", "doob40s1.g2.json", "--format", fmt],
             # the spectra differ by far more than 1e-8 of their size
             ["search", "path6tiny.json", "cycle6tiny.json", "--format", fmt],
+            # equal spectra, no intertwiner: exhausted, not spectrum
+            ["search", "isospectral1.json", "isospectral2.json", "--format", fmt],
             # weights over 12 orders of magnitude, one intertwiner; and a
             # pair whose scaling h is 1e10
             ["search", "spread40.g1.json", "spread40.g2.json", "--format", fmt],

@@ -172,9 +172,7 @@ def _cmd_search(args) -> int:
     payload = {
         "equivalent": verdict.equivalent,
         "reason": verdict.reason,
-        "intertwiners": [
-            dict(jsonio.iso_to_obj(iso), beta=iso.beta) for iso in verdict.solutions
-        ],
+        "intertwiners": verdict.solutions,
     }
     _output(args, payload, lambda: _search_text(verdict))
     return 0 if verdict.equivalent else 1

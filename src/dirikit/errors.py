@@ -71,7 +71,8 @@ class NotIntertwining(DirikitError):
 
 
 class NumericOverflow(DirikitError):
-    """A generator, form matrix, spectrum or tolerance bound leaves the floating-point range."""
+    """A generator, form matrix, spectrum, tolerance bound or operator
+    constant leaves the floating-point range."""
 
 
 class NotRecurrent(DirikitError):

@@ -10,6 +10,8 @@ Graph:       {"vertices": [...], "m": {v: real},
              and a malformed edge raises the same first error in either)
 Order iso:   {"tau": {y: x}, "h": {y: real}}
 Pair:        {"g1": graph, "g2": graph, "iso": order iso from g1 onto g2}
+Search:      {"equivalent": bool, "reason": str or null,
+              "intertwiners": [order iso with "beta": real after "h", ...]}
 Jump data:   {"vertices": [...], "J": [{"x": a, "y": b, "value": real}],
               "k": {v: real}}
              (read from the edge columns: J = b / 2 on both orientations,
@@ -22,14 +24,20 @@ Numbers are emitted with 17 significant digits, which round-trips IEEE
 doubles exactly, so identical inputs always serialize to identical bytes;
 -0.0 is written "-0.0", as "-0" reads back as the int 0.
 There is one serializer, ``dumps``; ``chunks`` gives its bytes in pieces,
-a matrix row per piece, after checking every value, so that a writer need
-not hold the document whole and a value that cannot be serialized raises
-before the first piece.
+a matrix row or an intertwiner per piece, after checking every value, so
+that a writer need not hold the document whole and a value that cannot be
+serialized raises before the first piece.
 ``dumps`` also accepts a 1-D or 2-D float ``np.ndarray`` wherever a list
 may stand and writes the same bytes as for its ``tolist()``.  It formats
 each distinct value of the array once, so a symmetric n x n metric costs
 at most about n^2 / 2 float conversions, and one with few distinct
-distances far fewer.
+distances far fewer.  Likewise a list of ``OrderIso`` on one source and
+one target space, such as a search's solutions, is written as the list of
+their order iso objects, each with "beta" after "h": every item is filled
+into one template, in which each target id is encoded once, each source
+id is encoded once, and each distinct h and beta is formatted once: the
+720 solutions on K6 take 12 id encodings and a float conversion per
+distinct value, not 5040 conversions.
 """
 
 from __future__ import annotations
@@ -58,6 +66,9 @@ def _format_float(value: float) -> str:
 # the function json.dumps(str) calls with default arguments: same bytes
 _encode = json.encoder.encode_basestring_ascii
 
+# a gap in a layout: JSON text holds no raw NUL, encode_basestring_ascii escapes it
+_GAP = "\0"
+
 
 def _bracket(items: list[str], indent: int, brackets: str = "[]") -> str:
     """A JSON array (or object) of already serialized items, its brackets at
@@ -69,10 +80,9 @@ def _bracket(items: list[str], indent: int, brackets: str = "[]") -> str:
             + "\n" + " " * indent + brackets[1])
 
 
-def _float_rows(values: np.ndarray, indent: int):
-    """The item texts of a 1-D float array, or an iterator over the row
-    texts of a 2-D one, at ``indent``.  Every value is checked, and each
-    distinct one formatted, before this returns; rows are joined lazily."""
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """The texts of a float array's values, an object array of its shape.
+    Every value is checked, and each distinct one formatted once."""
     flat = values.astype(float, copy=False).reshape(-1)
     finite = np.isfinite(flat)
     if not finite.all():
@@ -84,9 +94,57 @@ def _float_rows(values: np.ndarray, indent: int):
     text = np.array([format(x, ".17g") for x in bits.view(float).tolist()], dtype=object)
     if len(bits) and bits[0] == np.iinfo(np.int64).min:  # -0.0, so it sorts first
         text[0] = "-0.0"
+    return text[where].reshape(values.shape)
+
+
+def _float_rows(values: np.ndarray, indent: int):
+    """The item texts of a 1-D float array, or an iterator over the row
+    texts of a 2-D one, at ``indent``.  Every value is checked, and each
+    distinct one formatted, before this returns; rows are joined lazily."""
+    texts = _float_texts(values)
     if values.ndim == 1:
-        return text[where].tolist()
-    return (_bracket(text[row].tolist(), indent + 2) for row in where.reshape(values.shape))
+        return texts.tolist()
+    return (_bracket(row.tolist(), indent + 2) for row in texts)
+
+
+def _intertwiner_items(solutions, indent: int):
+    """An iterator over the item texts, at ``indent``, of a list of order
+    isos on one source and one target space: each the object of
+    ``iso_to_obj`` with "beta" after "h", filled into one template in which
+    each target id is encoded once.  Each source id is encoded once too,
+    and every h and beta checked, and each distinct one formatted, before
+    this returns."""
+    source, target = solutions[0].source.vertices, solutions[0].target.vertices
+    if any(iso.source.vertices != source or iso.target.vertices != target for iso in solutions):
+        raise MalformedInput("cannot serialize intertwiners between different spaces")
+    cells = [_encode(y) + ": " + _GAP for y in target]
+    template = _bracket(['"tau": ' + _bracket(cells, indent + 4, "{}"),
+                         '"h": ' + _bracket(cells, indent + 4, "{}"),
+                         '"beta": ' + _GAP], indent + 2, "{}")
+    # a printf template: n tau cells, n h cells and beta
+    template = template.replace("%", "%%").replace(_GAP, "%s")
+    ids = dict(zip(source, map(_encode, source)))
+    numbers = _float_texts(np.array([[*map(iso.h.__getitem__, target), iso.beta]
+                                     for iso in solutions], dtype=float))
+    return (template % (*map(ids.__getitem__, map(iso.tau.__getitem__, target)), *row)
+            for iso, row in zip(solutions, numbers.tolist()))
+
+
+def _is_intertwiners(obj) -> bool:
+    """Whether obj is a nonempty list or tuple of order isos."""
+    return (isinstance(obj, (list, tuple)) and bool(obj)
+            and all(isinstance(item, OrderIso) for item in obj))
+
+
+def _item_stream(value, indent: int):
+    """The lazily joined item texts of a list that ``chunks`` writes an
+    item per piece, at ``indent``: the rows of a nonempty 2-D float array
+    or the intertwiners of a nonempty list of order isos; else None."""
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim == 2 and len(value):
+        return _float_rows(value, indent)
+    if _is_intertwiners(value):
+        return _intertwiner_items(value, indent)
+    return None
 
 
 def _format_mapping(obj: Mapping, indent: int) -> str:
@@ -111,6 +169,8 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _format_float(obj)
     if isinstance(obj, (list, tuple)):
+        if _is_intertwiners(obj):
+            return _bracket(list(_intertwiner_items(obj, indent)), indent)
         return _bracket([dumps(item, indent + 2) for item in obj], indent)
     if obj is None:
         return "null"
@@ -125,37 +185,33 @@ def dumps(obj, indent: int = 0) -> str:
     raise MalformedInput(f"cannot serialize {type(obj).__name__}")
 
 
-# a gap in a layout: JSON text holds no raw NUL, encode_basestring_ascii escapes it
-_GAP = "\0"
-
-
-def _row_pieces(rows, indent: int):
-    """``_bracket(rows, indent)`` of nonempty ``rows`` in pieces, each row
-    with the separator before it, then the closing bracket."""
+def _item_pieces(items, indent: int):
+    """``_bracket(items, indent)`` of nonempty ``items`` in pieces, each
+    item with the separator before it, then the closing bracket."""
     opening, separator, closing = _bracket([_GAP, _GAP], indent).split(_GAP)
-    for row in rows:
-        yield opening + row
+    for item in items:
+        yield opening + item
         opening = separator
     yield closing
 
 
 def chunks(obj):
     """The text of ``dumps(obj) + "\\n"`` in pieces, each row of a nonempty
-    2-D float array that is a value of a top-level mapping in a piece of its
-    own.  Every value is checked, and all but those rows formatted, before
-    this returns, so a value that cannot be serialized raises here."""
+    2-D float array and each order iso of a nonempty list of them that is a
+    value of a top-level mapping in a piece of its own.  Every value is
+    checked, and all but those items formatted, before this returns, so a
+    value that cannot be serialized raises here."""
     if not (isinstance(obj, Mapping) and obj):
         return [dumps(obj) + "\n"]
-    texts = [_float_rows(value, 2)
-             if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim == 2
-             and len(value) else dumps(value, 2) for value in obj.values()]
-    # each matrix stands as a gap in the document, and its rows fill the gap
+    # in document order, so that the first bad value raises
+    texts = [_item_stream(value, 2) or dumps(value, 2) for value in obj.values()]
+    # each streamed list stands as a gap in the document, and its items fill the gap
     skeleton = _bracket([_encode(str(key)) + ": " + (text if type(text) is str else _GAP)
                          for key, text in zip(obj, texts)], 0, "{}") + "\n"
     parts = skeleton.split(_GAP)
     streams = [parts[:1]]
-    for rows, part in zip((text for text in texts if type(text) is not str), parts[1:]):
-        streams += [_row_pieces(rows, 2), [part]]
+    for items, part in zip((text for text in texts if type(text) is not str), parts[1:]):
+        streams += [_item_pieces(items, 2), [part]]
     return itertools.chain.from_iterable(streams)
 
 

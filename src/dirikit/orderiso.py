@@ -18,6 +18,7 @@ and h is constant whenever both forms are recurrent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -146,6 +147,15 @@ def require_intertwining(
     return residual
 
 
+def _require_normal(name: str, value: float) -> float:
+    """The value, or NumericOverflow when it is no positive normal float: a
+    zero or subnormal constant makes its check's bound vacuous or coarse,
+    an infinite one its residual NaN."""
+    if not sys.float_info.min <= value < math.inf:  # NaN fails
+        raise NumericOverflow(f"{name}={value!r} leaves the range of positive normal floats")
+    return value
+
+
 def certify(
     iso: OrderIso, form1: GraphForm, form2: GraphForm, tol: Tolerance = DEFAULT_TOL
 ) -> VerificationReport:
@@ -161,13 +171,17 @@ def certify(
     * ``scaling_constancy`` and ``measure_pushforward``: when both forms
       are recurrent, h is constant and tau pushes m2 to a multiple of m1
       (skipped, with the observed h ratio recorded, otherwise).
+
+    NumericOverflow when beta, or alpha = beta / mean(h)^2 of the
+    pushforward, is no positive normal float.
     """
     require_intertwining(iso, form1, form2, tol)
     if not (form1.irreducible and form2.irreducible):
         raise NotIrreducible("certification requires irreducible forms")
 
     report = VerificationReport()
-    beta = operator_constant(iso)
+    with np.errstate(over="ignore"):  # an infinite beta raises below
+        beta = _require_normal("beta", operator_constant(iso))
     # U and U* have one nonzero per row, so nothing is multiplied densely and
     # everything is read in target order y, with x = tau(y): the nonzero of
     # U* in row x is w(y) = m2(y) h(y) / m1(x), U*U and UU* are diagonal with
@@ -189,7 +203,11 @@ def certify(
     if is_recurrent(form1) and is_recurrent(form2):
         report.add("scaling_constancy", ratio - 1.0, tol.bound(1.0))
         h_const = float(np.mean(h))
-        alpha = beta / h_const**2
+        try:
+            alpha = beta / h_const**2
+        except ZeroDivisionError:  # the square underflows where alpha need not
+            alpha = beta / h_const / h_const
+        _require_normal("alpha", alpha)
         pulled = alpha * iso.source.m[tau]
         push_residual = float(np.max(np.abs(iso.target.m - pulled) / pulled))
         report.add(

@@ -409,6 +409,18 @@ def oracle_dumps(obj, indent: int = 0) -> str:
     raise MalformedInput(f"cannot serialize {type(obj).__name__}")
 
 
+def oracle_search_payload(verdict) -> dict:
+    """Oracle: the search document with one dict per intertwiner, for the
+    generic ``jsonio.dumps``, as the CLI built it before the list of
+    intertwiners was written from one template."""
+    return {
+        "equivalent": verdict.equivalent,
+        "reason": verdict.reason,
+        "intertwiners": [dict(jsonio.iso_to_obj(iso), beta=iso.beta)
+                         for iso in verdict.solutions],
+    }
+
+
 def oracle_offdiagonal_connected(coupling: np.ndarray) -> bool:
     """Oracle: the depth-first search over the nonzero entries of each row
     and column that ``core._offdiagonal_connected`` replaced."""

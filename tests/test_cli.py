@@ -220,6 +220,27 @@ class TestCertify:
         assert run(["certify", str(pair)]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] is True
 
+    @pytest.mark.parametrize("transform, n, seed", [("relabel", "6", "4"), ("doob", "160", "1")])
+    @pytest.mark.parametrize("power", [-600, 600])
+    def test_beta_out_of_float_range_exits_2(self, tmp_path, capsys, transform, n, seed, power):
+        # h times 2^-600 makes beta underflow to 0, and 2^600 overflow to
+        # inf: the recurrent pair ended in a traceback at alpha, and the
+        # transient one in a vacuous pass or in a NaN residual
+        pair = tmp_path / "pair.json"
+        assert run(["gen-pair", "--transform", transform, "--n", n, "--seed", seed,
+                    "--out", str(pair)]) == 0
+        obj = json.loads(pair.read_text())
+        obj["iso"]["h"] = {y: x * 2.0**power for y, x in obj["iso"]["h"].items()}
+        scaled = write(tmp_path, "scaled.json", json.dumps(obj))
+        for fmt in ("json", "text"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no RuntimeWarning reaches stderr
+                assert run(["certify", scaled, "--format", fmt]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            beta = 0.0 if power < 0 else math.inf
+            assert err == f"error: beta={beta!r} leaves the range of positive normal floats\n"
+
     @pytest.mark.parametrize("doc", ["[]", '"x"', "null"])
     def test_pair_not_an_object_exits_2(self, tmp_path, capsys, doc):
         assert run(["certify", write(tmp_path, "pair.json", doc)]) == 2

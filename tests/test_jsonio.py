@@ -13,9 +13,17 @@ from dirikit import jsonio, sampling
 from dirikit.cli import run
 from dirikit.errors import MalformedInput, UnknownVertex
 from dirikit.jsonio import _number
-from dirikit.sampling import random_form, random_intertwined_pair
+from dirikit.sampling import random_form, random_intertwined_pair, relabel_pair
+from dirikit.search import EquivalenceVerdict, SearchOptions
 
-from conftest import construction_outcome, oracle_dumps, oracle_graph_from_obj, pick, rng_for
+from conftest import (
+    construction_outcome,
+    oracle_dumps,
+    oracle_graph_from_obj,
+    oracle_search_payload,
+    pick,
+    rng_for,
+)
 
 MAX = 1.7976931348623157e308
 SPECIAL = (
@@ -265,6 +273,96 @@ class TestChunks:
             with pytest.raises(MalformedInput) as caught:
                 jsonio.chunks(obj)
             assert str(caught.value) == oracle_error(as_lists(obj))
+
+
+def renamed(form, names):
+    """The form under new vertex ids, position for position."""
+    i, j = form.edge_indices
+    edges = [(names[a], names[b], w) for a, b, w in zip(i.tolist(), j.tolist(), form.weights)]
+    return dk.build_form(names, form.space.m, edges, form.c)
+
+
+# ids that JSON escapes, a printf field, and ids that differ on either side
+ESCAPED = ['"', "\\", "é", "\n"]
+ESCAPED2 = ["%s", 'é"', "\\n", "\u2028"]
+
+
+def search_cases():
+    """(name, form1, form2, extra argv, solution count) for the search
+    document: symmetric forms under a relabelling and a rescaling, a random
+    pair, a capped search, a pair with no intertwiner, one vertex, h = 1e10
+    and vertex ids that need escapes."""
+    rng = rng_for(31)
+    cases = []
+    for family, n, count in (("complete", 6, 720), ("cycle", 12, 24), ("sierpinski", 2, 6)):
+        form = dk.generate(family, n, conductance=0.9, measure=1.3)
+        cases.append((f"{family}{n}", form, relabel_pair(rng, form, scale=1.7)[0], [], count))
+    cases.append(("complete6 max1", *cases[0][1:3], ["--max-solutions", "1"], 1))
+    cases.append(("relabel40", *random_intertwined_pair(rng, 40, "relabel")[:2], [], 1))
+    cases.append(("unrelated", dk.generate("cycle", 12), dk.generate("path", 12), [], 0))
+    cases.append(("one vertex", dk.build_form(["a"], [2.0]), dk.build_form(["b"], [0.5]), [], 1))
+    # the pair of test_large_scaling_finds_the_witness
+    large = np.random.Generator(np.random.PCG64(5))
+    form = random_form(large, 8)
+    cases.append(("h 1e10", form, relabel_pair(large, form, scale=1e-20)[0], [], 1))
+    k4 = renamed(dk.generate("complete", 4), ESCAPED)
+    cases.append(("escapes", k4, renamed(relabel_pair(rng, k4, scale=0.5)[0], ESCAPED2), [], 24))
+    return cases
+
+
+class TestIntertwinerList:
+    """The search document, written from one item template, against the
+    oracle: one dict per intertwiner through the generic ``dumps``."""
+
+    @pytest.mark.parametrize("case", search_cases(), ids=lambda case: case[0])
+    def test_cli_writes_the_oracle_bytes(self, tmp_path, capsys, case):
+        _, form1, form2, extra, count = case
+        paths = []
+        for name, form in (("g1", form1), ("g2", form2)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(jsonio.graph_dumps(form), encoding="utf-8")
+        out = tmp_path / "out.json"
+        assert run(["search", *map(str, paths), *extra]) == (0 if count else 1)
+        assert run(["search", *map(str, paths), *extra, "--out", str(out)]) == (0 if count else 1)
+        cap = int(extra[1]) if extra else SearchOptions.max_solutions
+        verdict = dk.equivalence_verdict(*(jsonio.graph_loads(path.read_text(encoding="utf-8"))
+                                           for path in paths), SearchOptions(max_solutions=cap))
+        assert len(verdict.solutions) == count
+        want = jsonio.dumps(oracle_search_payload(verdict)) + "\n"
+        assert want == oracle_dumps(oracle_search_payload(verdict)) + "\n"
+        assert capsys.readouterr().out == want
+        assert out.read_text(encoding="utf-8") == want
+
+    def test_one_intertwiner_per_piece(self):
+        form = dk.generate("cycle", 12)
+        verdict = dk.equivalence_verdict(form, form)
+        payload = {"equivalent": True, "reason": None, "intertwiners": verdict.solutions}
+        pieces = dumped(payload)
+        assert "".join(pieces) == jsonio.dumps(payload) + "\n"
+        items = [jsonio.dumps(item, 4) for item in oracle_search_payload(verdict)["intertwiners"]]
+        lead = len(",\n    ")
+        # the document up to the list, an item per piece, the closing bracket
+        # and the rest of the document
+        assert len(pieces) == len(items) + 3
+        assert [piece[lead:] for piece in pieces[1:-2]] == items
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_error_before_the_first_piece(self, bad):
+        # the last intertwiner carries the bad beta
+        form = dk.generate("cycle", 4)
+        isos = list(dk.equivalence_verdict(form, form).solutions)
+        last = isos[-1]
+        isos[-1] = dk.OrderIso._trusted(last.source, last.target, last.tau, last.h, bad)
+        verdict = EquivalenceVerdict(tuple(isos))
+        with pytest.raises(MalformedInput) as caught:
+            jsonio.chunks({"equivalent": True, "reason": None, "intertwiners": verdict.solutions})
+        assert str(caught.value) == oracle_error(oracle_search_payload(verdict))
+
+    def test_different_spaces_are_rejected(self):
+        a, b = dk.generate("path", 3), dk.generate("path", 4)
+        isos = [dk.OrderIso.identity(a.space), dk.OrderIso.identity(b.space)]
+        with pytest.raises(MalformedInput, match="between different spaces"):
+            jsonio.dumps(isos)
 
 
 EDGE_VALUES = (

@@ -324,6 +324,32 @@ class TestCertify:
         assert report.verdict
         assert dk.operator_constant(iso) == pytest.approx(4.0)
 
+    def test_alpha_out_of_float_range_raises(self):
+        # m2 / m1 = 2^1040 with h = 2^-520 on a recurrent pair: beta is 1,
+        # but alpha = beta / h^2 is no float; it once read inf, and the
+        # pushforward residual NaN
+        form1 = dk.generate("path", 3, conductance=2.0**-1000, measure=2.0**-1000)
+        form2 = dk.generate("path", 3, conductance=2.0**40, measure=2.0**40)
+        names = form1.space.vertices
+        iso = dk.OrderIso(form1.space, form2.space, {v: v for v in names},
+                          {v: 2.0**-520 for v in names})
+        assert iso.beta == 1.0
+        with pytest.raises(NumericOverflow, match="^alpha=inf "):
+            dk.certify(iso, form1, form2)
+
+    def test_alpha_where_mean_h_squared_underflows(self):
+        # mean(h)^2 = 2^-1076 rounds to 0, which once ended in a
+        # ZeroDivisionError; beta / h / h is 2^61, and the report is a FAIL
+        # on scaling_constancy, which the loose tolerance lets h vary past
+        form1 = dk.build_form(["a", "b"], 2.0**-60, [("a", "b", 1.0)])
+        form2 = dk.build_form(["a", "b"], 1.0, [("a", "b", 1.0)])
+        iso = dk.OrderIso(form1.space, form2.space, {"a": "a", "b": "b"},
+                          {"a": 2.0**-537, "b": 2.0**-600})
+        report = dk.certify(iso, form1, form2, dk.Tolerance(4.0))
+        checks = {check.name: check for check in report.checks}
+        assert not checks["scaling_constancy"].passed
+        assert checks["measure_pushforward"].detail == f"alpha={2.0**61!r}"
+
 
 def scaled_form(form, factor):
     """The form with every b, c and m multiplied by ``factor``."""

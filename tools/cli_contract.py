@@ -141,10 +141,20 @@ INVALID = {
         "killing": {}}),
 }
 
+
+def _k4(names: list[str], m: list[float]) -> str:
+    """K4 with unit conductances under the given ids and measures."""
+    edges = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    return json.dumps({"vertices": names, "m": dict(zip(names, m)),
+                       "edges": {"u": [u for u, _ in edges], "v": [v for _, v in edges],
+                                 "b": [1.0] * len(edges)}, "killing": {}})
+
+
 # hand-written graphs that load: a -0.0 weight and a -0.0 killing entry,
-# a graph both disconnected and killed, and two unit edges whose generators
+# a graph both disconnected and killed, two unit edges whose generators
 # share the spectrum {0, 2} under measures (1, 1) and (2, 2/3) that no
-# bijection carries onto each other
+# bijection carries onto each other, and K4 under measures (1, 1, 2, 2)
+# with a relabelled copy whose ids need JSON escapes (4 intertwiners)
 HAND = {
     "negative_zero": json.dumps({"vertices": ["a", "b", "c"], "m": {"a": 1.0, "b": 2.0, "c": 1.0},
                                  "edges": {"u": ["a", "b"], "v": ["b", "c"], "b": [-0.0, 1.5]},
@@ -157,6 +167,8 @@ HAND = {
                                 "edges": {"u": ["a"], "v": ["b"], "b": [1.0]}, "killing": {}}),
     "isospectral2": json.dumps({"vertices": ["a", "b"], "m": {"a": 2.0, "b": 2.0 / 3.0},
                                 "edges": {"u": ["a"], "v": ["b"], "b": [1.0]}, "killing": {}}),
+    "k4": _k4(["a", "b", "c", "%s"], [1.0, 1.0, 2.0, 2.0]),
+    "k4_escaped": _k4(['"', "\\", "\u00e9", "\n"], [2.0, 1.0, 2.0, 1.0]),
 }
 
 # metrics checked on path3 with `dirikit intrinsic path3.json --metric NAME.json`
@@ -246,6 +258,7 @@ def _commands() -> list[list[str]]:
             ["search", "large_h.g1.json", "large_h.g2.json", "--format", fmt],
             # 1 / max s is infinite: no heat layer, all 720 solutions
             ["search", "complete6subnormal.json", "complete6subnormal.json", "--format", fmt],
+            ["search", "k4.json", "k4_escaped.json", "--format", fmt],
             ["check", "negative_zero.json", "--format", fmt],
             ["decompose", "negative_zero.json", "--format", fmt],
         ]

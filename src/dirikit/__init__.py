@@ -9,7 +9,6 @@ resistance-metric isometry, and the bijection between intrinsic-metric
 families.
 """
 
-from .beurling import verify_jump_transform
 from .core import (
     GraphForm,
     MeasureSpace,
@@ -35,6 +34,7 @@ from .orderiso import (
     doob_pair,
     intertwining_residual,
     operator_constant,
+    verify_jump_transform,
 )
 from .report import Check, VerificationReport
 from .search import (

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import beurling, jsonio, metrics, orderiso, search, spectral
+from . import jsonio, metrics, orderiso, search, spectral
 from .core import generate
 from .errors import DirikitError
 from .report import VerificationReport
@@ -190,7 +190,7 @@ def _cmd_certify(args) -> int:
     tol = _tolerance(args, DEFAULT_TOL)
 
     report = orderiso.certify(iso, form1, form2, tol)
-    report.extend(beurling.verify_jump_transform(iso, form1, form2, tol))
+    report.extend(orderiso.verify_jump_transform(iso, form1, form2, tol))
     if spectral.is_recurrent(form1) and spectral.is_recurrent(form2):
         report.extend(metrics.verify_resistance_isometry(iso, form1, form2, tol))
         report.extend(metrics.verify_intrinsic_bijection(iso, form1, form2, tol=tol))

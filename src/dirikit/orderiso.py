@@ -1,18 +1,16 @@
 """Order isomorphisms between finite Dirichlet spaces.
 
 An invertible positivity-preserving operator U between L^2(X1, m1) and
-L^2(X2, m2) with positivity-preserving inverse factors as a weighted
-composition operator
-
-    (U f)(y) = h(y) f(tau(y))
-
-for a vertex bijection tau: X2 -> X1 and a strictly positive scaling h on
-X2.  This module measures how far such operators are from intertwining
-two generators, and certifies the rigidity identities an exact
-intertwiner must satisfy: U*U and UU* are a single positive constant
-beta, h^2 m2 is the beta-scaled pullback of m1, the forms differ by the
-factor beta on all basis pairs, h is excessive for the target semigroup,
-and h is constant whenever both forms are recurrent.
+L^2(X2, m2) with positivity-preserving inverse is a weighted composition
+operator (U f)(y) = h(y) f(tau(y)), for a vertex bijection tau: X2 -> X1
+and a strictly positive scaling h on X2.  An intertwiner is unitary up to
+a constant beta, so U L1 = L2 U is one statement, P S1 P^T = S2 on the
+symmetrized generators, which the search and ``require_intertwining`` test
+entry by entry within one bound (``_entry_scale``).  ``certify`` and
+``verify_jump_transform`` then check the rigidity identities of an exact
+intertwiner: U*U = UU* = beta, h^2 m2 = beta m1(tau), the forms and jump
+measures differ by beta, h is excessive for the target semigroup, and
+constant when both forms are recurrent.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from .errors import (
     NumericOverflow,
     SpaceMismatch,
 )
-from .report import VerificationReport
+from .report import VerificationReport, worst_entry
 from .spectral import _excess_deficit, is_excessive, is_recurrent
 from .tolerances import DEFAULT_TOL, Tolerance
 
@@ -106,45 +104,58 @@ def operator_constant(iso: OrderIso) -> float:
     return float(_operator_constants(iso.h_values, iso.target.m, iso.source.m[iso.tau_indices]))
 
 
-def intertwining_residual(iso: OrderIso, form1: GraphForm, form2: GraphForm) -> float:
-    """Max-norm of U L1 - L2 U as a matrix; zero iff U intertwines the
-    semigroups at all times.
+def _entry_scale(matrix: np.ndarray, left=1.0, right=1.0) -> np.ndarray:
+    """left(y) right(z) sqrt(A[y, y] A[z, z]) at (y, z), for A positive
+    semidefinite a bound on left(y) right(z) |A[y, z]|, so a relative scale
+    at every entry; inf past the float range, or NaN where that meets 0."""
+    root = np.sqrt(np.diag(matrix))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.outer(left * root, right * root)
 
-    U has one nonzero per row, so the entries are gathered without forming
-    U: (U L1 - L2 U)[y, tau(z)] = h(y) L1[tau(y), tau(z)] - L2[y, z] h(z).
-    """
+
+def _residual_gap(iso: OrderIso, form1: GraphForm, form2: GraphForm) -> np.ndarray:
+    """|U L1 - L2 U| at (y, tau z), |h(y) L1[tau y, tau z] - L2[y, z] h(z)|,
+    as entry (y, z) without forming U; inf or NaN past the float range."""
     if iso.source != form1.space:
         raise SpaceMismatch("iso source does not match the first form")
     if iso.target != form2.space:
         raise SpaceMismatch("iso target does not match the second form")
     idx, h = iso.tau_indices, iso.h_values
-    gap = h[:, None] * form1.L[np.ix_(idx, idx)] - form2.L * h[None, :]
-    return float(np.max(np.abs(gap)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(h[:, None] * form1.L[idx][:, idx] - form2.L * h[None, :])
+
+
+def intertwining_residual(iso: OrderIso, form1: GraphForm, form2: GraphForm) -> float:
+    """Max-norm of U L1 - L2 U, zero iff U intertwines the semigroups: a
+    diagnostic in the units of L and h, not the acceptance test (that is
+    ``require_intertwining``), kept because perfbench/layers.py times it."""
+    return float(np.max(_residual_gap(iso, form1, form2)))
 
 
 def require_intertwining(
     iso: OrderIso, form1: GraphForm, form2: GraphForm, tol: Tolerance = DEFAULT_TOL
-) -> float:
-    """The intertwining residual, or NotIntertwining when it exceeds
-    ``tol.rel`` times max h * max|L| of the two generators.
-
-    The bound is purely relative: an absolute floor, or a scale floored at
-    1, would pass a wrong tau whenever h or L is small.  NumericOverflow when
-    that scale leaves the floating-point range but the residual does not,
-    since an infinite bound would pass every finite residual.
-    """
-    residual = intertwining_residual(iso, form1, form2)
-    scale = float(np.max(iso.h_values)) * max(
-        float(np.max(np.abs(form1.L))), float(np.max(np.abs(form2.L)))
-    )
-    if np.isfinite(residual) and not np.isfinite(scale):
-        raise NumericOverflow("intertwining residual scale leaves the floating-point range")
-    bound = tol.bound(scale)
-    if not (residual <= bound and np.isfinite(residual)):
+) -> None:
+    """NotIntertwining naming the worst entry (``worst_entry``) when an entry
+    of U L1 - L2 U exceeds its bound, the search's (``search.residual_bound``)
+    in L coordinates: ``tol.rel`` h(y) sqrt(m1(tau z) / m1(tau y)) sqrt(s(y)
+    s(z)) at (y, z), s = diag L2.  For h = c sqrt(m1(tau) / m2) that is the
+    test |S1[tau y, tau z] - S2[y, z]| <= rel sqrt(s(y) s(z)) times c
+    sqrt(m1(tau z) / m2(y)); another h fails it where it varies on an edge.
+    NumericOverflow when a bound leaves the float range where its residual
+    does not, as it would pass any residual."""
+    gap = _residual_gap(iso, form1, form2)
+    root_m1 = np.sqrt(iso.source.m[iso.tau_indices])
+    with np.errstate(over="ignore"):
+        bound = tol.bound(_entry_scale(form2.L, iso.h_values / root_m1, root_m1))
+    if not np.isfinite(bound).all() and np.any(np.isfinite(gap) & ~np.isfinite(bound)):
+        raise NumericOverflow("intertwining residual bound leaves the floating-point range")
+    if not (gap <= bound).all():
+        y, z = worst_entry(gap, bound)
+        names = iso.target.vertices
         raise NotIntertwining(
-            f"intertwining residual {residual:.3e} exceeds tolerance {bound:.3e}"
+            f"intertwining residual {gap[y, z]:.3e} exceeds its bound {bound[y, z]:.3e}"
+            f" at the entry ({names[y]!r}, {names[z]!r}) of the targets"
         )
-    return residual
 
 
 def _require_normal(name: str, value: float) -> float:
@@ -181,7 +192,7 @@ def certify(
 
     report = VerificationReport()
     with np.errstate(over="ignore"):  # an infinite beta raises below
-        beta = _require_normal("beta", operator_constant(iso))
+        beta = _require_normal("beta", iso.beta)
     # U and U* have one nonzero per row, so nothing is multiplied densely and
     # everything is read in target order y, with x = tau(y): the nonzero of
     # U* in row x is w(y) = m2(y) h(y) / m1(x), U*U and UU* are diagonal with
@@ -193,8 +204,8 @@ def certify(
     report.add("operator_constant", op_residual, tol.bound(beta), detail=f"beta={beta!r}")
 
     gram2 = h[:, None] * form2.form_matrix * h[None, :]
-    gram1 = beta * form1.form_matrix[np.ix_(tau, tau)]
-    report.compare("form_scaling", gram1, gram2, tol)
+    gram1 = beta * form1.form_matrix[tau][:, tau]
+    report.compare("form_scaling", gram1, gram2, _entry_scale(form2.form_matrix, h, h), tol)
 
     deficit, exc_scale = _excess_deficit(form2, h)
     report.add("scaling_excessive", deficit, tol.bound(exc_scale))
@@ -203,11 +214,8 @@ def certify(
     if is_recurrent(form1) and is_recurrent(form2):
         report.add("scaling_constancy", ratio - 1.0, tol.bound(1.0))
         h_const = float(np.mean(h))
-        try:
-            alpha = beta / h_const**2
-        except ZeroDivisionError:  # the square underflows where alpha need not
-            alpha = beta / h_const / h_const
-        _require_normal("alpha", alpha)
+        square = h_const**2  # 0 where it underflows, which alpha need not
+        alpha = _require_normal("alpha", beta / square if square else beta / h_const / h_const)
         pulled = alpha * iso.source.m[tau]
         push_residual = float(np.max(np.abs(iso.target.m - pulled) / pulled))
         report.add(
@@ -219,6 +227,31 @@ def certify(
             "scaling_constancy",
             f"pair not recurrent; observed h max/min ratio = {ratio!r}",
         )
+    return report
+
+
+def verify_jump_transform(
+    iso: OrderIso, form1: GraphForm, form2: GraphForm, tol: Tolerance = DEFAULT_TOL
+) -> VerificationReport:
+    """Certify how the jump measure transports along an intertwiner.
+
+    A form is Q(f, f) = sum J(x, y) (f(x) - f(y))^2 + sum k(x) f(x)^2 over
+    ordered pairs x != y, with J = b / 2 on each orientation of an edge and
+    k = c (``jsonio.jump_to_obj`` writes the split); it has no strongly
+    local part.  An intertwiner has beta J1(tau x, tau y) = h(x) h(y)
+    J2(x, y) on every pair, here within the bound of ``form_scaling``, rel
+    h(x) h(y) sqrt(F2[x, x] F2[y, y]), whose off-diagonal half this is.
+    """
+    require_intertwining(iso, form1, form2, tol)
+    idx, h = iso.tau_indices, iso.h_values
+    report = VerificationReport()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing h^2 is a FAIL
+        beta = iso.beta
+        lhs = beta * (0.5 * form1.weight_matrix)[idx][:, idx]
+        rhs = np.outer(h, h) * (0.5 * form2.weight_matrix)
+        np.fill_diagonal(rhs, 0.0)
+        scale = _entry_scale(form2.form_matrix, h, h)
+        report.compare("jump_transform", lhs, rhs, scale, tol, detail=f"beta={beta!r}")
     return report
 
 

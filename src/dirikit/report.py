@@ -10,6 +10,23 @@ import numpy as np
 from .tolerances import Tolerance
 
 
+def worst_entry(gap: np.ndarray, bound: np.ndarray) -> tuple[int, ...]:
+    """The index of the entry of ``gap`` above its ``bound`` by the largest
+    factor, a NaN first; when none is above, of the largest gap / bound, a
+    zero gap counting as 0."""
+    with np.errstate(all="ignore"):
+        ratio = gap / bound
+    worst = np.argmax(ratio)
+    if not ratio.flat[worst] < 1.0:  # a NaN, or an entry at or above its bound
+        within = gap <= bound
+        if within.all():
+            ratio[gap == 0.0] = 0.0  # 0 / 0 is NaN
+        else:
+            ratio[within] = -1.0
+        worst = np.argmax(ratio)
+    return np.unravel_index(worst, ratio.shape)
+
+
 @dataclass
 class Check:
     name: str
@@ -46,11 +63,15 @@ class VerificationReport:
         self.checks.append(check)
         return check
 
-    def compare(self, name: str, lhs: np.ndarray, rhs: np.ndarray, tol: Tolerance,
+    def compare(self, name: str, lhs: np.ndarray, rhs: np.ndarray, scale, tol: Tolerance,
                 detail: str | None = None) -> Check:
-        """Add the check max|lhs - rhs| <= tol.bound(max(max|lhs|, max|rhs|))."""
-        scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-        return self.add(name, float(np.max(np.abs(lhs - rhs))), tol.bound(scale), detail)
+        """Add the check |lhs - rhs| <= tol.bound(scale) at every entry, for a
+        scale per entry or one for all, with the residual and bound of
+        ``worst_entry``."""
+        gap = np.abs(lhs - rhs)
+        bound = tol.bound(scale)
+        entry = worst_entry(gap, bound)
+        return self.add(name, gap[entry], bound[entry] if np.ndim(bound) else bound, detail)
 
     def skip(self, name: str, detail: str) -> Check:
         # informational entry; a residual of 0 within 0 never affects the verdict
@@ -58,9 +79,7 @@ class VerificationReport:
 
     def extend(self, other: "VerificationReport") -> None:
         for check in other.checks:
-            if any(c.name == check.name for c in self.checks):
-                raise ValueError(f"duplicate check name {check.name!r}")
-            self.checks.append(check)
+            self.add(check.name, check.residual, check.tol, check.detail)
 
     def __getitem__(self, name: str) -> Check:
         for check in self.checks:

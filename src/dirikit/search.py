@@ -6,12 +6,10 @@ sqrt(beta) P for the permutation matrix P of tau, and the symmetrized
 generators S_i = D_i L_i D_i^{-1} (``GraphForm.symmetric``) satisfy
 P S1 = S2 P.  The search runs over the bijections on S, where neither h
 nor units appear; h(y) = sqrt(m1(tau(y)) / m2(y)) and beta are computed
-from the measures afterwards.  Each entry has its own bound: tau passes
-when |S1[tau y, tau z] - S2[y, z]| <= rel sqrt(s(y) s(z)) for all targets
-y, z, with s the diagonal of S2 (``residual_bound``).  S2 is positive
-semidefinite, so sqrt(s(y) s(z)) bounds |S2[y, z]| and the test is
-relative at every entry; scaling b and c, scaling m, or a Doob transform
-leaves it as it is.
+from the measures afterwards.  tau passes when each entry of
+|S1[tau y, tau z] - S2[y, z]| is within rel sqrt(s(y) s(z)), s = diag S2
+(``residual_bound``, the bound of certify's guard too), which no scaling
+of b and c, of m, or Doob transform changes.
 
 Enumeration is a depth-first assignment of target vertices in
 lexicographic order, each to a source vertex of its domain in
@@ -68,7 +66,7 @@ import numpy as np
 
 from .core import GraphForm, _string_order
 from .errors import InvalidSize, NonPositive, NotIrreducible
-from .orderiso import OrderIso, _operator_constants
+from .orderiso import OrderIso, _entry_scale, _operator_constants
 from .tolerances import Tolerance
 
 
@@ -215,10 +213,9 @@ def _search(s1, s2, domain, bounds, cap) -> list[np.ndarray]:
 
 def residual_bound(form: GraphForm, opts: SearchOptions) -> np.ndarray:
     """Entrywise acceptance bound for P S1 P^T - S2, S2 the symmetrized
-    generator of the target ``form``: ``opts.tol`` of sqrt(s(y)) sqrt(s(z))
-    at the entry (y, z), s the diagonal of S2, in storage order."""
-    root = np.sqrt(np.diag(form.symmetric))
-    return opts.tol.bound(np.outer(root, root))
+    generator of the target ``form``: ``opts.tol`` of sqrt(s(y) s(z)) at
+    (y, z), s = diag S2 = diag L2, in storage order."""
+    return opts.tol.bound(_entry_scale(form.L))
 
 
 def _heat_kernel(form: GraphForm, t: float) -> np.ndarray:
@@ -343,12 +340,10 @@ def find_intertwiners(
     """All order isomorphisms intertwining the two forms, operator constant 1.
 
     Returns the bijections tau, each with the measure-induced scaling
-    h(y) = sqrt(m1(tau(y)) / m2(y)), for which every entry (y, z) of
-    P S1 P^T - S2 is within ``tol.rel`` sqrt(s(y) s(z)) (``residual_bound``),
-    S_i the symmetrized generators and s the diagonal of S2, in
-    lexicographic order of tau as a vertex-id sequence, capped at
-    ``opts.max_solutions``; none when the sizes differ or the spectra
-    differ beyond ``tol.rel``.  NonPositive when the h of a solution is
-    not a positive float.
+    h(y) = sqrt(m1(tau(y)) / m2(y)), for which every entry of P S1 P^T - S2
+    is within ``residual_bound``, in lexicographic order of tau as a
+    vertex-id sequence, capped at ``opts.max_solutions``; none when the
+    sizes differ or the spectra differ beyond ``tol.rel``.  NonPositive
+    when the h of a solution is not a positive float.
     """
     return list(equivalence_verdict(form1, form2, opts).solutions)

@@ -35,7 +35,8 @@ class Tolerance:
         if isinstance(scale, np.ndarray):
             with np.errstate(over="ignore"):
                 bound = self.rel * np.abs(scale)
-            overflow = np.any(np.isinf(bound) & np.isfinite(scale))
+            finite = np.isfinite(bound).all()
+            overflow = not finite and np.any(np.isinf(bound) & np.isfinite(scale))
         else:  # plain float arithmetic overflows to inf without a warning
             bound = self.rel * abs(float(scale))
             overflow = bound == math.inf and math.isfinite(scale)

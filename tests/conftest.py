@@ -28,6 +28,22 @@ from dirikit.search import SearchOptions, residual_bound, spectra_match
 from dirikit.tolerances import DEFAULT_TOL, Tolerance
 
 
+def oracle_worst_entry(gap: np.ndarray, bound: np.ndarray) -> tuple[int, ...]:
+    """Entry by entry: the first entry above its bound by the largest
+    factor, a NaN first; when none is above, the first of the largest
+    gap / bound, a zero gap counting as 0."""
+    entries = list(np.ndindex(gap.shape))
+    failed = [e for e in entries if not gap[e] <= bound[e]]
+
+    def key(e):
+        g, b = float(gap[e]), float(bound[e])
+        if math.isnan(g):
+            return (1, 0.0)
+        return (0, 0.0 if g == 0.0 else g / b if b > 0.0 else math.inf)
+
+    return max(failed or entries, key=key)
+
+
 def rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 

@@ -16,6 +16,7 @@ from conftest import (
     jump_matrix,
     oracle_decompose,
     oracle_jump_to_obj,
+    oracle_worst_entry,
     random_function,
     reconstruct,
     rng_for,
@@ -155,14 +156,17 @@ class TestJumpTransform:
 
 def dict_route(iso, form1, form2, tol=dk.Tolerance()):
     """Reference: (residual, tol) of the jump check computed through the
-    jump/killing dicts, jump_matrix(oracle_decompose(f))."""
+    jump/killing dicts, jump_matrix(oracle_decompose(f)), at the worst entry
+    against the bound rel h(y) h(z) sqrt(F2[y, y] F2[z, z])."""
     beta = dk.operator_constant(iso)
     idx, h = iso.tau_indices, iso.h_values
     lhs = beta * jump_matrix(oracle_decompose(form1))[np.ix_(idx, idx)]
     rhs = np.outer(h, h) * jump_matrix(oracle_decompose(form2))
     np.fill_diagonal(rhs, 0.0)
-    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    return float(np.max(np.abs(lhs - rhs))), tol.rel * scale
+    root = h * np.sqrt(np.diag(form2.form_matrix))
+    gap, bound = np.abs(lhs - rhs), tol.rel * np.outer(root, root)
+    entry = oracle_worst_entry(gap, bound)
+    return float(gap[entry]), float(bound[entry])
 
 
 def jump_sample(rng, kind):

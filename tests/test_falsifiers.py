@@ -3,30 +3,31 @@
 A certificate should print only checks that some input can fail.  Each
 case below is a pair with a candidate that passes the intertwining guard,
 run through the CLI, with the exact set of checks that fail on it.  The
-guard bounds U L1 - L2 U entrywise by rel * max h * max|L|, so a case
-hides its fault where that normwise bound is loose: in a sum along a path
-or over a row, in a row of small L (a heavy vertex), or in the F = M L
-scale that the form checks use in place of the L scale.  Every bound is
-``tol.rel`` times the size of what it compares, with no floor, so a case
-fails the same checks in any units.
+guard holds each entry of U L1 - L2 U to ``tol.rel`` of its own scale, the
+search's bound |S1[tau y, tau z] - S2[y, z]| <= rel sqrt(s(y) s(z)) carried
+to L coordinates, so a case hides its fault where that per-entry bound
+leaves room: in a sum along a path or over a row, in two checks whose
+slacks add up at one entry, or at an entry far below the sqrt(s(y) s(z))
+of its ends, a weak edge or a new one.  Every bound is ``tol.rel`` times
+the size of what it compares, with no floor, so a case fails the same
+checks in any units.
 
 Every check has a case, and all but three have one that fails it alone:
 
-* ``scaling_excessive`` fails beside ``jump_transform`` on a star whose
-  conductances are 1e-3: the fault moved onto its edges is small against
-  1, but not against the largest jump.  The same holds for
-  ``operator_constant`` and ``form_scaling`` at beta = 1e-4
-  (``small_beta``).  Both cases passed these checks while their bounds
-  were floored at 1.
+* ``jump_transform`` fails beside ``form_scaling``: both bound entry
+  (y, z) by rel h(y) h(z) sqrt(F2[y, y] F2[z, z]), and off the diagonal
+  the jump residual is half that of the form, so no candidate fails it
+  alone.
 * ``equal_mass_isometry`` fails beside ``resistance_isometry``: with
-  equal masses and constant h, alpha^2 = beta, and the two compare the
-  same resistances.
+  equal masses and constant h, alpha^2 = beta to within rel, and the two
+  compare the same resistances, so one fails alone only near its bound.
 * ``intrinsic_pushforward_inflated`` (1.5 times the canonical metric d) is
-  out on the source at the vertex x that minimises m/deg, where the
-  energy of d is m(x).  That vertex has the largest diagonal of L, so the
-  guard holds its row to 1e-9 relative unless h varies, and the target is
-  out there too.  Its case varies h by a factor 2e9, which blinds the
-  guard to the row of x and fails nearly every other check as well.
+  out on the source at the vertex x that minimises m/deg, where the energy
+  of d is m(x).  Inside the guard the energy of the pushforward at x is at
+  least m2 / (1 + rel) of the target measure, so 2.25 times it is out on
+  the target too, unless (1 + rel)^2 >= 2.25.  Its case runs at
+  ``--tol 0.9``, where a target measure 1.5 times too large passes the
+  guard and puts the inflated metric in the target's family only.
 """
 
 import json
@@ -58,20 +59,11 @@ def with_columns(form, m=None, weights=None, c=None):
 
 
 def drifted_path():
-    # tau = id on P12 with h(y) = (1 + 1.5e-9)^y: each entry of the guard
-    # is within its bound, but the drift adds up to 1.65e-8 along the path
+    # tau = id on P12 with h(y) = (1 + 1.4e-9)^y: each entry of the guard
+    # is within its bound, 1.4e-9 against 1.41e-9 at the ends, but the
+    # drift adds up to 1.54e-8 along the path
     path = dk.generate("path", 12)
-    return path, path, identity_iso(path, path, (1 + 1.5e-9) ** np.arange(12))
-
-
-def raised_ratio():
-    # beta = 2 and one h^2 m2 / m1 raised so that it is 1e-9 + 0.75e-12
-    # above beta relative, at the vertex of least degree
-    form = random_form(rng_for(940), 8, recurrent=False)
-    eps = (1e-9 + 0.75e-12) / (1 - 1 / 8)
-    h = np.full(8, np.sqrt(2.0))
-    h[np.argmin(form.degrees)] = np.sqrt(2 * (1 + eps))
-    return form, form, identity_iso(form, form, h)
+    return path, path, identity_iso(path, path, (1 + 1.4e-9) ** np.arange(12))
 
 
 def small_beta():
@@ -83,43 +75,42 @@ def small_beta():
     return form, form, identity_iso(form, form, h)
 
 
-def heavy_form():
-    """A transient form whose first two vertices (an edge) weigh 1e4: their
-    rows of L are small next to max|L|, their rows of F are not."""
-    form = random_form(rng_for(920), 8, recurrent=False)
-    m = form.space.m.copy()
-    m[:2] = 1e4
-    return with_columns(form, m=m)
+def raised_vertex(seed, ratio, killing):
+    """A transient form and itself under tau = id, h = 1 but at the vertex y
+    of least degree, where h^2 is raised so that h^2 m2 / m1 is ``ratio``
+    above beta relative, with the killing at y raised by ``killing`` times
+    F[y, y] in the first form (positive) or the second (negative)."""
+    form = random_form(rng_for(seed), 8, recurrent=False)
+    y = int(np.argmin(form.degrees))
+    h = np.ones(8)
+    h[y] = np.sqrt(1 + ratio / (1 - 1 / 8))
+    c = form.c.copy()
+    c[y] += abs(killing) * form.form_matrix[y, y]
+    raised = with_columns(form, c=c)
+    form1, form2 = (raised, form) if killing > 0 else (form, raised)
+    return form1, form2, identity_iso(form1, form2, h)
 
 
-def heavy_killing():
-    # killing at a heavy vertex raised by 3e-9 max|F|
-    form1 = heavy_form()
-    c = form1.c.copy()
-    c[0] += 3e-9 * float(np.max(np.abs(form1.form_matrix)))
-    form2 = with_columns(form1, c=c)
-    return form1, form2, identity_iso(form1, form2, 1.0)
+def raised_ratio():
+    # h^2 m2 / m1 1.2e-9 above beta at y, and F1[y, y] raised by 0.9e-9 of
+    # it: the entry (y, y) of h F2 h - beta F1 is 1.2e-9 - 0.9e-9 of its
+    # scale, and that of the guard 0.9e-9
+    return raised_vertex(940, 1.2e-9, 0.9e-9)
 
 
-def heavy_edge():
-    # the edge between the heavy vertices raised by 0.7e-9 max|F|: within
-    # the bound of form_scaling, whose scale includes the degrees, but not
-    # within that of jump_transform, whose scale is max J
-    form1 = heavy_form()
-    ends = list(zip(*form1.edge_ends()))
-    assert ends[0] == ("v0", "v1")
-    weights = form1.weights.copy()
-    weights[0] += 0.7e-9 * float(np.max(np.abs(form1.form_matrix)))
-    form2 = with_columns(form1, weights=weights)
-    return form1, form2, identity_iso(form1, form2, 1.0)
+def raised_killing():
+    # h^2 m2 / m1 0.9e-9 above beta at y, and F2[y, y] raised by 0.9e-9 of
+    # it: each within its own bound, but the entry (y, y) of h F2 h - beta
+    # F1 adds them up to 1.8e-9
+    return raised_vertex(920, 0.9e-9, -0.9e-9)
 
 
 def star_deficit():
     # the exact conjugate of a star by h = 1 at the centre and 2 at its ten
-    # leaves, then 3e-12 of the centre's killing moved onto each of its
-    # edges: each entry of the guard is 3e-12 * h / m2, and L2 h at the
-    # centre sums all ten to -6e-8.  Each jump is then 3e-12 off, six times
-    # 1e-9 of the largest, 5e-4
+    # leaves, then 2.7e-12 of the centre's killing moved onto each of its
+    # edges: each entry of the guard is 2.7e-12 h / m2, within its bound,
+    # and L2 h at the centre sums all ten to -5.4e-8, against 1e-9 of
+    # max|L| max h = 2e1
     names = [f"v{i}" for i in range(11)]
     c1 = np.full(11, 2e-3)
     c1[0] = 0.0
@@ -129,7 +120,7 @@ def star_deficit():
     i, j = form1.edge_indices
     exact = with_columns(form1, m=form1.space.m / h**2, weights=form1.weights / (h[i] * h[j]))
     c2 = (form1.degrees + form1.c) / h**2 - exact.degrees
-    delta = 3e-12
+    delta = 2.7e-12
     c2[0] -= 10 * delta
     c2[1:] -= delta
     form2 = with_columns(exact, weights=exact.weights + delta, c=c2)
@@ -166,6 +157,20 @@ def split_scaling():
     return form1, form2, identity_iso(form1, form2, h / np.sqrt(2.0))
 
 
+def split_killed():
+    # two killed unit triangles joined by an edge of 1e-3, h = 1 on one and
+    # 1 + 1e-8 on the other: the guard sees the step of h only on the weak
+    # edge, 1e-11 against 3e-9, while h^2 m2 / m1 is 1e-8 off beta, and
+    # h h J2 of each jump 1/2 of the second triangle is 5e-9 off beta J1,
+    # beside a bound of 1e-9 sqrt(F2[y, y] F2[z, z]) = 3e-9
+    names = ["s0", "s1", "s2", "t0", "t1", "t2"]
+    form = dk.build_form(names, 1.0, [
+        ("s0", "s1", 1.0), ("s1", "s2", 1.0), ("s0", "s2", 1.0),
+        ("t0", "t1", 1.0), ("t1", "t2", 1.0), ("t0", "t2", 1.0), ("s0", "t0", 1e-3)],
+        {v: 1.0 for v in names})
+    return form, form, identity_iso(form, form, np.repeat([1.0, 1 + 1e-8], 3))
+
+
 def bridged_path(scale):
     # P6 with a middle edge of 1e-3, the second form scaled by `scale` with
     # that edge raised by 1e-7 relative: the change is below 1e-9 of max|L|
@@ -181,29 +186,26 @@ def bridged_path(scale):
     return form1, form2, identity_iso(form1, form2, 1 / np.sqrt(scale))
 
 
-def saturated_leaf():
-    # the leaf x saturates its intrinsic bound (m/deg is 1 there and 10/2.01
-    # at its neighbour) but its diagonal of L is 1 next to max|L| = 100 at
-    # D; raising its edge by 1e-8 puts its energy 1e-8 above m on the
-    # target.  The weaker bridge B-C keeps the resistance change below 1e-9
-    names = ["x", "H", "A", "B", "C", "D"]
-    m = [1e-2, 10.0, 1.0, 1.0, 1.0, 1e-2]
-
-    def form(eps):
-        return dk.build_form(names, m, [
-            ("x", "H", 1e-2 * (1 + eps)), ("H", "A", 1.0), ("H", "B", 1.0), ("A", "B", 1.0),
-            ("B", "C", 1e-4), ("C", "D", 1.0)])
-
-    form1, form2 = form(0.0), form(1e-8)
+def long_chord():
+    # P12 with a chord of 1e-10 from v2 to v9 in the second form: within
+    # 1e-9 of sqrt(s(y) s(z)) = 2 on the guard's entries, and a resistance
+    # change of 4.9e-9 against 1e-9 of the largest, 11.  The canonical
+    # metric of P12 puts v2 and v9 7 / sqrt(2) apart, so the chord adds
+    # 2.45e-9 m to the energy at v2, which m saturates
+    form1 = dk.generate("path", 12)
+    form2 = dk.build_form(form1.space.vertices, 1.0,
+                          [*((u, v, w) for (u, v), w in form1.b.items()), ("v2", "v9", 1e-10)])
     return form1, form2, identity_iso(form1, form2, 1.0)
 
 
-def blind_row():
-    # h(a) = 5e-10 h(b) and m1(a) = 1e-12: the row and column of a in the
-    # guard are below 1e-9 max h max|L| = 1e3 whatever form2 puts there
-    form1 = dk.build_form(["a", "b"], [1e-12, 1.0], [("a", "b", 1.0)])
-    form2 = dk.build_form(["a", "b"], [2e-3, 1.0], [("a", "b", 1.0)])
-    return form1, form2, identity_iso(form1, form2, [0.5e-9, 1.0])
+def heavy_target():
+    # a relabel pair whose target measure is 1.5 times too large, at
+    # --tol 0.9: L2 = L1 / 1.5 is within 0.9 of it on the diagonal, and the
+    # inflated metric's energy, 2.25 m at the saturated vertex, is within
+    # 1.9 m on the source's measure and 2.85 m on the target's
+    form1 = random_form(rng_for(950), 8, recurrent=True)
+    form2 = with_columns(form1, m=1.5 * form1.space.m)
+    return form1, form2, identity_iso(form1, form2, 1.0)
 
 
 FALSIFIERS = {
@@ -211,27 +213,25 @@ FALSIFIERS = {
         "operator_constant", "form_scaling", "scaling_constancy", "jump_transform"}),
     "operator_constant": (raised_ratio, {"operator_constant"}),
     "small_beta": (small_beta, {"operator_constant", "form_scaling"}),
-    "form_scaling": (heavy_killing, {"form_scaling"}),
-    "jump_transform": (heavy_edge, {"jump_transform"}),
-    "scaling_excessive": (star_deficit, {"scaling_excessive", "jump_transform"}),
+    "form_scaling": (raised_killing, {"form_scaling"}),
+    "jump_transform": (split_killed, {"operator_constant", "form_scaling", "jump_transform"}),
+    "scaling_excessive": (star_deficit, {"scaling_excessive"}),
     "scaling_constancy": (split_scaling, {"scaling_constancy"}),
     "measure_pushforward": (conjugate_without_killing, {"measure_pushforward"}),
     "resistance_isometry": (lambda: bridged_path(2.0), {"resistance_isometry"}),
     "equal_mass_isometry": (lambda: bridged_path(1.0), {
         "resistance_isometry", "equal_mass_isometry"}),
-    "intrinsic_pushforward_canonical": (saturated_leaf, {"intrinsic_pushforward_canonical"}),
-    "intrinsic_pushforward_inflated": (blind_row, {
-        "operator_constant", "form_scaling", "scaling_excessive", "scaling_constancy",
-        "measure_pushforward", "jump_transform", "resistance_isometry",
-        "intrinsic_pushforward_inflated"}),
+    "intrinsic_pushforward_canonical": (long_chord, {"intrinsic_pushforward_canonical"}),
+    "intrinsic_pushforward_inflated": (heavy_target, {"intrinsic_pushforward_inflated"}),
 }
+FLAGS = {"intrinsic_pushforward_inflated": ["--tol", "0.9"]}
 
 
-def certify_cli(tmp_path, capsys, form1, form2, iso):
+def certify_cli(tmp_path, capsys, form1, form2, iso, flags=()):
     """Exit code and report of `dirikit certify` on the pair."""
     path = tmp_path / "pair.json"
     path.write_text(jsonio.dumps(jsonio.pair_to_obj(form1, form2, iso)), encoding="utf-8")
-    code = cli.run(["certify", str(path)])
+    code = cli.run(["certify", str(path), *flags])
     return code, json.loads(capsys.readouterr().out)
 
 
@@ -240,7 +240,7 @@ def test_falsifier(tmp_path, capsys, case):
     build, failing = FALSIFIERS[case]
     form1, form2, iso = build()
     assert dk.intertwining_residual(iso, form1, form2) > 0.0
-    code, report = certify_cli(tmp_path, capsys, form1, form2, iso)
+    code, report = certify_cli(tmp_path, capsys, form1, form2, iso, FLAGS.get(case, ()))
     assert {c["name"] for c in report["checks"] if not c["pass"]} == failing
     assert (code, report["verdict"]) == (1, False)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from dirikit.errors import (
     NumericOverflow,
 )
 from dirikit import jsonio
-from dirikit.orderiso import require_intertwining
+from dirikit.orderiso import _entry_scale, require_intertwining
 from dirikit.sampling import doob_pair_sample, random_form, random_intertwined_pair, relabel_pair
-from dirikit.search import SearchOptions
+from dirikit.search import SearchOptions, residual_bound
 
 from conftest import (
     adjoint,
@@ -26,6 +27,7 @@ from conftest import (
     inner,
     iso_matrix,
     l_only_intertwiners,
+    oracle_worst_entry,
     rng_for,
 )
 
@@ -161,10 +163,18 @@ class TestResidual:
                 float(np.max(np.abs(u @ u_star - beta * np.eye(len(iso.target))))),
             )
             gram2 = u.T @ form2.form_matrix @ u
-            form_gap = float(np.max(np.abs(gram2 - beta * form1.form_matrix)))
+            # in target order, as certify reads them, so that ties resolve alike
+            back = np.ix_(iso.tau_indices, iso.tau_indices)
+            form_gap = np.abs(gram2 - beta * form1.form_matrix)[back]
+            root = np.sqrt(np.diag(gram2[back]))
+            bound = loose.rel * np.outer(root, root)
             report = dk.certify(iso, form1, form2, loose)
             assert report["operator_constant"].residual == op
-            assert report["form_scaling"].residual == form_gap
+            # the worst entry against h(y) h(z) sqrt(F2[y, y] F2[z, z]); the
+            # square roots of h^2 F2 here round apart from h sqrt(F2) there
+            entry = oracle_worst_entry(form_gap, bound)
+            assert report["form_scaling"].residual == form_gap[entry]
+            assert report["form_scaling"].tol == pytest.approx(bound[entry], rel=1e-14)
 
     def test_identity_on_same_form(self):
         form = killed_pair()
@@ -203,13 +213,14 @@ class TestResidual:
             dk.certify(swapped, form1, form2)
 
     def test_overflowing_guard_scale(self):
-        # max h sits on a, max|L| on b, and no entry of h L overflows; an
-        # infinite bound would pass the residual 1e200
+        # the bound of the entry (a, c) is rel h(a) sqrt(m(c) / m(a)) times
+        # about 1, 1e-9 * 1e209 * 1e100, and no entry of h L overflows; an
+        # infinite bound would pass its residual 1e209
         form = dk.build_form(["a", "b", "c"], {"a": 1.0, "b": 1.0, "c": 1e200},
                              [("a", "c", 1.0), ("b", "c", 1e200)])
         iso = dk.OrderIso(form.space, form.space, {v: v for v in "abc"},
-                          {"a": 1e200, "b": 1.0, "c": 1.0})
-        assert dk.intertwining_residual(iso, form, form) == 1e200
+                          {"a": 1e209, "b": 1.0, "c": 1.0})
+        assert dk.intertwining_residual(iso, form, form) == 1e209
         with pytest.raises(NumericOverflow):
             require_intertwining(iso, form, form)
 
@@ -340,12 +351,14 @@ class TestCertify:
     def test_alpha_where_mean_h_squared_underflows(self):
         # mean(h)^2 = 2^-1076 rounds to 0, which once ended in a
         # ZeroDivisionError; beta / h / h is 2^61, and the report is a FAIL
-        # on scaling_constancy, which the loose tolerance lets h vary past
+        # on scaling_constancy, which the loose tolerance lets h vary past.
+        # The guard's entry (b, a), 2^-537 * 7/8 against rel * 2^-600, needs
+        # rel >= 2^63 * 7/8; the ratio of h is 2^63
         form1 = dk.build_form(["a", "b"], 2.0**-60, [("a", "b", 1.0)])
         form2 = dk.build_form(["a", "b"], 1.0, [("a", "b", 1.0)])
         iso = dk.OrderIso(form1.space, form2.space, {"a": "a", "b": "b"},
                           {"a": 2.0**-537, "b": 2.0**-600})
-        report = dk.certify(iso, form1, form2, dk.Tolerance(4.0))
+        report = dk.certify(iso, form1, form2, dk.Tolerance(0.9 * 2.0**63))
         checks = {check.name: check for check in report.checks}
         assert not checks["scaling_constancy"].passed
         assert checks["measure_pushforward"].detail == f"alpha={2.0**61!r}"
@@ -555,3 +568,73 @@ class TestBeta:
         assert any(iso.beta != 1.0 for iso in isos)
         for iso in isos:
             assert iso.beta.hex() == dk.operator_constant(iso).hex()
+
+    def test_verifiers_read_beta_once(self, monkeypatch):
+        # the jump and resistance checks read iso.beta, computed once, and do
+        # not call operator_constant again
+        form1, form2, iso = random_intertwined_pair(rng_for(232), 7, "relabel")
+        beta = iso.beta
+        monkeypatch.setattr("dirikit.orderiso.operator_constant", None)
+        for verify in (dk.verify_jump_transform, dk.verify_resistance_isometry):
+            report = verify(iso, form1, form2)
+            assert report.verdict
+            assert f"beta={beta!r}" in report.checks[0].detail
+
+    def test_overflowing_beta_fails_without_warning(self):
+        # h = 2^600 passes the guard, as every residual scales exactly, but
+        # h^2 overflows: beta is inf and the jump and resistance checks FAIL,
+        # with no RuntimeWarning; alpha**2 once raised OverflowError
+        form = dk.generate("cycle", 5)
+        names = form.space.vertices
+        iso = dk.OrderIso(form.space, form.space, {v: v for v in names},
+                          {v: 2.0**600 for v in names})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jump = dk.verify_jump_transform(iso, form, form)
+            resistance = dk.verify_resistance_isometry(iso, form, form)
+        assert jump["jump_transform"].detail == "beta=inf"
+        assert resistance["resistance_isometry"].detail.endswith(" beta=inf")
+        assert not jump.verdict and not resistance.verdict
+
+
+class TestGuardPerEntry:
+    """The guard holds entry (y, z) of U L1 - L2 U within rel h(y)
+    sqrt(m1(tau z) / m1(tau y)) sqrt(s(y) s(z)), s = diag L2, the search's
+    bound in L coordinates, and names its worst entry when it fails."""
+
+    def test_message_names_the_worst_entry(self):
+        # a relabel pair with two images swapped: the named entry's residual
+        # and bound, recomputed from the forms, are the largest failure
+        form1, form2, iso = random_intertwined_pair(rng_for(233), 9, "relabel")
+        y0, y1 = iso.target.vertices[:2]
+        tau = dict(iso.tau, **{y0: iso.tau[y1], y1: iso.tau[y0]})
+        swapped = dk.OrderIso(iso.source, iso.target, tau, iso.h)
+        with pytest.raises(NotIntertwining) as caught:
+            require_intertwining(swapped, form1, form2)
+        idx, h = swapped.tau_indices, swapped.h_values
+        gap = np.abs(h[:, None] * form1.L[np.ix_(idx, idx)] - form2.L * h[None, :])
+        m1 = form1.space.m[idx]
+        s = np.diag(form2.L)
+        bound = 1e-9 * h[:, None] * np.sqrt(m1[None, :] / m1[:, None]) * np.sqrt(np.outer(s, s))
+        y, z = oracle_worst_entry(gap, bound)
+        names = form2.space.vertices
+        assert str(caught.value) == (
+            f"intertwining residual {gap[y, z]:.3e} exceeds its bound {bound[y, z]:.3e}"
+            f" at the entry ({names[y]!r}, {names[z]!r}) of the targets")
+
+    def test_bound_is_the_search_bound_in_l_coordinates(self):
+        # with h = c sqrt(m1(tau) / m2) the guard's bound at (y, z) is the
+        # search's residual_bound times c sqrt(m1(tau z) / m2(y)), to rounding
+        form1, form2, iso = random_intertwined_pair(rng_for(234), 8, "doob")
+        c = 3.0
+        scaled = dk.OrderIso(iso.source, iso.target, iso.tau,
+                             {y: c * x for y, x in iso.h.items()})
+        idx = scaled.tau_indices
+        m1, m2 = form1.space.m[idx], form2.space.m
+        factor = c * np.sqrt(m1[None, :] / m2[:, None])
+        want = residual_bound(form2, SearchOptions()) * factor
+        root_m1 = np.sqrt(m1)
+        got = dk.Tolerance(1e-8).bound(
+            _entry_scale(form2.L, scaled.h_values / root_m1, root_m1))
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+

@@ -1,3 +1,6 @@
+import collections
+import contextlib
+import io
 import itertools
 import time
 import tracemalloc
@@ -8,7 +11,8 @@ import pytest
 
 import dirikit as dk
 from dirikit.errors import NonPositive, NotIntertwining, NotIrreducible
-from dirikit import search
+from dirikit import cli, jsonio, search
+from dirikit.orderiso import require_intertwining
 from dirikit.sampling import (
     doob_pair_sample,
     nonconstant_excessive_profile,
@@ -650,12 +654,13 @@ class TestResultsPassFullCertify:
         # returned 793 tau here
         assert self.certified(spread_search_pair(seed)[:2] for seed in range(100)) == 100
 
-    @pytest.mark.parametrize("kind, count", [("intertwined", 54), ("unrelated", 0)])
+    @pytest.mark.parametrize("kind, count", [
+        ("intertwined", 54), ("unrelated", 0), ("near_bound", 1)])
     def test_scale_invariance_pairs(self, kind, count):
-        # the pairs of TestScaleInvariance in test_orderiso.py; its
-        # near_bound pairs, moved 3e-8 past the bound, are not here: one
-        # of their tau fails jump_transform, whose bound is 1e-8 of the
-        # largest conductance where the search's is per entry
+        # the pairs of TestScaleInvariance in test_orderiso.py; the one tau
+        # of its near_bound pairs, moved 3e-8 past the bound, failed
+        # jump_transform at 2.34 times its bound while that bound was 1e-8
+        # of the largest conductance
         assert self.certified(search_pairs(rng_for(3), kind)) == count
 
     def test_log_uniform_pairs(self):
@@ -678,6 +683,95 @@ class TestResultsPassFullCertify:
                  for form1, form2, _ in TestSubordination.PAIRS.values()
                  for alpha in (0.3, 0.5, 0.8)]
         assert self.certified(pairs) == 99
+
+
+def with_tau(form1, form2, tau):
+    """The iso of ``tau`` with h(y) = sqrt(m1(tau y) / m2(y))."""
+    m1, m2 = form1.space, form2.space
+    h = {y: float(np.sqrt(m1.m[m1.index(x)] / m2.m[m2.index(y)])) for y, x in tau.items()}
+    return dk.OrderIso(m1, m2, tau, h)
+
+
+def swapped(iso, a, b):
+    """The tau of ``iso`` with the images of its a-th and b-th target swapped."""
+    tau = dict(iso.tau)
+    ya, yb = list(tau)[a], list(tau)[b]
+    tau[ya], tau[yb] = tau[yb], tau[ya]
+    return tau
+
+
+def certify_exit(tmp_path, form1, form2, iso, *flags):
+    path = tmp_path / "pair.json"
+    path.write_text(jsonio.dumps(jsonio.pair_to_obj(form1, form2, iso)), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.run(["certify", str(path), *flags])
+    return code, err.getvalue()
+
+
+class TestCertifyImpliesSearch:
+    """The guard and the search test one statement: a tau that `dirikit
+    certify` passes (exit 0) is one that ``find_intertwiners`` returns at
+    the same tolerance."""
+
+    OPTS = SearchOptions(dk.Tolerance(1e-9), max_solutions=10**6)
+
+    def search_taus(self, form1, form2):
+        return [iso.tau for iso in dk.find_intertwiners(form1, form2, self.OPTS)]
+
+    def test_transpositions_of_the_witness(self, tmp_path):
+        # every transposition of the witness on the unperturbed spread seeds;
+        # the guard fails each (exit 2) unless the search returns it
+        pool = certified = 0
+        for seed in range(100):
+            form1, form2, witness, perturb = spread_search_pair(seed)
+            if perturb:
+                continue
+            for a, b in itertools.combinations(range(len(witness.tau)), 2):
+                iso = with_tau(form1, form2, swapped(witness, a, b))
+                pool += 1
+                try:
+                    require_intertwining(iso, form1, form2)
+                except NotIntertwining:
+                    continue
+                code, _ = certify_exit(tmp_path, form1, form2, iso)
+                if code == 0:
+                    certified += 1
+                    assert iso.tau in self.search_taus(form1, form2), (seed, a, b)
+        assert pool == 10106 and certified == 0
+
+    def test_seeded_random_tau(self, tmp_path):
+        # random bijections on spread pairs, on C6 and on K5 (where every
+        # bijection intertwines): each exit 0 is a tau of the search
+        rng = rng_for(235)
+        pairs = [spread_search_pair(seed)[:2] for seed in range(0, 100, 10)]
+        for family, n in (("cycle", 6), ("complete", 5)):
+            form = dk.generate(family, n, conductance=0.9, measure=1.3)
+            pairs.append((form, relabel_pair(rng, form, scale=1.7)[0]))
+        outcomes = collections.Counter()
+        for form1, form2 in pairs:
+            taus = self.search_taus(form1, form2)
+            sources, targets = form1.space.vertices, form2.space.vertices
+            for _ in range(12):
+                order = rng.permutation(len(sources))
+                iso = with_tau(form1, form2, {y: sources[x] for y, x in zip(targets, order)})
+                code, _ = certify_exit(tmp_path, form1, form2, iso)
+                outcomes[code] += 1
+                assert code in (0, 2)
+                assert (code == 0) == (iso.tau in taus)
+        assert outcomes[0] >= 12 and outcomes[2] >= 100, outcomes
+
+    def test_swap_of_seed_37_exits_2(self, tmp_path):
+        # the weights span 1e+-6 and the largest entry of S is 3.4e12: a
+        # bound of 1e-9 of it passed this swap, whose diagonal entries of S
+        # differ by 2.76
+        form1, form2, witness, _ = spread_search_pair(37)
+        iso = with_tau(form1, form2, swapped(witness, 0, 4))
+        assert iso.tau not in self.search_taus(form1, form2)
+        for flags in ((), ("--tol", "1e-12")):
+            code, err = certify_exit(tmp_path, form1, form2, iso, *flags)
+            assert code == 2
+            assert err.startswith("error: intertwining residual ") and err.count("\n") == 1
 
 
 class TestEquivalenceVerdict:

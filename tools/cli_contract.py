@@ -67,6 +67,13 @@ PAIRS = {
     for seed in (1, 3)
 }
 
+# pair files of `gen-pair ARGS` whose iso's h is multiplied by 2^k
+RESCALED = {
+    f"{name}h{k:+d}": (args, k)
+    for name, args in (("relabel6s4", ["relabel", "6", "4"]), ("doob160s1", ["doob", "160", "1"]))
+    for k in (600, -600)
+}
+
 # malformed pair files, checked with `dirikit certify NAME.json`
 BAD_PAIRS = {
     "pair_not_object": "[]",
@@ -211,6 +218,11 @@ def _commands() -> list[list[str]]:
         cmds += [["certify", "drifted.json", "--format", fmt]]
         # an edge longer than the path through its light third vertex
         cmds += [["certify", "hub.json", "--format", fmt]]
+        # two images of a witness swapped where the weights span 1e+-6:
+        # the guard's bound per entry rejects it (exit 2)
+        cmds += [["certify", "swap37.json", "--format", fmt]]
+        # the iso's h times 2^600 and 2^-600: beta leaves the float range
+        cmds += [["certify", f"{name}.json", "--format", fmt] for name in RESCALED]
     cmds += [
         ["resistance", "path7.json", "--tol", "1e-6"],
         ["intrinsic", "sierpinski3.json", "--tol", "1e-6"],
@@ -223,6 +235,7 @@ def _commands() -> list[list[str]]:
         # a finite tolerance whose bound overflows
         ["certify", "relabel6s1.json", "--tol", "1e308"],
         ["certify", "relabel6s1.json", "--tol", "1e308", "--format", "text"],
+        ["certify", "swap37.json", "--tol", "1e-12"],
         *(["certify", f"{name}.json"] for name in BAD_PAIRS),
         ["certify", "relabel6s1.g1.json", "relabel6s1.g2.json", "relabel6s1.iso.json"],
         ["certify", "doob40s1.g1.json", "doob40s1.g2.json", "doob40s1.iso.json"],
@@ -349,14 +362,61 @@ def _scaled_pair(run) -> dict:
 
 
 def _drifted_pair() -> dict:
-    """path12 against itself under tau = id with h = (1 + 1.5e-9)^k at the
+    """path12 against itself under tau = id with h = (1 + 1.4e-9)^k at the
     k-th vertex: each entry of the intertwining residual is within its
-    bound, but the drift adds up along the path."""
+    bound, 1.4e-9 against 1.41e-9 at the ends, but the drift adds up along
+    the path."""
     g = json.loads(Path("path12.json").read_text(encoding="utf-8"))
     names = g["vertices"]
     iso = {"tau": {v: v for v in names},
-           "h": {v: (1 + 1.5e-9) ** k for k, v in enumerate(names)}}
+           "h": {v: (1 + 1.4e-9) ** k for k, v in enumerate(names)}}
     return {"g1": g, "g2": g, "iso": iso}
+
+
+def _rescaled_pair(run, args: list[str], k: int) -> dict:
+    transform, n, seed = args
+    if run(["gen-pair", "--transform", transform, "--n", n, "--seed", seed,
+            "--out", "rescaled.json"]) != 0:
+        raise RuntimeError("gen-pair rescaled failed")
+    pair = json.loads(Path("rescaled.json").read_text(encoding="utf-8"))
+    pair["iso"]["h"] = {v: x * 2.0**k for v, x in pair["iso"]["h"].items()}
+    return pair
+
+
+def _swapped_pair() -> dict:
+    """Seed 37 of ``spread_search_pair`` in tests/test_search.py, a Doob pair
+    of 6 vertices whose b, m and c lie on the levels 1e-6 and 1e6, with the
+    images of the first and fifth target of the witness swapped and
+    h(y) = sqrt(m1(tau y) / m2(y))."""
+    import numpy as np
+    from dirikit import GraphForm, build_form, doob_pair, jsonio
+    from dirikit.sampling import nonconstant_excessive_profile, random_form
+
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(37)))
+    # the draws of n = 6, spread 6, doob, two levels and no perturbation
+    rng.integers(2, 31), rng.choice([1.0, 3.0, 6.0]), rng.choice(["relabel", "doob"])
+    rng.integers(2), rng.choice([0.0, 0.0, 2e-9, 1e-8])
+    base = random_form(rng, 6, recurrent=True)
+
+    def level(size):
+        return 10.0 ** (6.0 * rng.choice([-1.0, 1.0], size))
+
+    b = dict(zip(base.b, level(len(base.b))))
+    spread = build_form(base.space.vertices, level(6), b, base.c * level(6))
+    h = nonconstant_excessive_profile(rng, 6)
+    w = spread.weight_matrix
+    deg = w.sum(axis=1)
+    required = (w @ h - deg * h) / h
+    form1 = GraphForm(spread.space, spread.b, np.maximum(required, 0.0) + 0.02 * deg)
+    form2, witness = doob_pair(form1, h)
+    tau = dict(witness.tau)
+    y0, y4 = list(tau)[0], list(tau)[4]
+    tau[y0], tau[y4] = tau[y4], tau[y0]
+    m1, m2 = form1.space, form2.space
+    scaling = {y: float(np.sqrt(m1.m[m1.index(x)] / m2.m[m2.index(y)])) for y, x in tau.items()}
+    obj = jsonio.pair_to_obj(form1, form2, witness)
+    obj["iso"] = {"tau": tau, "h": scaling}
+    return obj
 
 
 def _hub_pair() -> dict:
@@ -423,6 +483,10 @@ def _write_inputs(run) -> None:
     Path("scaled.json").write_text(json.dumps(_scaled_pair(run)), encoding="utf-8")
     Path("drifted.json").write_text(json.dumps(_drifted_pair()), encoding="utf-8")
     Path("hub.json").write_text(json.dumps(_hub_pair()), encoding="utf-8")
+    Path("swap37.json").write_text(json.dumps(_swapped_pair()), encoding="utf-8")
+    for name, (args, k) in RESCALED.items():
+        Path(f"{name}.json").write_text(json.dumps(_rescaled_pair(run, args, k)),
+                                        encoding="utf-8")
     for name, text in INVALID.items():
         Path(f"{name}.json").write_text(text, encoding="utf-8")
         try:

@@ -37,7 +37,9 @@ their order iso objects, each with "beta" after "h": every item is filled
 into one template, in which each target id is encoded once, each source
 id is encoded once, and each distinct h and beta is formatted once: the
 720 solutions on K6 take 12 id encodings and a float conversion per
-distinct value, not 5040 conversions.
+distinct value, not 5040 conversions.  A list of flat dicts on the same
+keys, each key's values all strings or all finite floats, such as the
+jump list J, is filled into one item template the same way.
 """
 
 from __future__ import annotations
@@ -130,6 +132,41 @@ def _intertwiner_items(solutions, indent: int):
             for iso, row in zip(solutions, numbers.tolist()))
 
 
+def _record_items(records: list, indent: int):
+    """The item texts, at ``indent``, of a nonempty list of flat dicts with
+    the same str keys in the same order, each key's values all str or all
+    finite floats, such as the jump list of ``jump_to_obj``: each record
+    filled into one template, each distinct str encoded once and each
+    distinct float formatted once.  None for any other list, which
+    ``dumps`` writes item by item to the same bytes, or fails on at the
+    first value it cannot serialize."""
+    if not records or type(records[0]) is not dict or not records[0]:
+        return None
+    keys = tuple(records[0])
+    if not all(type(record) is dict and tuple(record) == keys for record in records):
+        return None
+    if not all(type(key) is str for key in keys):
+        return None
+    columns = []
+    for key in keys:
+        column = [record[key] for record in records]
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            texts = {value: _encode(value) for value in set(column)}
+            columns.append(map(texts.__getitem__, column))
+        elif kinds == {float}:
+            values = np.array(column)
+            if not np.isfinite(values).all():
+                return None
+            columns.append(_float_texts(values).tolist())
+        else:
+            return None
+    # a printf template with a slot per key
+    template = _bracket([_encode(key) + ": " + _GAP for key in keys], indent + 2, "{}")
+    template = template.replace("%", "%%").replace(_GAP, "%s")
+    return [template % values for values in zip(*columns)]
+
+
 def _is_intertwiners(obj) -> bool:
     """Whether obj is a nonempty list or tuple of order isos."""
     return (isinstance(obj, (list, tuple)) and bool(obj)
@@ -171,7 +208,10 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if _is_intertwiners(obj):
             return _bracket(list(_intertwiner_items(obj, indent)), indent)
-        return _bracket([dumps(item, indent + 2) for item in obj], indent)
+        items = _record_items(obj, indent)
+        if items is None:
+            items = [dumps(item, indent + 2) for item in obj]
+        return _bracket(items, indent)
     if obj is None:
         return "null"
     if isinstance(obj, bool):

@@ -31,13 +31,20 @@ lexicographic order, with these pruning rules:
   P A1 P^T - A2 against the assigned pair exceeds its bound; a branch
   ends as soon as some later domain is empty (violations never disappear
   when a partial assignment is extended, so no solution is lost);
-* forced tails: when every remaining target has one source left, at the
-  root or after a forward check, the search completes the assignment in
-  one step, accepting it when those sources are distinct and every
-  off-diagonal entry among those targets is within its bound, the test
-  that forward checking would make one depth at a time; so each entry of
-  each layer is checked exactly once, the diagonal at the root and every
-  other pair (y, z), (z, y) by a forward check or by the completion (the
+* small tails: at the root or after a forward check, when the product of
+  the remaining targets' domains, P assignments of k targets, fills at
+  most max(n^2, 4096) entries of a layer, P k^2, and the first of those
+  targets has two sources or more, the search completes them in one
+  step: it enumerates the product in lexicographic order, drops the
+  assignments that use a source twice, and keeps those whose off-diagonal
+  entries among the k targets are all within their bounds, in one
+  vectorized test, the one that forward checking would make one depth at
+  a time.  A forced tail, one source left per target, is the case P = 1
+  and is always completed.  With one solution left to find, only a forced
+  tail is, as the depth-first search stops at its first solution.  So the
+  diagonal of each layer is checked at the root, and every other pair
+  (y, z), (z, y) once along a branch: by a forward check, or by a tail
+  step for each candidate assignment that uses distinct sources (the
   layers and bounds are bitwise symmetric);
 * the search stops once ``max_solutions`` solutions are found.
 
@@ -51,7 +58,8 @@ adds the rounding of the computed bound and kernels (see
 ``_heat_kernels``), so pruning on it loses no solution.
 
 The domains live in one target x source matrix stamped with the depth
-that removed each entry, so the search state is O(n^2) at any depth.
+that removed each entry, and a tail step holds at most max(n^2, 4096)
+entries per layer, so the search state is O(n^2) at any depth.
 Results are returned in lexicographic order of tau as a vertex-id
 sequence, the order in which the depth-first search meets them, and are
 bit-identical across repeated runs.
@@ -79,7 +87,10 @@ class SearchOptions:
     max_solutions: int = 1000
 
     def __post_init__(self):
-        if self.max_solutions <= 0:
+        # an int >= 1: a float or NaN cap is never reached, and the search
+        # slices its solutions by the cap
+        cap = self.max_solutions
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
             raise InvalidSize("search options must be positive")
 
 
@@ -119,7 +130,17 @@ def spectra_match(form1: GraphForm, form2: GraphForm, spectral_tol: float) -> bo
 _ALIVE = np.iinfo(np.int32).max
 
 
-def _forward_check(s1, s2, stamp, assignment, d, bounds) -> bool | None:
+# the empty list of tails, shared read-only
+_NO_TAILS = np.empty((0, 0), dtype=np.intp)
+_NO_TAILS.flags.writeable = False
+
+# a tail whose P candidate assignments of k targets fill at most
+# max(n^2, _TAIL_FLOOR) entries of each layer, P k^2, may be completed in
+# one step; the floor admits 4 targets with 4 sources each on small forms
+_TAIL_FLOOR = 4096
+
+
+def _forward_check(s1, s2, stamp, assignment, d, bounds, room) -> np.ndarray | None:
     """Assign target d to source x = assignment[d]: remove from the domain
     of every later target y the sources x' whose entry A1[x', x] - A2[y, d]
     of P A1 P^T - A2 exceeds its bound, for each layer A of the stacks (the
@@ -127,10 +148,10 @@ def _forward_check(s1, s2, stamp, assignment, d, bounds) -> bool | None:
     and bounds are bitwise symmetric, so this also tests the entry (d, y).
     A NaN entry is removed, as it fails ``<=``.
 
-    Returns None when a later domain would become empty.  Returns True when
-    every later domain is down to one source, a forced tail: those sources
-    go to assignment[d + 1:] for ``_completes``.  Both stamp nothing.
-    Otherwise stamps the removed pairs with d and returns False."""
+    Returns no tail when some later domain is empty, else what ``_tails``
+    returns for the later domains and ``room``.  When that is None, stamps
+    the removed pairs with d, for the search to go deeper; otherwise
+    stamps nothing."""
     x = assignment[d]
     gap = np.abs(s1[:, None, x] - s2[:, d, d + 1:, None])
     ok = (gap <= bounds[:, d, d + 1:, None]).all(axis=0)
@@ -139,55 +160,85 @@ def _forward_check(s1, s2, stamp, assignment, d, bounds) -> bool | None:
     live = later == _ALIVE
     ok &= live
     if not ok.any(axis=1).all():
-        return None
-    if np.count_nonzero(ok) == len(ok):
-        assignment[d + 1:] = ok.argmax(axis=1)
-        return True
-    later[live ^ ok] = d
-    return False
+        return _NO_TAILS
+    tails = _tails(s1, s2, ok, d + 1, bounds, room)
+    if tails is None:
+        later[live ^ ok] = d
+    return tails
 
 
-def _completes(s1, s2, assignment, first, bounds) -> bool:
-    """Whether the forced tail assignment[first:], each target with its only
-    source left, completes a solution: its sources are distinct and every
-    off-diagonal entry A1[tau y, tau y'] - A2[y, y'] among its targets is
+def _tails(s1, s2, domains, first, bounds, room) -> np.ndarray | None:
+    """The assignments of the targets first, first + 1, ... to sources of
+    their domains (the boolean rows ``domains``) that complete a solution,
+    as rows in lexicographic order; or None, for the search to go deeper,
+    when the product of the domains, P assignments of k targets, has
+    P > 1 and either fills more than ``room`` entries of a layer, P k^2,
+    or leaves the first of these targets one source, whose forward check
+    prunes the other domains at the cost of one check.
+
+    The product is enumerated in lexicographic order, the assignments that
+    use a source twice are dropped, and those left pass when every
+    off-diagonal entry A1[tau y, tau y'] - A2[y, y'] among the k targets is
     within its bound, for every layer.  These are the entries that forward
     checking would test one depth at a time, in the same floating-point
     expression; the diagonal passed at the root, and the entries against
-    the targets before ``first`` in their forward checks."""
-    tail = assignment[first:]
-    k = len(tail)
-    if k == 1:
-        return True
-    if np.bincount(tail).max() > 1:
-        return False
-    gap = np.abs(s1[:, tail[:, None], tail] - s2[:, first:, first:])
-    gap[:, range(k), range(k)] = 0.0
-    return bool((gap <= bounds[:, first:, first:]).all())
+    the targets before ``first`` in their forward checks.  A forced tail,
+    one source per target, is the case P = 1, completed whatever ``room``.
+    No domain may be empty."""
+    k = len(domains)
+    total = np.count_nonzero(domains)
+    if total == k:
+        if np.count_nonzero(domains.any(axis=0)) < k:  # a source taken twice
+            return _NO_TAILS
+        tails = domains.argmax(axis=1)[None]
+    else:
+        # P >= total - k + 1, as no domain is empty
+        if (total - k + 1) * k * k > room or np.count_nonzero(domains[0]) == 1:
+            return None
+        counts = domains.sum(axis=1)
+        size = math.prod(counts.tolist())
+        if size * k * k > room:
+            return None
+        # assignment t takes the (t // stride) % count-th source of each target
+        stride = size // np.cumprod(counts)
+        index = np.arange(size)[:, None] // stride % counts + (np.cumsum(counts) - counts)
+        tails = domains.nonzero()[1][index]
+        ordered = np.sort(tails, axis=1)
+        tails = tails[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
+    if k > 1:
+        gap = np.abs(s1[:, tails[:, :, None], tails[:, None, :]] - s2[:, None, first:, first:])
+        gap.reshape(len(gap), len(tails), k * k)[..., ::k + 1] = 0.0  # the diagonal
+        tails = tails[(gap <= bounds[:, None, first:, first:]).all(axis=(0, 2, 3))]
+    return tails
 
 
-def _search(s1, s2, domain, bounds, cap) -> list[np.ndarray]:
+def _search(s1, s2, domain, bounds, cap) -> np.ndarray:
     """Depth-first assignment of targets in index order to the sources of
-    their domains in index order, stopping at ``cap`` solutions.  A tail of
-    targets with one source each, at the root or after a forward check, is
-    completed by ``_completes`` in one step.
+    their domains in index order, stopping at ``cap`` solutions, the rows
+    of the array returned.  At the root and after each forward check,
+    ``_tails`` may complete the remaining targets in one step.  With one
+    solution left to find, only a forced tail is: the depth-first search
+    stops at its first solution, while a tail step enumerates the whole
+    product.
 
     One int32 stamp matrix is the whole domain state: a branch removes
     pairs by stamping them with its depth and restores them when it is
-    left, so memory stays O(n^2) at any depth.
+    left, so memory stays O(n^2) at any depth; so does a tail's product,
+    within max(n^2, ``_TAIL_FLOOR``) entries per layer.
     """
-    counts = np.count_nonzero(domain, axis=1)
-    if not counts.all():
-        return []
+    if not domain.any(axis=1).all():
+        return _NO_TAILS
     n = len(domain)
-    assignment = np.empty(n, dtype=np.intp)
-    if counts.max() == 1:
-        assignment[:] = domain.argmax(axis=1)
-        return [assignment] if _completes(s1, s2, assignment, 0, bounds) else []
+    room = max(n * n, _TAIL_FLOOR) if cap > 1 else 0
+    tails = _tails(s1, s2, domain, 0, bounds, room)
+    if tails is not None:
+        return tails[:cap]
     stamp = np.where(domain, _ALIVE, -1).astype(np.int32)
+    assignment = np.empty(n, dtype=np.intp)
     options = [iter(())] * n
     options[0] = iter(np.nonzero(domain[0])[0].tolist())
-    solutions: list[np.ndarray] = []
+    solutions = [np.empty((0, n), dtype=np.intp)]
+    found = 0
     d = 0
     while d >= 0:
         x = next(options[d], None)
@@ -198,17 +249,21 @@ def _search(s1, s2, domain, bounds, cap) -> list[np.ndarray]:
                 later[later == d] = _ALIVE
             continue
         assignment[d] = x
-        forced = _forward_check(s1, s2, stamp, assignment, d, bounds)
-        if forced is None:
-            continue
-        if not forced:
+        tails = _forward_check(s1, s2, stamp, assignment, d, bounds, room)
+        if tails is None:
             d += 1
             options[d] = iter(np.nonzero(stamp[d] == _ALIVE)[0].tolist())
-        elif _completes(s1, s2, assignment, d + 1, bounds):
-            solutions.append(assignment.copy())
-            if len(solutions) == cap:
+        elif len(tails):
+            block = np.empty((min(len(tails), cap - found), n), dtype=np.intp)
+            block[:, :d + 1] = assignment[:d + 1]
+            block[:, d + 1:] = tails[:len(block)]
+            solutions.append(block)
+            found += len(block)
+            if found == cap:
                 break
-    return solutions
+            if found == cap - 1:
+                room = 0
+    return np.concatenate(solutions)
 
 
 def residual_bound(form: GraphForm, opts: SearchOptions) -> np.ndarray:
@@ -292,14 +347,13 @@ def _intertwiners(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -> li
             layers2.append(heat[1][ix2])
             bounds.append(np.full_like(bounds[0], heat[2]))
             domain &= _diagonal_domain(layers1[1], layers2[1], bounds[1])
-    assignments = _search(np.stack(layers1), np.stack(layers2), domain, np.stack(bounds),
-                          opts.max_solutions)
-    if not assignments:
+    taus = _search(np.stack(layers1), np.stack(layers2), domain, np.stack(bounds),
+                   opts.max_solutions)
+    if not len(taus):
         return []
 
     # tau is a bijection, as the search uses each source once; a measure
     # ratio beyond the float range rounds h to 0 or inf
-    taus = np.array(assignments)
     m1, m2 = form1.space.m, form2.space.m
     with np.errstate(over="ignore"):
         hs = np.sqrt(m1[perm1[taus]] / m2[perm2])

@@ -365,6 +365,81 @@ class TestIntertwinerList:
             jsonio.dumps(isos)
 
 
+def record_list(rng):
+    """1 to 12 flat dicts on the same 1 to 4 keys, each key's values all
+    strings or all floats, drawn from pools of up to 4 so that values
+    repeat; keys and strings may hold a printf field or need escapes."""
+    def name():
+        return text(rng, 4) + pick(rng, ("", "%", "%s", '"', "\n", "\u2028"))
+
+    keys = list(dict.fromkeys(name() for _ in range(int(rng.integers(1, 5)))))
+    pools = {}
+    for k in keys:
+        draw = name if rng.random() < 0.5 else (lambda: finite_float(rng))
+        pools[k] = [draw() for _ in range(int(rng.integers(1, 5)))]
+    return [{k: pick(rng, pools[k]) for k in keys} for _ in range(int(rng.integers(1, 13)))]
+
+
+class TestRecordList:
+    """A list of flat dicts on the same keys, such as decompose's J list,
+    written from one item template, against the per-record oracle."""
+
+    def test_same_bytes_as_the_oracle(self):
+        for seed in range(100):
+            records = record_list(rng_for(seed))
+            assert jsonio._record_items(records, 0) is not None
+            for indent in (0, 2):
+                assert jsonio.dumps(records, indent) == oracle_dumps(records, indent), seed
+            assert jsonio.dumps(tuple(records)) == oracle_dumps(records), seed
+            doc = {"J": records, "n": 1}
+            assert "".join(dumped(doc)) == oracle_dumps(doc) + "\n", seed
+
+    @pytest.mark.parametrize("records", [
+        [{"x": "a", "v": 1.0}, {"v": 2.0, "x": "b"}],  # key order differs
+        [{"x": "a", "v": 1.0}, {"x": "b"}],
+        [{"x": "a", "v": 1.0}, {"x": "b", "v": "c"}],  # a column mixes str and float
+        [{"x": "a", "v": 1}], [{"x": "a", "v": True}], [{"x": "a", "v": None}],
+        [{"x": "a", "v": np.float64(0.5)}], [{1: "a"}, {1: "b"}], [{}, {}],
+        [OrderedDict(x="a"), OrderedDict(x="b")], [{"x": "a"}, "b"], ["a", "b"],
+    ])
+    def test_other_lists_fall_back(self, records):
+        assert jsonio._record_items(records, 0) is None
+        assert jsonio.dumps(records) == oracle_dumps(records)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_first_bad_value_is_named(self, bad):
+        # the first bad value in document order is in the second column
+        others = [v for v in (math.nan, math.inf, -math.inf) if str(v) != str(bad)]
+        records = [{"x": "a", "v": 1.0, "w": 2.0}, {"x": "b", "v": 1.0, "w": bad},
+                   {"x": "c", "v": others[0], "w": others[1]}]
+        for obj in (records, {"J": records}):
+            with pytest.raises(MalformedInput) as caught:
+                jsonio.dumps(obj)
+            assert str(caught.value) == oracle_error(obj)
+            assert str(bad) in str(caught.value)
+
+    def test_decompose_writes_the_oracle_bytes(self, tmp_path, capsys, monkeypatch):
+        # one mapping is formatted per document, "k": none per J record
+        calls = 0
+        format_mapping = jsonio._format_mapping
+
+        def spy(*args):
+            nonlocal calls
+            calls += 1
+            return format_mapping(*args)
+
+        monkeypatch.setattr(jsonio, "_format_mapping", spy)
+        rng = rng_for(32)
+        k4 = renamed(dk.generate("complete", 4), ESCAPED2)
+        for form in (random_form(rng, 40), dk.generate("sierpinski", 3), k4):
+            path = tmp_path / "g.json"
+            path.write_text(jsonio.graph_dumps(form), encoding="utf-8")
+            calls = 0
+            assert run(["decompose", str(path)]) == 0
+            assert calls == 1
+            assert capsys.readouterr().out == oracle_dumps(jsonio.jump_to_obj(form)) + "\n"
+
+
 EDGE_VALUES = (
     1.0, 0.0, -0.0, 2.5, 7, 0, -1.0, -3, math.nan, math.inf, -math.inf, True, False,
     10**400, -10**400, "1.0", None, [1.0], 1.7e308, 5e-324,

@@ -2,6 +2,7 @@ import collections
 import contextlib
 import io
 import itertools
+import math
 import time
 import tracemalloc
 import warnings
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import dirikit as dk
-from dirikit.errors import NonPositive, NotIntertwining, NotIrreducible
+from dirikit.errors import InvalidSize, NonPositive, NotIntertwining, NotIrreducible
 from dirikit import cli, jsonio, search
 from dirikit.orderiso import require_intertwining
 from dirikit.sampling import (
@@ -157,6 +158,13 @@ class TestFindIntertwiners:
         assert [tau_signature(s) for s in capped] == [
             tau_signature(s) for s in full[:5]
         ]
+
+    @pytest.mark.parametrize("cap", [0, -3, 1.5, float("nan"), float("inf"), 2.0, True, "3", None])
+    def test_max_solutions_must_be_a_positive_int(self, cap):
+        # a float cap was never reached: 1.5 and NaN returned all 120
+        # intertwiners of K5
+        with pytest.raises(InvalidSize):
+            SearchOptions(max_solutions=cap)
 
     def test_deterministic(self):
         rng = rng_for(53)
@@ -332,11 +340,28 @@ def shared_singletons(rng, domain):
     return domain
 
 
+def completed_tails(monkeypatch):
+    """The number of candidate assignments, the product of the domain
+    sizes, of each tail that ``search._tails`` completes, in call order."""
+    products = []
+    tails = search._tails
+
+    def spy(s1, s2, domains, *args):
+        found = tails(s1, s2, domains, *args)
+        if found is not None:
+            products.append(math.prod(np.count_nonzero(domains, axis=1).tolist()))
+        return found
+
+    monkeypatch.setattr(search, "_tails", spy)
+    return products
+
+
 class TestForcedTailCompletion:
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_same_assignments_as_oracle_search(self, n):
+    def test_same_assignments_as_oracle_search(self, n, monkeypatch):
         # the oracle is the forward-checked search without completion, on
         # one layer; every branch is checked at the caps 1, 2 and none
+        products = completed_tails(monkeypatch)
         rng = rng_for(600 + n)
         for _ in range(60):
             a1, a2, domain, bound = synthetic_search_input(rng, n)
@@ -344,6 +369,8 @@ class TestForcedTailCompletion:
                 want = _oracle_search(a1, a2, domain.copy(), bound, cap)
                 got = search._search(a1[None], a2[None], domain.copy(), bound[None], cap)
                 assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        # tails of several candidate assignments are completed in one step
+        assert n == 1 or max(products) >= 2
 
     @staticmethod
     def forward_checks(monkeypatch, form1, form2):
@@ -374,6 +401,29 @@ class TestForcedTailCompletion:
         found, checks = self.forward_checks(monkeypatch, form1, form2)
         assert len(found) == 24
         assert checks == 36
+
+    def test_scrambled_complete_completes_small_tails(self, monkeypatch):
+        # the search that completes forced tails alone makes 1236 forward
+        # checks here; after two depths, each of the 30 tails of 4 targets
+        # has 4^4 candidate assignments, 24 of them solutions
+        form1, form2 = scrambled(dk.generate("complete", 6, conductance=1.3, measure=0.7))
+        products = completed_tails(monkeypatch)
+        found, checks = self.forward_checks(monkeypatch, form1, form2)
+        assert len(found) == 720
+        assert checks == 36
+        assert products == [256] * 30
+
+    @pytest.mark.parametrize("n, caps", [(6, (1, 5, 7, 719, 720)), (7, (1000,))],
+                             ids=["K6", "K7"])
+    def test_caps_cut_inside_a_tail(self, n, caps):
+        # a tail step finds 24 solutions at once; the caps keep the first
+        pytest.importorskip("networkx")
+        form1, form2 = scrambled(dk.generate("complete", n, conductance=1.3, measure=0.7))
+        full = dk.find_intertwiners(form1, form2, WIDE)
+        assert [tau_signature(s) for s in full] == vf2_intertwiners(form1, form2)
+        for cap in caps:
+            capped = dk.find_intertwiners(form1, form2, SearchOptions(max_solutions=cap))
+            assert outcome(capped) == outcome(full[:cap])
 
     def test_dfs_state_is_quadratic_in_memory(self):
         # a scrambled K_n with the first solution enters the depth-first

@@ -45,6 +45,7 @@ GEN = {
     "sierpinski5": ["--family", "sierpinski", "--n", "5"],
     "complete5": ["--family", "complete", "--n", "5"],
     "complete6": ["--family", "complete", "--n", "6"],
+    "complete7": ["--family", "complete", "--n", "7"],
     "cycle8": ["--family", "cycle", "--n", "8"],
     "cycle12": ["--family", "cycle", "--n", "12"],
     "path3": ["--family", "path", "--n", "3"],
@@ -248,6 +249,10 @@ def _commands() -> list[list[str]]:
         cmds += [
             ["search", "complete6.json", "complete6.json", "--format", fmt],
             ["search", "complete6.json", "complete6.json", "--max-solutions", "1", "--format", fmt],
+            # 24 solutions per tail of 4 targets: caps 7 and 1000 cut inside one
+            ["search", "complete7.json", "complete7.json", "--max-solutions", "7", "--format", fmt],
+            ["search", "complete7.json", "complete7.json", "--max-solutions", "1000",
+             "--format", fmt],
             ["search", "cycle12.json", "cycle12.json", "--format", fmt],
             ["search", "relabel40s3.g1.json", "relabel40s3.g2.json", "--format", fmt],
             ["search", "doob6s1.g1.json", "doob6s1.g2.json", "--format", fmt],

@@ -144,7 +144,9 @@ def _search_text(verdict: search.EquivalenceVerdict) -> str:
     lines = [f"equivalent: {verdict.equivalent}"]
     if verdict.reason:
         lines.append(f"reason: {verdict.reason}")
-    lines += [f"tau: {iso.tau} h: {iso.h}" for iso in verdict.solutions]
+    # tau and h in sorted target-id order, the order the search assigns in
+    lines += [f"tau: {dict(sorted(iso.tau.items()))} h: {dict(sorted(iso.h.items()))}"
+              for iso in verdict.solutions]
     return _lines(lines)
 
 

@@ -33,11 +33,11 @@ each distinct value of the array once, so a symmetric n x n metric costs
 at most about n^2 / 2 float conversions, and one with few distinct
 distances far fewer.  Likewise a list of ``OrderIso`` on one source and
 one target space, such as a search's solutions, is written as the list of
-their order iso objects, each with "beta" after "h": every item is filled
-into one template, in which each target id is encoded once, each source
-id is encoded once, and each distinct h and beta is formatted once: the
-720 solutions on K6 take 12 id encodings and a float conversion per
-distinct value, not 5040 conversions.  A list of flat dicts on the same
+their order iso objects, each with "beta" after "h", read from the arrays
+of the isos, not their dicts: every item fills one template, in which each
+target id and each source id is encoded once and each distinct h and beta
+is formatted once: the 720 solutions on K6 take 12 id encodings and a
+float conversion per distinct value.  A list of flat dicts on the same
 keys, each key's values all strings or all finite floats, such as the
 jump list J, is filled into one item template the same way.
 """
@@ -113,9 +113,9 @@ def _intertwiner_items(solutions, indent: int):
     """An iterator over the item texts, at ``indent``, of a list of order
     isos on one source and one target space: each the object of
     ``iso_to_obj`` with "beta" after "h", filled into one template in which
-    each target id is encoded once.  Each source id is encoded once too,
-    and every h and beta checked, and each distinct one formatted, before
-    this returns."""
+    each target id is encoded once.  The ``tau_indices`` pick from one array
+    of encoded source ids, and every h and beta is checked, and each
+    distinct one formatted, by one ``_float_texts`` before this returns."""
     source, target = solutions[0].source.vertices, solutions[0].target.vertices
     if any(iso.source.vertices != source or iso.target.vertices != target for iso in solutions):
         raise MalformedInput("cannot serialize intertwiners between different spaces")
@@ -125,11 +125,11 @@ def _intertwiner_items(solutions, indent: int):
                          '"beta": ' + _GAP], indent + 2, "{}")
     # a printf template: n tau cells, n h cells and beta
     template = template.replace("%", "%%").replace(_GAP, "%s")
-    ids = dict(zip(source, map(_encode, source)))
-    numbers = _float_texts(np.array([[*map(iso.h.__getitem__, target), iso.beta]
-                                     for iso in solutions], dtype=float))
-    return (template % (*map(ids.__getitem__, map(iso.tau.__getitem__, target)), *row)
-            for iso, row in zip(solutions, numbers.tolist()))
+    ids = np.array([_encode(x) for x in source], dtype=object)
+    numbers = _float_texts(np.column_stack([np.stack([iso.h_values for iso in solutions]),
+                                            [iso.beta for iso in solutions]]))
+    taus = ids[np.stack([iso.tau_indices for iso in solutions])]
+    return (template % tuple(row) for row in np.concatenate([taus, numbers], axis=1).tolist())
 
 
 def _record_items(records: list, indent: int):
@@ -386,10 +386,7 @@ def graph_loads(text: str) -> GraphForm:
 
 
 def iso_to_obj(iso: OrderIso) -> dict:
-    return {
-        "tau": {y: iso.tau[y] for y in iso.target.vertices},
-        "h": {y: float(iso.h[y]) for y in iso.target.vertices},
-    }
+    return {"tau": dict(iso.tau), "h": dict(iso.h)}
 
 
 def iso_from_obj(obj, source: MeasureSpace, target: MeasureSpace) -> OrderIso:

@@ -200,9 +200,12 @@ def verify_resistance_isometry(
 
         alpha^2 R1(tau(y), tau(z)) = beta R2(y, z)
 
-    for all target vertices y, z, with beta the operator constant.  When
-    the total masses agree, alpha equals sqrt(beta) and tau is a plain
-    isometry; that special case is checked separately when it applies.
+    for all target vertices y, z, with beta the operator constant.
+    ``resistance_isometry`` reports this alpha, the mean of h.  It is not
+    the alpha of ``certify``'s ``measure_pushforward``, m2 = alpha' m1(tau),
+    which is alpha' = beta / alpha^2.  When the total masses agree, alpha
+    equals sqrt(beta) and tau is a plain isometry; that special case is
+    checked separately when it applies.
     The special case compares R1(tau(.), tau(.)) with R2 alone: with two
     or more vertices, that and ``resistance_isometry`` imply alpha^2 = beta,
     and a term |alpha - sqrt(beta)| would be in the units of h, not of R.

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,38 +37,40 @@ from .spectral import _excess_deficit, is_excessive, is_recurrent
 from .tolerances import DEFAULT_TOL, Tolerance
 
 
-@dataclass(eq=False)
 class OrderIso:
     """A candidate intertwiner: bijection tau plus positive scaling h.
 
     ``tau`` maps target vertices to source vertices and ``h`` assigns each
-    target vertex its scaling factor.
+    target vertex its scaling factor.  Both are stored once, as read-only
+    arrays in target storage order, ``tau_indices`` (the source index of
+    tau(y)) and ``h_values``; the dicts ``tau`` and ``h`` are built from
+    them on first read, in the same order.
     """
 
-    source: MeasureSpace
-    target: MeasureSpace
-    tau: dict[str, str]
-    h: dict[str, float]
-
-    def __post_init__(self):
-        targets = set(self.target.vertices)
-        if set(self.tau) != targets:
+    def __init__(self, source: MeasureSpace, target: MeasureSpace, tau: dict, h: dict):
+        targets = set(target.vertices)
+        if set(tau) != targets:
             raise NotBijective("tau must be defined exactly on the target vertices")
-        images = list(self.tau.values())
-        if len(set(images)) != len(images) or set(images) != set(self.source.vertices):
+        images = list(tau.values())
+        if len(set(images)) != len(images) or set(images) != set(source.vertices):
             raise NotBijective("tau must map the target bijectively onto the source")
-        if set(self.h) != targets:
+        if set(h) != targets:
             raise DimensionMismatch("h must be defined exactly on the target vertices")
-        if not all(0.0 < value < math.inf for value in self.h.values()):  # NaN fails
+        if not all(0.0 < value < math.inf for value in h.values()):  # NaN fails
             raise NonPositive("the scaling h must be strictly positive and finite")
+        self.source, self.target = source, target
+        self.tau_indices = np.array([source.index(tau[y]) for y in target.vertices])
+        self.h_values = np.array([float(h[y]) for y in target.vertices])
+        self.tau_indices.flags.writeable = self.h_values.flags.writeable = False
 
     @classmethod
-    def _trusted(cls, source, target, tau, h, beta) -> "OrderIso":
-        """An iso whose tau maps the target bijectively onto the source and
-        whose h is finite and positive by construction, without checking
+    def _trusted(cls, source, target, tau_indices, h_values, beta) -> "OrderIso":
+        """An iso from read-only arrays, a bijection of the target onto the
+        source and a finite positive h by construction, without checking
         them again, and ``beta`` from ``_operator_constants``."""
         iso = cls.__new__(cls)
-        iso.source, iso.target, iso.tau, iso.h, iso.beta = source, target, tau, h, beta
+        iso.source, iso.target, iso.beta = source, target, beta
+        iso.tau_indices, iso.h_values = tau_indices, h_values
         return iso
 
     @cached_property
@@ -78,13 +79,15 @@ class OrderIso:
         return operator_constant(self)
 
     @cached_property
-    def tau_indices(self) -> np.ndarray:
-        """Source index of tau(y) for each target position y."""
-        return np.array([self.source.index(self.tau[y]) for y in self.target.vertices])
+    def tau(self) -> dict[str, str]:
+        """tau(y) for each target vertex y, in target storage order."""
+        sources = self.source.vertices
+        return dict(zip(self.target.vertices, [sources[x] for x in self.tau_indices.tolist()]))
 
     @cached_property
-    def h_values(self) -> np.ndarray:
-        return np.array([float(self.h[y]) for y in self.target.vertices])
+    def h(self) -> dict[str, float]:
+        """h(y) for each target vertex y, in target storage order."""
+        return dict(zip(self.target.vertices, self.h_values.tolist()))
 
     @classmethod
     def identity(cls, space: MeasureSpace) -> "OrderIso":
@@ -180,11 +183,12 @@ def certify(
     * ``form_scaling``: Q2(U e_i, U e_j) = beta Q1(e_i, e_j) on basis pairs;
     * ``scaling_excessive``: h is excessive for the target generator;
     * ``scaling_constancy`` and ``measure_pushforward``: when both forms
-      are recurrent, h is constant and tau pushes m2 to a multiple of m1
-      (skipped, with the observed h ratio recorded, otherwise).
+      are recurrent, h is constant and tau pushes m2 to alpha m1(tau)
+      (skipped, with the observed h ratio recorded, otherwise).  This
+      alpha is beta / mean(h)^2: beta over the square of the alpha, mean(h),
+      that ``verify_resistance_isometry`` reports.
 
-    NumericOverflow when beta, or alpha = beta / mean(h)^2 of the
-    pushforward, is no positive normal float.
+    NumericOverflow when beta or this alpha is no positive normal float.
     """
     require_intertwining(iso, form1, form2, tol)
     if not (form1.irreducible and form2.irreducible):
@@ -281,10 +285,5 @@ def doob_pair(
 
     space2 = MeasureSpace(names, h**2 * form.space.m)
     form2 = GraphForm._from_columns(space2, *form.edge_ends(), weights, c2)
-    iso = OrderIso(
-        source=form.space,
-        target=space2,
-        tau={v: v for v in names},
-        h=dict(zip(names, (1.0 / h).tolist())),
-    )
-    return form2, iso
+    return form2, OrderIso(form.space, space2, dict(zip(names, names)),
+                           dict(zip(names, (1.0 / h).tolist())))

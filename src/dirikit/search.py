@@ -352,24 +352,19 @@ def _intertwiners(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -> li
     if not len(taus):
         return []
 
-    # tau is a bijection, as the search uses each source once; a measure
+    # tau is a bijection, as the search uses each source once; its rows are
+    # put in target storage order, that of OrderIso's arrays.  A measure
     # ratio beyond the float range rounds h to 0 or inf
-    m1, m2 = form1.space.m, form2.space.m
+    taus = perm1[taus[:, np.argsort(perm2)]]
+    m1_tau, m2 = form1.space.m[taus], form2.space.m
     with np.errstate(over="ignore"):
-        hs = np.sqrt(m1[perm1[taus]] / m2[perm2])
+        hs = np.sqrt(m1_tau / m2)
     if not np.all((hs > 0.0) & (hs < math.inf)):
         raise NonPositive("the scaling h must be strictly positive and finite")
-    storage = np.argsort(perm2)
-    betas = _operator_constants(hs[:, storage], m2, m1[perm1[taus[:, storage]]]).tolist()
-    targets = [form2.space.vertices[i] for i in perm2]
-    sources = [form1.space.vertices[i] for i in perm1]
-    return [
-        OrderIso._trusted(
-            form1.space, form2.space,
-            dict(zip(targets, [sources[x] for x in tau])), dict(zip(targets, h_row)), beta,
-        )
-        for tau, h_row, beta in zip(taus.tolist(), hs.tolist(), betas)
-    ]
+    betas = _operator_constants(hs, m2, m1_tau).tolist()
+    taus.flags.writeable = hs.flags.writeable = False
+    return [OrderIso._trusted(form1.space, form2.space, tau, h, beta)
+            for tau, h, beta in zip(taus, hs, betas)]
 
 
 def equivalence_verdict(

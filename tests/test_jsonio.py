@@ -352,7 +352,8 @@ class TestIntertwinerList:
         form = dk.generate("cycle", 4)
         isos = list(dk.equivalence_verdict(form, form).solutions)
         last = isos[-1]
-        isos[-1] = dk.OrderIso._trusted(last.source, last.target, last.tau, last.h, bad)
+        isos[-1] = dk.OrderIso._trusted(last.source, last.target,
+                                        last.tau_indices, last.h_values, bad)
         verdict = EquivalenceVerdict(tuple(isos))
         with pytest.raises(MalformedInput) as caught:
             jsonio.chunks({"equivalent": True, "reason": None, "intertwiners": verdict.solutions})

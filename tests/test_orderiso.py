@@ -82,6 +82,35 @@ class TestValidation:
             dk.OrderIso(space, space, {"a": "a", "b": "b"}, {"a": 1.0, "b": 0.0})
 
 
+class TestArrayStorage:
+    """An iso stores tau and h once, as the read-only arrays ``tau_indices``
+    and ``h_values`` in target storage order; the dicts ``tau`` and ``h``
+    are built from them on first read."""
+
+    def test_dicts_are_views_in_target_storage_order(self):
+        source = dk.MeasureSpace(["x", "y", "z"], 1.0)
+        target = dk.MeasureSpace(["c", "a", "b"], {"c": 1.0, "a": 4.0, "b": 9.0})
+        tau = {"a": "z", "b": "x", "c": "y"}
+        h = {"b": 1 / 3, "a": 0.5, "c": 1}
+        iso = dk.OrderIso(source, target, tau, h)
+        assert "tau" not in vars(iso) and "h" not in vars(iso)
+        assert iso.tau_indices.tolist() == [1, 2, 0]
+        assert iso.h_values.tolist() == [1.0, 0.5, 1 / 3]
+        assert list(iso.tau) == list(iso.h) == ["c", "a", "b"]
+        assert iso.tau == tau and iso.h == h
+        assert iso.tau is iso.tau and iso.h is iso.h
+
+    def test_arrays_are_read_only(self):
+        form1, form2, iso = random_intertwined_pair(rng_for(235), 6, "relabel")
+        cycle, two = dk.generate("cycle", 5), dk.MeasureSpace(["a", "b"], 1.0)
+        isos = [iso, dk.OrderIso.identity(form1.space), swap_iso(two, two),
+                *dk.find_intertwiners(cycle, cycle)]
+        for iso in isos:
+            for values in (iso.tau_indices, iso.h_values):
+                with pytest.raises(ValueError, match="read-only"):
+                    values[0] = -1.0
+
+
 class TestAdjoint:
     def test_identity(self):
         space = dk.MeasureSpace(["a", "b"], 1.0)
@@ -484,6 +513,60 @@ class TestScaleInvariance:
         want = {"intertwined": {None}, "unrelated": {"spectrum", "exhausted"},
                 "near_bound": {None, "spectrum", "exhausted"}}
         assert outcomes == want[kind]
+
+
+# the power of two by which a check's residual and tol scale when h is
+# multiplied by 2^k; every other check compares quantities free of h's unit
+H_SCALE_POWERS = {"operator_constant": 2, "form_scaling": 2, "jump_transform": 2,
+                  "resistance_isometry": 2, "scaling_excessive": 1}
+
+
+def intertwined_documents(transform):
+    """The pairs of ``gen-pair --n 6`` at seeds 0 to 11, as certify reads them."""
+    return [jsonio.pair_from_obj(jsonio.pair_to_obj(*random_intertwined_pair(
+        rng_for(seed), 6, transform))) for seed in range(12)]
+
+
+def h_scaled_checks(form1, form2, iso, k):
+    """The checks of the CLI's certify on the iso with h multiplied by 2^k."""
+    h = {y: math.ldexp(value, k) for y, value in iso.h.items()}
+    scaled = dk.OrderIso(iso.source, iso.target, iso.tau, h)
+    return [check for report in pair_reports(form1, form2, scaled) for check in report.checks]
+
+
+class TestUnitaryUpToAConstant:
+    """cU intertwines whenever U does, with beta scaled by c^2.  For c = 2^k
+    every product and quotient of the checks is exact while it stays a
+    normal float, so each check keeps its pass flag, and its residual and
+    tol scale by 2^(p k) bit for bit, without rescaling h; past that range
+    certify keeps its verdict or raises NumericOverflow."""
+
+    @pytest.mark.parametrize("transform", ["relabel", "doob"])
+    def test_checks_scale_bit_for_bit(self, transform):
+        for form1, form2, iso in intertwined_documents(transform):
+            base = h_scaled_checks(form1, form2, iso, 0)
+            assert all(check.passed for check in base)
+            for k in range(-500, 501, 50):
+                for check, want in zip(h_scaled_checks(form1, form2, iso, k), base, strict=True):
+                    p = H_SCALE_POWERS.get(check.name, 0)
+                    assert check.name == want.name and check.passed == want.passed, k
+                    assert check.residual == math.ldexp(want.residual, p * k), (check.name, k)
+                    assert check.tol == math.ldexp(want.tol, p * k), (check.name, k)
+
+    @pytest.mark.parametrize("transform", ["relabel", "doob"])
+    def test_same_verdict_or_numeric_overflow(self, transform):
+        # every pair passes at k = 0 (test_checks_scale_bit_for_bit)
+        passed = overflowed = 0
+        for form1, form2, iso in intertwined_documents(transform):
+            for k in range(-1000, 1001, 10):
+                try:
+                    checks = h_scaled_checks(form1, form2, iso, k)
+                except NumericOverflow:
+                    overflowed += 1
+                    continue
+                assert all(check.passed for check in checks), k
+                passed += 1
+        assert passed and overflowed
 
 
 class TestDoobPair:

@@ -902,3 +902,37 @@ class TestEquivalenceVerdict:
         disconnected = dk.build_form(["a", "b"], 1.0, [])
         with pytest.raises(NotIrreducible):
             dk.equivalence_verdict(disconnected, disconnected)
+
+
+class TestSolutionsAsArrays:
+    """Each solution stores tau and h as the arrays of ``OrderIso``, and the
+    JSON writer reads those: neither builds a vertex-id dict."""
+
+    def test_find_intertwiners(self):
+        form1, form2 = scrambled(dk.generate("complete", 6, conductance=1.3, measure=0.7))
+        found = dk.find_intertwiners(form1, form2)
+        assert len(found) == 720
+        assert not any("tau" in vars(iso) or "h" in vars(iso) for iso in found)
+        # read on demand, the dicts follow the target's storage order
+        assert list(found[0].tau) == list(found[0].h) == list(form2.space.vertices)
+
+    def test_cli_search_json(self, tmp_path, monkeypatch, capsys):
+        form1, form2 = scrambled(dk.generate("complete", 6, conductance=1.3, measure=0.7))
+        verdicts = []
+        equivalence_verdict = search.equivalence_verdict
+
+        def capture(*args):
+            verdicts.append(equivalence_verdict(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(search, "equivalence_verdict", capture)
+        paths = [tmp_path / "g1.json", tmp_path / "g2.json"]
+        for path, form in zip(paths, (form1, form2)):
+            path.write_text(jsonio.graph_dumps(form))
+        assert cli.run(["search", *map(str, paths)]) == 0
+        written = jsonio.loads(capsys.readouterr().out)["intertwiners"]
+        (verdict,) = verdicts
+        assert len(verdict.solutions) == len(written) == 720
+        assert not any("tau" in vars(iso) or "h" in vars(iso) for iso in verdict.solutions)
+        assert written == [dict(jsonio.iso_to_obj(iso), beta=iso.beta)
+                           for iso in verdict.solutions]

@@ -191,11 +191,15 @@ def _cmd_certify(args) -> int:
     form1, form2, iso = jsonio.pair_from_obj(pair)
     tol = _tolerance(args, DEFAULT_TOL)
 
-    report = orderiso.certify(iso, form1, form2, tol)
-    report.extend(orderiso.verify_jump_transform(iso, form1, form2, tol))
+    # the one guard of the four certificates, then the checks that certify,
+    # verify_jump_transform, verify_resistance_isometry and
+    # verify_intrinsic_bijection build past it
+    orderiso.require_intertwining(iso, form1, form2, tol)
+    report = orderiso._certify_checks(iso, form1, form2, tol)
+    report.extend(orderiso._jump_transform_checks(iso, form1, form2, tol))
     if spectral.is_recurrent(form1) and spectral.is_recurrent(form2):
-        report.extend(metrics.verify_resistance_isometry(iso, form1, form2, tol))
-        report.extend(metrics.verify_intrinsic_bijection(iso, form1, form2, tol=tol))
+        report.extend(metrics._resistance_checks(iso, form1, form2, tol))
+        report.extend(metrics._intrinsic_checks(iso, form1, form2, tol))
     _output(args, report.to_dict(), lambda: _report_text(report))
     return 0 if report.verdict else 1
 

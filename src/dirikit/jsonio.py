@@ -40,6 +40,16 @@ is formatted once: the 720 solutions on K6 take 12 id encodings and a
 float conversion per distinct value.  A list of flat dicts on the same
 keys, each key's values all strings or all finite floats, such as the
 jump list J, is filled into one item template the same way.
+
+``loads`` is the one reader.  orjson reads a text of at most 512 opening
+brackets, every graph, pair and iso document; json reads a deeper text
+(the per-edge layout, a metric of more than about 510 rows) and every
+text that orjson refuses: NaN and Infinity, a number past the float
+range, a lone surrogate, and every malformed text, so that an error
+carries json's message.  Both give the same objects.  The one difference,
+an integer past 64 bits that orjson reads as a float and json as an int,
+reaches no result, as every number is read through ``float``.  A text
+nested too deeply for json raises MalformedInput too.
 """
 
 from __future__ import annotations
@@ -255,11 +265,32 @@ def chunks(obj):
     return itertools.chain.from_iterable(streams)
 
 
+# orjson 3.8 recurses once per nesting level with no limit, and a text
+# 200 000 levels deep crashes the interpreter.  A text's count of opening
+# brackets bounds its depth, and this bound lies well inside the depth that
+# json reads (about 970 levels from the CLI), so any text that orjson reads
+# json would read too.  Graph, pair and iso documents hold 8 to 20.
+_ORJSON_MAX_BRACKETS = 512
+
+
 def loads(text: str):
+    """The objects of a JSON text, as ``json.loads`` gives them, or
+    MalformedInput with json's message.  orjson reads a text of at most
+    ``_ORJSON_MAX_BRACKETS`` opening brackets; json reads the rest and
+    whatever orjson refuses."""
+    if text.count("[") + text.count("{") <= _ORJSON_MAX_BRACKETS:
+        import orjson  # here, so that a path that reads no JSON loads none of it
+
+        try:
+            return orjson.loads(text)
+        except orjson.JSONDecodeError:
+            pass  # NaN, 1e400, a lone surrogate or an error: json's reading
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedInput("invalid JSON: nested too deeply") from None
 
 
 def _require(obj, key, kind, context):

@@ -213,6 +213,14 @@ def verify_resistance_isometry(
     if not (is_recurrent(form1) and is_recurrent(form2)):
         raise NotRecurrent("resistance comparison requires recurrent forms")
     require_intertwining(iso, form1, form2, tol)
+    return _resistance_checks(iso, form1, form2, tol)
+
+
+def _resistance_checks(
+    iso: OrderIso, form1: GraphForm, form2: GraphForm, tol: Tolerance
+) -> VerificationReport:
+    """The checks of ``verify_resistance_isometry`` for recurrent forms and
+    an iso that has passed the guard."""
     alpha = float(np.mean(iso.h_values))
     r1 = resistance_matrix(form1).d
     r2 = resistance_matrix(form2).d
@@ -426,6 +434,14 @@ def verify_intrinsic_bijection(
     if not (is_recurrent(form1) and is_recurrent(form2)):
         raise NotRecurrent("the intrinsic-family comparison requires recurrent forms")
     require_intertwining(iso, form1, form2, tol)
+    return _intrinsic_checks(iso, form1, form2, tol)
+
+
+def _intrinsic_checks(
+    iso: OrderIso, form1: GraphForm, form2: GraphForm, tol: Tolerance
+) -> VerificationReport:
+    """The checks of ``verify_intrinsic_bijection`` for recurrent forms and
+    an iso that has passed the guard."""
     m1, m2 = form1.space.m, form2.space.m
     e1, e2 = _canonical_energies(iso, form1, form2)
     slacks = [("canonical", m1 - e1, m2 - e2)]

@@ -191,6 +191,14 @@ def certify(
     NumericOverflow when beta or this alpha is no positive normal float.
     """
     require_intertwining(iso, form1, form2, tol)
+    return _certify_checks(iso, form1, form2, tol)
+
+
+def _certify_checks(
+    iso: OrderIso, form1: GraphForm, form2: GraphForm, tol: Tolerance
+) -> VerificationReport:
+    """The checks of ``certify`` for an iso that has passed the guard,
+    after its precondition: NotIrreducible unless both forms are."""
     if not (form1.irreducible and form2.irreducible):
         raise NotIrreducible("certification requires irreducible forms")
 
@@ -247,6 +255,13 @@ def verify_jump_transform(
     h(x) h(y) sqrt(F2[x, x] F2[y, y]), whose off-diagonal half this is.
     """
     require_intertwining(iso, form1, form2, tol)
+    return _jump_transform_checks(iso, form1, form2, tol)
+
+
+def _jump_transform_checks(
+    iso: OrderIso, form1: GraphForm, form2: GraphForm, tol: Tolerance
+) -> VerificationReport:
+    """The check of ``verify_jump_transform`` for an iso that has passed the guard."""
     idx, h = iso.tau_indices, iso.h_values
     report = VerificationReport()
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing h^2 is a FAIL

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import dirikit as dk
-from dirikit import cli, jsonio, metrics
+from dirikit import cli, jsonio, metrics, orderiso
 from dirikit.cli import run
-from dirikit.errors import InvalidSize, MalformedInput
+from dirikit.errors import InvalidSize, MalformedInput, NotIntertwining
 from dirikit.sampling import random_form
 
 from conftest import diagonal_overflow_form, edge_weight, eigh_calls, pick, rng_for
@@ -157,7 +157,66 @@ class TestSearch:
         assert len(set(taus)) == 2
 
 
+def count_guards(monkeypatch) -> list:
+    """The calls of ``require_intertwining`` from here on, through every
+    dirikit module that binds it."""
+    calls = []
+    guard = orderiso.require_intertwining
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return guard(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "dirikit" and vars(module).get("require_intertwining") is guard:
+            monkeypatch.setattr(module, "require_intertwining", counted)
+    return calls
+
+
 class TestCertify:
+    @pytest.mark.parametrize("transform, recurrent", [("relabel", True), ("doob", False)])
+    def test_one_guard_per_command(self, tmp_path, capsys, monkeypatch, transform, recurrent):
+        # the public certificates each run the guard, 4 calls on a recurrent
+        # pair and 2 on a transient one; the CLI runs it once, and prints
+        # the bytes of their reports
+        pair = tmp_path / "pair.json"
+        assert run(["gen-pair", "--transform", transform, "--n", "8", "--out", str(pair)]) == 0
+        form1, form2, iso = jsonio.pair_from_obj(json.loads(pair.read_text()))
+        assert (dk.is_recurrent(form1) and dk.is_recurrent(form2)) == recurrent
+        calls = count_guards(monkeypatch)
+        for fmt in ("json", "text"):
+            assert run(["certify", str(pair), "--format", fmt]) == 0
+        assert len(calls) == 2
+        out = capsys.readouterr().out
+        report = dk.certify(iso, form1, form2)
+        report.extend(dk.verify_jump_transform(iso, form1, form2))
+        if recurrent:
+            report.extend(dk.verify_resistance_isometry(iso, form1, form2))
+            report.extend(dk.verify_intrinsic_bijection(iso, form1, form2))
+        assert len(calls) == (6 if recurrent else 4)
+        assert out == jsonio.dumps(report.to_dict()) + "\n" + cli._report_text(report)
+
+    def test_swapped_tau_exits_2_at_the_guard(self, tmp_path, capsys, monkeypatch):
+        pair = tmp_path / "pair.json"
+        assert run(["gen-pair", "--transform", "relabel", "--n", "8", "--out", str(pair)]) == 0
+        obj = json.loads(pair.read_text())
+        tau = obj["iso"]["tau"]
+        y0, y1 = list(tau)[:2]
+        tau[y0], tau[y1] = tau[y1], tau[y0]
+        swapped = write(tmp_path, "swapped.json", json.dumps(obj))
+        form1, form2, iso = jsonio.pair_from_obj(obj)
+        messages = set()
+        for verify in (dk.certify, dk.verify_jump_transform, dk.verify_resistance_isometry,
+                       dk.verify_intrinsic_bijection):
+            with pytest.raises(NotIntertwining) as exc:
+                verify(iso, form1, form2)
+            messages.add(f"error: {exc.value}\n")
+        assert len(messages) == 1
+        calls = count_guards(monkeypatch)
+        assert run(["certify", swapped]) == 2
+        assert len(calls) == 1
+        assert capsys.readouterr() == ("", messages.pop())
+
     def test_doob_pair_roundtrip(self, tmp_path, capsys):
         pair = tmp_path / "pair.json"
         assert run(["gen-pair", "--transform", "doob", "--seed", "7",

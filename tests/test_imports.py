@@ -1,19 +1,23 @@
-"""scipy is imported only where the full canonical metric is built.
+"""scipy is imported only where the full canonical metric is built, and
+orjson only where JSON is read.
 
 Everything else is numpy: importing dirikit, the other CLI paths, and the
 library path find_nonconstant_excessive -> doob_pair -> certify.  The
 intrinsic certificate of a recurrent pair reads the canonical metric on
 edges only, whatever the data: on the seed-0 relabel pair at n 8 every
 edge is its own shortest path, and on the square x a b y with light a
-and b the edge x y goes to the certificate's own Dijkstra.  The probe
-runs in a fresh interpreter because conftest.py itself imports scipy.
+and b the edge x y goes to the certificate's own Dijkstra.  gen, gen-pair
+and that library path read no JSON and load no orjson.  The probes run in
+fresh interpreters because conftest.py itself imports scipy.
 
-The package exports the names in PUBLIC and no others.
+The package exports the names in PUBLIC and no others, and every
+third-party module that it imports is a declared dependency.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,13 +73,49 @@ cli("intrinsic", "c6.json")
 """
 
 
-@pytest.fixture(scope="module")
-def steps(tmp_path_factory):
+# the same lines, with whether orjson is loaded, for the paths that read
+# no JSON and then for a certify
+ORJSON_PROBE = r"""
+import contextlib, io, json, sys
+
+def step(name, code=0):
+    print(json.dumps([name, code, "orjson" in sys.modules]))
+
+import dirikit.cli
+step("import dirikit.cli")
+
+def cli(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = dirikit.cli.run(list(argv))
+    step(" ".join(argv), code)
+
+cli("gen", "--family", "cycle", "--n", "6", "--out", "c6.json")
+cli("gen-pair", "--transform", "doob", "--n", "6", "--out", "doob.json")
+cli("gen-pair", "--transform", "relabel", "--n", "8", "--out", "relabel.json")
+
+import dirikit as dk
+form = dk.build_form(["a", "b", "c"], 1.0, [("a", "b", 1.0), ("b", "c", 2.0)],
+                     {"a": 0.5, "b": 0.0, "c": 0.0})
+h = dk.find_nonconstant_excessive(dk.generator(form))
+form2, iso = dk.doob_pair(form, h)
+step("find_nonconstant_excessive -> doob_pair -> certify",
+     0 if dk.certify(iso, form, form2).verdict else 1)
+
+cli("certify", "relabel.json")
+"""
+
+
+def _probe(script: str, workdir) -> list:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", PROBE], cwd=tmp_path_factory.mktemp("probe"),
+    proc = subprocess.run([sys.executable, "-c", script], cwd=workdir,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+@pytest.fixture(scope="module")
+def steps(tmp_path_factory):
+    return _probe(PROBE, tmp_path_factory.mktemp("probe"))
 
 
 def test_numpy_only_paths(steps):
@@ -91,6 +131,34 @@ def test_canonical_metric_loads_scipy(steps):
     assert name == "intrinsic c6.json"
     assert code == 0
     assert scipy_loaded
+
+
+def test_orjson_only_where_json_is_read(tmp_path):
+    *no_json, (name, code, orjson_loaded) = _probe(ORJSON_PROBE, tmp_path)
+    assert len(no_json) == 5
+    for step, step_code, loaded in no_json:
+        assert step_code == 0, step
+        assert not loaded, f"orjson imported by: {step}"
+    assert (name, code, orjson_loaded) == ("certify relabel.json", 0, True)
+
+
+def test_third_party_imports_are_declared():
+    """Every top-level module outside the standard library that a module of
+    src/ imports, at its top or inside a function, is a dependency in
+    pyproject.toml."""
+    imported = set()
+    for path in Path(dirikit.__file__).resolve().parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__", "dirikit"}
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_")
+                for spec in project["project"]["dependencies"]}
+    assert {"numpy", "orjson", "scipy"} <= third_party <= declared
 
 
 PUBLIC = [

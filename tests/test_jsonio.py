@@ -1,9 +1,16 @@
+import contextlib
 import json
 import math
+import os
+import random
 import re
+import struct
+import subprocess
+import sys
 import tracemalloc
 from collections import OrderedDict
 from collections.abc import Mapping
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +31,11 @@ from conftest import (
     pick,
     rng_for,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+import cli_contract  # noqa: E402
 
 MAX = 1.7976931348623157e308
 SPECIAL = (
@@ -811,3 +823,179 @@ class TestMetricDocument:
         metric.write_text(json.dumps({"d": [[0, 1], [1]]}))
         assert run(["intrinsic", str(graph), "--metric", str(metric)]) == 2
         assert capsys.readouterr().err == "error: metric: d must be a matrix\n"
+
+
+# ---------------------------------------------------------------------------
+# reading: loads gives json's objects and json's errors, through either parser
+
+
+def typed_bits(obj):
+    """obj with each value tagged by its type, each float by its bits and
+    each dict by its items in order, so that == compares them all."""
+    if type(obj) is float:
+        return "float", struct.unpack("<q", struct.pack("<d", obj))[0]
+    if type(obj) is dict:
+        return "dict", [(key, typed_bits(value)) for key, value in obj.items()]
+    if type(obj) is list:
+        return "list", [typed_bits(value) for value in obj]
+    return type(obj).__name__, obj
+
+
+def json_outcome(text: str):
+    """What json reads from the text, or the message of the MalformedInput
+    that ``loads`` raises for a text that json refuses."""
+    try:
+        return typed_bits(json.loads(text))
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON: {exc}"
+    except RecursionError:
+        return "invalid JSON: nested too deeply"
+
+
+def loads_outcome(text: str):
+    try:
+        return typed_bits(jsonio.loads(text))
+    except MalformedInput as exc:
+        return str(exc)
+
+
+class TestLoads:
+    def test_corpus_documents(self, tmp_path, monkeypatch):
+        # every input of tools/cli_contract.py: graphs, pairs, isos, metrics
+        # and the malformed documents, NaN, 10^400 and 1000-deep among them
+        monkeypatch.chdir(tmp_path)
+        cli_contract._write_inputs(run)
+        paths = sorted(tmp_path.glob("*.json"))
+        assert len(paths) > 100
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            assert loads_outcome(text) == json_outcome(text), path.name
+
+    def test_seeded_documents(self):
+        for seed in range(12):
+            rng = rng_for(seed)
+            n = int(rng.integers(1, 50))
+            form1, form2, iso = random_intertwined_pair(rng, n, pick(rng, ("relabel", "doob")))
+            pair = jsonio.pair_to_obj(form1, form2, iso)
+            graph = jsonio.graph_to_obj(random_form(rng, n))
+            per_edge = dict(graph, edges=cli_contract._edge_objects(graph))
+            for obj in (pair, pair["iso"], graph, per_edge):
+                for text in (jsonio.dumps(obj), json.dumps(obj)):
+                    assert loads_outcome(text) == json_outcome(text), seed
+
+    def test_number_fuzz_through_graph_from_obj(self):
+        # 100 numbers per document as killing values, each read to the bits
+        # of json's reading: big ints, long mantissas, exponents from -345
+        # to 310, subnormals and the shortest and longer texts of random doubles
+        names = [f"v{i}" for i in range(100)]
+        head = (f'{{"vertices": {json.dumps(names)}, "m": {json.dumps(dict.fromkeys(names, 1.0))},'
+                ' "edges": {"u": [], "v": [], "b": []}, "killing": {')
+        import orjson
+
+        rnd = random.Random(35)
+        numbers = by_orjson = 0
+        for _ in range(1000):
+            texts = [number_text(rnd) for _ in names]
+            texts = [text for text in texts if finite_number(text)]
+            text = head + ", ".join(f'"{v}": {t}' for v, t in zip(names, texts)) + "}}"
+            got = jsonio.graph_from_obj(jsonio.loads(text)).c
+            want = jsonio.graph_from_obj(json.loads(text)).c
+            assert got.tobytes() == want.tobytes(), text
+            numbers += len(texts)
+            with contextlib.suppress(orjson.JSONDecodeError):
+                by_orjson += bool(orjson.loads(text))
+        assert numbers > 95_000
+        assert by_orjson > 900  # loads reads these with orjson
+
+    @pytest.mark.parametrize("text", [
+        "NaN", '{"b": [1.0, -Infinity]}', "Infinity", "1e400",
+        pytest.param(str(10**400), id="10**400"),
+        '{"v": "\\ud800"}', "\ufeff{}", "{} []", "not_json", "{not json", "",
+    ])
+    def test_what_orjson_refuses(self, text):
+        import orjson
+
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(text)
+        assert loads_outcome(text) == json_outcome(text)
+
+    def test_the_bracket_bound(self, monkeypatch):
+        # orjson reads a text of 512 opening brackets, json one of 513,
+        # brackets inside strings included
+        import orjson
+
+        readers = []
+        for module in (orjson, json):
+            def spy(text, read=module.loads, name=module.__name__):
+                readers.append(name)
+                return read(text)
+
+            monkeypatch.setattr(module, "loads", spy)
+        cases = {
+            "[" + "[], " * 510 + "[]]": "orjson",
+            "[" + "{}, " * 511 + "{}]": "json",
+            '{"a": "' + "[" * 511 + '"}': "orjson",
+            '{"a": "' + "[" * 512 + '"}': "json",
+        }
+        for text, reader in cases.items():
+            readers.clear()
+            assert loads_outcome(text) == json_outcome(text)
+            assert readers[0] == reader
+
+    def test_deep_texts_raise_malformed_input(self, tmp_path):
+        # in fresh interpreters, so that a crash fails this test, not pytest:
+        # orjson 3.8 recurses without a limit and crashed on 200 000 levels
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        probe = ("import sys\n"
+                 "from dirikit import jsonio\n"
+                 "from dirikit.errors import MalformedInput\n"
+                 "for depth in (1000, 200_000):\n"
+                 "    try:\n"
+                 "        jsonio.loads('[' * depth + ']' * depth)\n"
+                 "    except MalformedInput as exc:\n"
+                 "        print(depth, exc)\n")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["1000 invalid JSON: nested too deeply",
+                                            "200000 invalid JSON: nested too deeply"]
+        (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
+        for command in ("check", "certify"):
+            proc = subprocess.run([sys.executable, "-m", "dirikit.cli", command, "deep.json"],
+                                  cwd=tmp_path, env=env, capture_output=True, text=True,
+                                  timeout=60)
+            assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+            assert proc.stderr == "error: invalid JSON: nested too deeply\n"
+
+
+def number_text(rnd: random.Random) -> str:
+    """A JSON number text that reads to a nonnegative double, or past the range."""
+    kind = rnd.choice(("double", "decimal", "integer", "subnormal"))
+    while kind == "double":  # random bits, so that every exponent is as likely
+        x = abs(struct.unpack("<d", rnd.getrandbits(64).to_bytes(8, "little"))[0])
+        if math.isfinite(x):
+            return rnd.choice((repr(x), format(x, ".17g"), format(x, ".25e"), format(x, ".40g")))
+    if kind == "integer":  # up to 330 digits, many just past 64 bits
+        size = rnd.randint(1, 330) if rnd.random() < 0.7 else rnd.randint(19, 22)
+        return str(rnd.randint(10 ** (size - 1), 10**size - 1))
+    if kind == "subnormal":
+        x = rnd.randint(1, 2**52) * 5e-324
+        return rnd.choice((repr(x), format(x, ".25e"), "2.4703282292062328e-324",
+                           "2.2250738585072011e-308", "4.9406564584124654e-324"))
+    digits = str(rnd.randint(0, 10**40)).zfill(rnd.randint(1, 40))
+    point = rnd.randint(0, len(digits))
+    mantissa = digits if point in (0, len(digits)) else digits[:point] + "." + digits[point:]
+    mantissa = mantissa.lstrip("0") or "0"
+    if mantissa.startswith("."):
+        mantissa = "0" + mantissa
+    if rnd.random() < 0.5:
+        return mantissa + rnd.choice(("e-", "E-")) + str(rnd.randint(0, 345))
+    return mantissa + rnd.choice(("e", "E", "e+")) + str(rnd.randint(0, 310))
+
+
+def finite_number(text: str) -> bool:
+    """Whether json reads the text to a number inside the float range."""
+    try:
+        return math.isfinite(float(json.loads(text)))
+    except OverflowError:
+        return False

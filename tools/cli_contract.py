@@ -81,6 +81,10 @@ BAD_PAIRS = {
     "pair_g1_not_object": json.dumps({"g1": "a", "g2": {}, "iso": {}}),
 }
 
+# a text nested 1000 levels deep, past the depth that json reads, checked
+# with `dirikit check NAME.json` and `dirikit certify NAME.json`
+DEEP = {"nested_deep": "[" * 1000 + "]" * 1000}
+
 # malformed or rejected graphs, by the fault they carry
 _A_B = {"vertices": ["a", "b"], "m": {"a": 1.0, "b": 1.0}, "killing": {}}
 INVALID = {
@@ -319,6 +323,8 @@ def _commands() -> list[list[str]]:
         ["frobnicate"],
         [],
     ]
+    for name in DEEP:
+        cmds += [["check", f"{name}.json"], ["certify", f"{name}.json"]]
     return cmds
 
 
@@ -500,7 +506,7 @@ def _write_inputs(run) -> None:
             names = ["a"]
         identity = {"tau": {v: v for v in names}, "h": {v: 1.0 for v in names}}
         Path(f"{name}.iso.json").write_text(json.dumps(identity), encoding="utf-8")
-    for name, text in {**BAD_PAIRS, **HAND}.items():
+    for name, text in {**BAD_PAIRS, **HAND, **DEEP}.items():
         Path(f"{name}.json").write_text(text, encoding="utf-8")
     for name, obj in METRICS.items():
         Path(f"{name}.json").write_text(json.dumps(obj), encoding="utf-8")

@@ -112,16 +112,17 @@ def _tolerance(args, default: Tolerance) -> Tolerance:
 
 
 def _output(args, payload, text=None) -> None:
-    """Write the payload as JSON, or for --format text the string that
-    ``text()`` builds, to --out or stdout; a JSON run builds no text.  Every
-    JSON value is checked before --out opens, so one that cannot be
-    serialized leaves no file."""
-    chunks = jsonio.chunks(payload) if args.format == "json" else [text()]
+    """Write the payload as a JSON document, or for --format text the
+    string that ``text()`` builds, as UTF-8 bytes to --out or stdout, so
+    that the locale plays no part; a JSON run builds no text.  The bytes
+    are built before --out opens, so a value that cannot be serialized
+    leaves no file."""
+    data = jsonio.document(payload) if args.format == "json" else text().encode()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
+        with open(args.out, "wb") as handle:
+            handle.write(data)
     else:
-        sys.stdout.writelines(chunks)
+        sys.stdout.buffer.write(data)
 
 
 def _lines(lines) -> str:
@@ -144,6 +145,7 @@ def _search_text(verdict: search.EquivalenceVerdict) -> str:
     lines = [f"equivalent: {verdict.equivalent}"]
     if verdict.reason:
         lines.append(f"reason: {verdict.reason}")
+    lines.append(f"capped: {verdict.capped}")
     # tau and h in sorted target-id order, the order the search assigns in
     lines += [f"tau: {dict(sorted(iso.tau.items()))} h: {dict(sorted(iso.h.items()))}"
               for iso in verdict.solutions]
@@ -175,6 +177,7 @@ def _cmd_search(args) -> int:
         "equivalent": verdict.equivalent,
         "reason": verdict.reason,
         "intertwiners": verdict.solutions,
+        "capped": verdict.capped,
     }
     _output(args, payload, lambda: _search_text(verdict))
     return 0 if verdict.equivalent else 1

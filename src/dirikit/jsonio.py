@@ -1,4 +1,4 @@
-"""JSON schemas and deterministic serialization.
+"""JSON schemas, the one writer and the one reader.
 
 Graph:       {"vertices": [...], "m": {v: real},
               "edges": {"u": [v, ...], "v": [w, ...], "b": [real, ...]},
@@ -11,7 +11,9 @@ Graph:       {"vertices": [...], "m": {v: real},
 Order iso:   {"tau": {y: x}, "h": {y: real}}
 Pair:        {"g1": graph, "g2": graph, "iso": order iso from g1 onto g2}
 Search:      {"equivalent": bool, "reason": str or null,
-              "intertwiners": [order iso with "beta": real after "h", ...]}
+              "intertwiners": [order iso with "beta": real after "h", ...],
+              "capped": bool}
+             (capped: more than max_solutions solutions exist)
 Jump data:   {"vertices": [...], "J": [{"x": a, "y": b, "value": real}],
               "k": {v: real}}
              (read from the edge columns: J = b / 2 on both orientations,
@@ -20,26 +22,20 @@ Metric:      {"d": [[...], ...]} in the vertex order of the owning space
 Report:      {"checks": [{"name", "residual", "tol", "pass", "detail"?}],
               "verdict": bool}
 
-Numbers are emitted with 17 significant digits, which round-trips IEEE
-doubles exactly, so identical inputs always serialize to identical bytes;
--0.0 is written "-0.0", as "-0" reads back as the int 0.
-There is one serializer, ``dumps``; ``chunks`` gives its bytes in pieces,
-a matrix row or an intertwiner per piece, after checking every value, so
-that a writer need not hold the document whole and a value that cannot be
-serialized raises before the first piece.
-``dumps`` also accepts a 1-D or 2-D float ``np.ndarray`` wherever a list
-may stand and writes the same bytes as for its ``tolist()``.  It formats
-each distinct value of the array once, so a symmetric n x n metric costs
-at most about n^2 / 2 float conversions, and one with few distinct
-distances far fewer.  Likewise a list of ``OrderIso`` on one source and
-one target space, such as a search's solutions, is written as the list of
-their order iso objects, each with "beta" after "h", read from the arrays
-of the isos, not their dicts: every item fills one template, in which each
-target id and each source id is encoded once and each distinct h and beta
-is formatted once: the 720 solutions on K6 take 12 id encodings and a
-float conversion per distinct value.  A list of flat dicts on the same
-keys, each key's values all strings or all finite floats, such as the
-jump list J, is filled into one item template the same way.
+``document`` is the one writer: ``orjson.dumps`` with a two-space indent,
+as UTF-8 bytes.  Floats are written shortest round-trip (Ryu): 0.1, 1.0,
+1e16, and -0.0 apart from 0.0.  A pre-pass keeps the checks orjson lacks:
+every float, in a list, a mapping, an array or a numpy scalar, is finite
+(orjson writes NaN and inf as null), else MalformedInput names the first
+in document order, as it does for whatever orjson refuses (a type, a key
+that is no str, a lone surrogate, nesting past its limit).  An array is
+written as its ``tolist()``, a float array as float64.  A list of
+``OrderIso``, such as a search's solutions, is written as their order
+iso objects, each with "beta" after "h", read from the isos' arrays.
+The bytes are built whole, so a bad value leaves no output.  Identical
+inputs give identical bytes at a fixed BLAS build and thread count only:
+the spectrum and the resistance matrix change in their last bits with it
+(by about 2e-14 of the largest value on a 366-vertex Sierpinski gasket).
 
 ``loads`` is the one reader.  orjson reads a text of at most 512 opening
 brackets, every graph, pair and iso document; json reads a deeper text
@@ -49,15 +45,14 @@ range, a lone surrogate, and every malformed text, so that an error
 carries json's message.  Both give the same objects.  The one difference,
 an integer past 64 bits that orjson reads as a float and json as an int,
 reaches no result, as every number is read through ``float``.  A text
-nested too deeply for json raises MalformedInput too.
+nested too deeply for json raises MalformedInput too, and so does a graph
+whose vertex id holds a lone surrogate, which no UTF-8 output can hold.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from typing import Mapping
 
 import numpy as np
 
@@ -68,201 +63,98 @@ from .orderiso import OrderIso
 from .tolerances import Tolerance
 
 
-def _format_float(value: float) -> str:
+def _finite(value: float) -> float:
     if not math.isfinite(value):
         raise MalformedInput(f"cannot serialize non-finite number {value}")
-    text = format(float(value), ".17g")
-    return "-0.0" if text == "-0" else text  # "-0" would read back as the int 0
+    return value
 
 
-# the function json.dumps(str) calls with default arguments: same bytes
-_encode = json.encoder.encode_basestring_ascii
-
-# a gap in a layout: JSON text holds no raw NUL, encode_basestring_ascii escapes it
-_GAP = "\0"
+# the types that orjson writes as they are; of them only a float can be
+# non-finite, and orjson writes NaN and inf as null
+_LEAVES = frozenset({str, int, float, bool, type(None)})
 
 
-def _bracket(items: list[str], indent: int, brackets: str = "[]") -> str:
-    """A JSON array (or object) of already serialized items, its brackets at
-    ``indent``."""
-    if not items:
-        return brackets
-    inner = " " * (indent + 2)
-    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items)
-            + "\n" + " " * indent + brackets[1])
+def _check_leaves(values, kinds: set) -> None:
+    """MalformedInput at the first non-finite float of ``values``, whose
+    types are ``kinds``, a subset of _LEAVES."""
+    if float not in kinds or (kinds == {float} and all(map(math.isfinite, values))):
+        return
+    for value in values:
+        if type(value) is float:
+            _finite(value)
 
 
-def _float_texts(values: np.ndarray) -> np.ndarray:
-    """The texts of a float array's values, an object array of its shape.
-    Every value is checked, and each distinct one formatted once."""
-    flat = values.astype(float, copy=False).reshape(-1)
-    finite = np.isfinite(flat)
-    if not finite.all():
-        _format_float(float(flat[np.argmin(finite)]))  # raises for the first one
-    del finite
-    # one bit pattern per finite double, so -0.0 stays apart from 0.0
-    # where np.unique on the values would merge them
-    bits, where = np.unique(flat.view(np.int64), return_inverse=True)
-    text = np.array([format(x, ".17g") for x in bits.view(float).tolist()], dtype=object)
-    if len(bits) and bits[0] == np.iinfo(np.int64).min:  # -0.0, so it sorts first
-        text[0] = "-0.0"
-    return text[where].reshape(values.shape)
-
-
-def _float_rows(values: np.ndarray, indent: int):
-    """The item texts of a 1-D float array, or an iterator over the row
-    texts of a 2-D one, at ``indent``.  Every value is checked, and each
-    distinct one formatted, before this returns; rows are joined lazily."""
-    texts = _float_texts(values)
-    if values.ndim == 1:
-        return texts.tolist()
-    return (_bracket(row.tolist(), indent + 2) for row in texts)
-
-
-def _intertwiner_items(solutions, indent: int):
-    """An iterator over the item texts, at ``indent``, of a list of order
-    isos on one source and one target space: each the object of
-    ``iso_to_obj`` with "beta" after "h", filled into one template in which
-    each target id is encoded once.  The ``tau_indices`` pick from one array
-    of encoded source ids, and every h and beta is checked, and each
-    distinct one formatted, by one ``_float_texts`` before this returns."""
-    source, target = solutions[0].source.vertices, solutions[0].target.vertices
-    if any(iso.source.vertices != source or iso.target.vertices != target for iso in solutions):
+def _iso_items(isos: list) -> list[dict]:
+    """The objects of ``iso_to_obj`` with "beta" after "h" of order isos on
+    one source and one target space, read from their arrays in one step,
+    each h and beta checked finite."""
+    first = isos[0]
+    sources, targets = first.source.vertices, first.target.vertices
+    if any(iso.source.vertices != sources or iso.target.vertices != targets for iso in isos):
         raise MalformedInput("cannot serialize intertwiners between different spaces")
-    cells = [_encode(y) + ": " + _GAP for y in target]
-    template = _bracket(['"tau": ' + _bracket(cells, indent + 4, "{}"),
-                         '"h": ' + _bracket(cells, indent + 4, "{}"),
-                         '"beta": ' + _GAP], indent + 2, "{}")
-    # a printf template: n tau cells, n h cells and beta
-    template = template.replace("%", "%%").replace(_GAP, "%s")
-    ids = np.array([_encode(x) for x in source], dtype=object)
-    numbers = _float_texts(np.column_stack([np.stack([iso.h_values for iso in solutions]),
-                                            [iso.beta for iso in solutions]]))
-    taus = ids[np.stack([iso.tau_indices for iso in solutions])]
-    return (template % tuple(row) for row in np.concatenate([taus, numbers], axis=1).tolist())
+    h = np.stack([iso.h_values for iso in isos])
+    betas = [iso.beta for iso in isos]
+    if not (np.isfinite(h).all() and all(map(math.isfinite, betas))):
+        # raises for the first in document order: each iso's h, then its beta
+        _check_leaves(np.column_stack([h, betas]).ravel().tolist(), {float})
+    taus = np.array(sources, dtype=object)[np.stack([iso.tau_indices for iso in isos])]
+    return [{"tau": dict(zip(targets, tau)), "h": dict(zip(targets, row)), "beta": beta}
+            for tau, row, beta in zip(taus.tolist(), h.tolist(), betas)]
 
 
-def _record_items(records: list, indent: int):
-    """The item texts, at ``indent``, of a nonempty list of flat dicts with
-    the same str keys in the same order, each key's values all str or all
-    finite floats, such as the jump list of ``jump_to_obj``: each record
-    filled into one template, each distinct str encoded once and each
-    distinct float formatted once.  None for any other list, which
-    ``dumps`` writes item by item to the same bytes, or fails on at the
-    first value it cannot serialize."""
-    if not records or type(records[0]) is not dict or not records[0]:
-        return None
-    keys = tuple(records[0])
-    if not all(type(record) is dict and tuple(record) == keys for record in records):
-        return None
-    if not all(type(key) is str for key in keys):
-        return None
-    columns = []
-    for key in keys:
-        column = [record[key] for record in records]
-        kinds = set(map(type, column))
-        if kinds == {str}:
-            texts = {value: _encode(value) for value in set(column)}
-            columns.append(map(texts.__getitem__, column))
-        elif kinds == {float}:
-            values = np.array(column)
-            if not np.isfinite(values).all():
-                return None
-            columns.append(_float_texts(values).tolist())
-        else:
-            return None
-    # a printf template with a slot per key
-    template = _bracket([_encode(key) + ": " + _GAP for key in keys], indent + 2, "{}")
-    template = template.replace("%", "%%").replace(_GAP, "%s")
-    return [template % values for values in zip(*columns)]
-
-
-def _is_intertwiners(obj) -> bool:
-    """Whether obj is a nonempty list or tuple of order isos."""
-    return (isinstance(obj, (list, tuple)) and bool(obj)
-            and all(isinstance(item, OrderIso) for item in obj))
-
-
-def _item_stream(value, indent: int):
-    """The lazily joined item texts of a list that ``chunks`` writes an
-    item per piece, at ``indent``: the rows of a nonempty 2-D float array
-    or the intertwiners of a nonempty list of order isos; else None."""
-    if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim == 2 and len(value):
-        return _float_rows(value, indent)
-    if _is_intertwiners(value):
-        return _intertwiner_items(value, indent)
-    return None
-
-
-def _format_mapping(obj: Mapping, indent: int) -> str:
-    # flat mappings (str keys, str or float values) format their values in
-    # place, not by recursion
-    if all(type(key) is str for key in obj) and set(map(type, obj.values())) <= {str, float}:
-        items = [f"{_encode(k)}: {_encode(v) if type(v) is str else _format_float(v)}"
-                 for k, v in obj.items()]
-    else:
-        items = [f"{_encode(str(key))}: {dumps(value, indent + 2)}" for key, value in obj.items()]
-    return _bracket(items, indent, "{}")
-
-
-def dumps(obj, indent: int = 0) -> str:
-    """Serialize nested dict/list/str/number/bool/None data and 1-D or 2-D
-    float arrays deterministically."""
-    # the common types first; a bool is no float, so its place is safe
+def _prepared(obj):
+    """``obj`` as orjson is to write it: a list or tuple of order isos as
+    their ``_iso_items`` objects, a float array as a C-contiguous float64
+    array, any other array C-contiguous and a numpy float as a float.
+    MalformedInput at the first non-finite float in document order."""
     if isinstance(obj, dict):
-        return _format_mapping(obj, indent)
-    if isinstance(obj, str):
-        return _encode(obj)
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(obj)
+        kinds = set(map(type, obj.values()))
+        if kinds <= _LEAVES:
+            _check_leaves(obj.values(), kinds)
+            return obj
+        return {key: _prepared(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if _is_intertwiners(obj):
-            return _bracket(list(_intertwiner_items(obj, indent)), indent)
-        items = _record_items(obj, indent)
-        if items is None:
-            items = [dumps(item, indent + 2) for item in obj]
-        return _bracket(items, indent)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim in (1, 2):
-        return _bracket(list(_float_rows(obj, indent)), indent)
-    if isinstance(obj, Mapping):
-        return _format_mapping(obj, indent)
-    raise MalformedInput(f"cannot serialize {type(obj).__name__}")
+        kinds = set(map(type, obj))
+        if kinds <= _LEAVES:
+            _check_leaves(obj, kinds)
+            return obj
+        if kinds == {OrderIso}:
+            return _iso_items(obj)
+        return [_prepared(item) for item in obj]
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            obj = obj.astype(float, order="C", copy=False)
+            finite = np.isfinite(obj)
+            if not finite.all():
+                _finite(float(obj.flat[np.argmin(finite)]))  # raises for the first one
+        return obj if obj.flags.c_contiguous else np.ascontiguousarray(obj)
+    if isinstance(obj, (float, np.floating)):
+        return _finite(float(obj))
+    return obj
 
 
-def _item_pieces(items, indent: int):
-    """``_bracket(items, indent)`` of nonempty ``items`` in pieces, each
-    item with the separator before it, then the closing bracket."""
-    opening, separator, closing = _bracket([_GAP, _GAP], indent).split(_GAP)
-    for item in items:
-        yield opening + item
-        opening = separator
-    yield closing
+def document(obj) -> bytes:
+    """The JSON document of nested dict/list/tuple/str/number/bool/None data
+    and numpy arrays and scalars, as UTF-8 bytes with a final newline.
+    MalformedInput for a non-finite float and for whatever orjson refuses:
+    a type it cannot write, a key that is no str, a lone surrogate, an int
+    past 64 bits, nesting past its depth limit."""
+    import orjson  # here, so that importing dirikit loads none of it
+
+    try:
+        prepared = _prepared(obj)
+    except RecursionError:
+        raise MalformedInput("cannot serialize: nested too deeply") from None
+    options = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    try:
+        return orjson.dumps(prepared, option=options)
+    except orjson.JSONEncodeError as exc:
+        raise MalformedInput(f"cannot serialize: {exc}") from None
 
 
-def chunks(obj):
-    """The text of ``dumps(obj) + "\\n"`` in pieces, each row of a nonempty
-    2-D float array and each order iso of a nonempty list of them that is a
-    value of a top-level mapping in a piece of its own.  Every value is
-    checked, and all but those items formatted, before this returns, so a
-    value that cannot be serialized raises here."""
-    if not (isinstance(obj, Mapping) and obj):
-        return [dumps(obj) + "\n"]
-    # in document order, so that the first bad value raises
-    texts = [_item_stream(value, 2) or dumps(value, 2) for value in obj.values()]
-    # each streamed list stands as a gap in the document, and its items fill the gap
-    skeleton = _bracket([_encode(str(key)) + ": " + (text if type(text) is str else _GAP)
-                         for key, text in zip(obj, texts)], 0, "{}") + "\n"
-    parts = skeleton.split(_GAP)
-    streams = [parts[:1]]
-    for items, part in zip((text for text in texts if type(text) is not str), parts[1:]):
-        streams += [_item_pieces(items, 2), [part]]
-    return itertools.chain.from_iterable(streams)
+def dumps(obj) -> str:
+    """The text of ``document(obj)`` without its final newline."""
+    return document(obj)[:-1].decode()
 
 
 # orjson 3.8 recurses once per nesting level with no limit, and a text
@@ -382,6 +274,11 @@ def graph_from_obj(obj) -> GraphForm:
     vertices = _require(obj, "vertices", list, "graph")
     if not all(isinstance(v, str) for v in vertices):
         raise MalformedInput("graph: vertices must be strings")
+    try:
+        "".join(vertices).encode()
+    except UnicodeEncodeError:  # a lone surrogate, which json reads
+        raise MalformedInput("graph: vertex ids must be valid Unicode, without "
+                             "lone surrogates") from None
     m_obj = _require(obj, "m", dict, "graph")
     m = _numbers([m_obj.get(v) for v in vertices], vertices, "graph: m")
     names = set(vertices)
@@ -405,7 +302,7 @@ def graph_from_obj(obj) -> GraphForm:
 
 
 def graph_dumps(form: GraphForm) -> str:
-    return dumps(graph_to_obj(form)) + "\n"
+    return document(graph_to_obj(form)).decode()
 
 
 def graph_loads(text: str) -> GraphForm:

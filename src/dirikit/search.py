@@ -46,7 +46,9 @@ lexicographic order, with these pruning rules:
   (y, z), (z, y) once along a branch: by a forward check, or by a tail
   step for each candidate assignment that uses distinct sources (the
   layers and bounds are bitwise symmetric);
-* the search stops once ``max_solutions`` solutions are found.
+* the search stops once ``max_solutions`` solutions are found.  The
+  verdict searches for one more, so that it knows whether the list was
+  cut, and keeps ``max_solutions`` of them.
 
 The heat slack.  By Duhamel, P K1(t) P^T - K2(t) = -int_0^t K2(t - u) E
 P K1(u) P^T du with E = P S1 P^T - S2.  K_i(u) = D_i e^{-u L_i} D_i^{-1}
@@ -62,13 +64,14 @@ that removed each entry, and a tail step holds at most max(n^2, 4096)
 entries per layer, so the search state is O(n^2) at any depth.
 Results are returned in lexicographic order of tau as a vertex-id
 sequence, the order in which the depth-first search meets them, and are
-bit-identical across repeated runs.
+bit-identical across repeated runs at a fixed BLAS build and thread
+count, which the spectra and heat kernels depend on in their last bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,6 +101,7 @@ class SearchOptions:
 class EquivalenceVerdict:
     solutions: tuple[OrderIso, ...] = ()
     reason: str | None = None  # size | spectrum | exhausted; None if equivalent
+    capped: bool = False  # more than max_solutions solutions exist
 
     @property
     def equivalent(self) -> bool:
@@ -379,8 +383,12 @@ def equivalence_verdict(
         return EquivalenceVerdict(reason="size")
     if not spectra_match(form1, form2, opts.tol.rel):
         return EquivalenceVerdict(reason="spectrum")
-    found = _intertwiners(form1, form2, opts)
-    return EquivalenceVerdict(tuple(found)) if found else EquivalenceVerdict(reason="exhausted")
+    # one solution past the cap tells whether the cap cut the list
+    found = _intertwiners(form1, form2, replace(opts, max_solutions=opts.max_solutions + 1))
+    if not found:
+        return EquivalenceVerdict(reason="exhausted")
+    cap = opts.max_solutions
+    return EquivalenceVerdict(tuple(found[:cap]), capped=len(found) > cap)
 
 
 def find_intertwiners(

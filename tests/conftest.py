@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import json
 import math
@@ -384,16 +385,33 @@ def rank_commutant_is_trivial(gen) -> bool:
 
 
 def _oracle_float(value: float) -> str:
+    """The shortest text that reads back to the double, in Ryu's layout:
+    positional from 1e-5 up to 16 integer digits, with ".0" after an
+    integer, else d.ddde[-]x.  The digits are those of repr, which is the
+    shortest round-trip text too."""
     if not math.isfinite(value):
         raise MalformedInput(f"cannot serialize non-finite number {value}")
-    if value == 0.0 and math.copysign(1.0, value) < 0.0:
-        return "-0.0"  # "-0" would read back as the int 0
-    return format(float(value), ".17g")
+    if value == 0.0:
+        return "-0.0" if math.copysign(1.0, value) < 0.0 else "0.0"
+    sign, digits, exponent = decimal.Decimal(repr(value)).normalize().as_tuple()
+    text = "".join(map(str, digits))
+    point = len(text) + exponent  # where the decimal point falls in text
+    if exponent >= 0 and point <= 16:
+        body = text + "0" * exponent + ".0"
+    elif 0 < point <= 16:
+        body = text[:point] + "." + text[point:]
+    elif -5 < point <= 0:
+        body = "0." + "0" * -point + text
+    else:
+        body = text[0] + ("." + text[1:] if len(text) > 1 else "") + f"e{point - 1}"
+    return "-" * sign + body
 
 
 def oracle_dumps(obj, indent: int = 0) -> str:
-    """Oracle: the recursive per-value serializer that ``jsonio.dumps``
-    replaced; it takes lists, not arrays."""
+    """Oracle: a recursive per-value serializer of the document that
+    ``jsonio.dumps`` writes: two-space indent, shortest round-trip floats,
+    UTF-8 strings, str keys only, integers within 64 bits.  It takes lists,
+    not arrays."""
     pad = " " * indent
     inner = " " * (indent + 2)
     if obj is None:
@@ -401,39 +419,42 @@ def oracle_dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
+        if not -2**63 <= obj < 2**64:
+            raise MalformedInput("cannot serialize an integer past 64 bits")
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _oracle_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        try:
+            obj.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedInput("cannot serialize a lone surrogate") from None
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(type(item) is float for item in obj):
-            items = [_oracle_float(item) for item in obj]
-        else:
-            items = [oracle_dumps(item, indent + 2) for item in obj]
+        items = [oracle_dumps(item, indent + 2) for item in obj]
         return "[\n" + ",\n".join(inner + item for item in items) + "\n" + pad + "]"
-    if isinstance(obj, Mapping):
+    if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [
-            f"{json.dumps(str(key))}: {oracle_dumps(value, indent + 2)}"
-            for key, value in obj.items()
-        ]
+        if not all(isinstance(key, str) for key in obj):
+            raise MalformedInput("cannot serialize a key that is no str")
+        items = [f"{oracle_dumps(key)}: {oracle_dumps(value, indent + 2)}"
+                 for key, value in obj.items()]
         return "{\n" + ",\n".join(inner + item for item in items) + "\n" + pad + "}"
     raise MalformedInput(f"cannot serialize {type(obj).__name__}")
 
 
 def oracle_search_payload(verdict) -> dict:
-    """Oracle: the search document with one dict per intertwiner, for the
-    generic ``jsonio.dumps``, as the CLI built it before the list of
-    intertwiners was written from one template."""
+    """Oracle: the search document with one dict per intertwiner, built
+    from the dicts of ``iso_to_obj``, for the generic ``jsonio.dumps``."""
     return {
         "equivalent": verdict.equivalent,
         "reason": verdict.reason,
         "intertwiners": [dict(jsonio.iso_to_obj(iso), beta=iso.beta)
                          for iso in verdict.solutions],
+        "capped": verdict.capped,
     }
 
 

@@ -97,6 +97,31 @@ class TestCheck:
         path = write(tmp_path, "bad.json", '{"vertices": ["a"], "m": {}}')
         assert run(["check", path]) == 2
 
+    # json reads a lone surrogate, which no UTF-8 document or text can hold
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("command", ["check", "resistance", "decompose", "search",
+                                         "certify", "certify tau", "certify h"])
+    def test_lone_surrogate_id_exits_2(self, tmp_path, capsys, command, fmt):
+        ok = {"vertices": ["a", "b"], "m": {"a": 1, "b": 1},
+              "edges": {"u": ["a"], "v": ["b"], "b": [1]}}
+        bad = json.loads(json.dumps(ok).replace('"a"', '"\\ud800"'))
+        iso = {"tau": {"a": "a", "b": "b"}, "h": {"a": 1, "b": 1}}
+        if command == "certify":
+            docs = [{"g1": bad, "g2": ok, "iso": iso}]
+        elif command.startswith("certify"):
+            key = command.split()[1]
+            iso[key] = json.loads(json.dumps(iso[key]).replace('"a":', '"\\ud800":'))
+            docs = [{"g1": ok, "g2": ok, "iso": iso}]
+        else:
+            docs = [bad, ok][:2 if command == "search" else 1]
+        paths = [write(tmp_path, f"{i}.json", json.dumps(doc)) for i, doc in enumerate(docs)]
+        out = tmp_path / "out"
+        argv = [command.split()[0], *paths, "--format", fmt, "--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_invalid_weights_exit_2(self, tmp_path):
         obj = {"vertices": ["a", "b"], "m": {"a": 1.0, "b": 1.0},
                "edges": [{"u": "a", "v": "b", "b": -2.0}], "killing": {}}
@@ -155,6 +180,26 @@ class TestSearch:
         assert len(payload["intertwiners"]) == 2
         taus = [tuple(sorted(i["tau"].items())) for i in payload["intertwiners"]]
         assert len(set(taus)) == 2
+
+    # K7 has 5040 intertwiners and K6 720: capped iff more exist than the cap
+    @pytest.mark.parametrize("n, cap, count, capped", [
+        (7, 7, 7, True), (7, 1000, 1000, True), (6, 1000, 720, False), (6, 720, 720, False),
+        (6, 719, 719, True)])
+    def test_capped(self, tmp_path, capsys, n, cap, count, capped):
+        k = gen(tmp_path, "k.json", "--family", "complete", "--n", str(n))
+        argv = ["search", k, k, "--max-solutions", str(cap)]
+        assert run(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["intertwiners"]) == count
+        assert payload["capped"] is capped
+        assert list(payload) == ["equivalent", "reason", "intertwiners", "capped"]
+        assert run(argv + ["--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["equivalent: True", f"capped: {capped}"]
+        assert len(lines) == 2 + count
+        form = jsonio.graph_loads(pathlib.Path(k).read_text(encoding="utf-8"))
+        verdict = dk.equivalence_verdict(form, form, dk.SearchOptions(max_solutions=cap))
+        assert verdict.capped is capped
 
 
 def count_guards(monkeypatch) -> list:
@@ -469,6 +514,27 @@ class TestDeterminism:
                 iso = jsonio.iso_from_obj(obj["iso"], form1.space, form2.space)
                 assert dk.certify(iso, form1, form2).verdict
 
+    def test_blas_thread_counts(self, tmp_path):
+        # identical bytes hold at a fixed BLAS build and thread count only:
+        # under one and two OpenBLAS threads, Sierpinski L5 (366 vertices)
+        # keeps its exit codes and vertices, and its spectrum and resistances
+        # agree to 1e-13 of their largest value
+        gen(tmp_path, "l5.json", "--family", "sierpinski", "--n", "5")
+        for command, key in (("check", "spectrum"), ("resistance", "R")):
+            runs = [TestModuleEntry.module(tmp_path, command, "l5.json",
+                                           OPENBLAS_NUM_THREADS=threads)
+                    for threads in ("1", "2")]
+            assert [proc.returncode for proc in runs] == [0, 0], command
+            one, two = (json.loads(proc.stdout) for proc in runs)
+            a, b = np.array(one.pop(key)), np.array(two.pop(key))
+            assert one == two  # the vertices, and check's predicates
+            assert a.shape == b.shape and len(a) == 366
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a)), command
+        # one payload, written twice
+        form = jsonio.graph_loads((tmp_path / "l5.json").read_text(encoding="utf-8"))
+        payload = {"vertices": list(form.space.vertices), "R": dk.resistance_matrix(form).d}
+        assert jsonio.document(payload) == jsonio.document(payload)
+
 
 # the flags each command reads, and so accepts
 FLAGS = {
@@ -557,8 +623,8 @@ class TestModuleEntry:
     """``python -m dirikit.cli`` runs the CLI of the ``dirikit`` entry point."""
 
     @staticmethod
-    def module(tmp_path, *argv):
-        env = dict(os.environ, PYTHONPATH=str(SRC))
+    def module(tmp_path, *argv, **env_vars):
+        env = dict(os.environ, PYTHONPATH=str(SRC), **env_vars)
         return subprocess.run([sys.executable, "-m", "dirikit.cli", *argv], cwd=tmp_path,
                               env=env, capture_output=True, timeout=60)
 
@@ -572,6 +638,22 @@ class TestModuleEntry:
         assert proc.returncode == 0
         assert run(["gen", "--family", "path", "--n", "3"]) == 0
         assert proc.stdout == capsys.readouterr().out.encode()
+
+    def test_non_ascii_ids_reach_stdout_as_utf8(self, tmp_path):
+        # an ASCII locale and stdout encoding: the bytes are UTF-8 all the same
+        form = dk.build_form(["é", "b"], 1.0, [("é", "b", 2.0)])
+        (tmp_path / "g.json").write_text(jsonio.graph_dumps(form), encoding="utf-8")
+        for command in ("check", "decompose"):
+            proc = self.module(tmp_path, command, "g.json",
+                               PYTHONIOENCODING="ascii", LC_ALL="C")
+            assert (proc.returncode, proc.stderr) == (0, b""), command
+            payload = json.loads(proc.stdout.decode("utf-8"))
+            if command == "check":
+                assert payload["vertices"] == 2
+            else:
+                assert payload["vertices"] == ["é", "b"]
+                assert [j["x"] for j in payload["J"]] == ["b", "é"]
+                assert "é".encode() in proc.stdout
 
 
 def path_document(n: int) -> str:
@@ -693,6 +775,28 @@ OVERFLOWING_SPECTRUM = {
 }
 
 
+def nested(depth: int) -> list:
+    obj = [0.5]
+    for _ in range(depth):
+        obj = [obj]
+    return obj
+
+
+# decompose payloads that the writer refuses: a NaN or inf in a nested
+# list, in an array and as a numpy scalar; a type that JSON cannot hold, a
+# key that is no str, nesting past orjson's depth limit and past Python's
+UNWRITABLE = {
+    "nan in a nested list": ({"J": [[1.0, ["x", math.nan]]]}, "non-finite number nan"),
+    "inf in a transposed array": ({"J": np.array([[1.0, 2.0], [math.inf, 3.0]]).T},
+                                  "non-finite number inf"),
+    "numpy scalar": ({"k": {"a": np.float64(-math.inf)}}, "non-finite number -inf"),
+    "set": ({"J": {1, 2}}, "cannot serialize: "),
+    "int key": ({"k": {1: 0.5}}, "cannot serialize: "),
+    "depth 300": ({"J": nested(300)}, "cannot serialize: "),
+    "depth 5000": ({"J": nested(5000)}, "cannot serialize: "),
+}
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("graph", [OVERFLOWING_GENERATOR, OVERFLOWING_SPECTRUM])
     @pytest.mark.parametrize("command", ["check", "search"])
@@ -706,6 +810,51 @@ class TestNonFinite:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "non-finite" in captured.err
+
+    @pytest.mark.parametrize("name", UNWRITABLE)
+    def test_unwritable_payload_exits_2(self, tmp_path, capsys, monkeypatch, name):
+        payload, message = UNWRITABLE[name]
+        monkeypatch.setattr(jsonio, "jump_to_obj", lambda form: payload)
+        p3 = gen(tmp_path, "p3.json", "--family", "path", "--n", "3")
+        out = tmp_path / "out.json"
+        assert run(["decompose", p3, "--out", str(out)]) == 2
+        assert run(["decompose", p3]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 2 and lines[0] == lines[1]
+        assert lines[0].startswith("error: cannot serialize") and message in lines[0]
+        assert not out.exists()
+
+    def test_transposed_matrix(self, tmp_path, capsys, monkeypatch):
+        # a matrix that is no C-contiguous array is written as its rows
+        class Matrix:
+            d = np.arange(12.0).reshape(3, 4)[:, :3].T
+
+        monkeypatch.setattr(metrics, "resistance_matrix", lambda form: Matrix)
+        p3 = gen(tmp_path, "p3.json", "--family", "path", "--n", "3")
+        assert run(["resistance", p3]) == 0
+        assert json.loads(capsys.readouterr().out)["R"] == Matrix.d.tolist()
+
+    def test_inf_residual_in_a_report(self, tmp_path, capsys, monkeypatch):
+        certify_checks = orderiso._certify_checks
+
+        def with_inf(*args):
+            report = certify_checks(*args)
+            report.add("overflowed", math.inf, 1.0)
+            return report
+
+        monkeypatch.setattr(orderiso, "_certify_checks", with_inf)
+        pair = tmp_path / "pair.json"
+        assert run(["gen-pair", "--transform", "relabel", "--out", str(pair)]) == 0
+        out = tmp_path / "report.json"
+        assert run(["certify", str(pair), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot serialize non-finite number inf\n"
+        assert not out.exists()
+        assert run(["certify", str(pair), "--format", "text"]) == 1
+        assert "FAIL overflowed: residual=inf" in capsys.readouterr().out
 
 
 GRID = (0.0, 5e-324, 1e-300, 1.0, 1e300, 1.5e308, 1.7e308)
@@ -753,7 +902,8 @@ class TestFuzz:
                 u = write(pathlib.Path(tmp), "u.json", json.dumps(iso))
                 for argv in (["check", g], ["resistance", g], ["intrinsic", g],
                              ["decompose", g], ["search", g, g], ["certify", g, g, u]):
-                    out, err = io.StringIO(), io.StringIO()
+                    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+                    err = io.StringIO()
                     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                         code = run(argv)
                     assert code in (0, 1, 2), (seed, argv)
@@ -761,4 +911,4 @@ class TestFuzz:
                         lines = err.getvalue().splitlines()
                         assert any(line.startswith("error:") for line in lines)
                     if argv[0] in ("search", "certify"):
-                        assert code != 1, (seed, argv[0], out.getvalue())
+                        assert code != 1, (seed, argv[0], out.buffer.getvalue())

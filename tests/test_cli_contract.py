@@ -3,7 +3,8 @@
 Only what floating-point rounding cannot change is compared (exit codes,
 stderr, search tau lists, certify verdicts; see `stable_view`): float
 matrices can change bits across BLAS builds and thread counts, so their
-bytes are compared between revisions by the script, not here.  After an
+bytes are compared between revisions by the script, not here.  The
+corpus runs under one and under two OpenBLAS threads.  After an
 intended change, rewrite the golden file with
 
     python3 tools/cli_contract.py --write-golden tests/cli_golden.json
@@ -23,9 +24,20 @@ import cli_contract  # noqa: E402
 SRC = Path(dirikit.__file__).resolve().parent.parent
 
 
-def test_corpus_matches_golden(tmp_path):
+def check_golden(tmp_path, blas_threads: int) -> None:
     golden = json.loads((ROOT / "tests" / "cli_golden.json").read_text(encoding="utf-8"))
-    views = [cli_contract.stable_view(r) for r in cli_contract.run_side(SRC, tmp_path, "tree")]
+    results = cli_contract.run_side(SRC, tmp_path, "tree", blas_threads)
+    views = [cli_contract.stable_view(r) for r in results]
     assert [v["argv"] for v in views] == [g["argv"] for g in golden]
     for view, expected in zip(views, golden):
         assert view == expected, " ".join(view["argv"])
+
+
+def test_corpus_matches_golden(tmp_path):
+    check_golden(tmp_path, 1)
+
+
+def test_corpus_matches_golden_under_two_blas_threads(tmp_path):
+    # Sierpinski L5's spectrum and resistances change in their last bits
+    # under two threads; no exit code, stderr or other stable field does
+    check_golden(tmp_path, 2)

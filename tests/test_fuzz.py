@@ -34,7 +34,7 @@ GRAPH_COMMANDS = (["check"], ["resistance"], ["intrinsic"], ["decompose"])
 
 
 def run(argv):
-    out, err = io.StringIO(), io.StringIO()
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("error")

@@ -1,14 +1,16 @@
 """scipy is imported only where the full canonical metric is built, and
-orjson only where JSON is read.
+orjson only where JSON is read or written.
 
 Everything else is numpy: importing dirikit, the other CLI paths, and the
 library path find_nonconstant_excessive -> doob_pair -> certify.  The
 intrinsic certificate of a recurrent pair reads the canonical metric on
 edges only, whatever the data: on the seed-0 relabel pair at n 8 every
 edge is its own shortest path, and on the square x a b y with light a
-and b the edge x y goes to the certificate's own Dijkstra.  gen, gen-pair
-and that library path read no JSON and load no orjson.  The probes run in
-fresh interpreters because conftest.py itself imports scipy.
+and b the edge x y goes to the certificate's own Dijkstra.  Every CLI
+command writes JSON, gen and gen-pair too, so each loads orjson; importing
+dirikit.cli and that library path read and write none and load none.  The
+probes run in fresh interpreters because conftest.py itself imports
+scipy.
 
 The package exports the names in PUBLIC and no others, and every
 third-party module that it imports is a declared dependency.
@@ -39,7 +41,7 @@ import dirikit.cli
 step("import dirikit.cli")
 
 def cli(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
         code = dirikit.cli.run(list(argv))
     step(" ".join(argv), code)
 
@@ -73,8 +75,8 @@ cli("intrinsic", "c6.json")
 """
 
 
-# the same lines, with whether orjson is loaded, for the paths that read
-# no JSON and then for a certify
+# the same lines, with whether orjson is loaded: importing the CLI, the
+# library path, then the one command given in argv
 ORJSON_PROBE = r"""
 import contextlib, io, json, sys
 
@@ -84,15 +86,6 @@ def step(name, code=0):
 import dirikit.cli
 step("import dirikit.cli")
 
-def cli(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = dirikit.cli.run(list(argv))
-    step(" ".join(argv), code)
-
-cli("gen", "--family", "cycle", "--n", "6", "--out", "c6.json")
-cli("gen-pair", "--transform", "doob", "--n", "6", "--out", "doob.json")
-cli("gen-pair", "--transform", "relabel", "--n", "8", "--out", "relabel.json")
-
 import dirikit as dk
 form = dk.build_form(["a", "b", "c"], 1.0, [("a", "b", 1.0), ("b", "c", 2.0)],
                      {"a": 0.5, "b": 0.0, "c": 0.0})
@@ -101,13 +94,15 @@ form2, iso = dk.doob_pair(form, h)
 step("find_nonconstant_excessive -> doob_pair -> certify",
      0 if dk.certify(iso, form, form2).verdict else 1)
 
-cli("certify", "relabel.json")
+with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
+    code = dirikit.cli.run(sys.argv[1:])
+step(" ".join(sys.argv[1:]), code)
 """
 
 
-def _probe(script: str, workdir) -> list:
+def _probe(script: str, workdir, *argv: str) -> list:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", script], cwd=workdir,
+    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=workdir,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return [json.loads(line) for line in proc.stdout.splitlines()]
@@ -133,13 +128,16 @@ def test_canonical_metric_loads_scipy(steps):
     assert scipy_loaded
 
 
-def test_orjson_only_where_json_is_read(tmp_path):
-    *no_json, (name, code, orjson_loaded) = _probe(ORJSON_PROBE, tmp_path)
-    assert len(no_json) == 5
-    for step, step_code, loaded in no_json:
-        assert step_code == 0, step
-        assert not loaded, f"orjson imported by: {step}"
-    assert (name, code, orjson_loaded) == ("certify relabel.json", 0, True)
+def test_orjson_only_where_json_is_read_or_written(tmp_path):
+    for argv in (["gen", "--family", "cycle", "--n", "6"],
+                 ["gen-pair", "--transform", "doob", "--n", "6"]):
+        *no_json, (name, code, orjson_loaded) = _probe(ORJSON_PROBE, tmp_path, *argv)
+        assert [step for step, _, _ in no_json] == [
+            "import dirikit.cli", "find_nonconstant_excessive -> doob_pair -> certify"]
+        for step, step_code, loaded in no_json:
+            assert step_code == 0, step
+            assert not loaded, f"orjson imported by: {step}"
+        assert (name, code, orjson_loaded) == (" ".join(argv), 0, True)
 
 
 def test_third_party_imports_are_declared():

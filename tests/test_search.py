@@ -753,7 +753,7 @@ def swapped(iso, a, b):
 def certify_exit(tmp_path, form1, form2, iso, *flags):
     path = tmp_path / "pair.json"
     path.write_text(jsonio.dumps(jsonio.pair_to_obj(form1, form2, iso)), encoding="utf-8")
-    with contextlib.redirect_stdout(io.StringIO()), \
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
             contextlib.redirect_stderr(io.StringIO()) as err:
         code = cli.run(["certify", str(path), *flags])
     return code, err.getvalue()

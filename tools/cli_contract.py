@@ -12,7 +12,10 @@ when the script ends.  Each side builds its own inputs with its own
 `dirikit gen` and `gen-pair` in a fresh directory and runs every command
 there, so file names in messages match.  The script prints one line per
 command whose stdout, stderr or exit code differ, then a summary line, and
-exits 1 when any command differs.
+exits 1 when any command differs.  A line for a JSON stdout names the
+first value that differs, numbers compared as doubles bit for bit, and
+keys new in the later revision; "same values" marks a change of float
+text alone.
 
     python3 tools/cli_contract.py --write-golden tests/cli_golden.json
 
@@ -30,6 +33,7 @@ import io
 import json
 import os
 import random
+import struct
 import subprocess
 import sys
 import tempfile
@@ -526,7 +530,10 @@ def run_corpus(workdir: Path) -> list[dict]:
     try:
         _write_inputs(run)
         for argv in COMMANDS:
-            out, err = io.StringIO(), io.StringIO()
+            # the CLI writes bytes to sys.stdout.buffer; a text wrapper over
+            # a byte buffer also takes an older revision's text writes
+            out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+            err = io.StringIO()
             with warnings.catch_warnings(), \
                     contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 warnings.simplefilter("always")
@@ -536,7 +543,8 @@ def run_corpus(workdir: Path) -> list[dict]:
                     code = "traceback"
                     err.write(f"{type(exc).__name__}: {exc}\n")
             results.append({"argv": argv, "exit": code,
-                             "stdout": out.getvalue(), "stderr": err.getvalue()})
+                             "stdout": out.buffer.getvalue().decode("utf-8"),
+                             "stderr": err.getvalue()})
     finally:
         os.chdir(old_cwd)
     return results
@@ -544,7 +552,8 @@ def run_corpus(workdir: Path) -> list[dict]:
 
 def stable_view(result: dict) -> dict:
     """The part of a result that floating-point rounding cannot change: exit
-    code, stderr, search tau lists, certify verdicts and check names, and
+    code, stderr, search tau lists and capped flags, certify verdicts and
+    check names, and
     the boolean and integer fields of check and intrinsic."""
     argv, out = result["argv"], result["stdout"]
     view = {"argv": argv, "exit": result["exit"], "stderr": result["stderr"]}
@@ -560,6 +569,7 @@ def stable_view(result: dict) -> dict:
             view["equivalent"] = payload["equivalent"]
             view["reason"] = payload["reason"]
             view["tau"] = [iso["tau"] for iso in payload["intertwiners"]]
+            view["capped"] = payload["capped"]
     elif sub == "certify":
         if text:
             view["lines"] = [line.split(":")[0] for line in out.splitlines()]
@@ -577,16 +587,18 @@ def stable_view(result: dict) -> dict:
     return view
 
 
-def run_side(src: Path, tmp: Path, label: str) -> list[dict]:
-    """Run the corpus in a fresh interpreter that imports dirikit from src."""
+def run_side(src: Path, tmp: Path, label: str, blas_threads: int = 1) -> list[dict]:
+    """Run the corpus in a fresh interpreter that imports dirikit from src,
+    under ``blas_threads`` OpenBLAS threads."""
     workdir = tmp / f"{label}-work"
     workdir.mkdir()
     out = tmp / f"{label}.json"
     # older revisions read their tolerance from DIRIKIT_TOL
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "DIRIKIT_TOL")}
-    # one BLAS thread on both sides: the thread count can change float bits,
-    # and threads that spin against each other on a small machine are slow
-    env["OPENBLAS_NUM_THREADS"] = "1"
+    # one BLAS thread on both sides by default: the thread count can change
+    # float bits, and threads that spin against each other on a small
+    # machine are slow
+    env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
     subprocess.run([sys.executable, __file__, "--side", str(src), str(workdir), str(out)],
                    env=env, check=True)
     return json.loads(out.read_text(encoding="utf-8"))
@@ -609,14 +621,51 @@ def _first_difference(a: str, b: str) -> str:
     return f"{len(a.splitlines())} lines -> {len(b.splitlines())} lines"
 
 
+def _value_difference(a, b, path: str = "") -> str | None:
+    """Where two JSON values first differ, or None.  Numbers compare as
+    doubles bit for bit, so 1 and 1.0 match and 0.0 and -0.0 do not; keys
+    compare in order, and the keys that only b holds are named last."""
+    if type(a) in (int, float) and type(b) in (int, float):
+        same = struct.pack("<d", float(a)) == struct.pack("<d", float(b))
+        return None if same else f"{path}: {a!r} -> {b!r}"
+    if isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != [key for key in b if key in a]:
+            return f"{path}: keys {list(a)} -> {list(b)}"
+        for key in a:
+            difference = _value_difference(a[key], b[key], f"{path}/{key}")
+            if difference:
+                return difference
+        added = [key for key in b if key not in a]
+        return f"{path or '/'}: adds {', '.join(added)}" if added else None
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            difference = _value_difference(x, y, f"{path}/{i}")
+            if difference:
+                return difference
+        return None
+    return None if type(a) is type(b) and a == b else f"{path}: {a!r:.40} -> {b!r:.40}"
+
+
+def _stdout_difference(a: str, b: str) -> str:
+    """Where two stdouts first differ: for two JSON documents by value, so
+    that a change of float text alone reads "same values", else by line."""
+    try:
+        values = json.loads(a), json.loads(b)
+    except ValueError:  # text output
+        return _first_difference(a, b)
+    return _value_difference(*values) or "same values, numbers bit for bit"
+
+
 def compare(base: list[dict], head: list[dict]) -> list[str]:
     """One line per command whose exit code, stdout or stderr differ."""
     lines = []
     for a, b in zip(base, head, strict=True):
         streams = [key for key in ("exit", "stdout", "stderr") if a[key] != b[key]]
         if streams:
-            detail = f"{a['exit']} -> {b['exit']}" if "exit" in streams else \
-                _first_difference(a[streams[0]], b[streams[0]])
+            first = streams[0]
+            detail = f"{a['exit']} -> {b['exit']}" if first == "exit" else \
+                _stdout_difference(a[first], b[first]) if first == "stdout" else \
+                _first_difference(a[first], b[first])
             lines.append(f"{' '.join(a['argv'])}: {', '.join(streams)} differ ({detail})")
     return lines
 

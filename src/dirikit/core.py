@@ -84,14 +84,64 @@ def _offdiagonal_connected(coupling: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-# The vertex cap.  A recurrent certify holds about 30 float arrays of n x n
+# The vertex cap.  A recurrent certify holds about 23 float arrays of n x n
 # at its peak (W, F, L, S, the eigenvectors and the grounded Green function
 # of both forms, the resistance and canonical metrics and their temporaries;
-# a tracemalloc probe of the CLI path at n = 200 and 400 gave 30.7 and 30.0
-# times 8 n^2 bytes): 240 n^2 bytes.  At 4096 vertices that is 4.0 GB, half
-# of an 8 GB machine; a cap of 2^13 would need 16 GB.  Sierpinski level 7
-# (3282 vertices) stays within it.
+# a tracemalloc probe of the CLI path on relabel pairs at n = 200 and 400
+# gave 22.6 and 22.5 times 8 n^2 bytes, with the blocked Green function as
+# with one inv call): 184 n^2 bytes.  At 4096 vertices that is 3.1 GB, under
+# half of an 8 GB machine; a cap of 2^13 would need 12.3 GB.  Sierpinski
+# level 7 (3282 vertices) stays within it.
 MAX_VERTICES = 4096
+
+
+# The order at or below which the blocked inverse hands a block to
+# np.linalg.inv.  On one BLAS thread, 32 to 64 were within noise of each
+# other on the grounded Sierpinski L4 and L5 matrices and a random n = 160
+# form (L5: 2.0-2.2 ms); 16 was slower on L5 (2.2 ms), and 96 and 128 were
+# slower on L5 (2.5 ms) and on the random form (0.66 against 0.49 ms).
+_INVERSE_LEAF = 48
+
+
+def _symmetric_inverse(a: np.ndarray, out: np.ndarray) -> None:
+    """Write the inverse of the symmetric matrix ``a`` into ``out``.
+
+    numpy's ``inv`` solves against the identity and spends most of its time
+    in triangular solves; this route spends it in GEMMs.  Split at
+    k = n // 2 into [[A, B^T], [B, D]]; with X = B A^-1, the Schur complement
+    S = D - X B^T and Y = S^-1 X, the inverse is
+
+        [[A^-1 + X^T Y, -Y^T],
+         [-Y,            S^-1]],
+
+    A^-1 and S^-1 by recursion, a block of at most _INVERSE_LEAF rows by
+    ``np.linalg.inv``, which raises LinAlgError on a singular one.
+    """
+    n = len(a)
+    if n <= _INVERSE_LEAF:
+        out[...] = np.linalg.inv(a)
+        return
+    k = n // 2
+    b = a[k:, :k]
+    _symmetric_inverse(a[:k, :k], out[:k, :k])
+    x = b @ out[:k, :k]
+    schur = x @ b.T
+    np.subtract(a[k:, k:], schur, out=schur)
+    _symmetric_inverse(schur, out[k:, k:])
+    del schur  # before the two k x k temporaries below
+    minus_y = np.matmul(out[k:, k:], x, out=out[k:, :k])
+    np.negative(minus_y, out=minus_y)
+    out[:k, k:] = minus_y.T
+    out[:k, :k] -= x.T @ minus_y
+
+
+def _around(p: int, n: int) -> list[tuple[tuple[slice, slice], tuple[slice, slice]]]:
+    """The four blocks of an n x n matrix around row and column p, each as
+    (its place in the (n - 1) x (n - 1) matrix without them, its place in
+    the n x n one)."""
+    parts = ((slice(0, p), slice(0, p)), (slice(p, n - 1), slice(p + 1, n)))
+    return [((rows_in, cols_in), (rows, cols))
+            for rows_in, rows in parts for cols_in, cols in parts]
 
 
 def _require_size(count: int) -> None:
@@ -344,13 +394,29 @@ class GraphForm:
     @cached_property
     def green(self) -> np.ndarray:
         """Inverse of the form matrix grounded at its first vertex of largest
-        degree, zero on that row and column; NumericOverflow unless finite."""
-        keep = np.arange(len(self.space)) != np.argmax(self.degrees)
-        g = np.zeros(self.form_matrix.shape)
+        degree, zero on that row and column; NumericOverflow unless finite.
+
+        The grounded matrix is inverted by 2 x 2 blocks and Schur complements
+        (``_symmetric_inverse``).  A form of at most _INVERSE_LEAF + 1
+        vertices takes one ``np.linalg.inv`` call, so its bytes are those of
+        that call; a larger one changes in its last bits with the block
+        split.
+        """
+        n = len(self.space)
+        blocks = _around(int(np.argmax(self.degrees)), n)
+        grounded = np.empty((n - 1, n - 1))
+        for inner, outer in blocks:
+            grounded[inner] = self.form_matrix[outer]
+        inverse = np.empty_like(grounded)
         try:
-            g[np.ix_(keep, keep)] = np.linalg.inv(self.form_matrix[np.ix_(keep, keep)])
+            with np.errstate(all="ignore"):  # a non-finite entry is refused below
+                _symmetric_inverse(grounded, inverse)
         except np.linalg.LinAlgError:
             raise NumericOverflow("grounded form matrix is singular in floating point") from None
+        del grounded  # before the n x n result
+        g = np.zeros((n, n))
+        for inner, outer in blocks:
+            g[outer] = inverse[inner]
         _require_finite(g, "grounded Green function")
         g.flags.writeable = False
         return g

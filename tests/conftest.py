@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import shortest_path
 
 import dirikit as dk
 from dirikit import generator, jsonio
-from dirikit.core import _edge_key
+from dirikit.core import _INVERSE_LEAF, _edge_key
 from dirikit.errors import (
     DirikitError,
     DuplicateEdge,
@@ -54,14 +54,38 @@ def pick(rng: np.random.Generator, options):
     return options[int(rng.integers(len(options)))]
 
 
-def diagonal_overflow_form():
+# a unit path this long takes any form it is added to past the leaf of the
+# blocked Green function, onto its Schur-complement route
+PAST_LEAF = _INVERSE_LEAF + 2
+
+
+def unit_tail(anchor: str, count: int) -> tuple[list[str], list[tuple[str, str, float]]]:
+    """A path of ``count`` new vertices t00, t01, ... with unit conductances,
+    hung from ``anchor``: its vertices and its edges."""
+    names = [f"t{i:02d}" for i in range(count)]
+    return names, list(zip([anchor] + names, names, itertools.repeat(1.0)))
+
+
+def diagonal_overflow_form(tail: int = 0):
     """Edges of 6e-309 to a hub of conductance 1e300 to v3: the Green function
-    is finite, its diagonal sum for v0, v1 is not."""
+    is finite, its diagonal sum for v0, v1 is not; ``tail`` unit-measure
+    vertices hang from v3 on a unit path."""
+    names, edges = unit_tail("v3", tail)
     return dk.build_form(
-        ["v0", "v1", "v2", "v3"],
-        {"v0": 1.7e308, "v1": 1e-300, "v2": 1e300, "v3": 1.7e308},
-        [("v0", "v2", 6e-309), ("v1", "v2", 6e-309), ("v2", "v3", 1e300)],
+        ["v0", "v1", "v2", "v3"] + names,
+        {"v0": 1.7e308, "v1": 1e-300, "v2": 1e300, "v3": 1.7e308} | dict.fromkeys(names, 1.0),
+        [("v0", "v2", 6e-309), ("v1", "v2", 6e-309), ("v2", "v3", 1e300)] + edges,
     )
+
+
+def oracle_green(form) -> np.ndarray:
+    """Oracle: the Green function grounded at the first vertex of largest
+    degree by one ``np.linalg.inv`` of the gathered matrix, zero on that row
+    and column."""
+    keep = np.arange(len(form.space)) != np.argmax(form.degrees)
+    g = np.zeros((len(form.space),) * 2)
+    g[np.ix_(keep, keep)] = np.linalg.inv(form.form_matrix[np.ix_(keep, keep)])
+    return g
 
 
 def brute_force_intertwiners(form1, form2, opts: SearchOptions):

@@ -20,7 +20,7 @@ from dirikit.cli import run
 from dirikit.errors import InvalidSize, MalformedInput, NotIntertwining
 from dirikit.sampling import random_form
 
-from conftest import diagonal_overflow_form, edge_weight, eigh_calls, pick, rng_for
+from conftest import PAST_LEAF, diagonal_overflow_form, edge_weight, eigh_calls, pick, rng_for
 
 SRC = pathlib.Path(dk.__file__).resolve().parent.parent
 
@@ -418,15 +418,18 @@ class TestResistance:
         assert not out.exists()
 
     def test_overflowing_diagonal_sum_exits_2(self, tmp_path, capsys):
-        path = write(tmp_path, "hub.json", jsonio.graph_dumps(diagonal_overflow_form()))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no RuntimeWarning reaches stderr
-            assert run(["resistance", path]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert "non-finite" in captured.err
-        assert "Traceback" not in captured.err
+        for tail in (0, PAST_LEAF):
+            graph = jsonio.graph_dumps(diagonal_overflow_form(tail))
+            path = write(tmp_path, f"hub{tail}.json", graph)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no RuntimeWarning reaches stderr
+                assert run(["resistance", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+            assert "non-finite" in captured.err
+            assert "Traceback" not in captured.err
 
 
 class TestIntrinsic:

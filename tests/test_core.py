@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import dirikit as dk
+from dirikit.core import _INVERSE_LEAF
 from dirikit.errors import (
     DimensionMismatch,
     DuplicateEdge,
@@ -19,6 +21,7 @@ from dirikit.errors import (
 from dirikit.sampling import random_form
 
 from conftest import (
+    PAST_LEAF,
     OracleGraphForm,
     construction_outcome,
     edge_weight,
@@ -28,8 +31,10 @@ from conftest import (
     inner,
     norm,
     oracle_offdiagonal_connected,
+    oracle_green,
     pick,
     rng_for,
+    unit_tail,
 )
 
 
@@ -385,6 +390,55 @@ class TestSpectrum:
         assert len(form.spectrum) == len(form.space)
         with pytest.raises(AssertionError, match="eigh called"):
             form.spectral
+
+
+def green_form(family: str, n: int) -> dk.GraphForm:
+    if family == "sierpinski":
+        return dk.generate("sierpinski", n)
+    return random_form(rng_for(n), n, recurrent=True)
+
+
+class TestGreen:
+    # grounded orders leaf - 1, leaf and leaf + 1, an odd one whose halves
+    # are a leaf and a block, 122 (Sierpinski L4), 365 (L5) and 159
+    @pytest.mark.parametrize("family, n", [
+        ("random", _INVERSE_LEAF), ("random", _INVERSE_LEAF + 1), ("random", _INVERSE_LEAF + 2),
+        ("random", 2 * _INVERSE_LEAF + 2), ("sierpinski", 4), ("sierpinski", 5), ("random", 160),
+    ])
+    def test_matches_one_inv_call(self, family, n):
+        form = green_form(family, n)
+        green, oracle = form.green, oracle_green(form)
+        assert not green.flags.writeable
+        if len(form.space) <= _INVERSE_LEAF + 1:
+            assert np.array_equal(green, oracle)  # the same inv call
+        assert np.max(np.abs(green - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("tail", [0, PAST_LEAF])
+    def test_singular_in_a_leaf(self, tail):
+        # a second component, c - d, is a singular block whichever vertex is
+        # grounded; its rows meet no other row, so the leaf that holds them
+        # is exactly singular
+        names, edges = unit_tail("a", tail)
+        form = dk.build_form(names + ["a", "b", "c", "d"], 1.0,
+                             edges + [("a", "b", 1.0), ("c", "d", 1.0)])
+        with pytest.raises(NumericOverflow, match="singular"):
+            form.green
+
+    def test_l5_peak(self):
+        # beyond the cached form matrix: the grounded matrix and its inverse
+        # with the temporaries of the top split, then the inverse and the
+        # result; measured 2.74 times 8 n^2 bytes (2.99 for one inv call of
+        # the gathered matrix)
+        form = dk.generate("sierpinski", 5)
+        form.form_matrix
+        n = len(form.space)
+        tracemalloc.start()
+        try:
+            form.green
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.8 * 8 * n * n
 
 
 class TestOverflow:

@@ -22,6 +22,7 @@ from dirikit.sampling import random_form, random_intertwined_pair, relabel_pair
 from dirikit.tolerances import DEFAULT_TOL, Tolerance
 
 from conftest import (
+    PAST_LEAF,
     boundary_factor,
     dense_canonical_distances,
     diagonal_overflow_form,
@@ -30,6 +31,7 @@ from conftest import (
     oracle_triangle_ok,
     resistance_maximizer,
     rng_for,
+    unit_tail,
 )
 
 
@@ -101,8 +103,10 @@ class TestResistanceMatrix:
             assert np.all(matrix.d >= 0.0)
 
     def test_sierpinski_renormalization(self):
+        # levels 3-5 ground 41, 122 and 365 vertices: one inv call, then the
+        # blocked route through two and through three block levels
         values = []
-        for level in range(4):
+        for level in range(6):
             form = dk.generate("sierpinski", level)
             c0, c1, _ = dk.sierpinski_corners(level)
             values.append(dk.effective_resistance(form, c0, c1))
@@ -111,11 +115,15 @@ class TestResistanceMatrix:
 
     def test_overflowing_spectrum_is_finite(self):
         # the form matrix is finite, but its top eigenvalue 3e308 is not; the
-        # grounded inverse never forms the spectrum and resolves both edges
-        form = dk.build_form(["a", "b", "c"], 1.0, [("a", "b", 1.5e308), ("b", "c", 1.0)])
-        d = dk.resistance_matrix(form).d
-        assert d[0, 1] == pytest.approx(1.0 / 1.5e308, rel=1e-12)
-        assert d[1, 2] == pytest.approx(1.0, rel=1e-12)
+        # grounded inverse never forms the spectrum and resolves both edges,
+        # also with a unit path hung from c
+        for tail in (0, PAST_LEAF):
+            names, edges = unit_tail("c", tail)
+            form = dk.build_form(["a", "b", "c"] + names, 1.0,
+                                 [("a", "b", 1.5e308), ("b", "c", 1.0)] + edges)
+            d = dk.resistance_matrix(form).d
+            assert d[0, 1] == pytest.approx(1.0 / 1.5e308, rel=1e-12)
+            assert d[1, 2] == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_unbuffered_expression(self):
         rng = rng_for(76)
@@ -176,11 +184,28 @@ def mp_resistances(form, dps=60):
         return [[float(g(i, i) + g(j, j) - 2 * g(i, j)) for j in range(n)] for i in range(n)]
 
 
-def path_orders(bottleneck):
+def path_orders(bottleneck, tail=0):
     """The path a - b - c with b(a,b) = bottleneck and b(b,c) = 1, in every
-    vertex order."""
-    edges = [("a", "b", bottleneck), ("b", "c", 1.0)]
-    return [dk.build_form(order, 1.0, edges) for order in itertools.permutations("abc")]
+    vertex order; with ``tail`` unit-path vertices hung from c, each order
+    once before and once after them."""
+    names, extra = unit_tail("c", tail)
+    edges = [("a", "b", bottleneck), ("b", "c", 1.0)] + extra
+    orders = [list(order) for order in itertools.permutations("abc")]
+    layouts = [order + names for order in orders]
+    if tail:
+        layouts += [names + order for order in orders]
+    return [dk.build_form(vertices, 1.0, edges) for vertices in layouts]
+
+
+def weighted_path(rng, n: int, spread: float):
+    """A path of n vertices with conductances log-uniform in 10^(+-spread),
+    and its exact resistances: R(i, j) is the sum of 1/b from i to j,
+    summed in np.longdouble."""
+    b = 10.0 ** rng.uniform(-spread, spread, size=n - 1)
+    names = [f"v{i:04d}" for i in range(n)]
+    form = dk.build_form(names, 1.0, list(zip(names, names[1:], b.tolist())))
+    position = np.concatenate([[0.0], np.cumsum(1.0 / b.astype(np.longdouble))])
+    return form, np.abs(position[:, None] - position[None, :])
 
 
 class TestResistanceOracle:
@@ -195,7 +220,7 @@ class TestResistanceOracle:
 
     def test_subnormal_bottleneck_overflows(self):
         # the true R(a, b) = 2e323 is beyond the float range
-        for form in path_orders(5e-324):
+        for form in path_orders(5e-324) + path_orders(5e-324, PAST_LEAF):
             with pytest.raises(NumericOverflow):
                 dk.effective_resistance(form, "a", "b")
             with pytest.raises(NumericOverflow):
@@ -204,17 +229,18 @@ class TestResistanceOracle:
     def test_overflowing_diagonal_sum(self):
         # the grounded Green function is finite, but G[v0,v0] + G[v1,v1]
         # overflows
-        form = diagonal_overflow_form()
-        with pytest.raises(NumericOverflow):
-            dk.effective_resistance(form, "v0", "v1")
-        with pytest.raises(NumericOverflow):
-            dk.resistance_matrix(form)
-        # a pair whose sum stays in range is unchanged
-        green = form.green
-        i, j = form.space.index("v2"), form.space.index("v3")
-        assert dk.effective_resistance(form, "v2", "v3") == float(
-            green[i, i] + green[j, j] - 2.0 * green[i, j]
-        )
+        for tail in (0, PAST_LEAF):
+            form = diagonal_overflow_form(tail)
+            with pytest.raises(NumericOverflow):
+                dk.effective_resistance(form, "v0", "v1")
+            with pytest.raises(NumericOverflow):
+                dk.resistance_matrix(form)
+            # a pair whose sum stays in range is unchanged
+            green = form.green
+            i, j = form.space.index("v2"), form.space.index("v3")
+            assert dk.effective_resistance(form, "v2", "v3") == float(
+                green[i, i] + green[j, j] - 2.0 * green[i, j]
+            )
 
     def test_ill_conditioned_random(self):
         rng = rng_for(77)
@@ -233,6 +259,19 @@ class TestResistanceOracle:
             assert np.allclose(
                 dk.resistance_matrix(form).d, mp_resistances(form), rtol=1e-12, atol=0.0
             )
+
+    @pytest.mark.parametrize("n, spread, rel", [(400, 2.0, 1e-9), (1000, 4.0, 1e-5)])
+    @pytest.mark.parametrize("seed", [79, 80, 81])
+    def test_path_sum_past_the_leaf(self, n, spread, rel, seed):
+        # paths far past the leaf of the blocked Green function.  Storing
+        # deg(x) rounds away part of the smaller conductance at each vertex
+        # (ROADMAP item 22), and the error comes from there, not from the
+        # inverse: one inv call of the grounded matrix misses by as much.
+        # Over seeds 79-98, the largest errors were 1.8e-10 (n = 400) and
+        # 2.2e-6 (n = 1000) on both routes
+        form, exact = weighted_path(rng_for(seed), n, spread)
+        error = np.max(np.abs(dk.resistance_matrix(form).d - exact))
+        assert error <= rel * exact.max()
 
     @pytest.mark.parametrize("bottleneck", [1e-10, 1e-12, 1e-14])
     def test_maximizer_on_bottleneck_path(self, bottleneck):

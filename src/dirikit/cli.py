@@ -2,13 +2,14 @@
 
 Subcommands: check, search, certify, resistance, intrinsic, decompose,
 gen, gen-pair.  Graphs, isomorphisms, metrics and reports travel as JSON
-(see jsonio for the schemas); "-" as a filename reads stdin.  Exit code 0
-means the verdict is true / the command succeeded, 1 means a false
-verdict, 2 means a usage or input error.  For certify, 1 means a candidate
-within the intertwining bound that fails some identity; a candidate whose
-intertwining residual exceeds the bound is an input error (2).  JSON
-output is the stable machine contract; the text format is human-oriented
-only.
+(see jsonio for the schemas); "-" as a filename reads stdin.  Every input
+is decoded from UTF-8 bytes whatever the locale, and bytes that are not
+UTF-8 are an input error.  Exit code 0 means the verdict is true / the
+command succeeded, 1 means a false verdict, 2 means a usage or input
+error.  For certify, 1 means a candidate within the intertwining bound
+that fails some identity; a candidate whose intertwining residual exceeds
+the bound is an input error (2).  JSON output is the stable machine
+contract; the text format is human-oriented only.
 
 Each command takes only the flags it reads: --out FILE on every command,
 --format json|text on all but gen and gen-pair (JSON only), --tol on
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import jsonio, metrics, orderiso, search, spectral
 from .core import generate
-from .errors import DirikitError
+from .errors import DirikitError, MalformedInput
 from .report import VerificationReport
 from .sampling import random_intertwined_pair
 from .tolerances import DEFAULT_TOL, Tolerance
@@ -100,10 +101,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
+    """The text of a file, or of stdin for "-", decoded from UTF-8 whatever
+    the locale; MalformedInput when the bytes are not UTF-8."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
 
 
 def _tolerance(args, default: Tolerance) -> Tolerance:

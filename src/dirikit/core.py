@@ -46,6 +46,7 @@ from .errors import (
     InvalidSize,
     NegativeWeight,
     NonPositiveMeasure,
+    NotIrreducible,
     NumericOverflow,
     SelfLoop,
     UnknownVertex,
@@ -155,6 +156,16 @@ def _string_order(vertices: Sequence[str]) -> list[int]:
     return sorted(range(len(vertices)), key=vertices.__getitem__)
 
 
+def _require_measure(m: np.ndarray) -> None:
+    if not 0.0 < m.min() <= m.max() < math.inf:  # NaN fails both
+        raise NonPositiveMeasure("vertex measure must be finite and > 0")
+
+
+def _require_killing(c: np.ndarray) -> None:
+    if not 0.0 <= c.min() <= c.max() < math.inf:  # NaN fails both
+        raise NegativeWeight("killing weights must be finite and >= 0")
+
+
 def _raise_first_fault(space: MeasureSpace, edges: Iterable[tuple[str, str, float]]) -> None:
     """Check the edges one at a time and raise the error of the first
     faulty one: unknown vertex, self-loop, bad weight or duplicate key."""
@@ -186,8 +197,7 @@ class MeasureSpace:
         self.vertices = vs
         self._index = {v: i for i, v in enumerate(vs)}
         mv = self.vector(m)
-        if not 0.0 < mv.min() <= mv.max() < math.inf:  # NaN fails both
-            raise NonPositiveMeasure("vertex measure must be finite and > 0")
+        _require_measure(mv)
         mv.flags.writeable = False
         self.m = mv
 
@@ -246,6 +256,10 @@ class GraphForm:
     form is also its generator: ``L``, its spectrum ``spectrum`` and its
     eigendecomposition ``spectral``."""
 
+    # a form with the same edges of positive weight, whose ``irreducible``
+    # this one reads: a Doob partner's source (``orderiso.doob_pair``)
+    _same_graph: GraphForm | None = None
+
     def __init__(self, space: MeasureSpace, b: EdgeInput, c: VertexFunction = 0.0):
         mapping = isinstance(b, Mapping)
         edges = ((u, v, w) for (u, v), w in b.items()) if mapping else list(b)
@@ -292,10 +306,9 @@ class GraphForm:
         # vertex indices and weights of the edge keys, in key order
         self.edge_indices = by_rank[np.array(np.divmod(code, n))]
         self.weights = w[order]
-        self.weights.flags.writeable = False
+        self.edge_indices.flags.writeable = self.weights.flags.writeable = False
         cv = space.vector(c)
-        if not 0.0 <= cv.min() <= cv.max() < math.inf:
-            raise NegativeWeight("killing weights must be finite and >= 0")
+        _require_killing(cv)
         cv.flags.writeable = False
         self.c = cv
 
@@ -332,7 +345,10 @@ class GraphForm:
 
     @cached_property
     def irreducible(self) -> bool:
-        """Whether the positive-conductance graph is connected."""
+        """Whether the positive-conductance graph is connected; read from
+        ``_same_graph`` when that is set."""
+        if self._same_graph is not None:
+            return self._same_graph.irreducible
         return _offdiagonal_connected(self.weight_matrix)
 
     @cached_property
@@ -394,7 +410,10 @@ class GraphForm:
     @cached_property
     def green(self) -> np.ndarray:
         """Inverse of the form matrix grounded at its first vertex of largest
-        degree, zero on that row and column; NumericOverflow unless finite.
+        degree, zero on that row and column; NotIrreducible unless the form
+        is, before anything is inverted (rounding leaves the pivots of a
+        singular matrix tiny but nonzero, and its inverse finite garbage),
+        and NumericOverflow unless finite.
 
         The grounded matrix is inverted by 2 x 2 blocks and Schur complements
         (``_symmetric_inverse``).  A form of at most _INVERSE_LEAF + 1
@@ -402,6 +421,8 @@ class GraphForm:
         that call; a larger one changes in its last bits with the block
         split.
         """
+        if not self.irreducible:
+            raise NotIrreducible("the grounded Green function needs a connected conductance graph")
         n = len(self.space)
         blocks = _around(int(np.argmax(self.degrees)), n)
         grounded = np.empty((n - 1, n - 1))

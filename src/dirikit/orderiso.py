@@ -21,7 +21,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GraphForm, MeasureSpace, VertexFunction
+from .core import (
+    GraphForm,
+    MeasureSpace,
+    VertexFunction,
+    _raise_first_fault,
+    _require_killing,
+    _require_measure,
+)
 from .errors import (
     DimensionMismatch,
     NonPositive,
@@ -33,7 +40,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .report import VerificationReport, worst_entry
-from .spectral import _excess_deficit, is_excessive, is_recurrent
+from .spectral import _excess_deficit, is_recurrent
 from .tolerances import DEFAULT_TOL, Tolerance
 
 
@@ -219,7 +226,7 @@ def _certify_checks(
     gram1 = beta * form1.form_matrix[tau][:, tau]
     report.compare("form_scaling", gram1, gram2, _entry_scale(form2.form_matrix, h, h), tol)
 
-    deficit, exc_scale = _excess_deficit(form2, h)
+    deficit, exc_scale = _excess_deficit(form2, h, form2.L @ h)
     report.add("scaling_excessive", deficit, tol.bound(exc_scale))
 
     ratio = float(np.max(h) / np.min(h))
@@ -284,21 +291,49 @@ def doob_pair(
     and killing c2(x) = h(x) m(x) (L h)(x); c2 >= 0 exactly because h is
     excessive.  The accompanying order isomorphism (tau = id, scaling 1/h)
     intertwines the two forms with operator constant 1.
+
+    Both are built from the source's arrays.  The partner shares the
+    source's vertex ids, index and edge keys, all read-only, and its
+    connectivity when every positive b keeps a positive product:
+    ``irreducible`` is then the source's, read on first use.  What only a
+    partner can get wrong is checked in the constructors' order, with
+    their errors: the measure h^2 m (NonPositiveMeasure), the products,
+    the first bad one named in key order, and the killing (NegativeWeight),
+    and 1/h (NonPositive).
     """
-    h = form.space.vector(h_excessive)
+    space = form.space
+    h = space.vector(h_excessive)
     if not 0.0 < h.min() <= h.max() < np.inf:  # NaN fails both
         raise NonPositive("the conjugating function must be strictly positive")
-    if not is_excessive(form, h, tol):
+    lh = form.L @ h
+    deficit, scale = _excess_deficit(form, h, lh)
+    if not deficit <= tol.bound(scale):  # is_excessive
         raise NotExcessive("the conjugating function must be excessive")
 
-    names = form.space.vertices
     i, j = form.edge_indices
-    weights = (h[i] * h[j] * form.weights).tolist()
-    # c2 has the sign of L h, whose dip below zero is within the tolerance
-    # of its scale (is_excessive): clip that rounding
-    c2 = np.maximum(h * form.space.m * (form.L @ h), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # each is checked below
+        m2 = h**2 * space.m
+        weights = h[i] * h[j] * form.weights
+        # c2 has the sign of L h, whose dip below zero is within the
+        # tolerance of its scale (is_excessive): clip that rounding
+        c2 = np.maximum(h * space.m * lh, 0.0)
+        scaling = 1.0 / h
+        beta = float(_operator_constants(scaling, m2, space.m))  # inf is certify's to refuse
+    _require_measure(m2)
+    if not np.isfinite(weights).all():  # h(x) h(y) b is >= 0 where finite
+        _raise_first_fault(space, zip(*form.edge_ends(), weights.tolist()))
+    _require_killing(c2)
+    if not np.isfinite(scaling).all():
+        raise NonPositive("the scaling h must be strictly positive and finite")
+    tau = np.arange(len(space))
+    for array in (m2, weights, c2, scaling, tau):
+        array.flags.writeable = False
 
-    space2 = MeasureSpace(names, h**2 * form.space.m)
-    form2 = GraphForm._from_columns(space2, *form.edge_ends(), weights, c2)
-    return form2, OrderIso(form.space, space2, dict(zip(names, names)),
-                           dict(zip(names, (1.0 / h).tolist())))
+    space2 = MeasureSpace.__new__(MeasureSpace)
+    space2.vertices, space2._index, space2.m = space.vertices, space._index, m2
+    form2 = GraphForm.__new__(GraphForm)
+    form2.space, form2.edge_indices, form2.weights, form2.c = (
+        space2, form.edge_indices, weights, c2)
+    if np.count_nonzero(weights > 0.0) == np.count_nonzero(form.weights > 0.0):
+        form2._same_graph = form  # a product is never positive where b is not
+    return form2, OrderIso._trusted(space, space2, tau, scaling, beta)

@@ -61,14 +61,14 @@ def is_excessive(form: GraphForm, h: VertexFunction, tol: Tolerance = DEFAULT_TO
     hv = form.space.vector(h)
     if np.any(hv < 0.0):
         raise NegativeInput("excessive candidates must be nonnegative")
-    deficit, scale = _excess_deficit(form, hv)
+    deficit, scale = _excess_deficit(form, hv, form.L @ hv)
     return bool(deficit <= tol.bound(scale))
 
 
-def _excess_deficit(form: GraphForm, hv: np.ndarray) -> tuple[float, float]:
-    """The largest violation -min(L h) of L h >= 0, at least 0 (a NaN stays
-    NaN), and the scale max|L| max h of the entries of L h."""
-    deficit = -float(np.min(form.L @ hv))
+def _excess_deficit(form: GraphForm, hv: np.ndarray, lh: np.ndarray) -> tuple[float, float]:
+    """The largest violation -min(L h) of L h = ``lh`` >= 0, at least 0 (a
+    NaN stays NaN), and the scale max|L| max h of the entries of L h."""
+    deficit = -float(np.min(lh))
     scale = float(np.max(np.abs(form.L))) * float(np.max(hv))  # plain floats overflow silently
     return (deficit if not deficit <= 0.0 else 0.0), scale
 

@@ -17,6 +17,7 @@ from dirikit.errors import (
     DuplicateEdge,
     MalformedInput,
     NegativeWeight,
+    NonPositive,
     NotExcessive,
     NotRecurrent,
     SelfLoop,
@@ -589,6 +590,50 @@ def construction_outcome(make, *args):
         np.array(values, dtype=float).tobytes(),
         form.weight_matrix.tobytes(),
         form.c.tobytes(),
+    )
+
+
+def oracle_doob_pair(form, h_excessive, tol: Tolerance = DEFAULT_TOL):
+    """Oracle: the route that ``orderiso.doob_pair`` replaced.  It turns the
+    edge keys into id strings and builds the partner from them with
+    ``GraphForm._from_columns`` on a new ``MeasureSpace``, and the iso with
+    the dict ``OrderIso`` constructor, whose beta is computed on first read.
+    Its overflow warnings are off: the route warns before it refuses."""
+    h = form.space.vector(h_excessive)
+    if not 0.0 < h.min() <= h.max() < np.inf:
+        raise NonPositive("the conjugating function must be strictly positive")
+    if not dk.is_excessive(form, h, tol):
+        raise NotExcessive("the conjugating function must be excessive")
+    names = form.space.vertices
+    i, j = form.edge_indices
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = (h[i] * h[j] * form.weights).tolist()
+        c2 = np.maximum(h * form.space.m * (form.L @ h), 0.0)
+        space2 = dk.MeasureSpace(names, h**2 * form.space.m)
+        form2 = dk.GraphForm._from_columns(space2, *form.edge_ends(), weights, c2)
+        return form2, dk.OrderIso(form.space, space2, dict(zip(names, names)),
+                                  dict(zip(names, (1.0 / h).tolist())))
+
+
+def doob_outcome(make, form, h):
+    """What a Doob pair construction gives: every array of the partner and
+    the iso with its dtype and bytes, beta's bits, the partner's ``b``,
+    irreducibility and pair document, or the type and message of the
+    exception it raised."""
+    try:
+        form2, iso = make(form, h)
+    except Exception as exc:
+        return type(exc), str(exc)
+    with np.errstate(over="ignore"):  # the oracle's beta is computed here
+        beta = iso.beta
+    arrays = (form2.space.m, form2.edge_indices, form2.weights, form2.c,
+              iso.tau_indices, iso.h_values)
+    return (
+        form2.space.vertices,
+        [(a.dtype, a.shape, a.tobytes(), a.flags.writeable) for a in arrays],
+        list(form2.b), np.array(list(form2.b.values())).tobytes(),
+        iso.tau, beta.hex(), form2.irreducible,
+        jsonio.document(jsonio.pair_to_obj(form, form2, iso)),
     )
 
 

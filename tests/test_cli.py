@@ -93,6 +93,38 @@ class TestCheck:
         assert run(["check", path]) == 2
         assert "error:" in capsys.readouterr().err
 
+    # a 0xff byte, a truncated two-byte sequence and an encoded surrogate
+    @pytest.mark.parametrize("data, start, reason", [
+        (b'{"vertices": ["\xff"]}', 15, "invalid start byte"),
+        (b'{"vertices": ["\xc3', 15, "unexpected end of data"),
+        (b'{"vertices": ["\xed\xa0\x80"]}', 15, "invalid continuation byte"),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("command", ["check", "certify", "certify g2"])
+    def test_invalid_utf8_exits_2(self, tmp_path, capsys, data, start, reason, fmt, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        paths = [str(bad)]
+        if command == "certify g2":
+            pair = tmp_path / "pair.json"
+            assert run(["gen-pair", "--transform", "relabel", "--out", str(pair)]) == 0
+            docs = json.loads(pair.read_text(encoding="utf-8"))
+            paths = [write(tmp_path, "g1.json", json.dumps(docs["g1"])), str(bad),
+                     write(tmp_path, "iso.json", json.dumps(docs["iso"]))]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run([command.split()[0], *paths, "--format", fmt, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: invalid UTF-8 at byte {start}: {reason}\n"
+        assert not out.exists()
+
+    def test_byte_order_mark_keeps_jsons_message(self, tmp_path, capsys):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + jsonio.graph_dumps(dk.generate("path", 3)).encode())
+        assert run(["check", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig):"
+            " line 1 column 1 (char 0)\n")
+
     def test_schema_violation_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "bad.json", '{"vertices": ["a"], "m": {}}')
         assert run(["check", path]) == 2
@@ -130,7 +162,7 @@ class TestCheck:
 
     def test_stdin_dash(self, tmp_path, capsys, monkeypatch):
         payload = jsonio.graph_dumps(dk.generate("path", 3))
-        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(payload.encode())))
         assert run(["check", "-"]) == 0
 
     def test_text_format(self, tmp_path, capsys):
@@ -657,6 +689,27 @@ class TestModuleEntry:
                 assert payload["vertices"] == ["é", "b"]
                 assert [j["x"] for j in payload["J"]] == ["b", "é"]
                 assert "é".encode() in proc.stdout
+
+
+    def test_stdin_is_read_as_utf8(self, tmp_path):
+        # an ASCII locale and stdin encoding: stdin is read as UTF-8 bytes,
+        # as a file is, and bytes that are not UTF-8 are an input error
+        form = dk.build_form(["é", "b"], 1.0, [("é", "b", 2.0)])
+        document = jsonio.document(jsonio.graph_to_obj(form))
+        assert "é".encode() in document
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="ascii", LC_ALL="C")
+
+        def check(data: bytes):
+            return subprocess.run([sys.executable, "-m", "dirikit.cli", "check", "-"],
+                                  input=data, cwd=tmp_path, env=env, capture_output=True,
+                                  timeout=60)
+
+        proc = check(document)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert json.loads(proc.stdout)["vertices"] == 2
+        proc = check(b"\xff" + document)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"error: invalid UTF-8 at byte 0: invalid start byte\n"
 
 
 def path_document(n: int) -> str:

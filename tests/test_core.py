@@ -14,6 +14,7 @@ from dirikit.errors import (
     InvalidSize,
     NegativeWeight,
     NonPositiveMeasure,
+    NotIrreducible,
     NumericOverflow,
     SelfLoop,
     UnknownVertex,
@@ -415,14 +416,39 @@ class TestGreen:
 
     @pytest.mark.parametrize("tail", [0, PAST_LEAF])
     def test_singular_in_a_leaf(self, tail):
-        # a second component, c - d, is a singular block whichever vertex is
-        # grounded; its rows meet no other row, so the leaf that holds them
-        # is exactly singular
+        # c - d hangs on b by a bridge of 1e-300, which rounds out of every
+        # degree: the form is irreducible, but the c - d block of the
+        # grounded matrix is singular in floating point, and so is the leaf
+        # that holds it
+        names, edges = unit_tail("a", tail)
+        form = dk.build_form(names + ["a", "b", "c", "d"], 1.0,
+                             edges + [("a", "b", 1.0), ("c", "d", 1.0), ("b", "c", 1e-300)])
+        assert form.irreducible
+        with pytest.raises(NumericOverflow, match="singular"):
+            form.green
+
+    @pytest.mark.parametrize("tail", [0, PAST_LEAF])
+    def test_second_component_is_not_irreducible(self, tail):
         names, edges = unit_tail("a", tail)
         form = dk.build_form(names + ["a", "b", "c", "d"], 1.0,
                              edges + [("a", "b", 1.0), ("c", "d", 1.0)])
-        with pytest.raises(NumericOverflow, match="singular"):
+        with pytest.raises(NotIrreducible):
             form.green
+
+    def test_interleaved_paths_raise_before_inverting(self, monkeypatch):
+        # two unit paths over 100 interleaved vertices: rounding leaves the
+        # pivots of the grounded matrix tiny but nonzero, so one inv call
+        # returns finite values of 5e14 to 2e15, and neither LinAlgError
+        # nor the finite check fires
+        monkeypatch.setattr("dirikit.core._symmetric_inverse", None)  # not reached
+        names = [f"v{i}" for i in range(100)]
+        for seed in range(20):
+            order = rng_for(seed).permutation(100)
+            edges = [(names[path[k]], names[path[k + 1]], 1.0)
+                     for path in (order[:50], order[50:]) for k in range(49)]
+            form = dk.build_form(names, 1.0, edges)
+            with pytest.raises(NotIrreducible, match="Green function"):
+                form.green
 
     def test_l5_peak(self):
         # beyond the cached form matrix: the grounded matrix and its inverse

@@ -878,14 +878,24 @@ def loads_outcome(text: str):
 class TestLoads:
     def test_corpus_documents(self, tmp_path, monkeypatch):
         # every input of tools/cli_contract.py: graphs, pairs, isos, metrics
-        # and the malformed documents, NaN, 10^400 and 1000-deep among them
+        # and the malformed documents, NaN, 10^400 and 1000-deep among them;
+        # the one file that is not UTF-8 holds no text, and the CLI refuses
+        # it before any JSON reader sees it
         monkeypatch.chdir(tmp_path)
         cli_contract._write_inputs(run)
         paths = sorted(tmp_path.glob("*.json"))
         assert len(paths) > 100
+        not_text = []
         for path in paths:
-            text = path.read_text(encoding="utf-8")
+            try:
+                text = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError:
+                not_text.append(path.name)
+                with pytest.raises(MalformedInput, match="invalid UTF-8"):
+                    cli._read(str(path))
+                continue
             assert loads_outcome(text) == json_outcome(text), path.name
+        assert not_text == ["not_utf8.json"]
 
     def test_seeded_documents(self):
         for seed in range(12):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 import dirikit as dk
 from dirikit.errors import (
     DirikitError,
+    NegativeWeight,
     NonPositive,
+    NonPositiveMeasure,
     NotBijective,
     NotExcessive,
     NotIntertwining,
@@ -16,7 +19,14 @@ from dirikit.errors import (
 )
 from dirikit import jsonio
 from dirikit.orderiso import _entry_scale, require_intertwining
-from dirikit.sampling import doob_pair_sample, random_form, random_intertwined_pair, relabel_pair
+from dirikit.cli import run
+from dirikit.sampling import (
+    doob_pair_sample,
+    nonconstant_excessive_profile,
+    random_form,
+    random_intertwined_pair,
+    relabel_pair,
+)
 from dirikit.search import SearchOptions, residual_bound
 
 from conftest import (
@@ -24,9 +34,11 @@ from conftest import (
     apply,
     brute_force_intertwiners,
     construction_outcome,
+    doob_outcome,
     inner,
     iso_matrix,
     l_only_intertwiners,
+    oracle_doob_pair,
     oracle_worst_entry,
     rng_for,
 )
@@ -623,6 +635,125 @@ class TestDoobPair:
                 iso, dk.generator(form1), dk.generator(form2)
             )
             assert residual <= 1e-10
+
+
+def excessive_source(rng, n: int, *, zero_edges: int = 0):
+    """A random form, with ``zero_edges`` of its edges at weight 0, and a
+    nonconstant profile h that its killing makes excessive, as
+    ``doob_pair_sample`` builds them."""
+    base = random_form(rng, n, recurrent=True)
+    b = dict(base.b)
+    for key in list(b)[:zero_edges]:
+        b[key] = 0.0
+    h = nonconstant_excessive_profile(rng, n)
+    form = dk.GraphForm(base.space, b)
+    w = form.weight_matrix
+    c = np.maximum((w @ h - w.sum(axis=1) * h) / h, 0.0) + 0.02
+    return dk.GraphForm(base.space, b, c), h
+
+
+def bridge_underflow():
+    """a - b - c with b(b, c) = 1e-300 and h = (1, 1e-100, 1e-100), killing
+    at b making h excessive: the product on b - c underflows to 0, so the
+    source is irreducible and its partner is not."""
+    names = ["a", "b", "c"]
+    h = np.array([1.0, 1e-100, 1e-100])
+    base = dk.build_form(names, 1.0, [("a", "b", 1.0), ("b", "c", 1e-300)])
+    w = base.weight_matrix
+    c = np.maximum((w @ h - w.sum(axis=1) * h) / h, 0.0) + 0.02
+    return dk.GraphForm(base.space, base.b, c), h
+
+
+class TestDoobPairFromArrays:
+    """``doob_pair`` builds the partner from the source's arrays: the same
+    arrays, iso, beta, errors and document as the route through id strings,
+    ``_from_columns``, a new ``MeasureSpace`` and the dict ``OrderIso``."""
+
+    def test_matches_the_oracle_bit_for_bit(self):
+        rng = rng_for(45)
+        cases = [excessive_source(rng, n) for n in range(1, 61)]
+        cases += [excessive_source(rng, n, zero_edges=3) for n in (4, 9, 30)]
+        for n in (2, 8, 16, 40):
+            form = random_form(rng, n, recurrent=False)
+            h = dk.find_nonconstant_excessive(form)
+            cases += [(form, h), (form, 3.0)]
+        # -0.0 weight and killing, and a weight 0.0
+        form = dk.build_form(["a", "b", "c", "d"], [1.0, 2.0, 1.0, 0.5],
+                             [("a", "b", -0.0), ("b", "c", 1.5), ("c", "d", 1.0),
+                              ("a", "d", 2.0), ("a", "c", 0.0)], [-0.0, 0.0, 0.25, 0.0])
+        cases += [(form, dk.find_nonconstant_excessive(form)), (form, 2.0)]
+        # a product that underflows to 0: the partner's irreducible is its own
+        cases.append(bridge_underflow())
+        # h^2 m subnormal: 1/h squared overflows and beta is inf
+        cases.append((dk.generate("cycle", 5), 1e-160))
+        for form, h in cases:
+            got = doob_outcome(dk.doob_pair, form, h)
+            assert not isinstance(got[0], type), got
+            assert got == doob_outcome(oracle_doob_pair, form, h), len(form.space)
+
+    def test_product_underflow_breaks_the_inherited_connectivity(self):
+        form, h = bridge_underflow()
+        partner, _ = dk.doob_pair(form, h)
+        assert form.irreducible
+        assert partner.weights.tolist() == [1e-100, 0.0]
+        assert not partner.irreducible
+
+    @pytest.mark.parametrize("make, h, error, message", [
+        # h^2 m overflows, and underflows to 0; a subnormal h underflows
+        (lambda: dk.generate("cycle", 3), 1e200, NonPositiveMeasure, "vertex measure"),
+        (lambda: dk.generate("cycle", 3), 1e-200, NonPositiveMeasure, "vertex measure"),
+        (lambda: dk.generate("cycle", 3), 5e-324, NonPositiveMeasure, "vertex measure"),
+        # two products overflow: the first edge key is named
+        (lambda: dk.build_form(["b", "a", "c"], 1.0,
+                               [("c", "b", 1e300), ("b", "a", 1e300), ("a", "c", 1.0)]),
+         1e5, NegativeWeight, r"edge weight b\(a,b\) = inf"),
+        # c2 = h m L h overflows
+        (lambda: dk.build_form(["a", "b"], 1.0, [("a", "b", 1.0)], {"a": 1e300, "b": 0.0}),
+         1e5, NegativeWeight, "killing weights"),
+        (killed_pair, [1.0, 0.0], NonPositive, "conjugating function"),
+        (killed_pair, [2.0, 1.0], NotExcessive, "conjugating function"),
+    ])
+    def test_errors_match_the_oracle(self, make, h, error, message):
+        got = doob_outcome(dk.doob_pair, make(), h)
+        assert got[0] is error and re.search(message, got[1]), got
+        assert got == doob_outcome(oracle_doob_pair, make(), h)
+
+    def test_shares_the_source_arrays(self):
+        form, h = excessive_source(rng_for(46), 12)
+        partner, iso = dk.doob_pair(form, h)
+        assert partner.space.vertices is form.space.vertices
+        assert partner.space._index is form.space._index
+        assert partner.edge_indices is form.edge_indices
+        arrays = (partner.space.m, partner.edge_indices, partner.weights, partner.c,
+                  iso.tau_indices, iso.h_values)
+        assert not any(a.flags.writeable for a in arrays)
+        assert "beta" in vars(iso)
+        # connectivity comes from the source, which builds its own W once
+        assert partner.irreducible
+        assert "weight_matrix" not in vars(partner) and "irreducible" in vars(form)
+
+    def test_connectivity_searches(self, monkeypatch, tmp_path):
+        calls = []
+        search = dk.core._offdiagonal_connected
+
+        def counted(coupling):
+            calls.append(len(coupling))
+            return search(coupling)
+
+        monkeypatch.setattr("dirikit.core._offdiagonal_connected", counted)
+        monkeypatch.setattr("dirikit.spectral._offdiagonal_connected", counted)
+        form = random_form(rng_for(47), 12, recurrent=False)
+        h = dk.find_nonconstant_excessive(form)
+        partner, iso = dk.doob_pair(form, h)
+        assert dk.certify(iso, form, partner).verdict
+        assert calls == [12, 12]  # on L, and the source's W, which the partner reads
+        calls.clear()
+        out = tmp_path / "pair.json"
+        for n in ("6", "160"):
+            assert run(["gen-pair", "--transform", "doob", "--n", n, "--out", str(out)]) == 0
+        assert calls == []
+        _, partner, _ = random_intertwined_pair(rng_for(48), 40, "doob")
+        assert "weight_matrix" not in vars(partner) and "irreducible" not in vars(partner)
 
 
 class TestBeta:

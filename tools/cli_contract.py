@@ -187,6 +187,19 @@ HAND = {
     "k4_escaped": _k4(['"', "\\", "\u00e9", "\n"], [2.0, 1.0, 2.0, 1.0]),
 }
 
+# hand-made inputs written as bytes, not as text: a K4 one of whose ids
+# holds a 0xff byte, which no UTF-8 text can, and a K4 whose ids are raw
+# UTF-8, not \u escapes, with its identity iso
+_RAW_IDS = ["\u00e9", "\u00df", "\u4e2d", "\U0001f600"]
+RAW = {
+    "not_utf8": _k4(["a", "b", "c", "d"], [1.0, 1.0, 2.0, 2.0]).encode()
+                .replace(b'"d"', b'"\xff"'),
+    "raw_utf8": json.dumps(json.loads(_k4(_RAW_IDS, [1.0, 1.0, 2.0, 2.0])),
+                           ensure_ascii=False).encode(),
+    "raw_utf8.iso": json.dumps({"tau": {v: v for v in _RAW_IDS},
+                                "h": dict.fromkeys(_RAW_IDS, 1.0)}, ensure_ascii=False).encode(),
+}
+
 # metrics checked on path3 with `dirikit intrinsic path3.json --metric NAME.json`
 METRICS = {
     "metric_zero": {"d": [[0.0] * 3] * 3},
@@ -329,6 +342,9 @@ def _commands() -> list[list[str]]:
     ]
     for name in DEEP:
         cmds += [["check", f"{name}.json"], ["certify", f"{name}.json"]]
+    cmds += [["check", "not_utf8.json"], ["certify", "not_utf8.json"],
+             ["check", "raw_utf8.json"],
+             ["certify", "raw_utf8.json", "raw_utf8.json", "raw_utf8.iso.json"]]
     return cmds
 
 
@@ -514,6 +530,8 @@ def _write_inputs(run) -> None:
         Path(f"{name}.json").write_text(text, encoding="utf-8")
     for name, obj in METRICS.items():
         Path(f"{name}.json").write_text(json.dumps(obj), encoding="utf-8")
+    for name, data in RAW.items():
+        Path(f"{name}.json").write_bytes(data)
 
 
 def run_corpus(workdir: Path) -> list[dict]:

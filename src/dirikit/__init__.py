@@ -23,7 +23,6 @@ from .metrics import (
     canonical_intrinsic_metric,
     effective_resistance,
     is_intrinsic,
-    pushforward_metric,
     resistance_matrix,
     verify_intrinsic_bijection,
     verify_resistance_isometry,
@@ -33,7 +32,6 @@ from .orderiso import (
     certify,
     doob_pair,
     intertwining_residual,
-    operator_constant,
     verify_jump_transform,
 )
 from .report import Check, VerificationReport
@@ -44,7 +42,6 @@ from .search import (
     find_intertwiners,
 )
 from .spectral import (
-    SpectralData,
     find_nonconstant_excessive,
     is_excessive,
     is_irreducible,
@@ -66,7 +63,6 @@ __all__ = [
     "OrderIso",
     "PseudoMetric",
     "SearchOptions",
-    "SpectralData",
     "Tolerance",
     "VerificationReport",
     "build_form",
@@ -84,8 +80,6 @@ __all__ = [
     "is_intrinsic",
     "is_irreducible",
     "is_recurrent",
-    "operator_constant",
-    "pushforward_metric",
     "resistance_matrix",
     "semigroup",
     "sierpinski_corners",

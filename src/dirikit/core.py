@@ -15,8 +15,9 @@ where deg(x) = sum_y b(x,y); it satisfies <Lf, g>_m = Q(f, g).
 Measure, conductances and killing are stored separately and never
 premultiplied; derived data (the weight, form and generator matrices,
 connectivity, the grounded Green function, the spectrum and the
-eigendecomposition) is computed on first use and cached on the form.  The
-spectrum is the one that is compared and reported; it comes from the
+eigendecomposition of S = M^{1/2} L M^{-1/2}, with orthonormal
+eigenvectors) is computed on first use and cached on the form, read-only.
+The spectrum is the one that is compared and reported; it comes from the
 eigenvalue-only ``eigvalsh``, and the eigenvectors of ``eigh`` are built
 only where they are read.  All values are immutable after construction
 and every operation is a pure function.
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -243,14 +243,6 @@ class MeasureSpace:
             return float(np.sum(self.m))
 
 
-@dataclass(eq=False)
-class SpectralData:
-    """Eigenvalues (ascending) and an m-orthonormal eigenvector basis."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns; <u_i, u_j>_m = delta_ij
-
-
 class GraphForm:
     """A Dirichlet form: measure space plus conductances and killing.  The
     form is also its generator: ``L``, its spectrum ``spectrum`` and its
@@ -400,12 +392,16 @@ class GraphForm:
         return w
 
     @cached_property
-    def spectral(self) -> SpectralData:
-        """Eigendecomposition of L via its symmetrized generator ``symmetric``,
-        for the callers that read eigenvectors; ``spectrum`` is the one
-        spectrum that is compared or reported."""
-        w, v = np.linalg.eigh(self.symmetric)
-        return SpectralData(w, v / np.sqrt(self.space.m)[:, None])
+    def spectral(self) -> tuple[np.ndarray, np.ndarray]:
+        """numpy's ``eigh`` of ``symmetric``, for the callers that read
+        eigenvectors: ``eigenvalues``, ascending, and ``eigenvectors``, the
+        orthonormal eigenvectors of S as columns, both read-only.  An
+        eigenvector of L is one of S divided by sqrt(m); ``spectrum`` is the
+        one spectrum that is compared or reported."""
+        result = np.linalg.eigh(self.symmetric)
+        for array in result:
+            array.flags.writeable = False
+        return result
 
     @cached_property
     def green(self) -> np.ndarray:

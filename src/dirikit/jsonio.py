@@ -302,10 +302,6 @@ def graph_from_obj(obj) -> GraphForm:
         raise
 
 
-def graph_dumps(form: GraphForm) -> str:
-    return document(graph_to_obj(form)).decode()
-
-
 def graph_loads(text: str) -> GraphForm:
     return graph_from_obj(loads(text))
 

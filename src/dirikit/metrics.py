@@ -54,7 +54,6 @@ from .errors import (
     NotIrreducible,
     NotRecurrent,
     NumericOverflow,
-    SpaceMismatch,
 )
 from .orderiso import OrderIso, require_intertwining
 from .report import VerificationReport
@@ -127,8 +126,7 @@ class PseudoMetric:
         """A metric by theorem or by construction, on a fresh float matrix
         with a zero diagonal and its source's symmetry, checked only for
         finite nonnegative entries: a resistance metric (Kigami, Analysis on
-        Fractals, 2001), a path metric, or a multiple or a permutation of a
-        metric."""
+        Fractals, 2001) or a path metric."""
         _require_entries(d)
         metric = cls.__new__(cls)
         d.flags.writeable = False
@@ -141,9 +139,6 @@ class PseudoMetric:
             and self.vertices == other.vertices
             and np.array_equal(self.d, other.d)
         )
-
-    def scaled(self, factor: float) -> "PseudoMetric":
-        return PseudoMetric._trusted(self.vertices, factor * self.d)
 
 
 class IntrinsicCheck(NamedTuple):
@@ -394,15 +389,6 @@ def _canonical_on_pairs(form: GraphForm, p: np.ndarray, q: np.ndarray) -> np.nda
         d[left] = np.minimum(*np.split(_dijkstra_to(lengths, np.concatenate([x, y]),
                                                     np.concatenate([y, x])), 2))
     return d
-
-
-def pushforward_metric(metric: PseudoMetric, iso: OrderIso) -> PseudoMetric:
-    """Transport a metric on the source space to the target along tau; the
-    permuted matrix keeps the entries and triangle gaps of the metric."""
-    if metric.vertices != iso.source.vertices:
-        raise SpaceMismatch("metric does not live on the iso's source space")
-    idx = iso.tau_indices
-    return PseudoMetric._trusted(iso.target.vertices, metric.d[np.ix_(idx, idx)])
 
 
 def _canonical_energies(

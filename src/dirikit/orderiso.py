@@ -82,8 +82,10 @@ class OrderIso:
 
     @cached_property
     def beta(self) -> float:
-        """The operator constant ||U||^2, ``operator_constant(self)``."""
-        return operator_constant(self)
+        """The operator constant ||U||^2, the mean diagonal of U*U: the mean
+        of h(y)^2 m2(y) / m1(tau(y))."""
+        m1_tau = self.source.m[self.tau_indices]
+        return float(_operator_constants(self.h_values, self.target.m, m1_tau))
 
     @cached_property
     def tau(self) -> dict[str, str]:
@@ -107,11 +109,6 @@ def _operator_constants(h: np.ndarray, m2: np.ndarray, m1_tau: np.ndarray) -> np
     row, summed from row-major rows: numpy sums a column-major array's rows
     in another order, and beta could differ in the last bit."""
     return np.mean(np.ascontiguousarray(h**2 * m2 / m1_tau), axis=-1)
-
-
-def operator_constant(iso: OrderIso) -> float:
-    """Mean diagonal of U*U, i.e. the average of h(y)^2 m2(y) / m1(tau(y))."""
-    return float(_operator_constants(iso.h_values, iso.target.m, iso.source.m[iso.tau_indices]))
 
 
 def _entry_scale(matrix: np.ndarray, left=1.0, right=1.0) -> np.ndarray:

@@ -219,11 +219,11 @@ def _tails(s1, s2, domains, first, bounds, room) -> np.ndarray | None:
 def _search(s1, s2, domain, bounds, cap) -> np.ndarray:
     """Depth-first assignment of targets in index order to the sources of
     their domains in index order, stopping at ``cap`` solutions, the rows
-    of the array returned.  At the root and after each forward check,
-    ``_tails`` may complete the remaining targets in one step.  With one
-    solution left to find, only a forced tail is: the depth-first search
-    stops at its first solution, while a tail step enumerates the whole
-    product.
+    of the array returned; the verdict, searching one past its own cap,
+    passes at least 2.  At the root and after each forward check, ``_tails``
+    may complete the remaining targets in one step.  Once one solution is
+    left to find, only a forced tail is: the depth-first search stops at
+    its first solution, while a tail step enumerates the whole product.
 
     One int32 stamp matrix is the whole domain state: a branch removes
     pairs by stamping them with its depth and restores them when it is
@@ -233,7 +233,7 @@ def _search(s1, s2, domain, bounds, cap) -> np.ndarray:
     if not domain.any(axis=1).all():
         return _NO_TAILS
     n = len(domain)
-    room = max(n * n, _TAIL_FLOOR) if cap > 1 else 0
+    room = max(n * n, _TAIL_FLOOR)
     tails = _tails(s1, s2, domain, 0, bounds, room)
     if tails is not None:
         return tails[:cap]
@@ -278,11 +278,10 @@ def residual_bound(form: GraphForm, opts: SearchOptions) -> np.ndarray:
 
 
 def _heat_kernel(form: GraphForm, t: float) -> np.ndarray:
-    """The symmetric heat kernel e^{-t S} = V e^{-t Lambda} V^T, V the
-    orthonormal eigenvectors of S, averaged with its transpose."""
-    data = form.spectral
-    v = data.eigenvectors * np.sqrt(form.space.m)[:, None]
-    kernel = (v * np.exp(-t * data.eigenvalues)) @ v.T
+    """The symmetric heat kernel e^{-t S} = V e^{-t Lambda} V^T, with V and
+    Lambda as ``form.spectral`` holds them, averaged with its transpose."""
+    w, v = form.spectral
+    kernel = (v * np.exp(-t * w)) @ v.T
     return 0.5 * (kernel + kernel.T)
 
 
@@ -304,9 +303,9 @@ def _heat_kernels(
     2 max diag S_i, which is 2 / t for S2 and, when a solution exists, for
     S1 up to the factor 1 + rel; eigh is backward stable, so a kernel
     entry is off by about 8 n eps at most (the backward error n eps ||S||
-    times t, the loss of orthogonality, the rescaling of the m-orthonormal
-    eigenvectors and the rounding of the products), and an entry of the
-    residual by 16 n eps: 64 n eps leaves a factor of four.
+    times t, the loss of orthogonality of the eigenvectors and the rounding
+    of the products), and an entry of the residual by 16 n eps: 64 n eps
+    leaves a factor of four.
 
     A kernel is symmetric with eigenvalues in (0, 1] and nonnegative
     entries, so its entries lie in [0, 1] and a slack of 1 or more prunes

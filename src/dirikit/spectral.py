@@ -1,10 +1,12 @@
 """Semigroups and structural predicates of finite Dirichlet forms.
 
-The heat semigroup e^{-tL} is computed through the eigendecomposition of
-the m-symmetrized matrix A = M^{1/2} L M^{-1/2} (symmetric and stable to
-diagonalize) and conjugated back; L itself is not symmetric when the
-measure is non-uniform.  The decomposition is cached on the form as
-``GraphForm.spectral``; a caller that reads eigenvalues only reads
+The heat semigroup e^{-tL} is computed through the eigendecomposition
+S = V Lambda V^T of the m-symmetrized matrix S = M^{1/2} L M^{-1/2}
+(symmetric and stable to diagonalize), V orthonormal, and conjugated back
+once: e^{-tL}[x, y] = e^{-tS}[x, y] sqrt(m(y)) / sqrt(m(x)); L itself is
+not symmetric when the measure is non-uniform.  The decomposition is
+cached on the form as ``GraphForm.spectral``, and the search's heat layer
+reads the same V; a caller that reads eigenvalues only reads
 ``GraphForm.spectrum``, which builds no eigenvectors.
 """
 
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GraphForm, SpectralData, VertexFunction, _offdiagonal_connected
+from .core import GraphForm, VertexFunction, _offdiagonal_connected
 from .errors import (
     NegativeInput,
     NegativeTime,
@@ -21,23 +23,25 @@ from .errors import (
 from .tolerances import DEFAULT_TOL, Tolerance
 
 
-def spectral_data(form: GraphForm) -> SpectralData:
-    """Diagonalize the generator of a form, eigenvectors included; cached on
-    the form."""
+def spectral_data(form: GraphForm) -> tuple[np.ndarray, np.ndarray]:
+    """``form.spectral``: the eigenvalues of the generator and the
+    orthonormal eigenvectors of its symmetrized matrix S, cached on the
+    form."""
     return form.spectral
 
 
 def semigroup(form: GraphForm, t: float) -> np.ndarray:
-    """The heat operator e^{-tL} at a finite time t >= 0.
+    """The heat operator e^{-tL} at a finite time t >= 0: e^{-tS} from
+    ``form.spectral``, entry (x, y) times sqrt(m(y)) / sqrt(m(x)).
 
     The result is positivity preserving and sub-Markov: entries >= 0 and
     row sums <= 1, up to floating-point error.
     """
     if not 0.0 <= t < np.inf:
         raise NegativeTime(f"semigroup time must be finite and >= 0, got {t}")
-    data = form.spectral
-    decay = np.exp(-t * data.eigenvalues)
-    return (data.eigenvectors * decay) @ (data.eigenvectors.T * form.space.m[None, :])
+    w, v = form.spectral
+    root = np.sqrt(form.space.m)
+    return (v * np.exp(-t * w)) @ v.T * root / root[:, None]
 
 
 def is_irreducible(form: GraphForm) -> bool:
@@ -86,7 +90,10 @@ def find_nonconstant_excessive(
     Green function of a second vertex is then nonconstant.  Vertices are
     tried in index order, so the witness is deterministic.
     """
-    if not _offdiagonal_connected(form.L):
+    # dividing by m can zero an entry of the form matrix but never the
+    # reverse, so equal counts mean that L has the graph of W
+    same = np.count_nonzero(form.L) == np.count_nonzero(form.form_matrix)
+    if not (form.irreducible if same else _offdiagonal_connected(form.L)):
         raise NotIrreducible("nonconstant-excessive search requires an irreducible form")
     n = len(form.space)
     killing = form.L @ np.ones(n)  # c / m

@@ -209,7 +209,7 @@ def l_only_intertwiners(form1, form2, opts: SearchOptions):
     the heat-kernel check and without completion, its root domains filtered
     by the sorted-row invariants of ``_invariant_domain`` and the
     generators' diagonal, with each result built by the validating
-    ``OrderIso`` constructor, whose ``beta`` is ``operator_constant``."""
+    ``OrderIso`` constructor."""
     if len(form1.space) != len(form2.space) or not spectra_match(form1, form2, opts.tol.rel):
         return []
     perm2 = np.argsort(np.array(form2.space.vertices))
@@ -346,7 +346,8 @@ def eigh_calls(monkeypatch, fail: bool) -> list[int]:
 
 def subordinate(form, alpha: float):
     """The form of the subordinate generator L^alpha, 0 < alpha < 1: its form
-    matrix M L^alpha from the m-orthonormal eigendecomposition, the rounded
+    matrix M L^alpha = M^{1/2} S^alpha M^{1/2} from the orthonormal
+    eigendecomposition of S = M^{1/2} L M^{-1/2}, the rounded
     null eigenvalue of a recurrent form set to zero first (a power of 1e-16
     is not small), conductances from the off-diagonal entries and killing
     from the row sums (none when the form is recurrent)."""
@@ -355,7 +356,7 @@ def subordinate(form, alpha: float):
     if dk.is_recurrent(form):
         w[0] = 0.0
     m = form.space.m
-    mv = data.eigenvectors * m[:, None]
+    mv = data.eigenvectors * np.sqrt(m)[:, None]
     f = (mv * w**alpha) @ mv.T
     f = 0.5 * (f + f.T)
     names = form.space.vertices
@@ -714,6 +715,12 @@ def check_truncation(form, f, h, tol: Tolerance = DEFAULT_TOL) -> tuple[float, f
     return q_min, q_plus, bool(ok)
 
 
+def operator_constant(iso) -> float:
+    """Reference: the operator constant ||U||^2, the mean of
+    h(y)^2 m2(y) / m1(tau(y)) as numpy sums one row."""
+    return float(np.mean(iso.h_values**2 * iso.target.m / iso.source.m[iso.tau_indices]))
+
+
 def iso_matrix(iso) -> np.ndarray:
     """The operator as a matrix (one nonzero per row)."""
     u = np.zeros((len(iso.target), len(iso.source)))
@@ -829,26 +836,26 @@ def random_function(rng: np.random.Generator, space, lo: float = -1.0, hi: float
 # each on its form.
 
 
-def matrix_jump_energy(form, metric):
-    """Oracle of the per-vertex jump energy sum_y b(x,y) d(x,y)^2 as one
-    masked n x n matrix summed by rows: off the edges b = 0, even where d^2
-    overflows to inf."""
+def matrix_jump_energy(form, d):
+    """Oracle of the per-vertex jump energy sum_y b(x,y) d(x,y)^2 of the
+    matrix d as one masked n x n matrix summed by rows: off the edges b = 0,
+    even where d^2 overflows to inf."""
     w = form.weight_matrix
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.sum(np.where(w > 0.0, w * metric.d**2, 0.0), axis=1)
+        return np.sum(np.where(w > 0.0, w * d**2, 0.0), axis=1)
 
 
-def oracle_is_intrinsic(form, metric, tol: Tolerance = DEFAULT_TOL):
+def oracle_is_intrinsic(form, d, tol: Tolerance = DEFAULT_TOL):
     """The per-vertex bound sum_y b(x,y) d(x,y)^2 <= m(x) within ``tol.rel``
     times m(x), with the slack vector."""
-    slack = form.space.m - matrix_jump_energy(form, metric)
+    slack = form.space.m - matrix_jump_energy(form, d)
     return bool(np.all(slack >= -tol.rel * form.space.m)), slack
 
 
-def boundary_factor(form, metric):
-    """The largest factor f with f * metric intrinsic, min sqrt(m / energy)
-    over the vertices of positive jump energy."""
-    energy = matrix_jump_energy(form, metric)
+def boundary_factor(form, d):
+    """The largest factor f with f * d intrinsic, min sqrt(m / energy) over
+    the vertices of positive jump energy."""
+    energy = matrix_jump_energy(form, d)
     positive = energy > 0.0
     with np.errstate(over="ignore"):  # an overflowing ratio is inf and not the minimum
         return float(np.min(np.sqrt(form.space.m[positive] / energy[positive])))
@@ -857,10 +864,10 @@ def boundary_factor(form, metric):
 def default_metric_samples(form):
     """The canonical path metric and its inflation by 1.5, as matrices; a
     one-vertex form gets the first only."""
-    canonical = dk.canonical_intrinsic_metric(form)
+    canonical = dk.canonical_intrinsic_metric(form).d
     samples = [("canonical", canonical)]
     if len(form.space) > 1:
-        samples.append(("inflated", canonical.scaled(1.5)))
+        samples.append(("inflated", 1.5 * canonical))
     return samples
 
 
@@ -871,9 +878,10 @@ def oracle_intrinsic_bijection(iso, form1, form2, tol: Tolerance = DEFAULT_TOL):
         raise NotRecurrent("the intrinsic-family comparison requires recurrent forms")
     require_intertwining(iso, form1, form2, tol)
     report = dk.VerificationReport()
-    for name, metric in default_metric_samples(form1):
-        ok1, slack1 = oracle_is_intrinsic(form1, metric, tol)
-        ok2, slack2 = oracle_is_intrinsic(form2, dk.pushforward_metric(metric, iso), tol)
+    tau = iso.tau_indices
+    for name, d in default_metric_samples(form1):
+        ok1, slack1 = oracle_is_intrinsic(form1, d, tol)
+        ok2, slack2 = oracle_is_intrinsic(form2, d[np.ix_(tau, tau)], tol)
         detail = f"source={'in' if ok1 else 'out'} target={'in' if ok2 else 'out'}"
         if ok1 != ok2:
             detail += (

@@ -14,6 +14,7 @@ from conftest import (
     iso_inverse_matrix,
     iso_matrix,
     jump_matrix,
+    operator_constant,
     oracle_decompose,
     oracle_jump_to_obj,
     oracle_worst_entry,
@@ -158,7 +159,7 @@ def dict_route(iso, form1, form2, tol=dk.Tolerance()):
     """Reference: (residual, tol) of the jump check computed through the
     jump/killing dicts, jump_matrix(oracle_decompose(f)), at the worst entry
     against the bound rel h(y) h(z) sqrt(F2[y, y] F2[z, z])."""
-    beta = dk.operator_constant(iso)
+    beta = operator_constant(iso)
     idx, h = iso.tau_indices, iso.h_values
     lhs = beta * jump_matrix(oracle_decompose(form1))[np.ix_(idx, idx)]
     rhs = np.outer(h, h) * jump_matrix(oracle_decompose(form2))

@@ -51,14 +51,14 @@ class TestGen:
             form = dk.generate(family, n)
             parsed = jsonio.graph_loads(pathlib.Path(path).read_text())
             assert parsed == form
-            assert jsonio.graph_loads(jsonio.graph_dumps(parsed)) == parsed
+            assert jsonio.graph_loads(jsonio.dumps(jsonio.graph_to_obj(parsed))) == parsed
 
     def test_roundtrip_with_killing_and_awkward_doubles(self):
         form = dk.build_form(
             ["a", "b"], {"a": 1.0 / 3.0, "b": 2.0**0.5},
             [("a", "b", 0.1)], {"a": 1e-17, "b": 0.0},
         )
-        assert jsonio.graph_loads(jsonio.graph_dumps(form)) == form
+        assert jsonio.graph_loads(jsonio.dumps(jsonio.graph_to_obj(form))) == form
 
     def test_invalid_size_exits_2(self, capsys):
         assert run(["gen", "--family", "cycle", "--n", "2"]) == 2
@@ -119,7 +119,8 @@ class TestCheck:
 
     def test_byte_order_mark_keeps_jsons_message(self, tmp_path, capsys):
         path = tmp_path / "bom.json"
-        path.write_bytes(b"\xef\xbb\xbf" + jsonio.graph_dumps(dk.generate("path", 3)).encode())
+        graph = jsonio.dumps(jsonio.graph_to_obj(dk.generate("path", 3)))
+        path.write_bytes(b"\xef\xbb\xbf" + graph.encode())
         assert run(["check", str(path)]) == 2
         assert capsys.readouterr().err == (
             "error: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig):"
@@ -161,7 +162,7 @@ class TestCheck:
         assert run(["check", path]) == 2
 
     def test_stdin_dash(self, tmp_path, capsys, monkeypatch):
-        payload = jsonio.graph_dumps(dk.generate("path", 3))
+        payload = jsonio.dumps(jsonio.graph_to_obj(dk.generate("path", 3)))
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(payload.encode())))
         assert run(["check", "-"]) == 0
 
@@ -181,7 +182,7 @@ class TestCheck:
         spread = dk.build_form(base.space.vertices, 10.0 ** rng.uniform(-6.0, 6.0, 30),
                                list(zip(*base.edge_ends(), weights)), base.c)
         for form in (dk.generate("sierpinski", 3), spread):
-            path = write(tmp_path, "g.json", jsonio.graph_dumps(form))
+            path = write(tmp_path, "g.json", jsonio.dumps(jsonio.graph_to_obj(form)))
             assert run(["check", path]) == 0
             spectrum = json.loads(capsys.readouterr().out)["spectrum"]
             assert [float(x).hex() for x in spectrum] == [x.hex() for x in form.spectrum.tolist()]
@@ -319,9 +320,9 @@ class TestCertify:
 
     def test_non_intertwiner_exits_2(self, tmp_path, capsys):
         g1 = gen(tmp_path, "g1.json", "--family", "complete", "--n", "2")
-        g2 = write(tmp_path, "g2.json", jsonio.graph_dumps(
+        g2 = write(tmp_path, "g2.json", jsonio.dumps(jsonio.graph_to_obj(
             dk.build_form(["v0", "v1"], 1.0, [("v0", "v1", 3.0)])
-        ))
+        )))
         u = write(tmp_path, "u.json", json.dumps(
             {"tau": {"v0": "v0", "v1": "v1"}, "h": {"v0": 1.0, "v1": 1.0}}
         ))
@@ -395,7 +396,7 @@ class TestResistance:
 
     def test_killing_exits_2(self, tmp_path, capsys):
         form = dk.build_form(["a", "b"], 1.0, [("a", "b", 1.0)], {"a": 1.0, "b": 0.0})
-        path = write(tmp_path, "killed.json", jsonio.graph_dumps(form))
+        path = write(tmp_path, "killed.json", jsonio.dumps(jsonio.graph_to_obj(form)))
         assert run(["resistance", path]) == 2
 
     def test_reads_no_tolerance(self, tmp_path, capsys):
@@ -413,7 +414,7 @@ class TestResistance:
     def test_weak_bottleneck(self, tmp_path, capsys):
         # b(a,b) = 1e-12 beside b(b,c) = 1 is a real bottleneck, not a cut
         form = dk.build_form(["a", "b", "c"], 1.0, [("a", "b", 1e-12), ("b", "c", 1.0)])
-        path = write(tmp_path, "weak.json", jsonio.graph_dumps(form))
+        path = write(tmp_path, "weak.json", jsonio.dumps(jsonio.graph_to_obj(form)))
         assert run(["resistance", path]) == 0
         r = json.loads(capsys.readouterr().out)["R"]
         assert r[0][1] == pytest.approx(1e12, rel=1e-9)
@@ -421,7 +422,7 @@ class TestResistance:
     def test_overflowing_resistance_exits_2(self, tmp_path, capsys):
         # b(a,b) = 5e-324 puts R(a,b) = 2e323 beyond the float range
         form = dk.build_form(["a", "b", "c"], 1.0, [("a", "b", 5e-324), ("b", "c", 1.0)])
-        path = write(tmp_path, "subnormal.json", jsonio.graph_dumps(form))
+        path = write(tmp_path, "subnormal.json", jsonio.dumps(jsonio.graph_to_obj(form)))
         assert run(["resistance", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -451,7 +452,7 @@ class TestResistance:
 
     def test_overflowing_diagonal_sum_exits_2(self, tmp_path, capsys):
         for tail in (0, PAST_LEAF):
-            graph = jsonio.graph_dumps(diagonal_overflow_form(tail))
+            graph = jsonio.dumps(jsonio.graph_to_obj(diagonal_overflow_form(tail)))
             path = write(tmp_path, f"hub{tail}.json", graph)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # no RuntimeWarning reaches stderr
@@ -469,7 +470,7 @@ class TestIntrinsic:
         # m = 1.7e308 on a unit path: d(v0, v2)^2 overflows, but v0 and v2
         # share no edge, so it adds nothing to the jump energy
         form = dk.build_form(["v0", "v1", "v2"], 1.7e308, [("v0", "v1", 1.0), ("v1", "v2", 1.0)])
-        path = write(tmp_path, "heavy.json", jsonio.graph_dumps(form))
+        path = write(tmp_path, "heavy.json", jsonio.dumps(jsonio.graph_to_obj(form)))
         assert run(["intrinsic", path]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["intrinsic"] is True
@@ -677,7 +678,7 @@ class TestModuleEntry:
     def test_non_ascii_ids_reach_stdout_as_utf8(self, tmp_path):
         # an ASCII locale and stdout encoding: the bytes are UTF-8 all the same
         form = dk.build_form(["é", "b"], 1.0, [("é", "b", 2.0)])
-        (tmp_path / "g.json").write_text(jsonio.graph_dumps(form), encoding="utf-8")
+        (tmp_path / "g.json").write_text(jsonio.dumps(jsonio.graph_to_obj(form)), encoding="utf-8")
         for command in ("check", "decompose"):
             proc = self.module(tmp_path, command, "g.json",
                                PYTHONIOENCODING="ascii", LC_ALL="C")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -349,6 +350,23 @@ class TestGenerator:
             gen = dk.generator(form)
             f = rng.normal(size=6)
             assert inner(form.space, gen.L @ f, f) >= -1e-10
+
+
+# every array that a form stores or caches, as a path from the form
+FORM_ARRAYS = ("space.m", "edge_indices", "weights", "c", "weight_matrix", "degrees",
+               "form_matrix", "L", "symmetric", "spectrum", "spectral.eigenvalues",
+               "spectral.eigenvectors", "green")
+
+
+@pytest.mark.parametrize("path", FORM_ARRAYS)
+def test_form_arrays_are_read_only(path):
+    # a write into a cache would change every later result that reads it
+    form = dk.generate("path", 4)
+    array = operator.attrgetter(path)(form)
+    before = array.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        array[...] = 0.0
+    assert np.array_equal(operator.attrgetter(path)(form), before)
 
 
 def spectrum_form(seed):

@@ -161,14 +161,13 @@ def test_third_party_imports_are_declared():
 
 PUBLIC = [
     "Check", "DEFAULT_TOL", "DirikitError", "EquivalenceVerdict", "GraphForm",
-    "MeasureSpace", "OrderIso", "PseudoMetric", "SearchOptions", "SpectralData",
-    "Tolerance", "VerificationReport", "build_form", "canonical_intrinsic_metric", "certify",
+    "MeasureSpace", "OrderIso", "PseudoMetric", "SearchOptions", "Tolerance",
+    "VerificationReport", "build_form", "canonical_intrinsic_metric", "certify",
     "doob_pair", "effective_resistance", "equivalence_verdict", "find_intertwiners",
     "find_nonconstant_excessive", "generate", "generator", "intertwining_residual",
-    "is_excessive", "is_intrinsic", "is_irreducible", "is_recurrent", "operator_constant",
-    "pushforward_metric", "resistance_matrix", "semigroup", "sierpinski_corners",
-    "spectral_data", "verify_intrinsic_bijection", "verify_jump_transform",
-    "verify_resistance_isometry",
+    "is_excessive", "is_intrinsic", "is_irreducible", "is_recurrent", "resistance_matrix",
+    "semigroup", "sierpinski_corners", "spectral_data", "verify_intrinsic_bijection",
+    "verify_jump_transform", "verify_resistance_isometry",
 ]
 
 

@@ -367,7 +367,7 @@ class TestIntertwinerList:
         paths = []
         for name, form in (("g1", form1), ("g2", form2)):
             paths.append(tmp_path / f"{name}.json")
-            paths[-1].write_text(jsonio.graph_dumps(form), encoding="utf-8")
+            paths[-1].write_text(jsonio.dumps(jsonio.graph_to_obj(form)), encoding="utf-8")
         out = tmp_path / "out.json"
         assert run(["search", *map(str, paths), *extra]) == (0 if count else 1)
         assert run(["search", *map(str, paths), *extra, "--out", str(out)]) == (0 if count else 1)
@@ -464,7 +464,7 @@ class TestRecordList:
         k4 = renamed(dk.generate("complete", 4), ESCAPED2)
         for form in (random_form(rng, 40), dk.generate("sierpinski", 3), k4):
             path = tmp_path / "g.json"
-            path.write_text(jsonio.graph_dumps(form), encoding="utf-8")
+            path.write_text(jsonio.dumps(jsonio.graph_to_obj(form)), encoding="utf-8")
             assert run(["decompose", str(path)]) == 0
             assert capsys.readouterr().out == oracle_dumps(jsonio.jump_to_obj(form)) + "\n"
 
@@ -579,7 +579,7 @@ class TestGraphFromObjOracle:
             for seed in range(3):
                 form1, form2, _ = random_intertwined_pair(rng_for(seed), 40, transform)
                 for form in (form1, form2):
-                    obj = jsonio.loads(jsonio.graph_dumps(form))
+                    obj = jsonio.loads(jsonio.dumps(jsonio.graph_to_obj(form)))
                     want = construction_outcome(oracle_graph_from_obj, obj)
                     assert construction_outcome(jsonio.graph_from_obj, obj) == want
 
@@ -684,7 +684,7 @@ class TestGraphLayouts:
 
     def test_layouts_load_bitwise_equal(self):
         for form in layout_forms():
-            columns = jsonio.loads(jsonio.graph_dumps(form))
+            columns = jsonio.loads(jsonio.dumps(jsonio.graph_to_obj(form)))
             edges = columns["edges"]
             objects = dict(columns, edges=[{"u": u, "v": v, "b": b}
                                            for u, v, b in zip(edges["u"], edges["v"], edges["b"])])
@@ -700,7 +700,7 @@ class TestGraphLayouts:
     @pytest.mark.parametrize("weight, killing", [(-0.0, 0.0), (1.0, -0.0)])
     def test_negative_zero_reloads_bitwise(self, weight, killing):
         form = dk.build_form(["a", "b"], 1.0, [("a", "b", weight)], {"a": killing, "b": 0.0})
-        got = jsonio.graph_loads(jsonio.graph_dumps(form))
+        got = jsonio.graph_loads(jsonio.dumps(jsonio.graph_to_obj(form)))
         assert got.weights.tobytes() == form.weights.tobytes()
         assert got.c.tobytes() == form.c.tobytes()
 
@@ -746,7 +746,7 @@ class TestConductancesBuiltOnRead:
 
         monkeypatch.setattr(jsonio, "graph_loads", capture)
         path = tmp_path / "g.json"
-        path.write_text(jsonio.graph_dumps(dk.generate("sierpinski", 2)))
+        path.write_text(jsonio.dumps(jsonio.graph_to_obj(dk.generate("sierpinski", 2))))
         assert run(["check", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["edges"] == 27
         assert len(loaded) == 1 and "b" not in vars(loaded[0])

@@ -16,7 +16,6 @@ from dirikit.errors import (
     NotIrreducible,
     NotRecurrent,
     NumericOverflow,
-    SpaceMismatch,
 )
 from dirikit.sampling import random_form, random_intertwined_pair, relabel_pair
 from dirikit.tolerances import DEFAULT_TOL, Tolerance
@@ -313,7 +312,7 @@ class TestResistanceIsometry:
         assert report.verdict
         r1 = dk.effective_resistance(form1, "v0", "v1")
         r2 = dk.effective_resistance(form2, "v0", "v1")
-        alpha, beta = 0.5, dk.operator_constant(iso)
+        alpha, beta = 0.5, iso.beta
         assert beta == pytest.approx(1.0)
         assert alpha**2 * r1 == pytest.approx(beta * r2)
         assert "skipped" in report["equal_mass_isometry"].detail
@@ -412,12 +411,12 @@ class TestPseudoMetricValidation:
         assert np.array_equal(loose.d, d)
 
     @pytest.mark.parametrize("factor", [-1.0, math.nan])
-    def test_scaled_checks_entries(self, factor):
-        # a multiple of a metric is one, and only its entries are checked
-        metric = dk.PseudoMetric(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.array_equal(metric.scaled(2.0).d, 2.0 * metric.d)
+    def test_trusted_checks_entries(self, factor):
+        # a metric by theorem or by construction has only its entries checked
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(dk.PseudoMetric._trusted(("a", "b"), 2.0 * d).d, 2.0 * d)
         with pytest.raises(InvalidMetric, match="finite and >= 0"):
-            metric.scaled(factor)
+            dk.PseudoMetric._trusted(("a", "b"), factor * d)
 
     def test_input_array_is_copied(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -692,13 +691,17 @@ class TestCanonicalIntrinsicMetric:
 
 
 class TestPushforward:
+    """The pushforward d(tau(.), tau(.)) of a metric along an iso, which
+    the certificates take by indexing with ``tau_indices``."""
+
     def test_identity_and_swap(self):
         space = dk.MeasureSpace(["a", "b"], 1.0)
         metric = dk.PseudoMetric(("a", "b"), np.array([[0.0, 3.0], [3.0, 0.0]]))
         ident = dk.OrderIso.identity(space)
-        assert np.array_equal(dk.pushforward_metric(metric, ident).d, metric.d)
         swap = dk.OrderIso(space, space, {"a": "b", "b": "a"}, {"a": 1.0, "b": 1.0})
-        assert np.array_equal(dk.pushforward_metric(metric, swap).d, metric.d)
+        for iso in (ident, swap):
+            tau = iso.tau_indices
+            assert np.array_equal(metric.d[np.ix_(tau, tau)], metric.d)
 
     def test_rotation_permutes(self):
         space1 = dk.MeasureSpace(["v0", "v1", "v2"], 1.0)
@@ -707,9 +710,9 @@ class TestPushforward:
         metric = dk.PseudoMetric(space1.vertices, d)
         tau = {"w0": "v1", "w1": "v2", "w2": "v0"}
         iso = dk.OrderIso(space1, space2, tau, {y: 1.0 for y in tau})
-        pushed = dk.pushforward_metric(metric, iso)
-        assert pushed.d[0, 1] == d[1, 2]
-        assert pushed.d[0, 2] == d[1, 0]
+        pushed = metric.d[np.ix_(iso.tau_indices, iso.tau_indices)]
+        assert pushed[0, 1] == d[1, 2]
+        assert pushed[0, 2] == d[1, 0]
 
     def test_asymmetric_within_tolerance(self):
         # the constructor accepts asymmetry within tol, and transport keeps it
@@ -717,13 +720,7 @@ class TestPushforward:
         d = np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]])
         metric = dk.PseudoMetric(space.vertices, d)
         swap = dk.OrderIso(space, space, {"a": "b", "b": "a"}, {"a": 1.0, "b": 1.0})
-        assert np.array_equal(dk.pushforward_metric(metric, swap).d, d.T)
-
-    def test_space_mismatch(self):
-        space = dk.MeasureSpace(["a", "b"], 1.0)
-        other = dk.PseudoMetric(("x", "y"), np.zeros((2, 2)))
-        with pytest.raises(SpaceMismatch):
-            dk.pushforward_metric(other, dk.OrderIso.identity(space))
+        assert np.array_equal(metric.d[np.ix_(swap.tau_indices, swap.tau_indices)], d.T)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_preserves_axioms(self, seed):
@@ -738,22 +735,21 @@ class TestPushforward:
         metric = dk.PseudoMetric(space1.vertices, d)
         tau = {"w0": "v2", "w1": "v0", "w2": "v1"}
         iso = dk.OrderIso(space1, space2, tau, {y: 1.0 for y in tau})
-        pushed = dk.pushforward_metric(metric, iso)
-        assert pushed == dk.PseudoMetric(space2.vertices, pushed.d)  # re-checks the axioms
+        idx = iso.tau_indices
+        pushed = dk.PseudoMetric(space2.vertices, metric.d[np.ix_(idx, idx)])  # the axioms
+        assert np.array_equal(pushed.d, [[0.0, b, c], [b, 0.0, a], [c, a, 0.0]])
 
     def test_transported_metrics_pass_full_validation(self):
         rng = rng_for(83)
         for n in (1, 2, 5, 17, 40):
             form = random_form(rng, n, recurrent=True)
             _, iso = relabel_pair(rng, form, scale=float(rng.uniform(0.5, 2.0)))
-            idx = iso.tau_indices
-            canonical = dk.canonical_intrinsic_metric(form)
-            scaled = canonical.scaled(float(rng.uniform(0.1, 3.0)))
-            for metric in (dk.resistance_matrix(form), canonical, scaled):
-                pushed = dk.pushforward_metric(metric, iso)
-                assert pushed == dk.PseudoMetric(iso.target.vertices, metric.d[np.ix_(idx, idx)])
-                assert pushed.vertices == iso.target.vertices
-                assert not pushed.d.flags.writeable
+            tau = iso.tau_indices
+            canonical = dk.canonical_intrinsic_metric(form).d
+            scaled = float(rng.uniform(0.1, 3.0)) * canonical
+            for d in (dk.resistance_matrix(form).d, canonical, scaled):
+                pushed = d[np.ix_(tau, tau)]
+                assert np.array_equal(dk.PseudoMetric(iso.target.vertices, pushed).d, pushed)
 
 
 def certify_reports(form1, form2, iso):
@@ -807,10 +803,12 @@ class TestIntrinsicBijection:
     def test_inflated_metric_fails_on_both_sides(self):
         form = dk.generate("cycle", 4)
         canonical = dk.canonical_intrinsic_metric(form)
-        inflated = canonical.scaled(2.0)
+        inflated = dk.PseudoMetric(form.space.vertices, 2.0 * canonical.d)
         assert not dk.is_intrinsic(form, inflated).ok
         iso = dk.OrderIso.identity(form.space)
-        assert not dk.is_intrinsic(form, dk.pushforward_metric(inflated, iso)).ok
+        tau = iso.tau_indices
+        pushed = dk.PseudoMetric(form.space.vertices, inflated.d[np.ix_(tau, tau)])
+        assert not dk.is_intrinsic(form, pushed).ok
 
     def test_canonical_metric_saturates(self):
         # at a vertex x that minimises m/deg every edge of x is a shortest
@@ -824,7 +822,7 @@ class TestIntrinsicBijection:
             if i % 2:  # b and m spread over [1e-3, 1e3]
                 form = scaled_pair_form(form, 1.0, 10.0 ** rng.uniform(-3, 3, n),
                                         10.0 ** rng.uniform(-3, 3, len(form.weights)))
-            f = boundary_factor(form, dk.canonical_intrinsic_metric(form))
+            f = boundary_factor(form, dk.canonical_intrinsic_metric(form).d)
             worst = max(worst, abs(f - 1.0))
         assert worst <= 4 * np.finfo(float).eps, worst
 
@@ -966,9 +964,10 @@ def edge_route_calls(monkeypatch, iso, form1, form2):
         patch.setattr(metrics, "_dijkstra_to", spy_dijkstra)
         patch.setattr(metrics, "canonical_intrinsic_metric", spy_full)
         e1, e2 = metrics._canonical_energies(iso, form1, form2)
-    canonical = dk.canonical_intrinsic_metric(form1)
+    canonical = dk.canonical_intrinsic_metric(form1).d
     assert np.array_equal(e1, matrix_jump_energy(form1, canonical))
-    assert np.array_equal(e2, matrix_jump_energy(form2, dk.pushforward_metric(canonical, iso)))
+    tau = iso.tau_indices
+    assert np.array_equal(e2, matrix_jump_energy(form2, canonical[np.ix_(tau, tau)]))
     return calls
 
 

@@ -38,6 +38,7 @@ from conftest import (
     inner,
     iso_matrix,
     l_only_intertwiners,
+    operator_constant,
     oracle_doob_pair,
     oracle_worst_entry,
     rng_for,
@@ -197,7 +198,7 @@ class TestResidual:
         rng = rng_for(45)
         for _ in range(20):
             form1, form2, iso = residual_sample(rng, kind)
-            beta = dk.operator_constant(iso)
+            beta = operator_constant(iso)
             u, u_star = iso_matrix(iso), adjoint(iso)
             op = max(
                 float(np.max(np.abs(u_star @ u - beta * np.eye(len(iso.source))))),
@@ -331,7 +332,7 @@ class TestCertify:
         form2, iso = dk.doob_pair(form, [1.0, 2.0])
         report = dk.certify(iso, form, form2)
         assert report.verdict
-        assert dk.operator_constant(iso) == pytest.approx(1.0)
+        assert iso.beta == pytest.approx(1.0)
         assert "skipped" in report["scaling_constancy"].detail
         assert max(iso.h.values()) / min(iso.h.values()) == pytest.approx(2.0)
 
@@ -374,7 +375,7 @@ class TestCertify:
                           {v: 2.0 for v in names})
         report = dk.certify(iso, form, form)
         assert report.verdict
-        assert dk.operator_constant(iso) == pytest.approx(4.0)
+        assert iso.beta == pytest.approx(4.0)
 
     def test_alpha_out_of_float_range_raises(self):
         # m2 / m1 = 2^1040 with h = 2^-520 on a recurrent pair: beta is 1,
@@ -630,7 +631,7 @@ class TestDoobPair:
             form1, form2, iso = doob_pair_sample(rng, int(rng.integers(2, 8)))
             report = dk.certify(iso, form1, form2)
             assert report.verdict
-            assert dk.operator_constant(iso) == pytest.approx(1.0, abs=1e-12)
+            assert iso.beta == pytest.approx(1.0, abs=1e-12)
             residual = dk.intertwining_residual(
                 iso, dk.generator(form1), dk.generator(form2)
             )
@@ -746,7 +747,7 @@ class TestDoobPairFromArrays:
         h = dk.find_nonconstant_excessive(form)
         partner, iso = dk.doob_pair(form, h)
         assert dk.certify(iso, form, partner).verdict
-        assert calls == [12, 12]  # on L, and the source's W, which the partner reads
+        assert calls == [12]  # on the source's W, which L and the partner share
         calls.clear()
         out = tmp_path / "pair.json"
         for n in ("6", "160"):
@@ -758,9 +759,9 @@ class TestDoobPairFromArrays:
 
 class TestBeta:
     def test_beta_is_derived(self):
-        # every way an iso is built gives beta = operator_constant bit for
-        # bit, a loaded one too; relabel pairs at a scale s != 1 round
-        # h^2 m2 / m1 to a neighbour of 1
+        # every way an iso is built gives the beta of the reference
+        # operator_constant bit for bit, a loaded one too; relabel pairs at a
+        # scale s != 1 round h^2 m2 / m1 to a neighbour of 1
         rng = rng_for(231)
         isos = []
         for transform in ("relabel", "doob"):
@@ -781,14 +782,14 @@ class TestBeta:
         isos += dk.find_intertwiners(cycle, cycle, wide)
         assert any(iso.beta != 1.0 for iso in isos)
         for iso in isos:
-            assert iso.beta.hex() == dk.operator_constant(iso).hex()
+            assert iso.beta.hex() == operator_constant(iso).hex()
 
     def test_verifiers_read_beta_once(self, monkeypatch):
         # the jump and resistance checks read iso.beta, computed once, and do
-        # not call operator_constant again
+        # not compute the operator constant again
         form1, form2, iso = random_intertwined_pair(rng_for(232), 7, "relabel")
         beta = iso.beta
-        monkeypatch.setattr("dirikit.orderiso.operator_constant", None)
+        monkeypatch.setattr("dirikit.orderiso._operator_constants", None)
         for verify in (dk.verify_jump_transform, dk.verify_resistance_isometry):
             report = verify(iso, form1, form2)
             assert report.verdict

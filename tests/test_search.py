@@ -28,6 +28,7 @@ from conftest import (
     brute_force_intertwiners,
     eigh_calls,
     l_only_intertwiners,
+    operator_constant,
     pick,
     rng_for,
     subordinate,
@@ -525,7 +526,7 @@ class TestHeatKernelPruning:
         form2, _ = relabel_pair(rng, form1, scale=float(10 ** rng.uniform(-3, 3)))
         found = dk.find_intertwiners(form1, form2, WIDE)
         assert len(found) == 2
-        assert [iso.beta for iso in found] == [dk.operator_constant(iso) for iso in found]
+        assert [iso.beta for iso in found] == [operator_constant(iso) for iso in found]
 
     def test_same_results_on_scrambled_symmetric_forms(self):
         # with equal measures the heat slack is about rel; conductances moved
@@ -928,7 +929,7 @@ class TestSolutionsAsArrays:
         monkeypatch.setattr(search, "equivalence_verdict", capture)
         paths = [tmp_path / "g1.json", tmp_path / "g2.json"]
         for path, form in zip(paths, (form1, form2)):
-            path.write_text(jsonio.graph_dumps(form))
+            path.write_text(jsonio.dumps(jsonio.graph_to_obj(form)))
         assert cli.run(["search", *map(str, paths)]) == 0
         written = jsonio.loads(capsys.readouterr().out)["intertwiners"]
         (verdict,) = verdicts

@@ -5,11 +5,13 @@ import pytest
 import scipy.linalg
 
 import dirikit as dk
+from dirikit import search
 from dirikit.errors import (
     NegativeInput,
     NegativeTime,
     NotExcessive,
     NotIrreducible,
+    NumericOverflow,
 )
 from dirikit.sampling import random_form
 
@@ -41,6 +43,13 @@ def excessive_oracle(gen, h):
         if np.min(hv - dk.semigroup(gen, t) @ hv) < -bound:
             return False
     return True
+
+
+def spread_measure_forms():
+    """Forms whose measure spans four orders of magnitude, so that S and L,
+    and e^{-tS} and e^{-tL}, differ."""
+    rng = rng_for(24)
+    return [random_form(rng, n, m_range=(0.01, 100.0)) for n in (1, 2, 3, 6, 11, 17)]
 
 
 class TestSemigroup:
@@ -76,8 +85,8 @@ class TestSemigroup:
 
     def test_matches_expm_oracle(self):
         rng = rng_for(21)
-        for _ in range(20):
-            form = random_form(rng, int(rng.integers(2, 9)))
+        forms = [random_form(rng, int(rng.integers(2, 9))) for _ in range(20)]
+        for form in forms + spread_measure_forms():
             gen = dk.generator(form)
             t = float(rng.uniform(0.0, 4.0))
             assert np.allclose(dk.semigroup(gen, t), semigroup_oracle(gen, t), atol=1e-10)
@@ -105,15 +114,26 @@ class TestSemigroup:
         assert dk.spectral_data(gen1) is dk.spectral_data(gen1)
 
     def test_spectral_data_invariants(self):
+        # eigenvalues of L and orthonormal eigenvectors of S
         rng = rng_for(23)
-        for _ in range(10):
-            form = random_form(rng, 6)
+        for form in [random_form(rng, 6) for _ in range(10)] + spread_measure_forms():
             gen = dk.generator(form)
             data = dk.spectral_data(gen)
             assert np.all(np.diff(data.eigenvalues) >= -1e-12)
             assert np.min(data.eigenvalues) >= -1e-10
-            gram = data.eigenvectors.T @ (form.space.m[:, None] * data.eigenvectors)
-            assert np.allclose(gram, np.eye(6), atol=1e-10)
+            gram = data.eigenvectors.T @ data.eigenvectors
+            assert np.allclose(gram, np.eye(len(form.space)), atol=1e-10)
+            s, v = form.symmetric, data.eigenvectors
+            assert np.max(np.abs(s @ v - v * data.eigenvalues)) <= 1e-12 * np.max(np.abs(s))
+
+    def test_heat_kernel_is_the_conjugated_semigroup(self):
+        # the search's e^{-tS} and e^{-tL} come from one decomposition
+        for form in spread_measure_forms():
+            root = np.sqrt(form.space.m)
+            for t in (0.0, 0.1, 1.0, 4.0):
+                kernel = search._heat_kernel(form, t)
+                conjugated = root[:, None] * dk.semigroup(form, t) / root[None, :]
+                assert np.max(np.abs(kernel - conjugated)) <= 1e-13 * np.max(kernel)
 
 
 def decomposing_sets_oracle(form):
@@ -278,6 +298,20 @@ class TestNonconstantExcessive:
         gen = dk.generator(dk.build_form(["a", "b"], 1.0, []))
         with pytest.raises(NotIrreducible):
             dk.find_nonconstant_excessive(gen)
+
+    def test_coupling_underflowing_both_ways(self):
+        # L[a,b] = L[b,a] = -1e-300 / 1e300 round to 0: the graph of W is
+        # connected, that of L is not
+        form = dk.build_form(["a", "b"], 1e300, [("a", "b", 1e-300)])
+        assert dk.is_irreducible(form) and not np.any(form.L)
+        with pytest.raises(NotIrreducible):
+            dk.find_nonconstant_excessive(form)
+
+    def test_overflow_before_irreducibility(self):
+        # c is isolated, and L[a,b] = 1e300 / 1e-300 is not finite
+        form = dk.build_form(["a", "b", "c"], 1e-300, [("a", "b", 1e300)])
+        with pytest.raises(NumericOverflow):
+            dk.find_nonconstant_excessive(form)
 
     def test_deterministic_witness(self):
         gen = dk.generator(killed_pair())

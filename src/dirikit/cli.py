@@ -28,7 +28,7 @@ import numpy as np
 
 from . import jsonio, metrics, orderiso, search, spectral
 from .core import generate
-from .errors import DirikitError, MalformedInput
+from .errors import DirikitError
 from .report import VerificationReport
 from .sampling import random_intertwined_pair
 from .tolerances import DEFAULT_TOL, Tolerance
@@ -100,18 +100,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str) -> str:
-    """The text of a file, or of stdin for "-", decoded from UTF-8 whatever
-    the locale; MalformedInput when the bytes are not UTF-8."""
+def _read(path: str) -> bytes:
+    """The bytes of a file, or of stdin for "-", whatever the locale:
+    ``jsonio.loads`` reads them as UTF-8, and raises MalformedInput when
+    they are not."""
     if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedInput(f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as handle:
+        return handle.read()
 
 
 def _tolerance(args, default: Tolerance) -> Tolerance:

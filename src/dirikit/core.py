@@ -208,11 +208,18 @@ class MeasureSpace:
         return f"MeasureSpace({len(self)} vertices)"
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, MeasureSpace)
             and self.vertices == other.vertices
             and np.array_equal(self.m, other.m)
         )
+
+    def _with_measure(self, m: np.ndarray) -> MeasureSpace:
+        """The space of these vertex ids and this index with the measure m,
+        which the caller has checked and made read-only."""
+        space = MeasureSpace.__new__(MeasureSpace)
+        space.vertices, space._index, space.m = self.vertices, self._index, m
+        return space
 
     def index(self, v: str) -> int:
         try:
@@ -249,7 +256,8 @@ class GraphForm:
     eigendecomposition ``spectral``."""
 
     # a form with the same edges of positive weight, whose ``irreducible``
-    # this one reads: a Doob partner's source (``orderiso.doob_pair``)
+    # this one reads: a Doob partner's source (``orderiso.doob_pair``) or
+    # the first graph of a pair read on its edge columns (``_same_ends``)
     _same_graph: GraphForm | None = None
 
     def __init__(self, space: MeasureSpace, b: EdgeInput, c: VertexFunction = 0.0):
@@ -275,6 +283,11 @@ class GraphForm:
         return form
 
     def _set_columns(self, space, us, vs, ws, c) -> None:
+        """Build the form on ``space`` from edge columns: the ends are looked
+        up in the index, the edge keys ranked by the string order of the ids
+        and sorted.  That sort's permutation of the columns, ``_key_order``,
+        is kept read-only, so that a form on the same columns reuses it
+        (``_same_ends``)."""
         self.space = space
         try:
             ends = np.fromiter(map(space._index.__getitem__, itertools.chain(us, vs)),
@@ -298,11 +311,44 @@ class GraphForm:
         # vertex indices and weights of the edge keys, in key order
         self.edge_indices = by_rank[np.array(np.divmod(code, n))]
         self.weights = w[order]
-        self.edge_indices.flags.writeable = self.weights.flags.writeable = False
-        cv = space.vector(c)
+        # the narrowest type that holds the edge count, as for the ranks
+        self._key_order = order.astype(np.min_scalar_type(len(order)))
+        for array in (self.edge_indices, self.weights, self._key_order):
+            array.flags.writeable = False
+        self._set_killing(c)
+
+    def _set_killing(self, c) -> None:
+        cv = self.space.vector(c)
         _require_killing(cv)
         cv.flags.writeable = False
         self.c = cv
+
+    def _same_ends(self, m, us, vs, ws, c) -> GraphForm:
+        """The form on this form's vertex ids, under the measure m, with
+        edges (us[k], vs[k]) of weight ws[k] and killing c, where us and vs
+        are the columns that this form was built from and ws holds ints and
+        floats.  It shares this form's ids, index, edge keys and key order,
+        all read-only, and its connectivity when the two have positive
+        weights on the same edges.  Of the checks of ``_from_columns`` on a
+        new space only those of m, ws and c can fail; they run in its
+        order, with its errors: NonPositiveMeasure, OverflowError for an int
+        past the float range, NegativeWeight at the first bad weight in
+        column order, NegativeWeight for the killing."""
+        mv = np.array(m, dtype=float)
+        _require_measure(mv)
+        mv.flags.writeable = False
+        form = GraphForm.__new__(GraphForm)
+        form.space = self.space._with_measure(mv)
+        w = np.array(ws, dtype=float)
+        if not ((w >= 0.0) & (w < math.inf)).all():
+            _raise_first_fault(form.space, zip(us, vs, ws))
+        form.edge_indices, form._key_order = self.edge_indices, self._key_order
+        form.weights = w[self._key_order]
+        form.weights.flags.writeable = False
+        form._set_killing(c)
+        if np.array_equal(form.weights > 0.0, self.weights > 0.0):
+            form._same_graph = self
+        return form
 
     def __repr__(self) -> str:
         return f"GraphForm({len(self.space)} vertices, {len(self.weights)} edges)"

@@ -38,16 +38,26 @@ the spectrum and the resistance matrix change in their last bits with it
 (on a 366-vertex Sierpinski gasket, by about 2e-15 of the largest
 eigenvalue and 2e-16 of the largest resistance).
 
-``loads`` is the one reader.  orjson reads a text of at most 512 opening
-brackets, every graph, pair and iso document; json reads a deeper text
-(the per-edge layout, a metric of more than about 510 rows) and every
-text that orjson refuses: NaN and Infinity, a number past the float
-range, a lone surrogate, and every malformed text, so that an error
-carries json's message.  Both give the same objects.  The one difference,
-an integer past 64 bits that orjson reads as a float and json as an int,
+``loads`` is the one reader, of UTF-8 bytes as the CLI reads them or of
+text.  orjson reads a document of at most 512 opening brackets, every
+graph, pair and iso document, and takes bytes as they are; json reads a
+deeper document (the per-edge layout, a metric of more than about 510
+rows) and every one that orjson refuses: NaN and Infinity, a number past
+the float range, a lone surrogate, a byte order mark and every malformed
+text, so that an error carries json's message.  Bytes are decoded only
+for json, and bytes that are not UTF-8 raise MalformedInput with the
+first bad byte.  Both give the same objects.  The one difference, an
+integer past 64 bits that orjson reads as a float and json as an int,
 reaches no result, as every number is read through ``float``.  A text
 nested too deeply for json raises MalformedInput too, and so does a graph
 whose vertex id holds a lone surrogate, which no UTF-8 output can hold.
+
+``pair_from_obj`` reads g2 on g1's vertex ids, index, edge keys and key
+order when g2's vertex list and u and v columns equal g1's, as in a Doob
+pair or a graph certified against itself; only g2's measure, weights and
+killing are converted and checked, with the errors of reading g2 alone,
+and g2 reads g1's connectivity when their positive weights lie on the
+same edges.
 """
 
 from __future__ import annotations
@@ -166,20 +176,38 @@ def dumps(obj) -> str:
 _ORJSON_MAX_BRACKETS = 512
 
 
-def loads(text: str):
-    """The objects of a JSON text, as ``json.loads`` gives them, or
-    MalformedInput with json's message.  orjson reads a text of at most
-    ``_ORJSON_MAX_BRACKETS`` opening brackets; json reads the rest and
-    whatever orjson refuses."""
-    if text.count("[") + text.count("{") <= _ORJSON_MAX_BRACKETS:
+def _brackets(data: bytes | str) -> int:
+    """The count of "[" and "{" in a document.  In UTF-8 bytes every byte of
+    a multibyte sequence is at least 0x80, so the count is the text's; it
+    is taken on a uint8 view, one mask at a time."""
+    if isinstance(data, str):
+        return data.count("[") + data.count("{")
+    codes = np.frombuffer(data, np.uint8)
+    return int(np.count_nonzero(codes == ord("["))) + int(np.count_nonzero(codes == ord("{")))
+
+
+def loads(data: bytes | str):
+    """The objects of a JSON document, given as UTF-8 bytes or as text, as
+    ``json.loads`` gives them for its text, or MalformedInput: with json's
+    message, or for bytes that are not UTF-8 with the first bad byte.
+    orjson reads a document of at most ``_ORJSON_MAX_BRACKETS`` opening
+    brackets, bytes as they are; json reads the rest and whatever orjson
+    refuses (bytes that are not UTF-8 among them), bytes decoded first, so
+    that a byte order mark stays in the text and json names it."""
+    if _brackets(data) <= _ORJSON_MAX_BRACKETS:
         import orjson  # here, so that a path that reads no JSON loads none of it
 
         try:
-            return orjson.loads(text)
+            return orjson.loads(data)
         except orjson.JSONDecodeError:
             pass  # NaN, 1e400, a lone surrogate or an error: json's reading
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedInput(f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
     try:
-        return json.loads(text)
+        return json.loads(data)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"invalid JSON: {exc}") from None
     except RecursionError:
@@ -272,6 +300,16 @@ def _require_vertices(keyed: dict, vertices: set) -> None:
 
 
 def graph_from_obj(obj) -> GraphForm:
+    return _read_graph(obj)[0]
+
+
+def _read_graph(obj, first: tuple | None = None) -> tuple[GraphForm, list, list, list]:
+    """The form of a graph document, with its vertex list and its u and v
+    columns as read.  ``first`` is what this returned for a graph read
+    before: when this graph's vertex list and u and v columns equal those,
+    the form is built on the first form's ids, index and edge keys
+    (``GraphForm._same_ends``), with the checks and errors of a graph read
+    alone."""
     vertices = _require(obj, "vertices", list, "graph")
     if not all(isinstance(v, str) for v in vertices):
         raise MalformedInput("graph: vertices must be strings")
@@ -294,16 +332,21 @@ def graph_from_obj(obj) -> GraphForm:
         killing = _numbers([killing_obj.get(v, 0.0) for v in vertices], vertices,
                            "graph: killing")
         _require_vertices(killing_obj, names)
-        return GraphForm._from_columns(MeasureSpace(vertices, m), us, vs, bs, killing)
+        # stops at the first id that differs, as in a relabelled pair
+        if first is not None and (vertices, us, vs) == first[1:]:
+            form = first[0]._same_ends(m, us, vs, bs, killing)
+        else:
+            form = GraphForm._from_columns(MeasureSpace(vertices, m), us, vs, bs, killing)
     except (DirikitError, TypeError, OverflowError):
         # a malformed edge (a non-string end, an int out of float range) is
         # reported before any later fault
         _check_columns(us, vs, bs)
         raise
+    return form, vertices, us, vs
 
 
-def graph_loads(text: str) -> GraphForm:
-    return graph_from_obj(loads(text))
+def graph_loads(data: bytes | str) -> GraphForm:
+    return graph_from_obj(loads(data))
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +373,9 @@ def pair_to_obj(form1: GraphForm, form2: GraphForm, iso: OrderIso) -> dict:
 def pair_from_obj(obj) -> tuple[GraphForm, GraphForm, OrderIso]:
     if not isinstance(obj, dict):
         raise MalformedInput("pair: expected an object with keys 'g1', 'g2' and 'iso'")
-    form1 = graph_from_obj(obj.get("g1"))
-    form2 = graph_from_obj(obj.get("g2"))
+    first = _read_graph(obj.get("g1"))
+    form1 = first[0]
+    form2 = _read_graph(obj.get("g2"), first)[0]
     return form1, form2, iso_from_obj(obj.get("iso"), form1.space, form2.space)
 
 

@@ -326,8 +326,7 @@ def doob_pair(
     for array in (m2, weights, c2, scaling, tau):
         array.flags.writeable = False
 
-    space2 = MeasureSpace.__new__(MeasureSpace)
-    space2.vertices, space2._index, space2.m = space.vertices, space._index, m2
+    space2 = space._with_measure(m2)
     form2 = GraphForm.__new__(GraphForm)
     form2.space, form2.edge_indices, form2.weights, form2.c = (
         space2, form.edge_indices, weights, c2)

@@ -99,6 +99,26 @@ class TestBuildForm:
         assert edge_weight(form, "a", "b") == 0.0
 
 
+def test_measure_space_equality(monkeypatch):
+    # a space is itself without comparing its arrays, as the certificate
+    # guard finds it on the CLI path and for a Doob partner
+    compared = []
+    array_equal = np.array_equal
+
+    def counted(*arrays):
+        compared.append(arrays)
+        return array_equal(*arrays)
+
+    monkeypatch.setattr(np, "array_equal", counted)
+    space = dk.MeasureSpace(["a", "b", "c"], [1.0, 2.0, 0.5])
+    assert space == space
+    assert compared == []
+    assert space == dk.MeasureSpace(["a", "b", "c"], [1.0, 2.0, 0.5])
+    assert len(compared) == 1
+    assert space != dk.MeasureSpace(["a", "b", "c"], [1.0, 2.0, 0.25])
+    assert space != dk.MeasureSpace(["a", "c", "b"], [1.0, 2.0, 0.5])
+
+
 GOOD_WEIGHTS = (1.0, 0.5, 0.0, -0.0, 5e-324, 1.7e308, 0, 3, True, False,
                 np.float64(1.5), np.float64(-0.0))
 BAD_WEIGHTS = (-1.0, -5e-324, math.nan, math.inf, -math.inf, -2)
@@ -353,8 +373,9 @@ class TestGenerator:
 
 
 # every array that a form stores or caches, as a path from the form
-FORM_ARRAYS = ("space.m", "edge_indices", "weights", "c", "weight_matrix", "degrees",
-               "form_matrix", "L", "symmetric", "spectrum", "spectral.eigenvalues",
+# (``_key_order`` is the sort of the edge columns that the form was read from)
+FORM_ARRAYS = ("space.m", "edge_indices", "weights", "_key_order", "c", "weight_matrix",
+               "degrees", "form_matrix", "L", "symmetric", "spectrum", "spectral.eigenvalues",
                "spectral.eigenvectors", "green")
 
 

@@ -1,5 +1,7 @@
 import argparse
 import contextlib
+import copy
+import itertools
 import json
 import math
 import os
@@ -767,6 +769,207 @@ class TestPairDocument:
             jsonio.pair_from_obj(obj)
 
 
+def gen_pair_document(seed: int, n: int) -> dict:
+    """The pair of `dirikit gen-pair --transform doob --n N --seed S`, as
+    plain JSON data: the same draw, built in-process."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    pair = random_intertwined_pair(rng, n, "doob")
+    return json.loads(jsonio.document(jsonio.pair_to_obj(*pair)))
+
+
+# the edge object of a position that a shorter column lacks leaves out that key
+_GAP = object()
+
+
+def edge_objects(columns) -> list[dict]:
+    """The edge columns as a list of edge objects, unequal columns as
+    objects that lack a key; a list of edge objects as it is."""
+    if isinstance(columns, list):
+        return columns
+    entries = itertools.zip_longest(*(columns[key] for key in "uvb"), fillvalue=_GAP)
+    return [{key: value for key, value in zip("uvb", entry) if value is not _GAP}
+            for entry in entries]
+
+
+# literals that orjson does not write, put into the text in place of their
+# quoted names
+LITERALS = {"NaN": "NaN", "1e400": "1e400", "10**400": str(10**400), "2**70+1": str(2**70 + 1)}
+
+
+def set_weight(value):
+    def mutate(g, k, x):
+        g["edges"]["b"][k] = value
+    return mutate
+
+
+def set_entry(key, value):
+    def mutate(g, k, x):
+        g[key][x] = value
+    return mutate
+
+
+def keep(g, k, x):
+    pass
+
+
+def drop_measure(g, k, x):
+    del g["m"][x]
+
+
+def kill_unknown(g, k, x):
+    g["killing"]["unknown"] = 1.0
+
+
+def reorder_vertices(g, k, x):
+    g["vertices"].reverse()
+
+
+def change_end(g, k, x):
+    g["edges"]["u"][k] = x
+
+
+def lengthen_b(g, k, x):
+    g["edges"]["b"].append(1.0)
+
+
+# g2 changed in one field, at edge k or vertex x
+G2_MUTATIONS = {
+    "same": keep,
+    "negative weight": set_weight(-1.5),
+    "NaN weight": set_weight("@NaN@"),
+    "1e400 weight": set_weight("@1e400@"),
+    "bool weight": set_weight(True),
+    "str weight": set_weight("1.0"),
+    "10**400 weight": set_weight("@10**400@"),
+    "int weight": set_weight(3),
+    "int past 64 bits weight": set_weight("@2**70+1@"),
+    "zero weight": set_weight(0.0),
+    "m missing": drop_measure,
+    "m zero": set_entry("m", 0.0),
+    "m not finite": set_entry("m", "@1e400@"),
+    "killing on unknown vertex": kill_unknown,
+    "negative killing": set_entry("killing", -0.5),
+    "vertices reordered": reorder_vertices,
+    "edge end changed": change_end,
+    "columns unequal": lengthen_b,
+}
+
+
+def pair_text(pair: dict) -> bytes:
+    import orjson
+
+    data = orjson.dumps(pair)
+    for name, literal in LITERALS.items():
+        data = data.replace(f'"@{name}@"'.encode(), literal.encode())
+    return data
+
+
+def read_outcome(read, obj):
+    """The forms that ``read(obj)`` returns, each as every array with its
+    dtype, shape, bytes and writeable flag, its vertex ids, ``b`` and
+    ``irreducible``, or the type and message of the exception it raised;
+    and the forms, or None."""
+    try:
+        forms = read(obj)
+    except Exception as exc:
+        return (type(exc), str(exc)), None
+    records = []
+    for form in forms:
+        arrays = (form.space.m, form.edge_indices, form.weights, form.c)
+        records.append((form.space.vertices,
+                        [(a.dtype, a.shape, a.tobytes(), a.flags.writeable) for a in arrays],
+                        list(form.b), np.array(list(form.b.values())).tobytes(),
+                        form.irreducible))
+    return records, forms
+
+
+def read_pair(obj):
+    return jsonio.pair_from_obj(obj)[:2]
+
+
+def read_alone(obj):
+    return [jsonio.graph_from_obj(obj["g1"]), jsonio.graph_from_obj(obj["g2"])]
+
+
+class TestSameGraphPair:
+    """A pair whose second graph has the first one's vertex list and u and v
+    columns reads the second on the first's ids, index and edge keys, and
+    gives what reading the second graph alone gives."""
+
+    def test_second_graph_as_read_alone(self):
+        import orjson
+
+        outcomes, shared = set(), 0
+        for n in range(1, 61):
+            pair = gen_pair_document(n, n)
+            rng = rng_for(n)
+            edges = len(pair["g2"]["edges"]["b"])
+            k = int(rng.integers(edges)) if edges else None
+            x = pick(rng, pair["g2"]["vertices"])
+            for name, mutate in G2_MUTATIONS.items():
+                if k is None and ("weight" in name or name == "edge end changed"):
+                    continue
+                g1, g2 = pair["g1"], orjson.loads(orjson.dumps(pair["g2"]))
+                mutate(g2, k, x)
+                e1, e2 = g1["edges"], g2["edges"]
+                same = (g2["vertices"], e2["u"], e2["v"]) == (g1["vertices"], e1["u"], e1["v"])
+                for layout in ("columns", "objects"):
+                    doc = dict(pair, g2=g2)
+                    if layout == "objects":
+                        doc.update(g1=dict(g1, edges=edge_objects(e1)),
+                                   g2=dict(g2, edges=edge_objects(e2)))
+                    obj = jsonio.loads(pair_text(doc))
+                    want, _ = read_outcome(read_alone, obj)
+                    got, forms = read_outcome(read_pair, obj)
+                    assert got == want, (n, name, layout)
+                    if forms is None:
+                        outcomes.add((name, want[0].__name__))
+                        continue
+                    form1, form2 = forms
+                    if same:
+                        assert form2.edge_indices is form1.edge_indices, (n, name)
+                        assert form2.space._index is form1.space._index, (n, name)
+                        shared += 1
+                    positive = [[edge["b"] > 0 for edge in edge_objects(obj[part]["edges"])]
+                                for part in ("g1", "g2")]
+                    inherits = same and positive[0] == positive[1]
+                    assert (form2._same_graph is form1) == inherits, (n, name, layout)
+        assert shared > 300
+        assert {("negative weight", "NegativeWeight"), ("NaN weight", "NegativeWeight"),
+                ("1e400 weight", "NegativeWeight"), ("bool weight", "MalformedInput"),
+                ("str weight", "MalformedInput"), ("10**400 weight", "MalformedInput"),
+                ("m missing", "MalformedInput"), ("m zero", "NonPositiveMeasure"),
+                ("m not finite", "NonPositiveMeasure"),
+                ("killing on unknown vertex", "UnknownVertex"),
+                ("negative killing", "NegativeWeight"),
+                ("columns unequal", "MalformedInput")} <= outcomes
+
+    def test_connectivity_searches(self, tmp_path, monkeypatch):
+        calls = []
+        search = dk.core._offdiagonal_connected
+
+        def counted(coupling):
+            calls.append(len(coupling))
+            return search(coupling)
+
+        monkeypatch.setattr("dirikit.core._offdiagonal_connected", counted)
+        path, out = tmp_path / "pair.json", tmp_path / "report.json"
+        assert run(["gen-pair", "--transform", "doob", "--n", "40", "--out", str(path)]) == 0
+        assert run(["certify", str(path), "--out", str(out)]) == 0
+        assert calls == [40]  # on g1's W, whose connectivity g2 reads
+        pair = json.loads(path.read_text())
+        assert min(pair["g1"]["edges"]["b"]) > 0.0
+        # a zero weight on the same edge of both graphs, then on another
+        # edge of g2: the positive counts agree, the patterns differ
+        for g2_zero, searches in ((0, 1), (1, 2)):
+            doc = copy.deepcopy(pair)
+            doc["g1"]["edges"]["b"][0] = doc["g2"]["edges"]["b"][g2_zero] = 0.0
+            calls.clear()
+            form1, form2, _ = jsonio.pair_from_obj(doc)
+            assert form1.irreducible and form2.irreducible
+            assert len(calls) == searches, g2_zero
+
+
 class TestVertexKeys:
     """Every key of ``m`` and ``killing`` names a listed vertex."""
 
@@ -878,23 +1081,27 @@ def loads_outcome(text: str):
 class TestLoads:
     def test_corpus_documents(self, tmp_path, monkeypatch):
         # every input of tools/cli_contract.py: graphs, pairs, isos, metrics
-        # and the malformed documents, NaN, 10^400 and 1000-deep among them;
-        # the one file that is not UTF-8 holds no text, and the CLI refuses
-        # it before any JSON reader sees it
+        # and the malformed documents, NaN, 10^400, 1000-deep and a byte
+        # order mark among them, read as the CLI reads them, as bytes, and
+        # as text; the one file that is not UTF-8 holds no text, and loads
+        # refuses its bytes
         monkeypatch.chdir(tmp_path)
         cli_contract._write_inputs(run)
         paths = sorted(tmp_path.glob("*.json"))
         assert len(paths) > 100
         not_text = []
         for path in paths:
+            data = cli._read(str(path))
             try:
-                text = path.read_text(encoding="utf-8")
+                text = data.decode("utf-8")
             except UnicodeDecodeError:
                 not_text.append(path.name)
                 with pytest.raises(MalformedInput, match="invalid UTF-8"):
-                    cli._read(str(path))
+                    jsonio.loads(data)
                 continue
-            assert loads_outcome(text) == json_outcome(text), path.name
+            want = json_outcome(text)
+            assert loads_outcome(text) == want, path.name
+            assert loads_outcome(data) == want, path.name
         assert not_text == ["not_utf8.json"]
 
     def test_seeded_documents(self):
@@ -962,11 +1169,15 @@ class TestLoads:
             "[" + "{}, " * 511 + "{}]": "json",
             '{"a": "' + "[" * 511 + '"}': "orjson",
             '{"a": "' + "[" * 512 + '"}': "json",
+            # multibyte UTF-8 between the brackets: bytes count as the text
+            '{"\u00e9": ["\u4e2d' + "[\U0001f600" * 510 + '"]}': "orjson",
+            '{"\u00e9": ["\u4e2d' + "{\U0001f600" * 511 + '"]}': "json",
         }
         for text, reader in cases.items():
-            readers.clear()
-            assert loads_outcome(text) == json_outcome(text)
-            assert readers[0] == reader
+            for data in (text, text.encode()):
+                readers.clear()
+                assert loads_outcome(data) == json_outcome(text)
+                assert readers[0] == reader
 
     def test_deep_texts_raise_malformed_input(self, tmp_path):
         # in fresh interpreters, so that a crash fails this test, not pytest:
@@ -985,9 +1196,10 @@ class TestLoads:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["1000 invalid JSON: nested too deeply",
                                             "200000 invalid JSON: nested too deeply"]
-        (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
-        for command in ("check", "certify"):
-            proc = subprocess.run([sys.executable, "-m", "dirikit.cli", command, "deep.json"],
+        deep = "[" * 200_000 + "]" * 200_000
+        (tmp_path / "deep.json").write_text(deep)
+        for args in (["check", "deep.json"], ["certify", "deep.json"], ["check", "-"]):
+            proc = subprocess.run([sys.executable, "-m", "dirikit.cli", *args], input=deep,
                                   cwd=tmp_path, env=env, capture_output=True, text=True,
                                   timeout=60)
             assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr

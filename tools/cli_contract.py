@@ -200,6 +200,9 @@ RAW = {
                                 "h": dict.fromkeys(_RAW_IDS, 1.0)}, ensure_ascii=False).encode(),
 }
 
+# doob6s1 with a weight of its g2 replaced, checked with `dirikit certify NAME.json`
+SAME_GRAPH = {"same_graph_negative": -1.0, "same_graph_nan": float("nan")}
+
 # metrics checked on path3 with `dirikit intrinsic path3.json --metric NAME.json`
 METRICS = {
     "metric_zero": {"d": [[0.0] * 3] * 3},
@@ -345,6 +348,12 @@ def _commands() -> list[list[str]]:
     cmds += [["check", "not_utf8.json"], ["certify", "not_utf8.json"],
              ["check", "raw_utf8.json"],
              ["certify", "raw_utf8.json", "raw_utf8.json", "raw_utf8.iso.json"]]
+    # pairs whose g2 has g1's vertices and edge columns, one with a negative
+    # weight, one with a NaN literal that only json reads; a pair behind a
+    # UTF-8 byte order mark; and a graph certified against itself
+    cmds += [*(["certify", f"{name}.json"] for name in SAME_GRAPH),
+             ["certify", "bom.json"],
+             ["certify", "sierpinski3.json", "sierpinski3.json", "sierpinski3.id.json"]]
     return cmds
 
 
@@ -532,6 +541,15 @@ def _write_inputs(run) -> None:
         Path(f"{name}.json").write_text(json.dumps(obj), encoding="utf-8")
     for name, data in RAW.items():
         Path(f"{name}.json").write_bytes(data)
+    pair = Path("doob6s1.json").read_bytes()
+    for name, weight in SAME_GRAPH.items():
+        doc = json.loads(pair)
+        doc["g2"]["edges"]["b"][1] = weight
+        Path(f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    Path("bom.json").write_bytes(b"\xef\xbb\xbf" + pair)
+    names = json.loads(Path("sierpinski3.json").read_bytes())["vertices"]
+    identity = {"tau": {v: v for v in names}, "h": {v: 1.0 for v in names}}
+    Path("sierpinski3.id.json").write_text(json.dumps(identity), encoding="utf-8")
 
 
 def run_corpus(workdir: Path) -> list[dict]:

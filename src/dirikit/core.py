@@ -14,13 +14,10 @@ where deg(x) = sum_y b(x,y); it satisfies <Lf, g>_m = Q(f, g).
 
 Measure, conductances and killing are stored separately and never
 premultiplied; derived data (the weight, form and generator matrices,
-connectivity, the grounded Green function, the spectrum and the
-eigendecomposition of S = M^{1/2} L M^{-1/2}, with orthonormal
-eigenvectors) is computed on first use and cached on the form, read-only.
-The spectrum is the one that is compared and reported; it comes from the
-eigenvalue-only ``eigvalsh``, and the eigenvectors of ``eigh`` are built
-only where they are read.  All values are immutable after construction
-and every operation is a pure function.
+connectivity, the grounded Green function, S = M^{1/2} L M^{-1/2} and its
+spectrum, from the eigenvalue-only ``eigvalsh``) is computed on first use
+and cached on the form, read-only; no eigenvector is cached.  All values
+are immutable after construction and every operation is a pure function.
 
 Construction works on whole arrays: edge columns of ends and weights, one
 look-up per endpoint, one pass of array checks and a sort by the string
@@ -86,11 +83,11 @@ def _offdiagonal_connected(coupling: np.ndarray) -> bool:
 
 
 # The vertex cap.  A recurrent certify holds about 23 float arrays of n x n
-# at its peak (W, F, L, S, the eigenvectors and the grounded Green function
-# of both forms, the resistance and canonical metrics and their temporaries;
-# a tracemalloc probe of the CLI path on relabel pairs at n = 200 and 400
-# gave 22.6 and 22.5 times 8 n^2 bytes, with the blocked Green function as
-# with one inv call): 184 n^2 bytes.  At 4096 vertices that is 3.1 GB, under
+# at its peak (W, F, L, S and the grounded Green function of both forms,
+# the resistance and canonical metrics and their temporaries; a tracemalloc
+# probe of the CLI path on relabel pairs at n = 200 and 400 gave 22.6 and
+# 22.5 times 8 n^2 bytes, with the blocked Green function as with one inv
+# call): 184 n^2 bytes.  At 4096 vertices that is 3.1 GB, under
 # half of an 8 GB machine; a cap of 2^13 would need 12.3 GB.  Sierpinski
 # level 7 (3282 vertices) stays within it.
 MAX_VERTICES = 4096
@@ -252,8 +249,8 @@ class MeasureSpace:
 
 class GraphForm:
     """A Dirichlet form: measure space plus conductances and killing.  The
-    form is also its generator: ``L``, its spectrum ``spectrum`` and its
-    eigendecomposition ``spectral``."""
+    form is also its generator: ``L``, its symmetrization ``symmetric`` and
+    their spectrum ``spectrum``."""
 
     # a form with the same edges of positive weight, whose ``irreducible``
     # this one reads: a Doob partner's source (``orderiso.doob_pair``) or
@@ -436,18 +433,6 @@ class GraphForm:
         w = np.linalg.eigvalsh(self.symmetric)
         w.flags.writeable = False
         return w
-
-    @cached_property
-    def spectral(self) -> tuple[np.ndarray, np.ndarray]:
-        """numpy's ``eigh`` of ``symmetric``, for the callers that read
-        eigenvectors: ``eigenvalues``, ascending, and ``eigenvectors``, the
-        orthonormal eigenvectors of S as columns, both read-only.  An
-        eigenvector of L is one of S divided by sqrt(m); ``spectrum`` is the
-        one spectrum that is compared or reported."""
-        result = np.linalg.eigh(self.symmetric)
-        for array in result:
-            array.flags.writeable = False
-        return result
 
     @cached_property
     def green(self) -> np.ndarray:

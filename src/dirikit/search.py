@@ -16,14 +16,12 @@ lexicographic order, each to a source vertex of its domain in
 lexicographic order, with these pruning rules:
 
 * the eigenvalue multisets of the two generators must match (similar
-  matrices have equal spectra); they are read from ``GraphForm.spectrum``,
-  which builds no eigenvectors, so a pair that fails here, or whose
-  domains are forced at the root, computes none;
+  matrices have equal spectra), read from ``GraphForm.spectrum``;
 * every layer A of the search is a pair of symmetric matrices that any
   solution carries onto each other, P A1 P^T = A2, each with a bound on
   the entries of P A1 P^T - A2: the generators S_i, within the bound
-  above, and the heat kernels K_i = e^{-t S_i}, within their slack
-  (below), whose dense entries see every distance in the graph;
+  above, and the resolvents R_i = (lambda + S_i)^-1 within their bound
+  (``_resolvents``), whose dense entries see every distance in the graph;
 * a source enters a target's domain only when the diagonal entry of
   P A1 P^T - A2 is within its bound, for every layer;
 * forward checking: assigning a target removes from every later target's
@@ -50,22 +48,13 @@ lexicographic order, with these pruning rules:
   verdict searches for one more, so that it knows whether the list was
   cut, and keeps ``max_solutions`` of them.
 
-The heat slack.  By Duhamel, P K1(t) P^T - K2(t) = -int_0^t K2(t - u) E
-P K1(u) P^T du with E = P S1 P^T - S2.  K_i(u) = D_i e^{-u L_i} D_i^{-1}
-is entrywise nonnegative and, e^{-u L_i} being sub-Markov, its rows sum
-to at most sqrt(rho_i), rho_i = max m_i / min m_i.  Every entry of E of a
-solution is within rel sqrt(s(y) s(z)) <= rel max s, so at t = 1 / max s
-every entry of P K1 P^T - K2 is within rel sqrt(rho1 rho2).  The slack
-adds the rounding of the computed bound and kernels (see
-``_heat_kernels``), so pruning on it loses no solution.
-
 The domains live in one target x source matrix stamped with the depth
 that removed each entry, and a tail step holds at most max(n^2, 4096)
 entries per layer, so the search state is O(n^2) at any depth.
 Results are returned in lexicographic order of tau as a vertex-id
 sequence, the order in which the depth-first search meets them, and are
 bit-identical across repeated runs at a fixed BLAS build and thread
-count, which the spectra and heat kernels depend on in their last bits.
+count, which the spectra and resolvents depend on in their last bits.
 """
 
 from __future__ import annotations
@@ -148,7 +137,7 @@ def _forward_check(s1, s2, stamp, assignment, d, bounds, room) -> np.ndarray | N
     """Assign target d to source x = assignment[d]: remove from the domain
     of every later target y the sources x' whose entry A1[x', x] - A2[y, d]
     of P A1 P^T - A2 exceeds its bound, for each layer A of the stacks (the
-    generators, then the heat kernels if any), and x itself.  The layers
+    generators, then the resolvents if any), and x itself.  The layers
     and bounds are bitwise symmetric, so this also tests the entry (d, y).
     A NaN entry is removed, as it fails ``<=``.
 
@@ -277,49 +266,73 @@ def residual_bound(form: GraphForm, opts: SearchOptions) -> np.ndarray:
     return opts.tol.bound(_entry_scale(form.L))
 
 
-def _heat_kernel(form: GraphForm, t: float) -> np.ndarray:
-    """The symmetric heat kernel e^{-t S} = V e^{-t Lambda} V^T, with V and
-    Lambda as ``form.spectral`` holds them, averaged with its transpose."""
-    w, v = form.spectral
-    kernel = (v * np.exp(-t * w)) @ v.T
-    return 0.5 * (kernel + kernel.T)
+# lambda / max s: on a unit path an entry of (lambda + S)^-1 falls by e every
+# 7 hops (one of e^{-S / max s} like 2^-k / k! at hop k), while the bound of
+# ``_resolvents`` grows like max s / lambda = 100 times rel of the entries
+_SHIFT = 0.01
+_INVERSE_ERROR = 16.0  # an inverse's entrywise error, in n eps kappa / lambda
 
 
-def _heat_kernels(
+def _resolvents(
     form1: GraphForm, form2: GraphForm, rel: float
-) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """The heat kernels K_i = e^{-t S_i} at t = 1 / max s, s the diagonal of
-    S2, and the slack of their forward check, or None when that check could
-    not prune or t leaves the float range.  With rho_i = max m_i / min m_i,
-    the slack is
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The resolvents R_i = (lambda + S_i)^-1, lambda = _SHIFT max s, s =
+    diag S2, from one ``inv`` call and averaged with their transposes, and
+    the entrywise bound of P R1 P^T - R2 for a solution; None when ``inv``
+    fails or an R or the bound is not finite (at max s < 5.5e-309, or a
+    measure ratio past the float range).
 
-        rel (1 + 16 eps) sqrt(rho1 rho2) + 64 n eps.
+    lambda + S_i is a symmetric Z-matrix with eigenvalues >= lambda, so R_i
+    >= 0, ||R_i||_2 <= 1/lambda, and R_i = M_i^{1/2} (lambda + L_i)^-1
+    M_i^{-1/2} has row sums <= sqrt(rho_i) / lambda, rho_i = max m_i / min
+    m_i, as L_i 1 >= 0.  By the resolvent identity P R1 P^T - R2 = -R2 E
+    P R1 P^T, E = P S1 P^T - S2, and |E| <= rel u u^T, u = sqrt(s), for a
+    solution, so entry (y, z) is at most rel (R2 u)(y) max u sqrt(rho1) /
+    lambda, and the same with z.  The bound is c min(v(y), v(z)) + a, v
+    the computed R2 u, c = (1 + 4 delta) (rel + eps) max u sqrt(rho1) /
+    lambda, a = 2 c e sum(u) + 2 (1 + delta) e + 2 eps / lambda, delta =
+    (n + 2) kappa eps, e = _INVERSE_ERROR n eps kappa / lambda, and kappa =
+    1 + 2 max diag S_i / lambda, over both i, bounds the condition number
+    of lambda + S_i (Gershgorin).  The terms past rel cover the rounding:
 
-    The first term is the Duhamel bound of the module docstring; the factor
-    1 + 16 eps covers the rounding of the bound on E, of t and of rho, a
-    few eps each.  E is the residual of the very matrices S_i whose kernels
-    these are, both being ``GraphForm.symmetric``.  The second term is the
-    floating-point allowance for the kernels.  S_i has norm at most
-    2 max diag S_i, which is 2 / t for S2 and, when a solution exists, for
-    S1 up to the factor 1 + rel; eigh is backward stable, so a kernel
-    entry is off by about 8 n eps at most (the backward error n eps ||S||
-    times t, the loss of orthogonality of the eigenvectors and the rounding
-    of the products), and an entry of the residual by 16 n eps: 64 n eps
-    leaves a factor of four.
-
-    A kernel is symmetric with eigenvalues in (0, 1] and nonnegative
-    entries, so its entries lie in [0, 1] and a slack of 1 or more prunes
-    nothing; this includes a measure ratio beyond the float range.  A
-    subnormal max s makes t infinite, and -t times a -0.0 eigenvalue NaN.
+    * of lambda + S_i on the diagonal, by eps/2 (lambda + s_i(x)), which
+      belongs in E: as s1(tau y) <= (1 + rel) s(y) and the check of S
+      rounds too, |E| <= (1 + 4 eps) (rel + eps) u u^T + eps lambda I, and
+      the last term adds eps / lambda at most.  The rounded S_i is
+      semidefinite, its M-scaled row sums >= 0, up to n eps max s, so the
+      1/lambda bounds hold up to 1 + 2 delta;
+    * of the inverse: LU with partial pivoting solves each column of A X =
+      I for an A + dA with ||dA||_2 <= 1.5 n eps g ||A||_2, g = || |L||U|
+      ||_2 / ||A||_2 (Higham 2002, Thm 9.4), so a column, of norm <=
+      1/lambda, and each entry are off by 1.5 g n eps kappa / lambda at
+      most: e for g up to 10 (the tests see g < 4, and errors below 0.2
+      n eps kappa / lambda against ``eigh``);
+    * of R2 u: by e sum(u), twice that where R2 rounds below 0, and by n
+      eps relative, which 1 + 4 delta covers, as it does c, a and the
+      search's residuals.
     """
-    top = float(np.max(np.diag(form2.symmetric)))
-    m1, m2 = form1.space.m, form2.space.m
-    rho = float(np.max(m1)) / float(np.min(m1)) * (float(np.max(m2)) / float(np.min(m2)))
-    slack = rel * (1.0 + 16.0 * _EPS) * math.sqrt(rho) + 64.0 * len(m1) * _EPS
-    t = 1.0 / top if top > 0.0 else math.inf
-    if not (t < math.inf and slack < 1.0):  # max s zero or subnormal, or no pruning
+    s1, s2 = form1.symmetric, form2.symmetric
+    n, top = len(s2), np.max(np.diag(s2))
+    lam = _SHIFT * top
+    shifted = np.stack((s1, s2))
+    shifted[:, np.arange(n), np.arange(n)] += lam
+    try:
+        r1, r2 = np.linalg.inv(shifted)
+    except np.linalg.LinAlgError:
         return None
-    return _heat_kernel(form1, t), _heat_kernel(form2, t), slack
+    u = np.sqrt(np.diag(s2))
+    with np.errstate(all="ignore"):  # a non-finite R or bound is refused below
+        r1, r2 = 0.5 * (r1 + r1.T), 0.5 * (r2 + r2.T)
+        v = r2 @ u  # finite only where R2 is, and so is the bound
+        kappa = 1.0 + 2.0 * max(np.max(np.diag(s1)), top) / lam
+        delta, e = (n + 2) * kappa * _EPS, _INVERSE_ERROR * n * _EPS * kappa / lam
+        c = (1.0 + 4.0 * delta) * (rel + _EPS) * np.sqrt(top) / lam
+        c *= np.sqrt(np.max(form1.space.m) / np.min(form1.space.m))
+        a = 2.0 * c * (e * np.sum(u)) + 2.0 * (1.0 + delta) * e + 2.0 * _EPS / lam
+        bound = c * np.minimum(v[:, None], v[None, :]) + a
+    if not (np.isfinite(r1).all() and np.isfinite(bound).all()):
+        return None
+    return r1, r2, bound
 
 
 def _diagonal_domain(a1: np.ndarray, a2: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -341,14 +354,14 @@ def _intertwiners(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -> li
     layers1, layers2 = [form1.symmetric[ix1]], [form2.symmetric[ix2]]
     bounds = [residual_bound(form2, opts)[ix2]]
     domain = _diagonal_domain(layers1[0], layers2[0], bounds[0])
-    # the kernels are built only when some target keeps more than one
+    # the resolvents are built only when some target keeps more than one
     # candidate source: a forced path has nothing left to prune
     if np.count_nonzero(domain, axis=1).max() > 1:
-        heat = _heat_kernels(form1, form2, opts.tol.rel)
-        if heat is not None:
-            layers1.append(heat[0][ix1])
-            layers2.append(heat[1][ix2])
-            bounds.append(np.full_like(bounds[0], heat[2]))
+        resolvents = _resolvents(form1, form2, opts.tol.rel)
+        if resolvents is not None:
+            layers1.append(resolvents[0][ix1])
+            layers2.append(resolvents[1][ix2])
+            bounds.append(resolvents[2][ix2])
             domain &= _diagonal_domain(layers1[1], layers2[1], bounds[1])
     taus = _search(np.stack(layers1), np.stack(layers2), domain, np.stack(bounds),
                    opts.max_solutions)

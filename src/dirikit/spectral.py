@@ -4,10 +4,8 @@ The heat semigroup e^{-tL} is computed through the eigendecomposition
 S = V Lambda V^T of the m-symmetrized matrix S = M^{1/2} L M^{-1/2}
 (symmetric and stable to diagonalize), V orthonormal, and conjugated back
 once: e^{-tL}[x, y] = e^{-tS}[x, y] sqrt(m(y)) / sqrt(m(x)); L itself is
-not symmetric when the measure is non-uniform.  The decomposition is
-cached on the form as ``GraphForm.spectral``, and the search's heat layer
-reads the same V; a caller that reads eigenvalues only reads
-``GraphForm.spectrum``, which builds no eigenvectors.
+not symmetric when the measure is non-uniform.  No eigenvector is cached;
+a caller that reads eigenvalues only reads ``GraphForm.spectrum``.
 """
 
 from __future__ import annotations
@@ -24,24 +22,26 @@ from .tolerances import DEFAULT_TOL, Tolerance
 
 
 def spectral_data(form: GraphForm) -> tuple[np.ndarray, np.ndarray]:
-    """``form.spectral``: the eigenvalues of the generator and the
-    orthonormal eigenvectors of its symmetrized matrix S, cached on the
-    form."""
-    return form.spectral
+    """numpy's ``eigh`` of S, ``form.symmetric``: the eigenvalues of the
+    generator and the orthonormal eigenvectors of S, computed on each call."""
+    return np.linalg.eigh(form.symmetric)
 
 
 def semigroup(form: GraphForm, t: float) -> np.ndarray:
     """The heat operator e^{-tL} at a finite time t >= 0: e^{-tS} from
-    ``form.spectral``, entry (x, y) times sqrt(m(y)) / sqrt(m(x)).
+    ``spectral_data``, entry (x, y) times sqrt(m(y)) / sqrt(m(x)).
 
     The result is positivity preserving and sub-Markov: entries >= 0 and
-    row sums <= 1, up to floating-point error.
+    row sums <= 1, up to floating-point error, as the eigenvalues of S are
+    clipped at 0: one rounded below 0 would grow as e^{t |w|}.
     """
     if not 0.0 <= t < np.inf:
         raise NegativeTime(f"semigroup time must be finite and >= 0, got {t}")
-    w, v = form.spectral
+    w, v = spectral_data(form)
     root = np.sqrt(form.space.m)
-    return (v * np.exp(-t * w)) @ v.T * root / root[:, None]
+    with np.errstate(over="ignore"):  # t w past the float range decays to e^-inf = 0
+        decay = np.exp(-t * np.maximum(w, 0.0))
+    return (v * decay) @ v.T * root / root[:, None]
 
 
 def is_irreducible(form: GraphForm) -> bool:

@@ -206,7 +206,7 @@ def _invariant_domain(form1, form2, opts: SearchOptions) -> np.ndarray:
 
 def l_only_intertwiners(form1, form2, opts: SearchOptions):
     """Oracle: the search forward-checked on P S1 P^T = S2 alone, without
-    the heat-kernel check and without completion, its root domains filtered
+    the resolvent check and without completion, its root domains filtered
     by the sorted-row invariants of ``_invariant_domain`` and the
     generators' diagonal, with each result built by the validating
     ``OrderIso`` constructor."""

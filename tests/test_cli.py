@@ -235,6 +235,27 @@ class TestSearch:
         assert verdict.capped is capped
 
 
+def test_no_command_reads_eigenvectors(tmp_path, monkeypatch, capsys):
+    # certify on a recurrent relabel pair (seed 3) and a transient Doob pair,
+    # the geometry commands, searches that build the resolvent layer, and
+    # the excessive-function search: none of them calls eigh
+    eigh_calls(monkeypatch, fail=True)
+    gasket = gen(tmp_path, "l3.json", "--family", "sierpinski", "--n", "3")
+    cycle = gen(tmp_path, "c12.json", "--family", "cycle", "--n", "12")
+    argvs = [["search", cycle, cycle], ["search", gasket, gasket]]
+    argvs += [[command, gasket] for command in ("check", "resistance", "intrinsic", "decompose")]
+    for transform in ("relabel", "doob"):
+        pair = str(tmp_path / f"{transform}.json")
+        assert run(["gen-pair", "--transform", transform, "--n", "12", "--seed", "3",
+                    "--out", pair]) == 0
+        argvs.append(["certify", pair])
+    for argv in argvs:
+        assert run(argv) == 0, argv
+    capsys.readouterr()
+    transient = random_form(rng_for(73), 12, recurrent=False)
+    assert dk.find_nonconstant_excessive(transient) is not None
+
+
 def count_guards(monkeypatch) -> list:
     """The calls of ``require_intertwining`` from here on, through every
     dirikit module that binds it."""

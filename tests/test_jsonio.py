@@ -257,14 +257,14 @@ def traced(call):
 
 
 def test_resistance_matrix_peak_memory():
-    # Sierpinski L5 (366 vertices): writing the array must not outgrow the
-    # per-value serialization of its lists, and the document's peak stays
-    # within twice its own bytes
+    # Sierpinski L5 (366 vertices): writing the array peaks within three
+    # times its text (2.4 times; the per-value oracle peaks at 4.4 times),
+    # and the document's peak within twice its own bytes.  The oracle runs
+    # untraced: under tracemalloc it took most of this test's time
     d = dk.resistance_matrix(dk.generate("sierpinski", 5)).d
     got, peak = traced(lambda: jsonio.dumps(d))
-    want, oracle_peak = traced(lambda: oracle_dumps(d.tolist()))
-    assert got == want
-    assert peak <= oracle_peak
+    assert got == oracle_dumps(d.tolist())
+    assert peak <= 3 * len(got)
     data, document_peak = traced(lambda: jsonio.document({"R": d}))
     assert len(data) > 3_000_000
     assert document_peak <= 2 * len(data)

@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import dirikit as dk
 from dirikit.errors import InvalidSize, NonPositive, NotIntertwining, NotIrreducible
@@ -216,8 +217,8 @@ def signatures_and_h(isos):
 
 
 class TestSubnormalConductances:
-    # the largest rate of S2 is subnormal, so 1 / max s leaves the float
-    # range: the search goes without the heat kernels, quietly
+    # the largest rate of S2 is subnormal, so the resolvents' 1 / lambda
+    # leaves the float range: the search goes without them, quietly
     @pytest.mark.parametrize("conductance", [1e-310, 1e-320])
     @pytest.mark.parametrize("family, n, count", [
         ("path", 4, 2), ("cycle", 5, 10), ("complete", 4, 24), ("complete", 6, 720),
@@ -232,11 +233,21 @@ class TestSubnormalConductances:
             [s.tau for s in dk.find_intertwiners(unit, unit, WIDE)]
         assert len(verdict.solutions) == count
 
-    def test_no_heat_layer(self):
+    def test_no_resolvent_layer(self, monkeypatch):
+        # lambda = max s / 100 = 5e-312, whose inverse is past the float range
         form = dk.generate("complete", 6, conductance=1e-310)
-        assert search._heat_kernels(form, form, WIDE.tol.rel) is None
-        normal = dk.generate("complete", 6, conductance=1e-308)
-        assert search._heat_kernels(normal, normal, WIDE.tol.rel) is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert search._resolvents(form, form, WIDE.tol.rel) is None
+        normal = dk.generate("complete", 6, conductance=1e-300)
+        assert search._resolvents(normal, normal, WIDE.tol.rel) is not None
+
+        def singular(matrix):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        assert search._resolvents(normal, normal, WIDE.tol.rel) is None
+        assert len(dk.find_intertwiners(normal, normal, WIDE)) == 720
 
 
 class TestForwardCheckedSearch:
@@ -432,8 +443,8 @@ class TestForcedTailCompletion:
         peaks = []
         for n in (80, 160):
             form1, form2 = scrambled(dk.generate("complete", n, conductance=0.8, measure=1.2))
-            for form in (form1, form2):  # spectra and eigenvectors are not search state
-                form.spectrum, form.spectral
+            for form in (form1, form2):  # spectra are not search state
+                form.spectrum
             tracemalloc.start()
             try:
                 found = dk.find_intertwiners(form1, form2, SearchOptions(max_solutions=1))
@@ -506,6 +517,10 @@ def scrambled(form, seed=0, scale=1.7):
 
 
 class TestHeatKernelPruning:
+    """The search with its long-range layer, the resolvents (once the heat
+    kernels, whose name the class keeps), against the search on the
+    generators alone."""
+
     @pytest.mark.parametrize("seed", range(100))
     def test_same_results_as_l_only_search(self, seed):
         # the oracle keeps the sorted-row invariant filter at the root
@@ -529,10 +544,10 @@ class TestHeatKernelPruning:
         assert [iso.beta for iso in found] == [operator_constant(iso) for iso in found]
 
     def test_same_results_on_scrambled_symmetric_forms(self):
-        # with equal measures the heat slack is about rel; conductances moved
-        # by up to 4e-9 put the largest entry of P K1 P^T - K2 of each
-        # solution, on its diagonal, at 5 to 9 % of it, so a slack cut to
-        # 1/100 loses them
+        # conductances moved by up to 4e-9 put the largest entry of
+        # P R1 P^T - R2 of each solution at 1e-5 to 5e-5 of its bound, as
+        # random signs cancel in R2 E P R1 P^T (TestResolventLayer has a
+        # pair near the bound)
         for family, n, count in (("cycle", 12, 24), ("path", 9, 2), ("sierpinski", 2, 6),
                                  ("complete", 5, 120)):
             for perturb in (0.0, 4e-9):
@@ -545,9 +560,9 @@ class TestHeatKernelPruning:
                 assert outcome(dk.find_intertwiners(form1, form2, WIDE)) == expected
 
     def test_non_finite_kernel_is_not_used(self):
-        # measures 1e-300 and 1e300 put the measure ratio of the heat slack
-        # beyond the float range, so the kernels are not built; the search
-        # still finds what the generator check alone finds
+        # measures 1e-300 and 1e300 put the measure ratio of the resolvent
+        # bound beyond the float range, so the resolvents are not used; the
+        # search still finds what the generator check alone finds
         form = dk.build_form(
             ["v0", "v1", "v2", "v3"], {"v0": 1e-300, "v1": 1e300, "v2": 1e-300, "v3": 1e300},
             [("v0", "v1", 1.0), ("v1", "v2", 1.0), ("v2", "v3", 1.0), ("v0", "v3", 1.0)],
@@ -575,6 +590,108 @@ class TestHeatKernelPruning:
         assert time.perf_counter() - start < 2.0
         assert len(found) == count
         assert dk.certify(found[0], form1, form2).verdict
+
+
+def rank_one_shift(form, r):
+    """The form whose symmetrized generator is S + r u u^T, u = sqrt(diag S),
+    on the same space: F + r w w^T with w = sqrt(deg + c), w(x) =
+    sqrt(m(x)) u(x), as conductances b - r w(x) w(y) and killing c + r w
+    sum(w).  Every entry of E = S1 - S2 is r u(y) u(z), at r / rel of the
+    search's bound, and all of one sign, so the resolvent bound is near
+    tight on it.  The form must be complete for b to carry every entry."""
+    w = np.sqrt(form.form_matrix.diagonal())
+    index = form.space.index
+    b = {(y, z): weight - r * w[index(y)] * w[index(z)] for (y, z), weight in form.b.items()}
+    return dk.GraphForm(form.space, b, form.c + r * w * w.sum())
+
+
+def resolvent_gap(form1, form2, tau):
+    """|P R1 P^T - R2| over the resolvent bound for the source positions
+    ``tau`` of the targets, both in storage order."""
+    r1, r2, bound = search._resolvents(form1, form2, WIDE.tol.rel)
+    return np.abs(r1[np.ix_(tau, tau)] - r2) / bound
+
+
+class TestResolventLayer:
+    def test_is_the_conjugated_resolvent(self):
+        # R = M^{1/2} (lambda + L)^-1 M^{-1/2} >= 0, its rows summing to at
+        # most sqrt(rho) / lambda, on measures over four orders of magnitude
+        rng = rng_for(24)
+        forms = [random_form(rng, n, m_range=(0.01, 100.0)) for n in (2, 3, 6, 11, 17)]
+        forms += [dk.generate("cycle", 9, conductance=0.3, measure=2.0),
+                  dk.build_form(["a", "b"], 1.0, [("a", "b", 1.0)], {"a": 1.0, "b": 0.0})]
+        for form in forms:
+            n = len(form.space)
+            lam = search._SHIFT * np.max(np.diag(form.symmetric))
+            r1, r2, _ = search._resolvents(form, form, WIDE.tol.rel)
+            assert np.array_equal(r1, r2) and np.array_equal(r2, r2.T)
+            root, m = np.sqrt(form.space.m), form.space.m
+            conjugated = root[:, None] * np.linalg.inv(lam * np.eye(n) + form.L) / root[None, :]
+            assert np.max(np.abs(r2 - conjugated)) <= 1e-12 * np.max(r2)
+            assert np.min(r2) >= 0.0
+            assert np.max(r2.sum(axis=1)) <= math.sqrt(m.max() / m.min()) / lam * (1.0 + 1e-12)
+
+    def test_inverse_within_its_allowance(self):
+        # the growth || |L||U| || / ||lambda + S|| of the LU factors stays
+        # below the 10 that the allowance takes, and the inverse within
+        # _INVERSE_ERROR n eps kappa / lambda of the one from eigh
+        forms = [dk.generate("sierpinski", 3), dk.generate("complete", 20)]
+        for seed in range(20):
+            rng = rng_for(seed)
+            forms.append(spread_form(rng, int(rng.integers(2, 40)), 6.0, seed % 2 == 0))
+        eps = np.finfo(float).eps
+        for form in forms:
+            s = form.symmetric
+            n, top = len(s), np.max(np.diag(s))
+            lam = search._SHIFT * top
+            shifted = s + lam * np.eye(n)
+            _, lower, upper = scipy.linalg.lu(shifted)
+            growth = np.linalg.norm(np.abs(lower) @ np.abs(upper), 2) / np.linalg.norm(shifted, 2)
+            assert growth <= 10.0
+            w, v = np.linalg.eigh(s)
+            _, r2, _ = search._resolvents(form, form, WIDE.tol.rel)
+            allowance = search._INVERSE_ERROR * n * eps * (lam + 2.0 * top) / lam / lam
+            assert np.max(np.abs(r2 - (v / (lam + w)) @ v.T)) <= allowance
+
+    @pytest.mark.parametrize("measure", ["equal", "spread"])
+    def test_near_its_bound(self, measure):
+        # E = 0.9 rel u u^T: every tau of K5 passes the generator check, and
+        # the largest entry of P R1 P^T - R2 is 0.9 of its bound with equal
+        # measures, so a bound cut to 1/100 loses every solution
+        if measure == "equal":
+            form2 = dk.generate("complete", 5)
+        else:
+            form2 = dk.build_form([f"v{i}" for i in range(5)], [0.5, 1.0, 2.0, 4.0, 8.0],
+                                  [(f"v{i}", f"v{j}", 1.0 + i + j)
+                                   for i, j in itertools.combinations(range(5), 2)])
+        form1 = rank_one_shift(form2, 0.9 * WIDE.tol.rel)
+        found = search._intertwiners(form1, form2, WIDE)
+        assert len(found) == (120 if measure == "equal" else 1)
+        peak = max(float(np.max(resolvent_gap(form1, form2, iso.tau_indices))) for iso in found)
+        assert peak <= 1.0
+        assert peak >= (0.85 if measure == "equal" else 0.15)
+
+    def test_sierpinski_l5(self, monkeypatch):
+        # 366 vertices at diameter 32, which the resolvent sees across
+        form1, form2 = scrambled(dk.generate("sierpinski", 5, conductance=1.3, measure=0.7))
+        found, checks = TestForcedTailCompletion.forward_checks(monkeypatch, form1, form2)
+        assert len(found) == 6
+        assert all(dk.certify(iso, form1, form2).verdict for iso in found)
+        assert checks == 24
+
+    def test_cycle_160(self, monkeypatch):
+        form1, form2 = scrambled(dk.generate("cycle", 160, conductance=1.3, measure=0.7))
+        found, checks = TestForcedTailCompletion.forward_checks(monkeypatch, form1, form2)
+        assert len(found) == 320
+        assert checks == 480
+
+    def test_cycle_64(self, monkeypatch):
+        pytest.importorskip("networkx")
+        form1, form2 = scrambled(dk.generate("cycle", 64, conductance=1.3, measure=0.7))
+        found, checks = TestForcedTailCompletion.forward_checks(monkeypatch, form1, form2)
+        assert [tau_signature(s) for s in found] == vf2_intertwiners(form1, form2)
+        assert len(found) == 128
+        assert checks == 192
 
 
 class TestVF2Oracle:
@@ -892,12 +1009,22 @@ class TestEquivalenceVerdict:
         assert not spectra_match(form1, other, 1e-8)
         assert dk.equivalence_verdict(form1, other).reason == "spectrum"
 
-    def test_heat_layer_decomposes_each_form_once(self, monkeypatch):
+    def test_resolvent_layer_reads_no_eigenvectors(self, monkeypatch):
+        # the long-range layer is one inverse of the two shifted forms
         calls = eigh_calls(monkeypatch, fail=False)
+        shapes = []
+        inv = np.linalg.inv
+
+        def spy(matrix):
+            shapes.append(matrix.shape)
+            return inv(matrix)
+
+        monkeypatch.setattr(np.linalg, "inv", spy)
         form1, form2 = scrambled(dk.generate("cycle", 12, conductance=1.3, measure=0.7))
         verdict = dk.equivalence_verdict(form1, form2, WIDE)
         assert len(verdict.solutions) == 24
-        assert calls == [12, 12]
+        assert calls == []
+        assert shapes == [(2, 12, 12)]
 
     def test_requires_irreducible(self):
         disconnected = dk.build_form(["a", "b"], 1.0, [])

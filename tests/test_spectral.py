@@ -1,11 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import dirikit as dk
-from dirikit import search
 from dirikit.errors import (
     NegativeInput,
     NegativeTime,
@@ -106,12 +106,13 @@ class TestSemigroup:
         form = dk.generate("path", 5)
         gen1 = dk.generator(form)
         first = dk.semigroup(gen1, 0.7)
-        again = dk.semigroup(gen1, 0.7)  # cached decomposition
+        again = dk.semigroup(gen1, 0.7)  # cached symmetrized generator
         fresh = dk.semigroup(dk.generator(dk.generate("path", 5)), 0.7)  # no cache
         assert np.array_equal(first, again)
         assert np.array_equal(first, fresh)
         assert dk.generator(form) is gen1
-        assert dk.spectral_data(gen1) is dk.spectral_data(gen1)
+        assert np.array_equal(dk.spectral_data(gen1).eigenvectors,
+                              dk.spectral_data(gen1).eigenvectors)
 
     def test_spectral_data_invariants(self):
         # eigenvalues of L and orthonormal eigenvectors of S
@@ -126,14 +127,19 @@ class TestSemigroup:
             s, v = form.symmetric, data.eigenvectors
             assert np.max(np.abs(s @ v - v * data.eigenvalues)) <= 1e-12 * np.max(np.abs(s))
 
-    def test_heat_kernel_is_the_conjugated_semigroup(self):
-        # the search's e^{-tS} and e^{-tL} come from one decomposition
-        for form in spread_measure_forms():
-            root = np.sqrt(form.space.m)
-            for t in (0.0, 0.1, 1.0, 4.0):
-                kernel = search._heat_kernel(form, t)
-                conjugated = root[:, None] * dk.semigroup(form, t) / root[None, :]
-                assert np.max(np.abs(kernel - conjugated)) <= 1e-13 * np.max(kernel)
+    def test_sub_markov_at_long_times(self):
+        # a null eigenvalue of S computed as -1e-16 must not grow as e^{t 1e-16}:
+        # at t = 1e17 the rows of P4 summed to 17088, and at 1e19 overflowed
+        for family, n in (("path", 4), ("path", 30), ("cycle", 9), ("complete", 6),
+                          ("sierpinski", 3)):
+            form = dk.generate(family, n)
+            for t in (10.0 ** k for k in (3, 8, 15, 16, 17, 18, 19, 30, 100, 300)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    p = dk.semigroup(form, t)
+                assert np.isfinite(p).all(), (family, n, t)
+                assert np.min(p) >= -1e-12, (family, n, t)
+                assert np.max(p.sum(axis=1)) <= 1.0 + 1e-12, (family, n, t)
 
 
 def decomposing_sets_oracle(form):

@@ -283,7 +283,7 @@ def _commands() -> list[list[str]]:
             ["search", "cycle12.json", "path12.json", "--format", fmt],
             ["search", "complete6.json", "cycle12.json", "--format", fmt],
             # the generator's diagonal leaves several sources per target,
-            # the heat kernel's diagonal prunes some of them
+            # the resolvent's diagonal prunes some of them
             ["search", "sierpinski3.json", "sierpinski3.json", "--format", fmt],
             ["search", "path12.json", "path12.json", "--format", fmt],
             # one source per target at the root: completed without a
@@ -298,7 +298,8 @@ def _commands() -> list[list[str]]:
             # pair whose scaling h is 1e10
             ["search", "spread40.g1.json", "spread40.g2.json", "--format", fmt],
             ["search", "large_h.g1.json", "large_h.g2.json", "--format", fmt],
-            # 1 / max s is infinite: no heat layer, all 720 solutions
+            # lambda = max s / 100 is subnormal: no resolvent layer, all
+            # 720 solutions
             ["search", "complete6subnormal.json", "complete6subnormal.json", "--format", fmt],
             ["search", "k4.json", "k4_escaped.json", "--format", fmt],
             ["check", "negative_zero.json", "--format", fmt],
@@ -354,6 +355,13 @@ def _commands() -> list[list[str]]:
     cmds += [*(["certify", f"{name}.json"] for name in SAME_GRAPH),
              ["certify", "bom.json"],
              ["certify", "sierpinski3.json", "sierpinski3.json", "sierpinski3.id.json"]]
+    # scrambled copies whose solutions part far from the first targets: C64
+    # (128 solutions) and Sierpinski L4 (6).  A search whose long-range
+    # layer sees about 10 hops still takes a second or less on each, where
+    # Sierpinski L5 takes minutes
+    for fmt in ("json", "text"):
+        cmds += [["search", f"{name}.g1.json", f"{name}.g2.json", "--format", fmt]
+                 for name in ("scrambled_cycle64", "scrambled_sierpinski4")]
     return cmds
 
 
@@ -479,9 +487,11 @@ def _sampled_pairs() -> dict:
     ``spread_search_pair`` in tests/test_search.py: a relabel pair of 18
     vertices whose b, m and c lie on the two levels 1e-6 and 1e6.
     ``large_h`` is a relabel pair of 8 vertices with b, c and m of the
-    target 1e-20 times the source's, so h = 1e10."""
+    target 1e-20 times the source's, so h = 1e10.  ``scrambled_cycle64``
+    and ``scrambled_sierpinski4`` are ``scrambled`` in tests/test_search.py
+    on C64 and Sierpinski L4 at conductance 1.3 and measure 0.7."""
     import numpy as np
-    from dirikit import build_form, jsonio
+    from dirikit import build_form, generate, jsonio
     from dirikit.sampling import random_form, relabel_pair
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(40)))
@@ -500,6 +510,11 @@ def _sampled_pairs() -> dict:
     rng = np.random.Generator(np.random.PCG64(5))
     small = random_form(rng, 8)
     pairs["large_h"] = (small, *relabel_pair(rng, small, scale=1e-20))
+    for name, family, n in (("scrambled_cycle64", "cycle", 64),
+                            ("scrambled_sierpinski4", "sierpinski", 4)):
+        form = generate(family, n, conductance=1.3, measure=0.7)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0)))
+        pairs[name] = (form, *relabel_pair(rng, form, scale=1.7))
     return {name: jsonio.pair_to_obj(*pair) for name, pair in pairs.items()}
 
 

@@ -24,7 +24,10 @@ look-up per endpoint, one pass of array checks and a sort by the string
 rank of the vertices; only a faulty edge list is walked edge by edge, to
 raise the error of its first fault.  A form keeps index and weight arrays
 of its edge keys, in key order; the dict ``b`` is derived data, built on
-first read.
+first read.  A form on another form's edge keys with a new measure,
+weights or killing (a Doob partner, a same-graph pair's g2) comes from
+``GraphForm._on_keys``; no other module builds a form or writes its
+fields, and ``irreducible`` is the one connectivity that callers read.
 """
 
 from __future__ import annotations
@@ -66,19 +69,17 @@ def _require_finite(matrix: np.ndarray, what: str) -> None:
 
 
 def _offdiagonal_connected(coupling: np.ndarray) -> bool:
-    """Whether the graph of the nonzero off-diagonal entries is connected,
-    x and y joined when coupling[x, y] or coupling[y, x] is nonzero (a
-    generator entry b / m(x) can underflow in one direction only); a
+    """Whether the graph of the nonzero off-diagonal entries of the
+    symmetric ``coupling`` (``GraphForm.weight_matrix``) is connected; a
     breadth-first search that expands its whole frontier per step."""
     n = coupling.shape[0]
     if n == 0:
         return False
-    adjacent = (coupling != 0.0) | (coupling.T != 0.0)
     seen = np.zeros(n, dtype=bool)
     frontier = np.arange(n) == 0
     while frontier.any():
         seen |= frontier
-        frontier = adjacent[frontier].any(axis=0) & ~seen
+        frontier = (coupling[frontier] != 0.0).any(axis=0) & ~seen
     return bool(seen.all())
 
 
@@ -211,13 +212,6 @@ class MeasureSpace:
             and np.array_equal(self.m, other.m)
         )
 
-    def _with_measure(self, m: np.ndarray) -> MeasureSpace:
-        """The space of these vertex ids and this index with the measure m,
-        which the caller has checked and made read-only."""
-        space = MeasureSpace.__new__(MeasureSpace)
-        space.vertices, space._index, space.m = self.vertices, self._index, m
-        return space
-
     def index(self, v: str) -> int:
         try:
             return self._index[v]
@@ -252,10 +246,7 @@ class GraphForm:
     form is also its generator: ``L``, its symmetrization ``symmetric`` and
     their spectrum ``spectrum``."""
 
-    # a form with the same edges of positive weight, whose ``irreducible``
-    # this one reads: a Doob partner's source (``orderiso.doob_pair``) or
-    # the first graph of a pair read on its edge columns (``_same_ends``)
-    _same_graph: GraphForm | None = None
+    _same_graph: GraphForm | None = None  # whose ``irreducible`` this one reads
 
     def __init__(self, space: MeasureSpace, b: EdgeInput, c: VertexFunction = 0.0):
         mapping = isinstance(b, Mapping)
@@ -310,42 +301,47 @@ class GraphForm:
         self.weights = w[order]
         # the narrowest type that holds the edge count, as for the ranks
         self._key_order = order.astype(np.min_scalar_type(len(order)))
-        for array in (self.edge_indices, self.weights, self._key_order):
-            array.flags.writeable = False
-        self._set_killing(c)
-
-    def _set_killing(self, c) -> None:
-        cv = self.space.vector(c)
+        cv = space.vector(c)
         _require_killing(cv)
-        cv.flags.writeable = False
+        for array in (self.edge_indices, self.weights, self._key_order, cv):
+            array.flags.writeable = False
         self.c = cv
 
+    def _on_keys(self, m: np.ndarray, weights: np.ndarray, c: np.ndarray) -> GraphForm:
+        """The form on this form's vertex ids, index, edge keys and key
+        order with the measure m, the key-order weights and the killing c:
+        checked arrays, made read-only, not copied.  It reads this form's
+        connectivity (``_same_graph``) when the positive patterns are equal,
+        and this form's weight matrix, if built, on the same weights."""
+        form = GraphForm.__new__(GraphForm)
+        form.space = MeasureSpace.__new__(MeasureSpace)
+        form.space.vertices, form.space._index = self.space.vertices, self.space._index
+        form.space.m, form.weights, form.c = m, weights, c
+        for array in (m, weights, c):
+            array.flags.writeable = False
+        form.edge_indices, form._key_order = self.edge_indices, self._key_order
+        if (weights > 0.0).tobytes() == (self.weights > 0.0).tobytes():  # the cheapest test
+            form._same_graph = self
+        if weights is self.weights and "weight_matrix" in vars(self):
+            form.weight_matrix = self.weight_matrix
+        return form
+
     def _same_ends(self, m, us, vs, ws, c) -> GraphForm:
-        """The form on this form's vertex ids, under the measure m, with
-        edges (us[k], vs[k]) of weight ws[k] and killing c, where us and vs
-        are the columns that this form was built from and ws holds ints and
-        floats.  It shares this form's ids, index, edge keys and key order,
-        all read-only, and its connectivity when the two have positive
-        weights on the same edges.  Of the checks of ``_from_columns`` on a
-        new space only those of m, ws and c can fail; they run in its
-        order, with its errors: NonPositiveMeasure, OverflowError for an int
-        past the float range, NegativeWeight at the first bad weight in
-        column order, NegativeWeight for the killing."""
+        """The form ``_on_keys`` builds with the measure m, edges (us[k],
+        vs[k]) of weight ws[k] and killing c, where us and vs are the
+        columns this form was built from and ws holds ints and floats.  Of
+        the checks of ``_from_columns`` only those of m, ws and c can fail,
+        in its order and with its errors: NonPositiveMeasure, OverflowError
+        for an int past the float range, NegativeWeight at the first bad
+        weight in column order, NegativeWeight for the killing."""
         mv = np.array(m, dtype=float)
         _require_measure(mv)
-        mv.flags.writeable = False
-        form = GraphForm.__new__(GraphForm)
-        form.space = self.space._with_measure(mv)
         w = np.array(ws, dtype=float)
         if not ((w >= 0.0) & (w < math.inf)).all():
-            _raise_first_fault(form.space, zip(us, vs, ws))
-        form.edge_indices, form._key_order = self.edge_indices, self._key_order
-        form.weights = w[self._key_order]
-        form.weights.flags.writeable = False
-        form._set_killing(c)
-        if np.array_equal(form.weights > 0.0, self.weights > 0.0):
-            form._same_graph = self
-        return form
+            _raise_first_fault(self.space, zip(us, vs, ws))
+        cv = self.space.vector(c)
+        _require_killing(cv)
+        return self._on_keys(mv, w[self._key_order], cv)
 
     def __repr__(self) -> str:
         return f"GraphForm({len(self.space)} vertices, {len(self.weights)} edges)"

@@ -55,9 +55,9 @@ whose vertex id holds a lone surrogate, which no UTF-8 output can hold.
 ``pair_from_obj`` reads g2 on g1's vertex ids, index, edge keys and key
 order when g2's vertex list and u and v columns equal g1's, as in a Doob
 pair or a graph certified against itself; only g2's measure, weights and
-killing are converted and checked, with the errors of reading g2 alone,
-and g2 reads g1's connectivity when their positive weights lie on the
-same edges.
+killing are converted and checked, with the errors of reading g2 alone;
+``GraphForm._on_keys`` builds it, as it builds a Doob partner, and g2
+reads g1's connectivity when their positive-weight patterns are equal.
 """
 
 from __future__ import annotations
@@ -307,9 +307,9 @@ def _read_graph(obj, first: tuple | None = None) -> tuple[GraphForm, list, list,
     """The form of a graph document, with its vertex list and its u and v
     columns as read.  ``first`` is what this returned for a graph read
     before: when this graph's vertex list and u and v columns equal those,
-    the form is built on the first form's ids, index and edge keys
-    (``GraphForm._same_ends``), with the checks and errors of a graph read
-    alone."""
+    the form is built on the first form's ids, index, edge keys and key
+    order (``GraphForm._same_ends``), with the checks and errors of a graph
+    read alone."""
     vertices = _require(obj, "vertices", list, "graph")
     if not all(isinstance(v, str) for v in vertices):
         raise MalformedInput("graph: vertices must be strings")

@@ -156,12 +156,13 @@ def _resistance_green(form: GraphForm) -> np.ndarray:
 
 
 def effective_resistance(form: GraphForm, x: str, y: str) -> float:
-    """Effective resistance between two vertices; NumericOverflow when it
-    leaves the floating-point range."""
+    """Effective resistance between two vertices, bit for bit the entry of
+    ``resistance_matrix``; NumericOverflow when it leaves the float range."""
     green = _resistance_green(form)
     i, j = form.space.index(x), form.space.index(y)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = float(green[i, i] + green[j, j] - 2.0 * green[i, j])
+        r = (green[i, i] + green[j, j]) - 2.0 * green[[i, j], [j, i]]
+        r = 0.0 if i == j else float(np.maximum(0.5 * (r[0] + r[1]), 0.0))
     if not math.isfinite(r):
         raise NumericOverflow(
             f"effective resistance R({x}, {y}) is not finite: "
@@ -293,7 +294,8 @@ def is_intrinsic(
 
 def _edge_lengths(form: GraphForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ends i, j of the positive edges and their canonical lengths
-    sigma(i, j) = min(sqrt(m(i)/deg(i)), sqrt(m(j)/deg(j)))."""
+    sigma(i, j) = min(sqrt(m(i)/deg(i)), sqrt(m(j)/deg(j))), without those
+    of length inf, or of 0 where m/deg underflows: no edge of the path metric."""
     if not form.irreducible:
         raise NotIrreducible("path metric needs a connected conductance graph")
     deg = form.degrees
@@ -301,7 +303,9 @@ def _edge_lengths(form: GraphForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):
         weight = np.sqrt(form.space.m / np.where(deg > 0.0, deg, 1.0))
     i, j, _ = _positive_edges(form)
-    return i, j, np.minimum(weight[i], weight[j])
+    sigma = np.minimum(weight[i], weight[j])
+    keep = (sigma > 0.0) & (sigma < math.inf)
+    return i[keep], j[keep], sigma[keep]
 
 
 def canonical_intrinsic_metric(form: GraphForm) -> PseudoMetric:
@@ -319,10 +323,6 @@ def canonical_intrinsic_metric(form: GraphForm) -> PseudoMetric:
     from scipy.sparse.csgraph import dijkstra
 
     i, j, sigma = _edge_lengths(form)
-    # a length of inf, or of 0 from an overflowing degree, is no edge, and
-    # an inf distance that this leaves is rejected
-    keep = (sigma > 0.0) & (sigma < math.inf)
-    i, j, sigma = i[keep], j[keep], sigma[keep]
     n = len(form.space)
     graph = csr_array((np.concatenate([sigma, sigma]),
                        (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(n, n))
@@ -366,15 +366,13 @@ def _canonical_on_pairs(form: GraphForm, p: np.ndarray, q: np.ndarray) -> np.nda
     shortest path of one or two edges, which adds alike from either end, is
     one if it is no longer than the second bound from x and from y.
     Dijkstra runs from both ends of the pairs left (d(x, y) and d(y, x)
-    round apart), without scipy.  A form with an edge length of 0 or inf
-    takes the full matrix, which drops those edges and rejects an infinite
-    distance; a finite length is below sqrt(max float), so no path of the
-    others overflows.
+    round apart), without scipy.  The pairs hold every positive edge, so
+    one is at distance inf, and rejected as in the full matrix, when the
+    edges of ``_edge_lengths`` leave the graph disconnected.  A length is
+    below sqrt(max float), so no path overflows.
     """
     i, j, sigma = _edge_lengths(form)
     n = len(form.space)
-    if not np.all((sigma > 0.0) & (sigma < math.inf)):
-        return canonical_intrinsic_metric(form).d[p, q]
     lengths = np.full((n, n), math.inf)
     lengths[i, j] = lengths[j, i] = sigma
     shortest = lengths.min(axis=1)
@@ -388,6 +386,7 @@ def _canonical_on_pairs(form: GraphForm, p: np.ndarray, q: np.ndarray) -> np.nda
         x, y = p[left], q[left]
         d[left] = np.minimum(*np.split(_dijkstra_to(lengths, np.concatenate([x, y]),
                                                     np.concatenate([y, x])), 2))
+    _require_entries(d)
     return d
 
 

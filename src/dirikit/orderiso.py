@@ -289,14 +289,13 @@ def doob_pair(
     excessive.  The accompanying order isomorphism (tau = id, scaling 1/h)
     intertwines the two forms with operator constant 1.
 
-    Both are built from the source's arrays.  The partner shares the
-    source's vertex ids, index and edge keys, all read-only, and its
-    connectivity when every positive b keeps a positive product:
-    ``irreducible`` is then the source's, read on first use.  What only a
-    partner can get wrong is checked in the constructors' order, with
-    their errors: the measure h^2 m (NonPositiveMeasure), the products,
-    the first bad one named in key order, and the killing (NegativeWeight),
-    and 1/h (NonPositive).
+    Both are built from the source's arrays, the partner by the source's
+    ``GraphForm._on_keys``: it shares the source's ids, index, edge keys
+    and key order, read-only, and its connectivity when every positive b
+    keeps a positive product.  What only a partner can get wrong is checked
+    in the constructors' order, with their errors: the measure h^2 m
+    (NonPositiveMeasure), the products, the first bad one named in key
+    order, and the killing (NegativeWeight), and 1/h (NonPositive).
     """
     space = form.space
     h = space.vector(h_excessive)
@@ -322,14 +321,7 @@ def doob_pair(
     _require_killing(c2)
     if not np.isfinite(scaling).all():
         raise NonPositive("the scaling h must be strictly positive and finite")
+    form2 = form._on_keys(m2, weights, c2)
     tau = np.arange(len(space))
-    for array in (m2, weights, c2, scaling, tau):
-        array.flags.writeable = False
-
-    space2 = space._with_measure(m2)
-    form2 = GraphForm.__new__(GraphForm)
-    form2.space, form2.edge_indices, form2.weights, form2.c = (
-        space2, form.edge_indices, weights, c2)
-    if np.count_nonzero(weights > 0.0) == np.count_nonzero(form.weights > 0.0):
-        form2._same_graph = form  # a product is never positive where b is not
-    return form2, OrderIso._trusted(space, space2, tau, scaling, beta)
+    scaling.flags.writeable = tau.flags.writeable = False
+    return form2, OrderIso._trusted(space, form2.space, tau, scaling, beta)

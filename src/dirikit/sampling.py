@@ -102,8 +102,8 @@ def doob_pair_sample(
     w = base.weight_matrix
     # (L h)(x) >= 0 needs c(x) >= sum_y b(x,y) (h(y) - h(x)) / h(x)
     required = (w @ h - w.sum(axis=1) * h) / h
-    c = np.maximum(required, 0.0) + 0.02
-    form1 = GraphForm._from_columns(base.space, *base.edge_ends(), base.weights, c)
+    c = np.maximum(required, 0.0) + 0.02  # finite and > 0, as b, m and h are
+    form1 = base._on_keys(base.space.m, base.weights, c)
     form2, iso = doob_pair(form1, h)
     return form1, form2, iso
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GraphForm, VertexFunction, _offdiagonal_connected
+from .core import GraphForm, VertexFunction
 from .errors import (
     NegativeInput,
     NegativeTime,
@@ -89,18 +89,29 @@ def find_nonconstant_excessive(
     excessive.  It is constant only when all the killing sits at x; the
     Green function of a second vertex is then nonconstant.  Vertices are
     tried in index order, so the witness is deterministic.
+
+    ``form.irreducible`` is read after ``form.L``, so NumericOverflow comes
+    first.  Where b / m underflows to 0 both ways and nothing is killed, L
+    is 0 and the form recurrent: None.  The solve is checked, not predicted:
+    a singular L or an h that is not positive and finite raises
+    NotIrreducible, as rounding has then cut the generator's graph.
     """
-    # dividing by m can zero an entry of the form matrix but never the
-    # reverse, so equal counts mean that L has the graph of W
-    same = np.count_nonzero(form.L) == np.count_nonzero(form.form_matrix)
-    if not (form.irreducible if same else _offdiagonal_connected(form.L)):
+    generator = form.L  # NumericOverflow before NotIrreducible
+    if not form.irreducible:
         raise NotIrreducible("nonconstant-excessive search requires an irreducible form")
     n = len(form.space)
-    killing = form.L @ np.ones(n)  # c / m
-    if np.max(np.abs(killing)) <= tol.bound(float(np.max(np.abs(form.L)))):
+    killing = generator @ np.ones(n)  # c / m
+    if np.max(np.abs(killing)) <= tol.bound(float(np.max(np.abs(generator)))):
         return None
     for x in range(min(n, 2)):
-        h = np.linalg.solve(form.L, np.eye(n)[x])
-        if np.max(h) / np.min(h) - 1.0 > tol.bound(1.0):
+        try:
+            h = np.linalg.solve(generator, np.eye(n)[x])
+        except np.linalg.LinAlgError:  # singular: no positive Green function
+            h = np.zeros(n)
+        low, high = float(h.min()), float(h.max())  # a float ratio past the range is inf
+        if not 0.0 < low <= high < np.inf:  # NaN fails both
+            raise NotIrreducible("the generator is not irreducible in floating point: "
+                                 "its Green function is not strictly positive")
+        if high / low - 1.0 > tol.bound(1.0):
             return h
     return None

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dirikit as dk
+from dirikit import jsonio
 from dirikit.core import _INVERSE_LEAF
 from dirikit.errors import (
     DimensionMismatch,
@@ -20,7 +21,7 @@ from dirikit.errors import (
     SelfLoop,
     UnknownVertex,
 )
-from dirikit.sampling import random_form
+from dirikit.sampling import doob_pair_sample, random_form, relabel_pair
 
 from conftest import (
     PAST_LEAF,
@@ -242,15 +243,14 @@ class TestConstructionOracle:
 
 class TestConnectivityOracle:
     def test_random_couplings(self):
-        # sparse couplings whose nonzero entries are mostly one-way, as when
-        # a generator entry b / m(x) underflows in one direction only
+        # sparse symmetric couplings, as a weight matrix is
         verdicts = set()
         for seed in range(200):
             rng = rng_for(seed)
             n = int(rng.integers(1, 30))
-            coupling = np.where(rng.random((n, n)) < rng.uniform(0.0, 3.0 / n),
-                                rng.uniform(-1.0, 1.0, (n, n)), 0.0)
-            coupling[rng.random((n, n)) < 0.5] = 0.0
+            coupling = np.triu(np.where(rng.random((n, n)) < rng.uniform(0.0, 3.0 / n),
+                                        rng.uniform(-1.0, 1.0, (n, n)), 0.0), 1)
+            coupling += coupling.T
             want = oracle_offdiagonal_connected(coupling)
             assert dk.core._offdiagonal_connected(coupling) == want, seed
             verdicts.add(want)
@@ -266,16 +266,15 @@ class TestConnectivityOracle:
         coupling[:3, :3] = coupling[3:, 3:] = block
         assert not oracle_offdiagonal_connected(coupling)
         assert not dk.core._offdiagonal_connected(coupling)
-        coupling[4, 1] = 1e-300  # one-way link
+        coupling[4, 1] = coupling[1, 4] = 1e-300
         assert dk.core._offdiagonal_connected(coupling)
 
     def test_long_path(self):
-        # as many frontier steps as vertices; each edge one-way, in
-        # alternating directions
+        # as many frontier steps as vertices
         n = 3282
         i = np.arange(n - 1)
         path = np.zeros((n, n), dtype=bool)
-        path[np.where(i % 2, i + 1, i), np.where(i % 2, i, i + 1)] = True
+        path[i, i + 1] = path[i + 1, i] = True
         assert oracle_offdiagonal_connected(path)
         assert dk.core._offdiagonal_connected(path)
         path[n // 2, n // 2 + 1] = path[n // 2 + 1, n // 2] = False
@@ -380,15 +379,49 @@ FORM_ARRAYS = ("space.m", "edge_indices", "weights", "_key_order", "c", "weight_
                "degrees", "form_matrix", "L", "symmetric", "spectrum", "green")
 
 
+def doob_partner():
+    form = random_form(rng_for(53), 6, recurrent=False)
+    return dk.doob_pair(form, dk.find_nonconstant_excessive(form))[0]
+
+
+def same_graph_second_graph():
+    pair = jsonio.pair_to_obj(*doob_pair_sample(rng_for(52), 6))
+    form1, form2, _ = jsonio.pair_from_obj(jsonio.loads(jsonio.document(pair)))
+    assert form2._same_graph is form1
+    return form2
+
+
+# every route that constructs a form: through the edge columns, from a
+# relabelled copy's columns, and on another form's edge keys (``_on_keys``)
+FORM_ROUTES = {
+    "generate": lambda: dk.generate("path", 4),
+    "relabel copy": lambda: relabel_pair(rng_for(51), dk.generate("path", 4))[0],
+    "same-graph g2": same_graph_second_graph,
+    "doob partner": doob_partner,
+    "doob sample g1": lambda: doob_pair_sample(rng_for(54), 6)[0],
+}
+
+
+def test_doob_sample_shares_the_weight_matrix():
+    # the first form has its source's weights: it reads the source's W
+    # and connectivity, so the source holds no W of its own beside it
+    form1, _, _ = doob_pair_sample(rng_for(55), 12)
+    source = form1._same_graph
+    assert form1.weights is source.weights
+    assert form1.weight_matrix is source.weight_matrix
+    assert "irreducible" not in vars(source) and form1.irreducible
+
+
 @pytest.mark.parametrize("path", FORM_ARRAYS)
 def test_form_arrays_are_read_only(path):
     # a write into a cache would change every later result that reads it
-    form = dk.generate("path", 4)
-    array = operator.attrgetter(path)(form)
-    before = array.copy()
-    with pytest.raises(ValueError, match="read-only"):
-        array[...] = 0.0
-    assert np.array_equal(operator.attrgetter(path)(form), before)
+    for route, make in FORM_ROUTES.items():
+        form = make()
+        array = operator.attrgetter(path)(form)
+        before = array.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+        assert np.array_equal(operator.attrgetter(path)(form), before), route
 
 
 def spectrum_form(seed):

@@ -5,8 +5,9 @@ Everything else is numpy: importing dirikit, the other CLI paths, and the
 library path find_nonconstant_excessive -> doob_pair -> certify.  The
 intrinsic certificate of a recurrent pair reads the canonical metric on
 edges only, whatever the data: on the seed-0 relabel pair at n 8 every
-edge is its own shortest path, and on the square x a b y with light a
-and b the edge x y goes to the certificate's own Dijkstra.  Every CLI
+edge is its own shortest path, on the square x a b y with light a and b
+the edge x y goes to the certificate's own Dijkstra, and a pair with an
+edge of infinite length drops that edge.  Every CLI
 command writes JSON, gen and gen-pair too, so each loads orjson; importing
 dirikit.cli and that library path read and write none and load none.  The
 probes run in fresh interpreters because conftest.py itself imports
@@ -57,6 +58,15 @@ cli("gen-pair", "--transform", "doob", "--n", "6", "--out", "doob.json")
 cli("certify", "doob.json")
 cli("gen-pair", "--transform", "relabel", "--n", "8", "--out", "relabel.json")
 cli("certify", "relabel.json")
+# m / deg overflows at x and y: the edge x y has length inf
+infinite = {"vertices": ["x", "y", "z", "w"], "m": {"x": 1e300, "y": 1e300, "z": 1.0, "w": 1.0},
+            "edges": {"u": ["x", "x", "y", "z"], "v": ["y", "z", "w", "w"],
+                      "b": [1e-10, 1e-10, 1e-10, 1.0]}}
+with open("infinite.json", "w") as handle:
+    json.dump({"g1": infinite, "g2": infinite,
+               "iso": {"tau": {v: v for v in infinite["vertices"]},
+                       "h": dict.fromkeys(infinite["vertices"], 1.0)}}, handle)
+cli("certify", "infinite.json")
 
 import dirikit as dk
 form = dk.build_form(["a", "b", "c"], 1.0, [("a", "b", 1.0), ("b", "c", 2.0)],
@@ -115,7 +125,7 @@ def steps(tmp_path_factory):
 
 def test_numpy_only_paths(steps):
     *numpy_only, _ = steps
-    assert len(numpy_only) == 13
+    assert len(numpy_only) == 14
     for name, code, scipy_loaded in numpy_only:
         assert code == 0, name
         assert not scipy_loaded, f"scipy imported by: {name}"

@@ -63,6 +63,20 @@ class TestEffectiveResistance:
         with pytest.raises(NotRecurrent, match="^effective resistance is undefined in the"):
             dk.effective_resistance(form, "a", "b")
 
+    def test_entry_of_the_matrix(self):
+        # the grounded Green function is symmetric only up to rounding, so
+        # a one-sided formula gives R(x, y) != R(y, x) on some pairs
+        rng = rng_for(72)
+        forms = [dk.generate("sierpinski", 5), dk.generate("path", 1)]
+        forms += [random_form(rng, n, recurrent=True) for n in (2, 49, 50, 160)]
+        for form in forms:
+            d = dk.resistance_matrix(form).d
+            names = form.space.vertices
+            for i, j in rng.integers(len(names), size=(300, 2)).tolist():
+                r = dk.effective_resistance(form, names[i], names[j])
+                assert r.hex() == float(d[i, j]).hex(), (len(names), i, j)
+                assert r == dk.effective_resistance(form, names[j], names[i])
+
     def test_sup_formula_oracle(self):
         rng = rng_for(71)
         for _ in range(6):
@@ -234,12 +248,12 @@ class TestResistanceOracle:
                 dk.effective_resistance(form, "v0", "v1")
             with pytest.raises(NumericOverflow):
                 dk.resistance_matrix(form)
-            # a pair whose sum stays in range is unchanged
+            # a pair whose sum stays in range is the symmetrized entry
             green = form.green
             i, j = form.space.index("v2"), form.space.index("v3")
-            assert dk.effective_resistance(form, "v2", "v3") == float(
-                green[i, i] + green[j, j] - 2.0 * green[i, j]
-            )
+            total = green[i, i] + green[j, j]
+            assert dk.effective_resistance(form, "v2", "v3") == max(
+                0.5 * ((total - 2.0 * green[i, j]) + (total - 2.0 * green[j, i])), 0.0)
 
     def test_ill_conditioned_random(self):
         rng = rng_for(77)
@@ -1051,8 +1065,8 @@ class TestCanonicalOnEdges:
 
     @pytest.mark.parametrize("connected", [True, False])
     def test_infinite_edge_length(self, monkeypatch, connected):
-        # m / deg overflows at x and y, so the edge x y has length inf; the
-        # full route drops it, which leaves the path x z w y, or nothing
+        # m / deg overflows at x and y, so the edge x y has length inf; both
+        # routes drop it, which leaves the path x z w y, or nothing
         m = {"x": 1e300, "y": 1e300, "z": 1.0, "w": 1.0}
         edges = [("x", "y", 1e-10)]
         if connected:
@@ -1061,10 +1075,30 @@ class TestCanonicalOnEdges:
             m = {"x": 1e300, "y": 1e300}
         form = dk.build_form(list(m), m, edges)
         _, _, sigma = metrics._edge_lengths(form)
-        assert np.count_nonzero(sigma == math.inf) == 1
+        assert len(sigma) == len(edges) - 1  # x y is no edge of the path metric
         iso = dk.OrderIso.identity(form.space)
         if connected:
-            assert edge_route_calls(monkeypatch, iso, form, form) == ["full"]
+            # the edge x y and its image under the identity go to Dijkstra
+            assert edge_route_calls(monkeypatch, iso, form, form) == [2]
             assert compare_with_matrix_route(iso, form, form) == [2]
         else:
             assert compare_with_matrix_route(iso, form, form) == ["InvalidMetric"]
+            with pytest.raises(InvalidMetric, match="entries must be finite"):
+                edge_route_calls(monkeypatch, iso, form, form)
+
+    def test_zero_edge_length(self, monkeypatch):
+        # m / deg underflows to 0 at x, so both edges at x have length 0:
+        # both routes drop them, which isolates x, and the edge route
+        # rejects the infinite distance without the full route
+        m = {"x": 1e-300, "y": 1.0, "z": 1.0}
+        form = dk.build_form(list(m), m, [("x", "y", 1e30), ("x", "z", 1e30), ("y", "z", 1.0)])
+        i, j, _ = metrics._edge_lengths(form)
+        assert (i.tolist(), j.tolist()) == ([1], [2])  # y z alone is an edge
+        with pytest.raises(InvalidMetric, match="entries must be finite"):
+            dk.canonical_intrinsic_metric(form)
+        calls = []
+        monkeypatch.setattr(metrics, "canonical_intrinsic_metric",
+                            lambda form: calls.append("full"))
+        with pytest.raises(InvalidMetric, match="entries must be finite"):
+            metrics._canonical_energies(dk.OrderIso.identity(form.space), form, form)
+        assert calls == []

@@ -742,7 +742,6 @@ class TestDoobPairFromArrays:
             return search(coupling)
 
         monkeypatch.setattr("dirikit.core._offdiagonal_connected", counted)
-        monkeypatch.setattr("dirikit.spectral._offdiagonal_connected", counted)
         form = random_form(rng_for(47), 12, recurrent=False)
         h = dk.find_nonconstant_excessive(form)
         partner, iso = dk.doob_pair(form, h)

@@ -203,6 +203,28 @@ RAW = {
 # doob6s1 with a weight of its g2 replaced, checked with `dirikit certify NAME.json`
 SAME_GRAPH = {"same_graph_negative": -1.0, "same_graph_nan": float("nan")}
 
+
+def _identity_pair(m: dict, edges: list[tuple[str, str, float]]) -> str:
+    """The pair of the graph with measure m and edges (u, v, b) against
+    itself under the identity."""
+    graph = {"vertices": list(m), "m": m, "killing": {},
+             "edges": {"u": [u for u, _, _ in edges], "v": [v for _, v, _ in edges],
+                       "b": [b for _, _, b in edges]}}
+    return json.dumps({"g1": graph, "g2": graph,
+                       "iso": {"tau": {v: v for v in m}, "h": dict.fromkeys(m, 1.0)}})
+
+
+# pairs with an edge x y of infinite canonical length, as m / deg overflows
+# at x and y, checked with `dirikit certify NAME.json`: the edge is dropped,
+# which leaves the path x z w y, or no path (exit 2)
+INFINITE_LENGTH = {
+    "infinite_length_connected": _identity_pair(
+        {"x": 1e300, "y": 1e300, "z": 1.0, "w": 1.0},
+        [("x", "y", 1e-10), ("x", "z", 1e-10), ("y", "w", 1e-10), ("z", "w", 1.0)]),
+    "infinite_length_disconnected": _identity_pair(
+        {"x": 1e300, "y": 1e300}, [("x", "y", 1e-10)]),
+}
+
 # metrics checked on path3 with `dirikit intrinsic path3.json --metric NAME.json`
 METRICS = {
     "metric_zero": {"d": [[0.0] * 3] * 3},
@@ -362,6 +384,8 @@ def _commands() -> list[list[str]]:
     for fmt in ("json", "text"):
         cmds += [["search", f"{name}.g1.json", f"{name}.g2.json", "--format", fmt]
                  for name in ("scrambled_cycle64", "scrambled_sierpinski4")]
+    for fmt in ("json", "text"):
+        cmds += [["certify", f"{name}.json", "--format", fmt] for name in INFINITE_LENGTH]
     return cmds
 
 
@@ -550,7 +574,7 @@ def _write_inputs(run) -> None:
             names = ["a"]
         identity = {"tau": {v: v for v in names}, "h": {v: 1.0 for v in names}}
         Path(f"{name}.iso.json").write_text(json.dumps(identity), encoding="utf-8")
-    for name, text in {**BAD_PAIRS, **HAND, **DEEP}.items():
+    for name, text in {**BAD_PAIRS, **HAND, **DEEP, **INFINITE_LENGTH}.items():
         Path(f"{name}.json").write_text(text, encoding="utf-8")
     for name, obj in METRICS.items():
         Path(f"{name}.json").write_text(json.dumps(obj), encoding="utf-8")

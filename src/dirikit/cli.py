@@ -9,7 +9,8 @@ command succeeded, 1 means a false verdict, 2 means a usage or input
 error.  For certify, 1 means a candidate within the intertwining bound
 that fails some identity; a candidate whose intertwining residual exceeds
 the bound is an input error (2).  JSON output is the stable machine
-contract; the text format is human-oriented only.
+contract, and a text run builds it too, so exit code and stderr never
+depend on --format; the text format is human-oriented only.
 
 Each command takes only the flags it reads: --out FILE on every command,
 --format json|text on all but gen and gen-pair (JSON only), --tol on
@@ -118,10 +119,11 @@ def _tolerance(args, default: Tolerance) -> Tolerance:
 def _output(args, payload, text=None) -> None:
     """Write the payload as a JSON document, or for --format text the
     string that ``text()`` builds, as UTF-8 bytes to --out or stdout, so
-    that the locale plays no part; a JSON run builds no text.  The bytes
-    are built before --out opens, so a value that cannot be serialized
-    leaves no file."""
-    data = jsonio.document(payload) if args.format == "json" else text().encode()
+    that the locale plays no part.  The document is built in both formats,
+    the one check that a payload can be written.  The bytes are built
+    before --out opens, so a payload that cannot be written leaves no file."""
+    document = jsonio.document(payload)
+    data = text().encode() if args.format == "text" else document
     if args.out:
         with open(args.out, "wb") as handle:
             handle.write(data)

@@ -73,11 +73,12 @@ def _triangle_gap(d: np.ndarray, a: int, b: int) -> float:
     bit for bit; the tile keeps two (b - a) x (n - a) buffers.
     """
     rows, cols = d[a:b], d[:, a:]
-    best = rows[:, :1] + cols[0]
-    sums = np.empty_like(best)
-    for j in range(1, len(d)):
-        np.add(rows[:, j, None], cols[j], out=sums)
-        np.minimum(best, sums, out=best)
+    with np.errstate(over="ignore"):  # a sum past the float range, inf, breaks no inequality
+        best = rows[:, :1] + cols[0]
+        sums = np.empty_like(best)
+        for j in range(1, len(d)):
+            np.add(rows[:, j, None], cols[j], out=sums)
+            np.minimum(best, sums, out=best)
     np.subtract(rows[:, a:], best, out=best)
     return best.max()
 
@@ -256,13 +257,13 @@ def _positive_edges(form: GraphForm) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return i, j, form.weights[positive]
 
 
-def _jump_energy(form: GraphForm, d_ij: np.ndarray, d_ji: np.ndarray) -> np.ndarray:
+def _jump_energy(form: GraphForm, edges: tuple, d_ij: np.ndarray, d_ji: np.ndarray) -> np.ndarray:
     """Per-vertex jump energy sum_y b(x,y) d(x,y)^2 from d(i, j) and d(j, i)
-    on the edges (i, j) of ``_positive_edges``.  The terms fill an n x n
-    zero matrix that is summed by rows, so the energy has the bits of the
-    sum over a full matrix row; off the edges b = 0, even where d^2 would
-    overflow to inf."""
-    i, j, w = _positive_edges(form)
+    on the form's ``_positive_edges`` (i, j), held by the caller in ``edges``.
+    The terms fill an n x n zero matrix that is summed by rows, so the
+    energy has the bits of the sum over a full matrix row; off the edges
+    b = 0, even where d^2 would overflow to inf."""
+    i, j, w = edges
     terms = np.zeros((len(form.space),) * 2)
     with np.errstate(over="ignore"):
         terms[i, j] = w * d_ij**2
@@ -287,14 +288,14 @@ def is_intrinsic(
     """
     if metric.vertices != form.space.vertices:
         raise DimensionMismatch("metric does not live on the form's vertex set")
-    i, j, _ = _positive_edges(form)
-    slack = form.space.m - _jump_energy(form, metric.d[i, j], metric.d[j, i])
+    i, j, _ = edges = _positive_edges(form)
+    slack = form.space.m - _jump_energy(form, edges, metric.d[i, j], metric.d[j, i])
     return IntrinsicCheck(_in_family(slack, form.space.m, tol), slack)
 
 
-def _edge_lengths(form: GraphForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ends i, j of the positive edges and their canonical lengths
-    sigma(i, j) = min(sqrt(m(i)/deg(i)), sqrt(m(j)/deg(j))), without those
+def _edge_lengths(form: GraphForm, edges: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ends i, j of ``edges``, the form's ``_positive_edges``, and their canonical
+    lengths sigma(i, j) = min(sqrt(m(i)/deg(i)), sqrt(m(j)/deg(j))), without those
     of length inf, or of 0 where m/deg underflows: no edge of the path metric."""
     if not form.irreducible:
         raise NotIrreducible("path metric needs a connected conductance graph")
@@ -302,7 +303,7 @@ def _edge_lengths(form: GraphForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # an overflowing weight is inf and min() drops it beside a finite one
     with np.errstate(over="ignore"):
         weight = np.sqrt(form.space.m / np.where(deg > 0.0, deg, 1.0))
-    i, j, _ = _positive_edges(form)
+    i, j, _ = edges
     sigma = np.minimum(weight[i], weight[j])
     keep = (sigma > 0.0) & (sigma < math.inf)
     return i[keep], j[keep], sigma[keep]
@@ -322,7 +323,7 @@ def canonical_intrinsic_metric(form: GraphForm) -> PseudoMetric:
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import dijkstra
 
-    i, j, sigma = _edge_lengths(form)
+    i, j, sigma = _edge_lengths(form, _positive_edges(form))
     n = len(form.space)
     graph = csr_array((np.concatenate([sigma, sigma]),
                        (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(n, n))
@@ -354,9 +355,10 @@ def _dijkstra_to(lengths: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarra
     return dist[row, y]
 
 
-def _canonical_on_pairs(form: GraphForm, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The canonical intrinsic metric of the form at the vertex pairs
-    (p[k], q[k]), p[k] != q[k], bit for bit as ``canonical_intrinsic_metric``.
+def _canonical_on_pairs(form: GraphForm, edges: tuple, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The canonical intrinsic metric at the pairs (p[k], q[k]), p[k] != q[k],
+    bit for bit as ``canonical_intrinsic_metric``; ``edges`` are the form's
+    ``_positive_edges``, as its caller holds them.
 
     Let s(x) be the shortest edge at x and t(x) = min_z fl(sigma(x,z) + s(z)).
     A float sum along a path only grows, and rounded addition is monotone,
@@ -371,7 +373,7 @@ def _canonical_on_pairs(form: GraphForm, p: np.ndarray, q: np.ndarray) -> np.nda
     edges of ``_edge_lengths`` leave the graph disconnected.  A length is
     below sqrt(max float), so no path overflows.
     """
-    i, j, sigma = _edge_lengths(form)
+    i, j, sigma = _edge_lengths(form, edges)
     n = len(form.space)
     lengths = np.full((n, n), math.inf)
     lengths[i, j] = lengths[j, i] = sigma
@@ -397,13 +399,13 @@ def _canonical_energies(
     form and of its pushforward d(tau(.), tau(.)) on the second, from d on
     the pairs they read: the first form's positive edges and the tau-images
     of the second form's."""
-    i1, j1, _ = _positive_edges(form1)
-    i2, j2, _ = _positive_edges(form2)
+    edges1, edges2 = _positive_edges(form1), _positive_edges(form2)
+    (i1, j1, _), (i2, j2, _) = edges1, edges2
     tau = iso.tau_indices
-    d = _canonical_on_pairs(form1, np.concatenate([i1, tau[i2]]),
+    d = _canonical_on_pairs(form1, edges1, np.concatenate([i1, tau[i2]]),
                             np.concatenate([j1, tau[j2]]))
     d1, d2 = np.split(d, [len(i1)])
-    return _jump_energy(form1, d1, d1), _jump_energy(form2, d2, d2)
+    return _jump_energy(form1, edges1, d1, d1), _jump_energy(form2, edges2, d2, d2)
 
 
 def verify_intrinsic_bijection(

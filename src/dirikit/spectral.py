@@ -13,11 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import GraphForm, VertexFunction
-from .errors import (
-    NegativeInput,
-    NegativeTime,
-    NotIrreducible,
-)
+from .errors import NegativeInput, NegativeTime, NotIrreducible
 from .tolerances import DEFAULT_TOL, Tolerance
 
 
@@ -83,25 +79,24 @@ def find_nonconstant_excessive(
     """A nonconstant strictly positive excessive function, or None.
 
     On an irreducible form every excessive function is constant exactly
-    when the form is recurrent, i.e. L 1 = 0 (the Liouville property), so
-    None is returned then.  Otherwise L is invertible and the Green
+    when the form is recurrent (the Liouville property, ``is_recurrent``),
+    so None is returned then.  Otherwise L is invertible and the Green
     function h = L^{-1} e_x is strictly positive with L h = e_x >= 0, hence
-    excessive.  It is constant only when all the killing sits at x; the
-    Green function of a second vertex is then nonconstant.  Vertices are
-    tried in index order, so the witness is deterministic.
+    excessive.  It is constant only when all the killing sits at x; that of
+    a second vertex is then nonconstant, and None means that both are
+    constant within tol.  Vertices are tried in index order, so the witness
+    is deterministic.
 
     ``form.irreducible`` is read after ``form.L``, so NumericOverflow comes
-    first.  Where b / m underflows to 0 both ways and nothing is killed, L
-    is 0 and the form recurrent: None.  The solve is checked, not predicted:
-    a singular L or an h that is not positive and finite raises
-    NotIrreducible, as rounding has then cut the generator's graph.
+    first.  The solve is checked, not predicted: a singular L or an h that
+    is not positive and finite raises NotIrreducible, as rounding has then
+    cut the generator's graph or absorbed the killing into its diagonal.
     """
     generator = form.L  # NumericOverflow before NotIrreducible
     if not form.irreducible:
         raise NotIrreducible("nonconstant-excessive search requires an irreducible form")
     n = len(form.space)
-    killing = generator @ np.ones(n)  # c / m
-    if np.max(np.abs(killing)) <= tol.bound(float(np.max(np.abs(generator)))):
+    if is_recurrent(form):
         return None
     for x in range(min(n, 2)):
         try:
@@ -110,8 +105,8 @@ def find_nonconstant_excessive(
             h = np.zeros(n)
         low, high = float(h.min()), float(h.max())  # a float ratio past the range is inf
         if not 0.0 < low <= high < np.inf:  # NaN fails both
-            raise NotIrreducible("the generator is not irreducible in floating point: "
-                                 "its Green function is not strictly positive")
+            raise NotIrreducible("no positive Green function in floating point: rounding cut "
+                                 "the generator's graph or absorbed the killing into its diagonal")
         if high / low - 1.0 > tol.bound(1.0):
             return h
     return None

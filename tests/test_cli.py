@@ -295,6 +295,23 @@ class TestCertify:
         assert len(calls) == (6 if recurrent else 4)
         assert out == jsonio.dumps(report.to_dict()) + "\n" + cli._report_text(report)
 
+    def test_positive_edges_once_per_form(self, tmp_path, capsys, monkeypatch):
+        # a recurrent certify finds the positive edges of each of its two
+        # forms once, and is_intrinsic those of its form once
+        pair = tmp_path / "pair.json"
+        assert run(["gen-pair", "--transform", "relabel", "--n", "8", "--out", str(pair)]) == 0
+        form1, form2, _ = jsonio.pair_from_obj(json.loads(pair.read_text()))
+        assert dk.is_recurrent(form1) and dk.is_recurrent(form2)
+        positive_edges, calls = metrics._positive_edges, []
+        monkeypatch.setattr(metrics, "_positive_edges",
+                            lambda form: calls.append(form) or positive_edges(form))
+        assert run(["certify", str(pair)]) == 0
+        assert len(calls) == 2 and calls[0] is not calls[1]
+        metric = dk.canonical_intrinsic_metric(form1)
+        calls.clear()
+        assert dk.is_intrinsic(form1, metric).ok
+        assert calls == [form1]
+
     def test_swapped_tau_exits_2_at_the_guard(self, tmp_path, capsys, monkeypatch):
         pair = tmp_path / "pair.json"
         assert run(["gen-pair", "--transform", "relabel", "--n", "8", "--out", str(pair)]) == 0
@@ -931,8 +948,11 @@ class TestNonFinite:
         assert captured.out == ""
         assert captured.err == "error: cannot serialize non-finite number inf\n"
         assert not out.exists()
-        assert run(["certify", str(pair), "--format", "text"]) == 1
-        assert "FAIL overflowed: residual=inf" in capsys.readouterr().out
+        # the text format ends alike: the payload is checked in both
+        assert run(["certify", str(pair), "--format", "text"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot serialize non-finite number inf\n"
 
 
 GRID = (0.0, 5e-324, 1e-300, 1.0, 1e300, 1.5e308, 1.7e308)

@@ -33,6 +33,23 @@ def check_golden(tmp_path, blas_threads: int) -> None:
         assert view == expected, " ".join(view["argv"])
 
 
+def test_format_changes_neither_exit_nor_stderr():
+    # every two commands of the corpus that differ only in --format json
+    # and --format text end alike
+    golden = json.loads((ROOT / "tests" / "cli_golden.json").read_text(encoding="utf-8"))
+    runs: dict[tuple, dict] = {}
+    for view in golden:
+        argv = view["argv"]
+        if "--format" in argv:
+            at = argv.index("--format")
+            rest = tuple(argv[:at] + argv[at + 2:])
+            runs.setdefault(rest, {})[argv[at + 1]] = (view["exit"], view["stderr"])
+    pairs = {rest: ends for rest, ends in runs.items() if len(ends) == 2}
+    assert len(pairs) == 86
+    for rest, ends in pairs.items():
+        assert ends["json"] == ends["text"], " ".join(rest)
+
+
 def test_corpus_matches_golden(tmp_path):
     check_golden(tmp_path, 1)
 

@@ -593,6 +593,17 @@ class TestTriangleCheck:
         assert max(per_pivot[:-1]) <= 0.0 < per_pivot[-1]
         assert assert_matches_triangle_oracle(d) == (factor < 1.0)
 
+    def test_sums_past_the_float_range(self):
+        # d(a, b) = 1 and every distance to c is 1e308: the pivot c sums
+        # to inf, which breaks no inequality, with no overflow warning (a
+        # RuntimeWarning is an error here, pyproject.toml)
+        d = np.array([[0.0, 1.0, 1e308], [1.0, 0.0, 1e308], [1e308, 1e308, 0.0]])
+        metric = dk.PseudoMetric(["a", "b", "c"], d)
+        assert np.array_equal(metric.d, d)
+        form = dk.build_form(["a", "b", "c"], 1.0, [("a", "b", 1.0)])
+        check = dk.is_intrinsic(form, metric)
+        assert check.ok and check.slack.tolist() == [0.0, 0.0, 1.0]
+
     def test_sierpinski_l6_in_quadratic_memory(self):
         # 1095 vertices: an n^3 check would need about 10 GB per temporary
         level = 6
@@ -950,7 +961,7 @@ class TestIntrinsicBijectionOracle:
         # m - E and m - 2.25 E are -inf, not NaN, and raise no warning
         form = dk.generate("path", 3)
         monkeypatch.setattr(metrics, "_jump_energy",
-                            lambda form, d_ij, d_ji: np.full(len(form.space), np.inf))
+                            lambda form, edges, d_ij, d_ji: np.full(len(form.space), np.inf))
         report = dk.verify_intrinsic_bijection(dk.OrderIso.identity(form.space), form, form)
         assert [(c.name, c.detail) for c in report.checks] == [
             ("intrinsic_pushforward_canonical", "source=out target=out"),
@@ -1044,7 +1055,7 @@ class TestCanonicalOnEdges:
         m = {"x": 2.0 * edge**2, "a": 2.0, "b": 2.0 * beta**2, "y": 2.0 * edge**2}
         form = dk.build_form(list(m), m, [("x", "y", 1.0), ("x", "a", 1.0),
                                           ("a", "b", 1.0), ("b", "y", 1.0)])
-        _, _, sigma = metrics._edge_lengths(form)
+        _, _, sigma = metrics._edge_lengths(form, metrics._positive_edges(form))
         assert sorted(sigma) == [beta, beta, 1.0, edge]
         assert dk.canonical_intrinsic_metric(form).d[0, 3] == (beta + beta) + 1.0
         iso = dk.OrderIso.identity(form.space)
@@ -1074,7 +1085,7 @@ class TestCanonicalOnEdges:
         else:
             m = {"x": 1e300, "y": 1e300}
         form = dk.build_form(list(m), m, edges)
-        _, _, sigma = metrics._edge_lengths(form)
+        _, _, sigma = metrics._edge_lengths(form, metrics._positive_edges(form))
         assert len(sigma) == len(edges) - 1  # x y is no edge of the path metric
         iso = dk.OrderIso.identity(form.space)
         if connected:
@@ -1092,7 +1103,7 @@ class TestCanonicalOnEdges:
         # rejects the infinite distance without the full route
         m = {"x": 1e-300, "y": 1.0, "z": 1.0}
         form = dk.build_form(list(m), m, [("x", "y", 1e30), ("x", "z", 1e30), ("y", "z", 1.0)])
-        i, j, _ = metrics._edge_lengths(form)
+        i, j, _ = metrics._edge_lengths(form, metrics._positive_edges(form))
         assert (i.tolist(), j.tolist()) == ([1], [2])  # y z alone is an edge
         with pytest.raises(InvalidMetric, match="entries must be finite"):
             dk.canonical_intrinsic_metric(form)

@@ -14,6 +14,7 @@ from dirikit.errors import (
     NumericOverflow,
 )
 from dirikit.sampling import random_form
+from dirikit.tolerances import DEFAULT_TOL
 
 from conftest import (
     check_truncation,
@@ -43,6 +44,18 @@ def excessive_oracle(gen, h):
         if np.min(hv - dk.semigroup(gen, t) @ hv) < -bound:
             return False
     return True
+
+
+def spread_transient_form(seed):
+    """A random transient form of 2 to 59 vertices whose m, weights in key
+    order and c are multiplied, in that order, by factors 10^U(-6, 6)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    form = random_form(rng, n, recurrent=False)
+    m = form.space.m * 10 ** rng.uniform(-6, 6, n)
+    b = form.weights * 10 ** rng.uniform(-6, 6, len(form.weights))
+    c = form.c * 10 ** rng.uniform(-6, 6, n)
+    return dk.build_form(form.space.vertices, m, zip(*form.edge_ends(), b), c)
 
 
 def spread_measure_forms():
@@ -346,6 +359,49 @@ class TestNonconstantExcessive:
             form = random_form(rng, int(rng.integers(2, 8)))
             witness = dk.find_nonconstant_excessive(dk.generator(form))
             assert (witness is None) == dk.is_recurrent(form)
+
+    def test_liouville_equivalence_spread(self):
+        # transient forms with b, m and c spread over 1e+-6: None only where
+        # the Green functions of the first two vertices, solved on F, are
+        # constant within tol (seed 157: c / F[x, x] is 3.2e-11); every h
+        # found is excessive
+        nones = []
+        for seed in range(300):
+            form = spread_transient_form(seed)
+            witness = dk.find_nonconstant_excessive(form)
+            if witness is not None:
+                assert dk.is_excessive(form, witness), seed
+                continue
+            nones.append(seed)
+            green = np.linalg.solve(form.form_matrix, np.eye(len(form.space))[:, :2])
+            ratio = green.max(axis=0) / green.min(axis=0)
+            assert np.all(ratio - 1.0 <= DEFAULT_TOL.bound(1.0)), seed
+        assert nones == [157]
+
+    def test_small_killing_on_a_long_path(self):
+        # c / m = 1e-10 everywhere on the unit path of 200 vertices is far
+        # below the largest rate of L, yet the Green function of v0 varies
+        # by 2e-6 of itself
+        path = dk.generate("path", 200)
+        form = dk.GraphForm(path.space, path.b, np.full(200, 1e-10))
+        h = dk.find_nonconstant_excessive(form)
+        assert h is not None and dk.is_excessive(form, h)
+        assert np.max(h) / np.min(h) > 1.0 + 1e-6
+
+    @pytest.mark.parametrize("killing, absorbed", [
+        (1e-20, True), (1e-17, True), (1e-15, False), (1e-12, False),
+    ])
+    def test_killing_absorbed_by_rounding(self, killing, absorbed):
+        # deg(a) + c(a) rounds to deg(a) below c(a) = 1.1e-16: the form is
+        # transient, but its generator in floating point is singular
+        form = dk.build_form(["a", "b", "c"], 1.0, [("a", "b", 1.0), ("b", "c", 1.0)],
+                             {"a": killing, "b": 0.0, "c": 0.0})
+        assert not dk.is_recurrent(form)
+        if absorbed:
+            with pytest.raises(NotIrreducible, match="absorbed the killing"):
+                dk.find_nonconstant_excessive(form)
+        else:  # the Green functions are constant within tol
+            assert dk.find_nonconstant_excessive(form) is None
 
     @pytest.mark.parametrize("recurrent", [True, False])
     def test_matches_lp_oracle(self, recurrent):

@@ -240,6 +240,18 @@ METRICS = {
     "metric_ragged": {"d": [[0.0, 0.5, 1.0], [0.5, 0.0], [1.0, 0.5, 0.0]]},
 }
 
+# metrics at the float range's edge, checked with `dirikit intrinsic GRAPH.json
+# --metric NAME.json`: every distance of metric_huge is 1e200, so the slack
+# of path3 is -inf, which no format may write (exit 2); metric_far is 1 on
+# the edge a b of disconnected.json and 1e308 to c, whose triangle sums
+# overflow to inf and break no inequality (exit 0)
+FAR_METRICS = {
+    "metric_huge": ("path3", {"d": [[0.0, 1e200, 1e200], [1e200, 0.0, 1e200],
+                                    [1e200, 1e200, 0.0]]}),
+    "metric_far": ("disconnected", {"d": [[0.0, 1.0, 1e308], [1.0, 0.0, 1e308],
+                                          [1e308, 1e308, 0.0]]}),
+}
+
 
 def _commands() -> list[list[str]]:
     cmds: list[list[str]] = []
@@ -386,6 +398,9 @@ def _commands() -> list[list[str]]:
                  for name in ("scrambled_cycle64", "scrambled_sierpinski4")]
     for fmt in ("json", "text"):
         cmds += [["certify", f"{name}.json", "--format", fmt] for name in INFINITE_LENGTH]
+    for fmt in ("json", "text"):
+        cmds += [["intrinsic", f"{graph}.json", "--metric", f"{name}.json", "--format", fmt]
+                 for name, (graph, _) in FAR_METRICS.items()]
     return cmds
 
 
@@ -577,6 +592,8 @@ def _write_inputs(run) -> None:
     for name, text in {**BAD_PAIRS, **HAND, **DEEP, **INFINITE_LENGTH}.items():
         Path(f"{name}.json").write_text(text, encoding="utf-8")
     for name, obj in METRICS.items():
+        Path(f"{name}.json").write_text(json.dumps(obj), encoding="utf-8")
+    for name, (_, obj) in FAR_METRICS.items():
         Path(f"{name}.json").write_text(json.dumps(obj), encoding="utf-8")
     for name, data in RAW.items():
         Path(f"{name}.json").write_bytes(data)

@@ -202,10 +202,11 @@ def _cmd_certify(args) -> int:
 
     # the one guard of the four certificates, then the checks that certify,
     # verify_jump_transform, verify_resistance_isometry and
-    # verify_intrinsic_bijection build past it
-    orderiso.require_intertwining(iso, form1, form2, tol)
-    report = orderiso._certify_checks(iso, form1, form2, tol)
-    report.extend(orderiso._jump_transform_checks(iso, form1, form2, tol))
+    # verify_intrinsic_bijection build past it, the first two on its entries
+    entries = orderiso.require_intertwining(iso, form1, form2, tol)
+    report = orderiso._certify_checks(iso, form1, form2, tol, entries)
+    report.extend(orderiso._jump_transform_checks(iso, form1, form2, tol, entries))
+    del entries  # before the recurrent pair's n x n arrays
     if spectral.is_recurrent(form1) and spectral.is_recurrent(form2):
         report.extend(metrics._resistance_checks(iso, form1, form2, tol))
         report.extend(metrics._intrinsic_checks(iso, form1, form2, tol))

@@ -18,6 +18,10 @@ connectivity, the grounded Green function, S = M^{1/2} L M^{-1/2} and its
 spectrum, from the eigenvalue-only ``eigvalsh``) is computed on first use
 and cached on the form, read-only; no eigenvector is cached.  All values
 are immutable after construction and every operation is a pure function.
+What a per-vertex sum or a graph search needs comes from the edge columns,
+never an n x n matrix: the degrees (two ``np.bincount`` calls, which W, F,
+L and S read), the diagonals of F and L, which decide whether F and L are
+finite, and ``irreducible``.
 
 Construction works on whole arrays: edge columns of ends and weights, one
 look-up per endpoint, one pass of array checks and a sort by the string
@@ -68,29 +72,36 @@ def _require_finite(matrix: np.ndarray, what: str) -> None:
         )
 
 
-def _offdiagonal_connected(coupling: np.ndarray) -> bool:
-    """Whether the graph of the nonzero off-diagonal entries of the
-    symmetric ``coupling`` (``GraphForm.weight_matrix``) is connected; a
-    breadth-first search that expands its whole frontier per step."""
-    n = coupling.shape[0]
-    if n == 0:
-        return False
-    seen = np.zeros(n, dtype=bool)
-    frontier = np.arange(n) == 0
-    while frontier.any():
-        seen |= frontier
-        frontier = (coupling[frontier] != 0.0).any(axis=0) & ~seen
-    return bool(seen.all())
+def _edges_connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
+    """Whether the graph on n vertices with the edges (i[k], j[k]) is
+    connected, from the edge columns alone: each round hooks the root of
+    every edge's larger end under the smallest root it meets, then jumps
+    pointers until each vertex points at its root, the smallest vertex of
+    its tree.  A 4096-vertex path takes one round in vertex order, 7 to 9
+    in random orders and 12, under 1 ms, in bit-reversed order."""
+    parent = np.arange(n)
+    while True:
+        ri, rj = parent[i], parent[j]
+        split = ri != rj
+        if not split.any():
+            return n > 0 and bool((parent == 0).all())
+        np.minimum.at(parent, np.maximum(ri, rj)[split], np.minimum(ri, rj)[split])
+        while True:
+            grand = parent[parent]
+            if (grand == parent).all():
+                break
+            parent = grand
 
 
 # The vertex cap.  A recurrent certify holds about 23 float arrays of n x n
-# at its peak (W, F, L, S and the grounded Green function of both forms,
-# the resistance and canonical metrics and their temporaries; a tracemalloc
-# probe of the CLI path on relabel pairs at n = 200 and 400 gave 22.6 and
-# 22.5 times 8 n^2 bytes, with the blocked Green function as with one inv
-# call): 184 n^2 bytes.  At 4096 vertices that is 3.1 GB, under
-# half of an 8 GB machine; a cap of 2^13 would need 12.3 GB.  Sierpinski
-# level 7 (3282 vertices) stays within it.
+# at its peak (W and F and the grounded Green function of both forms, the
+# resistance and canonical metrics and their temporaries; a tracemalloc
+# probe of the CLI path on relabel pairs at n = 200 and 400 gave 23.9 and
+# 22.9 times 8 n^2 bytes): 184 n^2 bytes.  At 4096 vertices that is 3.1 GB,
+# under half of an 8 GB machine; a cap of 2^13 would need 12.3 GB.  A
+# transient certify reads the edges only: the CLI's certify of a
+# Sierpinski level 7 Doob pair (3282 vertices, 6561 edges) peaks at 7.0 MB
+# traced, reading included.  Level 7 stays within the cap.
 MAX_VERTICES = 4096
 
 
@@ -296,8 +307,9 @@ class GraphForm:
         if not (((w >= 0.0) & (w < math.inf) & (lo < hi)).all()  # self-loop
                 and (code[1:] != code[:-1]).all()):  # duplicate
             _raise_first_fault(space, zip(us, vs, ws))
-        # vertex indices and weights of the edge keys, in key order
-        self.edge_indices = by_rank[np.array(np.divmod(code, n))]
+        # vertex indices (intp, the fastest to index with) and weights of
+        # the edge keys, in key order
+        self.edge_indices = by_rank[np.array(np.divmod(code, n))].astype(np.intp)
         self.weights = w[order]
         # the narrowest type that holds the edge count, as for the ranks
         self._key_order = order.astype(np.min_scalar_type(len(order)))
@@ -376,36 +388,62 @@ class GraphForm:
 
     @cached_property
     def irreducible(self) -> bool:
-        """Whether the positive-conductance graph is connected; read from
-        ``_same_graph`` when that is set."""
+        """Whether the positive-conductance graph is connected, from the
+        edge columns; read from ``_same_graph`` when that is set."""
         if self._same_graph is not None:
             return self._same_graph.irreducible
-        return _offdiagonal_connected(self.weight_matrix)
+        i, j = self.edge_indices
+        positive = self.weights > 0.0
+        return _edges_connected(len(self.space), i[positive], j[positive])
 
     @cached_property
     def degrees(self) -> np.ndarray:
+        """deg(x) = sum_y b(x, y), one edge sum: the weights at each first
+        end, plus those at each second end, in key order."""
+        n = len(self.space)
+        i, j = self.edge_indices
         with np.errstate(over="ignore"):  # inf past the float range
-            d = self.weight_matrix.sum(axis=1)
+            d = np.bincount(i, self.weights, n) + np.bincount(j, self.weights, n)
+        d.flags.writeable = False
+        return d
+
+    @cached_property
+    def form_diagonal(self) -> np.ndarray:
+        """The diagonal deg + c of the form matrix F; NumericOverflow when an
+        entry is not finite, which is exactly when F has a non-finite entry,
+        as F is -b(x, y) off the diagonal."""
+        with np.errstate(over="ignore"):
+            f = self.degrees + self.c
+        _require_finite(f, "form matrix")
+        f.flags.writeable = False
+        return f
+
+    @cached_property
+    def generator_diagonal(self) -> np.ndarray:
+        """The diagonal (deg + c) / m of L, the largest entry of each row of
+        |L| (b(x, y) <= deg(x) survives rounding, which is monotone);
+        NumericOverflow when an entry is not finite, which is exactly when L
+        has a non-finite entry, after ``form_diagonal``'s check."""
+        with np.errstate(over="ignore"):
+            d = self.form_diagonal / self.space.m
+        _require_finite(d, "generator")
         d.flags.writeable = False
         return d
 
     @cached_property
     def form_matrix(self) -> np.ndarray:
         """Measure-free Gram matrix F with F[i,j] = Q(e_i, e_j); NumericOverflow
-        when a diagonal entry is not finite."""
-        with np.errstate(over="ignore"):
-            f = np.diag(self.degrees + self.c) - self.weight_matrix
-        _require_finite(f, "form matrix")
+        when a diagonal entry is not finite (``form_diagonal``)."""
+        f = np.diag(self.form_diagonal) - self.weight_matrix
         f.flags.writeable = False
         return f
 
     @cached_property
     def L(self) -> np.ndarray:
         """The generator L = M^{-1} (diag(deg + c) - W); NumericOverflow when
-        an entry is not finite."""
-        with np.errstate(over="ignore"):
-            l_matrix = self.form_matrix / self.space.m[:, None]
-        _require_finite(l_matrix, "generator")
+        an entry is not finite (``generator_diagonal``)."""
+        self.generator_diagonal  # NumericOverflow before the n x n work
+        l_matrix = self.form_matrix / self.space.m[:, None]
         l_matrix.flags.writeable = False
         return l_matrix
 

@@ -36,7 +36,8 @@ The bytes are built whole, so a bad value leaves no output.  Identical
 inputs give identical bytes at a fixed BLAS build and thread count only:
 the spectrum and the resistance matrix change in their last bits with it
 (on a 366-vertex Sierpinski gasket, by about 2e-15 of the largest
-eigenvalue and 2e-16 of the largest resistance).
+eigenvalue and 2e-16 of the largest resistance).  A transient certify
+makes no BLAS call, so its report's bytes depend on neither.
 
 ``loads`` is the one reader, of UTF-8 bytes as the CLI reads them or of
 text.  orjson reads a document of at most 512 opening brackets, every

@@ -239,12 +239,13 @@ def _resistance_checks(
         # are accurate to a fraction of it, not of each entry
         scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
         report.compare(
-            "resistance_isometry", lhs, rhs, scale, tol, detail=f"alpha={alpha!r} beta={beta!r}"
+            "resistance_isometry", lhs, rhs, tol.bound(scale),
+            detail=f"alpha={alpha!r} beta={beta!r}",
         )
     mass1 = form1.space.total_mass
     mass2 = form2.space.total_mass
     if abs(mass2 / mass1 - 1.0) <= tol.bound(1.0):
-        report.compare("equal_mass_isometry", r1_tau, r2, max(np.max(r1), np.max(r2)), tol)
+        report.compare("equal_mass_isometry", r1_tau, r2, tol.bound(max(np.max(r1), np.max(r2))))
     else:
         report.skip("equal_mass_isometry", "total masses differ")
     return report

@@ -6,11 +6,20 @@ operator (U f)(y) = h(y) f(tau(y)), for a vertex bijection tau: X2 -> X1
 and a strictly positive scaling h on X2.  An intertwiner is unitary up to
 a constant beta, so U L1 = L2 U is one statement, P S1 P^T = S2 on the
 symmetrized generators, which the search and ``require_intertwining`` test
-entry by entry within one bound (``_entry_scale``).  ``certify`` and
-``verify_jump_transform`` then check the rigidity identities of an exact
-intertwiner: U*U = UU* = beta, h^2 m2 = beta m1(tau), the forms and jump
-measures differ by beta, h is excessive for the target semigroup, and
+entry by entry within one bound (``search.residual_bound``).  ``certify``
+and ``verify_jump_transform`` then check the rigidity identities of an
+exact intertwiner: U*U = UU* = beta, h^2 m2 = beta m1(tau), the forms and
+jump measures differ by beta, h is excessive for the target semigroup, and
 constant when both forms are recurrent.
+
+A graph form is its jump weights and its killing (Beurling-Deny), and an
+intertwiner carries jump measure to jump measure, so every identity but
+the recurrent pair's geometric ones is 0 = 0 off the diagonal and the two
+edge patterns.  The guard and those checks read these n + 2|E| entries
+only (``_Entries``), never an n x n matrix: a transient certificate costs
+O(n + |E|) memory and makes no BLAS call.  Each names the worst entry of
+the whole matrix, the first in row-major order among equals, and raises
+NumericOverflow where a bound off the entries would.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .report import VerificationReport, worst_entry
-from .spectral import _excess_deficit, is_recurrent
+from .spectral import _excess, is_recurrent
 from .tolerances import DEFAULT_TOL, Tolerance
 
 
@@ -111,37 +120,93 @@ def _operator_constants(h: np.ndarray, m2: np.ndarray, m1_tau: np.ndarray) -> np
     return np.mean(np.ascontiguousarray(h**2 * m2 / m1_tau), axis=-1)
 
 
-def _entry_scale(matrix: np.ndarray, left=1.0, right=1.0) -> np.ndarray:
-    """left(y) right(z) sqrt(A[y, y] A[z, z]) at (y, z), for A positive
-    semidefinite a bound on left(y) right(z) |A[y, z]|, so a relative scale
-    at every entry; inf past the float range, or NaN where that meets 0."""
-    root = np.sqrt(np.diag(matrix))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.outer(left * root, right * root)
+class _Entries:
+    """The entries of an n x n matrix in target coordinates on which a
+    check of ``certify`` can be nonzero: the diagonal, then both
+    orientations of each pair {y, z}, y < z, that is an edge of g2 or whose
+    image under tau is an edge of g1.  Off them L, F and W of both forms
+    are 0, so every identity holds exactly.  ``rows`` and ``cols`` list the
+    entries and ``codes`` their row-major indices r n + c; at each entry
+    (r, c), ``w2`` and ``f2`` hold W2 and F2 = diag(deg2 + c2) - W2, ``w1``
+    and ``f1`` W1 and F1 at (tau r, tau c), and ``h_rows`` and ``h_cols``
+    h(r) and h(c).
+
+    Both forms' pair codes are sorted, and compared: they are equal for an
+    intertwiner of forms without zero weights, and a union is formed only
+    where they differ.
+    """
+
+    def __init__(self, iso: OrderIso, form1: GraphForm, form2: GraphForm):
+        n = len(iso.target)
+        tau, h = iso.tau_indices, iso.h_values
+        back = np.empty(n, np.intp)
+        back[tau] = np.arange(n)
+        ends1 = back[form1.edge_indices]
+        code1, order1 = _pair_codes(n, ends1)
+        code2, order2 = _pair_codes(n, form2.edge_indices)
+        w1, w2 = form1.weights[order1], form2.weights[order2]
+        if code1.shape == code2.shape and (code1 == code2).all():
+            pairs = code2
+        else:
+            pairs = np.union1d(code1, code2)
+            w1, w2 = _placed(pairs, code1, w1), _placed(pairs, code2, w2)
+        y, z = np.divmod(pairs, n)
+        diagonal = np.arange(n)
+        self.rows = np.concatenate((diagonal, y, z))
+        self.cols = np.concatenate((diagonal, z, y))
+        self.codes = self.rows * n + self.cols
+        zero = np.zeros(n)
+        self.w1, self.w2 = np.concatenate((zero, w1, w1)), np.concatenate((zero, w2, w2))
+        f1, f2 = -w1, -w2  # F = -W off the diagonal
+        self.f1 = np.concatenate((form1.form_diagonal[tau], f1, f1))
+        self.f2 = np.concatenate((form2.form_diagonal, f2, f2))
+        self.h_rows, self.h_cols = h[self.rows], h[self.cols]
 
 
-def _residual_gap(iso: OrderIso, form1: GraphForm, form2: GraphForm) -> np.ndarray:
-    """|U L1 - L2 U| at (y, tau z), |h(y) L1[tau y, tau z] - L2[y, z] h(z)|,
-    as entry (y, z) without forming U; inf or NaN past the float range."""
+def _pair_codes(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The codes min(y, z) n + max(y, z) of the pairs (y, z) of ``ends``,
+    sorted, and the order that sorts them."""
+    y, z = ends
+    code = np.minimum(y, z) * n + np.maximum(y, z)
+    order = code.argsort()
+    return code[order], order
+
+
+def _placed(codes: np.ndarray, sub: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values`` at the places of the sorted ``sub`` in the sorted ``codes``, 0 elsewhere."""
+    out = np.zeros(len(codes))
+    out[np.searchsorted(codes, sub)] = values
+    return out
+
+
+def _residual_gap(iso: OrderIso, form1: GraphForm, form2: GraphForm) -> tuple[_Entries, np.ndarray]:
+    """The entries that can be nonzero and |U L1 - L2 U| on them: at
+    (y, tau z), |h(y) L1[tau y, tau z] - L2[y, z] h(z)| as entry (y, z),
+    without forming U or L; inf or NaN past the float range.
+    NumericOverflow, form 1's first, when an entry of an L is not finite
+    (``GraphForm.generator_diagonal``)."""
     if iso.source != form1.space:
         raise SpaceMismatch("iso source does not match the first form")
     if iso.target != form2.space:
         raise SpaceMismatch("iso target does not match the second form")
-    idx, h = iso.tau_indices, iso.h_values
+    form1.generator_diagonal, form2.generator_diagonal  # NumericOverflow, form 1's first
+    entries = _Entries(iso, form1, form2)
+    m1 = iso.source.m[iso.tau_indices]
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(h[:, None] * form1.L[idx][:, idx] - form2.L * h[None, :])
+        return entries, np.abs(entries.h_rows * (entries.f1 / m1[entries.rows])
+                               - (entries.f2 / iso.target.m[entries.rows]) * entries.h_cols)
 
 
 def intertwining_residual(iso: OrderIso, form1: GraphForm, form2: GraphForm) -> float:
     """Max-norm of U L1 - L2 U, zero iff U intertwines the semigroups: a
     diagnostic in the units of L and h, not the acceptance test (that is
     ``require_intertwining``), kept because perfbench/layers.py times it."""
-    return float(np.max(_residual_gap(iso, form1, form2)))
+    return float(np.max(_residual_gap(iso, form1, form2)[1]))
 
 
 def require_intertwining(
     iso: OrderIso, form1: GraphForm, form2: GraphForm, tol: Tolerance = DEFAULT_TOL
-) -> None:
+) -> _Entries:
     """NotIntertwining naming the worst entry (``worst_entry``) when an entry
     of U L1 - L2 U exceeds its bound, the search's (``search.residual_bound``)
     in L coordinates: ``tol.rel`` h(y) sqrt(m1(tau z) / m1(tau y)) sqrt(s(y)
@@ -149,20 +214,29 @@ def require_intertwining(
     test |S1[tau y, tau z] - S2[y, z]| <= rel sqrt(s(y) s(z)) times c
     sqrt(m1(tau z) / m2(y)); another h fails it where it varies on an edge.
     NumericOverflow when a bound leaves the float range where its residual
-    does not, as it would pass any residual."""
-    gap = _residual_gap(iso, form1, form2)
+    does not, as it would pass any residual; off the entries of ``_Entries``
+    the residual is 0, so a bound there that is not finite raises it too,
+    found by counting them (``Tolerance.outer_bound``).  Returns the
+    entries, which the checks past the guard read."""
+    entries, gap = _residual_gap(iso, form1, form2)
+    root = np.sqrt(form2.generator_diagonal)
     root_m1 = np.sqrt(iso.source.m[iso.tau_indices])
-    with np.errstate(over="ignore"):
-        bound = tol.bound(_entry_scale(form2.L, iso.h_values / root_m1, root_m1))
-    if not np.isfinite(bound).all() and np.any(np.isfinite(gap) & ~np.isfinite(bound)):
-        raise NumericOverflow("intertwining residual bound leaves the floating-point range")
+    with np.errstate(over="ignore", invalid="ignore"):
+        left, right = iso.h_values / root_m1 * root, root_m1 * root
+    bound, nonfinite = tol.outer_bound(left, right, entries.rows, entries.cols)
+    if nonfinite:  # else every bound of the n x n matrix is finite
+        finite = np.isfinite(bound)
+        if nonfinite > np.count_nonzero(~finite) or (np.isfinite(gap) & ~finite).any():
+            raise NumericOverflow("intertwining residual bound leaves the floating-point range")
     if not (gap <= bound).all():
-        y, z = worst_entry(gap, bound)
+        k = worst_entry(gap, bound, entries.codes)
+        y, z = np.divmod(entries.codes[k], len(iso.target))
         names = iso.target.vertices
         raise NotIntertwining(
-            f"intertwining residual {gap[y, z]:.3e} exceeds its bound {bound[y, z]:.3e}"
+            f"intertwining residual {gap[k]:.3e} exceeds its bound {bound[k]:.3e}"
             f" at the entry ({names[y]!r}, {names[z]!r}) of the targets"
         )
+    return entries
 
 
 def _require_normal(name: str, value: float) -> float:
@@ -192,17 +266,28 @@ def certify(
       alpha is beta / mean(h)^2: beta over the square of the alpha, mean(h),
       that ``verify_resistance_isometry`` reports.
 
-    NumericOverflow when beta or this alpha is no positive normal float.
+    Every check but the recurrent pair's reads the diagonal and the two
+    edge lists only (``_Entries``), never an n x n matrix; its worst entry
+    is the first in row-major order, as in a dense matrix.  NumericOverflow
+    when beta or this alpha is no positive normal float.
     """
-    require_intertwining(iso, form1, form2, tol)
-    return _certify_checks(iso, form1, form2, tol)
+    entries = require_intertwining(iso, form1, form2, tol)
+    return _certify_checks(iso, form1, form2, tol, entries)
+
+
+def _form_bound(iso: OrderIso, form2: GraphForm, tol: Tolerance, entries: _Entries) -> np.ndarray:
+    """The bound of ``form_scaling`` and ``jump_transform`` at the entries:
+    rel h(y) h(z) sqrt(F2[y, y] F2[z, z]) at (y, z)."""
+    root = iso.h_values * np.sqrt(form2.form_diagonal)
+    return tol.outer_bound(root, root, entries.rows, entries.cols)[0]
 
 
 def _certify_checks(
-    iso: OrderIso, form1: GraphForm, form2: GraphForm, tol: Tolerance
+    iso: OrderIso, form1: GraphForm, form2: GraphForm, tol: Tolerance, entries: _Entries
 ) -> VerificationReport:
-    """The checks of ``certify`` for an iso that has passed the guard,
-    after its precondition: NotIrreducible unless both forms are."""
+    """The checks of ``certify`` for an iso that has passed the guard, on
+    its entries, after its precondition: NotIrreducible unless both forms
+    are."""
     if not (form1.irreducible and form2.irreducible):
         raise NotIrreducible("certification requires irreducible forms")
 
@@ -213,17 +298,16 @@ def _certify_checks(
     # everything is read in target order y, with x = tau(y): the nonzero of
     # U* in row x is w(y) = m2(y) h(y) / m1(x), U*U and UU* are diagonal with
     # (U*U)[x, x] = (UU*)[y, y] = w(y) h(y), and
-    # (U^T F2 U)[tau(y), tau(z)] = h(y) F2[y, z] h(z).
+    # (U^T F2 U)[tau(y), tau(z)] = h(y) F2[y, z] h(z), F = -b off the diagonal.
     tau, h = iso.tau_indices, iso.h_values
     w = iso.target.m * h / iso.source.m[tau]
     op_residual = float(np.max(np.abs(w * h - beta)))
     report.add("operator_constant", op_residual, tol.bound(beta), detail=f"beta={beta!r}")
 
-    gram2 = h[:, None] * form2.form_matrix * h[None, :]
-    gram1 = beta * form1.form_matrix[tau][:, tau]
-    report.compare("form_scaling", gram1, gram2, _entry_scale(form2.form_matrix, h, h), tol)
+    report.compare("form_scaling", beta * entries.f1, entries.h_rows * entries.f2 * entries.h_cols,
+                   _form_bound(iso, form2, tol, entries), codes=entries.codes)
 
-    deficit, exc_scale = _excess_deficit(form2, h, form2.L @ h)
+    _, deficit, exc_scale = _excess(form2, h)
     report.add("scaling_excessive", deficit, tol.bound(exc_scale))
 
     ratio = float(np.max(h) / np.min(h))
@@ -256,25 +340,26 @@ def verify_jump_transform(
     k = c (``jsonio.jump_to_obj`` writes the split); it has no strongly
     local part.  An intertwiner has beta J1(tau x, tau y) = h(x) h(y)
     J2(x, y) on every pair, here within the bound of ``form_scaling``, rel
-    h(x) h(y) sqrt(F2[x, x] F2[y, y]), whose off-diagonal half this is.
+    h(x) h(y) sqrt(F2[x, x] F2[y, y]), whose off-diagonal half this is.  It
+    is checked on the guard's entries, as 0 = 0 holds off them.
     """
-    require_intertwining(iso, form1, form2, tol)
-    return _jump_transform_checks(iso, form1, form2, tol)
+    entries = require_intertwining(iso, form1, form2, tol)
+    return _jump_transform_checks(iso, form1, form2, tol, entries)
 
 
 def _jump_transform_checks(
-    iso: OrderIso, form1: GraphForm, form2: GraphForm, tol: Tolerance
+    iso: OrderIso, form1: GraphForm, form2: GraphForm, tol: Tolerance, entries: _Entries
 ) -> VerificationReport:
-    """The check of ``verify_jump_transform`` for an iso that has passed the guard."""
-    idx, h = iso.tau_indices, iso.h_values
+    """The check of ``verify_jump_transform`` for an iso that has passed the
+    guard, on its entries; J is 0 on the diagonal."""
     report = VerificationReport()
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing h^2 is a FAIL
         beta = iso.beta
-        lhs = beta * (0.5 * form1.weight_matrix)[idx][:, idx]
-        rhs = np.outer(h, h) * (0.5 * form2.weight_matrix)
-        np.fill_diagonal(rhs, 0.0)
-        scale = _entry_scale(form2.form_matrix, h, h)
-        report.compare("jump_transform", lhs, rhs, scale, tol, detail=f"beta={beta!r}")
+        rhs = entries.h_rows * entries.h_cols * (0.5 * entries.w2)
+        rhs[:len(iso.target)] = 0.0
+        report.compare("jump_transform", beta * (0.5 * entries.w1), rhs,
+                       _form_bound(iso, form2, tol, entries), detail=f"beta={beta!r}",
+                       codes=entries.codes)
     return report
 
 
@@ -301,8 +386,7 @@ def doob_pair(
     h = space.vector(h_excessive)
     if not 0.0 < h.min() <= h.max() < np.inf:  # NaN fails both
         raise NonPositive("the conjugating function must be strictly positive")
-    lh = form.L @ h
-    deficit, scale = _excess_deficit(form, h, lh)
+    lh, deficit, scale = _excess(form, h)
     if not deficit <= tol.bound(scale):  # is_excessive
         raise NotExcessive("the conjugating function must be excessive")
 

@@ -7,24 +7,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tolerances import Tolerance
 
-
-def worst_entry(gap: np.ndarray, bound: np.ndarray) -> tuple[int, ...]:
+def worst_entry(gap: np.ndarray, bound, codes: np.ndarray | None = None) -> tuple[int, ...]:
     """The index of the entry of ``gap`` above its ``bound`` by the largest
     factor, a NaN first; when none is above, of the largest gap / bound, a
-    zero gap counting as 0."""
+    zero gap counting as 0.  A tie goes to the first entry in row-major
+    order, or, for entries of a matrix listed in another order, to the
+    smallest of ``codes``, their row-major indices in it."""
     with np.errstate(all="ignore"):
         ratio = gap / bound
-    worst = np.argmax(ratio)
+    worst = _first_largest(ratio, codes)
     if not ratio.flat[worst] < 1.0:  # a NaN, or an entry at or above its bound
         within = gap <= bound
         if within.all():
             ratio[gap == 0.0] = 0.0  # 0 / 0 is NaN
         else:
             ratio[within] = -1.0
-        worst = np.argmax(ratio)
+        worst = _first_largest(ratio, codes)
     return np.unravel_index(worst, ratio.shape)
+
+
+def _first_largest(ratio: np.ndarray, codes: np.ndarray | None) -> int:
+    """The flat index of the first NaN of ``ratio``, else of its first
+    largest entry, as ``np.argmax`` finds it; first by ``codes`` when given."""
+    worst = int(ratio.argmax())
+    if codes is None:
+        return worst
+    top = np.isnan(ratio) if np.isnan(ratio.flat[worst]) else ratio == ratio.flat[worst]
+    return int(np.flatnonzero(top)[codes[top].argmin()])
 
 
 @dataclass
@@ -63,14 +73,13 @@ class VerificationReport:
         self.checks.append(check)
         return check
 
-    def compare(self, name: str, lhs: np.ndarray, rhs: np.ndarray, scale, tol: Tolerance,
-                detail: str | None = None) -> Check:
-        """Add the check |lhs - rhs| <= tol.bound(scale) at every entry, for a
-        scale per entry or one for all, with the residual and bound of
-        ``worst_entry``."""
+    def compare(self, name: str, lhs: np.ndarray, rhs: np.ndarray, bound,
+                detail: str | None = None, codes: np.ndarray | None = None) -> Check:
+        """Add the check |lhs - rhs| <= bound at every entry, for a bound per
+        entry or one for all, with the residual and bound of
+        ``worst_entry``, which reads ``codes``."""
         gap = np.abs(lhs - rhs)
-        bound = tol.bound(scale)
-        entry = worst_entry(gap, bound)
+        entry = worst_entry(gap, bound, codes)
         return self.add(name, gap[entry], bound[entry] if np.ndim(bound) else bound, detail)
 
     def skip(self, name: str, detail: str) -> Check:

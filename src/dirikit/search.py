@@ -66,7 +66,7 @@ import numpy as np
 
 from .core import GraphForm, _string_order
 from .errors import InvalidSize, NonPositive, NotIrreducible
-from .orderiso import OrderIso, _entry_scale, _operator_constants
+from .orderiso import OrderIso, _operator_constants
 from .tolerances import Tolerance
 
 
@@ -262,8 +262,11 @@ def _search(s1, s2, domain, bounds, cap) -> np.ndarray:
 def residual_bound(form: GraphForm, opts: SearchOptions) -> np.ndarray:
     """Entrywise acceptance bound for P S1 P^T - S2, S2 the symmetrized
     generator of the target ``form``: ``opts.tol`` of sqrt(s(y) s(z)) at
-    (y, z), s = diag S2 = diag L2, in storage order."""
-    return opts.tol.bound(_entry_scale(form.L))
+    (y, z), s = diag S2 = diag L2, in storage order; inf past the float
+    range."""
+    root = np.sqrt(form.generator_diagonal)
+    with np.errstate(over="ignore"):
+        return opts.tol.bound(np.outer(root, root))
 
 
 # lambda / max s: on a unit path an entry of (lambda + S)^-1 falls by e every

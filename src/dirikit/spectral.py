@@ -5,7 +5,9 @@ S = V Lambda V^T of the m-symmetrized matrix S = M^{1/2} L M^{-1/2}
 (symmetric and stable to diagonalize), V orthonormal, and conjugated back
 once: e^{-tL}[x, y] = e^{-tS}[x, y] sqrt(m(y)) / sqrt(m(x)); L itself is
 not symmetric when the measure is non-uniform.  No eigenvector is cached;
-a caller that reads eigenvalues only reads ``GraphForm.spectrum``.
+a caller that reads eigenvalues only reads ``GraphForm.spectrum``.  L h, the
+test of an excessive h, is an edge sum (``_excess``), never a product with
+the n x n matrix L.
 """
 
 from __future__ import annotations
@@ -56,21 +58,31 @@ def is_excessive(form: GraphForm, h: VertexFunction, tol: Tolerance = DEFAULT_TO
     Implemented through the generator criterion L h >= 0, which is
     equivalent: d/dt e^{-tL} h = -e^{-tL} (L h) <= 0 entrywise whenever
     L h >= 0 (the semigroup is positivity preserving), and e^{-0L} h = h;
-    conversely (h - e^{-tL} h)/t -> L h as t -> 0.
+    conversely (h - e^{-tL} h)/t -> L h as t -> 0.  L h is an edge sum
+    (``_excess``).
     """
     hv = form.space.vector(h)
     if np.any(hv < 0.0):
         raise NegativeInput("excessive candidates must be nonnegative")
-    deficit, scale = _excess_deficit(form, hv, form.L @ hv)
+    _, deficit, scale = _excess(form, hv)
     return bool(deficit <= tol.bound(scale))
 
 
-def _excess_deficit(form: GraphForm, hv: np.ndarray, lh: np.ndarray) -> tuple[float, float]:
-    """The largest violation -min(L h) of L h = ``lh`` >= 0, at least 0 (a
-    NaN stays NaN), and the scale max|L| max h of the entries of L h."""
-    deficit = -float(np.min(lh))
-    scale = float(np.max(np.abs(form.L))) * float(np.max(hv))  # plain floats overflow silently
-    return (deficit if not deficit <= 0.0 else 0.0), scale
+def _excess(form: GraphForm, hv: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """L h as an edge sum, (sum_y b(x, y) (h(x) - h(y)) + c(x) h(x)) / m(x),
+    exactly 0 for a constant h on a recurrent form; the largest violation
+    -min(L h) of L h >= 0, at least 0 (a NaN stays NaN); and the scale
+    max|L| max h of the entries of L h, where max|L| is the largest entry
+    of ``form.generator_diagonal``, whose NumericOverflow comes first."""
+    top = float(form.generator_diagonal.max())
+    n = len(form.space)
+    i, j = form.edge_indices
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite L h fails below
+        flow = form.weights * (hv[i] - hv[j])
+        lh = (np.bincount(i, flow, n) - np.bincount(j, flow, n) + form.c * hv) / form.space.m
+    deficit = -float(lh.min())
+    scale = top * float(hv.max())  # plain floats overflow silently
+    return lh, (deficit if not deficit <= 0.0 else 0.0), scale
 
 
 def find_nonconstant_excessive(
@@ -87,26 +99,35 @@ def find_nonconstant_excessive(
     constant within tol.  Vertices are tried in index order, so the witness
     is deterministic.
 
-    ``form.irreducible`` is read after ``form.L``, so NumericOverflow comes
-    first.  The solve is checked, not predicted: a singular L or an h that
-    is not positive and finite raises NotIrreducible, as rounding has then
-    cut the generator's graph or absorbed the killing into its diagonal.
+    L h = e_x is solved as F h = m(x) e_x (F = M L).  F is symmetric and
+    diagonally dominant, so elimination with partial pivoting keeps its
+    diagonal pivots and is stable; L's rows are scaled by 1/m, which moves
+    the pivots, and on a nearly recurrent form with m spread over 1e+-6 its
+    Green function came out negative.
+
+    ``form.irreducible`` is read after the generator's NumericOverflow
+    (``form.generator_diagonal``).  The solve is checked, not predicted: a
+    singular F or an h that is not positive and finite raises
+    NotIrreducible, as rounding has then absorbed the killing into F's
+    diagonal or the Green function leaves the float range.
     """
-    generator = form.L  # NumericOverflow before NotIrreducible
+    form.generator_diagonal  # NumericOverflow before NotIrreducible
     if not form.irreducible:
         raise NotIrreducible("nonconstant-excessive search requires an irreducible form")
     n = len(form.space)
     if is_recurrent(form):
         return None
+    gram, m = form.form_matrix, form.space.m
     for x in range(min(n, 2)):
         try:
-            h = np.linalg.solve(generator, np.eye(n)[x])
+            h = np.linalg.solve(gram, m[x] * np.eye(n)[x])
         except np.linalg.LinAlgError:  # singular: no positive Green function
             h = np.zeros(n)
         low, high = float(h.min()), float(h.max())  # a float ratio past the range is inf
         if not 0.0 < low <= high < np.inf:  # NaN fails both
-            raise NotIrreducible("no positive Green function in floating point: rounding cut "
-                                 "the generator's graph or absorbed the killing into its diagonal")
+            raise NotIrreducible("no positive Green function in floating point: rounding "
+                                 "absorbed the killing into the diagonal of F, or the function "
+                                 "leaves the float range")
         if high / low - 1.0 > tol.bound(1.0):
             return h
     return None

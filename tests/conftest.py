@@ -19,13 +19,18 @@ from dirikit.errors import (
     NegativeWeight,
     NonPositive,
     NotExcessive,
+    NotIntertwining,
+    NotIrreducible,
     NotRecurrent,
+    NumericOverflow,
     SelfLoop,
     SpaceMismatch,
 )
 from dirikit.jsonio import _number, _require
 from dirikit.metrics import _resistance_green
-from dirikit.orderiso import require_intertwining
+from dirikit.orderiso import _require_normal, require_intertwining
+from dirikit.report import worst_entry
+from dirikit.sampling import nonconstant_excessive_profile
 from dirikit.search import SearchOptions, residual_bound, spectra_match
 from dirikit.tolerances import DEFAULT_TOL, Tolerance
 
@@ -485,8 +490,9 @@ def oracle_search_payload(verdict) -> dict:
 
 
 def oracle_offdiagonal_connected(coupling: np.ndarray) -> bool:
-    """Oracle: the depth-first search over the nonzero entries of each row
-    and column that ``core._offdiagonal_connected`` replaced."""
+    """Oracle: a depth-first search over the nonzero entries of each row
+    and column of a dense coupling, against which the edge route
+    ``core._edges_connected`` is checked."""
     n = coupling.shape[0]
     if n == 0:
         return False
@@ -594,6 +600,129 @@ def construction_outcome(make, *args):
     )
 
 
+def oracle_generator_times(form, h) -> np.ndarray:
+    """Oracle: L h summed edge by edge in Python floats, in key order, the
+    order in which ``spectral._excess`` adds its terms: at each vertex the
+    flows b(x, y) (h(x) - h(y)) of the edges it is the first end of, less
+    those of the edges it is the second end of, plus c h, over m."""
+    n = len(form.space)
+    first, second = [0.0] * n, [0.0] * n
+    values = np.asarray(h, dtype=float).tolist()
+    for (x, y), w in zip(form.edge_indices.T.tolist(), form.weights.tolist()):
+        flow = w * (values[x] - values[y])
+        first[x] += flow
+        second[y] += flow
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.array(first) - np.array(second) + form.c * h) / form.space.m
+
+
+def oracle_entry_scale(matrix: np.ndarray, left=1.0, right=1.0) -> np.ndarray:
+    """Oracle: the dense scale of the guard, ``form_scaling`` and
+    ``jump_transform`` that ``Tolerance.outer_bound`` replaced:
+    left(y) right(z) sqrt(A[y, y] A[z, z]) at (y, z); inf past the float
+    range, or NaN where that meets 0."""
+    root = np.sqrt(np.diag(matrix))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.outer(left * root, right * root)
+
+
+def oracle_residual_gap(iso, form1, form2) -> np.ndarray:
+    """Oracle: |U L1 - L2 U| as a dense matrix, |h(y) L1[tau y, tau z] -
+    L2[y, z] h(z)| at (y, z)."""
+    if iso.source != form1.space:
+        raise SpaceMismatch("iso source does not match the first form")
+    if iso.target != form2.space:
+        raise SpaceMismatch("iso target does not match the second form")
+    idx, h = iso.tau_indices, iso.h_values
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(h[:, None] * form1.L[idx][:, idx] - form2.L * h[None, :])
+
+
+def oracle_require_intertwining(iso, form1, form2, tol: Tolerance = DEFAULT_TOL) -> None:
+    """Oracle: the dense guard that ``require_intertwining`` replaced, on
+    every entry of the n x n matrices, with the same bound and errors."""
+    gap = oracle_residual_gap(iso, form1, form2)
+    root_m1 = np.sqrt(iso.source.m[iso.tau_indices])
+    with np.errstate(over="ignore"):
+        bound = tol.bound(oracle_entry_scale(form2.L, iso.h_values / root_m1, root_m1))
+    if not np.isfinite(bound).all() and np.any(np.isfinite(gap) & ~np.isfinite(bound)):
+        raise NumericOverflow("intertwining residual bound leaves the floating-point range")
+    if not (gap <= bound).all():
+        y, z = worst_entry(gap, bound)
+        names = iso.target.vertices
+        raise NotIntertwining(
+            f"intertwining residual {gap[y, z]:.3e} exceeds its bound {bound[y, z]:.3e}"
+            f" at the entry ({names[y]!r}, {names[z]!r}) of the targets"
+        )
+
+
+def oracle_certify(iso, form1, form2, tol: Tolerance = DEFAULT_TOL):
+    """Oracle: ``certify`` on dense F, L and W, as before it read edges:
+    the dense guard, the gathered Gram matrices of ``form_scaling`` and the
+    largest |L| of ``scaling_excessive`` over every entry.  L h is summed
+    as the library sums it (``oracle_generator_times``)."""
+    oracle_require_intertwining(iso, form1, form2, tol)
+    if not (form1.irreducible and form2.irreducible):
+        raise NotIrreducible("certification requires irreducible forms")
+    report = dk.VerificationReport()
+    with np.errstate(over="ignore"):
+        beta = _require_normal("beta", iso.beta)
+    tau, h = iso.tau_indices, iso.h_values
+    w = iso.target.m * h / iso.source.m[tau]
+    report.add("operator_constant", float(np.max(np.abs(w * h - beta))), tol.bound(beta),
+               detail=f"beta={beta!r}")
+    gram2 = h[:, None] * form2.form_matrix * h[None, :]
+    gram1 = beta * form1.form_matrix[tau][:, tau]
+    report.compare("form_scaling", gram1, gram2,
+                   tol.bound(oracle_entry_scale(form2.form_matrix, h, h)))
+    deficit = -float(np.min(oracle_generator_times(form2, h)))
+    scale = float(np.max(np.abs(form2.L))) * float(np.max(h))
+    report.add("scaling_excessive", deficit if not deficit <= 0.0 else 0.0, tol.bound(scale))
+    ratio = float(np.max(h) / np.min(h))
+    if dk.is_recurrent(form1) and dk.is_recurrent(form2):
+        report.add("scaling_constancy", ratio - 1.0, tol.bound(1.0))
+        h_const = float(np.mean(h))
+        square = h_const**2
+        alpha = _require_normal("alpha", beta / square if square else beta / h_const / h_const)
+        pulled = alpha * iso.source.m[tau]
+        report.add("measure_pushforward", float(np.max(np.abs(iso.target.m - pulled) / pulled)),
+                   tol.bound(1.0), detail=f"alpha={alpha!r}")
+    else:
+        report.skip("scaling_constancy", f"pair not recurrent; observed h max/min ratio = {ratio!r}")
+    return report
+
+
+def oracle_jump_transform(iso, form1, form2, tol: Tolerance = DEFAULT_TOL):
+    """Oracle: ``verify_jump_transform`` on the dense weight matrices."""
+    oracle_require_intertwining(iso, form1, form2, tol)
+    idx, h = iso.tau_indices, iso.h_values
+    report = dk.VerificationReport()
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = iso.beta
+        lhs = beta * (0.5 * form1.weight_matrix)[idx][:, idx]
+        rhs = np.outer(h, h) * (0.5 * form2.weight_matrix)
+        np.fill_diagonal(rhs, 0.0)
+        bound = tol.bound(oracle_entry_scale(form2.form_matrix, h, h))
+        report.compare("jump_transform", lhs, rhs, bound, detail=f"beta={beta!r}")
+    return report
+
+
+def sierpinski_doob_pair(level: int, seed: int = 0):
+    """A Doob pair on the unit Sierpinski gasket of the level, built as
+    ``doob_pair_sample`` builds one: the killing that makes a random
+    profile excessive, plus 0.02, then ``doob_pair``; on the edges, so that
+    no n x n array is formed."""
+    base = dk.generate("sierpinski", level)
+    n = len(base.space)
+    h = nonconstant_excessive_profile(rng_for(seed), n)
+    i, j = base.edge_indices
+    flow = base.weights * (h[j] - h[i])
+    # (L h)(x) >= 0 needs c(x) >= sum_y b(x, y) (h(y) - h(x)) / h(x)
+    required = (np.bincount(i, flow, n) - np.bincount(j, flow, n)) / h
+    form1 = base._on_keys(base.space.m, base.weights, np.maximum(required, 0.0) + 0.02)
+    return (form1, *dk.doob_pair(form1, h))
+
+
 def oracle_doob_pair(form, h_excessive, tol: Tolerance = DEFAULT_TOL):
     """Oracle: the route that ``orderiso.doob_pair`` replaced.  It turns the
     edge keys into id strings and builds the partner from them with
@@ -609,7 +738,7 @@ def oracle_doob_pair(form, h_excessive, tol: Tolerance = DEFAULT_TOL):
     i, j = form.edge_indices
     with np.errstate(over="ignore", invalid="ignore"):
         weights = (h[i] * h[j] * form.weights).tolist()
-        c2 = np.maximum(h * form.space.m * (form.L @ h), 0.0)
+        c2 = np.maximum(h * form.space.m * oracle_generator_times(form, h), 0.0)
         space2 = dk.MeasureSpace(names, h**2 * form.space.m)
         form2 = dk.GraphForm._from_columns(space2, *form.edge_ends(), weights, c2)
         return form2, dk.OrderIso(form.space, space2, dict(zip(names, names)),

@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,9 +19,17 @@ import dirikit as dk
 from dirikit import cli, jsonio, metrics, orderiso
 from dirikit.cli import run
 from dirikit.errors import InvalidSize, MalformedInput, NotIntertwining
-from dirikit.sampling import random_form
+from dirikit.sampling import doob_pair_sample, random_form
 
-from conftest import PAST_LEAF, diagonal_overflow_form, edge_weight, eigh_calls, pick, rng_for
+from conftest import (
+    PAST_LEAF,
+    diagonal_overflow_form,
+    edge_weight,
+    eigh_calls,
+    pick,
+    rng_for,
+    sierpinski_doob_pair,
+)
 
 SRC = pathlib.Path(dk.__file__).resolve().parent.parent
 
@@ -608,6 +617,35 @@ class TestDeterminism:
         form = jsonio.graph_loads((tmp_path / "l5.json").read_text(encoding="utf-8"))
         payload = {"vertices": list(form.space.vertices), "R": dk.resistance_matrix(form).d}
         assert jsonio.document(payload) == jsonio.document(payload)
+
+    def test_transient_certify_bytes_under_blas_thread_counts(self, tmp_path):
+        # a transient certify makes no BLAS call: the bytes of Doob pairs'
+        # reports are the same under one and two OpenBLAS threads
+        pairs = {"doob160.json": doob_pair_sample(rng_for(4420), 160),
+                 "doob_l5.json": sierpinski_doob_pair(5)}
+        for name, pair in pairs.items():
+            (tmp_path / name).write_text(jsonio.dumps(jsonio.pair_to_obj(*pair)), encoding="utf-8")
+            runs = [TestModuleEntry.module(tmp_path, "certify", name, OPENBLAS_NUM_THREADS=threads)
+                    for threads in ("1", "2")]
+            assert [(proc.returncode, proc.stderr) for proc in runs] == [(0, b"")] * 2, name
+            assert runs[0].stdout == runs[1].stdout, name
+
+
+def test_transient_certify_peak_memory(tmp_path):
+    # a Sierpinski L6 Doob pair (1095 vertices, 2187 edges): the CLI's
+    # certify, reading the pair included, stays under 10 MB traced, where
+    # one n x n array takes 9.6 MB (the dense checks peaked at 111 MB)
+    pair = tmp_path / "doob_l6.json"
+    pair.write_text(jsonio.dumps(jsonio.pair_to_obj(*sierpinski_doob_pair(6))), encoding="utf-8")
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        code = run(["certify", str(pair), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out.read_text())["verdict"]
+    assert peak < 10 * 2**20
 
 
 # the flags each command reads, and so accepts

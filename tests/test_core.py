@@ -241,6 +241,13 @@ class TestConstructionOracle:
                 assert construction_outcome(dk.GraphForm, space, b) == want
 
 
+def edges_connected(coupling: np.ndarray) -> bool:
+    """``core._edges_connected`` on the edges of the nonzero entries above
+    the diagonal of the symmetric ``coupling``."""
+    i, j = np.nonzero(np.triu(coupling != 0.0, 1))
+    return dk.core._edges_connected(len(coupling), i, j)
+
+
 class TestConnectivityOracle:
     def test_random_couplings(self):
         # sparse symmetric couplings, as a weight matrix is
@@ -252,34 +259,41 @@ class TestConnectivityOracle:
                                         rng.uniform(-1.0, 1.0, (n, n)), 0.0), 1)
             coupling += coupling.T
             want = oracle_offdiagonal_connected(coupling)
-            assert dk.core._offdiagonal_connected(coupling) == want, seed
+            assert edges_connected(coupling) == want, seed
             verdicts.add(want)
         assert verdicts == {True, False}
 
     def test_single_vertex(self):
         for value in (0.0, 2.0):
-            assert dk.core._offdiagonal_connected(np.array([[value]]))
+            assert edges_connected(np.array([[value]]))
 
     def test_two_components(self):
         block = np.ones((3, 3)) - np.eye(3)
         coupling = np.zeros((6, 6))
         coupling[:3, :3] = coupling[3:, 3:] = block
         assert not oracle_offdiagonal_connected(coupling)
-        assert not dk.core._offdiagonal_connected(coupling)
+        assert not edges_connected(coupling)
         coupling[4, 1] = coupling[1, 4] = 1e-300
-        assert dk.core._offdiagonal_connected(coupling)
+        assert edges_connected(coupling)
 
     def test_long_path(self):
-        # as many frontier steps as vertices
-        n = 3282
-        i = np.arange(n - 1)
-        path = np.zeros((n, n), dtype=bool)
-        path[i, i + 1] = path[i + 1, i] = True
-        assert oracle_offdiagonal_connected(path)
-        assert dk.core._offdiagonal_connected(path)
-        path[n // 2, n // 2 + 1] = path[n // 2 + 1, n // 2] = False
-        assert not oracle_offdiagonal_connected(path)
-        assert not dk.core._offdiagonal_connected(path)
+        # the longest path under the cap, in vertex order (one round of
+        # hooking), shuffled and bit-reversed (12 rounds), whole and cut
+        n = dk.core.MAX_VERTICES
+        bits = n.bit_length() - 1
+        reversed_bits = np.array([int(format(k, f"0{bits}b")[::-1], 2) for k in range(n)])
+        for order in (np.arange(n), rng_for(71).permutation(n), reversed_bits):
+            i, j = order[:-1], order[1:]
+            path = np.zeros((n, n), dtype=bool)
+            path[i, j] = path[j, i] = True
+            assert oracle_offdiagonal_connected(path)
+            assert edges_connected(path)
+            assert dk.core._edges_connected(n, i, j) and dk.core._edges_connected(n, j, i)
+            cut = np.arange(n - 1) != n // 2
+            path[i[~cut], j[~cut]] = path[j[~cut], i[~cut]] = False
+            assert not oracle_offdiagonal_connected(path)
+            assert not edges_connected(path)
+            assert not dk.core._edges_connected(n, i[cut], j[cut])
 
 
 class TestEvaluate:
@@ -376,7 +390,8 @@ class TestGenerator:
 # every array that a form stores or caches, as a path from the form
 # (``_key_order`` is the sort of the edge columns that the form was read from)
 FORM_ARRAYS = ("space.m", "edge_indices", "weights", "_key_order", "c", "weight_matrix",
-               "degrees", "form_matrix", "L", "symmetric", "spectrum", "green")
+               "degrees", "form_diagonal", "generator_diagonal", "form_matrix", "L", "symmetric",
+               "spectrum", "green")
 
 
 def doob_partner():

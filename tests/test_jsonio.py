@@ -946,17 +946,17 @@ class TestSameGraphPair:
 
     def test_connectivity_searches(self, tmp_path, monkeypatch):
         calls = []
-        search = dk.core._offdiagonal_connected
+        search = dk.core._edges_connected
 
-        def counted(coupling):
-            calls.append(len(coupling))
-            return search(coupling)
+        def counted(n, i, j):
+            calls.append(n)
+            return search(n, i, j)
 
-        monkeypatch.setattr("dirikit.core._offdiagonal_connected", counted)
+        monkeypatch.setattr("dirikit.core._edges_connected", counted)
         path, out = tmp_path / "pair.json", tmp_path / "report.json"
         assert run(["gen-pair", "--transform", "doob", "--n", "40", "--out", str(path)]) == 0
         assert run(["certify", str(path), "--out", str(out)]) == 0
-        assert calls == [40]  # on g1's W, whose connectivity g2 reads
+        assert calls == [40]  # on g1's edges, whose connectivity g2 reads
         pair = json.loads(path.read_text())
         assert min(pair["g1"]["edges"]["b"]) > 0.0
         # a zero weight on the same edge of both graphs, then on another

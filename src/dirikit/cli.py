@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from . import jsonio, metrics, orderiso, search, spectral
+from . import jsonio, metrics, orderiso, search
 from .core import generate
 from .errors import DirikitError
 from .report import VerificationReport
@@ -166,7 +166,7 @@ def _cmd_check(args) -> int:
         "vertices": len(form.space),
         "edges": len(form.weights),
         "irreducible": form.irreducible,
-        "recurrent": spectral.is_recurrent(form),
+        "recurrent": form.recurrent,
         "spectrum": spectrum,
     }
     _output(args, payload, lambda: _lines(
@@ -207,7 +207,7 @@ def _cmd_certify(args) -> int:
     report = orderiso._certify_checks(iso, form1, form2, tol, entries)
     report.extend(orderiso._jump_transform_checks(iso, form1, form2, tol, entries))
     del entries  # before the recurrent pair's n x n arrays
-    if spectral.is_recurrent(form1) and spectral.is_recurrent(form2):
+    if form1.recurrent and form2.recurrent:
         report.extend(metrics._resistance_checks(iso, form1, form2, tol))
         report.extend(metrics._intrinsic_checks(iso, form1, form2, tol))
     _output(args, report.to_dict(), lambda: _report_text(report))

@@ -31,7 +31,8 @@ of its edge keys, in key order; the dict ``b`` is derived data, built on
 first read.  A form on another form's edge keys with a new measure,
 weights or killing (a Doob partner, a same-graph pair's g2) comes from
 ``GraphForm._on_keys``; no other module builds a form or writes its
-fields, and ``irreducible`` is the one connectivity that callers read.
+fields; ``irreducible`` is the one connectivity and ``recurrent`` the one
+recurrence that callers read.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _edge_key(u: str, v: str) -> tuple[str, str]:
 
 
 def _require_finite(matrix: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(matrix)):
+    if not np.isfinite(matrix).all():
         raise NumericOverflow(
             f"{what} has a non-finite entry: weights or measures out of floating-point range"
         )
@@ -395,6 +396,12 @@ class GraphForm:
         i, j = self.edge_indices
         positive = self.weights > 0.0
         return _edges_connected(len(self.space), i[positive], j[positive])
+
+    @cached_property
+    def recurrent(self) -> bool:
+        """Whether the form annihilates constants, i.e. has no killing: no
+        entry of c is nonzero (-0.0 is zero, the least subnormal is not)."""
+        return not self.c.any()
 
     @cached_property
     def degrees(self) -> np.ndarray:

@@ -57,7 +57,6 @@ from .errors import (
 )
 from .orderiso import OrderIso, require_intertwining
 from .report import VerificationReport
-from .spectral import is_recurrent
 from .tolerances import DEFAULT_TOL, Tolerance
 
 
@@ -151,7 +150,7 @@ def _resistance_green(form: GraphForm) -> np.ndarray:
     """Grounded Green function of the measure-free form matrix, cached per form."""
     if not form.irreducible:
         raise NotIrreducible("effective resistance needs a connected conductance graph")
-    if not is_recurrent(form):
+    if not form.recurrent:
         raise NotRecurrent("effective resistance is undefined in the presence of killing")
     return form.green
 
@@ -213,7 +212,7 @@ def verify_resistance_isometry(
     or more vertices, that and ``resistance_isometry`` imply alpha^2 = beta,
     and a term |alpha - sqrt(beta)| would be in the units of h, not of R.
     """
-    if not (is_recurrent(form1) and is_recurrent(form2)):
+    if not (form1.recurrent and form2.recurrent):
         raise NotRecurrent("resistance comparison requires recurrent forms")
     require_intertwining(iso, form1, form2, tol)
     return _resistance_checks(iso, form1, form2, tol)
@@ -425,7 +424,7 @@ def verify_intrinsic_bijection(
     d saturates the family (E1 = m where m/deg is least), so the zero
     metric and d rescaled to the boundary of the family add no check.
     """
-    if not (is_recurrent(form1) and is_recurrent(form2)):
+    if not (form1.recurrent and form2.recurrent):
         raise NotRecurrent("the intrinsic-family comparison requires recurrent forms")
     require_intertwining(iso, form1, form2, tol)
     return _intrinsic_checks(iso, form1, form2, tol)

@@ -49,7 +49,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .report import VerificationReport, worst_entry
-from .spectral import _excess, is_recurrent
+from .spectral import _excess
 from .tolerances import DEFAULT_TOL, Tolerance
 
 
@@ -92,9 +92,10 @@ class OrderIso:
     @cached_property
     def beta(self) -> float:
         """The operator constant ||U||^2, the mean diagonal of U*U: the mean
-        of h(y)^2 m2(y) / m1(tau(y))."""
+        of h(y)^2 m2(y) / m1(tau(y)); inf past the float range."""
         m1_tau = self.source.m[self.tau_indices]
-        return float(_operator_constants(self.h_values, self.target.m, m1_tau))
+        with np.errstate(over="ignore"):
+            return float(_operator_constants(self.h_values, self.target.m, m1_tau))
 
     @cached_property
     def tau(self) -> dict[str, str]:
@@ -117,7 +118,7 @@ def _operator_constants(h: np.ndarray, m2: np.ndarray, m1_tau: np.ndarray) -> np
     """The mean of h^2 m2 / m1(tau) over targets in storage order, one per
     row, summed from row-major rows: numpy sums a column-major array's rows
     in another order, and beta could differ in the last bit."""
-    return np.mean(np.ascontiguousarray(h**2 * m2 / m1_tau), axis=-1)
+    return np.ascontiguousarray(h**2 * m2 / m1_tau).mean(axis=-1)
 
 
 class _Entries:
@@ -127,9 +128,9 @@ class _Entries:
     image under tau is an edge of g1.  Off them L, F and W of both forms
     are 0, so every identity holds exactly.  ``rows`` and ``cols`` list the
     entries and ``codes`` their row-major indices r n + c; at each entry
-    (r, c), ``w2`` and ``f2`` hold W2 and F2 = diag(deg2 + c2) - W2, ``w1``
-    and ``f1`` W1 and F1 at (tau r, tau c), and ``h_rows`` and ``h_cols``
-    h(r) and h(c).
+    (r, c), ``f2`` holds F2 = diag(deg2 + c2) - W2, ``f1`` F1 at (tau r,
+    tau c), and ``h_rows`` and ``h_cols`` h(r) and h(c); ``m1`` is m1(tau y)
+    per target y, and ``jump_weights`` builds the W entries.
 
     Both forms' pair codes are sorted, and compared: they are equal for an
     intertwiner of forms without zero weights, and a union is formed only
@@ -155,12 +156,17 @@ class _Entries:
         self.rows = np.concatenate((diagonal, y, z))
         self.cols = np.concatenate((diagonal, z, y))
         self.codes = self.rows * n + self.cols
-        zero = np.zeros(n)
-        self.w1, self.w2 = np.concatenate((zero, w1, w1)), np.concatenate((zero, w2, w2))
+        self._pair_weights = w1, w2
         f1, f2 = -w1, -w2  # F = -W off the diagonal
         self.f1 = np.concatenate((form1.form_diagonal[tau], f1, f1))
         self.f2 = np.concatenate((form2.form_diagonal, f2, f2))
         self.h_rows, self.h_cols = h[self.rows], h[self.cols]
+        self.m1 = iso.source.m[tau]
+
+    def jump_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """W1 at (tau r, tau c) and W2 at (r, c) at each entry, 0 on the diagonal."""
+        zero = np.zeros(len(self.m1))
+        return tuple(np.concatenate((zero, w, w)) for w in self._pair_weights)
 
 
 def _pair_codes(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,26 +188,25 @@ def _placed(codes: np.ndarray, sub: np.ndarray, values: np.ndarray) -> np.ndarra
 def _residual_gap(iso: OrderIso, form1: GraphForm, form2: GraphForm) -> tuple[_Entries, np.ndarray]:
     """The entries that can be nonzero and |U L1 - L2 U| on them: at
     (y, tau z), |h(y) L1[tau y, tau z] - L2[y, z] h(z)| as entry (y, z),
-    without forming U or L; inf or NaN past the float range.
-    NumericOverflow, form 1's first, when an entry of an L is not finite
-    (``GraphForm.generator_diagonal``)."""
+    without forming U or L; inf or NaN past the float range, whose warnings
+    each caller's one errstate silences.  NumericOverflow, form 1's first,
+    when an entry of an L is not finite (``GraphForm.generator_diagonal``)."""
     if iso.source != form1.space:
         raise SpaceMismatch("iso source does not match the first form")
     if iso.target != form2.space:
         raise SpaceMismatch("iso target does not match the second form")
     form1.generator_diagonal, form2.generator_diagonal  # NumericOverflow, form 1's first
     entries = _Entries(iso, form1, form2)
-    m1 = iso.source.m[iso.tau_indices]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return entries, np.abs(entries.h_rows * (entries.f1 / m1[entries.rows])
-                               - (entries.f2 / iso.target.m[entries.rows]) * entries.h_cols)
+    return entries, np.abs(entries.h_rows * (entries.f1 / entries.m1[entries.rows])
+                           - (entries.f2 / iso.target.m[entries.rows]) * entries.h_cols)
 
 
 def intertwining_residual(iso: OrderIso, form1: GraphForm, form2: GraphForm) -> float:
     """Max-norm of U L1 - L2 U, zero iff U intertwines the semigroups: a
     diagnostic in the units of L and h, not the acceptance test (that is
     ``require_intertwining``), kept because perfbench/layers.py times it."""
-    return float(np.max(_residual_gap(iso, form1, form2)[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_residual_gap(iso, form1, form2)[1].max())
 
 
 def require_intertwining(
@@ -218,10 +223,9 @@ def require_intertwining(
     the residual is 0, so a bound there that is not finite raises it too,
     found by counting them (``Tolerance.outer_bound``).  Returns the
     entries, which the checks past the guard read."""
-    entries, gap = _residual_gap(iso, form1, form2)
-    root = np.sqrt(form2.generator_diagonal)
-    root_m1 = np.sqrt(iso.source.m[iso.tau_indices])
     with np.errstate(over="ignore", invalid="ignore"):
+        entries, gap = _residual_gap(iso, form1, form2)
+        root, root_m1 = np.sqrt(form2.generator_diagonal), np.sqrt(entries.m1)
         left, right = iso.h_values / root_m1 * root, root_m1 * root
     bound, nonfinite = tol.outer_bound(left, right, entries.rows, entries.cols)
     if nonfinite:  # else every bound of the n x n matrix is finite
@@ -292,16 +296,15 @@ def _certify_checks(
         raise NotIrreducible("certification requires irreducible forms")
 
     report = VerificationReport()
-    with np.errstate(over="ignore"):  # an infinite beta raises below
-        beta = _require_normal("beta", iso.beta)
+    beta = _require_normal("beta", iso.beta)
     # U and U* have one nonzero per row, so nothing is multiplied densely and
     # everything is read in target order y, with x = tau(y): the nonzero of
     # U* in row x is w(y) = m2(y) h(y) / m1(x), U*U and UU* are diagonal with
     # (U*U)[x, x] = (UU*)[y, y] = w(y) h(y), and
     # (U^T F2 U)[tau(y), tau(z)] = h(y) F2[y, z] h(z), F = -b off the diagonal.
-    tau, h = iso.tau_indices, iso.h_values
-    w = iso.target.m * h / iso.source.m[tau]
-    op_residual = float(np.max(np.abs(w * h - beta)))
+    h = iso.h_values
+    w = iso.target.m * h / entries.m1
+    op_residual = float(np.abs(w * h - beta).max())
     report.add("operator_constant", op_residual, tol.bound(beta), detail=f"beta={beta!r}")
 
     report.compare("form_scaling", beta * entries.f1, entries.h_rows * entries.f2 * entries.h_cols,
@@ -310,14 +313,14 @@ def _certify_checks(
     _, deficit, exc_scale = _excess(form2, h)
     report.add("scaling_excessive", deficit, tol.bound(exc_scale))
 
-    ratio = float(np.max(h) / np.min(h))
-    if is_recurrent(form1) and is_recurrent(form2):
+    ratio = float(h.max() / h.min())
+    if form1.recurrent and form2.recurrent:
         report.add("scaling_constancy", ratio - 1.0, tol.bound(1.0))
-        h_const = float(np.mean(h))
+        h_const = float(h.mean())
         square = h_const**2  # 0 where it underflows, which alpha need not
         alpha = _require_normal("alpha", beta / square if square else beta / h_const / h_const)
-        pulled = alpha * iso.source.m[tau]
-        push_residual = float(np.max(np.abs(iso.target.m - pulled) / pulled))
+        pulled = alpha * entries.m1
+        push_residual = float((np.abs(iso.target.m - pulled) / pulled).max())
         report.add(
             "measure_pushforward", push_residual, tol.bound(1.0),
             detail=f"alpha={alpha!r}",
@@ -355,9 +358,10 @@ def _jump_transform_checks(
     report = VerificationReport()
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing h^2 is a FAIL
         beta = iso.beta
-        rhs = entries.h_rows * entries.h_cols * (0.5 * entries.w2)
+        w1, w2 = entries.jump_weights()
+        rhs = entries.h_rows * entries.h_cols * (0.5 * w2)
         rhs[:len(iso.target)] = 0.0
-        report.compare("jump_transform", beta * (0.5 * entries.w1), rhs,
+        report.compare("jump_transform", beta * (0.5 * w1), rhs,
                        _form_bound(iso, form2, tol, entries), detail=f"beta={beta!r}",
                        codes=entries.codes)
     return report

@@ -48,8 +48,8 @@ def is_irreducible(form: GraphForm) -> bool:
 
 
 def is_recurrent(form: GraphForm) -> bool:
-    """Whether the form annihilates constants, i.e. has no killing."""
-    return bool(np.all(form.c == 0.0))
+    """Whether the form annihilates constants, i.e. has no killing; cached on the form."""
+    return form.recurrent
 
 
 def is_excessive(form: GraphForm, h: VertexFunction, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -62,7 +62,7 @@ def is_excessive(form: GraphForm, h: VertexFunction, tol: Tolerance = DEFAULT_TO
     (``_excess``).
     """
     hv = form.space.vector(h)
-    if np.any(hv < 0.0):
+    if (hv < 0.0).any():
         raise NegativeInput("excessive candidates must be nonnegative")
     _, deficit, scale = _excess(form, hv)
     return bool(deficit <= tol.bound(scale))
@@ -91,7 +91,7 @@ def find_nonconstant_excessive(
     """A nonconstant strictly positive excessive function, or None.
 
     On an irreducible form every excessive function is constant exactly
-    when the form is recurrent (the Liouville property, ``is_recurrent``),
+    when the form is recurrent (the Liouville property, ``form.recurrent``),
     so None is returned then.  Otherwise L is invertible and the Green
     function h = L^{-1} e_x is strictly positive with L h = e_x >= 0, hence
     excessive.  It is constant only when all the killing sits at x; that of
@@ -115,7 +115,7 @@ def find_nonconstant_excessive(
     if not form.irreducible:
         raise NotIrreducible("nonconstant-excessive search requires an irreducible form")
     n = len(form.space)
-    if is_recurrent(form):
+    if form.recurrent:
         return None
     gram, m = form.form_matrix, form.space.m
     for x in range(min(n, 2)):

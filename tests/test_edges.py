@@ -170,6 +170,25 @@ class TestParity:
         for tol in (dk.DEFAULT_TOL, dk.Tolerance(0.9)):
             assert_parity(form1, form2, iso, tol, case)
 
+    def test_excessive_witness_doob_pair(self):
+        # the chain find_nonconstant_excessive -> doob_pair -> certify on the
+        # recipe of perfbench's excessive workload: a seeded transient form
+        # with killing at its first vertex, n = 8, 12, 16
+        rng = rng_for(4415)
+        for n in (8, 12, 16):
+            for seed in range(4):
+                form = random_form(rng, n, recurrent=False)
+                c = form.c.copy()
+                c[0] = max(c[0], float(rng.uniform(0.5, 2.0)))
+                form = dk.GraphForm(form.space, form.b, c)
+                h = dk.find_nonconstant_excessive(form)
+                assert h is not None and dk.is_excessive(form, h)
+                form2, iso = dk.doob_pair(form, h)
+                assert dk.certify(iso, form, form2).verdict
+                for tol in (dk.DEFAULT_TOL, dk.Tolerance(1e-3), dk.Tolerance(1e6)):
+                    assert_parity(form, form2, iso, tol, (n, seed, tol))
+                    assert_parity(form, form2, swapped(iso), tol, (n, seed, tol, "swapped"))
+
     def test_sierpinski_l5_doob_pair(self):
         form1, form2, iso = sierpinski_doob_pair(5)
         assert_parity(form1, form2, iso, dk.DEFAULT_TOL, "L5")

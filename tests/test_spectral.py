@@ -283,6 +283,37 @@ class TestRecurrent:
         )
         assert not dk.is_recurrent(form)
 
+    def test_cached_bool_on_the_form(self):
+        # -0.0 is no killing, the least subnormal is; the answer is a plain
+        # bool, stored on the form at the first read, and is_recurrent reads it
+        edge = [("a", "b", 1.0)]
+        cases = [
+            (dk.generate("path", 4), True),
+            (dk.build_form(["a", "b"], 1.0, edge, {"a": -0.0, "b": 0.0}), True),
+            (dk.build_form(["a", "b"], 1.0, edge, {"a": 0.0, "b": 5e-324}), False),
+        ]
+        for form, recurrent in cases:
+            assert "recurrent" not in vars(form)
+            assert type(form.recurrent) is bool and form.recurrent is recurrent
+            assert "recurrent" in vars(form)
+            assert dk.is_recurrent(form) is form.recurrent
+
+    def test_doob_partner_reads_its_own_killing(self):
+        # by a constant h a recurrent form's partner is recurrent, by the
+        # Green function of a transient form it is not: each partner decides
+        # from its own c, after its source has decided
+        rng = rng_for(2730)
+        recurrent = random_form(rng, 8, recurrent=True)
+        transient = random_form(rng, 8, recurrent=False)
+        green = dk.find_nonconstant_excessive(transient)
+        assert green is not None
+        for form, h, want in ((recurrent, np.full(8, 1.7), True), (transient, green, False)):
+            assert form.recurrent is want
+            partner, _ = dk.doob_pair(form, h)
+            assert "recurrent" not in vars(partner)
+            assert partner.recurrent is want
+            assert dk.is_recurrent(partner) is partner.recurrent
+
 
 class TestExcessive:
     def test_constants_are_excessive(self):

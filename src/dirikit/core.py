@@ -13,15 +13,15 @@ L[x,y] = -b(x,y)/m(x) off the diagonal and L[x,x] = (deg(x) + c(x))/m(x),
 where deg(x) = sum_y b(x,y); it satisfies <Lf, g>_m = Q(f, g).
 
 Measure, conductances and killing are stored separately and never
-premultiplied; derived data (the weight, form and generator matrices,
-connectivity, the grounded Green function, S = M^{1/2} L M^{-1/2} and its
-spectrum, from the eigenvalue-only ``eigvalsh``) is computed on first use
-and cached on the form, read-only; no eigenvector is cached.  All values
-are immutable after construction and every operation is a pure function.
-What a per-vertex sum or a graph search needs comes from the edge columns,
-never an n x n matrix: the degrees (two ``np.bincount`` calls, which W, F,
-L and S read), the diagonals of F and L, which decide whether F and L are
-finite, and ``irreducible``.
+premultiplied.  W, F, L, S and the grounded F that G inverts are each one
+scatter of the edge columns onto zeros (``_scatter``), the diagonal from
+the edge sums; none is built from another.  A form caches, read-only, the
+degrees (two ``np.bincount`` calls), the diagonals of F and L, which decide
+whether F and L are finite, ``irreducible``, ``recurrent``, S = M^{1/2} L
+M^{-1/2} and its spectrum (from the eigenvalue-only ``eigvalsh``) and the
+grounded Green function.  W, F and L are built on each read, and no
+eigenvector is cached.  All values are immutable after construction and
+every operation is a pure function.
 
 Construction works on whole arrays: edge columns of ends and weights, one
 look-up per endpoint, one pass of array checks and a sort by the string
@@ -94,15 +94,14 @@ def _edges_connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
             parent = grand
 
 
-# The vertex cap.  A recurrent certify holds about 23 float arrays of n x n
-# at its peak (W and F and the grounded Green function of both forms, the
-# resistance and canonical metrics and their temporaries; a tracemalloc
-# probe of the CLI path on relabel pairs at n = 200 and 400 gave 23.9 and
-# 22.9 times 8 n^2 bytes): 184 n^2 bytes.  At 4096 vertices that is 3.1 GB,
-# under half of an 8 GB machine; a cap of 2^13 would need 12.3 GB.  A
-# transient certify reads the edges only: the CLI's certify of a
-# Sierpinski level 7 Doob pair (3282 vertices, 6561 edges) peaks at 7.0 MB
-# traced, reading included.  Level 7 stays within the cap.
+# The vertex cap.  A recurrent certify holds about 9 float arrays of n x n
+# at its peak (the grounded Green function of both forms, the resistance
+# and canonical metrics and their temporaries; a tracemalloc probe of the
+# CLI on a relabelled Sierpinski level 7 gave 9.06 times 8 n^2 bytes):
+# 73 n^2 bytes, 1.2 GB at 4096 vertices, where a cap of 2^13 would need
+# 4.9 GB, over half of an 8 GB machine.  A transient certify reads the
+# edges only: the CLI's certify of a Sierpinski level 7 Doob pair (3282
+# vertices, 6561 edges) peaks at 7.0 MB traced, reading included.
 MAX_VERTICES = 4096
 
 
@@ -146,13 +145,15 @@ def _symmetric_inverse(a: np.ndarray, out: np.ndarray) -> None:
     out[:k, :k] -= x.T @ minus_y
 
 
-def _around(p: int, n: int) -> list[tuple[tuple[slice, slice], tuple[slice, slice]]]:
-    """The four blocks of an n x n matrix around row and column p, each as
-    (its place in the (n - 1) x (n - 1) matrix without them, its place in
-    the n x n one)."""
-    parts = ((slice(0, p), slice(0, p)), (slice(p, n - 1), slice(p + 1, n)))
-    return [((rows_in, cols_in), (rows, cols))
-            for rows_in, rows in parts for cols_in, cols in parts]
+def _scatter(n: int, i: np.ndarray, j: np.ndarray, diagonal, upper, lower=None) -> np.ndarray:
+    """The read-only n x n matrix with ``diagonal`` on its diagonal, upper[k]
+    at (i[k], j[k]), lower[k] (upper[k] if None) at (j[k], i[k]), else 0.0."""
+    a = np.zeros((n, n))
+    a[i, j] = upper
+    a[j, i] = upper if lower is None else lower
+    np.fill_diagonal(a, diagonal)
+    a.flags.writeable = False
+    return a
 
 
 def _require_size(count: int) -> None:
@@ -324,8 +325,7 @@ class GraphForm:
         """The form on this form's vertex ids, index, edge keys and key
         order with the measure m, the key-order weights and the killing c:
         checked arrays, made read-only, not copied.  It reads this form's
-        connectivity (``_same_graph``) when the positive patterns are equal,
-        and this form's weight matrix, if built, on the same weights."""
+        connectivity (``_same_graph``) when the positive patterns are equal."""
         form = GraphForm.__new__(GraphForm)
         form.space = MeasureSpace.__new__(MeasureSpace)
         form.space.vertices, form.space._index = self.space.vertices, self.space._index
@@ -335,8 +335,6 @@ class GraphForm:
         form.edge_indices, form._key_order = self.edge_indices, self._key_order
         if (weights > 0.0).tobytes() == (self.weights > 0.0).tobytes():  # the cheapest test
             form._same_graph = self
-        if weights is self.weights and "weight_matrix" in vars(self):
-            form.weight_matrix = self.weight_matrix
         return form
 
     def _same_ends(self, m, us, vs, ws, c) -> GraphForm:
@@ -377,15 +375,10 @@ class GraphForm:
         """Conductance per edge key (u, v), u <= v as strings, in key order."""
         return dict(zip(zip(*self.edge_ends()), self.weights.tolist()))
 
-    @cached_property
+    @property
     def weight_matrix(self) -> np.ndarray:
-        """Symmetric conductance matrix W with zero diagonal."""
-        n = len(self.space)
-        w = np.zeros((n, n))
-        i, j = self.edge_indices
-        w[i, j] = w[j, i] = self.weights
-        w.flags.writeable = False
-        return w
+        """Symmetric conductance matrix W with zero diagonal, built on each read."""
+        return _scatter(len(self.space), *self.edge_indices, 0.0, self.weights)
 
     @cached_property
     def irreducible(self) -> bool:
@@ -437,35 +430,39 @@ class GraphForm:
         d.flags.writeable = False
         return d
 
-    @cached_property
+    @property
     def form_matrix(self) -> np.ndarray:
-        """Measure-free Gram matrix F with F[i,j] = Q(e_i, e_j); NumericOverflow
-        when a diagonal entry is not finite (``form_diagonal``)."""
-        f = np.diag(self.form_diagonal) - self.weight_matrix
-        f.flags.writeable = False
-        return f
+        """Measure-free Gram matrix F = diag(deg + c) - W, F[i,j] = Q(e_i, e_j),
+        built on each read; NumericOverflow when a diagonal entry is not
+        finite (``form_diagonal``)."""
+        return _scatter(len(self.space), *self.edge_indices, self.form_diagonal,
+                        0.0 - self.weights)
 
-    @cached_property
+    @property
     def L(self) -> np.ndarray:
-        """The generator L = M^{-1} (diag(deg + c) - W); NumericOverflow when
-        an entry is not finite (``generator_diagonal``)."""
-        self.generator_diagonal  # NumericOverflow before the n x n work
-        l_matrix = self.form_matrix / self.space.m[:, None]
-        l_matrix.flags.writeable = False
-        return l_matrix
+        """The generator L = M^{-1} F, built on each read; NumericOverflow
+        when an entry is not finite (``generator_diagonal``)."""
+        i, j = self.edge_indices
+        f, m = 0.0 - self.weights, self.space.m
+        return _scatter(len(self.space), i, j, self.generator_diagonal, f / m[i], f / m[j])
 
     @cached_property
     def symmetric(self) -> np.ndarray:
-        """The symmetrized generator S = M^{1/2} L M^{-1/2}, averaged with its
-        transpose, so bitwise symmetric, with the diagonal of L bit for bit;
-        NumericOverflow when an entry is not finite."""
-        sqrt_m = np.sqrt(self.space.m)
+        """S = M^{1/2} L M^{-1/2} from the edge columns: on the edge {x, y}
+        the mean of L[x,y] sqrt(m(x))/sqrt(m(y)) and L[y,x] sqrt(m(y))/sqrt(m(x)),
+        bitwise symmetric, and 0.0 off the edges, whatever the measures.  The
+        diagonal is 0.5 (d + d), d that of L: inf past half the float range.
+        NumericOverflow when one of these n + |E| values is not finite."""
+        d = self.generator_diagonal  # NumericOverflow first
+        i, j = self.edge_indices
+        f, m = 0.0 - self.weights, self.space.m
+        sqrt_m = np.sqrt(m)
         with np.errstate(over="ignore", invalid="ignore"):
-            sym = self.L * (sqrt_m[:, None] / sqrt_m[None, :])
-            sym = 0.5 * (sym + sym.T)
-        _require_finite(sym, "symmetrized generator")
-        sym.flags.writeable = False
-        return sym
+            values = 0.5 * (f / m[i] * (sqrt_m[i] / sqrt_m[j])
+                            + f / m[j] * (sqrt_m[j] / sqrt_m[i]))
+            diagonal = 0.5 * (d + d)
+        _require_finite(np.concatenate((diagonal, values)), "symmetrized generator")
+        return _scatter(len(self.space), i, j, diagonal, values)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -492,10 +489,13 @@ class GraphForm:
         if not self.irreducible:
             raise NotIrreducible("the grounded Green function needs a connected conductance graph")
         n = len(self.space)
-        blocks = _around(int(np.argmax(self.degrees)), n)
-        grounded = np.empty((n - 1, n - 1))
-        for inner, outer in blocks:
-            grounded[inner] = self.form_matrix[outer]
+        p = int(np.argmax(self.degrees))
+        i, j = self.edge_indices
+        off = (i != p) & (j != p)  # the edges off row and column p
+        i, j, d = i[off], j[off], self.form_diagonal
+        # F without row and column p: the vertices after p move up one place
+        grounded = _scatter(n - 1, i - (i > p), j - (j > p), np.concatenate((d[:p], d[p + 1:])),
+                            0.0 - self.weights[off])
         inverse = np.empty_like(grounded)
         try:
             with np.errstate(all="ignore"):  # a non-finite entry is refused below
@@ -504,8 +504,8 @@ class GraphForm:
             raise NumericOverflow("grounded form matrix is singular in floating point") from None
         del grounded  # before the n x n result
         g = np.zeros((n, n))
-        for inner, outer in blocks:
-            g[outer] = inverse[inner]
+        g[:p, :p], g[:p, p + 1:] = inverse[:p, :p], inverse[:p, p:]
+        g[p + 1:, :p], g[p + 1:, p + 1:] = inverse[p:, :p], inverse[p:, p:]
         _require_finite(g, "grounded Green function")
         g.flags.writeable = False
         return g
@@ -523,8 +523,8 @@ def build_form(
 
 
 def generator(form: GraphForm) -> GraphForm:
-    """The form itself, once its generator ``form.L`` is computed and cached."""
-    form.L  # computed and cached on first read
+    """The form itself, once L is checked finite (``form.generator_diagonal``)."""
+    form.generator_diagonal
     return form
 
 

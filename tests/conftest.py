@@ -2,6 +2,7 @@ import decimal
 import itertools
 import json
 import math
+import tracemalloc
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
@@ -11,7 +12,7 @@ from scipy.sparse.csgraph import shortest_path
 
 import dirikit as dk
 from dirikit import generator, jsonio
-from dirikit.core import _INVERSE_LEAF, _edge_key
+from dirikit.core import _INVERSE_LEAF, _edge_key, _require_finite, _symmetric_inverse
 from dirikit.errors import (
     DirikitError,
     DuplicateEdge,
@@ -51,6 +52,16 @@ def oracle_worst_entry(gap: np.ndarray, bound: np.ndarray) -> tuple[int, ...]:
     return max(failed or entries, key=key)
 
 
+def traced(call):
+    """The call's result and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
@@ -84,6 +95,13 @@ def diagonal_overflow_form(tail: int = 0):
     )
 
 
+def spread_measure_path():
+    """v0 - v1 - v2 with m = 5e-324, 1, 1.7e308 and b = 1e-310, 1: the ratio
+    sqrt(m(v2)) / sqrt(m(v0)) leaves the float range, off the edges."""
+    return dk.build_form(["v0", "v1", "v2"], [5e-324, 1.0, 1.7e308],
+                         [("v0", "v1", 1e-310), ("v1", "v2", 1.0)])
+
+
 def oracle_green(form) -> np.ndarray:
     """Oracle: the Green function grounded at the first vertex of largest
     degree by one ``np.linalg.inv`` of the gathered matrix, zero on that row
@@ -92,6 +110,82 @@ def oracle_green(form) -> np.ndarray:
     g = np.zeros((len(form.space),) * 2)
     g[np.ix_(keep, keep)] = np.linalg.inv(form.form_matrix[np.ix_(keep, keep)])
     return g
+
+
+# The dense chain W -> F -> L -> S, each n x n matrix from the one before,
+# and G gathered from F: the oracles of the matrices that a form scatters
+# from its edge columns.  Each raises what the form raises, in its order.
+
+
+def oracle_weight_matrix(form) -> np.ndarray:
+    n = len(form.space)
+    w = np.zeros((n, n))
+    i, j = form.edge_indices
+    w[i, j] = w[j, i] = form.weights
+    return w
+
+
+def oracle_form_matrix(form) -> np.ndarray:
+    return np.diag(form.form_diagonal) - oracle_weight_matrix(form)
+
+
+def oracle_generator(form) -> np.ndarray:
+    form.generator_diagonal  # NumericOverflow before the n x n work
+    return oracle_form_matrix(form) / form.space.m[:, None]
+
+
+def oracle_symmetric(form) -> np.ndarray:
+    """M^{1/2} L M^{-1/2} from the dense L, averaged with its transpose, then
+    0.0 off the edge keys.  The chain alone leaves 0 x inf = NaN there when
+    a ratio sqrt(m(x))/sqrt(m(y)) leaves the float range, and so refused a
+    finite S; the mask changes no entry where the chain is finite."""
+    n = len(form.space)
+    sqrt_m = np.sqrt(form.space.m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = oracle_generator(form) * (sqrt_m[:, None] / sqrt_m[None, :])
+        sym = 0.5 * (sym + sym.T)
+    on_edges = np.eye(n, dtype=bool)
+    i, j = form.edge_indices
+    on_edges[i, j] = on_edges[j, i] = True
+    sym[~on_edges] = 0.0
+    _require_finite(sym, "symmetrized generator")
+    return sym
+
+
+def oracle_spectrum(form) -> np.ndarray:
+    return np.linalg.eigvalsh(oracle_symmetric(form))
+
+
+def oracle_blocked_green(form) -> np.ndarray:
+    """The Green function of ``GraphForm.green`` gathered from the dense F:
+    grounded at the first vertex of largest degree, inverted by
+    ``_symmetric_inverse``."""
+    if not form.irreducible:
+        raise NotIrreducible("the grounded Green function needs a connected conductance graph")
+    n = len(form.space)
+    keep = np.arange(n) != np.argmax(form.degrees)
+    grounded = oracle_form_matrix(form)[np.ix_(keep, keep)]
+    inverse = np.empty_like(grounded)
+    try:
+        with np.errstate(all="ignore"):
+            _symmetric_inverse(grounded, inverse)
+    except np.linalg.LinAlgError:
+        raise NumericOverflow("grounded form matrix is singular in floating point") from None
+    g = np.zeros((n, n))
+    g[np.ix_(keep, keep)] = inverse
+    _require_finite(g, "grounded Green function")
+    return g
+
+
+# each dense matrix of a form, by its name on the form, and its oracle
+ORACLE_MATRICES = {
+    "weight_matrix": oracle_weight_matrix,
+    "form_matrix": oracle_form_matrix,
+    "L": oracle_generator,
+    "symmetric": oracle_symmetric,
+    "spectrum": oracle_spectrum,
+    "green": oracle_blocked_green,
+}
 
 
 def brute_force_intertwiners(form1, form2, opts: SearchOptions):

@@ -19,7 +19,7 @@ import dirikit as dk
 from dirikit import cli, jsonio, metrics, orderiso
 from dirikit.cli import run
 from dirikit.errors import InvalidSize, MalformedInput, NotIntertwining
-from dirikit.sampling import doob_pair_sample, random_form
+from dirikit.sampling import doob_pair_sample, random_form, relabel_pair
 
 from conftest import (
     PAST_LEAF,
@@ -29,6 +29,7 @@ from conftest import (
     pick,
     rng_for,
     sierpinski_doob_pair,
+    traced,
 )
 
 SRC = pathlib.Path(dk.__file__).resolve().parent.parent
@@ -646,6 +647,34 @@ def test_transient_certify_peak_memory(tmp_path):
         tracemalloc.stop()
     assert code == 0 and json.loads(out.read_text())["verdict"]
     assert peak < 10 * 2**20
+
+
+def test_check_peak_memory(tmp_path):
+    # Sierpinski L6 (1095 vertices): the form caches S alone, and eigvalsh
+    # reads it; measured 1.07 times 8 n^2 bytes, reading included, where
+    # the chain W -> F -> L -> S peaked at 5.06
+    form = dk.generate("sierpinski", 6)
+    n = len(form.space)
+    graph = tmp_path / "l6.json"
+    graph.write_text(jsonio.dumps(jsonio.graph_to_obj(form)), encoding="utf-8")
+    code, peak = traced(lambda: run(["check", str(graph), "--out", str(tmp_path / "out.json")]))
+    assert code == 0
+    assert peak <= 2 * 8 * n * n
+
+
+def test_recurrent_certify_peak_memory(tmp_path):
+    # a relabelled copy of Sierpinski L6 at scale 1.7: each form caches its
+    # Green function and no other n x n array; measured 9.17 times 8 n^2
+    # bytes, where the forms also kept W and F (13.17)
+    form = dk.generate("sierpinski", 6)
+    n = len(form.space)
+    pair = tmp_path / "relabel_l6.json"
+    pair.write_text(jsonio.dumps(jsonio.pair_to_obj(
+        form, *relabel_pair(rng_for(3), form, scale=1.7))), encoding="utf-8")
+    out = tmp_path / "report.json"
+    code, peak = traced(lambda: run(["certify", str(pair), "--out", str(out)]))
+    assert code == 0 and json.loads(out.read_text())["verdict"]
+    assert peak <= 10 * 8 * n * n
 
 
 # the flags each command reads, and so accepts

@@ -37,6 +37,7 @@ from conftest import (
     oracle_green,
     pick,
     rng_for,
+    spread_measure_path,
     unit_tail,
 )
 
@@ -337,7 +338,10 @@ class TestGenerator:
     def test_form_caches_its_generator_and_spectrum(self):
         form = killed_pair()
         assert dk.generator(form) is form
-        assert form.L is form.L and not form.L.flags.writeable
+        # L is built on each read, read-only, and S and the spectrum are cached
+        assert form.L is not form.L and np.array_equal(form.L, form.L)
+        assert not form.L.flags.writeable and "L" not in vars(form)
+        assert form.symmetric is form.symmetric
         assert form.spectrum is form.spectrum
         assert not hasattr(dk, "Generator")
         # no eigenvector is cached: nothing in the library reads one twice
@@ -418,12 +422,11 @@ FORM_ROUTES = {
 
 
 def test_doob_sample_shares_the_weight_matrix():
-    # the first form has its source's weights: it reads the source's W
-    # and connectivity, so the source holds no W of its own beside it
+    # the first form has its source's weights array and reads the
+    # source's connectivity; neither form caches a W
     form1, _, _ = doob_pair_sample(rng_for(55), 12)
     source = form1._same_graph
     assert form1.weights is source.weights
-    assert form1.weight_matrix is source.weight_matrix
     assert "irreducible" not in vars(source) and form1.irreducible
 
 
@@ -539,12 +542,12 @@ class TestGreen:
                 form.green
 
     def test_l5_peak(self):
-        # beyond the cached form matrix: the grounded matrix and its inverse
-        # with the temporaries of the top split, then the inverse and the
-        # result; measured 2.74 times 8 n^2 bytes (2.99 for one inv call of
-        # the gathered matrix)
+        # the grounded matrix, scattered from the edges, and its inverse with
+        # the temporaries of the top split, then the inverse and the result;
+        # measured 2.75 times 8 n^2 bytes (2.99 for one inv call of the
+        # gathered matrix)
         form = dk.generate("sierpinski", 5)
-        form.form_matrix
+        form.form_diagonal
         n = len(form.space)
         tracemalloc.start()
         try:
@@ -575,6 +578,29 @@ class TestOverflow:
             dk.spectral_data(gen)
         with pytest.raises(NumericOverflow):
             gen.spectrum
+
+    def test_symmetrized_diagonal_past_half_the_range(self):
+        # L is finite with L[a, a] = 1e308, but S + S^T is not: S is refused
+        # on its diagonal alone, as every edge value is -1
+        form = dk.build_form(["a", "b"], 1.0, [("a", "b", 1.0)], {"a": 1e308, "b": 0.0})
+        assert np.isfinite(dk.generator(form).L).all() and form.L[0, 0] == 1e308
+        with pytest.raises(NumericOverflow, match="symmetrized generator"):
+            form.symmetric
+
+    def test_measure_ratio_past_the_range_off_the_edges(self):
+        # v0 - v1 - v2 with m = 5e-324, 1, 1.7e308: sqrt(m(v2)) / sqrt(m(v0))
+        # leaves the float range, but v0 and v2 share no edge, so S is
+        # finite, and so are the spectrum, the semigroup and the search
+        form = spread_measure_path()
+        s = form.symmetric
+        assert np.isfinite(s).all() and s[0, 2] == s[2, 0] == 0.0
+        assert np.array_equal(s, s.T)
+        assert np.isfinite(form.spectrum).all() and form.spectrum[0] == 0.0
+        assert np.isfinite(dk.spectral_data(form).eigenvalues).all()
+        assert np.isfinite(dk.semigroup(form, 1.0)).all()
+        verdict = dk.equivalence_verdict(form, form)
+        assert verdict.equivalent
+        assert [iso.tau for iso in verdict.solutions] == [{v: v for v in form.space.vertices}]
 
 
 class TestFormNorm:

@@ -1,6 +1,7 @@
 """Certify on edges: the guard, ``form_scaling``, ``scaling_excessive`` and
-``jump_transform`` read the diagonal and the two edge lists only.  Each is
-checked here against its dense oracle in conftest, on n x n matrices."""
+``jump_transform`` read the diagonal and the two edge lists only, and each
+dense matrix of a form is one scatter of its edge columns.  Each is checked
+here against its dense oracle in conftest, on n x n matrices."""
 
 import math
 
@@ -9,6 +10,7 @@ import pytest
 
 import dirikit as dk
 from dirikit import orderiso
+from dirikit.core import _INVERSE_LEAF
 from dirikit.errors import DirikitError
 from dirikit.sampling import (
     doob_pair_sample,
@@ -20,6 +22,7 @@ from dirikit.spectral import _excess
 from dirikit.tolerances import _nonfinite_products
 
 from conftest import (
+    ORACLE_MATRICES,
     oracle_certify,
     oracle_generator_times,
     oracle_jump_transform,
@@ -43,12 +46,12 @@ def swapped(iso):
                        iso.h)
 
 
-def spread(rng, form):
-    """The form with m, the key-order weights and c times 10^U(-6, 6)."""
+def spread(rng, form, e=6):
+    """The form with m, the key-order weights and c times 10^U(-e, e)."""
     n, count = len(form.space), len(form.weights)
-    return with_arrays(form, form.space.m * 10 ** rng.uniform(-6, 6, n),
-                       form.weights * 10 ** rng.uniform(-6, 6, count),
-                       form.c * 10 ** rng.uniform(-6, 6, n))
+    return with_arrays(form, form.space.m * 10 ** rng.uniform(-e, e, n),
+                       form.weights * 10 ** rng.uniform(-e, e, count),
+                       form.c * 10 ** rng.uniform(-e, e, n))
 
 
 def parity_pair(rng, kind):
@@ -221,6 +224,52 @@ class TestParity:
         assert_parity(form, form, iso, dk.DEFAULT_TOL, "off the edges")
         assert outcome(dk.certify, iso, form, form, dk.DEFAULT_TOL) == (
             "NumericOverflow", "intertwining residual bound leaves the floating-point range")
+
+
+def matrix_outcome(read):
+    """The shape and bytes of the array that ``read()`` returns, or the type
+    and message of the error it raises."""
+    try:
+        array = read()
+    except DirikitError as exc:
+        return type(exc).__name__, str(exc)
+    return array.shape, array.tobytes()
+
+
+def assert_dense_parity(form, label):
+    """Each dense matrix of the form, and its spectrum, equals its oracle."""
+    for name, oracle in ORACLE_MATRICES.items():
+        want = matrix_outcome(lambda: oracle(form))
+        assert matrix_outcome(lambda: getattr(form, name)) == want, (label, name)
+
+
+class TestDenseMatrices:
+    """W, F, L, S, the spectrum and G, each scattered from the edge columns,
+    equal the dense chain W -> F -> L -> S and G gathered from F, bit for
+    bit, errors included."""
+
+    @pytest.mark.parametrize("e", [0, 3, 6, 100, 300])
+    def test_seeded_spread_forms(self, e):
+        # m, b and c spread over 10^+-e, a fifth of the weights 0, half of
+        # the forms killed; up to 70 vertices, past the leaf of the blocked
+        # Green function
+        rng = rng_for(4600 + e)
+        errors = set()
+        for seed in range(60):
+            form = random_form(rng, int(rng.integers(1, 71)), recurrent=rng.random() < 0.5)
+            zero = rng.random(len(form.weights)) < 0.2
+            form = spread(rng, with_arrays(form, weights=np.where(zero, 0.0, form.weights)), e)
+            assert_dense_parity(form, (e, seed))
+            errors.update(matrix_outcome(lambda: getattr(form, name))[0]
+                          for name in ORACLE_MATRICES)
+        assert ("NumericOverflow" in errors) == (e >= 100)
+        assert "NotIrreducible" in errors
+
+    @pytest.mark.parametrize("level", range(6))
+    def test_sierpinski(self, level):
+        form = dk.generate("sierpinski", level)
+        assert (len(form.space) > _INVERSE_LEAF + 1) == (level >= 4)
+        assert_dense_parity(form, level)
 
 
 class TestEdgeSums:

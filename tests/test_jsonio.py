@@ -10,7 +10,6 @@ import re
 import struct
 import subprocess
 import sys
-import tracemalloc
 from collections import OrderedDict
 from collections.abc import Mapping
 from pathlib import Path
@@ -34,6 +33,7 @@ from conftest import (
     oracle_search_payload,
     pick,
     rng_for,
+    traced,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -244,16 +244,6 @@ class TestNonFinite:
             with pytest.raises(MalformedInput) as caught:
                 jsonio.document(case)
             assert str(caught.value) == want
-
-
-def traced(call):
-    """The call's result and its tracemalloc peak in bytes."""
-    tracemalloc.start()
-    try:
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_resistance_matrix_peak_memory():

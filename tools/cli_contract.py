@@ -185,6 +185,12 @@ HAND = {
                                 "edges": {"u": ["a"], "v": ["b"], "b": [1.0]}, "killing": {}}),
     "k4": _k4(["a", "b", "c", "%s"], [1.0, 1.0, 2.0, 2.0]),
     "k4_escaped": _k4(['"', "\\", "\u00e9", "\n"], [2.0, 1.0, 2.0, 1.0]),
+    # the path v0 - v1 - v2 whose ratio sqrt(m(v2)) / sqrt(m(v0)) leaves the
+    # float range off the edges: its symmetrized generator is finite
+    "spread_measure": json.dumps({"vertices": ["v0", "v1", "v2"],
+                                  "m": {"v0": 5e-324, "v1": 1.0, "v2": 1.7e308},
+                                  "edges": {"u": ["v0", "v1"], "v": ["v1", "v2"],
+                                            "b": [1e-310, 1.0]}, "killing": {}}),
 }
 
 # hand-made inputs written as bytes, not as text: a K4 one of whose ids
@@ -401,6 +407,8 @@ def _commands() -> list[list[str]]:
     for fmt in ("json", "text"):
         cmds += [["intrinsic", f"{graph}.json", "--metric", f"{name}.json", "--format", fmt]
                  for name, (graph, _) in FAR_METRICS.items()]
+    cmds += [["check", "spread_measure.json"],
+             ["search", "spread_measure.json", "spread_measure.json"]]
     return cmds
 
 

@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from . import jsonio, metrics, orderiso, search
+from . import jsonio, metrics, search
 from .core import generate
 from .errors import DirikitError
 from .report import VerificationReport
@@ -198,18 +198,8 @@ def _cmd_certify(args) -> int:
     else:
         raise DirikitError("certify needs G1.json G2.json U.json or one pair file")
     form1, form2, iso = jsonio.pair_from_obj(pair)
-    tol = _tolerance(args, DEFAULT_TOL)
-
-    # the one guard of the four certificates, then the checks that certify,
-    # verify_jump_transform, verify_resistance_isometry and
-    # verify_intrinsic_bijection build past it, the first two on its entries
-    entries = orderiso.require_intertwining(iso, form1, form2, tol)
-    report = orderiso._certify_checks(iso, form1, form2, tol, entries)
-    report.extend(orderiso._jump_transform_checks(iso, form1, form2, tol, entries))
-    del entries  # before the recurrent pair's n x n arrays
-    if form1.recurrent and form2.recurrent:
-        report.extend(metrics._resistance_checks(iso, form1, form2, tol))
-        report.extend(metrics._intrinsic_checks(iso, form1, form2, tol))
+    # the checks of the four certificates behind one guard
+    report = metrics._certificate(iso, form1, form2, _tolerance(args, DEFAULT_TOL))
     _output(args, report.to_dict(), lambda: _report_text(report))
     return 0 if report.verdict else 1
 

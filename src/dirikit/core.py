@@ -450,9 +450,9 @@ class GraphForm:
     def symmetric(self) -> np.ndarray:
         """S = M^{1/2} L M^{-1/2} from the edge columns: on the edge {x, y}
         the mean of L[x,y] sqrt(m(x))/sqrt(m(y)) and L[y,x] sqrt(m(y))/sqrt(m(x)),
-        bitwise symmetric, and 0.0 off the edges, whatever the measures.  The
-        diagonal is 0.5 (d + d), d that of L: inf past half the float range.
-        NumericOverflow when one of these n + |E| values is not finite."""
+        bitwise symmetric, 0.0 off the edges and on zero weights, whatever the
+        measures.  The diagonal is 0.5 (d + d), d that of L: inf past half the
+        float range.  NumericOverflow when one of these n + |E| values is not finite."""
         d = self.generator_diagonal  # NumericOverflow first
         i, j = self.edge_indices
         f, m = 0.0 - self.weights, self.space.m
@@ -461,6 +461,7 @@ class GraphForm:
             values = 0.5 * (f / m[i] * (sqrt_m[i] / sqrt_m[j])
                             + f / m[j] * (sqrt_m[j] / sqrt_m[i]))
             diagonal = 0.5 * (d + d)
+        values[self.weights == 0.0] = 0.0  # not 0 x inf where the measures spread
         _require_finite(np.concatenate((diagonal, values)), "symmetrized generator")
         return _scatter(len(self.space), i, j, diagonal, values)
 

@@ -55,7 +55,7 @@ from .errors import (
     NotRecurrent,
     NumericOverflow,
 )
-from .orderiso import OrderIso, require_intertwining
+from .orderiso import OrderIso, _certify_checks, _jump_transform_checks, require_intertwining
 from .report import VerificationReport
 from .tolerances import DEFAULT_TOL, Tolerance
 
@@ -457,4 +457,18 @@ def _intrinsic_checks(
             0.5,
             detail=detail,
         )
+    return report
+
+
+def _certificate(iso: OrderIso, form1: GraphForm, form2: GraphForm, tol: Tolerance):
+    """The report of ``dirikit certify``: the guard once, the checks of
+    ``certify`` and ``verify_jump_transform`` on its entries, then on a
+    recurrent pair those of the resistance and intrinsic certificates."""
+    entries = require_intertwining(iso, form1, form2, tol)
+    report = _certify_checks(iso, form1, form2, tol, entries)
+    report.extend(_jump_transform_checks(iso, form1, form2, tol, entries))
+    del entries  # before the recurrent pair's n x n arrays
+    if form1.recurrent and form2.recurrent:
+        report.extend(_resistance_checks(iso, form1, form2, tol))
+        report.extend(_intrinsic_checks(iso, form1, form2, tol))
     return report

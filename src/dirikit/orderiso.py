@@ -130,7 +130,7 @@ class _Entries:
     entries and ``codes`` their row-major indices r n + c; at each entry
     (r, c), ``f2`` holds F2 = diag(deg2 + c2) - W2, ``f1`` F1 at (tau r,
     tau c), and ``h_rows`` and ``h_cols`` h(r) and h(c); ``m1`` is m1(tau y)
-    per target y, and ``jump_weights`` builds the W entries.
+    per target y.  W = -F off the diagonal, bit for bit, -0.0 included.
 
     Both forms' pair codes are sorted, and compared: they are equal for an
     intertwiner of forms without zero weights, and a union is formed only
@@ -156,17 +156,11 @@ class _Entries:
         self.rows = np.concatenate((diagonal, y, z))
         self.cols = np.concatenate((diagonal, z, y))
         self.codes = self.rows * n + self.cols
-        self._pair_weights = w1, w2
         f1, f2 = -w1, -w2  # F = -W off the diagonal
         self.f1 = np.concatenate((form1.form_diagonal[tau], f1, f1))
         self.f2 = np.concatenate((form2.form_diagonal, f2, f2))
         self.h_rows, self.h_cols = h[self.rows], h[self.cols]
         self.m1 = iso.source.m[tau]
-
-    def jump_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """W1 at (tau r, tau c) and W2 at (r, c) at each entry, 0 on the diagonal."""
-        zero = np.zeros(len(self.m1))
-        return tuple(np.concatenate((zero, w, w)) for w in self._pair_weights)
 
 
 def _pair_codes(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -354,12 +348,13 @@ def _jump_transform_checks(
     iso: OrderIso, form1: GraphForm, form2: GraphForm, tol: Tolerance, entries: _Entries
 ) -> VerificationReport:
     """The check of ``verify_jump_transform`` for an iso that has passed the
-    guard, on its entries; J is 0 on the diagonal."""
+    guard, on its entries; J is 0 on the diagonal, and W = -F off it."""
     report = VerificationReport()
+    w1 = -entries.f1
+    w1[:len(iso.target)] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing h^2 is a FAIL
         beta = iso.beta
-        w1, w2 = entries.jump_weights()
-        rhs = entries.h_rows * entries.h_cols * (0.5 * w2)
+        rhs = entries.h_rows * entries.h_cols * (0.5 * -entries.f2)
         rhs[:len(iso.target)] = 0.0
         report.compare("jump_transform", beta * (0.5 * w1), rhs,
                        _form_bound(iso, form2, tol, entries), detail=f"beta={beta!r}",

@@ -95,11 +95,12 @@ def diagonal_overflow_form(tail: int = 0):
     )
 
 
-def spread_measure_path():
+def spread_measure_path(zero_key=False):
     """v0 - v1 - v2 with m = 5e-324, 1, 1.7e308 and b = 1e-310, 1: the ratio
-    sqrt(m(v2)) / sqrt(m(v0)) leaves the float range, off the edges."""
-    return dk.build_form(["v0", "v1", "v2"], [5e-324, 1.0, 1.7e308],
-                         [("v0", "v1", 1e-310), ("v1", "v2", 1.0)])
+    sqrt(m(v2)) / sqrt(m(v0)) leaves the float range, off the edges, or
+    with ``zero_key`` on the key (v0, v2) of weight 0."""
+    edges = [("v0", "v1", 1e-310), ("v1", "v2", 1.0)] + [("v0", "v2", 0.0)] * zero_key
+    return dk.build_form(["v0", "v1", "v2"], [5e-324, 1.0, 1.7e308], edges)
 
 
 def oracle_green(form) -> np.ndarray:

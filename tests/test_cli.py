@@ -999,14 +999,14 @@ class TestNonFinite:
         assert json.loads(capsys.readouterr().out)["R"] == Matrix.d.tolist()
 
     def test_inf_residual_in_a_report(self, tmp_path, capsys, monkeypatch):
-        certify_checks = orderiso._certify_checks
+        certify_checks = metrics._certify_checks
 
         def with_inf(*args):
             report = certify_checks(*args)
             report.add("overflowed", math.inf, 1.0)
             return report
 
-        monkeypatch.setattr(orderiso, "_certify_checks", with_inf)
+        monkeypatch.setattr(metrics, "_certify_checks", with_inf)
         pair = tmp_path / "pair.json"
         assert run(["gen-pair", "--transform", "relabel", "--out", str(pair)]) == 0
         out = tmp_path / "report.json"

@@ -602,6 +602,17 @@ class TestOverflow:
         assert verdict.equivalent
         assert [iso.tau for iso in verdict.solutions] == [{v: v for v in form.space.vertices}]
 
+    def test_zero_weight_key_past_the_measure_ratio(self):
+        # the key (v0, v2) of weight 0 is an edge value of S, where
+        # (0.0 - 0) / m(v0) sqrt(m(v0)) / sqrt(m(v2)) is 0 x inf: S is 0.0
+        # there, so the form has the keyless form's S and spectrum
+        form, keyless = spread_measure_path(zero_key=True), spread_measure_path()
+        assert form.b[("v0", "v2")] == 0.0
+        assert form.symmetric.tobytes() == keyless.symmetric.tobytes()
+        assert form.spectrum.tobytes() == keyless.spectrum.tobytes()
+        verdict = dk.equivalence_verdict(form, form)
+        assert [iso.tau for iso in verdict.solutions] == [{v: v for v in form.space.vertices}]
+
 
 class TestFormNorm:
     def test_zero(self):

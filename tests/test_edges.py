@@ -1,7 +1,9 @@
 """Certify on edges: the guard, ``form_scaling``, ``scaling_excessive`` and
 ``jump_transform`` read the diagonal and the two edge lists only, and each
 dense matrix of a form is one scatter of its edge columns.  Each is checked
-here against its dense oracle in conftest, on n x n matrices."""
+here against its dense oracle in conftest, on n x n matrices, and the
+report of ``dirikit certify``, one composition of the checks behind one
+guard, against the four public certificates composed."""
 
 import math
 
@@ -9,7 +11,8 @@ import numpy as np
 import pytest
 
 import dirikit as dk
-from dirikit import orderiso
+from dirikit import jsonio, metrics
+from dirikit.cli import run
 from dirikit.core import _INVERSE_LEAF
 from dirikit.errors import DirikitError
 from dirikit.sampling import (
@@ -118,16 +121,19 @@ def outcome(call, *args):
 
 
 def cli_checks(iso, form1, form2, tol):
-    """The checks that the CLI's certify runs past its one guard on a transient pair."""
-    entries = orderiso.require_intertwining(iso, form1, form2, tol)
-    report = orderiso._certify_checks(iso, form1, form2, tol, entries)
-    report.extend(orderiso._jump_transform_checks(iso, form1, form2, tol, entries))
-    return report
+    """The report of ``dirikit certify``: its checks behind one guard."""
+    return metrics._certificate(iso, form1, form2, tol)
 
 
 def oracle_cli_checks(iso, form1, form2, tol):
+    """The dense oracles of certify and the jump transform, then on a
+    recurrent pair the resistance and intrinsic certificates, which read no
+    entry list."""
     report = oracle_certify(iso, form1, form2, tol)
     report.extend(oracle_jump_transform(iso, form1, form2, tol))
+    if form1.recurrent and form2.recurrent:
+        report.extend(dk.verify_resistance_isometry(iso, form1, form2, tol))
+        report.extend(dk.verify_intrinsic_bijection(iso, form1, form2, tol))
     return report
 
 
@@ -224,6 +230,88 @@ class TestParity:
         assert_parity(form, form, iso, dk.DEFAULT_TOL, "off the edges")
         assert outcome(dk.certify, iso, form, form, dk.DEFAULT_TOL) == (
             "NumericOverflow", "intertwining residual bound leaves the floating-point range")
+
+
+def public_certificate(iso, form1, form2, tol):
+    """The four public certificates, each behind its own guard, composed as
+    ``dirikit certify`` composes their checks."""
+    report = dk.certify(iso, form1, form2, tol)
+    report.extend(dk.verify_jump_transform(iso, form1, form2, tol))
+    if form1.recurrent and form2.recurrent:
+        report.extend(dk.verify_resistance_isometry(iso, form1, form2, tol))
+        report.extend(dk.verify_intrinsic_bijection(iso, form1, form2, tol))
+    return report
+
+
+def with_zero_key(rng, form):
+    """The form with a key that it lacks added at weight 0, or the form
+    when it has every key."""
+    names, have = form.space.vertices, set(form.b)
+    missing = [(u, v) for u in names for v in names if u < v and (u, v) not in have]
+    if not missing:
+        return form
+    u, v = missing[int(rng.integers(len(missing)))]
+    return dk.GraphForm(form.space, [*((a, b, w) for (a, b), w in form.b.items()), (u, v, 0.0)],
+                        form.c)
+
+
+def certificate_pair(rng, transform, recurrent):
+    """A seeded relabel or Doob pair of 2 to 40 vertices whose m, b and c
+    spread over 10^+-6; a Doob pair of recurrent forms is by a constant h."""
+    n = int(rng.integers(2, 41))
+    form = spread(rng, random_form(rng, n, recurrent=recurrent))
+    if transform == "relabel":
+        return (form, *relabel_pair(rng, form, scale=float(rng.uniform(0.5, 2.0))))
+    h = None if recurrent else dk.find_nonconstant_excessive(form)
+    h = np.full(n, rng.uniform(0.5, 2.0)) if h is None else h / np.max(h)
+    return (form, *dk.doob_pair(form, h))
+
+
+class TestCertificate:
+    """``metrics._certificate``, the report of ``dirikit certify``, equals the
+    four public certificates composed, check by check with floats in hex,
+    errors included; the CLI writes its document."""
+
+    @pytest.mark.parametrize("transform", ["relabel", "doob"])
+    @pytest.mark.parametrize("recurrent", [True, False])
+    def test_equals_the_public_certificates(self, transform, recurrent):
+        rng = rng_for(4700 + 2 * (transform == "doob") + recurrent)
+        names, verdicts, errors, unions = set(), set(), set(), 0
+        for seed in range(10):
+            form1, form2, iso = certificate_pair(rng, transform, recurrent)
+            assert (form1.recurrent and form2.recurrent) == recurrent
+            # a zero-weight key of g1 that g2 lacks: the entries are the
+            # union of both forms' pairs, and W = -F reads 0 there
+            keyed = with_zero_key(rng, form1)
+            unions += len(keyed.weights) > len(form2.weights)
+            for g1 in (form1, keyed):
+                for tol in (dk.DEFAULT_TOL, dk.Tolerance(1e-3), dk.Tolerance(1e-15)):
+                    for k in (0, 40, -40, 600):
+                        scaled = h_scaled(iso, k)
+                        want = outcome(public_certificate, scaled, g1, form2, tol)
+                        got = outcome(metrics._certificate, scaled, g1, form2, tol)
+                        assert got == want, (transform, recurrent, seed, g1 is keyed, tol, k)
+                        if isinstance(got, list):
+                            names.add(tuple(check[0] for check in got))
+                            verdicts.add(all(check[3] for check in got))
+                        else:
+                            errors.add(got[0])
+        assert unions >= 5 and "NumericOverflow" in errors and True in verdicts
+        assert names and all(("resistance_isometry" in checks) == recurrent for checks in names)
+
+    def test_cli_writes_the_document_of_the_report(self, tmp_path):
+        rng = rng_for(4710)
+        for transform in ("relabel", "doob"):
+            for recurrent in (True, False):
+                form1, form2, iso = certificate_pair(rng, transform, recurrent)
+                for g1 in (form1, with_zero_key(rng, form1)):
+                    pair, out = tmp_path / "pair.json", tmp_path / "report.json"
+                    pair.write_bytes(jsonio.document(jsonio.pair_to_obj(g1, form2, iso)))
+                    read1, read2, read_iso = jsonio.pair_from_obj(jsonio.loads(pair.read_bytes()))
+                    report = metrics._certificate(read_iso, read1, read2, dk.DEFAULT_TOL)
+                    code = run(["certify", str(pair), "--out", str(out)])
+                    assert code == (0 if report.verdict else 1)
+                    assert out.read_bytes() == jsonio.document(report.to_dict())
 
 
 def matrix_outcome(read):

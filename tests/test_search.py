@@ -13,7 +13,7 @@ import scipy.linalg
 
 import dirikit as dk
 from dirikit.errors import InvalidSize, NonPositive, NotIntertwining, NotIrreducible
-from dirikit import cli, jsonio, search
+from dirikit import cli, jsonio, metrics, search
 from dirikit.orderiso import require_intertwining
 from dirikit.sampling import (
     doob_pair_sample,
@@ -791,15 +791,8 @@ class TestSubordination:
 
 
 def full_certify(iso, form1, form2, tol):
-    """The report of ``dirikit certify`` at ``tol``: the library certificate,
-    the jump transform and, on recurrent pairs, the resistance isometry and
-    the intrinsic bijection."""
-    report = dk.certify(iso, form1, form2, tol)
-    report.extend(dk.verify_jump_transform(iso, form1, form2, tol))
-    if dk.is_recurrent(form1) and dk.is_recurrent(form2):
-        report.extend(dk.verify_resistance_isometry(iso, form1, form2, tol))
-        report.extend(dk.verify_intrinsic_bijection(iso, form1, form2, tol=tol))
-    return report
+    """The report of ``dirikit certify`` at ``tol``."""
+    return metrics._certificate(iso, form1, form2, tol)
 
 
 class TestResultsPassFullCertify:

@@ -191,7 +191,31 @@ HAND = {
                                   "m": {"v0": 5e-324, "v1": 1.0, "v2": 1.7e308},
                                   "edges": {"u": ["v0", "v1"], "v": ["v1", "v2"],
                                             "b": [1e-310, 1.0]}, "killing": {}}),
+    # the same path with the key v0 v2 at weight 0, an edge value of S
+    "spread_zero_key": json.dumps({"vertices": ["v0", "v1", "v2"],
+                                   "m": {"v0": 5e-324, "v1": 1.0, "v2": 1.7e308},
+                                   "edges": {"u": ["v0", "v1", "v0"], "v": ["v1", "v2", "v2"],
+                                             "b": [1e-310, 1.0, 0.0]}, "killing": {}}),
 }
+
+
+def _zero_key_pairs() -> dict:
+    """Pairs checked with `dirikit certify NAME.json`: negative_zero against
+    itself under the identity (not irreducible: exit 2), and a path a b c
+    whose g1 holds the key a c at weight -0.0, against its relabelling,
+    which lacks that key."""
+    graph = json.loads(HAND["negative_zero"])
+    identity = {v: v for v in graph["vertices"]}
+    g1 = {"vertices": ["a", "b", "c"], "m": {"a": 1.0, "b": 2.0, "c": 1.0}, "killing": {},
+          "edges": {"u": ["a", "b", "a"], "v": ["b", "c", "c"], "b": [1.0, 1.5, -0.0]}}
+    g2 = {"vertices": ["x", "y", "z"], "m": {"x": 1.0, "y": 2.0, "z": 1.0}, "killing": {},
+          "edges": {"u": ["z", "y"], "v": ["y", "x"], "b": [1.0, 1.5]}}
+    tau = {"x": "c", "y": "b", "z": "a"}
+    return {"negative_zero_pair": {"g1": graph, "g2": graph,
+                                   "iso": {"tau": identity, "h": dict.fromkeys(identity, 1.0)}},
+            "zero_key_union": {"g1": g1, "g2": g2,
+                               "iso": {"tau": tau, "h": dict.fromkeys(tau, 1.0)}}}
+
 
 # hand-made inputs written as bytes, not as text: a K4 one of whose ids
 # holds a 0xff byte, which no UTF-8 text can, and a K4 whose ids are raw
@@ -409,6 +433,9 @@ def _commands() -> list[list[str]]:
                  for name, (graph, _) in FAR_METRICS.items()]
     cmds += [["check", "spread_measure.json"],
              ["search", "spread_measure.json", "spread_measure.json"]]
+    cmds += [["check", "spread_zero_key.json"],
+             ["search", "spread_zero_key.json", "spread_zero_key.json"],
+             ["certify", "negative_zero_pair.json"], ["certify", "zero_key_union.json"]]
     return cmds
 
 
@@ -599,7 +626,7 @@ def _write_inputs(run) -> None:
         Path(f"{name}.iso.json").write_text(json.dumps(identity), encoding="utf-8")
     for name, text in {**BAD_PAIRS, **HAND, **DEEP, **INFINITE_LENGTH}.items():
         Path(f"{name}.json").write_text(text, encoding="utf-8")
-    for name, obj in METRICS.items():
+    for name, obj in {**METRICS, **_zero_key_pairs()}.items():
         Path(f"{name}.json").write_text(json.dumps(obj), encoding="utf-8")
     for name, (_, obj) in FAR_METRICS.items():
         Path(f"{name}.json").write_text(json.dumps(obj), encoding="utf-8")

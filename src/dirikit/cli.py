@@ -14,7 +14,7 @@ depend on --format; the text format is human-oriented only.
 
 Each command takes only the flags it reads: --out FILE on every command,
 --format json|text on all but gen and gen-pair (JSON only), --tol on
-search, certify and intrinsic, and --seed (default 0) on gen-pair.
+search, certify and intrinsic, and --seed (default 0, >= 0) on gen-pair.
 --tol X means Tolerance(rel=X): every bound is X times the size of what it
 compares.  A value that is not positive and finite is an input error.
 """
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import jsonio, metrics, search
 from .core import generate
-from .errors import DirikitError
+from .errors import DirikitError, InvalidSize
 from .report import VerificationReport
 from .sampling import random_intertwined_pair
 from .tolerances import DEFAULT_TOL, Tolerance
@@ -254,6 +254,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_gen_pair(args) -> int:
+    if args.seed < 0:  # numpy's SeedSequence refuses it with a ValueError
+        raise InvalidSize(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
     form1, form2, iso = random_intertwined_pair(rng, args.n, args.transform)
     _output(args, jsonio.pair_to_obj(form1, form2, iso))

@@ -13,15 +13,14 @@ L[x,y] = -b(x,y)/m(x) off the diagonal and L[x,x] = (deg(x) + c(x))/m(x),
 where deg(x) = sum_y b(x,y); it satisfies <Lf, g>_m = Q(f, g).
 
 Measure, conductances and killing are stored separately and never
-premultiplied.  W, F, L, S and the grounded F that G inverts are each one
-scatter of the edge columns onto zeros (``_scatter``), the diagonal from
-the edge sums; none is built from another.  A form caches, read-only, the
-degrees (two ``np.bincount`` calls), the diagonals of F and L, which decide
-whether F and L are finite, ``irreducible``, ``recurrent``, S = M^{1/2} L
-M^{-1/2} and its spectrum (from the eigenvalue-only ``eigvalsh``) and the
-grounded Green function.  W, F and L are built on each read, and no
-eigenvector is cached.  All values are immutable after construction and
-every operation is a pure function.
+premultiplied.  W, F, L, S and the F that G inverts (grounded on a
+recurrent form) are each one scatter of the edge columns onto zeros
+(``_scatter``), the diagonal from the edge sums; none is built from
+another.  A form caches, read-only, the degrees, the diagonals of F and L
+(which decide whether F and L are finite), ``irreducible``, ``recurrent``,
+S = M^{1/2} L M^{-1/2}, its spectrum and G, the one inverse of F.  W, F
+and L are built on each read, and no eigenvector is cached.  All values
+are immutable and every operation is a pure function.
 
 Construction works on whole arrays: edge columns of ends and weights, one
 look-up per endpoint, one pass of array checks and a sort by the string
@@ -475,39 +474,41 @@ class GraphForm:
 
     @cached_property
     def green(self) -> np.ndarray:
-        """Inverse of the form matrix grounded at its first vertex of largest
-        degree, zero on that row and column; NotIrreducible unless the form
-        is, before anything is inverted (rounding leaves the pivots of a
-        singular matrix tiny but nonzero, and its inverse finite garbage),
-        and NumericOverflow unless finite.
-
-        The grounded matrix is inverted by 2 x 2 blocks and Schur complements
-        (``_symmetric_inverse``).  A form of at most _INVERSE_LEAF + 1
-        vertices takes one ``np.linalg.inv`` call, so its bytes are those of
-        that call; a larger one changes in its last bits with the block
-        split.
+        """The Green function of the form matrix F: F^-1 on a transient form,
+        entrywise positive; on a recurrent one, where F is singular, F grounded
+        at its first vertex of largest degree and inverted, zero on that row
+        and column.  NotIrreducible unless the form is, before anything is
+        inverted (rounding leaves the pivots of a singular matrix tiny but
+        nonzero, and its inverse finite garbage), and NumericOverflow when
+        the matrix is singular in floating point or the inverse is not
+        finite; only a recurrent form's messages say "grounded".
+        ``_symmetric_inverse`` inverts by 2 x 2 blocks and Schur complements.
+        At most _INVERSE_LEAF rows take one ``np.linalg.inv`` call and keep
+        its bytes; more change in their last bits with the block split.
         """
+        grounded = "grounded " if self.recurrent else ""
         if not self.irreducible:
-            raise NotIrreducible("the grounded Green function needs a connected conductance graph")
+            raise NotIrreducible(f"the {grounded}Green function needs a connected conductance graph")
         n = len(self.space)
-        p = int(np.argmax(self.degrees))
+        p = int(np.argmax(self.degrees)) if self.recurrent else n  # n: no vertex grounded
         i, j = self.edge_indices
         off = (i != p) & (j != p)  # the edges off row and column p
         i, j, d = i[off], j[off], self.form_diagonal
         # F without row and column p: the vertices after p move up one place
-        grounded = _scatter(n - 1, i - (i > p), j - (j > p), np.concatenate((d[:p], d[p + 1:])),
-                            0.0 - self.weights[off])
-        inverse = np.empty_like(grounded)
+        matrix = _scatter(n - (p < n), i - (i > p), j - (j > p),
+                          np.concatenate((d[:p], d[p + 1:])), 0.0 - self.weights[off])
+        g = np.empty_like(matrix)
         try:
             with np.errstate(all="ignore"):  # a non-finite entry is refused below
-                _symmetric_inverse(grounded, inverse)
+                _symmetric_inverse(matrix, g)
         except np.linalg.LinAlgError:
-            raise NumericOverflow("grounded form matrix is singular in floating point") from None
-        del grounded  # before the n x n result
-        g = np.zeros((n, n))
-        g[:p, :p], g[:p, p + 1:] = inverse[:p, :p], inverse[:p, p:]
-        g[p + 1:, :p], g[p + 1:, p + 1:] = inverse[p:, :p], inverse[p:, p:]
-        _require_finite(g, "grounded Green function")
+            raise NumericOverflow(f"{grounded}form matrix is singular in floating point") from None
+        del matrix  # before the n x n result
+        if p < n:  # row and column p back in, as zeros
+            inverse, g = g, np.zeros((n, n))
+            g[:p, :p], g[:p, p + 1:] = inverse[:p, :p], inverse[:p, p:]
+            g[p + 1:, :p], g[p + 1:, p + 1:] = inverse[p:, :p], inverse[p:, p:]
+        _require_finite(g, f"{grounded}Green function")
         g.flags.writeable = False
         return g
 

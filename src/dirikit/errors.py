@@ -34,8 +34,8 @@ class DimensionMismatch(DirikitError):
 
 
 class InvalidSize(DirikitError):
-    """A graph-family size parameter is out of range, or a space has more
-    vertices than ``core.MAX_VERTICES``."""
+    """A graph-family size parameter or a sampling seed is out of range, or
+    a space has more vertices than ``core.MAX_VERTICES``."""
 
 
 class NegativeTime(DirikitError):

@@ -7,11 +7,10 @@ which agrees with the variational description
 
     R(x, y) = sup { |f(x) - f(y)|^2 : E(f) <= 1 }.
 
-G is ``GraphForm.green``: the grounded matrix is inverted by 2 x 2 blocks
-and Schur complements, in GEMMs, with ``np.linalg.inv`` on each block of at
-most 48 rows.  A form of at most 49 vertices takes one ``inv`` call and
-keeps its bytes; a larger one differs from that call in its last bits (on
-Sierpinski L5, by 2e-14 of the largest entry of G).
+G is ``GraphForm.green``, on a recurrent form the grounded inverse, formed
+by 2 x 2 blocks and Schur complements (on Sierpinski L5 within 2e-14 of
+one ``inv`` call, relative to its largest entry); on a transient form it
+is F^-1, which no resistance reads.
 
 No eigenvalue is cut off, so a weak bottleneck keeps its large resistance;
 accuracy is limited by the rounding of the diagonal of B, where each

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import GraphForm, VertexFunction
-from .errors import NegativeInput, NegativeTime, NotIrreducible
+from .errors import NegativeInput, NegativeTime, NotIrreducible, NumericOverflow
 from .tolerances import DEFAULT_TOL, Tolerance
 
 
@@ -92,37 +92,35 @@ def find_nonconstant_excessive(
 
     On an irreducible form every excessive function is constant exactly
     when the form is recurrent (the Liouville property, ``form.recurrent``),
-    so None is returned then.  Otherwise L is invertible and the Green
-    function h = L^{-1} e_x is strictly positive with L h = e_x >= 0, hence
-    excessive.  It is constant only when all the killing sits at x; that of
-    a second vertex is then nonconstant, and None means that both are
-    constant within tol.  Vertices are tried in index order, so the witness
-    is deterministic.
+    so None is returned then.  Otherwise the Green function h = L^{-1} e_x
+    = m(x) G[:, x], G = F^{-1} the cached ``form.green``, is strictly
+    positive with L h = e_x >= 0, hence excessive.  It is constant only when
+    all the killing sits at x; that of a second vertex is then nonconstant,
+    and None means that both are constant within tol.  Vertices are tried
+    in index order, so the witness is deterministic.
 
-    L h = e_x is solved as F h = m(x) e_x (F = M L).  F is symmetric and
-    diagonally dominant, so elimination with partial pivoting keeps its
-    diagonal pivots and is stable; L's rows are scaled by 1/m, which moves
-    the pivots, and on a nearly recurrent form with m spread over 1e+-6 its
-    Green function came out negative.
+    G's blocked inverse pivots on the diagonal: F is a diagonally dominant
+    M-matrix, and so is each Schur complement that it forms.  L's rows,
+    scaled by 1/m, move the pivots; on a nearly recurrent form with m
+    spread over 1e+-6 its Green function came out negative.
 
     ``form.irreducible`` is read after the generator's NumericOverflow
-    (``form.generator_diagonal``).  The solve is checked, not predicted: a
-    singular F or an h that is not positive and finite raises
+    (``form.generator_diagonal``).  G is checked, not predicted: a singular
+    or non-finite G, or an h that is not positive and finite, raises
     NotIrreducible, as rounding has then absorbed the killing into F's
     diagonal or the Green function leaves the float range.
     """
     form.generator_diagonal  # NumericOverflow before NotIrreducible
     if not form.irreducible:
         raise NotIrreducible("nonconstant-excessive search requires an irreducible form")
-    n = len(form.space)
     if form.recurrent:
         return None
-    gram, m = form.form_matrix, form.space.m
-    for x in range(min(n, 2)):
-        try:
-            h = np.linalg.solve(gram, m[x] * np.eye(n)[x])
-        except np.linalg.LinAlgError:  # singular: no positive Green function
-            h = np.zeros(n)
+    try:
+        with np.errstate(over="ignore"):  # past the float range fails below
+            columns = form.green[:, :2] * form.space.m[:2]  # m(x) G[:, x], x = 0, 1
+    except NumericOverflow:  # singular or not finite: no positive Green function
+        columns = np.zeros((1, 1))
+    for h in columns.T:
         low, high = float(h.min()), float(h.max())  # a float ratio past the range is inf
         if not 0.0 < low <= high < np.inf:  # NaN fails both
             raise NotIrreducible("no positive Green function in floating point: rounding "

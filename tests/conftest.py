@@ -159,22 +159,23 @@ def oracle_spectrum(form) -> np.ndarray:
 
 def oracle_blocked_green(form) -> np.ndarray:
     """The Green function of ``GraphForm.green`` gathered from the dense F:
-    grounded at the first vertex of largest degree, inverted by
-    ``_symmetric_inverse``."""
+    a recurrent form's grounded at the first vertex of largest degree, a
+    transient form's the whole F, inverted by ``_symmetric_inverse``."""
+    grounded = "grounded " if form.recurrent else ""
     if not form.irreducible:
-        raise NotIrreducible("the grounded Green function needs a connected conductance graph")
+        raise NotIrreducible(f"the {grounded}Green function needs a connected conductance graph")
     n = len(form.space)
-    keep = np.arange(n) != np.argmax(form.degrees)
-    grounded = oracle_form_matrix(form)[np.ix_(keep, keep)]
-    inverse = np.empty_like(grounded)
+    keep = (np.arange(n) != np.argmax(form.degrees)) | (not form.recurrent)
+    matrix = oracle_form_matrix(form)[np.ix_(keep, keep)]
+    inverse = np.empty_like(matrix)
     try:
         with np.errstate(all="ignore"):
-            _symmetric_inverse(grounded, inverse)
+            _symmetric_inverse(matrix, inverse)
     except np.linalg.LinAlgError:
-        raise NumericOverflow("grounded form matrix is singular in floating point") from None
+        raise NumericOverflow(f"{grounded}form matrix is singular in floating point") from None
     g = np.zeros((n, n))
     g[np.ix_(keep, keep)] = inverse
-    _require_finite(g, "grounded Green function")
+    _require_finite(g, f"{grounded}Green function")
     return g
 
 
@@ -487,6 +488,29 @@ def lp_nonconstant_excessive(gen, separation: float = 1e-3):
         )
         if result.status == 0:
             return np.asarray(result.x, dtype=float)
+    return None
+
+
+def solved_nonconstant_excessive(form, tol: Tolerance = DEFAULT_TOL):
+    """Reference: ``find_nonconstant_excessive`` by one LU solve of the dense
+    F per vertex, F h = m(x) e_x, as it ran before it read ``form.green``."""
+    form.generator_diagonal
+    if not form.irreducible:
+        raise NotIrreducible("nonconstant-excessive search requires an irreducible form")
+    n = len(form.space)
+    if form.recurrent:
+        return None
+    gram, m = form.form_matrix, form.space.m
+    for x in range(min(n, 2)):
+        try:
+            h = np.linalg.solve(gram, m[x] * np.eye(n)[x])
+        except np.linalg.LinAlgError:
+            h = np.zeros(n)
+        low, high = float(h.min()), float(h.max())
+        if not 0.0 < low <= high < np.inf:
+            raise NotIrreducible("no positive Green function in floating point")
+        if high / low - 1.0 > tol.bound(1.0):
+            return h
     return None
 
 

@@ -490,6 +490,23 @@ def green_form(family: str, n: int) -> dk.GraphForm:
     return random_form(rng_for(n), n, recurrent=True)
 
 
+def two_blocks(tail: int, bridge: float | None, killed: str) -> dk.GraphForm:
+    """a - b and c - d, unit edges, joined by b - c of weight ``bridge``
+    (None: no edge), with a unit path of ``tail`` vertices hung from a and
+    unit killing at the vertices named in ``killed``."""
+    names, edges = unit_tail("a", tail)
+    vertices = names + ["a", "b", "c", "d"]
+    edges += [("a", "b", 1.0), ("c", "d", 1.0)] + [("b", "c", bridge)] * (bridge is not None)
+    return dk.build_form(vertices, 1.0, edges, [float(v in killed) for v in vertices])
+
+
+def killed_at_first(form: dk.GraphForm, c: float = 1.0) -> dk.GraphForm:
+    """The form on the same edge keys with killing c at its first vertex only."""
+    killing = np.zeros(len(form.space))
+    killing[0] = c
+    return form._on_keys(form.space.m, form.weights, killing)
+
+
 class TestGreen:
     # grounded orders leaf - 1, leaf and leaf + 1, an odd one whose halves
     # are a leaf and a block, 122 (Sierpinski L4), 365 (L5) and 159
@@ -511,20 +528,30 @@ class TestGreen:
         # degree: the form is irreducible, but the c - d block of the
         # grounded matrix is singular in floating point, and so is the leaf
         # that holds it
-        names, edges = unit_tail("a", tail)
-        form = dk.build_form(names + ["a", "b", "c", "d"], 1.0,
-                             edges + [("a", "b", 1.0), ("c", "d", 1.0), ("b", "c", 1e-300)])
+        form = two_blocks(tail, 1e-300, "")
         assert form.irreducible
-        with pytest.raises(NumericOverflow, match="singular"):
+        with pytest.raises(NumericOverflow, match="^grounded form matrix is singular"):
+            form.green
+
+    @pytest.mark.parametrize("tail", [0, PAST_LEAF])
+    def test_singular_in_a_leaf_killed(self, tail):
+        # as above with c(a) = 1: F itself is singular in floating point
+        form = two_blocks(tail, 1e-300, "a")
+        assert form.irreducible and not form.recurrent
+        with pytest.raises(NumericOverflow, match="^form matrix is singular"):
             form.green
 
     @pytest.mark.parametrize("tail", [0, PAST_LEAF])
     def test_second_component_is_not_irreducible(self, tail):
-        names, edges = unit_tail("a", tail)
-        form = dk.build_form(names + ["a", "b", "c", "d"], 1.0,
-                             edges + [("a", "b", 1.0), ("c", "d", 1.0)])
-        with pytest.raises(NotIrreducible):
-            form.green
+        with pytest.raises(NotIrreducible, match="^the grounded Green function needs"):
+            two_blocks(tail, None, "").green
+
+    @pytest.mark.parametrize("tail", [0, PAST_LEAF])
+    def test_second_component_killed_is_not_irreducible(self, tail):
+        # with killing on both components F is invertible, but the form is
+        # not irreducible
+        with pytest.raises(NotIrreducible, match="^the Green function needs"):
+            two_blocks(tail, None, "ac").green
 
     def test_interleaved_paths_raise_before_inverting(self, monkeypatch):
         # two unit paths over 100 interleaved vertices: rounding leaves the
@@ -541,12 +568,11 @@ class TestGreen:
             with pytest.raises(NotIrreducible, match="Green function"):
                 form.green
 
-    def test_l5_peak(self):
-        # the grounded matrix, scattered from the edges, and its inverse with
-        # the temporaries of the top split, then the inverse and the result;
-        # measured 2.75 times 8 n^2 bytes (2.99 for one inv call of the
-        # gathered matrix)
-        form = dk.generate("sierpinski", 5)
+    @staticmethod
+    def l5_peak(killing: float) -> float:
+        """The traced peak of Sierpinski L5's ``green``, c = ``killing`` at
+        its first vertex, in units of 8 n^2 bytes."""
+        form = killed_at_first(dk.generate("sierpinski", 5), killing)
         form.form_diagonal
         n = len(form.space)
         tracemalloc.start()
@@ -555,7 +581,45 @@ class TestGreen:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.8 * 8 * n * n
+        return peak / (8 * n * n)
+
+    def test_l5_peak(self):
+        # the grounded matrix, scattered from the edges, and its inverse with
+        # the temporaries of the top split, then the inverse and the result;
+        # measured 2.75 times 8 n^2 bytes (2.99 for one inv call of the
+        # gathered matrix)
+        assert self.l5_peak(0.0) <= 2.8
+
+    def test_l5_peak_transient(self):
+        # F^-1 is the result, nothing to put back: measured 2.76
+        assert self.l5_peak(1.0) <= 2.8
+
+    @pytest.mark.parametrize("family, n", [
+        ("random", 1), ("random", 2), ("random", _INVERSE_LEAF), ("random", _INVERSE_LEAF + 1),
+        ("random", 2 * _INVERSE_LEAF + 3), ("sierpinski", 4), ("sierpinski", 5), ("random", 160),
+    ])
+    def test_transient_is_the_inverse_of_f(self, family, n):
+        # F^-1, entrywise positive on an irreducible form, with F G - I
+        # within 2 n eps ||F|| ||G|| in the max row-sum norm (measured at
+        # most 0.04 of it); nothing grounded
+        form = killed_at_first(green_form(family, n))
+        green, f, size = form.green, form.form_matrix, len(form.space)
+        assert not green.flags.writeable and green.shape == (size, size)
+        assert (green > 0.0).all()
+        bound = (2 * size * np.finfo(float).eps
+                 * np.linalg.norm(f, np.inf) * np.linalg.norm(green, np.inf))
+        assert np.max(np.abs(f @ green - np.eye(size))) <= bound
+
+    def test_transient_two_vertices(self):
+        # a - b with b = 1, m = (1, 2) and c(a) = 1: F = [[2, -1], [-1, 1]],
+        # whose inverse [[1, 1], [1, 2]] is exact in floating point; the
+        # measure plays no part
+        form = dk.build_form(["a", "b"], [1.0, 2.0], [("a", "b", 1.0)], [1.0, 0.0])
+        assert form.green.tolist() == [[1.0, 1.0], [1.0, 2.0]]
+
+    def test_transient_one_vertex(self):
+        form = dk.build_form(["a"], 2.0, [], 4.0)
+        assert form.green.tolist() == [[0.25]]
 
 
 class TestOverflow:

@@ -63,6 +63,17 @@ class TestEffectiveResistance:
         with pytest.raises(NotRecurrent, match="^effective resistance is undefined in the"):
             dk.effective_resistance(form, "a", "b")
 
+    def test_rejects_killing_after_the_green_function_is_read(self):
+        # a transient form caches F^-1 as its Green function, which no
+        # resistance reads: the caches do not depend on the order of use
+        form = dk.build_form(["a", "b"], 1.0, [("a", "b", 1.0)], {"a": 1.0, "b": 0.0})
+        assert dk.find_nonconstant_excessive(form) is not None
+        assert form.__dict__["green"].tolist() == [[1.0, 1.0], [1.0, 2.0]]
+        with pytest.raises(NotRecurrent, match="^effective resistance is undefined in the"):
+            dk.effective_resistance(form, "a", "b")
+        with pytest.raises(NotRecurrent, match="^effective resistance is undefined in the"):
+            dk.resistance_matrix(form)
+
     def test_entry_of_the_matrix(self):
         # the grounded Green function is symmetric only up to rounding, so
         # a one-sided formula gives R(x, y) != R(y, x) on some pairs

@@ -11,12 +11,24 @@ from the measures afterwards.  tau passes when each entry of
 (``residual_bound``, the bound of certify's guard too), which no scaling
 of b and c, of m, or Doob transform changes.
 
+The verdict (``equivalence_verdict``) forms the root's domains first
+when the traces tr S_i are as close as a solution leaves them: target y
+admits source x when the diagonal entry S1[x, x] - S2[y, y] is within
+its bound.  When that leaves each target at most one source, there is
+at most one candidate tau, and its entrywise test decides: it is the
+solution, or there is none.  Otherwise the spectra are compared (the gate below) and
+the depth-first search runs.  A tau that passes the S test passes the
+gate, so the order is a schedule: it changes no verdict, solution or
+cap, and a forced root that passes computes no spectrum.
+
 Enumeration is a depth-first assignment of target vertices in
 lexicographic order, each to a source vertex of its domain in
 lexicographic order, with these pruning rules:
 
-* the eigenvalue multisets of the two generators must match (similar
-  matrices have equal spectra), read from ``GraphForm.spectrum``;
+* the eigenvalues of the two generators must match, in ascending order,
+  each within rel tr S2 (``spectra_match``): by Weyl's inequality no
+  eigenvalue of P S1 P^T moves by more under the entrywise S test, and
+  P S1 P^T has the spectrum of S1;
 * every layer A of the search is a pair of symmetric matrices that any
   solution carries onto each other, P A1 P^T = A2, each with a bound on
   the entries of P A1 P^T - A2: the generators S_i, within the bound
@@ -98,24 +110,56 @@ class EquivalenceVerdict:
 
 
 def spectra_match(form1: GraphForm, form2: GraphForm, spectral_tol: float) -> bool:
-    """Compare the ascending generator spectra ``GraphForm.spectrum``,
-    relatively per eigenvalue.
+    """Whether the ascending generator spectra ``GraphForm.spectrum`` agree
+    eigenvalue by eigenvalue within rel tr S2 (1 + (n + 8) eps) + 8 n eps
+    max|w|, rel = ``spectral_tol`` and tr S2 the sum of the target's
+    ``generator_diagonal``, s.  Every pair whose solution passes the
+    computed S test of ``residual_bound`` passes this gate:
 
-    Each eigenvalue may also differ by 8 n eps max|w|, the rounding of the
-    two spectra: eigvalsh (LAPACK's dsyevd without eigenvectors, a
-    tridiagonal reduction and dsterf) is backward stable like the full
-    decomposition, so by Weyl's inequality a computed eigenvalue is off by
-    a few n eps ||A|| at most, which dominates the small eigenvalues of a
-    spectrum spanning many orders of magnitude.  A bound beyond the float
-    range raises NumericOverflow.
+    * the test accepts fl|S1[tau y, tau z] - S2[y, z]| <= fl(rel fl(r(y)
+      r(z))), r = fl(sqrt(s)), s = diag S2.  With unit roundoff u = eps/2
+      the exact E = P S1 P^T - S2 of the stored matrices then has |E| <=
+      rel (1 + u)^4 / (1 - u) v v^T entrywise, v = sqrt(s) exactly, so
+      ||E||_2 <= || |E| ||_2 <= rel (1 + u)^4 / (1 - u) ||v||^2, and
+      ||v||^2 = sum s is at most fl(sum s) / (1 - (n - 1) u) for
+      nonnegative terms.  By Weyl's inequality each eigenvalue of S1 (those
+      of P S1 P^T) is within ||E||_2 of the same eigenvalue of S2, so
+      within rel tr S2 (1 + (n + 5) u + O(u^2)); the factor 1 + (n + 8)
+      eps covers that and the rounding of the bound and of the comparison;
+    * eigvalsh (LAPACK's dsyevd without eigenvectors, a tridiagonal
+      reduction and dsterf) is backward stable like the full
+      decomposition, so by Weyl's inequality again a computed eigenvalue
+      is off by a few n eps ||S|| at most, which 8 n eps max|w| over both
+      spectra covers.
+
+    A bound past the float range accepts the pair, without a spectrum: the
+    S test decides it.  The spectra of a pair that the bound refutes differ
+    by more than any tau passing the S test allows, a larger amount than
+    the rel |w| per eigenvalue of an earlier gate, which refuted pairs with
+    a light bridge between heavy vertices whose tau certify passes.
     """
-    w1 = form1.spectrum
-    w2 = form2.spectrum
-    if len(w1) != len(w2):
+    n = len(form2.space)
+    if len(form1.space) != n:
         return False
-    rounding = 8.0 * len(w1) * _EPS * max(float(np.max(np.abs(w1))), float(np.max(np.abs(w2))))
-    bound = Tolerance(rel=spectral_tol).bound(np.abs(w1)) + rounding
-    return bool(np.all(np.abs(w1 - w2) <= bound))
+    scale = _gate_scale(_trace(form2), Tolerance(spectral_tol).rel, n)
+    if not scale < math.inf:
+        return True
+    w1, w2 = form1.spectrum, form2.spectrum
+    rounding = 8.0 * n * _EPS * max(float(np.max(np.abs(w1))), float(np.max(np.abs(w2))))
+    return bool(np.all(np.abs(w1 - w2) <= scale + rounding))
+
+
+def _trace(form: GraphForm) -> float:
+    """tr S, the sum of the diagonal of ``GraphForm.symmetric``, which is
+    ``generator_diagonal``: inf past the float range."""
+    with np.errstate(over="ignore"):
+        return float(form.symmetric.diagonal().sum())
+
+
+def _gate_scale(trace: float, rel: float, n: int) -> float:
+    """rel tr S2 (1 + (n + 8) eps), the bound of ``spectra_match`` on each
+    eigenvalue before the rounding of the spectra."""
+    return rel * (1.0 + (n + 8) * _EPS) * trace
 
 
 # stamp of a (target, source) pair still in the target's domain; a removed
@@ -341,13 +385,35 @@ def _resolvents(
 def _diagonal_domain(a1: np.ndarray, a2: np.ndarray, bound: np.ndarray) -> np.ndarray:
     """Target x source boolean matrix: whether the entry (y, y) of
     P A1 P^T - A2, A1[x, x] - A2[y, y] with tau(y) = x, is within its
-    bound.  A NaN entry fails it."""
-    return np.abs(np.diag(a1)[None, :] - np.diag(a2)[:, None]) <= np.diag(bound)[:, None]
+    bound, from the diagonals a_i of A_i and ``bound`` of the bounds.  A
+    NaN entry fails it."""
+    gap = a1[None, :] - a2[:, None]
+    return np.abs(gap, out=gap) <= bound[:, None]
 
 
-def _intertwiners(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -> list[OrderIso]:
+def _root_domain(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -> np.ndarray:
+    """``_diagonal_domain`` of the generators S_i in storage order, with
+    the diagonal of ``residual_bound``, rounded as it rounds it, without
+    the n x n bound (sqrt(s)^2 does not overflow)."""
+    root = np.sqrt(form2.generator_diagonal)
+    return _diagonal_domain(form1.symmetric.diagonal(), form2.symmetric.diagonal(),
+                            opts.tol.bound(root * root))
+
+
+def _intertwiners(form1: GraphForm, form2: GraphForm, opts: SearchOptions,
+                  domain: np.ndarray) -> list[OrderIso]:
     """The search of ``find_intertwiners`` on two irreducible forms of equal
-    size and matching spectra."""
+    size, from the root's domains ``domain`` (``_root_domain``).  A root
+    that leaves some target no source has no solution, and one that leaves
+    each target one source has at most one: the S test of that tau, in
+    storage order, which needs no resolvent and no ordering of the ids."""
+    n, pairs = len(domain), np.count_nonzero(domain)
+    if pairs <= n:
+        if pairs < n or not domain.any(axis=1).all():
+            return []
+        taus = _tails(form1.symmetric[None], form2.symmetric[None], domain, 0,
+                      residual_bound(form2, opts)[None], 0)
+        return _isos(form1, form2, taus)
     # assignment proceeds through target vertices in lexicographic order,
     # trying source vertices in lexicographic order: solutions come out in
     # lexicographic order of the tau sequence
@@ -356,25 +422,28 @@ def _intertwiners(form1: GraphForm, form2: GraphForm, opts: SearchOptions) -> li
     ix1, ix2 = np.ix_(perm1, perm1), np.ix_(perm2, perm2)
     layers1, layers2 = [form1.symmetric[ix1]], [form2.symmetric[ix2]]
     bounds = [residual_bound(form2, opts)[ix2]]
-    domain = _diagonal_domain(layers1[0], layers2[0], bounds[0])
-    # the resolvents are built only when some target keeps more than one
-    # candidate source: a forced path has nothing left to prune
-    if np.count_nonzero(domain, axis=1).max() > 1:
-        resolvents = _resolvents(form1, form2, opts.tol.rel)
-        if resolvents is not None:
-            layers1.append(resolvents[0][ix1])
-            layers2.append(resolvents[1][ix2])
-            bounds.append(resolvents[2][ix2])
-            domain &= _diagonal_domain(layers1[1], layers2[1], bounds[1])
+    domain = domain[np.ix_(perm2, perm1)]
+    resolvents = _resolvents(form1, form2, opts.tol.rel)
+    if resolvents is not None:
+        layers1.append(resolvents[0][ix1])
+        layers2.append(resolvents[1][ix2])
+        bounds.append(resolvents[2][ix2])
+        domain &= _diagonal_domain(*(a.diagonal() for a in (layers1[1], layers2[1], bounds[1])))
     taus = _search(np.stack(layers1), np.stack(layers2), domain, np.stack(bounds),
                    opts.max_solutions)
     if not len(taus):
         return []
-
     # tau is a bijection, as the search uses each source once; its rows are
-    # put in target storage order, that of OrderIso's arrays.  A measure
-    # ratio beyond the float range rounds h to 0 or inf
-    taus = perm1[taus[:, np.argsort(perm2)]]
+    # put in target storage order, that of OrderIso's arrays
+    return _isos(form1, form2, perm1[taus[:, np.argsort(perm2)]])
+
+
+def _isos(form1: GraphForm, form2: GraphForm, taus: np.ndarray) -> list[OrderIso]:
+    """The solutions of the rows ``taus``, each the source index of every
+    target in storage order, with h(y) = sqrt(m1(tau(y)) / m2(y)).  A
+    measure ratio beyond the float range rounds h to 0 or inf: NonPositive."""
+    if not len(taus):
+        return []
     m1_tau, m2 = form1.space.m[taus], form2.space.m
     with np.errstate(over="ignore"):
         hs = np.sqrt(m1_tau / m2)
@@ -391,17 +460,40 @@ def equivalence_verdict(
 ) -> EquivalenceVerdict:
     """Decide whether two forms are intertwined by some order isomorphism;
     without one, the reason names the first failed test: size, spectrum or
-    the exhausted search."""
+    the exhausted search.
+
+    A solution moves each diagonal entry of S by its bound rel s(y) at
+    most, so the traces tr S_i, the sums of their eigenvalues, by the
+    gate's rel tr S2 (``spectra_match``), up to the rounding of two sums.
+    When the traces are that close, the root's domains (``_root_domain``)
+    are formed first, and a root that leaves each target at most one
+    source is decided by the S test of its one candidate: a pass is the
+    solution, found without a spectrum, and a failure leaves the gate to
+    name the reason.  Otherwise the gate runs first, then the search from
+    the root's domains.  Every solution passes the gate, so this order
+    gives the verdict, solutions and ``capped`` of the gate run first."""
     if not (form1.irreducible and form2.irreducible):
         raise NotIrreducible("intertwiner search requires irreducible forms")
-    if len(form1.space) != len(form2.space):
+    n = len(form2.space)
+    if len(form1.space) != n:
         return EquivalenceVerdict(reason="size")
-    if not spectra_match(form1, form2, opts.tol.rel):
-        return EquivalenceVerdict(reason="spectrum")
+    rel = opts.tol.rel
+    tr1, tr2 = _trace(form1), _trace(form2)
+    near = abs(tr1 - tr2) <= _gate_scale(tr2, rel, n) + n * _EPS * (tr1 + tr2)
+    domain = _root_domain(form1, form2, opts) if near else None
+    # at most n pairs: each target has one source, or some target none
+    gated = domain is None or np.count_nonzero(domain) > n
+    if gated:
+        if not spectra_match(form1, form2, rel):
+            return EquivalenceVerdict(reason="spectrum")
+        if domain is None:
+            domain = _root_domain(form1, form2, opts)
     # one solution past the cap tells whether the cap cut the list
-    found = _intertwiners(form1, form2, replace(opts, max_solutions=opts.max_solutions + 1))
+    found = _intertwiners(form1, form2, replace(opts, max_solutions=opts.max_solutions + 1),
+                          domain)
     if not found:
-        return EquivalenceVerdict(reason="exhausted")
+        gate = gated or spectra_match(form1, form2, rel)
+        return EquivalenceVerdict(reason="exhausted" if gate else "spectrum")
     cap = opts.max_solutions
     return EquivalenceVerdict(tuple(found[:cap]), capped=len(found) > cap)
 
@@ -415,7 +507,8 @@ def find_intertwiners(
     h(y) = sqrt(m1(tau(y)) / m2(y)), for which every entry of P S1 P^T - S2
     is within ``residual_bound``, in lexicographic order of tau as a
     vertex-id sequence, capped at ``opts.max_solutions``; none when the
-    sizes differ or the spectra differ beyond ``tol.rel``.  NonPositive
-    when the h of a solution is not a positive float.
+    sizes differ, and none when the spectra differ by more than any
+    solution allows (``spectra_match``).  NonPositive when the h of a
+    solution is not a positive float.
     """
     return list(equivalence_verdict(form1, form2, opts).solutions)

@@ -436,7 +436,7 @@ def search_pairs(rng, kind):
     solutions.  Unrelated pairs: random forms, P6 against C6, and an
     isospectral pair that no bijection intertwines.  Pairs near the bound:
     relabel pairs with conductances moved by up to 3e-8 relative, whose
-    outcome (equivalent, spectrum or exhausted) depends on the seed."""
+    outcome (equivalent or exhausted) depends on the seed."""
     if kind == "intertwined":
         pairs = [random_intertwined_pair(rng, int(rng.integers(2, 9)), transform)[:2]
                  for transform in ("relabel", "doob") for _ in range(6)]
@@ -522,8 +522,11 @@ class TestScaleInvariance:
                     except NumericOverflow:
                         continue
                     assert got == expected, (name, k, j)
+        # a near_bound pair has a solution or none within the bound; the
+        # spectra of each pair without one differ by less than 1e-8 tr S2,
+        # which every solution allows, so none of them stops at the gate
         want = {"intertwined": {None}, "unrelated": {"spectrum", "exhausted"},
-                "near_bound": {None, "spectrum", "exhausted"}}
+                "near_bound": {None, "exhausted"}}
         assert outcomes == want[kind]
 
 

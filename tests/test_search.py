@@ -6,6 +6,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -665,7 +666,7 @@ class TestResolventLayer:
                                   [(f"v{i}", f"v{j}", 1.0 + i + j)
                                    for i, j in itertools.combinations(range(5), 2)])
         form1 = rank_one_shift(form2, 0.9 * WIDE.tol.rel)
-        found = search._intertwiners(form1, form2, WIDE)
+        found = search._intertwiners(form1, form2, WIDE, search._root_domain(form1, form2, WIDE))
         assert len(found) == (120 if measure == "equal" else 1)
         peak = max(float(np.max(resolvent_gap(form1, form2, iso.tau_indices))) for iso in found)
         assert peak <= 1.0
@@ -816,10 +817,14 @@ class TestResultsPassFullCertify:
         assert self.certified(spread_search_pair(seed)[:2] for seed in range(100)) == 100
 
     @pytest.mark.parametrize("kind, count", [
-        ("intertwined", 54), ("unrelated", 0), ("near_bound", 1)])
+        ("intertwined", 54), ("unrelated", 0), ("near_bound", 2)])
     def test_scale_invariance_pairs(self, kind, count):
-        # the pairs of TestScaleInvariance in test_orderiso.py; the one tau
-        # of its near_bound pairs, moved 3e-8 past the bound, failed
+        # the pairs of TestScaleInvariance in test_orderiso.py.  Two of its
+        # ten near_bound pairs, conductances moved by up to 3e-8, have a tau
+        # within the bound: the second, and the ninth, whose spectra differ
+        # at some eigenvalue by more than 1e-8 of it, which a gate of
+        # 1e-8 |w| per eigenvalue refuted, but within 1e-8 tr S2, which the
+        # search's gate allows.  A tau moved 3e-8 past the bound failed
         # jump_transform at 2.34 times its bound while that bound was 1e-8
         # of the largest conductance
         assert self.certified(search_pairs(rng_for(3), kind)) == count
@@ -870,15 +875,96 @@ def certify_exit(tmp_path, form1, form2, iso, *flags):
     return code, err.getvalue()
 
 
+def bridge_pair(factor, killing):
+    """Two unit triangles v0 v1 v2 and v3 v4 v5, m = 1, joined by a bridge
+    v2 v3 of 1e-6, with ``killing`` at v0; and the same graph with the
+    bridge times ``factor``.  The bound of the bridge's entry scales with
+    the degrees of its ends, so at rel 1e-9 the bridge may move by 2e-3 of
+    itself, while the spectral gap scales with the bridge."""
+    names = [f"v{i}" for i in range(6)]
+    edges = [("v0", "v1", 1.0), ("v0", "v2", 1.0), ("v1", "v2", 1.0),
+             ("v3", "v4", 1.0), ("v3", "v5", 1.0), ("v4", "v5", 1.0)]
+    c = [killing, 0.0, 0.0, 0.0, 0.0, 0.0]
+    return tuple(dk.build_form(names, 1.0, edges + [("v2", "v3", 1e-6 * f)], c)
+                 for f in (1.0, factor))
+
+
+# the CLI's default tolerances: certify's, and search's
+CLI_DEFAULTS = (1e-9, 1e-8)
+
+
 class TestCertifyImpliesSearch:
     """The guard and the search test one statement: a tau that `dirikit
     certify` passes (exit 0) is one that ``find_intertwiners`` returns at
-    the same tolerance."""
+    the same tolerance.  Certify's guard and the search share the entrywise
+    S test, and the search's spectrum gate follows from it, also on a light
+    bridge between heavy vertices and on a shift of every entry."""
 
     OPTS = SearchOptions(dk.Tolerance(1e-9), max_solutions=10**6)
 
-    def search_taus(self, form1, form2):
-        return [iso.tau for iso in dk.find_intertwiners(form1, form2, self.OPTS)]
+    def search_taus(self, form1, form2, tol=1e-9):
+        opts = replace(self.OPTS, tol=dk.Tolerance(tol))
+        return [iso.tau for iso in dk.find_intertwiners(form1, form2, opts)]
+
+    def certified_are_found(self, tmp_path, form1, form2, isos):
+        """Certify each iso at the two CLI defaults, certify's own without
+        --tol; each exit 0 is a tau that the search returns at that
+        tolerance and at each looser default.  Returns the count of exits 0."""
+        taus = {tol: self.search_taus(form1, form2, tol) for tol in CLI_DEFAULTS}
+        certified = 0
+        for tol, flags in zip(CLI_DEFAULTS, ((), ("--tol", "1e-8"))):
+            for iso in isos:
+                code, _ = certify_exit(tmp_path, form1, form2, iso, *flags)
+                if code == 0:
+                    certified += 1
+                    for looser in CLI_DEFAULTS[CLI_DEFAULTS.index(tol):]:
+                        assert iso.tau in taus[looser], (tol, looser, iso.tau)
+        return certified
+
+    @pytest.mark.parametrize("killing, count", [(1e-3, 15), (0.0, 3)])
+    def test_bridge_family(self, tmp_path, killing, count):
+        # the bridge times 1 + 1e-9 ... 1 + 1e-2.  A gate of rel |w| per
+        # eigenvalue refuted the identity from 1 + 1e-5 with killing and
+        # from 1 + 1e-7 without, where certify passes it; the search's
+        # default finds it at every factor.  Without killing certify fails
+        # the resistance check from 1 + 1e-8 on at 1e-9 and from 1 + 1e-7
+        # on at 1e-8, and at 1 + 1e-2 the guard refutes the identity at 1e-9
+        certified = 0
+        for k in range(9, 1, -1):
+            form1, form2 = bridge_pair(1.0 + 10.0**-k, killing)
+            identity = with_tau(form1, form2, {v: v for v in form2.space.vertices})
+            certified += self.certified_are_found(tmp_path, form1, form2, [identity])
+            assert identity.tau in self.search_taus(form1, form2, 1e-8)
+        assert certified == count
+
+    def test_rank_one_shift_family(self, tmp_path):
+        # K5 against S + r u u^T at 0.1 to 0.99 of rel moves the null
+        # eigenvalue to r tr S, which a gate of rel |w| refuted; every one
+        # of the 120 bijections passes the S test at rel and is returned
+        rng = rng_for(236)
+        form2 = dk.generate("complete", 5)
+        sources = form2.space.vertices
+        certified = 0
+        for rel in CLI_DEFAULTS:
+            for fraction in (0.1, 0.25, 0.5, 0.75, 0.9, 0.99):
+                form1 = rank_one_shift(form2, fraction * rel)
+                assert len(self.search_taus(form1, form2, rel)) == 120
+                isos = [with_tau(form1, form2, dict(zip(sources, rng.permutation(sources))))
+                        for _ in range(3)]
+                certified += self.certified_are_found(tmp_path, form1, form2, isos)
+        # a shift at 1e-9 passes certify at both defaults, one at 1e-8, of
+        # 1e-9 or more, at 1e-8 only
+        assert certified == 6 * 3 * 2 + 6 * 3
+
+    def test_seeded_spread_witnesses(self, tmp_path):
+        # the witness of every seeded spread pair, the perturbed ones too
+        certified = 0
+        for seed in range(100):
+            form1, form2, witness, _ = spread_search_pair(seed)
+            certified += self.certified_are_found(tmp_path, form1, form2, [witness])
+        # 154 of the 200 runs exit 0: the other 46 are witnesses perturbed
+        # by 2e-9 or 1e-8, certified at 1e-9
+        assert certified == 154
 
     def test_transpositions_of_the_witness(self, tmp_path):
         # every transposition of the witness on the unperturbed spread seeds;
@@ -987,6 +1073,111 @@ class TestEquivalenceVerdict:
         verdict = dk.equivalence_verdict(q1, q2)
         assert not verdict.equivalent
         assert verdict.reason == "exhausted"
+
+    def test_exhausted_after_the_gate(self):
+        # K5 with killing 1 against a copy whose edge v0 v1 gains 8 rel and
+        # whose ends lose it in killing: the diagonals agree, so every
+        # source enters every domain, and the spectra agree within rel tr S2
+        # (||E|| = 8 rel of 25 rel), but no bijection carries the heavier
+        # edge onto an edge of K5
+        rel = SearchOptions().tol.rel
+        k5 = dk.generate("complete", 5)
+        form1 = dk.GraphForm(k5.space, k5.b, np.ones(5))
+        b = dict(k5.b)
+        b["v0", "v1"] += 8 * rel
+        form2 = dk.GraphForm(k5.space, b, np.array([1.0 - 8 * rel] * 2 + [1.0] * 3))
+        assert search._root_domain(form1, form2, SearchOptions()).all()
+        assert spectra_match(form1, form2, rel)
+        verdict = dk.equivalence_verdict(form1, form2)
+        assert (verdict.solutions, verdict.reason) == ((), "exhausted")
+
+    @pytest.mark.parametrize("n", [40, 80, 160])
+    def test_forced_relabel_root_computes_no_spectrum(self, n, monkeypatch):
+        # a random relabel pair leaves each target one source at the root,
+        # and that tau's S test is the verdict: neither form's spectrum is
+        # computed, and no np.linalg routine runs
+        rng = rng_for(400 + n)
+        form1 = random_form(rng, n)
+        form2, witness = relabel_pair(rng, form1, scale=1.3)
+        for name in np.linalg.__all__:
+            routine = getattr(np.linalg, name)
+            if callable(routine) and not isinstance(routine, type):
+                monkeypatch.setattr(np.linalg, name, pytest.fail)
+        verdict = dk.equivalence_verdict(form1, form2)
+        assert [tau_signature(s) for s in verdict.solutions] == [tau_signature(witness)]
+        assert (verdict.reason, verdict.capped) == (None, False)
+        assert "spectrum" not in vars(form1) and "spectrum" not in vars(form2)
+
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_perturbed_conductance_stops_at_the_spectrum(self, n):
+        # a relabelled copy with one conductance times 1.5, like the
+        # benchmark's mismatch kinds
+        rng = rng_for(500 + n)
+        form1 = random_form(rng, n)
+        form2, _ = relabel_pair(rng, form1, scale=1.3)
+        b = dict(form2.b)
+        b[sorted(b)[int(rng.integers(len(b)))]] *= 1.5
+        verdict = dk.equivalence_verdict(form1, dk.GraphForm(form2.space, b, form2.c))
+        assert (verdict.solutions, verdict.reason) == ((), "spectrum")
+
+    def test_failed_forced_root_takes_the_gate_reason(self):
+        # relabel pairs whose target moves a fraction of one conductance
+        # into the killing at its ends: S keeps its diagonal, so the root
+        # stays forced, and an S test that fails leaves the reason to the
+        # gate alone
+        reasons = collections.Counter()
+        for seed in range(12):
+            rng = rng_for(600 + seed)
+            n = int(rng.integers(5, 30))
+            form1 = random_form(rng, n)
+            form2, witness = relabel_pair(rng, form1, scale=1.3)
+            for fraction in (1e-7, 1e-5, 1e-3):
+                b = dict(form2.b)
+                edge = sorted(b)[int(rng.integers(len(b)))]
+                c = form2.c.copy()
+                c[[form2.space.index(v) for v in edge]] += fraction * b[edge]
+                b[edge] *= 1.0 - fraction
+                moved = dk.GraphForm(form2.space, b, c)
+                domain = search._root_domain(form1, moved, SearchOptions())
+                assert np.count_nonzero(domain) == n and domain.any(axis=1).all()
+                verdict = dk.equivalence_verdict(form1, moved)
+                if verdict.solutions:
+                    assert [tau_signature(s) for s in verdict.solutions] == \
+                        [tau_signature(witness)]
+                else:
+                    gate = spectra_match(form1, moved, SearchOptions().tol.rel)
+                    assert verdict.reason == ("exhausted" if gate else "spectrum")
+                reasons[verdict.reason] += 1
+        assert reasons[None] >= 1 and reasons["exhausted"] >= 5 and reasons["spectrum"] >= 5, \
+            reasons
+
+    def test_same_verdict_as_the_gate_first(self):
+        # the root's S test runs before the gate only as a schedule: the
+        # verdict, the solutions in their order and capped are those of the
+        # gate run first, then the search
+        def gate_first(form1, form2, opts):
+            if not spectra_match(form1, form2, opts.tol.rel):
+                return [], "spectrum", False
+            cap = opts.max_solutions
+            found = search._intertwiners(form1, form2, replace(opts, max_solutions=cap + 1),
+                                         search._root_domain(form1, form2, opts))
+            return outcome(found[:cap]), None if found else "exhausted", len(found) > cap
+
+        pairs = [spread_search_pair(seed)[:2] for seed in range(100)]
+        pairs += [pair for kind in ("intertwined", "unrelated", "near_bound")
+                  for pair in search_pairs(rng_for(3), kind)]
+        pairs += [bridge_pair(1.0 + 10.0**-k, killing) for k in range(9, 1, -1)
+                  for killing in (1e-3, 0.0)]
+        k5 = dk.generate("complete", 5)
+        pairs += [(rank_one_shift(k5, r), k5) for r in (1e-10, 5e-9, 2e-8)]
+        reasons = collections.Counter()
+        for form1, form2 in pairs:
+            for opts in (SearchOptions(), SearchOptions(dk.Tolerance(1e-9), 7)):
+                verdict = dk.equivalence_verdict(form1, form2, opts)
+                assert (outcome(verdict.solutions), verdict.reason, verdict.capped) == \
+                    gate_first(form1, form2, opts)
+                reasons[verdict.reason] += 1
+        assert set(reasons) == {None, "spectrum", "exhausted"}, reasons
 
     def test_eigenvalue_paths_build_no_eigenvectors(self, monkeypatch):
         # a random relabel pair is forced at the root and a mismatched pair

@@ -166,6 +166,29 @@ def _k4(names: list[str], m: list[float]) -> str:
                                  "b": [1.0] * len(edges)}, "killing": {}})
 
 
+def _bridge(factor: float, killing: float) -> str:
+    """Two unit triangles v0 v1 v2 and v3 v4 v5 joined by a bridge v2 v3 of
+    1e-6 times ``factor``, with ``killing`` at v0."""
+    names = [f"v{i}" for i in range(6)]
+    edges = [("v0", "v1", 1.0), ("v0", "v2", 1.0), ("v1", "v2", 1.0),
+             ("v3", "v4", 1.0), ("v3", "v5", 1.0), ("v4", "v5", 1.0), ("v2", "v3", 1e-6 * factor)]
+    return json.dumps({"vertices": names, "m": dict.fromkeys(names, 1.0),
+                       "edges": {"u": [u for u, _, _ in edges], "v": [v for _, v, _ in edges],
+                                 "b": [b for _, _, b in edges]},
+                       "killing": {"v0": killing} if killing else {}})
+
+
+def _k5_rank_one(r: float) -> str:
+    """K5 with unit weights shifted to S + r u u^T, u = sqrt(diag S) = 2:
+    conductances 1 - 4 r and killing 20 r."""
+    names = [f"v{i}" for i in range(5)]
+    edges = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    return json.dumps({"vertices": names, "m": dict.fromkeys(names, 1.0),
+                       "edges": {"u": [u for u, _ in edges], "v": [v for _, v in edges],
+                                 "b": [1.0 - r * 2.0 * 2.0] * len(edges)},
+                       "killing": dict.fromkeys(names, r * 2.0 * 10.0)})
+
+
 # hand-written graphs that load: a -0.0 weight and a -0.0 killing entry,
 # a graph both disconnected and killed, two unit edges whose generators
 # share the spectrum {0, 2} under measures (1, 1) and (2, 2/3) that no
@@ -196,6 +219,16 @@ HAND = {
                                    "m": {"v0": 5e-324, "v1": 1.0, "v2": 1.7e308},
                                    "edges": {"u": ["v0", "v1", "v0"], "v": ["v1", "v2", "v2"],
                                              "b": [1e-310, 1.0, 0.0]}, "killing": {}}),
+    # a light bridge between heavy vertices, moved by 1e-4 of itself, with
+    # killing 1e-3 at v0 and without: within the entrywise bound of S, while
+    # the smallest eigenvalues differ by 1e-4 of themselves
+    "bridge": _bridge(1.0, 0.0),
+    "bridge_moved": _bridge(1.0 + 1e-4, 0.0),
+    "bridge_killed": _bridge(1.0, 1e-3),
+    "bridge_killed_moved": _bridge(1.0 + 1e-4, 1e-3),
+    # K5 shifted by 0.9e-8 u u^T: every entry at 0.9 of the search's default
+    # bound, and the null eigenvalue moved to 0.9e-8 tr S
+    "complete5_rank_one": _k5_rank_one(0.9e-8),
 }
 
 
@@ -438,6 +471,12 @@ def _commands() -> list[list[str]]:
              ["certify", "negative_zero_pair.json"], ["certify", "zero_key_union.json"]]
     # a seed that numpy's SeedSequence refuses
     cmds += [["gen-pair", "--transform", "relabel", "--seed", "-1"]]
+    # pairs whose tau passes the entrywise S test at rel while some
+    # eigenvalue moves by more than rel of itself
+    for graphs in (("bridge", "bridge_moved"), ("bridge_killed", "bridge_killed_moved"),
+                   ("complete5_rank_one", "complete5")):
+        paths = [f"{name}.json" for name in graphs]
+        cmds += [["search", *paths], ["search", *paths, "--tol", "1e-9"]]
     return cmds
 
 

@@ -22,10 +22,13 @@ S = M^{1/2} L M^{-1/2}, its spectrum and G, the one inverse of F.  W, F
 and L are built on each read, and no eigenvector is cached.  All values
 are immutable and every operation is a pure function.
 
-Construction works on whole arrays: edge columns of ends and weights, one
-look-up per endpoint, one pass of array checks and a sort by the string
-rank of the vertices; only a faulty edge list is walked edge by edge, to
-raise the error of its first fault.  A form keeps index and weight arrays
+Construction works on whole arrays: columns of vertex indices and float
+weights (``GraphForm._from_indices``), one pass of array checks and a sort
+by the string rank of the vertices.  Columns of ids (the constructor,
+``_from_columns``) take one look-up per endpoint first; the samplers and
+the path, cycle and complete families build index columns and look
+nothing up.  Only a faulty edge list is walked edge by edge, to raise the
+error of its first fault, named by its ids.  A form keeps index and weight arrays
 of its edge keys, in key order; the dict ``b`` is derived data, built on
 first read.  A form on another form's edge keys with a new measure,
 weights or killing (a Doob partner, a same-graph pair's g2) comes from
@@ -282,13 +285,19 @@ class GraphForm:
         form._set_columns(space, us, vs, ws, c)
         return form
 
+    @classmethod
+    def _from_indices(cls, space, ends: np.ndarray, weights: np.ndarray,
+                      c: VertexFunction = 0.0) -> GraphForm:
+        """The form with edges between the vertex indices ends[0][k] and
+        ends[1][k] of float weight weights[k]: ``_from_columns`` on their
+        ids, with its checks and errors, and no look-up."""
+        form = cls.__new__(cls)
+        form._set_indices(space, ends, weights, c)
+        return form
+
     def _set_columns(self, space, us, vs, ws, c) -> None:
-        """Build the form on ``space`` from edge columns: the ends are looked
-        up in the index, the edge keys ranked by the string order of the ids
-        and sorted.  That sort's permutation of the columns, ``_key_order``,
-        is kept read-only, so that a form on the same columns reuses it
-        (``_same_ends``)."""
-        self.space = space
+        """Look the ends up in the index and convert the weights to floats,
+        raising the error of the first faulty edge, then ``_set_indices``."""
         try:
             ends = np.fromiter(map(space._index.__getitem__, itertools.chain(us, vs)),
                                np.intp, 2 * len(us)).reshape(2, -1)
@@ -296,6 +305,16 @@ class GraphForm:
         except (KeyError, TypeError, ValueError, OverflowError):
             _raise_first_fault(space, zip(us, vs, ws))
             raise
+        self._set_indices(space, ends, w, c)
+
+    def _set_indices(self, space, ends, w, c) -> None:
+        """Build the form on ``space`` from index columns: the edge keys are
+        ranked by the string order of the ids and sorted; a self-loop, a
+        duplicate key or a weight that is not finite and >= 0 raises the
+        error of the first faulty edge, named by its ids.  That sort's
+        permutation of the columns, ``_key_order``, is kept read-only, so
+        that a form on the same columns reuses it (``_same_ends``)."""
+        self.space = space
         # keys (u, v) with u <= v as strings, in sorted order: sort by rank
         n = len(space)
         by_rank = np.array(_string_order(space.vertices),
@@ -307,7 +326,8 @@ class GraphForm:
         code = code[order]
         if not (((w >= 0.0) & (w < math.inf) & (lo < hi)).all()  # self-loop
                 and (code[1:] != code[:-1]).all()):  # duplicate
-            _raise_first_fault(space, zip(us, vs, ws))
+            ids = np.array(space.vertices, dtype=object)[ends].tolist()
+            _raise_first_fault(space, zip(*ids, w.tolist()))
         # vertex indices (intp, the fastest to index with) and weights of
         # the edge keys, in key order
         self.edge_indices = by_rank[np.array(np.divmod(code, n))].astype(np.intp)
@@ -547,18 +567,15 @@ def generate(family: str, n: int, *, conductance: float = 1.0, measure: float = 
     if family == "path":
         if n < 1:
             raise InvalidSize("path needs n >= 1")
-        names = [f"v{i}" for i in range(n)]
-        edges = [(names[i], names[i + 1], conductance) for i in range(n - 1)]
+        ends = np.array([np.arange(n - 1), np.arange(1, n)])
     elif family == "cycle":
         if n < 3:
             raise InvalidSize("cycle needs n >= 3 (smaller n would need self-loops or duplicate edges)")
-        names = [f"v{i}" for i in range(n)]
-        edges = [(names[i], names[(i + 1) % n], conductance) for i in range(n)]
+        ends = np.array([np.arange(n), (np.arange(n) + 1) % n])
     elif family == "complete":
         if n < 1:
             raise InvalidSize("complete graph needs n >= 1")
-        names = [f"v{i}" for i in range(n)]
-        edges = [(u, v, conductance) for u, v in itertools.combinations(names, 2)]
+        ends = np.array(np.triu_indices(n, 1))
     elif family == "sierpinski":
         if n < 0:
             raise InvalidSize("sierpinski level must be >= 0")
@@ -567,7 +584,9 @@ def generate(family: str, n: int, *, conductance: float = 1.0, measure: float = 
         return _sierpinski(n, conductance, measure)
     else:
         raise InvalidSize(f"unknown family {family!r}")
-    return build_form(names, measure, edges)
+    space = MeasureSpace([f"v{i}" for i in range(n)], measure)
+    count = len(ends[0])  # the conductance is converted when an edge carries it, as in a list
+    return GraphForm._from_indices(space, ends, np.full(count, float(conductance) if count else 0.0))
 
 
 # Corner positions on an integer lattice; any affine image of a triangle

@@ -12,10 +12,17 @@ from scipy.sparse.csgraph import shortest_path
 
 import dirikit as dk
 from dirikit import generator, jsonio
-from dirikit.core import _INVERSE_LEAF, _edge_key, _require_finite, _symmetric_inverse
+from dirikit.core import (
+    _INVERSE_LEAF,
+    _edge_key,
+    _require_finite,
+    _require_size,
+    _symmetric_inverse,
+)
 from dirikit.errors import (
     DirikitError,
     DuplicateEdge,
+    InvalidSize,
     MalformedInput,
     NegativeWeight,
     NonPositive,
@@ -717,6 +724,63 @@ def construction_outcome(make, *args):
         form.weight_matrix.tobytes(),
         form.c.tobytes(),
     )
+
+
+def oracle_random_form(
+    rng: np.random.Generator,
+    n: int,
+    *,
+    recurrent: bool | None = None,
+    b_range: tuple[float, float] = (0.5, 2.0),
+    m_range: tuple[float, float] = (0.5, 2.0),
+    extra_edge_prob: float = 0.35,
+    prefix: str = "v",
+) -> dk.GraphForm:
+    """``sampling.random_form`` as a loop with one draw per vertex pair: the
+    stream contract of its block draws."""
+    if n < 1:
+        raise InvalidSize("a random form needs n >= 1")
+    _require_size(n)  # before the n^2 / 2 chord draws
+    names = [f"{prefix}{i}" for i in range(n)]
+    edges: dict[tuple[str, str], float] = {}
+    for i in range(1, n):
+        j = int(rng.integers(0, i))
+        edges[(names[j], names[i])] = float(rng.uniform(*b_range))
+    for i in range(n):
+        for j in range(i + 1, n):
+            key = (names[i], names[j])
+            if key not in edges and rng.random() < extra_edge_prob:
+                edges[key] = float(rng.uniform(*b_range))
+    m = rng.uniform(*m_range, size=n)
+    if recurrent is None:
+        recurrent = bool(rng.random() < 0.5)
+    c = np.zeros(n)
+    if not recurrent:
+        count = int(rng.integers(1, n + 1))
+        hit = rng.choice(n, size=count, replace=False)
+        c[hit] = rng.uniform(0.5, 2.0, size=count)
+    return dk.build_form(names, m, [(u, v, w) for (u, v), w in edges.items()], c)
+
+
+def oracle_generate(family: str, n: int, *, conductance: float = 1.0,
+                    measure: float = 1.0) -> dk.GraphForm:
+    """``generate``'s path, cycle and complete families from lists of id
+    triples, the complete graph's from ``itertools.combinations``."""
+    _require_size(n)
+    names = [f"v{i}" for i in range(n)]
+    if family == "path":
+        if n < 1:
+            raise InvalidSize("path needs n >= 1")
+        edges = [(names[i], names[i + 1], conductance) for i in range(n - 1)]
+    elif family == "cycle":
+        if n < 3:
+            raise InvalidSize("cycle needs n >= 3 (smaller n would need self-loops or duplicate edges)")
+        edges = [(names[i], names[(i + 1) % n], conductance) for i in range(n)]
+    else:
+        if n < 1:
+            raise InvalidSize("complete graph needs n >= 1")
+        edges = [(u, v, conductance) for u, v in itertools.combinations(names, 2)]
+    return dk.build_form(names, measure, edges)
 
 
 def oracle_generator_times(form, h) -> np.ndarray:

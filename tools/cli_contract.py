@@ -418,6 +418,12 @@ def _commands() -> list[list[str]]:
         ["gen-pair", "--transform", "doob", "--n", "160", "--seed", "1"],
         ["gen-pair", "--transform", "relabel", "--n", "-1"],
         ["gen-pair", "--transform", "doob", "--n", "0"],
+        # the smallest forms the generators draw: one tree pair and no
+        # chord, one vertex, and the complete graphs without and with an edge
+        ["gen-pair", "--transform", "relabel", "--n", "2", "--seed", "5"],
+        ["gen-pair", "--transform", "doob", "--n", "1", "--seed", "2"],
+        ["gen", "--family", "complete", "--n", "1"],
+        ["gen", "--family", "complete", "--n", "2"],
         # one past the vertex cap of 4096, and a level of 9843 vertices
         ["gen", "--family", "path", "--n", "4097"],
         ["gen", "--family", "sierpinski", "--n", "8"],
